@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import Ring, ZZ, QQ
-from .linalg import SparseMatrix, commutator, solve
+from .linalg import SparseMatrix, commutator, solve, inverse_rows
 
 
 class ClassicalAlgebra:
@@ -36,6 +36,7 @@ class ClassicalAlgebra:
         self._build_basis()
         self._root_data = None
         self._killing = None
+        self._structure = None
 
     # -- form and sigma ------------------------------------------------------
 
@@ -202,18 +203,14 @@ class ClassicalAlgebra:
             for (r, c), v in m.items():
                 if r != c:
                     taken.setdefault((r, c), []).append((k, v))
-        self._lead = {}
+        self._lead = {}  # identifying position -> (root vector index, its entry there)
         for k, m in enumerate(self.basis):
             if self.labels[k][0] != "e":
                 continue
-            found = None
-            for (r, c), v in m.items():
-                if len(taken[(r, c)]) == 1:
-                    found = ((r, c), v)
-                    break
-            if found is None:
+            found = [(rc, v) for rc, v in m.items() if len(taken[rc]) == 1]
+            if not found:
                 raise AssertionError("no identifying position for a root vector")
-            self._lead[k] = found
+            self._lead[found[0][0]] = (k, int(found[0][1]))
         # Cartan: express diag coefficients (on h_i = e_ii - e_{-i,-i}) in the
         # chosen Cartan basis
         hmat = []
@@ -221,9 +218,13 @@ class ClassicalAlgebra:
             if self.labels[k][0] == "h":
                 hmat.append([m[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)])
         self._cartan_count = len(hmat)
-        self._cartan_solver = SparseMatrix.from_dense(
-            [[hmat[j][i] for j in range(len(hmat))] for i in range(self.h)], QQ
-        )
+        self._cartan_inverse = inverse_rows([list(col) for col in zip(*hmat)])
+        if self._cartan_inverse is None:
+            raise AssertionError("Cartan diagonal system is singular")
+
+    def _cartan_coords(self, diag) -> list:
+        """Cartan coordinates (rational) from the diagonal entries on v_1..v_h."""
+        return [sum(c * d for c, d in zip(row, diag) if d) for row in self._cartan_inverse]
 
     def coordinates(self, x: SparseMatrix):
         """Exact coordinates of x in the Chevalley basis; raises if x is not
@@ -233,23 +234,15 @@ class ClassicalAlgebra:
             qcoords = self.coordinates(x.change_ring(QQ))
             return tuple(ZZ.coerce(c) for c in qcoords)
         coords = [ring.zero()] * self.dim
-        for k in range(self._cartan_count, self.dim):
-            (rc, v) = self._lead[k]
+        for rc, (k, v) in self._lead.items():
             val = x[rc]
             if val != 0:
                 coords[k] = ring.div(val, ring.coerce(v))
         diag = [x[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)]
-        csol = solve(self._cartan_solver.change_ring(ring), diag)
-        if csol is None:
-            raise ValueError("matrix is not in the algebra (Cartan part)")
-        for j in range(self._cartan_count):
-            coords[j] = csol[j]
+        for j, c in enumerate(self._cartan_coords(diag)):
+            coords[j] = ring.coerce(c)
         # exact reconstruction check
-        recon = SparseMatrix.zeros(self.N, self.N, ring)
-        for k, c in enumerate(coords):
-            if c != 0:
-                recon = recon + self.basis[k].change_ring(ring).scale(c)
-        if recon != x.change_ring(ring):
+        if self.from_coordinates(coords, ring) != x.change_ring(ring):
             raise ValueError("matrix is not in the algebra")
         return tuple(coords)
 
@@ -260,14 +253,98 @@ class ClassicalAlgebra:
                 out = out + self.basis[k].change_ring(ring).scale(c)
         return out
 
-    def ad_matrix(self, x: SparseMatrix, ring: Ring = QQ) -> SparseMatrix:
-        """Matrix of ad(x) on the Chevalley basis."""
+    # -- structure constants ---------------------------------------------------
+
+    @property
+    def structure(self) -> list:
+        """The integer structure constants of the Chevalley basis: entry i
+        maps each j > i with [B_i, B_j] != 0 to ((k, c_ij^k), ...), the
+        nonzero constants with k increasing.  Built on first use and
+        certified entry by entry: sum_k c_ij^k B_k reconstructs [B_i, B_j]
+        exactly."""
+        if self._structure is None:
+            self._structure = self._build_structure()
+        return self._structure
+
+    def _build_structure(self) -> list:
+        zb = [b.change_ring(ZZ) for b in self.basis]
+        ents = [b.entries for b in zb]
+        rows = [{r for r, _ in e} for e in ents]
+        cols = [{c for _, c in e} for e in ents]
+        shared = {}  # one tuple per distinct (k, c), to keep the table small
+        table = [{} for _ in range(self.dim)]
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+                    continue  # both products B_i B_j and B_j B_i vanish
+                br = commutator(zb[i], zb[j]).entries
+                if not br:
+                    continue
+                terms = tuple(shared.setdefault(t, t) for t in self._lattice_coords(br))
+                recon = {}
+                for k, c in terms:
+                    for rc, v in ents[k].items():
+                        recon[rc] = recon.get(rc, 0) + c * v
+                if {rc: v for rc, v in recon.items() if v != 0} != br:
+                    raise AssertionError(f"structure constants of [B_{i}, B_{j}] fail to reconstruct it")
+                table[i][j] = terms
+        return table
+
+    def _lattice_coords(self, m: dict) -> tuple:
+        """((k, c), ...), c != 0 and k increasing: the integer Chevalley
+        coordinates of the integer matrix {(row, col): entry}, read off the
+        identifying positions and the Cartan diagonal.  Unchecked; the
+        structure table certifies what it stores."""
+        coords = {}
+        for rc, val in m.items():
+            hit = self._lead.get(rc)
+            if hit is not None:
+                coords[hit[0]] = Fraction(val, hit[1])
+        diag = [m.get((self.pos[i], self.pos[i]), 0) for i in range(1, self.h + 1)]
+        if any(diag):
+            coords.update(enumerate(self._cartan_coords(diag)))
+        return tuple((k, ZZ.coerce(c)) for k, c in sorted(coords.items()) if c != 0)
+
+    @staticmethod
+    def _sparse(x, ring: Ring) -> list:
+        """(index, scalar) for the nonzero coordinates of x, coerced into
+        ring; a coordinate ring cannot hold raises."""
+        return [(i, ring.coerce(c)) for i, c in enumerate(x) if c != 0]
+
+    def _bracket_terms(self, xs, ys) -> dict:
+        table = self.structure
+        acc = {}
+        for i, a in xs:
+            for j, b in ys:
+                if i < j:
+                    terms, ab = table[i].get(j), a * b
+                elif j < i:
+                    terms, ab = table[j].get(i), -(a * b)
+                else:
+                    continue
+                if terms:
+                    for k, c in terms:
+                        acc[k] = acc.get(k, 0) + c * ab
+        return acc
+
+    def bracket(self, x, y, ring: Ring = QQ) -> tuple:
+        """Chevalley coordinates of [x, y] over ring, for x and y given by
+        their Chevalley coordinates."""
+        out = [ring.zero()] * self.dim
+        for k, v in self._bracket_terms(self._sparse(x, ring), self._sparse(y, ring)).items():
+            v = ring.coerce(v)
+            if v != 0:
+                out[k] = v
+        return tuple(out)
+
+    def ad(self, x, ring: Ring = QQ) -> SparseMatrix:
+        """Matrix of ad(x) on the Chevalley basis over ring, for x given by
+        its Chevalley coordinates: column j holds [x, B_j]."""
+        xs = self._sparse(x, ring)
         ent = {}
-        for j, b in enumerate(self.basis):
-            col = self.coordinates(commutator(x.change_ring(ring), b.change_ring(ring)))
-            for i, v in enumerate(col):
-                if v != 0:
-                    ent[(i, j)] = v
+        for j in range(self.dim):
+            for k, v in self._bracket_terms(xs, ((j, 1),)).items():
+                ent[(k, j)] = v
         return SparseMatrix(self.dim, self.dim, ring, ent)
 
     @property

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rings import QQ, ZZ
-from .linalg import SparseMatrix, commutator, rank_kernel, rank_of_vectors, VectorSpan
+from .linalg import SparseMatrix, commutator, inverse_rows, rank_kernel, rank_of_vectors, VectorSpan
 from .partitions import Partition, pairing_involution, check_involution
-from .orbits import NilpotentRep, dynkin_grading, centralizer_dim_formula
+from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, centralizer_dim_formula
 
 
 # -- the centraliser in the pyramid realisation -------------------------------
@@ -47,18 +47,11 @@ def compute_centralizer(rep: NilpotentRep) -> CentralizerBasis:
     alg = rep.algebra
     vectors = []
     degrees = []
-    adc = {}
+    ad_e = ad_e_matrix(rep)
     # kernel degree by degree keeps the basis graded
     for d in sorted(gr.layers):
         idxs = gr.layers[d]
-        cols = {}
-        for jj, k in enumerate(idxs):
-            col = alg.coordinates(commutator(rep.e, alg.basis[k]))
-            for i, v in enumerate(col):
-                if v != 0:
-                    cols[(i, jj)] = v
-        m = SparseMatrix(alg.dim, len(idxs), QQ, cols)
-        _, ker = rank_kernel(m)
+        _, ker = rank_kernel(ad_e.columns(idxs))
         for kv in ker:
             full = [Fraction(0)] * alg.dim
             for jj, k in enumerate(idxs):
@@ -167,15 +160,9 @@ def ss_sigma(zs: ZetaSystem, x: SparseMatrix) -> SparseMatrix:
     # once and cache on the instance.
     jinv = getattr(zs, "_jinv", None)
     if jinv is None:
-        n = zs.e.nrows
-        dense = zs.form.change_ring(QQ).to_dense()
-        aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i, row in enumerate(dense)]
-        from .linalg import _eliminate
-        pivots = _eliminate(aug, QQ)
-        if len(pivots) != n:
+        inv_rows = inverse_rows(zs.form.to_dense())
+        if inv_rows is None:
             raise AssertionError("Springer-Steinberg form is degenerate")
-        inv_rows = [row[n:] for row in aug]
         jinv = SparseMatrix.from_dense(inv_rows, QQ)
         zs._jinv = jinv
     return -(jinv @ x.transpose().change_ring(QQ) @ zs.form.change_ring(QQ))
@@ -296,12 +283,6 @@ class GradedSubspace:
     complement_degrees: list
 
 
-def _bracket_coords(alg, x_coords, y_coords):
-    x = alg.from_coordinates(x_coords)
-    y = alg.from_coordinates(y_coords)
-    return alg.coordinates(commutator(x, y))
-
-
 def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     """Span of all brackets of centraliser basis pairs, with its codimension
     and a graded complement description."""
@@ -310,7 +291,7 @@ def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     per_degree = {}
     for a in range(cb.dim):
         for b in range(a + 1, cb.dim):
-            v = _bracket_coords(alg, cb.vectors[a], cb.vectors[b])
+            v = alg.bracket(cb.vectors[a], cb.vectors[b])
             if span.add(v):
                 d = cb.degrees[a] + cb.degrees[b]
                 per_degree[d] = per_degree.get(d, 0) + 1
@@ -356,7 +337,7 @@ def check_generation(cb: CentralizerBasis):
         span = VectorSpan(QQ, alg.dim)
         for x in layer.get(1, []):
             for y in layer.get(r - 1, []):
-                span.add(_bracket_coords(alg, x, y))
+                span.add(alg.bracket(x, y))
         witness[r] = (span.rank, len(layer.get(r, [])))
         if span.rank != len(layer.get(r, [])):
             generated = False

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .rings import GF, QQ, format_rational
+from .rings import GF, QQ, _is_prime, format_rational
 from .partitions import (
     Partition,
     admissible_partitions,
@@ -79,6 +77,35 @@ def _parse_eps(text: str) -> int:
     raise argparse.ArgumentTypeError("epsilon must be 1 or -1")
 
 
+def _parse_partition(text: str) -> Partition:
+    try:
+        return Partition.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"malformed partition {text!r}: {exc}") from None
+
+
+def _parse_levi(text: str) -> tuple:
+    sizes = [t for t in text.replace(" ", "").split(",") if t]
+    if not sizes or not all(t.isdigit() and int(t) > 0 for t in sizes):
+        raise argparse.ArgumentTypeError(f"malformed Levi shape {text!r}: want positive block sizes like 1,1")
+    return tuple(map(int, sizes))
+
+
+def _parse_prime(text: str) -> int:
+    if not (text.isdigit() and int(text) % 2 and _is_prime(int(text))):
+        raise argparse.ArgumentTypeError(f"prime must be an odd prime, got {text!r}")
+    return int(text)
+
+
+def _require_algebra(n: int, eps: int):
+    """so_n or sp_n; exits 2 when (n, eps) names no algebra."""
+    try:
+        return build_algebra(n, eps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -91,7 +118,7 @@ def _q(x):
 
 
 def cmd_algebra(args) -> int:
-    g = build_algebra(args.n, args.eps)
+    g = _require_algebra(args.n, args.eps)
     rd = g.root_data()
     kf = g.killing_form()
     _emit({
@@ -113,7 +140,7 @@ def cmd_algebra(args) -> int:
 
 
 def _require_admissible(args):
-    lam = Partition.parse(args.partition)
+    lam = args.partition
     if not validate_partition(lam, args.eps):
         print(f"error: {lam} is not admissible for eps={args.eps}", file=sys.stderr)
         raise SystemExit(2)
@@ -235,16 +262,9 @@ def cmd_wgen(args) -> int:
     return 0
 
 
-def _parse_levi(text: str):
-    return tuple(int(t) for t in text.replace(" ", "").split(",") if t)
-
-
 def cmd_verma(args) -> int:
     lam = _require_admissible(args)
-    if args.prime == 2:
-        print("error: prime must be odd", file=sys.stderr)
-        return 2
-    sizes = _parse_levi(args.levi)
+    sizes = args.levi
     m = lam.size - 2 * sum(sizes)
     if m < 0:
         print("error: Levi shape does not fit", file=sys.stderr)
@@ -279,18 +299,19 @@ def cmd_verma(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    sizes = _parse_levi(args.levi)
+    _require_algebra(args.n, args.eps)
+    sizes = args.levi
     m = args.n - 2 * sum(sizes)
     if m < 0:
         print("error: Levi shape does not fit", file=sys.stderr)
         return 2
     gl_orbits = [Partition((1,) * a) for a in sizes]
     if args.orbits:
-        gl_orbits = [Partition.parse(t) for t in args.orbits.split(";")]
+        gl_orbits = args.orbits
         if len(gl_orbits) != len(sizes) or any(mu.size != a for mu, a in zip(gl_orbits, sizes)):
             print("error: orbit list does not match the Levi shape", file=sys.stderr)
             return 2
-    residual = Partition.parse(args.residual) if args.residual else (
+    residual = args.residual if args.residual else (
         Partition((1,) * m) if m else Partition(())
     )
     if residual.size != m:
@@ -371,26 +392,15 @@ class VerifyConfig:
     def __post_init__(self):
         if self.max_n < 2:
             raise ValueError("max_n must be at least 2")
-        if any(p == 2 or p % 2 == 0 for p in self.primes):
-            raise ValueError("primes must be odd")
-
-
-def _pool():
-    workers = os.environ.get("ORBITFORGE_THREADS")
-    return ThreadPoolExecutor(max_workers=int(workers) if workers else 1)
+        if any(p % 2 == 0 or not _is_prime(p) for p in self.primes):
+            raise ValueError(f"primes must be odd primes, got {list(self.primes)}")
 
 
 def _run_cases(cases):
-    """cases: list of (key, fn); returns {key: outcome} in key order."""
-    keys = [k for k, _ in cases]
-    if len(set(keys)) != len(keys):
+    """cases: list of (key, fn), run in order; returns {key: outcome} in key order."""
+    if len({k for k, _ in cases}) != len(cases):
         raise ValueError("duplicate case keys")
-    results = {}
-    with _pool() as pool:
-        futures = {k: pool.submit(_guard, fn) for k, fn in cases}
-        for k in keys:
-            results[k] = futures[k].result()
-    return results
+    return {k: _guard(fn) for k, fn in cases}
 
 
 def _guard(fn):
@@ -502,20 +512,15 @@ def suite_rigidity(config: VerifyConfig):
 
 
 def _perfect_degree_zero(lam, eps, primes):
-    from .linalg import commutator, rank_of_vectors
+    from .linalg import rank_of_vectors
 
     rep = build_nilpotent(lam, eps)
     cb = compute_centralizer(rep)
     alg = rep.algebra
+    zero = cb.layer(0)
     for ring in [QQ] + [GF(p) for p in primes]:
-        zero = [v for v, d in zip(cb.vectors, cb.degrees) if d == 0]
-        brackets = []
-        mats = [alg.from_coordinates(v, QQ).change_ring(ring) for v in zero]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                br = commutator(mats[i], mats[j])
-                coords = alg.coordinates(br)
-                brackets.append(coords)
+        brackets = [alg.bracket(zero[i], zero[j], ring)
+                    for i in range(len(zero)) for j in range(i + 1, len(zero))]
         if rank_of_vectors(brackets, ring) != len(zero):
             raise AssertionError(f"g^e(0) not perfect over {ring}")
 
@@ -619,7 +624,9 @@ def suite_modular(config: VerifyConfig):
         def fn(lam=lam, eps=eps):
             rep = build_nilpotent(lam, eps)
             cb = compute_centralizer(rep)
-            want = {d: r for d, r in _canonical_ranks(rep).items()}
+            # over QQ, the rank of ad e on g(d) is dim g(d) - dim g^e(d)
+            want = {d: len(idxs) - cb.graded_dims().get(d, 0)
+                    for d, idxs in sorted(dynkin_grading(rep).layers.items())}
             for p in config.primes:
                 if centralizer_dim_mod_p(rep, p) != cb.dim:
                     raise AssertionError(f"centraliser dimension jumps mod {p}")
@@ -655,25 +662,6 @@ def suite_modular(config: VerifyConfig):
             return out
         cases.append((f"siegel module sp4 (2,2) p={p}", fn_siegel))
     return _run_cases(cases)
-
-
-def _canonical_ranks(rep):
-    from .linalg import rank_kernel, SparseMatrix, commutator
-
-    alg = rep.algebra
-    gr = dynkin_grading(rep)
-    out = {}
-    for d in sorted(gr.layers):
-        idxs = gr.layers[d]
-        cols = {}
-        for jj, k in enumerate(idxs):
-            col = alg.coordinates(commutator(rep.e, alg.basis[k]))
-            for i, v in enumerate(col):
-                if v != 0:
-                    cols[(i, jj)] = v
-        m = SparseMatrix(alg.dim, len(idxs), QQ, cols)
-        out[d] = rank_kernel(m)[0]
-    return out
 
 
 SUITES = {
@@ -761,29 +749,30 @@ def main(argv=None) -> int:
         ("rigidity", cmd_rigidity), ("explain", cmd_explain),
     ]:
         p = sub.add_parser(name)
-        p.add_argument("partition")
+        p.add_argument("partition", type=_parse_partition)
         p.add_argument("eps", type=_parse_eps)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("wgen", help="W-algebra generators")
-    p.add_argument("partition")
+    p.add_argument("partition", type=_parse_partition)
     p.add_argument("eps", type=_parse_eps)
     p.add_argument("--degree-bound", type=int, default=64)
     p.set_defaults(fn=cmd_wgen)
 
     p = sub.add_parser("verma", help="parabolically induced module over F_p")
-    p.add_argument("partition")
+    p.add_argument("partition", type=_parse_partition)
     p.add_argument("eps", type=_parse_eps)
-    p.add_argument("--levi", required=True, help="gl block sizes, e.g. 1,1")
-    p.add_argument("--prime", "-p", type=int, required=True)
+    p.add_argument("--levi", type=_parse_levi, required=True, help="gl block sizes, e.g. 1,1")
+    p.add_argument("--prime", "-p", type=_parse_prime, required=True)
     p.set_defaults(fn=cmd_verma)
 
     p = sub.add_parser("induce", help="Lusztig-Spaltenstein induction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--levi", required=True)
-    p.add_argument("--orbits", help="gl orbits, ';'-separated partitions")
-    p.add_argument("--residual", help="residual orbit partition")
+    p.add_argument("--levi", type=_parse_levi, required=True)
+    p.add_argument("--orbits", type=lambda t: [_parse_partition(s) for s in t.split(";")],
+                   help="gl orbits, ';'-separated partitions")
+    p.add_argument("--residual", type=_parse_partition, help="residual orbit partition")
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("verify", help="run the invariant suites")

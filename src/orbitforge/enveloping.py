@@ -22,9 +22,9 @@ from .linalg import (
     integer_kernel_basis,
     complete_saturated_basis,
     rank_of_vectors,
-    _eliminate,
+    inverse_rows,
 )
-from .orbits import NilpotentRep, dynkin_grading
+from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
 from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_value
 
 
@@ -84,10 +84,6 @@ def elem_add(x: dict, y: dict, scale=Fraction(1)) -> dict:
     return {t: c for t, c in out.items() if c != 0}
 
 
-def elem_scale(x: dict, c) -> dict:
-    return {t: Fraction(c) * v for t, v in x.items()} if c != 0 else {}
-
-
 @dataclass
 class ThetaGenerator:
     index: int            # position in the x-basis (< r)
@@ -128,17 +124,10 @@ class WSetup:
             d = gr.degree[k]
             if d >= 0:
                 blocks.setdefault((d, wd.weights[k]), []).append(k)
-        e_int = alg.from_coordinates(self.rep.e_coords, ZZ)
+        ad_e = ad_e_matrix(self.rep, ZZ)
         for key in sorted(blocks):
             idxs = blocks[key]
-            cols = {}
-            for jj, k in enumerate(idxs):
-                coords = alg.coordinates(commutator(e_int, alg.basis[k].change_ring(ZZ)))
-                for i, v in enumerate(coords):
-                    if v != 0:
-                        cols[(i, jj)] = v
-            m = SparseMatrix(alg.dim, len(idxs), ZZ, cols)
-            kern = integer_kernel_basis(m)
+            kern = integer_kernel_basis(ad_e.columns(idxs))
             comp = complete_saturated_basis(kern, len(idxs))
             for kv in kern:
                 vec = [Fraction(0)] * alg.dim
@@ -174,31 +163,22 @@ class WSetup:
     def _build_structure(self):
         alg = self.alg
         # transition: columns are the new basis in Chevalley coordinates
-        dense = [[self.basis_vectors[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(self.dim)]
-               for i, row in enumerate(dense)]
-        piv = _eliminate(aug, QQ)
-        if len(piv) != self.dim:
+        self._tinv = inverse_rows([list(row) for row in zip(*self.basis_vectors)])
+        if self._tinv is None:
             raise AssertionError("basis transition is singular")
-        self._tinv = [row[self.dim:] for row in aug]
         self._mats = [alg.from_coordinates(v) for v in self.basis_vectors]
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
-                br = commutator(self._mats[a], self._mats[b])
-                if br.is_zero():
-                    continue
-                coords = self.to_w_coords(alg.coordinates(br))
+                coords = self.to_w_coords(alg.bracket(self.basis_vectors[a], self.basis_vectors[b]))
                 entry = {k: c for k, c in enumerate(coords) if c != 0}
                 if entry:
                     bracket[(a, b)] = entry
         self.U = UAlgebra(self.dim, bracket)
 
     def to_w_coords(self, chev_coords):
-        return tuple(
-            sum(self._tinv[i][j] * Fraction(chev_coords[j]) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        nonzero = [(j, c) for j, c in enumerate(chev_coords) if c != 0]
+        return tuple(sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in self._tinv)
 
     # -- elements -----------------------------------------------------------
 
@@ -210,13 +190,6 @@ class WSetup:
 
     def embed_matrix(self, m: SparseMatrix) -> dict:
         return self.embed_coords(self.to_w_coords(self.alg.coordinates(m)))
-
-    def matrix_of(self, w_coords) -> SparseMatrix:
-        out = SparseMatrix.zeros(self.alg.N, self.alg.N, QQ)
-        for k, c in enumerate(w_coords):
-            if c != 0:
-                out = out + self._mats[k].scale(c)
-        return out
 
     def q_project(self, elem: dict) -> dict:
         out = {}
@@ -245,9 +218,6 @@ class WSetup:
         return all(is_two_power_denominator(c) for c in qnf.values())
 
     # -- theta generators ------------------------------------------------------
-
-    def _zp_elems(self):
-        return [self.embed_coords(self.to_w_coords(z)) for z in self.pair.z_minus]
 
     def theta_zero(self, x_mat: SparseMatrix) -> dict:
         """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i.
@@ -338,9 +308,6 @@ class WSetup:
 
     # -- canonical generators ----------------------------------------------------
 
-    def x_degree(self, k: int) -> int:
-        return self.x_degrees[k]
-
     def centralizer_matrix(self, k: int) -> SparseMatrix:
         return self._mats[k]
 
@@ -392,8 +359,7 @@ class WSetup:
             raise ValueError(f"no candidate commutator pairs for degree {n}")
         cols = {}
         for jj, (p, q) in enumerate(pairs):
-            br = commutator(self._mats[p], self._mats[q])
-            coords = self.to_w_coords(self.alg.coordinates(br))
+            coords = self.to_w_coords(self.alg.bracket(self.basis_vectors[p], self.basis_vectors[q]))
             for i, v in enumerate(coords):
                 if v != 0:
                     cols[(i, jj)] = v

@@ -126,6 +126,14 @@ class SparseMatrix:
                 ent[key] = ring.add(ent.get(key, 0), ring.mul(a, b))
         return SparseMatrix(self.nrows, other.ncols, ring, ent)
 
+    def columns(self, cols) -> "SparseMatrix":
+        """The submatrix on the listed columns, in that order."""
+        at = {c: jj for jj, c in enumerate(cols)}
+        return SparseMatrix(
+            self.nrows, len(at), self.ring,
+            {(r, at[c]): v for (r, c), v in self.entries.items() if c in at},
+        )
+
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.ncols, self.nrows, self.ring,
@@ -231,6 +239,17 @@ def rank_kernel(m: SparseMatrix):
         if any(v != 0 for v in m.apply(vec)):
             raise AssertionError("kernel vector fails exact substitution check")
     return rank, kernel
+
+
+def inverse_rows(rows, ring: Ring = QQ):
+    """Rows of the inverse of the square matrix with the given rows, over a
+    field; None if the matrix is singular."""
+    n = len(rows)
+    aug = [[ring.coerce(x) for x in row] + [ring.one() if i == j else ring.zero() for j in range(n)]
+           for i, row in enumerate(rows)]
+    if _eliminate(aug, ring)[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
 
 
 def rank_of_vectors(vectors, ring: Ring) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rings import GF, is_two_power_denominator
-from .linalg import SparseMatrix, commutator, rank_kernel
+from .linalg import SparseMatrix, rank_kernel
 from .partitions import Partition
 from .orbits import (
     NilpotentRep,
@@ -33,7 +33,6 @@ from .algebra import ClassicalAlgebra
 class ModularAlgebra:
     alg: ClassicalAlgebra
     p: int
-    basis_mod: list          # basis matrices over GF(p)
     p_power: list            # coordinates of x^{[p]} per basis element
     structure: dict          # (a, b) -> {c: coeff mod p}
 
@@ -42,41 +41,31 @@ def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
     if p == 2:
         raise ValueError("p = 2 is a bad prime for these types")
     ring = GF(p)
-    basis_mod = [b.change_ring(ring) for b in alg.basis]
     p_power = []
-    for b in basis_mod:
+    for b in alg.basis:
+        b = b.change_ring(ring)
         power = SparseMatrix.identity(alg.N, ring)
         for _ in range(p):
             power = power @ b
         p_power.append(alg.coordinates(power))
     structure = {}
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            if a == b:
-                continue
-            br = commutator(basis_mod[a], basis_mod[b])
-            if br.is_zero():
-                continue
-            coords = alg.coordinates(br)
-            structure[(a, b)] = {c: v for c, v in enumerate(coords) if v != 0}
-    mod = ModularAlgebra(alg, p, basis_mod, p_power, structure)
+    for a, row in enumerate(alg.structure):
+        for b, terms in row.items():
+            for key, sign in (((a, b), 1), ((b, a), -1)):
+                entry = {c: sign * v % p for c, v in terms if v % p}
+                if entry:
+                    structure[key] = entry
+    mod = ModularAlgebra(alg, p, p_power, structure)
     verify_restrictedness(mod)
     return mod
 
 
 def _ad_numpy(mod: ModularAlgebra, coords) -> np.ndarray:
     """ad(x) on the basis over F_p as a numpy matrix, x given by coordinates."""
-    alg, p = mod.alg, mod.p
-    out = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    x = SparseMatrix.zeros(alg.N, alg.N, GF(p))
-    for k, c in enumerate(coords):
-        if c != 0:
-            x = x + mod.basis_mod[k].scale(c)
-    for j in range(alg.dim):
-        col = alg.coordinates(commutator(x, mod.basis_mod[j]))
-        for i, v in enumerate(col):
-            if v != 0:
-                out[i, j] = int(v)
+    m = mod.alg.ad(coords, GF(mod.p))
+    out = np.zeros((m.nrows, m.ncols), dtype=np.int64)
+    for (i, j), v in m.entries.items():
+        out[i, j] = v
     return out
 
 
@@ -119,23 +108,9 @@ def centralizer_dim_mod_p(rep: NilpotentRep, p: int) -> int:
 def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
     """Graded dimensions are field independent (lattice bases); rank of
     ad e on each graded piece over F_p, for the stability check."""
-    alg = rep.algebra
     gr = dynkin_grading(rep)
-    ring = GF(p)
-    e_mod = rep.e.change_ring(ring)
-    out = {}
-    for d in sorted(gr.layers):
-        idxs = gr.layers[d]
-        cols = {}
-        for jj, k in enumerate(idxs):
-            col = alg.coordinates(commutator(e_mod, alg.basis[k].change_ring(ring)))
-            for i, v in enumerate(col):
-                if v != 0:
-                    cols[(i, jj)] = v
-        m = SparseMatrix(alg.dim, len(idxs), ring, cols)
-        r, _ = rank_kernel(m)
-        out[d] = r
-    return out
+    ad_e = ad_e_matrix(rep, GF(p))
+    return {d: rank_kernel(ad_e.columns(gr.layers[d]))[0] for d in sorted(gr.layers)}
 
 
 # -- induced modules -----------------------------------------------------------

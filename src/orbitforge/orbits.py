@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import QQ
-from .linalg import SparseMatrix, commutator, rank_kernel, solve, rank_of_vectors
+from .linalg import SparseMatrix, commutator, rank_kernel, solve
 from .partitions import (
     Partition,
     DynkinPyramid,
@@ -149,7 +149,7 @@ def graded_dims(gr: DynkinGrading) -> dict:
 
 
 def ad_e_matrix(rep: NilpotentRep, ring=QQ) -> SparseMatrix:
-    return rep.algebra.ad_matrix(rep.e, ring)
+    return rep.algebra.ad(rep.e_coords, ring)
 
 
 def centralizer_kernel(rep: NilpotentRep):
@@ -207,15 +207,9 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, rep.e) != rep.e.scale(2):
         raise AssertionError("[h, e] != 2e")
     neg2 = gr.layer(-2)
-    cols = {}
     target = alg.coordinates(h)
-    for jj, k in enumerate(neg2):
-        col = alg.coordinates(commutator(rep.e, alg.basis[k]))
-        for i, v in enumerate(col):
-            if v != 0:
-                cols[(i, jj)] = v
-    msolve = SparseMatrix(alg.dim, len(neg2), QQ, cols)
-    sol = solve(msolve, list(target))
+    ad_e = ad_e_matrix(rep)
+    sol = solve(ad_e.columns(neg2), list(target))
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
     f = SparseMatrix.zeros(alg.N, alg.N, QQ)
@@ -225,9 +219,7 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")
     # density evidence: [e, g(0)] = g(2)
-    zero_layer = gr.layer(0)
-    vecs = [alg.coordinates(commutator(rep.e, alg.basis[k])) for k in zero_layer]
-    if rank_of_vectors(vecs, QQ) != len(gr.layer(2)):
+    if rank_kernel(ad_e.columns(gr.layer(0)))[0] != len(gr.layer(2)):
         raise AssertionError("[e, g(0)] != g(2)")
     return Sl2Triple(rep.e, h, f)
 

@@ -18,11 +18,12 @@ from .rings import QQ, ZZ, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
     commutator,
+    inverse_rows,
     rank_kernel,
     smith_normal_form,
     VectorSpan,
 )
-from .orbits import NilpotentRep, dynkin_grading, DynkinGrading
+from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, DynkinGrading
 
 
 # -- torus and triangular decomposition ---------------------------------------
@@ -212,14 +213,8 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
     det = gram_determinant(psi.m_block)
     if not is_signed_two_power(det):
         raise AssertionError(f"det(M) = {det} is not a unit of Z[1/2]")
-    # invert M over QQ; entries of M^{-1} must have 2-power denominators
-    from .linalg import _eliminate
-
-    dense = psi.m_block.to_dense()
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(s)]
-           for i, row in enumerate(dense)]
-    _eliminate(aug, QQ)
-    minv = [row[s:] for row in aug]
+    # invert M over QQ (det M != 0 above); M^{-1} must have 2-power denominators
+    minv = inverse_rows(psi.m_block.to_dense())
     z_minus = []
     for i in range(s):
         vec = [Fraction(0)] * alg.dim
@@ -279,9 +274,8 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
                 basis.append(tuple(vec))
                 degrees.append(d)
     chi = []
-    mats = [alg.from_coordinates(v) for v in basis]
-    for x, d in zip(mats, degrees):
-        val = chi_value(rep, x)
+    for v, d in zip(basis, degrees):
+        val = chi_value(rep, alg.from_coordinates(v))
         if d != -2 and val != 0:
             raise AssertionError("chi is supported outside degree -2")
         chi.append(val)
@@ -289,13 +283,12 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
     span = VectorSpan(QQ, alg.dim)
     for v in basis:
         span.add(v)
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            br = commutator(mats[a], mats[b])
-            coords = alg.coordinates(br)
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            coords = alg.bracket(basis[a], basis[b])
             if not span.contains(coords):
                 raise AssertionError("m is not closed under the bracket")
-            if chi_value(rep, br) != 0:
+            if chi_value(rep, alg.from_coordinates(coords)) != 0:
                 raise AssertionError("chi does not vanish on [m, m]")
     msub = MSubalgebra(rep, basis, chi, degrees)
     from .orbits import centralizer_dim_formula
@@ -324,10 +317,11 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
     gr = dynkin_grading(rep)
     comp = []
     degs = []
+    images = ad_e_matrix(rep).transpose().to_dense()   # row k: [e, B_k]
     for d in sorted(gr.layers):
         image = VectorSpan(QQ, alg.dim)
         for k in gr.layers.get(d - 2, []):
-            image.add(alg.coordinates(commutator(rep.e, alg.basis[k])))
+            image.add(images[k])
         want = len(gr.layers[d])
         added = 0
         for k in gr.layers[d]:
@@ -360,20 +354,15 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
 def ad_e_lattice_matrix(rep: NilpotentRep, rows_idx=None, cols_idx=None) -> SparseMatrix:
     """Matrix of ad e on the Chevalley lattice (integer entries), optionally
     restricted to Dynkin-degree pieces."""
-    alg = rep.algebra
-    e = alg.from_coordinates(rep.e_coords, ZZ)
-    cols = cols_idx if cols_idx is not None else list(range(alg.dim))
-    rows = rows_idx if rows_idx is not None else list(range(alg.dim))
-    rowpos = {k: i for i, k in enumerate(rows)}
-    ent = {}
-    for jj, k in enumerate(cols):
-        coords = alg.coordinates(commutator(e, alg.basis[k].change_ring(ZZ)))
-        for i, v in enumerate(coords):
-            if v != 0:
-                if i not in rowpos:
-                    raise AssertionError("ad e leaves the prescribed degree pieces")
-                ent[(rowpos[i], jj)] = int(v)
-    return SparseMatrix(len(rows), len(cols), ZZ, ent)
+    m = ad_e_matrix(rep, ZZ)
+    if cols_idx is not None:
+        m = m.columns(cols_idx)
+    if rows_idx is None:
+        return m
+    rowpos = {k: i for i, k in enumerate(rows_idx)}
+    if any(r not in rowpos for r, _ in m.entries):
+        raise AssertionError("ad e leaves the prescribed degree pieces")
+    return SparseMatrix(len(rows_idx), m.ncols, ZZ, {(rowpos[r], c): v for (r, c), v in m.entries.items()})
 
 
 def integral_saturation(rep: NilpotentRep) -> dict:
@@ -404,11 +393,12 @@ def integral_saturation(rep: NilpotentRep) -> dict:
 
     cb = compute_centralizer(rep)
     perp_ok = snf.rank + cb.dim == alg.dim
-    for k in range(alg.dim):
-        img = commutator(alg.from_coordinates(rep.e_coords), alg.basis[k])
-        for v in cb.vectors:
-            if alg.kappa(img, alg.from_coordinates(v)) != 0:
-                perp_ok = False
+    e = alg.from_coordinates(rep.e_coords)
+    centralizer_mats = [alg.from_coordinates(v) for v in cb.vectors]
+    for b in alg.basis:
+        img = commutator(e, b)
+        if any(alg.kappa(img, z) != 0 for z in centralizer_mats):
+            perp_ok = False
     return {
         "divisors": snf.divisors,
         "saturated": saturated,

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitforge.rings import QQ, GF
+from orbitforge.rings import QQ, ZZ, GF
 from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
-from orbitforge.algebra import build_algebra
+from orbitforge.algebra import ClassicalAlgebra, build_algebra
 from orbitforge.slices import gram_determinant, is_signed_two_power
 
 
@@ -91,6 +92,65 @@ def test_bracket_closure_integer_constants():
             for b in g.basis:
                 coords = g.coordinates(commutator(a, b))
                 assert all(Fraction(c).denominator == 1 for c in coords)
+
+
+SMALL_ALGEBRAS = [(n, eps) for n in range(2, 9) for eps in (1, -1) if eps == 1 or n % 2 == 0]
+RINGS = [QQ, ZZ, GF(3), GF(7)]
+
+
+def _holds(ring, coords) -> bool:
+    """Every coordinate has a value in ring (its denominator is a unit)."""
+    dens = [Fraction(c).denominator for c in coords]
+    if ring.kind == "QQ":
+        return True
+    if ring.kind == "ZZ":
+        return all(d == 1 for d in dens)
+    return all(d % ring.p for d in dens)
+
+
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
+    g = build_algebra(n, eps)
+    den = data.draw(st.sampled_from([1, 2, 3, 7]))   # 1: integer vectors
+    numerators = st.lists(st.integers(-3, 3), min_size=g.dim, max_size=g.dim)
+    x, y = ([a if den == 1 else Fraction(a, den) for a in data.draw(numerators)] for _ in range(2))
+    for ring in RINGS:
+        if not _holds(ring, x + y):
+            # coordinates are coerced first: a denominator the ring lacks raises
+            with pytest.raises(ValueError):
+                g.bracket(x, y, ring)
+            if not _holds(ring, x):
+                with pytest.raises(ValueError):
+                    g.ad(x, ring)
+            continue
+        xm = g.from_coordinates(x, ring)
+        assert g.bracket(x, y, ring) == g.coordinates(commutator(xm, g.from_coordinates(y, ring)))
+        reference = {}
+        for j, b in enumerate(g.basis):
+            for i, v in enumerate(g.coordinates(commutator(xm, b.change_ring(ring)))):
+                if v != 0:
+                    reference[(i, j)] = v
+        assert g.ad(x, ring) == SparseMatrix(g.dim, g.dim, ring, reference)
+
+
+def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
+    g = ClassicalAlgebra(5, 1)  # fresh: the cached instance keeps its certified table
+    decompose = g._lattice_coords
+    seen = []
+
+    def corrupted(m):
+        terms = decompose(m)
+        seen.append(m)
+        if len(seen) == 3:  # one entry off by one
+            (k, c), *rest = terms
+            return ((k, c + 1), *rest)
+        return terms
+
+    monkeypatch.setattr(g, "_lattice_coords", corrupted)
+    with pytest.raises(AssertionError, match="reconstruct"):
+        g.structure
 
 
 def test_killing_short_root_value_sp4():
