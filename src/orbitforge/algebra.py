@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import Ring, ZZ, QQ
-from .linalg import SparseMatrix, commutator, solve, inverse_rows
+from .linalg import SparseMatrix, commutator, inverse_rows, solve, sparse_vector
 
 
 class ClassicalAlgebra:
@@ -305,17 +305,11 @@ class ClassicalAlgebra:
             coords.update(enumerate(self._cartan_coords(diag)))
         return tuple((k, ZZ.coerce(c)) for k, c in sorted(coords.items()) if c != 0)
 
-    @staticmethod
-    def _sparse(x, ring: Ring) -> list:
-        """(index, scalar) for the nonzero coordinates of x, coerced into
-        ring; a coordinate ring cannot hold raises."""
-        return [(i, ring.coerce(c)) for i, c in enumerate(x) if c != 0]
-
-    def _bracket_terms(self, xs, ys) -> dict:
+    def _bracket_terms(self, xs: dict, ys: dict) -> dict:
         table = self.structure
         acc = {}
-        for i, a in xs:
-            for j, b in ys:
+        for i, a in xs.items():
+            for j, b in ys.items():
                 if i < j:
                     terms, ab = table[i].get(j), a * b
                 elif j < i:
@@ -327,23 +321,32 @@ class ClassicalAlgebra:
                         acc[k] = acc.get(k, 0) + c * ab
         return acc
 
+    def sparse_bracket(self, xs: dict, ys: dict, ring: Ring = QQ) -> dict:
+        """{k: c}, the nonzero Chevalley coordinates of [x, y] over ring, for
+        x and y given as {index: scalar} maps of their nonzero coordinates
+        (linalg.sparse_vector), the scalars already in ring."""
+        out = {}
+        for k, v in self._bracket_terms(xs, ys).items():
+            v = ring.coerce(v)
+            if v != 0:
+                out[k] = v
+        return out
+
     def bracket(self, x, y, ring: Ring = QQ) -> tuple:
         """Chevalley coordinates of [x, y] over ring, for x and y given by
         their Chevalley coordinates."""
         out = [ring.zero()] * self.dim
-        for k, v in self._bracket_terms(self._sparse(x, ring), self._sparse(y, ring)).items():
-            v = ring.coerce(v)
-            if v != 0:
-                out[k] = v
+        for k, v in self.sparse_bracket(sparse_vector(x, ring), sparse_vector(y, ring), ring).items():
+            out[k] = v
         return tuple(out)
 
     def ad(self, x, ring: Ring = QQ) -> SparseMatrix:
         """Matrix of ad(x) on the Chevalley basis over ring, for x given by
         its Chevalley coordinates: column j holds [x, B_j]."""
-        xs = self._sparse(x, ring)
+        xs = sparse_vector(x, ring)
         ent = {}
         for j in range(self.dim):
-            for k, v in self._bracket_terms(xs, ((j, 1),)).items():
+            for k, v in self._bracket_terms(xs, {j: 1}).items():
                 ent[(k, j)] = v
         return SparseMatrix(self.dim, self.dim, ring, ent)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rings import QQ, ZZ
-from .linalg import SparseMatrix, commutator, inverse_rows, rank_kernel, rank_of_vectors, VectorSpan
+from .linalg import SparseMatrix, VectorSpan, commutator, inverse_rows, rank_kernel, sparse_vector
 from .partitions import Partition, pairing_involution, check_involution
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, centralizer_dim_formula
 
@@ -238,11 +238,10 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
                     raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
 
     # span: the zetas span exactly the fixed-space centraliser
-    flat = []
+    span = VectorSpan(QQ, lam.size * lam.size)
     for key in zs.tuples():
-        z = zs.zetas[key]
-        flat.append(tuple(Fraction(z[(r, c)]) for r in range(lam.size) for c in range(lam.size)))
-    span_dim = rank_of_vectors(flat, QQ)
+        span.add({r * lam.size + c: QQ.coerce(v) for (r, c), v in zs.zetas[key].entries.items()})
+    span_dim = span.rank
     expected = centralizer_dim_formula(lam, zs.eps)
     if span_dim != expected:
         raise AssertionError(f"zeta span has dimension {span_dim}, expected {expected}")
@@ -285,24 +284,37 @@ class GradedSubspace:
 
 def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     """Span of all brackets of centraliser basis pairs, with its codimension
-    and a graded complement description."""
+    and a graded complement description; certifies [g^e, g^e] <= g^e."""
     alg = cb.rep.algebra
+    vecs = [sparse_vector(v, QQ) for v in cb.vectors]
     span = VectorSpan(QQ, alg.dim)
     per_degree = {}
+    grew = []   # (bracket, degree) for each bracket that enlarged the span
     for a in range(cb.dim):
         for b in range(a + 1, cb.dim):
-            v = alg.bracket(cb.vectors[a], cb.vectors[b])
+            v = alg.sparse_bracket(vecs[a], vecs[b])
             if span.add(v):
                 d = cb.degrees[a] + cb.degrees[b]
                 per_degree[d] = per_degree.get(d, 0) + 1
+                grew.append((v, d))
     codim = cb.dim - span.rank
     comp_degrees = []
     full = VectorSpan(QQ, alg.dim)
     for row in span.rows:
         full.add(row)
-    for v, d in zip(cb.vectors, cb.degrees):
+    for v, d in zip(vecs, cb.degrees):
         if full.add(v):
             comp_degrees.append(d)
+    # span([g^e, g^e]) + g^e has dimension dim g^e exactly when the brackets lie in g^e
+    if full.rank != cb.dim:
+        own = VectorSpan(QQ, alg.dim)
+        for v in vecs:
+            own.add(v)
+        outside = [d for v, d in grew if not own.contains(v)]
+        raise AssertionError(
+            f"[g^e, g^e] is not in g^e for {cb.rep.lam} (eps = {cb.rep.eps}): "
+            + (f"a bracket of degree {outside[0]} lies outside the span of the basis" if outside
+               else "the basis vectors are linearly dependent"))
     return GradedSubspace(dict(sorted(per_degree.items())), codim, sorted(comp_degrees))
 
 
@@ -328,7 +340,7 @@ def check_generation(cb: CentralizerBasis):
     g^e(1) generate; returns (generated, per-degree witness dict)."""
     alg = cb.rep.algebra
     degrees = sorted(set(cb.degrees))
-    layer = {d: cb.layer(d) for d in degrees}
+    layer = {d: [sparse_vector(v, QQ) for v in cb.layer(d)] for d in degrees}
     witness = {}
     generated = True
     for r in degrees:
@@ -337,7 +349,7 @@ def check_generation(cb: CentralizerBasis):
         span = VectorSpan(QQ, alg.dim)
         for x in layer.get(1, []):
             for y in layer.get(r - 1, []):
-                span.add(alg.bracket(x, y))
+                span.add(alg.sparse_bracket(x, y))
         witness[r] = (span.rank, len(layer.get(r, [])))
         if span.rank != len(layer.get(r, [])):
             generated = False

@@ -36,6 +36,7 @@ from .orbits import (
     find_induction_witness,
     graded_dims,
     induce_orbit,
+    nilradical_basis,
     orbit_dim_formula,
     orbit_dimension,
     rigidity_oracle,
@@ -67,6 +68,10 @@ from .modular import (
 )
 
 SCHEMA_VERSION = 1
+# Largest induced module `verma` builds: dim p^{dim n}.  Each of the dim g
+# action matrices is a dense int64 dim x dim array, so memory grows as
+# dim^2; 625 is the sp_4 Borel module at p = 5, the largest `verify` builds.
+MAX_MODULE_DIM = 625
 
 
 def _parse_eps(text: str) -> int:
@@ -274,6 +279,11 @@ def cmd_verma(args) -> int:
         tuple((a, Partition((1,) * a)) for a in sizes),
         Partition((1,) * m) if m else Partition(()),
     )
+    dim_n = len(nilradical_basis(build_algebra(lam.size, args.eps), tuple(sizes)))
+    if args.prime ** dim_n > MAX_MODULE_DIM:
+        print(f"error: the induced module would have dimension {args.prime}^{dim_n} = "
+              f"{args.prime ** dim_n}, above the cap of {MAX_MODULE_DIM}", file=sys.stderr)
+        return 2
     induced = induce_orbit(datum)
     if induced != lam:
         print(f"error: datum induces {induced}, not {lam}", file=sys.stderr)
@@ -512,16 +522,19 @@ def suite_rigidity(config: VerifyConfig):
 
 
 def _perfect_degree_zero(lam, eps, primes):
-    from .linalg import rank_of_vectors
+    from .linalg import VectorSpan, sparse_vector
 
     rep = build_nilpotent(lam, eps)
     cb = compute_centralizer(rep)
     alg = rep.algebra
     zero = cb.layer(0)
     for ring in [QQ] + [GF(p) for p in primes]:
-        brackets = [alg.bracket(zero[i], zero[j], ring)
-                    for i in range(len(zero)) for j in range(i + 1, len(zero))]
-        if rank_of_vectors(brackets, ring) != len(zero):
+        vecs = [sparse_vector(v, ring) for v in zero]
+        span = VectorSpan(ring, alg.dim)
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                span.add(alg.sparse_bracket(vecs[i], vecs[j], ring))
+        if span.rank != len(zero):
             raise AssertionError(f"g^e(0) not perfect over {ring}")
 
 

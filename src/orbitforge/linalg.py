@@ -183,36 +183,119 @@ def matrix_power_rank_sequence(m: SparseMatrix, ring: Ring = QQ):
     return ranks
 
 
-# -- field elimination -----------------------------------------------------
+# -- field elimination: one sparse reduced-echelon span -----------------------
 
 
-def _eliminate(rows, ring: Ring):
-    """In-place row echelon over a field; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ring.div(ring.one(), rows[r][c])
-        if rows[r][c] != ring.one():
-            rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def sparse_vector(vec, ring: Ring) -> dict:
+    """The nonzero entries of a dense vector as {index: scalar}, coerced into
+    ring; an entry the ring cannot hold raises."""
+    out = {}
+    for i, x in enumerate(vec):
+        if x != 0:
+            x = ring.coerce(x)
+            if x != 0:
+                out[i] = x
+    return out
+
+
+class VectorSpan:
+    """The reduced row echelon form of a growing span over a field.
+
+    Rows are sparse maps {col: scalar} keyed by their pivot, the first
+    nonzero column of the row; each row is 1 at its pivot and 0 at every
+    other pivot.  The reduced echelon form of a span is unique, so the rows
+    do not depend on the order of insertion.  Reducing a vector touches only
+    the rows at the pivots in its support and, as no row has an entry at
+    another pivot, takes one pass over them.
+    """
+
+    def __init__(self, ring: Ring, dim: int):
+        if not ring.is_field:
+            raise ValueError("VectorSpan requires a field")
+        self.ring = ring
+        self.dim = dim
+        self._rows = {}   # pivot -> row
+        self._mod = ring.p if ring.kind == "GF" else None
+
+    def _axpy(self, v: dict, f, row: dict):
+        """v -= f * row in place; f != 0, so an entry that vanishes was in v."""
+        mod = self._mod
+        if mod is None:
+            for c, x in row.items():
+                y = v.get(c, 0) - f * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+        else:
+            for c, x in row.items():
+                y = (v.get(c, 0) - f * x) % mod
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+
+    def _reduce(self, v: dict) -> dict:
+        rows = self._rows
+        for p in [c for c in v if c in rows]:
+            self._axpy(v, v[p], rows[p])
+        return v
+
+    def _own(self, vec) -> dict:
+        return dict(vec) if isinstance(vec, dict) else sparse_vector(vec, self.ring)
+
+    def add(self, vec) -> bool:
+        """Insert vec, a dense sequence or a {col: scalar} map of nonzero
+        ring elements; True if it enlarged the span."""
+        v = self._reduce(self._own(vec))
+        if not v:
+            return False
+        p = min(v)
+        f = v[p]
+        if f != 1:
+            mod = self._mod
+            inv = pow(f, -1, mod) if mod else 1 / f
+            v = {c: inv * x % mod for c, x in v.items()} if mod else {c: inv * x for c, x in v.items()}
+        for row in self._rows.values():
+            if p in row:
+                self._axpy(row, row[p], v)
+        self._rows[p] = v
+        return True
+
+    def contains(self, vec) -> bool:
+        """Membership of vec, given as for add."""
+        return not self._reduce(self._own(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """Copies of the echelon rows as {col: scalar} maps, by increasing
+        pivot."""
+        return [dict(self._rows[p]) for p in sorted(self._rows)]
+
+
+def _row_span(m: SparseMatrix, rhs=None) -> VectorSpan:
+    """The reduced echelon span of the rows of m; with rhs, row i is
+    extended by rhs[i] in the column after m's last."""
+    rows = [{} for _ in range(m.nrows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    if rhs is not None:
+        for row, x in zip(rows, rhs):
+            if x != 0:
+                row[m.ncols] = x
+    span = VectorSpan(m.ring, m.ncols + (rhs is not None))
+    for row in rows:
+        if row:
+            span.add(row)
+    return span
 
 
 def rank_kernel(m: SparseMatrix):
@@ -223,40 +306,48 @@ def rank_kernel(m: SparseMatrix):
     if not m.ring.is_field:
         raise ValueError("rank_kernel requires a field; use smith_normal_form over ZZ")
     ring = m.ring
-    rows = m.to_dense()
-    pivots = _eliminate(rows, ring)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    kernel = []
-    for fc in free:
-        vec = [ring.zero()] * m.ncols
-        vec[fc] = ring.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = ring.neg(rows[r][fc])
-        kernel.append(tuple(vec))
+    span = _row_span(m)
+    # kernel vector of free column fc: 1 at fc, -row_p[fc] at each pivot p
+    kernel = {}
+    for fc in range(m.ncols):
+        if fc not in span._rows:
+            vec = [ring.zero()] * m.ncols
+            vec[fc] = ring.one()
+            kernel[fc] = vec
+    for p, row in span._rows.items():
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = ring.neg(x)
+    kernel = [tuple(vec) for vec in kernel.values()]
     for vec in kernel:
         if any(v != 0 for v in m.apply(vec)):
             raise AssertionError("kernel vector fails exact substitution check")
-    return rank, kernel
+    return span.rank, kernel
 
 
 def inverse_rows(rows, ring: Ring = QQ):
     """Rows of the inverse of the square matrix with the given rows, over a
     field; None if the matrix is singular."""
     n = len(rows)
-    aug = [[ring.coerce(x) for x in row] + [ring.one() if i == j else ring.zero() for j in range(n)]
-           for i, row in enumerate(rows)]
-    if _eliminate(aug, ring)[:n] != list(range(n)):
+    span = VectorSpan(ring, 2 * n)
+    for i, row in enumerate(rows):
+        v = sparse_vector(row, ring)
+        v[n + i] = ring.one()
+        span.add(v)
+    # [A | I] has rank n; A is regular iff its pivots are the columns of A
+    if span.pivots != list(range(n)):
         return None
-    return [row[n:] for row in aug]
+    zero = ring.zero()
+    return [[span._rows[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
 def rank_of_vectors(vectors, ring: Ring) -> int:
     if not vectors:
         return 0
-    rows = [[ring.coerce(x) for x in v] for v in vectors]
-    return len(_eliminate(rows, ring))
+    span = VectorSpan(ring, len(vectors[0]))
+    for v in vectors:
+        span.add(v)
+    return span.rank
 
 
 def solve(m: SparseMatrix, b):
@@ -264,69 +355,21 @@ def solve(m: SparseMatrix, b):
     if not m.ring.is_field:
         raise ValueError("solve requires a field")
     ring = m.ring
-    rows = m.to_dense()
-    for i in range(m.nrows):
-        rows[i].append(ring.coerce(b[i]))
-    pivots = _eliminate(rows, ring)
+    rhs = [ring.coerce(x) for x in b]
+    n = m.ncols
+    span = _row_span(m, rhs)
     # inconsistent iff a pivot lands in the appended column
-    if pivots and pivots[-1] == m.ncols:
+    if n in span._rows:
         return None
-    x = [ring.zero()] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.ncols]
+    x = [ring.zero()] * n
+    for p, row in span._rows.items():
+        if n in row:
+            x[p] = row[n]
     sol = tuple(x)
     out = m.apply(sol)
-    if any(ring.sub(out[i], ring.coerce(b[i])) != 0 for i in range(m.nrows)):
+    if any(ring.sub(out[i], rhs[i]) != 0 for i in range(m.nrows)):
         raise AssertionError("solve result fails exact substitution check")
     return sol
-
-
-class VectorSpan:
-    """Echelonised span of dense vectors over a field, supporting membership,
-    reduction and incremental growth."""
-
-    def __init__(self, ring: Ring, dim: int):
-        self.ring = ring
-        self.dim = dim
-        self.rows = []   # echelon rows
-        self.pivots = []  # pivot column per row
-
-    def reduce(self, vec):
-        ring = self.ring
-        v = [ring.coerce(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        """Insert vec; True if it enlarged the span."""
-        ring = self.ring
-        v = self.reduce(vec)
-        for p in range(self.dim):
-            if v[p] != 0:
-                inv = ring.div(ring.one(), v[p])
-                v = [ring.mul(inv, x) for x in v]
-                # back-reduce existing rows
-                for i, row in enumerate(self.rows):
-                    if row[p] != 0:
-                        f = row[p]
-                        self.rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(row, v)]
-                idx = 0
-                while idx < len(self.pivots) and self.pivots[idx] < p:
-                    idx += 1
-                self.rows.insert(idx, v)
-                self.pivots.insert(idx, p)
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def span_intersection(vecs_a, vecs_b, ring: Ring):
@@ -335,15 +378,14 @@ def span_intersection(vecs_a, vecs_b, ring: Ring):
         return []
     dim = len(vecs_a[0])
     na = len(vecs_a)
+    a = [sparse_vector(v, ring) for v in vecs_a]
     cols = {}
-    for j, v in enumerate(vecs_a):
-        for i, x in enumerate(v):
-            if x != 0:
-                cols[(i, j)] = x
+    for j, v in enumerate(a):
+        for i, x in v.items():
+            cols[(i, j)] = x
     for j, v in enumerate(vecs_b):
-        for i, x in enumerate(v):
-            if x != 0:
-                cols[(i, na + j)] = ring.neg(ring.coerce(x))
+        for i, x in sparse_vector(v, ring).items():
+            cols[(i, na + j)] = ring.neg(x)
     m = SparseMatrix(dim, na + len(vecs_b), ring, cols)
     _, ker = rank_kernel(m)
     out = []
@@ -352,8 +394,8 @@ def span_intersection(vecs_a, vecs_b, ring: Ring):
         vec = [ring.zero()] * dim
         for j in range(na):
             if kv[j] != 0:
-                for i, x in enumerate(vecs_a[j]):
-                    vec[i] = ring.add(vec[i], ring.mul(kv[j], ring.coerce(x)))
+                for i, x in a[j].items():
+                    vec[i] = ring.add(vec[i], ring.mul(kv[j], x))
         if span.add(vec):
             out.append(tuple(vec))
     return out

@@ -5,6 +5,7 @@ import pytest
 from orbitforge.partitions import Partition, admissible_partitions, is_almost_rigid
 from orbitforge.orbits import build_nilpotent, centralizer_dim_formula
 from orbitforge.centralizer import (
+    CentralizerBasis,
     compute_centralizer,
     build_zeta_system,
     verify_zeta_system,
@@ -86,6 +87,21 @@ def test_derived_subalgebra_examples():
     assert der.codim == 2
     assert der.complement_degrees == [0, 2]
     assert predicted_complement_size(Partition((2, 2)), -1) == 1  # formula, AR-only
+
+
+def test_derived_subalgebra_rejects_brackets_outside_the_span():
+    # e_alpha and e_{-alpha} of sp_4 span no subalgebra: their bracket is the
+    # coroot h_alpha, which a codimension count alone would not notice
+    rep = build_nilpotent(Partition((2, 1, 1)), -1)
+    alg = rep.algebra
+    unit = [tuple(int(i == k) for i in range(alg.dim)) for k in range(alg.dim)]
+    pos, neg = alg.labels.index(("e", (0, 2))), alg.labels.index(("e", (0, -2)))
+    assert any(alg.bracket(unit[pos], unit[neg]))
+    with pytest.raises(AssertionError, match=r"2,1,1.*eps = -1.*degree 1"):
+        derived_subalgebra(CentralizerBasis(rep, [unit[pos], unit[neg]], [0, 1]))
+    # a closed pair passes: [e_alpha, h] is a multiple of e_alpha
+    h = alg.labels.index(("h", 0))
+    assert derived_subalgebra(CentralizerBasis(rep, [unit[h], unit[pos]], [0, 0])).codim >= 0
 
 
 def test_predicted_complement_matches_almost_rigid():

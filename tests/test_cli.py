@@ -118,6 +118,22 @@ def test_malformed_input_exits_2(argv):
     assert code == 2 and out == "" and "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("prime, dim", [("7", 2401), ("11", 14641)])
+def test_oversized_verma_exits_2(prime, dim, monkeypatch):
+    import time
+    from orbitforge import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("an oversized module was built")
+
+    monkeypatch.setattr(cli, "build_induced_module", build)
+    t0 = time.perf_counter()
+    code, out, err = run_cli("verma", "4", "-1", "--levi", "1,1", "--prime", prime)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+    assert str(dim) in err and str(cli.MAX_MODULE_DIM) in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orbitforge.cli", "orbit", "4", "-1"],

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from orbitforge.rings import ZZ, QQ, GF, format_rational, parse_rational, is_two_power_denominator
 from orbitforge.linalg import (
     SparseMatrix,
+    VectorSpan,
+    inverse_rows,
     rank_kernel,
+    rank_of_vectors,
     solve,
+    sparse_vector,
     smith_normal_form,
     r_saturated,
     integer_kernel_basis,
@@ -154,3 +158,160 @@ def test_gf_field_ops():
         GF(2)
     with pytest.raises(ValueError):
         GF(9)
+
+
+# -- the sparse echelon span against dense Gauss-Jordan elimination -------------
+
+
+def _eliminate(rows, ring):
+    """Reference: in-place dense Gauss-Jordan over a field; returns the pivot
+    columns.  The reduced echelon form is unique, so the sparse span must
+    reproduce it exactly."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ring.div(ring.one(), rows[r][c])
+        if rows[r][c] != ring.one():
+            rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _ref_echelon(rows, ring):
+    rows = [[ring.coerce(x) for x in row] for row in rows]
+    pivots = _eliminate(rows, ring)
+    return rows[:len(pivots)], pivots
+
+
+def _ref_rank_kernel(rows, ring):
+    ncols = len(rows[0])
+    echelon, pivots = _ref_echelon(rows, ring)
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [ring.zero()] * ncols
+        vec[fc] = ring.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = ring.neg(echelon[r][fc])
+        kernel.append(tuple(vec))
+    return len(pivots), kernel
+
+
+def _ref_solve(rows, b, ring):
+    ncols = len(rows[0])
+    echelon, pivots = _ref_echelon([list(row) + [x] for row, x in zip(rows, b)], ring)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [ring.zero()] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = echelon[r][ncols]
+    return tuple(x)
+
+
+def _ref_inverse(rows, ring):
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    echelon, pivots = _ref_echelon(aug, ring)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in echelon]
+
+
+FIELDS = st.sampled_from([QQ, GF(3), GF(7)])
+# denominators prime to 3 and 7, so that every entry lives in every field
+ENTRY = st.one_of(
+    st.just(0), st.just(0),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4, 5])),
+)
+
+
+def matrices(min_rows=1, max_rows=5, min_cols=1, max_cols=5):
+    return st.integers(min_cols, max_cols).flatmap(
+        lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=min_rows, max_size=max_rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), FIELDS)
+def test_rank_kernel_and_rank_match_the_reference(rows, ring):
+    m = SparseMatrix.from_dense(rows, ring)
+    assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
+    assert rank_of_vectors(rows, ring) == _ref_rank_kernel(rows, ring)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), FIELDS, st.data())
+def test_solve_matches_the_reference(rows, ring, data):
+    m = SparseMatrix.from_dense(rows, ring)
+    x = data.draw(st.lists(ENTRY, min_size=m.ncols, max_size=m.ncols))
+    consistent = list(m.apply(tuple(ring.coerce(v) for v in x)))
+    assert solve(m, consistent) is not None
+    arbitrary = data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows))
+    for b in (consistent, arbitrary):
+        assert repr(solve(m, b)) == repr(_ref_solve(rows, b, ring))
+
+
+def test_solve_reports_an_inconsistent_system():
+    for ring in (QQ, GF(3), GF(7)):
+        m = SparseMatrix.from_dense([[1, 2], [2, 4]], ring)
+        assert solve(m, [1, 1]) is None and _ref_solve([[1, 2], [2, 4]], [1, 1], ring) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)),
+       FIELDS, st.booleans())
+def test_inverse_rows_matches_the_reference(rows, ring, singular):
+    if singular:
+        rows = rows[:-1] + [rows[0] if len(rows) > 1 else [0]]   # a repeated or zero row
+    inv = inverse_rows(rows, ring)
+    assert repr(inv) == repr(_ref_inverse(rows, ring))
+    assert (inv is None) == (singular or _ref_rank_kernel(rows, ring)[0] < len(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6), FIELDS, st.data())
+def test_vector_span_rows_do_not_depend_on_insertion_order(rows, ring, data):
+    order = data.draw(st.permutations(range(len(rows))))
+    spans = []
+    for seq in (range(len(rows)), order):
+        span = VectorSpan(ring, len(rows[0]))
+        for i in seq:
+            span.add(rows[i])
+        spans.append(span)
+    same = [repr([sorted(row.items()) for row in span.rows]) for span in spans]
+    assert same[0] == same[1]
+    echelon, pivots = _ref_echelon(rows, ring)
+    assert spans[0].pivots == pivots
+    assert same[0] == repr([[(c, x) for c, x in enumerate(row) if x != 0] for row in echelon])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6), FIELDS, st.booleans())
+def test_vector_span_add_and_contains_follow_the_reference_rank(rows, ring, sparse):
+    span = VectorSpan(ring, len(rows[0]))
+    for k, row in enumerate(rows):
+        before = _ref_rank_kernel(rows[:k], ring)[0] if k else 0
+        grows = _ref_rank_kernel(rows[:k + 1], ring)[0] > before
+        vec = sparse_vector(row, ring) if sparse else row
+        assert span.contains(vec) is not grows
+        assert span.add(vec) is grows
+        assert span.contains(vec) and span.rank == before + grows
