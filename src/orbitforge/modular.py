@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rings import GF, is_two_power_denominator
-from .linalg import SparseMatrix, rank_kernel
+from .linalg import SparseMatrix, VectorSpan, rank_kernel
 from .partitions import Partition
 from .orbits import (
     NilpotentRep,
@@ -357,26 +357,30 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
             raise AssertionError(f"p-character identity fails at basis {k}")
 
 
+def _probe_seed(s: int, dim: int, p: int) -> np.ndarray:
+    """The s-th seed vector of submodule_probe, over F_p."""
+    return np.array([(1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim)], dtype=np.int64)
+
+
 def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
     """Closure of seeded vectors under the action matrices; reports whether
     each seed generates the whole module (suggesting simplicity per the
     Kac-Weisfeiler bound; reported, never assumed)."""
     p = module.p
     dim = module.dim
+    ring = GF(p)
     results = []
     for s in range(seeds):
-        vec = np.array(
-            [(1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim)], dtype=np.int64
-        )
-        basis = _GFSpan(p, dim)
-        basis.add(vec)
+        vec = _probe_seed(s, dim, p)
+        basis = VectorSpan(ring, dim)
+        basis.add(vec.tolist())
         frontier = [vec]
         while frontier:
             nxt = []
             for v in frontier:
                 for m in module.action:
                     w = (m @ v) % p
-                    if basis.add(w):
+                    if basis.add(w.tolist()):
                         nxt.append(w)
             frontier = nxt
         results.append(basis.rank)
@@ -385,33 +389,6 @@ def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
         "full_closures": sum(1 for r in results if r == dim),
         "ranks": results,
     }
-
-
-class _GFSpan:
-    def __init__(self, p, dim):
-        self.p = p
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec) -> bool:
-        v = vec % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = (v - v[piv] * row) % self.p
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), -1, self.p)
-        v = (v * inv) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum | None = None) -> dict:

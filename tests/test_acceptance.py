@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, every check exact (zero
 tolerance), with a pass/fail line printed per criterion.
 
+Criteria 1-9 run the matching `orbitforge verify` suite through `run_verify`:
+the suites in `orbitforge.cli` are the one implementation of each criterion.
 Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the stated time budgets are generous compared to actual runtimes.
 """
@@ -8,51 +10,17 @@ lines; the stated time budgets are generous compared to actual runtimes.
 import json
 import time
 
-from orbitforge.rings import QQ, GF
-from orbitforge.partitions import (
-    Partition,
-    admissible_partitions,
-    build_pyramid,
-    is_almost_rigid,
-    is_rigid,
-)
-from orbitforge.algebra import build_algebra
-from orbitforge.orbits import build_nilpotent, complete_sl2, rigidity_oracle
-from orbitforge.centralizer import (
-    build_zeta_system,
-    check_generation,
-    compute_centralizer,
-    derived_subalgebra,
-    verify_zeta_system,
-)
-from orbitforge.slices import integral_saturation
-from orbitforge.enveloping import (
-    WSetup,
-    augmentation_character,
-    casimir,
-    character_kills_commutators,
-    jems_commutator_check,
-    pbw_basis_check,
-)
-from orbitforge.modular import (
-    build_induced_module,
-    centralizer_dim_mod_p,
-    graded_dims_mod_p,
-    kw_bookkeeping,
-    reduce_mod_p,
-    submodule_probe,
-)
-from orbitforge.cli import GOLDEN_PYRAMIDS, VerifyConfig, run_verify
-from orbitforge.orbits import InductionDatum
+from orbitforge.cli import VerifyConfig, run_verify
 
 
-def sweep(bound, both_eps=True):
-    for n in range(2, bound + 1):
-        for eps in (1, -1):
-            if eps == -1 and n % 2:
-                continue
-            for lam in admissible_partitions(n, eps):
-                yield lam, eps
+def run_suite(suite, budget, **config):
+    """Run one verify suite; assert that it passed within budget seconds and
+    return its number of cases."""
+    t0 = time.time()
+    result = run_verify(VerifyConfig(suites=(suite,), **config))
+    assert result["passed"], result["suites"][suite]["failures"]
+    assert time.time() - t0 < budget
+    return result["suites"][suite]["cases"]
 
 
 def report(number, text):
@@ -60,189 +28,50 @@ def report(number, text):
 
 
 def test_criterion_01_golden_fixtures():
-    t0 = time.time()
-    for (parts, eps), want in GOLDEN_PYRAMIDS.items():
-        pyr = build_pyramid(Partition(parts), eps)
-        for idx, (row, col) in want.items():
-            assert (pyr.row[idx], pyr.col[idx]) == (row, col)
-    rep = build_nilpotent(Partition((5, 2, 2, 1)), 1)
-    g = rep.algebra
-    assert rep.e == (g.unit(5, 4) - g.unit(-4, -5) + g.unit(3, 2) - g.unit(-2, -3)
-                     + g.unit(2, 1) - g.unit(-1, -2) + g.unit(1, -2) - g.unit(2, -1))
-    assert time.time() - t0 < 1
+    run_suite("golden", 1)
     report(1, "four golden pyramid fixtures and the reference (5,2,2,1) representative, exact")
 
 
 def test_criterion_02_representative_sweep():
-    t0 = time.time()
-    count = 0
-    for lam, eps in sweep(12):
-        rep = build_nilpotent(lam, eps)     # e in g + Jordan type, exact
-        compute_centralizer(rep)            # good grading (degrees >= 0)
-        complete_sl2(rep)                   # sl2 relations + [e,g(0)] = g(2)
-        count += 1
-    assert time.time() - t0 < 300
+    count = run_suite("representatives", 300, max_n=12)
     report(2, f"{count} representatives, N <= 12, both families")
 
 
 def test_criterion_03_zeta_suite():
-    t0 = time.time()
-    count = 0
-    for lam, eps in sweep(8):
-        summary = verify_zeta_system(build_zeta_system(lam, eps), full_bracket=True)
-        assert summary["orbit_count"] == summary["dim"] == summary["span_dim"]
-        count += 1
-    assert time.time() - t0 < 600
+    count = run_suite("zeta", 600)
     report(3, f"relations, bracket law, grading, span and count on {count} partitions, N <= 8")
 
 
 def test_criterion_04_generation_almost_rigid():
-    t0 = time.time()
-    count = 0
-    for lam, eps in sweep(12):
-        if not is_almost_rigid(lam):
-            continue
-        cb = compute_centralizer(build_nilpotent(lam, eps))
-        ok, witness = check_generation(cb)
-        assert ok, (lam, eps, witness)
-        for r, (got, want) in witness.items():
-            assert got == want
-        count += 1
-    assert time.time() - t0 < 600
+    count = run_suite("generation", 600, max_n=12)
     report(4, f"degree-(0,1) generation + per-degree identity on {count} almost rigid cases, N <= 12")
 
 
 def test_criterion_05_rigidity_concordance():
-    t0 = time.time()
-    checked = rigid_count = 0
-    for lam, eps in sweep(8):
-        if build_algebra(lam.size, eps).type_a_like:
-            continue  # outside the rigid-orbit theory (type-A coincidences)
-        crit = is_rigid(lam, eps)
-        assert crit == rigidity_oracle(lam, eps), (lam, eps)
-        checked += 1
-        if not crit:
-            continue
-        rigid_count += 1
-        assert is_almost_rigid(lam)
-        rep = build_nilpotent(lam, eps)
-        cb = compute_centralizer(rep)
-        assert derived_subalgebra(cb).codim == 0  # g^e perfect over QQ
-        _assert_degree_zero_perfect(rep, cb)
-    assert time.time() - t0 < 900
-    report(5, f"criterion == oracle on {checked} cases; {rigid_count} rigid cases perfect over QQ and F_3,5,7")
-
-
-def _assert_degree_zero_perfect(rep, cb):
-    from orbitforge.linalg import commutator, rank_of_vectors
-
-    alg = rep.algebra
-    zero = [v for v, d in zip(cb.vectors, cb.degrees) if d == 0]
-    full = list(zip(cb.vectors, cb.degrees))
-    for ring in [QQ, GF(3), GF(5), GF(7)]:
-        brackets = []
-        mats0 = [alg.from_coordinates(v).change_ring(ring) for v in zero]
-        for i in range(len(mats0)):
-            for j in range(i + 1, len(mats0)):
-                brackets.append(alg.coordinates(commutator(mats0[i], mats0[j])))
-        assert rank_of_vectors(brackets, ring) == len(zero), f"g^e(0) imperfect over {ring}"
-        mats = [alg.from_coordinates(v).change_ring(ring) for v, _ in full]
-        allbr = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                allbr.append(alg.coordinates(commutator(mats[i], mats[j])))
-        assert rank_of_vectors(allbr, ring) == cb.dim, f"g^e imperfect over {ring}"
+    count = run_suite("rigidity", 900)
+    report(5, f"criterion == oracle on {count} cases; rigid cases: g^e and g^e(0) perfect over QQ and F_3,5,7")
 
 
 def test_criterion_06_integral_saturation():
-    t0 = time.time()
-    count = 0
-    for lam, eps in sweep(8):
-        sat = integral_saturation(build_nilpotent(lam, eps))
-        assert sat["saturated"], (lam, eps, sat["divisors"])
-        assert sat["graded_onto"], (lam, eps)
-        assert sat["perp_identity"], (lam, eps)
-        count += 1
-    assert time.time() - t0 < 600
+    count = run_suite("saturation", 600)
     report(6, f"2-power divisors, graded lattice equalities and the perp identity on {count} cases, N <= 8")
 
 
 def test_criterion_07_w_algebra_suite():
-    t0 = time.time()
-    for parts in ((2, 1, 1), (2, 1, 1, 1, 1)):
-        setup = WSetup(build_nilpotent(Partition(parts), -1))
-        setup.build_all_thetas()
-        for th in setup.thetas.values():
-            assert setup.ad_m_invariant(th.value) is None
-            assert setup.is_r_integral(th.value)
-        for i in range(setup.r):
-            if setup.x_degrees[i] != 0:
-                continue
-            for j in range(setup.r):
-                if setup.x_degrees[j] in (0, 1):
-                    assert jems_commutator_check(
-                        setup, setup.centralizer_matrix(i),
-                        setup.centralizer_matrix(j), setup.x_degrees[j])
-        pb = pbw_basis_check(setup, 4)
-        assert pb["independent"] and pb["r_integral"]
-        char = augmentation_character(setup)
-        assert all(v == 0 for k, v in char.items() if setup.x_degrees[k] <= 1)
-        assert character_kills_commutators(setup, char)
-        # consistency across commutator presentations
-        from orbitforge.enveloping import elem_add
-
-        for k in range(setup.r):
-            if setup.x_degrees[k] < 2:
-                continue
-            try:
-                pres2 = setup.commutator_presentation(k, perturb=1)
-            except ValueError:
-                continue
-            h = {}
-            for (p, q), c in pres2:
-                h = elem_add(h, setup.q_project(setup.U.comm(
-                    dict(setup.thetas[p].value), dict(setup.thetas[q].value))), c)
-            cleared, _ = setup._clear(h, k)
-            assert cleared == setup.thetas[k].value
-    assert time.time() - t0 < 1200
+    run_suite("walgebra", 1200)
     report(7, "thetas invariant and Z[1/2]-integral, commutator law, PBW counts to degree 4, "
-              "augmentation character on sp_4 (2,1,1) and sp_6 (2,1,1,1,1)")
+              "augmentation character on sp_4 (2,1,1), sp_6 (2,1,1,1,1) and so_5 (2,2,1)")
 
 
 def test_criterion_08_casimir():
-    t0 = time.time()
-    for parts, eps in (((2, 1, 1), -1), ((2, 2, 1), 1)):
-        cas = casimir(WSetup(build_nilpotent(Partition(parts), eps)))
-        assert cas.shape["shape_ok"]
-    assert time.time() - t0 < 120
+    run_suite("casimir", 120)
     report(8, "centrality on all sp_4 and so_5 basis elements and the 2e + sum y_i z_i + C' shape")
 
 
 def test_criterion_09_modular_suite():
-    t0 = time.time()
-    for p in (3, 5):
-        reduce_mod_p(build_algebra(4, -1), p)   # restrictedness table
-        reduce_mod_p(build_algebra(5, 1), p)
-    for lam, eps in sweep(8):
-        rep = build_nilpotent(lam, eps)
-        want_dim = compute_centralizer(rep).dim
-        base = graded_dims_mod_p(rep, 3)
-        for p in (3, 5):
-            assert centralizer_dim_mod_p(rep, p) == want_dim, (lam, eps, p)
-            assert graded_dims_mod_p(rep, p) == base, (lam, eps, p)
-    borel = InductionDatum(4, -1, ((1, Partition((1,))), (1, Partition((1,)))), Partition(()))
-    siegel = InductionDatum(4, -1, ((2, Partition((1, 1))),), Partition(()))
-    for p in (3, 5):
-        verma = build_induced_module(borel, p)  # identities verified inside
-        assert verma.dim == p ** 4
-        small = build_induced_module(siegel, p)
-        assert small.dim == p ** 3
-        book = kw_bookkeeping(Partition((2, 2)), -1, p, siegel)
-        assert small.dim == book["small_dimension"] and book["induction_identity"]
-    probe = submodule_probe(build_induced_module(borel, 3), 10)
-    assert probe["full_closures"] == probe["seeds"]
-    assert time.time() - t0 < 2400
-    report(9, "restrictedness, dimension stability (N <= 8), baby Verma p^4 and Siegel p^3 modules at p = 3, 5")
+    run_suite("modular", 2400, max_n=8, primes=(3, 5))
+    report(9, "restrictedness, dimension stability (N <= 8), baby Verma p^4 and Siegel p^3 modules "
+              "at p = 3, 5, closure probes at p = 3")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -91,6 +91,17 @@ def test_verify_even_prime_rejected():
     assert code == 2 and "odd" in err
 
 
+def test_verify_failing_case_exits_1_with_witness(monkeypatch):
+    from orbitforge import cli
+
+    is_rigid = cli.is_rigid
+    monkeypatch.setattr(cli, "is_rigid", lambda lam, eps: not is_rigid(lam, eps))
+    code, out, _ = run_cli("verify", "--max-n", "4", "--suites", "rigidity")
+    assert code == 1 and '"passed": false' in out
+    failures = json.loads(out)["suites"]["rigidity"]["failures"]
+    assert failures["2,1,1|-1"]["witness"].startswith("AssertionError: criterion False != oracle True")
+
+
 def test_verify_mini_run_and_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -141,3 +152,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d_chi"] == 4
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitforge.cli", "algebra", "4", "-1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()   # the reader goes away before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err

@@ -110,6 +110,29 @@ def test_siegel_module_sp4():
     assert probe["full_closures"] == 10
 
 
+def test_probe_finds_a_proper_submodule():
+    # Block upper-triangular action on F_3^4: every unit matrix E_ij except
+    # those mapping the first two coordinates to the last two, so
+    # W = span(e_0, e_1) is the one proper nonzero submodule.
+    from types import SimpleNamespace
+    from orbitforge.modular import _probe_seed
+
+    p, dim, w_dim = 3, 4, 2
+    action = []
+    for i in range(dim):
+        for j in range(dim):
+            if i >= w_dim > j:
+                continue
+            m = np.zeros((dim, dim), dtype=np.int64)
+            m[i, j] = 1
+            action.append(m)
+    probe = submodule_probe(SimpleNamespace(p=p, dim=dim, action=action), 10)
+    in_w = [not _probe_seed(s, dim, p)[w_dim:].any() for s in range(10)]
+    assert any(in_w) and not all(in_w)
+    assert probe["ranks"] == [w_dim if w else dim for w in in_w]
+    assert probe["full_closures"] == in_w.count(False)
+
+
 def test_induced_module_rejects_nonzero_levi_orbit():
     datum = InductionDatum(4, -1, ((2, Partition((2,))),), Partition(()))
     with pytest.raises(ValueError):
