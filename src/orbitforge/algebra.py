@@ -444,8 +444,10 @@ class ClassicalAlgebra:
         return self._killing
 
     def kappa(self, x: SparseMatrix, y: SparseMatrix):
+        # trace(xy) = sum of x[i,j] y[j,i] over the entries of x
         c = self.killing_form()["trace_constant"]
-        return c * (x.change_ring(QQ) @ y.change_ring(QQ)).trace()
+        ye = y.entries
+        return c * sum(v * ye[(j, i)] for (i, j), v in x.entries.items() if (j, i) in ye)
 
 
 @lru_cache(maxsize=None)

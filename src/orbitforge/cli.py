@@ -428,6 +428,9 @@ class VerifyConfig:
             raise ValueError("max_n must be at least 2")
         if any(p % 2 == 0 or not _is_prime(p) for p in self.primes):
             raise ValueError(f"primes must be odd primes, got {list(self.primes)}")
+        for name in self.suites:
+            if name not in SUITES:
+                raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
 
 
 def _run_cases(cases):
@@ -709,8 +712,6 @@ def run_verify(config: VerifyConfig) -> dict:
     }
     selected = config.suites if config.suites else tuple(sorted(SUITES))
     for name in selected:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         t0 = time.time()
         outcomes = _run_cases(SUITES[name](config))
         print(f"suite {name}: {time.time() - t0:.1f}s", file=sys.stderr)
@@ -734,9 +735,6 @@ def cmd_verify(args) -> int:
             seed=args.seed,
             suites=tuple(args.suites.split(",")) if args.suites else (),
         )
-        for name in config.suites:
-            if name not in SUITES:
-                raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

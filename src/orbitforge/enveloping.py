@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rings import QQ, ZZ, is_two_power_denominator
 from .linalg import (
@@ -28,16 +29,43 @@ from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
 from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_value
 
 
+_ZERO = Fraction(0)
+
+
+def _scaled(x: dict):
+    """(den, [(key, n)]) with x[key] = n / den, den the lcm of x's denominators."""
+    den = lcm(*(c.denominator for c in x.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in x.items()]
+
+
+def _longest(x: dict) -> int:
+    return max(map(len, x), default=0)
+
+
 class UAlgebra:
-    """Straightening arithmetic for U(g) over QQ with a fixed basis order."""
+    """Straightening arithmetic for U(g) over QQ with a fixed basis order.
+
+    Arithmetic runs on Python ints.  With D the lcm of the bracket table's
+    denominators, the table is held as the integers D*c, and the memoised
+    straighten(word) holds D^(len(word) - len(t)) times the coefficient of
+    each term t: each bracket shortens the word by one letter, so these are
+    integers.  mul and comm accumulate over one common denominator and build
+    one Fraction per output term.
+    """
 
     def __init__(self, dim: int, bracket):
         # bracket[(a, b)] = {c: coeff} for a > b (the out-of-order bracket)
         self.dim = dim
         self.bracket = bracket
+        self.denominator = lcm(*(c.denominator for entry in bracket.values() for c in entry.values()))
+        self._ibracket = {
+            ab: {k: c.numerator * (self.denominator // c.denominator) for k, c in entry.items()}
+            for ab, entry in bracket.items()
+        }
         self._memo = {}
 
     def straighten(self, word: tuple) -> dict:
+        """Normal form of word as {term: D^(len(word) - len(term)) * coefficient}."""
         out = self._memo.get(word)
         if out is not None:
             return out
@@ -47,40 +75,57 @@ class UAlgebra:
                 bad = i
                 break
         if bad is None:
-            out = {word: Fraction(1)}
+            out = {word: 1}
         else:
             a, b = word[bad], word[bad + 1]
-            out = {}
             swapped = word[:bad] + (b, a) + word[bad + 2:]
-            for t, c in self.straighten(swapped).items():
-                out[t] = out.get(t, Fraction(0)) + c
-            for k, cbr in self.bracket.get((a, b), {}).items():
+            out = dict(self.straighten(swapped))
+            for k, cbr in self._ibracket.get((a, b), {}).items():
                 sub = word[:bad] + (k,) + word[bad + 2:]
                 for t, c in self.straighten(sub).items():
-                    out[t] = out.get(t, Fraction(0)) + cbr * c
+                    out[t] = out.get(t, 0) + cbr * c
             out = {t: c for t, c in out.items() if c != 0}
         self._memo[word] = out
         return out
 
-    def mul(self, x: dict, y: dict) -> dict:
+    def _products(self, xs, ys, top: int) -> dict:
+        """sum of na * nb * straighten(wa + wb) over the scaled terms, each
+        lifted to D^(top - len(term)) times its coefficient."""
+        D = self.denominator
         out = {}
-        for wa, ca in x.items():
-            for wb, cb in y.items():
-                for t, c in self.straighten(wa + wb).items():
-                    out[t] = out.get(t, Fraction(0)) + ca * cb * c
-        return {t: c for t, c in out.items() if c != 0}
+        for wa, na in xs:
+            for wb, nb in ys:
+                w = wa + wb
+                scale = na * nb * D ** (top - len(w))
+                for t, c in self.straighten(w).items():
+                    out[t] = out.get(t, 0) + scale * c
+        return out
+
+    def _fractions(self, acc: dict, den: int, top: int) -> dict:
+        D = self.denominator
+        return {t: Fraction(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
+
+    def mul(self, x: dict, y: dict) -> dict:
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        top = _longest(x) + _longest(y)
+        return self._fractions(self._products(xs, ys, top), dx * dy, top)
 
     def comm(self, x: dict, y: dict) -> dict:
-        out = dict(self.mul(x, y))
-        for t, c in self.mul(y, x).items():
-            out[t] = out.get(t, Fraction(0)) - c
-        return {t: c for t, c in out.items() if c != 0}
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        top = _longest(x) + _longest(y)
+        out = {t: n for t, n in self._products(xs, ys, top).items() if n != 0}
+        for t, n in self._products(ys, xs, top).items():
+            if n != 0:
+                out[t] = out.get(t, 0) - n
+        return self._fractions(out, dx * dy, top)
 
 
 def elem_add(x: dict, y: dict, scale=Fraction(1)) -> dict:
     out = dict(x)
     for t, c in y.items():
-        out[t] = out.get(t, Fraction(0)) + scale * c
+        out[t] = out.get(t, 0) + scale * c
     return {t: c for t, c in out.items() if c != 0}
 
 
@@ -163,9 +208,10 @@ class WSetup:
     def _build_structure(self):
         alg = self.alg
         # transition: columns are the new basis in Chevalley coordinates
-        self._tinv = inverse_rows([list(row) for row in zip(*self.basis_vectors)])
-        if self._tinv is None:
+        tinv = inverse_rows([list(row) for row in zip(*self.basis_vectors)])
+        if tinv is None:
             raise AssertionError("basis transition is singular")
+        self._set_transition(tinv)
         self._mats = [alg.from_coordinates(v) for v in self.basis_vectors]
         bracket = {}
         for a in range(self.dim):
@@ -176,9 +222,24 @@ class WSetup:
                     bracket[(a, b)] = entry
         self.U = UAlgebra(self.dim, bracket)
 
+    def _set_transition(self, tinv):
+        """Hold the inverse transition as integer columns [(row, n)] over
+        one common denominator."""
+        den = lcm(*(c.denominator for row in tinv for c in row))
+        self._tinv_den = den
+        self._tinv_cols = [
+            [(i, row[j].numerator * (den // row[j].denominator)) for i, row in enumerate(tinv) if row[j] != 0]
+            for j in range(len(tinv))
+        ]
+
     def to_w_coords(self, chev_coords):
-        nonzero = [(j, c) for j, c in enumerate(chev_coords) if c != 0]
-        return tuple(sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in self._tinv)
+        den, terms = _scaled({j: c for j, c in enumerate(chev_coords) if c != 0})
+        acc = [0] * len(self._tinv_cols)
+        for j, n in terms:
+            for i, t in self._tinv_cols[j]:
+                acc[i] += t * n
+        den *= self._tinv_den
+        return tuple(Fraction(a, den) if a else _ZERO for a in acc)
 
     # -- elements -----------------------------------------------------------
 
@@ -205,7 +266,7 @@ class WSetup:
                     head.append(k)
             else:
                 key = tuple(head)
-                out[key] = out.get(key, Fraction(0)) + c * factor
+                out[key] = out.get(key, 0) + c * factor
                 continue
         return {t: v for t, v in out.items() if v != 0}
 

@@ -135,6 +135,19 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
         assert g.ad(x, ring) == SparseMatrix(g.dim, g.dim, ring, reference)
 
 
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_kappa_matches_the_trace_of_the_product(n, eps, data):
+    g = build_algebra(n, eps)
+    c = g.killing_form()["trace_constant"]
+    coords = st.lists(st.integers(-3, 3), min_size=g.dim, max_size=g.dim)
+    x, y = (g.from_coordinates(data.draw(coords), data.draw(st.sampled_from([ZZ, QQ]))) for _ in range(2))
+    if x.ring == QQ:
+        x = x.scale(Fraction(data.draw(st.integers(-5, 5)), data.draw(st.sampled_from([1, 2, 3]))))
+    assert g.kappa(x, y) == c * (x.change_ring(QQ) @ y.change_ring(QQ)).trace()
+
+
 def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
     g = ClassicalAlgebra(5, 1)  # fresh: the cached instance keeps its certified table
     decompose = g._lattice_coords

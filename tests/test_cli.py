@@ -91,6 +91,23 @@ def test_verify_even_prime_rejected():
     assert code == 2 and "odd" in err
 
 
+def test_verify_unknown_suite_exits_2():
+    code, out, err = run_cli("verify", "--suites", "nope")
+    assert code == 2 and out == ""
+    assert err == ("error: unknown suite 'nope'; available: casimir, generation, golden, "
+                   "modular, representatives, rigidity, saturation, walgebra, zeta\n")
+
+
+def test_verify_config_rejects_unknown_suite_before_any_suite_runs(monkeypatch):
+    from orbitforge import cli
+
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "casimir", lambda config: ran.append("casimir") or [])
+    with pytest.raises(ValueError, match="unknown suite 'nope'; available: "):
+        cli.run_verify(cli.VerifyConfig(suites=("casimir", "nope")))
+    assert ran == []
+
+
 def test_verify_failing_case_exits_1_with_witness(monkeypatch):
     from orbitforge import cli
 

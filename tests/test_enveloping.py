@@ -1,14 +1,19 @@
 """PBW arithmetic, Q projection, theta generators, the lifting loop, the
 augmentation character and the Casimir element."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitforge.linalg import SparseMatrix, commutator
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
+from orbitforge.rings import is_two_power_denominator
 from orbitforge.partitions import Partition
 from orbitforge.orbits import build_nilpotent
 from orbitforge.enveloping import (
+    UAlgebra,
     WSetup,
     elem_add,
     jems_commutator_check,
@@ -19,16 +24,177 @@ from orbitforge.enveloping import (
 )
 
 
+SETUPS = {"sp4": ((2, 1, 1), -1), "so5": ((2, 2, 1), 1), "sp6": ((2, 1, 1, 1, 1), -1)}
+
+
+@lru_cache(maxsize=None)
+def _setup(name) -> WSetup:
+    parts, eps = SETUPS[name]
+    return WSetup(build_nilpotent(Partition(parts), eps))
+
+
 @pytest.fixture(scope="module")
 def sp4():
-    return WSetup(build_nilpotent(Partition((2, 1, 1)), -1))
+    return _setup("sp4")
 
 
 @pytest.fixture(scope="module")
 def sp6():
-    s = WSetup(build_nilpotent(Partition((2, 1, 1, 1, 1)), -1))
+    s = _setup("sp6")
     s.build_all_thetas()
     return s
+
+
+class FractionUAlgebra:
+    """Reference straightening on Fraction coefficients, the arithmetic
+    UAlgebra ran before it moved to integers over a deferred denominator."""
+
+    def __init__(self, dim: int, bracket):
+        self.dim = dim
+        self.bracket = bracket
+        self._memo = {}
+
+    def straighten(self, word: tuple) -> dict:
+        out = self._memo.get(word)
+        if out is not None:
+            return out
+        bad = None
+        for i in range(len(word) - 1):
+            if word[i] > word[i + 1]:
+                bad = i
+                break
+        if bad is None:
+            out = {word: Fraction(1)}
+        else:
+            a, b = word[bad], word[bad + 1]
+            out = {}
+            swapped = word[:bad] + (b, a) + word[bad + 2:]
+            for t, c in self.straighten(swapped).items():
+                out[t] = out.get(t, Fraction(0)) + c
+            for k, cbr in self.bracket.get((a, b), {}).items():
+                sub = word[:bad] + (k,) + word[bad + 2:]
+                for t, c in self.straighten(sub).items():
+                    out[t] = out.get(t, Fraction(0)) + cbr * c
+            out = {t: c for t, c in out.items() if c != 0}
+        self._memo[word] = out
+        return out
+
+    def mul(self, x: dict, y: dict) -> dict:
+        out = {}
+        for wa, ca in x.items():
+            for wb, cb in y.items():
+                for t, c in self.straighten(wa + wb).items():
+                    out[t] = out.get(t, Fraction(0)) + ca * cb * c
+        return {t: c for t, c in out.items() if c != 0}
+
+    def comm(self, x: dict, y: dict) -> dict:
+        out = dict(self.mul(x, y))
+        for t, c in self.mul(y, x).items():
+            out[t] = out.get(t, Fraction(0)) - c
+        return {t: c for t, c in out.items() if c != 0}
+
+
+def _synthetic_bracket(dim: int, dens, seed: int) -> dict:
+    """An arbitrary (not Lie) table of out-of-order brackets; straightening
+    is defined for any table, since each bracket shortens the word."""
+    rng = random.Random(seed)
+    table = {}
+    for a in range(dim):
+        for b in range(a):
+            entry = {k: Fraction(rng.randint(-3, 3), rng.choice(dens)) for k in rng.sample(range(dim), 2)}
+            entry = {k: c for k, c in entry.items() if c != 0}
+            if entry:
+                table[(a, b)] = entry
+    return table
+
+
+SYNTHETIC = {"integral": ((1,), 1), "thirds": ((1, 3), 3)}   # name: (denominators, D)
+
+
+@lru_cache(maxsize=None)
+def _algebras(name):
+    """(integer UAlgebra, Fraction reference) on the same bracket table."""
+    if name in SETUPS:
+        U = _setup(name).U
+    else:
+        dens, D = SYNTHETIC[name]
+        U = UAlgebra(6, _synthetic_bracket(6, dens, seed=5))
+        assert U.denominator == D
+    return U, FractionUAlgebra(U.dim, U.bracket)
+
+
+COEFFS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 8]))
+
+
+def _elements(dim: int, max_len: int):
+    words = st.lists(st.integers(0, dim - 1), max_size=max_len).map(tuple)
+    return st.dictionaries(words, COEFFS, max_size=4)
+
+
+def _assert_same(got: dict, want: dict):
+    # values and key order both match, and every value is a Fraction
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("name", [*SETUPS, *SYNTHETIC])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_integer_straightening_matches_the_fraction_reference(name, data):
+    U, ref = _algebras(name)
+    x, y = (data.draw(_elements(U.dim, 2 if name in SETUPS else 3)) for _ in range(2))
+    _assert_same(U.mul(x, y), ref.mul(x, y))
+    _assert_same(U.comm(x, y), ref.comm(x, y))
+    assert all(type(c) is int for out in U._memo.values() for c in out.values())
+
+
+@pytest.mark.parametrize("name", [*SETUPS, *SYNTHETIC])
+def test_reference_comparison_sees_dyadic_and_non_dyadic_coefficients(name):
+    U, ref = _algebras(name)
+    rng = random.Random(7)
+    coeffs = []
+    for _ in range(12):
+        x, y = ({tuple(rng.randrange(U.dim) for _ in range(rng.randint(1, 2))):
+                 Fraction(rng.randint(-6, 6) or 1, rng.choice([1, 2, 3, 4]))
+                 for _ in range(3)} for _ in range(2))
+        for got, want in ((U.mul(x, y), ref.mul(x, y)), (U.comm(x, y), ref.comm(x, y))):
+            _assert_same(got, want)
+            coeffs += got.values()
+    assert any(is_two_power_denominator(c) and c.denominator > 1 for c in coeffs)
+    assert any(not is_two_power_denominator(c) for c in coeffs)
+
+
+def _dense_w_coords(tinv, v):
+    return tuple(sum((r * x for r, x in zip(row, v)), Fraction(0)) for row in tinv)
+
+
+ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@pytest.mark.parametrize("name", [*SETUPS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_to_w_coords_matches_the_dense_inverse(name, data):
+    setup = _setup(name)
+    tinv = inverse_rows([list(row) for row in zip(*setup.basis_vectors)])
+    v = data.draw(st.lists(ENTRY, min_size=setup.dim, max_size=setup.dim))
+    got = setup.to_w_coords(v)
+    assert got == _dense_w_coords(tinv, v)
+    assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ENTRY, min_size=4, max_size=4))
+def test_to_w_coords_with_a_non_unit_common_denominator(v):
+    # det 15: the inverse has denominators 3 and 5
+    a = [[3, 1, -2, 0], [0, 1, 4, 1], [0, 0, 5, 2], [0, 0, 0, 1]]
+    tinv = inverse_rows([[Fraction(c) for c in row] for row in a])
+    setup = WSetup.__new__(WSetup)
+    setup._set_transition(tinv)
+    assert setup._tinv_den == 15
+    got = setup.to_w_coords(v)
+    assert got == _dense_w_coords(tinv, v)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_multiply_by_one(sp4):

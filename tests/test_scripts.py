@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from orbitforge.partitions import admissible_partitions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +36,13 @@ def test_wgen_demo_prints_every_generator_and_the_character():
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("Theta(x") for line in lines) == 6
     assert lines[-1] == "augmentation character: {'x5': '-1/2'}"
+
+
+@pytest.mark.parametrize("partition, eps", [("2,1,1", "-1"), ("2,2,1", "1")])
+def test_wgen_demo_output_is_unchanged(partition, eps):
+    # recorded from the Fraction-arithmetic enveloping layer; guards the
+    # value and the order of every printed theta term and character value
+    proc = run_script("wgen_demo.py", partition, eps)
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / f"wgen_demo_{partition}_{eps}.txt"
+    assert proc.stdout.encode() == golden.read_bytes()
