@@ -72,9 +72,9 @@ from .modular import (
 )
 
 SCHEMA_VERSION = 1
-# Largest induced module `verma` builds: dim p^{dim n}.  Each of the dim g
-# action matrices is a dense int64 dim x dim array, so memory grows as
-# dim^2; 625 is the sp_4 Borel module at p = 5, the largest `verify` builds.
+# Largest induced module `verma` builds: dim p^{dim n}.  625 is the sp_4
+# Borel module at p = 5, the largest `verify` builds; the action matrices are
+# sparse, and raising the cap waits for a measured build cost.
 MAX_MODULE_DIM = 625
 
 

@@ -59,7 +59,8 @@ class SparseMatrix:
     # -- basics ------------------------------------------------------------
 
     def __getitem__(self, rc):
-        return self.entries.get(rc, self.ring.zero())
+        v = self.entries.get(rc)
+        return self.ring.zero() if v is None else v
 
     def __eq__(self, other):
         return (
@@ -169,18 +170,6 @@ class SparseMatrix:
 
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return (a @ b) - (b @ a)
-
-
-def matrix_power_rank_sequence(m: SparseMatrix, ring: Ring = QQ):
-    """Ranks of m, m^2, ... until zero; m must be nilpotent."""
-    ranks = []
-    cur = m.change_ring(ring)
-    while not cur.is_zero():
-        ranks.append(rank_kernel(cur)[0])
-        if len(ranks) > m.nrows:
-            raise ValueError("matrix is not nilpotent")
-        cur = cur @ m.change_ring(ring)
-    return ranks
 
 
 # -- field elimination: one sparse reduced-echelon span -----------------------
@@ -370,35 +359,6 @@ def solve(m: SparseMatrix, b):
     if any(ring.sub(out[i], rhs[i]) != 0 for i in range(m.nrows)):
         raise AssertionError("solve result fails exact substitution check")
     return sol
-
-
-def span_intersection(vecs_a, vecs_b, ring: Ring):
-    """Basis of span(vecs_a) ∩ span(vecs_b) over a field."""
-    if not vecs_a or not vecs_b:
-        return []
-    dim = len(vecs_a[0])
-    na = len(vecs_a)
-    a = [sparse_vector(v, ring) for v in vecs_a]
-    cols = {}
-    for j, v in enumerate(a):
-        for i, x in v.items():
-            cols[(i, j)] = x
-    for j, v in enumerate(vecs_b):
-        for i, x in sparse_vector(v, ring).items():
-            cols[(i, na + j)] = ring.neg(x)
-    m = SparseMatrix(dim, na + len(vecs_b), ring, cols)
-    _, ker = rank_kernel(m)
-    out = []
-    span = VectorSpan(ring, dim)
-    for kv in ker:
-        vec = [ring.zero()] * dim
-        for j in range(na):
-            if kv[j] != 0:
-                for i, x in a[j].items():
-                    vec[i] = ring.add(vec[i], ring.mul(kv[j], x))
-        if span.add(vec):
-            out.append(tuple(vec))
-    return out
 
 
 # -- Smith normal form over ZZ ----------------------------------------------

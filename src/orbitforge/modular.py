@@ -3,18 +3,15 @@ structure via matrix p-th powers, p-characters, parabolically induced
 modules over F_p as explicit action matrices, and Kac-Weisfeiler dimension
 bookkeeping.
 
-Dense module arithmetic uses integer numpy arrays reduced mod p; this is
-exact (entries stay far below the int64 overflow line at desk scale).
+Module actions are sparse matrices over GF(p), like every other matrix in
+the package; the identities are checked by full sparse matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .rings import GF, is_two_power_denominator
+from .rings import GF
 from .linalg import SparseMatrix, VectorSpan, rank_kernel
 from .partitions import Partition
 from .orbits import (
@@ -60,28 +57,18 @@ def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
     return mod
 
 
-def _ad_numpy(mod: ModularAlgebra, coords) -> np.ndarray:
-    """ad(x) on the basis over F_p as a numpy matrix, x given by coordinates."""
-    m = mod.alg.ad(coords, GF(mod.p))
-    out = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        out[i, j] = v
-    return out
-
-
 def verify_restrictedness(mod: ModularAlgebra):
     """ad(x^{[p]}) = (ad x)^p as matrices over F_p, for every basis x."""
-    p = mod.p
+    ring = GF(mod.p)
     dim = mod.alg.dim
     for k in range(dim):
         unit = [0] * dim
         unit[k] = 1
-        adx = _ad_numpy(mod, unit)
-        power = np.eye(dim, dtype=np.int64)
-        for _ in range(p):
-            power = (power @ adx) % p
-        target = _ad_numpy(mod, mod.p_power[k])
-        if not np.array_equal(power, target % p):
+        adx = mod.alg.ad(unit, ring)
+        power = adx
+        for _ in range(mod.p - 1):
+            power = power @ adx
+        if power != mod.alg.ad(mod.p_power[k], ring):
             raise AssertionError(f"restrictedness fails for basis element {k}")
 
 
@@ -122,7 +109,7 @@ class InducedModule:
     p: int
     dim: int
     f_count: int
-    action: list            # numpy matrix per algebra basis element
+    action: list            # SparseMatrix over GF(p) per algebra basis element
     chi: tuple              # p-character values on the basis
     e_coords: tuple         # coordinates of the inducing nilpotent
 
@@ -312,11 +299,8 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
         cols = builder.act_basis(k)
         if len(builder.index_of) != dim:
             raise AssertionError("action left the monomial basis")
-        m = np.zeros((dim, dim), dtype=np.int64)
-        for col, rows in cols.items():
-            for row, c in rows.items():
-                m[row, col] = c
-        action.append(m)
+        action.append(SparseMatrix(dim, dim, ring, {
+            (row, col): c for col, rows in cols.items() for row, c in rows.items()}))
     module = InducedModule(datum, p, dim, len(f_idx), action, chi, e_coords)
     verify_induced_module(module, mod)
     return module
@@ -334,32 +318,33 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
     """Bracket compatibility and exact p-character identity on every basis
     element, by full matrix computation."""
     p = module.p
+    ring = GF(p)
+    act = module.action
     dim_g = mod.alg.dim
+    zero = SparseMatrix.zeros(module.dim, module.dim, ring)
     for a in range(dim_g):
         for b in range(a + 1, dim_g):
-            lhs = (module.action[a] @ module.action[b] - module.action[b] @ module.action[a]) % p
-            rhs = np.zeros_like(lhs)
+            rhs = zero
             for c, v in mod.structure.get((a, b), {}).items():
-                rhs = (rhs + int(v) * module.action[c]) % p
-            if not np.array_equal(lhs, rhs):
+                rhs = rhs + act[c].scale(v)
+            if act[a] @ act[b] - act[b] @ act[a] != rhs:
                 raise AssertionError(f"bracket compatibility fails at pair ({a}, {b})")
-    eye = np.eye(module.dim, dtype=np.int64)
+    eye = SparseMatrix.identity(module.dim, ring)
     for k in range(dim_g):
-        power = eye
-        for _ in range(p):
-            power = (power @ module.action[k]) % p
-        rest = np.zeros_like(power)
+        power = act[k]
+        for _ in range(p - 1):
+            power = power @ act[k]
+        target = eye.scale(pow(module.chi[k], p, p))
         for c, v in enumerate(mod.p_power[k]):
             if v != 0:
-                rest = (rest + int(v) * module.action[c]) % p
-        target = (rest + pow(int(module.chi[k]), p, p) * eye) % p
-        if not np.array_equal(power, target):
+                target = target + act[c].scale(v)
+        if power != target:
             raise AssertionError(f"p-character identity fails at basis {k}")
 
 
-def _probe_seed(s: int, dim: int, p: int) -> np.ndarray:
+def _probe_seed(s: int, dim: int, p: int) -> tuple:
     """The s-th seed vector of submodule_probe, over F_p."""
-    return np.array([(1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim)], dtype=np.int64)
+    return tuple((1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim))
 
 
 def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
@@ -369,18 +354,29 @@ def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
     p = module.p
     dim = module.dim
     ring = GF(p)
+    # each action as its columns, col -> [(row, coeff)], to act on {index: scalar} maps
+    columns = []
+    for m in module.action:
+        cols = {}
+        for (r, c), x in m.entries.items():
+            cols.setdefault(c, []).append((r, x))
+        columns.append(cols)
     results = []
     for s in range(seeds):
-        vec = _probe_seed(s, dim, p)
+        vec = {i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}
         basis = VectorSpan(ring, dim)
-        basis.add(vec.tolist())
+        basis.add(vec)
         frontier = [vec]
         while frontier:
             nxt = []
             for v in frontier:
-                for m in module.action:
-                    w = (m @ v) % p
-                    if basis.add(w.tolist()):
+                for cols in columns:
+                    w = {}
+                    for i, x in v.items():
+                        for r, y in cols.get(i, ()):
+                            w[r] = (w.get(r, 0) + x * y) % p
+                    w = {r: y for r, y in w.items() if y}
+                    if basis.add(w):
                         nxt.append(w)
             frontier = nxt
         results.append(basis.rank)
@@ -411,14 +407,3 @@ def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum | Non
         out["d_chi_bar"] = d_bar
         out["induction_identity"] = len(n_idx) + d_bar == d_chi
     return out
-
-
-def theta_coefficients_reduce(setup, p: int) -> bool:
-    """Every canonical generator coefficient has a 2-power denominator, so
-    its reduction mod an odd p is well defined."""
-    for th in setup.thetas.values():
-        for c in th.value.values():
-            if not is_two_power_denominator(c):
-                return False
-            Fraction(c.numerator * pow(c.denominator, -1, p), 1)
-    return True

@@ -181,3 +181,31 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
+
+
+def test_runs_on_the_standard_library_alone():
+    # no runtime dependency: with every import outside the standard library
+    # refused, the package, the CLI and a module build (with its identity
+    # checks and probe) still run
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top != 'orbitforge' and top not in sys.stdlib_module_names:\n"
+        "            raise ImportError(f'{name} is not in the standard library')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+        "import orbitforge\n"
+        "from orbitforge.cli import main\n"
+        "sys.exit(main(['verma', '2,2', '-1', '--levi', '2', '--prime', '3']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 27

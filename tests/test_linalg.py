@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.rings import ZZ, QQ, GF, format_rational, parse_rational, is_two_power_denominator
+from orbitforge.rings import Ring, ZZ, QQ, GF, format_rational, parse_rational, is_two_power_denominator
 from orbitforge.linalg import (
     SparseMatrix,
     VectorSpan,
@@ -18,7 +18,6 @@ from orbitforge.linalg import (
     r_saturated,
     integer_kernel_basis,
     complete_saturated_basis,
-    span_intersection,
 )
 
 
@@ -26,6 +25,22 @@ def test_identity_rank():
     m = SparseMatrix.identity(3, QQ)
     rank, kernel = rank_kernel(m)
     assert rank == 3 and kernel == []
+
+
+def test_getitem_builds_a_zero_only_for_a_missing_entry():
+    zeros = []
+
+    class CountingQQ(Ring):
+        def zero(self):
+            zeros.append(1)
+            return super().zero()
+
+    m = SparseMatrix(2, 2, CountingQQ("QQ"), {(0, 1): Fraction(1, 2)})
+    assert m[0, 1] is m.entries[(0, 1)] and not zeros
+    missing = m[1, 0]
+    assert missing == 0 and type(missing) is Fraction and len(zeros) == 1
+    assert SparseMatrix(2, 2, GF(5), {(0, 0): 7})[0, 0] == 2
+    assert SparseMatrix.zeros(2, 2, GF(5))[1, 1] == 0
 
 
 def test_zero_matrix_kernel():
@@ -109,13 +124,6 @@ def test_integer_kernel_is_saturated():
     assert len(ker) == 2
     comp = complete_saturated_basis(ker, 3)
     assert len(comp) == 1
-
-
-def test_span_intersection():
-    a = [(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]
-    b = [(Fraction(0), Fraction(1), Fraction(1)), (Fraction(1), Fraction(1), Fraction(0))]
-    inter = span_intersection(a, b, QQ)
-    assert len(inter) == 1
 
 
 def test_rational_serialization():

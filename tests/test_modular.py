@@ -1,23 +1,85 @@
 """Reduction mod p, restrictedness, induced modules and KW bookkeeping."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from orbitforge.rings import GF
+from orbitforge.linalg import SparseMatrix
 from orbitforge.partitions import Partition
 from orbitforge.algebra import build_algebra
-from orbitforge.orbits import InductionDatum, build_nilpotent
+from orbitforge.orbits import InductionDatum, build_nilpotent, embed_datum
 from orbitforge.modular import (
     reduce_mod_p,
-    _ad_numpy,
     p_character,
     centralizer_dim_mod_p,
     graded_dims_mod_p,
     build_induced_module,
+    verify_induced_module,
     submodule_probe,
     kw_bookkeeping,
-    theta_coefficients_reduce,
 )
+
+BOREL_SP4 = InductionDatum(4, -1, ((1, Partition((1,))), (1, Partition((1,)))), Partition(()))
+SIEGEL_SP4 = InductionDatum(4, -1, ((2, Partition((1, 1))),), Partition(()))
+
+
+# -- a dense reference: matrices as lists of rows of ints mod p -----------------
+
+
+def _dense_eye(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _dense_mul(a: list, b: list, p: int) -> list:
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, b[k])]
+        out.append([u % p for u in acc])
+    return out
+
+
+def _dense_comb(terms, n: int, p: int) -> list:
+    """sum of c * m over (c, m) in terms, mod p."""
+    out = [[0] * n for _ in range(n)]
+    for c, m in terms:
+        out = [[(u + c * v) % p for u, v in zip(r, s)] for r, s in zip(out, m)]
+    return out
+
+
+def _dense_power(m: list, p: int) -> list:
+    out = _dense_eye(len(m))
+    for _ in range(p):
+        out = _dense_mul(out, m, p)
+    return out
+
+
+def dense_module_check(module, mod):
+    """The identities of verify_induced_module on dense matrices: every
+    bracket [x_a, x_b] and x^p = x^{[p]} + chi(x)^p on every basis element."""
+    p, n = module.p, module.dim
+    act = [m.to_dense() for m in module.action]
+    for a in range(len(act)):
+        for b in range(a + 1, len(act)):
+            lhs = _dense_comb([(1, _dense_mul(act[a], act[b], p)), (-1, _dense_mul(act[b], act[a], p))], n, p)
+            rhs = _dense_comb([(v, act[c]) for c, v in mod.structure.get((a, b), {}).items()], n, p)
+            assert lhs == rhs, f"dense bracket check fails at pair ({a}, {b})"
+    for k in range(len(act)):
+        rhs = _dense_comb([(v, act[c]) for c, v in enumerate(mod.p_power[k]) if v]
+                          + [(pow(module.chi[k], p, p), _dense_eye(n))], n, p)
+        assert _dense_power(act[k], p) == rhs, f"dense p-character check fails at basis {k}"
+
+
+def dense_ad_power_check(mod, k: int):
+    """(ad x)^p = ad(x^{[p]}) on dense matrices, for basis element k."""
+    ring = GF(mod.p)
+    unit = [0] * mod.alg.dim
+    unit[k] = 1
+    power = _dense_power(mod.alg.ad(unit, ring).to_dense(), mod.p)
+    assert power == mod.alg.ad(mod.p_power[k], ring).to_dense()
 
 
 def test_reduce_rejects_two():
@@ -28,13 +90,7 @@ def test_reduce_rejects_two():
 def test_restrictedness_cartan_diagonal():
     # diagonal case: ad(h^{[3]}) = (ad h)^3 reduces to eigenvalue arithmetic
     mod = reduce_mod_p(build_algebra(4, -1), 3)
-    h_idx = 0  # Cartan comes first in the basis order
-    unit = [0] * mod.alg.dim
-    unit[h_idx] = 1
-    adh = _ad_numpy(mod, unit)
-    cube = np.linalg.matrix_power(adh, 3) % 3
-    target = _ad_numpy(mod, mod.p_power[h_idx]) % 3
-    assert np.array_equal(cube, target)
+    dense_ad_power_check(mod, 0)  # Cartan comes first in the basis order
 
 
 def test_restrictedness_sweep():
@@ -89,7 +145,7 @@ def test_graded_rank_stability_so5():
 
 
 def test_baby_verma_sp4_regular():
-    datum = InductionDatum(4, -1, ((1, Partition((1,))), (1, Partition((1,)))), Partition(()))
+    datum = BOREL_SP4
     module = build_induced_module(datum, 3)  # identities verified inside
     assert module.dim == 81 and module.f_count == 4
     book = kw_bookkeeping(Partition((4,)), -1, 3, datum)
@@ -100,7 +156,7 @@ def test_baby_verma_sp4_regular():
 
 
 def test_siegel_module_sp4():
-    datum = InductionDatum(4, -1, ((2, Partition((1, 1))),), Partition(()))
+    datum = SIEGEL_SP4
     module = build_induced_module(datum, 3)
     assert module.dim == 27
     book = kw_bookkeeping(Partition((2, 2)), -1, 3, datum)
@@ -123,11 +179,9 @@ def test_probe_finds_a_proper_submodule():
         for j in range(dim):
             if i >= w_dim > j:
                 continue
-            m = np.zeros((dim, dim), dtype=np.int64)
-            m[i, j] = 1
-            action.append(m)
+            action.append(SparseMatrix(dim, dim, GF(p), {(i, j): 1}))
     probe = submodule_probe(SimpleNamespace(p=p, dim=dim, action=action), 10)
-    in_w = [not _probe_seed(s, dim, p)[w_dim:].any() for s in range(10)]
+    in_w = [not any(_probe_seed(s, dim, p)[w_dim:]) for s in range(10)]
     assert any(in_w) and not all(in_w)
     assert probe["ranks"] == [w_dim if w else dim for w in in_w]
     assert probe["full_closures"] == in_w.count(False)
@@ -150,10 +204,31 @@ def test_kw_zero_orbit():
     assert book["d_chi"] == 0 and book["small_dimension"] == 1
 
 
-def test_theta_coefficients_reduce_mod_p():
-    from orbitforge.enveloping import WSetup
+@pytest.mark.parametrize("datum, dim", [(SIEGEL_SP4, 27), (BOREL_SP4, 81)])
+def test_dense_reference_accepts_the_sp4_modules(datum, dim):
+    module = build_induced_module(datum, 3)
+    alg, _, _ = embed_datum(datum)
+    mod = reduce_mod_p(alg, 3)
+    assert module.dim == dim
+    assert all(m.ring == GF(3) and (m.nrows, m.ncols) == (dim, dim) for m in module.action)
+    dense_module_check(module, mod)
+    for k in range(alg.dim):
+        dense_ad_power_check(mod, k)
 
-    setup = WSetup(build_nilpotent(Partition((2, 1, 1)), -1))
-    setup.build_all_thetas()
-    for p in (3, 5, 7):
-        assert theta_coefficients_reduce(setup, p)
+
+@pytest.mark.parametrize("datum", [SIEGEL_SP4, BOREL_SP4])
+def test_a_corrupted_action_entry_is_caught_by_both_checks(datum):
+    module = build_induced_module(datum, 3)
+    alg, _, _ = embed_datum(datum)
+    mod = reduce_mod_p(alg, 3)
+    k = len(module.action) - 1
+    entries = dict(module.action[k].entries)
+    rc = min(entries)
+    entries[rc] = (entries[rc] + 1) % 3
+    action = list(module.action)
+    action[k] = SparseMatrix(module.dim, module.dim, GF(3), entries)
+    bad = replace(module, action=action)
+    with pytest.raises(AssertionError):
+        verify_induced_module(bad, mod)
+    with pytest.raises(AssertionError):
+        dense_module_check(bad, mod)
