@@ -443,11 +443,11 @@ class ClassicalAlgebra:
         self._killing = {"gram": gmat, "trace_constant": const, "d": d}
         return self._killing
 
-    def kappa(self, x: SparseMatrix, y: SparseMatrix):
-        # trace(xy) = sum of x[i,j] y[j,i] over the entries of x
-        c = self.killing_form()["trace_constant"]
-        ye = y.entries
-        return c * sum(v * ye[(j, i)] for (i, j), v in x.entries.items() if (j, i) in ye)
+    def kappa_row(self, coords) -> tuple:
+        """(kappa(x, B_k))_k = G x, the Killing functional of x on the
+        Chevalley basis, for x given by its Chevalley coordinates and G the
+        certified Gram of killing_form()."""
+        return self.killing_form()["gram"].apply(coords)
 
 
 @lru_cache(maxsize=None)

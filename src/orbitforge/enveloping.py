@@ -19,14 +19,14 @@ from math import lcm
 from .rings import QQ, ZZ, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
-    commutator,
     integer_kernel_basis,
     complete_saturated_basis,
     rank_of_vectors,
     inverse_rows,
+    sparse_vector,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
-from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_value
+from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
 
 
 _ZERO = Fraction(0)
@@ -195,6 +195,7 @@ class WSetup:
         self.s = len(self.z_vectors)
         self.m_vectors = list(self.msub.basis)
         self.m_degrees = list(self.msub.degrees)
+        self._z_minus = [sparse_vector(v, QQ) for v in self.pair.z_minus]
 
         self.basis_vectors = self.x_vectors + self.z_vectors + self.m_vectors
         self.dim = len(self.basis_vectors)
@@ -203,7 +204,7 @@ class WSetup:
         self.z_start = self.m_count
         self.m_start = self.m_count + self.s
         self.kaz = [d + 2 for d in self.x_degrees] + [1] * self.s + [0] * len(self.m_vectors)
-        self.chi = [chi_value(self.rep, self.alg.from_coordinates(v)) for v in self.basis_vectors]
+        self.chi = [chi_of(self.psi.chi, sparse_vector(v, QQ)) for v in self.basis_vectors]
 
     def _build_structure(self):
         alg = self.alg
@@ -212,7 +213,6 @@ class WSetup:
         if tinv is None:
             raise AssertionError("basis transition is singular")
         self._set_transition(tinv)
-        self._mats = [alg.from_coordinates(v) for v in self.basis_vectors]
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
@@ -233,7 +233,10 @@ class WSetup:
         ]
 
     def to_w_coords(self, chev_coords):
-        den, terms = _scaled({j: c for j, c in enumerate(chev_coords) if c != 0})
+        return self._w_coords({j: c for j, c in enumerate(chev_coords) if c != 0})
+
+    def _w_coords(self, xs: dict):
+        den, terms = _scaled(xs)
         acc = [0] * len(self._tinv_cols)
         for j, n in terms:
             for i, t in self._tinv_cols[j]:
@@ -249,25 +252,23 @@ class WSetup:
     def embed_coords(self, w_coords) -> dict:
         return {(k,): Fraction(c) for k, c in enumerate(w_coords) if c != 0}
 
-    def embed_matrix(self, m: SparseMatrix) -> dict:
-        return self.embed_coords(self.to_w_coords(self.alg.coordinates(m)))
+    def embed(self, xs: dict) -> dict:
+        """The element of g with Chevalley coordinates {index: scalar} xs, in U(g)."""
+        return self.embed_coords(self._w_coords(xs))
 
     def q_project(self, elem: dict) -> dict:
+        """Substitute chi for every m-letter."""
+        m, chi = self.m_start, self.chi
         out = {}
         for word, c in elem.items():
-            head = []
-            factor = Fraction(1)
-            for k in word:
-                if k >= self.m_start:
-                    factor *= self.chi[k]
-                    if factor == 0:
-                        break
-                else:
-                    head.append(k)
-            else:
-                key = tuple(head)
-                out[key] = out.get(key, 0) + c * factor
-                continue
+            head = tuple(k for k in word if k < m)
+            if len(head) < len(word):
+                factors = [chi[k] for k in word if k >= m]
+                if not all(factors):
+                    continue
+                for f in factors:
+                    c *= f
+            out[head] = out.get(head, 0) + c
         return {t: v for t, v in out.items() if v != 0}
 
     def kazhdan_degree(self, qnf: dict) -> int:
@@ -280,49 +281,47 @@ class WSetup:
 
     # -- theta generators ------------------------------------------------------
 
-    def theta_zero(self, x_mat: SparseMatrix) -> dict:
-        """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i.
+    def theta_zero(self, x) -> dict:
+        """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i, for x given by
+        its Chevalley coordinates.
 
         The closed formula circulates in both duality orientations
         (Psi(z, z') = delta versus our Psi(z', z) = delta) and with the
         z-letter on either side; the sign is forced by ad-m-invariance and
         the letter placement by the commutator law on degree zero, both of
         which are verified downstream."""
-        t = self.embed_matrix(x_mat)
-        for i in range(self.s):
-            zp_mat = self.alg.from_coordinates(self.pair.z_minus[i])
-            br = commutator(x_mat, zp_mat)
-            if br.is_zero():
-                continue
-            z_el = self.gen(self.z_start + i)
-            t = elem_add(t, self.U.mul(self.embed_matrix(br), z_el), Fraction(1, 2))
+        xs = sparse_vector(x, QQ)
+        t = self.embed(xs)
+        for i, zp in enumerate(self._z_minus):
+            br = self.alg.sparse_bracket(xs, zp)
+            if br:
+                t = elem_add(t, self.U.mul(self.embed(br), self.gen(self.z_start + i)), Fraction(1, 2))
         return self.q_project(t)
 
-    def _theta_one_cubic(self, x_mat: SparseMatrix) -> dict:
+    def _theta_one_cubic(self, x) -> dict:
         """x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i, the
         part of the degree-1 generator above its linear-in-z tail."""
-        t = self.embed_matrix(x_mat)
-        zp_mats = [self.alg.from_coordinates(v) for v in self.pair.z_minus]
-        for i in range(self.s):
-            br = commutator(x_mat, zp_mats[i])
-            if not br.is_zero():
-                t = elem_add(t, self.U.mul(self.embed_matrix(br), self.gen(self.z_start + i)), Fraction(1))
-        for i in range(self.s):
-            bri = commutator(x_mat, zp_mats[i])
-            if bri.is_zero():
+        xs = sparse_vector(x, QQ)
+        t = self.embed(xs)
+        brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
+        for i, bri in enumerate(brs):
+            if bri:
+                t = elem_add(t, self.U.mul(self.embed(bri), self.gen(self.z_start + i)), Fraction(1))
+        for i, bri in enumerate(brs):
+            if not bri:
                 continue
-            for j in range(self.s):
-                brij = commutator(bri, zp_mats[j])
-                if brij.is_zero():
+            for j, zp in enumerate(self._z_minus):
+                brij = self.alg.sparse_bracket(bri, zp)
+                if not brij:
                     continue
                 prod = self.U.mul(
-                    self.embed_matrix(brij),
+                    self.embed(brij),
                     self.U.mul(self.gen(self.z_start + j), self.gen(self.z_start + i)),
                 )
                 t = elem_add(t, prod, Fraction(1, 3))
         return self.q_project(t)
 
-    def theta_one(self, x_mat: SparseMatrix) -> dict:
+    def theta_one(self, x) -> dict:
         """Degree-1 generator: the cubic part plus the unique linear-in-z tail
         making it ad-m-invariant.
 
@@ -331,7 +330,7 @@ class WSetup:
         part determines the tail; the quoted closed expression for the tail
         is inconsistent across ranks (see theta_one_reference_tail) and the
         invariance requirement arbitrates."""
-        t = self._theta_one_cubic(x_mat)
+        t = self._theta_one_cubic(x)
         for l in range(self.s):
             defect = self.q_project(self.U.comm(self.gen(self.m_start + l), dict(t)))
             if not defect:
@@ -343,19 +342,21 @@ class WSetup:
             t = elem_add(t, self.gen(self.z_start + l), -defect[()])
         return t
 
-    def theta_one_reference_tail(self, x_mat: SparseMatrix):
+    def theta_one_reference_tail(self, x):
         """Linear-tail coefficients from the commonly quoted closed
         expression, kept for the documented comparison with the canonical
         invariance-determined tail."""
-        zp_mats = [self.alg.from_coordinates(v) for v in self.pair.z_minus]
-        z_mats = [self.alg.from_coordinates(v) for v in self.pair.z_plus]
+        br, chi = self.alg.sparse_bracket, self.psi.chi
+        xs = sparse_vector(x, QQ)
+        zm = self._z_minus
+        zs = [sparse_vector(v, QQ) for v in self.pair.z_plus]
         out = []
         for i in range(self.s):
             acc = Fraction(0)
             for j in range(self.s):
-                t1 = commutator(zp_mats[j], commutator(x_mat, commutator(z_mats[j], zp_mats[i])))
-                t2 = commutator(z_mats[j], commutator(x_mat, commutator(zp_mats[j], zp_mats[i])))
-                acc += chi_value(self.rep, t1) - chi_value(self.rep, t2)
+                t1 = br(zm[j], br(xs, br(zs[j], zm[i])))
+                t2 = br(zs[j], br(xs, br(zm[j], zm[i])))
+                acc += chi_of(chi, t1) - chi_of(chi, t2)
             out.append(Fraction(-1, 3) * acc)
         return out
 
@@ -370,7 +371,8 @@ class WSetup:
     # -- canonical generators ----------------------------------------------------
 
     def centralizer_matrix(self, k: int) -> SparseMatrix:
-        return self._mats[k]
+        """The matrix of basis vector k of the x-part."""
+        return self.alg.from_coordinates(self.basis_vectors[k])
 
     def build_theta(self, k: int) -> ThetaGenerator:
         if k in self.thetas:
@@ -379,9 +381,9 @@ class WSetup:
             raise ValueError("theta generators exist only for centraliser basis vectors")
         n = self.x_degrees[k]
         if n == 0:
-            val = self.theta_zero(self._mats[k])
+            val = self.theta_zero(self.basis_vectors[k])
         elif n == 1:
-            val = self.theta_one(self._mats[k])
+            val = self.theta_one(self.basis_vectors[k])
         else:
             val = self._lift_theta(k)
         th = ThetaGenerator(k, n, val)
@@ -528,11 +530,13 @@ class WSetup:
 
 
 def jems_commutator_check(setup: WSetup, u_mat, v_mat, v_degree: int) -> bool:
-    """[Theta(u), Theta(v)] = Theta([u, v]) for u in g^e(0), v in g^e(0) or (1)."""
-    tu = setup.theta_zero(u_mat)
-    tv = setup.theta_zero(v_mat) if v_degree == 0 else setup.theta_one(v_mat)
+    """[Theta(u), Theta(v)] = Theta([u, v]) for u in g^e(0), v in g^e(0) or (1),
+    given as matrices."""
+    u, v = setup.alg.coordinates(u_mat), setup.alg.coordinates(v_mat)
+    tu = setup.theta_zero(u)
+    tv = setup.theta_zero(v) if v_degree == 0 else setup.theta_one(v)
     lhs = setup.q_project(setup.U.comm(dict(tu), dict(tv)))
-    br = commutator(u_mat, v_mat)
+    br = setup.alg.bracket(u, v)
     rhs = setup.theta_zero(br) if v_degree == 0 else setup.theta_one(br)
     return lhs == rhs
 
@@ -651,16 +655,16 @@ def casimir(setup: WSetup) -> CasimirElement:
     alg = setup.alg
     rd = alg.root_data()
     kf = alg.killing_form()
-    # dual basis t_i of the simple roots inside the Cartan
+    # dual basis t_i of the simple roots inside the Cartan, whose first l
+    # basis elements are the simple coroots
     simples = rd["simple_roots"]
     l = len(simples)
-    cartan_mats = [alg.basis[i] for i in range(l)]
     amat = SparseMatrix.from_dense(
         [[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ
     )
     from .linalg import solve
 
-    t_mats = []
+    t_coords = []
     for j in range(l):
         rhs = [Fraction(1) if i == j else Fraction(0) for i in range(l)]
         sol = solve(amat, rhs)
@@ -668,34 +672,28 @@ def casimir(setup: WSetup) -> CasimirElement:
             raise AssertionError("Cartan matrix is singular")
         if not all(is_two_power_denominator(x) for x in sol):
             raise AssertionError("dual Cartan elements leave Z[1/2]")
-        t = SparseMatrix.zeros(alg.N, alg.N, QQ)
-        for i, x in enumerate(sol):
-            if x != 0:
-                t = t + cartan_mats[i].scale(x)
-        t_mats.append(t)
+        t_coords.append(sol)
 
     # C = 2 sum e_a e_{-a}/kappa_a + sum hhat^i h_{a_i} - sum h_a/kappa_a,
     # with hhat^i the kappa-dual of h_{a_i}; this is the central normalisation
     # (hhat^i = (a_i|a_i)/(2d) t_i stays in Z[1/2] since the factor is 1 or
     # 1/d).  Centrality is verified below on the whole basis.
+    index = {lab: k for k, lab in enumerate(alg.labels)}
     C: dict = {}
     for w in rd["positive_roots"]:
-        e_plus = alg._terms_to_matrix(alg._rv_terms[w])
-        e_minus = alg._terms_to_matrix(alg._rv_terms[tuple(-x for x in w)])
-        kap = alg.kappa(e_plus, e_minus)
-        prod = setup.U.mul(setup.embed_matrix(e_plus), setup.embed_matrix(e_minus))
+        plus, minus = index[("e", w)], index[("e", tuple(-x for x in w))]
+        kap = kf["gram"][(plus, minus)]
+        prod = setup.U.mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
         C = elem_add(C, prod, Fraction(2) / kap)
-        h_alpha = commutator(e_plus, e_minus)
-        C = elem_add(C, setup.embed_matrix(h_alpha), Fraction(-1) / kap)
+        h_alpha = alg.sparse_bracket({plus: 1}, {minus: 1})
+        C = elem_add(C, setup.embed(h_alpha), Fraction(-1) / kap)
     d = kf["d"]
     for i in range(l):
         scale = rd["norms"][tuple(simples[i])] / (2 * d)
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
-        prod = setup.U.mul(
-            setup.embed_matrix(t_mats[i].scale(scale)), setup.embed_matrix(cartan_mats[i])
-        )
-        C = elem_add(C, prod)
+        hhat = {k: x * scale for k, x in enumerate(t_coords[i]) if x}
+        C = elem_add(C, setup.U.mul(setup.embed(hhat), setup.embed({i: 1})))
 
     # centrality in U(g)
     for b in range(setup.dim):

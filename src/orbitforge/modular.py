@@ -78,8 +78,7 @@ def p_character(rep: NilpotentRep, p: int):
     ring = GF(p)
     gr = dynkin_grading(rep)
     vals = []
-    for k in range(alg.dim):
-        v = alg.kappa(rep.e, alg.basis[k])
+    for k, v in enumerate(alg.kappa_row(rep.e_coords)):
         if v != 0 and gr.degree[k] != -2:
             raise AssertionError("p-character supported outside degree -2")
         vals.append(ring.coerce(v))
@@ -117,17 +116,17 @@ class InducedModule:
 class _VermaBuilder:
     """Normal-form arithmetic for U_chi(g) acting on U(n_-) x k_{lam0}."""
 
-    def __init__(self, mod: ModularAlgebra, f_idx, levi_idx, nplus_idx, chi, lam0):
+    def __init__(self, mod: ModularAlgebra, f_idx, levi_idx, chi, lam0):
         self.mod = mod
         self.p = mod.p
         self.f_idx = list(f_idx)
         self.f_pos = {k: i for i, k in enumerate(f_idx)}
         self.levi_idx = set(levi_idx)
-        self.nplus_idx = set(nplus_idx)
         self.chi = chi
         self.lam0 = lam0
         self.monomials = {}
         self.index_of = {}
+        self._memo = {}   # (basis element, monomial) -> its action
 
     def _mono_index(self, mono):
         if mono not in self.index_of:
@@ -143,90 +142,56 @@ class _VermaBuilder:
 
     def act_basis(self, k: int) -> dict:
         """Action of basis element k as {column: {row: coeff}} on monomials."""
-        out = {}
-        for col in range(len(self.index_of)):
-            vec = self._act_generator(k, {self.monomials[col]: 1})
-            out[col] = {self._mono_index(m): c for m, c in vec.items() if c != 0}
-        return out
+        return {col: {self._mono_index(m): c for m, c in self._act(k, self.monomials[col]).items()}
+                for col in range(len(self.index_of))}
 
-    def _act_generator(self, k: int, vec: dict) -> dict:
-        """Left action of basis element k on a normal-form vector."""
-        out = {}
-        for mono, c in vec.items():
-            for m2, c2 in self._gen_on_monomial(k, mono).items():
-                out[m2] = (out.get(m2, 0) + c * c2) % self.p
-        return {m: c for m, c in out.items() if c != 0}
+    def _add(self, out: dict, vec: dict, c: int):
+        for m, v in vec.items():
+            out[m] = (out.get(m, 0) + c * v) % self.p
 
-    def _gen_on_monomial(self, k: int, mono: tuple) -> dict:
+    def _act(self, k: int, mono: tuple) -> dict:
+        """Left action of basis element k on a normal-form monomial, memoised.
+        f_i with i at most the leading letter's index is prepended, with
+        f_i^p = f_i^{[p]} + chi(f_i)^p inside U_chi; anything else commutes
+        past the leading letter f: y f v = f (y v) + [y, f] v."""
+        key = (k, mono)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
         p = self.p
-        first = None
-        for i, e in enumerate(mono):
-            if e > 0:
-                first = i
-                break
-        if first is None:
-            # acting on the highest-weight line
-            if k in self.nplus_idx:
-                return {}
-            if k in self.levi_idx:
-                lam = self.lam0.get(k, 0) % p
-                return {mono: lam} if lam else {}
-            return self._fmul(self.f_pos[k], mono)
-        fk = self.f_idx[first]
-        rest = list(mono)
-        rest[first] -= 1
-        rest = tuple(rest)
+        lead = next((j for j, e in enumerate(mono) if e), None)
+        i = self.f_pos.get(k)
         out = {}
-        # y * f * v = f * (y * v) + [y, f] * v
-        for m2, c2 in self._gen_on_monomial(k, rest).items():
-            for m3, c3 in self._fmul(first, m2).items():
-                out[m3] = (out.get(m3, 0) + c2 * c3) % p
-        br = self.mod.structure.get((k, fk), {})
-        for c_idx, coeff in br.items():
-            for m3, c3 in self._gen_on_monomial(c_idx, rest).items():
-                out[m3] = (out.get(m3, 0) + int(coeff) * c3) % p
-        return {m: c for m, c in out.items() if c != 0}
-
-    def _fmul(self, i: int, mono: tuple) -> dict:
-        """Left multiplication by f_i on a normal-form monomial."""
-        p = self.p
-        lead = None
-        for j, e in enumerate(mono):
-            if e > 0:
-                lead = j
-                break
-        if lead is None or i <= lead:
+        if i is not None and (lead is None or i <= lead):
             new = list(mono)
             new[i] += 1
             if new[i] < p:
-                return {tuple(new): 1}
-            # f_i^p = f_i^{[p]} + chi(f_i)^p inside U_chi
-            new[i] = 0
-            base = tuple(new)
-            out = {}
-            chi_val = pow(int(self.chi[self.f_idx[i]]), p, p)
-            if chi_val:
-                out[base] = chi_val
-            fp = self.mod.p_power[self.f_idx[i]]
-            for c_idx, coeff in enumerate(fp):
-                if coeff != 0:
-                    for m2, c2 in self._gen_on_monomial(c_idx, base).items():
-                        out[m2] = (out.get(m2, 0) + int(coeff) * c2) % p
-            return {m: c for m, c in out.items() if c != 0}
-        # move f_i past the leading smaller-index letter
-        fk = self.f_idx[lead]
-        rest = list(mono)
-        rest[lead] -= 1
-        rest = tuple(rest)
-        out = {}
-        for m2, c2 in self._fmul(i, rest).items():
-            for m3, c3 in self._fmul(lead, m2).items():
-                out[m3] = (out.get(m3, 0) + c2 * c3) % p
-        br = self.mod.structure.get((self.f_idx[i], fk), {})
-        for c_idx, coeff in br.items():
-            for m3, c3 in self._gen_on_monomial(c_idx, rest).items():
-                out[m3] = (out.get(m3, 0) + int(coeff) * c3) % p
-        return {m: c for m, c in out.items() if c != 0}
+                out[tuple(new)] = 1
+            else:
+                new[i] = 0
+                base = tuple(new)
+                chi_val = pow(int(self.chi[k]), p, p)
+                if chi_val:
+                    out[base] = chi_val
+                for c_idx, coeff in enumerate(self.mod.p_power[k]):
+                    if coeff != 0:
+                        self._add(out, self._act(c_idx, base), int(coeff))
+        elif lead is None:
+            # acting on the highest-weight line; n_+ kills it
+            if k in self.levi_idx:
+                out[mono] = self.lam0.get(k, 0) % p
+        else:
+            f = self.f_idx[lead]
+            rest = list(mono)
+            rest[lead] -= 1
+            rest = tuple(rest)
+            for m2, c2 in self._act(k, rest).items():
+                self._add(out, self._act(f, m2), c2)
+            for c_idx, coeff in self.mod.structure.get((k, f), {}).items():
+                self._add(out, self._act(c_idx, rest), coeff)
+        out = {m: c for m, c in out.items() if c}
+        self._memo[key] = out
+        return out
 
 
 def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None) -> InducedModule:
@@ -248,7 +213,7 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
     e_coords = alg.coordinates(e)
 
     ring = GF(p)
-    chi = tuple(ring.coerce(alg.kappa(e, alg.basis[k])) for k in range(alg.dim))
+    chi = tuple(ring.coerce(v) for v in alg.kappa_row(e_coords))
     # chi vanishes on the parabolic p = levi + n_+
     from .orbits import levi_weight_function
 
@@ -289,7 +254,7 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
         if lhs != pow(int(chi[k]), p, p):
             raise ValueError(f"lam0 incompatible with the p-character at basis {k}")
 
-    builder = _VermaBuilder(mod, f_idx, levi_idx, sorted(n_plus), chi, lam0)
+    builder = _VermaBuilder(mod, f_idx, levi_idx, chi, lam0)
     builder.enumerate_basis()
     dim = p ** len(f_idx)
     if len(builder.index_of) != dim:

@@ -17,10 +17,10 @@ from fractions import Fraction
 from .rings import QQ, ZZ, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
-    commutator,
     inverse_rows,
     rank_kernel,
     smith_normal_form,
+    sparse_vector,
     VectorSpan,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, DynkinGrading
@@ -30,13 +30,14 @@ from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, DynkinGrading
 
 
 def toral_generators(rep: NilpotentRep):
-    """One diagonal generator per paired pyramid row pair: +1 on the upper
-    row's boxes, -1 on the mirror row."""
+    """Chevalley coordinates of one diagonal generator per paired pyramid
+    row pair: +1 on the upper row's boxes, -1 on the mirror row."""
     pyr, alg = rep.pyramid, rep.algebra
     rows = {}
     for b in pyr.boxes():
         rows.setdefault(pyr.row[b], []).append(b)
     crossed_rows = {r for r, _ in pyr.crossed}
+    e = sparse_vector(rep.e_coords, QQ)
     gens = []
     for r in sorted(rows, reverse=True):
         if r <= 0 or r in crossed_rows:
@@ -45,12 +46,13 @@ def toral_generators(rep: NilpotentRep):
         for b in rows[r]:
             ent[(alg.pos[b], alg.pos[b])] = 1
             ent[(alg.pos[-b], alg.pos[-b])] = -1
-        gens.append(SparseMatrix(alg.N, alg.N, QQ, ent))
-    for t in gens:
+        t = SparseMatrix(alg.N, alg.N, QQ, ent)
         if not alg.in_algebra(t):
             raise AssertionError("toral generator not in the algebra")
-        if not commutator(t, rep.e).is_zero():
+        t = alg.coordinates(t)
+        if alg.sparse_bracket(sparse_vector(t, QQ), e):
             raise AssertionError("toral generator does not centralise e")
+        gens.append(t)
     return gens
 
 
@@ -58,7 +60,7 @@ def toral_generators(rep: NilpotentRep):
 class WeightData:
     rep: NilpotentRep
     grading: DynkinGrading
-    torus: list                # toral generator matrices
+    torus: list                # toral generators, Chevalley coordinates
     weights: list              # basis index -> weight tuple under the torus
     n_plus: list               # basis indices with lexicographically positive weight
     n_minus: list
@@ -76,22 +78,15 @@ def weight_data(rep: NilpotentRep) -> WeightData:
     alg = rep.algebra
     gr = dynkin_grading(rep)
     torus = toral_generators(rep)
-    weights = []
-    for k, m in enumerate(alg.basis):
-        w = []
-        for t in torus:
-            br = commutator(t, m)
-            if br.is_zero():
-                w.append(0)
-            else:
-                ratios = {Fraction(v, m[rc]) for rc, v in br.items() if m[rc] != 0}
-                if len(ratios) != 1 or br != m.scale(next(iter(ratios))):
-                    raise AssertionError("basis element is not a torus weight vector")
-                val = next(iter(ratios))
-                if val.denominator != 1:
-                    raise AssertionError("non-integral torus weight")
-                w.append(int(val))
-        weights.append(tuple(w))
+    # the basis consists of torus weight vectors: each ad t is diagonal
+    ads = [alg.ad(t) for t in torus]
+    for ad_t in ads:
+        for (r, c), v in ad_t.entries.items():
+            if r != c:
+                raise AssertionError("basis element is not a torus weight vector")
+            if v.denominator != 1:
+                raise AssertionError("non-integral torus weight")
+    weights = [tuple(int(ad_t[(k, k)]) for ad_t in ads) for k in range(alg.dim)]
     wd = WeightData(rep, gr, torus, weights, [], [], [])
     for k in range(alg.dim):
         s = wd.side(k)
@@ -109,8 +104,10 @@ def weight_data(rep: NilpotentRep) -> WeightData:
     return wd
 
 
-def chi_value(rep: NilpotentRep, x: SparseMatrix):
-    return rep.algebra.kappa(rep.e, x)
+def chi_of(chi, xs: dict):
+    """chi(x) for x given as {index: scalar} and chi as its vector of values
+    on the Chevalley basis."""
+    return sum((chi[k] * c for k, c in xs.items()), Fraction(0))
 
 
 # -- skew form and Lagrangian pair ---------------------------------------------
@@ -120,6 +117,7 @@ def chi_value(rep: NilpotentRep, x: SparseMatrix):
 class SkewForm:
     rep: NilpotentRep
     wd: WeightData
+    chi: tuple           # chi = kappa(e, -) on the Chevalley basis
     minus_idx: list      # Chevalley indices spanning n_-(-1)
     plus_idx: list       # Chevalley indices spanning n_+(-1)
     gram: SparseMatrix   # full Gram on the ordered basis minus + plus
@@ -137,10 +135,11 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
         raise AssertionError("g(-1) has torus-weight-zero vectors")
     order = minus_idx + plus_idx
     s = len(minus_idx)
+    chi = alg.kappa_row(rep.e_coords)
     ent = {}
     for a, ka in enumerate(order):
         for b, kb in enumerate(order):
-            v = chi_value(rep, commutator(alg.basis[ka], alg.basis[kb]))
+            v = chi_of(chi, alg.sparse_bracket({ka: 1}, {kb: 1}))
             if v != 0:
                 ent[(a, b)] = v
     gram = SparseMatrix(len(order), len(order), QQ, ent)
@@ -154,7 +153,7 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
     if rank != len(order):
         raise AssertionError("Psi is degenerate over QQ (falsifies goodness)")
     m_block = SparseMatrix(s, s, QQ, {(a, b): gram[(a, b + s)] for a in range(s) for b in range(s) if gram[(a, b + s)] != 0})
-    return SkewForm(rep, wd, minus_idx, plus_idx, gram, m_block)
+    return SkewForm(rep, wd, chi, minus_idx, plus_idx, gram, m_block)
 
 
 def gram_determinant(m: SparseMatrix):
@@ -231,18 +230,17 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
 
 
 def verify_duality(pair: LagrangianPair):
-    alg = pair.rep.algebra
-    for i, zm in enumerate(pair.z_minus):
-        xm = alg.from_coordinates(zm)
-        for j, zp in enumerate(pair.z_plus):
-            xp = alg.from_coordinates(zp)
-            val = chi_value(pair.rep, commutator(xm, xp))
+    alg, chi = pair.rep.algebra, pair.psi.chi
+    minus = [sparse_vector(v, QQ) for v in pair.z_minus]
+    plus = [sparse_vector(v, QQ) for v in pair.z_plus]
+    for i, xm in enumerate(minus):
+        for j, xp in enumerate(plus):
+            val = chi_of(chi, alg.sparse_bracket(xm, xp))
             if val != (1 if i == j else 0):
                 raise AssertionError(f"Psi(z'_{i}, z_{j}) = {val} != delta")
-    for i, za in enumerate(pair.z_minus):
-        for j, zb in enumerate(pair.z_minus):
-            xa, xb = alg.from_coordinates(za), alg.from_coordinates(zb)
-            if chi_value(pair.rep, commutator(xa, xb)) != 0:
+    for xa in minus:
+        for xb in minus:
+            if chi_of(chi, alg.sparse_bracket(xa, xb)) != 0:
                 raise AssertionError("B_- is not isotropic after normalisation")
 
 
@@ -273,22 +271,23 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
                 vec[k] = Fraction(1)
                 basis.append(tuple(vec))
                 degrees.append(d)
+    sparse = [sparse_vector(v, QQ) for v in basis]
     chi = []
-    for v, d in zip(basis, degrees):
-        val = chi_value(rep, alg.from_coordinates(v))
+    for v, d in zip(sparse, degrees):
+        val = chi_of(pair.psi.chi, v)
         if d != -2 and val != 0:
             raise AssertionError("chi is supported outside degree -2")
         chi.append(val)
     # subalgebra and [m, m] <= ker chi
     span = VectorSpan(QQ, alg.dim)
-    for v in basis:
+    for v in sparse:
         span.add(v)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            coords = alg.bracket(basis[a], basis[b])
-            if not span.contains(coords):
+            br = alg.sparse_bracket(sparse[a], sparse[b])
+            if not span.contains(br):
                 raise AssertionError("m is not closed under the bracket")
-            if chi_value(rep, alg.from_coordinates(coords)) != 0:
+            if chi_of(pair.psi.chi, br) != 0:
                 raise AssertionError("chi does not vanish on [m, m]")
     msub = MSubalgebra(rep, basis, chi, degrees)
     from .orbits import centralizer_dim_formula
@@ -387,18 +386,15 @@ def integral_saturation(rep: NilpotentRep) -> dict:
         graded[d] = {"divisors": sub.divisors, "onto_and_saturated": ok}
         graded_ok = graded_ok and ok
 
-    # [e, g_R] = (g_R^e)^perp: containment via kappa and rank equality
+    # [e, g_R] = (g_R^e)^perp: containment, kappa([e, B_j], z) = 0 for all j,
+    # is (ad e)^T G z = 0 with G the Killing Gram; and rank equality
     kernel_dim = alg.dim - snf.rank
     from .centralizer import compute_centralizer
 
     cb = compute_centralizer(rep)
-    perp_ok = snf.rank + cb.dim == alg.dim
-    e = alg.from_coordinates(rep.e_coords)
-    centralizer_mats = [alg.from_coordinates(v) for v in cb.vectors]
-    for b in alg.basis:
-        img = commutator(e, b)
-        if any(alg.kappa(img, z) != 0 for z in centralizer_mats):
-            perp_ok = False
+    ad_e_t = ad_e_matrix(rep).transpose()
+    perp_ok = snf.rank + cb.dim == alg.dim and not any(
+        any(ad_e_t.apply(alg.kappa_row(z))) for z in cb.vectors)
     return {
         "divisors": snf.divisors,
         "saturated": saturated,

@@ -140,12 +140,21 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
 @given(data=st.data())
 def test_kappa_matches_the_trace_of_the_product(n, eps, data):
     g = build_algebra(n, eps)
-    c = g.killing_form()["trace_constant"]
     coords = st.lists(st.integers(-3, 3), min_size=g.dim, max_size=g.dim)
-    x, y = (g.from_coordinates(data.draw(coords), data.draw(st.sampled_from([ZZ, QQ]))) for _ in range(2))
-    if x.ring == QQ:
-        x = x.scale(Fraction(data.draw(st.integers(-5, 5)), data.draw(st.sampled_from([1, 2, 3]))))
-    assert g.kappa(x, y) == c * (x.change_ring(QQ) @ y.change_ring(QQ)).trace()
+    x, y = data.draw(coords), data.draw(coords)
+    if data.draw(st.booleans()):
+        s = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.sampled_from([1, 2, 3])))
+        x = [s * a for a in x]
+    row = g.kappa_row(x)
+    assert len(row) == g.dim and all(type(v) is Fraction for v in row)
+    assert sum(a * b for a, b in zip(row, y)) == _trace_kappa(g, g.from_coordinates(x), g.from_coordinates(y))
+    for k, b in enumerate(g.basis):
+        assert row[k] == _trace_kappa(g, g.from_coordinates(x), b)
+
+
+def _trace_kappa(g, x, y):
+    """The matrix reference: kappa(x, y) = c trace(x y)."""
+    return g.killing_form()["trace_constant"] * (x @ y).trace()
 
 
 def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
@@ -188,13 +197,19 @@ def test_killing_cartan_orthogonal_to_root_vectors():
 
 
 def test_killing_invariance_on_basis_triples():
+    # kappa([x, y], z) = kappa(x, [y, z]) on the Chevalley coordinates, and
+    # for the matrix reference
     for n, eps in [(4, -1), (5, 1)]:
         g = build_algebra(n, eps)
-        for x in g.basis:
-            for y in g.basis:
-                bxy = commutator(x, y)
-                for z in g.basis:
-                    assert g.kappa(bxy, z) == g.kappa(x, commutator(y, z))
+        units = [tuple(int(i == k) for i in range(g.dim)) for k in range(g.dim)]
+        for x, xm in zip(units, g.basis):
+            row = g.kappa_row(x)
+            for y, ym in zip(units, g.basis):
+                bxy = g.kappa_row(g.bracket(x, y))
+                for z, zm in zip(units, g.basis):
+                    lhs = sum(a * b for a, b in zip(bxy, z))
+                    assert lhs == sum(a * b for a, b in zip(row, g.bracket(y, z)))
+                    assert lhs == _trace_kappa(g, commutator(xm, ym), zm)
 
 
 def test_killing_gram_determinant_two_power():

@@ -146,7 +146,20 @@ def test_malformed_input_exits_2(argv):
     assert code == 2 and out == "" and "error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("prime, dim", [("7", 2401), ("11", 14641)])
+def test_verma_at_the_module_cap():
+    import time
+    from orbitforge import cli
+
+    t0 = time.perf_counter()
+    code, out, err = run_cli("verma", "4", "-1", "--levi", "1,1", "--prime", "7")
+    assert time.perf_counter() - t0 < 10.0
+    data = json.loads(out)
+    assert code == 0 and err == ""
+    assert data["dim"] == 2401 == cli.MAX_MODULE_DIM and data["small_dimension_match"]
+    assert data["p_character_ok"] and data["bracket_ok"]
+
+
+@pytest.mark.parametrize("prime, dim", [("11", 14641)])
 def test_oversized_verma_exits_2(prime, dim, monkeypatch):
     import time
     from orbitforge import cli

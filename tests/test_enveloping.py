@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, solve, sparse_vector
+from orbitforge.rings import QQ
 from orbitforge.rings import is_two_power_denominator
 from orbitforge.partitions import Partition
 from orbitforge.orbits import build_nilpotent
@@ -197,6 +198,137 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
     assert all(type(c) is Fraction for c in got)
 
 
+# -- the matrix path, kept as the reference ---------------------------------------
+#
+# Brackets as matrix commutators and coordinates recovered by alg.coordinates,
+# the way the enveloping layer computed before it moved onto the structure
+# table and the Killing Gram.
+
+
+def _embed_matrix(setup, m) -> dict:
+    return setup.embed_coords(setup.to_w_coords(setup.alg.coordinates(m)))
+
+
+def _matrix_theta_zero(setup, x) -> dict:
+    t = _embed_matrix(setup, x)
+    for i, v in enumerate(setup.pair.z_minus):
+        br = commutator(x, setup.alg.from_coordinates(v))
+        if not br.is_zero():
+            t = elem_add(t, setup.U.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)), Fraction(1, 2))
+    return setup.q_project(t)
+
+
+def _matrix_theta_one(setup, x) -> dict:
+    zp = [setup.alg.from_coordinates(v) for v in setup.pair.z_minus]
+    t = _embed_matrix(setup, x)
+    for i in range(setup.s):
+        br = commutator(x, zp[i])
+        if not br.is_zero():
+            t = elem_add(t, setup.U.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)))
+    for i in range(setup.s):
+        for j in range(setup.s):
+            brij = commutator(commutator(x, zp[i]), zp[j])
+            if not brij.is_zero():
+                zz = setup.U.mul(setup.gen(setup.z_start + j), setup.gen(setup.z_start + i))
+                t = elem_add(t, setup.U.mul(_embed_matrix(setup, brij), zz), Fraction(1, 3))
+    t = setup.q_project(t)
+    for l in range(setup.s):
+        defect = setup.q_project(setup.U.comm(setup.gen(setup.m_start + l), dict(t)))
+        if defect:
+            t = elem_add(t, setup.gen(setup.z_start + l), -defect[()])
+    return t
+
+
+def _matrix_casimir(setup) -> dict:
+    alg = setup.alg
+    rd, kf = alg.root_data(), alg.killing_form()
+    c = kf["trace_constant"]
+    l = len(rd["simple_roots"])
+    amat = SparseMatrix.from_dense([[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ)
+    C = {}
+    for w in rd["positive_roots"]:
+        e_plus = alg._terms_to_matrix(alg._rv_terms[w])
+        e_minus = alg._terms_to_matrix(alg._rv_terms[tuple(-x for x in w)])
+        kap = c * (e_plus @ e_minus).trace()
+        C = elem_add(C, setup.U.mul(_embed_matrix(setup, e_plus), _embed_matrix(setup, e_minus)), Fraction(2) / kap)
+        C = elem_add(C, _embed_matrix(setup, commutator(e_plus, e_minus)), Fraction(-1) / kap)
+    for i in range(l):
+        sol = solve(amat, [Fraction(int(a == i)) for a in range(l)])
+        t = SparseMatrix.zeros(alg.N, alg.N, QQ)
+        for a, x in enumerate(sol):
+            t = t + alg.basis[a].scale(x)
+        scale = rd["norms"][tuple(rd["simple_roots"][i])] / (2 * kf["d"])
+        C = elem_add(C, setup.U.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))
+    return C
+
+
+def _same_items(got: dict, want: dict):
+    # equal values in the same key order, so printed output is unchanged
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", [*SETUPS])
+def test_theta_and_casimir_match_the_matrix_reference(name):
+    setup = _setup(name)
+    alg = setup.alg
+    units = [tuple(int(i == k) for i in range(alg.dim)) for k in range(alg.dim)]
+    for x in units + setup.x_vectors:
+        _same_items(setup.theta_zero(x), _matrix_theta_zero(setup, alg.from_coordinates(x)))
+    degree_one = [setup.basis_vectors[k] for k in range(setup.r) if setup.x_degrees[k] == 1]
+    assert degree_one
+    for x in degree_one:
+        _same_items(setup.theta_one(x), _matrix_theta_one(setup, alg.from_coordinates(x)))
+        reference_tail = [c * Fraction(-1, 3) for c in _matrix_reference_tail(setup, alg.from_coordinates(x))]
+        assert setup.theta_one_reference_tail(x) == reference_tail
+    _same_items(casimir(setup).element, _matrix_casimir(setup))
+
+
+def _matrix_reference_tail(setup, x) -> list:
+    alg = setup.alg
+    c = alg.killing_form()["trace_constant"]
+    zp = [alg.from_coordinates(v) for v in setup.pair.z_minus]
+    zs = [alg.from_coordinates(v) for v in setup.pair.z_plus]
+    out = []
+    for i in range(setup.s):
+        acc = Fraction(0)
+        for j in range(setup.s):
+            t1 = commutator(zp[j], commutator(x, commutator(zs[j], zp[i])))
+            t2 = commutator(zs[j], commutator(x, commutator(zp[j], zp[i])))
+            acc += c * ((setup.rep.e @ t1).trace() - (setup.rep.e @ t2).trace())
+        out.append(acc)
+    return out
+
+
+def _q_project_reference(setup, elem: dict) -> dict:
+    """q_project as it was: every word starts from Fraction(1)."""
+    out = {}
+    for word, c in elem.items():
+        head, factor = [], Fraction(1)
+        for k in word:
+            if k >= setup.m_start:
+                factor *= setup.chi[k]
+                if factor == 0:
+                    break
+            else:
+                head.append(k)
+        else:
+            out[tuple(head)] = out.get(tuple(head), 0) + c * factor
+    return {t: v for t, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("name", [*SETUPS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_project_matches_the_reference(name, data):
+    setup = _setup(name)
+    elem = data.draw(_elements(setup.dim, 4))
+    if data.draw(st.booleans()):
+        elem = setup.U.mul(elem, data.draw(_elements(setup.dim, 2)))   # normal-ordered words
+    got = setup.q_project(elem)
+    _same_items(got, _q_project_reference(setup, elem))
+    assert all(type(c) is Fraction for c in got.values())
+
+
 def test_multiply_by_one(sp4):
     x = sp4.gen(0)
     assert sp4.U.mul(x, {(): Fraction(1)}) == x
@@ -204,12 +336,13 @@ def test_multiply_by_one(sp4):
 
 
 def test_commutator_agrees_with_bracket(sp4):
-    for a in range(sp4.dim):
-        for b in range(sp4.dim):
+    alg = sp4.alg
+    for a, va in enumerate(sp4.basis_vectors):
+        for b, vb in enumerate(sp4.basis_vectors):
             lhs = sp4.U.comm(sp4.gen(a), sp4.gen(b))
-            br = commutator(sp4._mats[a], sp4._mats[b])
-            rhs = sp4.embed_matrix(br) if not br.is_zero() else {}
-            assert lhs == rhs, (a, b)
+            br = alg.sparse_bracket(sparse_vector(va, QQ), sparse_vector(vb, QQ))
+            assert lhs == sp4.embed(br), (a, b)
+            assert lhs == _embed_matrix(sp4, commutator(alg.from_coordinates(va), alg.from_coordinates(vb)))
 
 
 def test_associativity_on_seeded_triples(sp4):
@@ -270,17 +403,19 @@ def test_kazhdan_filtration_submultiplicative(sp4):
 
 def test_theta_zero_trivial_action(sp4):
     # a degree-0 centraliser vector acting trivially on g(-1)_0 is its own theta
+    trivial = 0
     for k in range(sp4.r):
         if sp4.x_degrees[k] != 0:
             continue
-        x = sp4.centralizer_matrix(k)
-        if all(commutator(x, sp4.alg.from_coordinates(v)).is_zero() for v in sp4.pair.z_minus):
-            assert sp4.theta_zero(x) == sp4.embed_matrix(x)
+        x = sparse_vector(sp4.basis_vectors[k], QQ)
+        if all(not sp4.alg.sparse_bracket(x, sparse_vector(v, QQ)) for v in sp4.pair.z_minus):
+            assert sp4.theta_zero(sp4.basis_vectors[k]) == sp4.embed(x)
+            trivial += 1
+    assert trivial > 0
 
 
 def test_theta_of_zero_is_zero(sp4):
-    zero = SparseMatrix.zeros(sp4.alg.N, sp4.alg.N, sp4.rep.e.ring)
-    assert sp4.theta_zero(zero) == {}
+    assert sp4.theta_zero((0,) * sp4.alg.dim) == {}
 
 
 def test_theta_zero_two_term_shape(sp4):
@@ -323,7 +458,7 @@ def test_theta_one_reference_tail_differs(sp6):
     for k in range(sp6.r):
         if sp6.x_degrees[k] != 1:
             continue
-        x = sp6.centralizer_matrix(k)
+        x = sp6.basis_vectors[k]
         canonical = sp6.theta_one(x)
         reference_tail = sp6.theta_one_reference_tail(x)
         tails = {

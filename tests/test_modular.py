@@ -120,7 +120,7 @@ def test_chi_vanishes_on_m_brackets_mod_p():
         mats = [alg.from_coordinates(v) for v in msub.basis]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                val = alg.kappa(rep.e, commutator(mats[i], mats[j]))
+                val = alg.killing_form()["trace_constant"] * (rep.e @ commutator(mats[i], mats[j])).trace()
                 assert ring.coerce(val) == 0
 
 
@@ -232,3 +232,24 @@ def test_a_corrupted_action_entry_is_caught_by_both_checks(datum):
         verify_induced_module(bad, mod)
     with pytest.raises(AssertionError):
         dense_module_check(bad, mod)
+
+
+LEVI_SP4 = InductionDatum(4, -1, ((1, Partition((1,))),), Partition((1, 1)))
+
+
+@pytest.mark.parametrize("datum, p, digest", [
+    (LEVI_SP4, 3, "08d14ecd13dddb529cec3bd57d7c53c90d44a4c2"),
+    (LEVI_SP4, 5, "70dbb53aef286deb11c6edaef3364194db6eff1f"),
+    (SIEGEL_SP4, 3, "8356819be7c175725c60b62ce7b1963f197d410d"),
+    (SIEGEL_SP4, 5, "517aadea507dabfa9840a766ab8e3a1d0c7b1266"),
+    (BOREL_SP4, 3, "00edad4c9919f0117fc44fe6b6bc87d82a63cf1e"),
+    (BOREL_SP4, 5, "438338cade8000d8767caa27020f460c9c56bc2a"),
+])
+def test_action_matrices_are_unchanged(datum, p, digest):
+    # sha1 of every action matrix's sorted entries, recorded from the
+    # unmemoised builder, which commuted each generator past every letter
+    import hashlib
+
+    module = build_induced_module(datum, p)
+    entries = repr([sorted(m.entries.items()) for m in module.action])
+    assert hashlib.sha1(entries.encode()).hexdigest() == digest

@@ -68,8 +68,8 @@ def test_duality_survives_reduction_mod_p():
                 xm = alg.from_coordinates([ring.coerce(c) for c in zm], ring)
                 for j, zp in enumerate(pair.z_plus):
                     xp = alg.from_coordinates([ring.coerce(c) for c in zp], ring)
-                    val = ring.coerce(alg.kappa(
-                        rep.e, commutator(xm, xp).change_ring(QQ)))
+                    br = commutator(xm, xp).change_ring(QQ)
+                    val = ring.coerce(alg.killing_form()["trace_constant"] * (rep.e @ br).trace())
                     assert val == (1 if i == j else 0) % p
 
 
@@ -145,3 +145,55 @@ def test_levi_parity_assertion():
                 continue
             for lam in admissible_partitions(n, eps):
                 weight_data(build_nilpotent(lam, eps))  # raises on odd degree
+
+
+def _trace_kappa(alg, x, y):
+    """The matrix reference: kappa(x, y) = c trace(x y)."""
+    return alg.killing_form()["trace_constant"] * (x @ y).trace()
+
+
+REFERENCE_REPS = [((2, 1, 1), -1), ((2, 2, 1), 1), ((3, 2, 2, 1), 1), ((4, 2), -1)]
+
+
+def test_chi_vector_and_psi_match_the_matrix_reference():
+    for parts, eps in REFERENCE_REPS:
+        rep = build_nilpotent(Partition(parts), eps)
+        alg = rep.algebra
+        psi = build_psi(rep)
+        assert psi.chi == tuple(_trace_kappa(alg, rep.e, b) for b in alg.basis)
+        order = psi.minus_idx + psi.plus_idx
+        for a, ka in enumerate(order):
+            for b, kb in enumerate(order):
+                br = commutator(alg.basis[ka], alg.basis[kb])
+                assert psi.gram[(a, b)] == _trace_kappa(alg, rep.e, br)
+
+
+def test_torus_weights_match_the_matrix_reference():
+    ranks = []
+    for parts, eps in REFERENCE_REPS:
+        rep = build_nilpotent(Partition(parts), eps)
+        alg = rep.algebra
+        wd = weight_data(rep)
+        ranks.append(len(wd.torus))
+        for i, t in enumerate(wd.torus):
+            tm = alg.from_coordinates(t)
+            assert commutator(tm, rep.e).is_zero()
+            for k, b in enumerate(alg.basis):
+                assert commutator(tm, b) == b.scale(wd.weights[k][i])
+    assert ranks == [1, 1, 1, 0]   # (4, 2) is distinguished: no torus
+
+
+def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
+    import orbitforge.centralizer as centralizer
+
+    rep = build_nilpotent(Partition((2, 2)), -1)
+    cb = centralizer.compute_centralizer(rep)
+    assert integral_saturation(rep)["perp_identity"]
+    # swap one centraliser vector for a basis vector off g^e: the ranks still
+    # add up, so only the containment (ad e)^T G z = 0 can catch it
+    bad = next(k for k in range(rep.algebra.dim)
+               if any(rep.algebra.bracket(rep.e_coords, [int(i == k) for i in range(rep.algebra.dim)])))
+    vectors = [tuple(int(i == bad) for i in range(rep.algebra.dim))] + cb.vectors[1:]
+    monkeypatch.setattr(centralizer, "compute_centralizer",
+                        lambda rep: centralizer.CentralizerBasis(rep, vectors, cb.degrees))
+    assert not integral_saturation(rep)["perp_identity"]
