@@ -11,10 +11,10 @@ cross-checked against the pyramid realisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .rings import QQ, ZZ
-from .linalg import SparseMatrix, VectorSpan, commutator, inverse_rows, rank_kernel, sparse_vector
+from .linalg import (SparseMatrix, VectorSpan, add_product, commutator, integer_kernel_basis, inverse_rows,
+                     rank_kernel, row_map, sparse_vector)
 from .partitions import Partition, pairing_involution, check_involution
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, centralizer_dim_formula
 
@@ -42,18 +42,21 @@ class CentralizerBasis:
         return [v for v, dd in zip(self.vectors, self.degrees) if dd == d]
 
 
-def compute_centralizer(rep: NilpotentRep) -> CentralizerBasis:
+def compute_centralizer(rep: NilpotentRep, ring=QQ) -> CentralizerBasis:
+    """A graded basis of g^e; over ZZ, a basis of the lattice g^e ∩ g_Z, the
+    saturated kernel of ad e on the Chevalley lattice."""
     gr = dynkin_grading(rep)
     alg = rep.algebra
     vectors = []
     degrees = []
-    ad_e = ad_e_matrix(rep)
+    ad_e = ad_e_matrix(rep, ring)
     # kernel degree by degree keeps the basis graded
     for d in sorted(gr.layers):
         idxs = gr.layers[d]
-        _, ker = rank_kernel(ad_e.columns(idxs))
+        cols = ad_e.columns(idxs)
+        ker = integer_kernel_basis(cols) if ring.kind == "ZZ" else rank_kernel(cols)[1]
         for kv in ker:
-            full = [Fraction(0)] * alg.dim
+            full = [ring.zero()] * alg.dim
             for jj, k in enumerate(idxs):
                 full[k] = kv[jj]
             vectors.append(tuple(full))
@@ -153,19 +156,39 @@ def build_zeta_system(lam: Partition, eps: int, inv: tuple | None = None) -> Zet
 
 
 def ss_sigma(zs: ZetaSystem, x: SparseMatrix) -> SparseMatrix:
-    """sigma for the Springer-Steinberg form; the Gram matrix is unimodular
-    so this stays integral."""
-    # form^{-1}: (J^{-1})_{ab} solves J * J^{-1} = 1; J is block anti-diagonal
-    # with +-1 entries, hence its inverse is its transpose up to signs; invert
-    # once and cache on the instance.
+    """sigma for the Springer-Steinberg form, over ZZ: the Gram matrix is
+    unimodular, and its inverse is checked to be integral."""
+    # J is block anti-diagonal with +-1 entries; invert it once over QQ, cache
+    # the inverse on the instance, and coerce it into ZZ, which raises on a
+    # fractional entry
     jinv = getattr(zs, "_jinv", None)
     if jinv is None:
         inv_rows = inverse_rows(zs.form.to_dense())
         if inv_rows is None:
             raise AssertionError("Springer-Steinberg form is degenerate")
-        jinv = SparseMatrix.from_dense(inv_rows, QQ)
+        jinv = SparseMatrix.from_dense(inv_rows, ZZ)
         zs._jinv = jinv
-    return -(jinv @ x.transpose().change_ring(QQ) @ zs.form.change_ring(QQ))
+    return -(jinv @ x.transpose() @ zs.form)
+
+
+def _bracket_rhs(zs: ZetaSystem, a, b) -> list:
+    """[(key, coeff), ...]: the zetas, with their coefficients, whose sum the
+    bracket law (ii) gives for [zeta_a, zeta_b]; terms with a negative s are
+    zero and left out."""
+    parts, inv = zs.lam.parts, zs.inv
+    i, j, s = a
+    k, l, r = b
+    ekl = zs.sign[b]
+    terms = []
+    if i == l:
+        terms.append(((k, j, r + s - (parts[i] - 1)), 1))
+    if j == k:
+        terms.append(((i, l, r + s - (parts[j] - 1)), -1))
+    if k == inv[i]:
+        terms.append(((inv[l], j, r + s - (parts[i] - 1)), ekl))
+    if j == inv[l]:
+        terms.append(((i, inv[k], r + s - (parts[j] - 1)), -ekl))
+    return [(key, c) for key, c in terms if key[2] >= 0]
 
 
 def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
@@ -179,8 +202,7 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
     if zs.form.transpose() != zs.form.scale(zs.eps):
         raise AssertionError("form symmetry violated")
     # e is skew self-adjoint for the form: (e u, v) + (u, e v) = 0
-    if (zs.e.transpose().change_ring(QQ) @ zs.form.change_ring(QQ)) != \
-       (zs.form.change_ring(QQ) @ zs.e.change_ring(QQ)).scale(-1):
+    if (zs.e.transpose() @ zs.form) != (zs.form @ zs.e).scale(-1):
         raise AssertionError("e is not skew self-adjoint")
 
     # sigma image of each xi is the predicted signed xi
@@ -190,7 +212,7 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
                 sgn = zs.sign[(i, j, s)]
                 xi1 = _xi_matrix(lam, zs.starts, i, j, parts[j] - 1 - s)
                 xi2 = _xi_matrix(lam, zs.starts, inv[j], inv[i], parts[i] - 1 - s)
-                if ss_sigma(zs, xi1.change_ring(QQ)) != xi2.change_ring(QQ).scale(sgn):
+                if ss_sigma(zs, xi1) != xi2.scale(sgn):
                     raise AssertionError(f"sigma image of xi({i},{j},{s}) has the wrong sign")
 
     killed = 0
@@ -202,7 +224,7 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
         if z.is_zero():
             killed += 1
         # membership and grading (iii)
-        if ss_sigma(zs, z.change_ring(QQ)) != z.change_ring(QQ):
+        if ss_sigma(zs, z) != z:
             raise AssertionError(f"zeta{(i, j, s)} is not sigma-fixed")
         if not commutator(zs.e, z).is_zero():
             raise AssertionError(f"zeta{(i, j, s)} does not centralise e")
@@ -212,29 +234,22 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
                 raise AssertionError(f"zeta{(i, j, s)} is not homogeneous of degree {want}")
 
     if full_bracket:
+        # [zeta_a, zeta_b] - rhs on integer row maps, every ordered pair; a
+        # product is skipped only when its factors' supports do not meet
+        rows = {key: row_map(z) for key, z in zs.zetas.items()}
+        cols = {key: {c for _, c in z.entries} for key, z in zs.zetas.items()}
         keys = zs.tuples()
         for a in keys:
-            i, j, s = a
             for b in keys:
-                k, l, r = b
-                lhs = commutator(zs.zetas[a], zs.zetas[b])
-                rhs = SparseMatrix.zeros(lam.size, lam.size, ZZ)
-
-                def term(ii, jj, ss, coeff):
-                    nonlocal rhs
-                    if ss >= 0 and coeff != 0:
-                        rhs = rhs + zs.zetas[(ii, jj, ss)].scale(coeff)
-
-                if i == l:
-                    term(k, j, r + s - (parts[i] - 1), 1)
-                if j == k:
-                    term(i, l, r + s - (parts[j] - 1), -1)
-                ekl = zs.sign[(k, l, r)]
-                if k == inv[i]:
-                    term(inv[l], j, r + s - (parts[i] - 1), ekl)
-                if j == inv[l]:
-                    term(i, inv[k], r + s - (parts[j] - 1), -ekl)
-                if lhs != rhs:
+                acc = {}
+                if not cols[a].isdisjoint(rows[b]):
+                    add_product(acc, rows[a], rows[b])
+                if not cols[b].isdisjoint(rows[a]):
+                    add_product(acc, rows[b], rows[a], -1)
+                for key, coeff in _bracket_rhs(zs, a, b):
+                    for rc, v in zs.zetas[key].entries.items():
+                        acc[rc] = acc.get(rc, 0) - coeff * v
+                if any(acc.values()):
                     raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
 
     # span: the zetas span exactly the fixed-space centraliser

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .rings import GF, QQ, _is_prime, format_rational
+from .rings import GF, QQ, ZZ, _is_prime, format_rational
 from .linalg import VectorSpan, sparse_vector
 from .partitions import (
     Partition,
@@ -534,11 +534,16 @@ def _rigidity(lam, eps, config):
 
 def _perfect(cb, primes):
     """g^e and g^e(0) are perfect over QQ and over F_p for each p in primes;
-    one pass over the brackets of basis pairs fills both spans."""
+    one pass over the brackets of basis pairs fills both spans.  Over F_p the
+    basis is that of the lattice g^e ∩ g_Z: a QQ basis may have denominator p."""
     alg = cb.rep.algebra
-    in_zero = [d == 0 for d in cb.degrees]
-    for ring in [QQ] + [GF(p) for p in primes]:
-        vecs = [sparse_vector(v, ring) for v in cb.vectors]
+    bases = [(QQ, cb)]
+    if primes:
+        lattice = compute_centralizer(cb.rep, ZZ)
+        bases += [(GF(p), lattice) for p in primes]
+    for ring, basis in bases:
+        in_zero = [d == 0 for d in basis.degrees]
+        vecs = [sparse_vector(v, ring) for v in basis.vectors]
         span, span_zero = VectorSpan(ring, alg.dim), VectorSpan(ring, alg.dim)
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
@@ -548,7 +553,7 @@ def _perfect(cb, primes):
                     span_zero.add(br)
         if span_zero.rank != sum(in_zero):
             raise AssertionError(f"g^e(0) not perfect over {ring}")
-        if span.rank != cb.dim:
+        if span.rank != basis.dim:
             raise AssertionError(f"g^e not perfect over {ring}")
 
 

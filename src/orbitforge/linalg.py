@@ -36,6 +36,16 @@ class SparseMatrix:
                     cleaned[(r, c)] = v
         self.entries = cleaned
 
+    @classmethod
+    def _closed(cls, nrows, ncols, ring: Ring, entries) -> "SparseMatrix":
+        """A matrix on entries that are already elements of ring at in-bounds
+        positions, as the results of same-ring operations are; zeros are
+        dropped, nothing is coerced."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.ring = nrows, ncols, ring
+        m.entries = {k: v for k, v in entries.items() if v}
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -50,11 +60,11 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n, ring: Ring) -> "SparseMatrix":
-        return cls(n, n, ring, {(i, i): ring.one() for i in range(n)})
+        return cls._closed(n, n, ring, {(i, i): ring.one() for i in range(n)})
 
     @classmethod
     def zeros(cls, nrows, ncols, ring: Ring) -> "SparseMatrix":
-        return cls(nrows, ncols, ring, {})
+        return cls._closed(nrows, ncols, ring, {})
 
     # -- basics ------------------------------------------------------------
 
@@ -87,31 +97,42 @@ class SparseMatrix:
         return sorted(self.entries.items())
 
     def change_ring(self, ring: Ring) -> "SparseMatrix":
+        if ring == self.ring:
+            return self
         return SparseMatrix(self.nrows, self.ncols, ring, dict(self.entries))
+
+    def _result(self, nrows, ncols, other, ent) -> "SparseMatrix":
+        """The matrix on ent over self's ring: closed when other shares the
+        ring, coerced entry by entry otherwise."""
+        if other.ring == self.ring:
+            return SparseMatrix._closed(nrows, ncols, self.ring, ent)
+        return SparseMatrix(nrows, ncols, self.ring, ent)
 
     def __add__(self, other):
         ent = dict(self.entries)
         for k, v in other.entries.items():
             ent[k] = self.ring.add(ent.get(k, 0), v)
-        return SparseMatrix(self.nrows, self.ncols, self.ring, ent)
+        return self._result(self.nrows, self.ncols, other, ent)
 
     def __sub__(self, other):
         ent = dict(self.entries)
         for k, v in other.entries.items():
             ent[k] = self.ring.sub(ent.get(k, 0), v)
-        return SparseMatrix(self.nrows, self.ncols, self.ring, ent)
+        return self._result(self.nrows, self.ncols, other, ent)
 
     def __neg__(self):
-        return SparseMatrix(
+        return SparseMatrix._closed(
             self.nrows, self.ncols, self.ring,
             {k: self.ring.neg(v) for k, v in self.entries.items()},
         )
 
     def scale(self, c) -> "SparseMatrix":
-        return SparseMatrix(
-            self.nrows, self.ncols, self.ring,
-            {k: self.ring.mul(v, c) for k, v in self.entries.items()},
-        )
+        ring = self.ring
+        try:
+            c, build = ring.coerce(c), SparseMatrix._closed
+        except ValueError:
+            build = SparseMatrix   # c is not in the ring (a rational over ZZ): coerce each product
+        return build(self.nrows, self.ncols, ring, {k: ring.mul(v, c) for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -119,24 +140,28 @@ class SparseMatrix:
         by_row = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
+        # accumulate exactly and reduce once: over GF(p) the residue of the
+        # integer sum is the sum of the residues
         ent = {}
-        ring = self.ring
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
                 key = (r, c)
-                ent[key] = ring.add(ent.get(key, 0), ring.mul(a, b))
-        return SparseMatrix(self.nrows, other.ncols, ring, ent)
+                ent[key] = ent.get(key, 0) + a * b
+        if self.ring.kind == "GF":
+            p = self.ring.p
+            ent = {k: v % p for k, v in ent.items()}
+        return self._result(self.nrows, other.ncols, other, ent)
 
     def columns(self, cols) -> "SparseMatrix":
         """The submatrix on the listed columns, in that order."""
         at = {c: jj for jj, c in enumerate(cols)}
-        return SparseMatrix(
+        return SparseMatrix._closed(
             self.nrows, len(at), self.ring,
             {(r, at[c]): v for (r, c), v in self.entries.items() if c in at},
         )
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._closed(
             self.ncols, self.nrows, self.ring,
             {(c, r): v for (r, c), v in self.entries.items()},
         )
@@ -170,6 +195,27 @@ class SparseMatrix:
 
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return (a @ b) - (b @ a)
+
+
+def row_map(m: SparseMatrix) -> dict:
+    """The nonzero entries of m as {row: {col: scalar}}."""
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
+    """acc[(r, c)] += coeff * (xy)[r, c] for row maps x and y (row_map) over
+    ZZ or QQ; the sums are not reduced, and entries that cancel stay as 0."""
+    for r, xr in x.items():
+        for k, a in xr.items():
+            yk = y.get(k)
+            if yk:
+                a *= coeff
+                for c, b in yk.items():
+                    key = (r, c)
+                    acc[key] = acc.get(key, 0) + a * b
 
 
 # -- field elimination: one sparse reduced-echelon span -----------------------
@@ -297,21 +343,29 @@ def rank_kernel(m: SparseMatrix):
     ring = m.ring
     span = _row_span(m)
     # kernel vector of free column fc: 1 at fc, -row_p[fc] at each pivot p
-    kernel = {}
-    for fc in range(m.ncols):
-        if fc not in span._rows:
-            vec = [ring.zero()] * m.ncols
-            vec[fc] = ring.one()
-            kernel[fc] = vec
+    kernel = {fc: {fc: ring.one()} for fc in range(m.ncols) if fc not in span._rows}
     for p, row in span._rows.items():
         for c, x in row.items():
             if c != p:
                 kernel[c][p] = ring.neg(x)
-    kernel = [tuple(vec) for vec in kernel.values()]
-    for vec in kernel:
-        if any(v != 0 for v in m.apply(vec)):
+    # substitution check, m v = 0, over the nonzero entries of m and of v
+    by_col = {}
+    for (r, c), v in m.entries.items():
+        by_col.setdefault(c, []).append((r, v))
+    mod = ring.p if ring.kind == "GF" else 0
+    dense = []
+    for vec in kernel.values():
+        out = {}
+        for c, x in vec.items():
+            for r, v in by_col.get(c, ()):
+                out[r] = out.get(r, 0) + v * x
+        if any(y % mod if mod else y for y in out.values()):
             raise AssertionError("kernel vector fails exact substitution check")
-    return span.rank, kernel
+        full = [ring.zero()] * m.ncols
+        for c, x in vec.items():
+            full[c] = x
+        dense.append(tuple(full))
+    return span.rank, dense
 
 
 def inverse_rows(rows, ring: Ring = QQ):

@@ -1,7 +1,12 @@
 """Centraliser bases, the zeta spanning system and generation."""
 
+import dataclasses
+
 import pytest
 
+from orbitforge import centralizer
+from orbitforge.linalg import SparseMatrix, commutator
+from orbitforge.rings import ZZ
 from orbitforge.partitions import Partition, admissible_partitions, is_almost_rigid
 from orbitforge.orbits import build_nilpotent, centralizer_dim_formula
 from orbitforge.centralizer import (
@@ -52,8 +57,6 @@ def test_zeta_bracket_instance_2_1_1():
     # r=0: the delta_{il} term is zeta_1^{1,-1} = 0, the delta_{jk} term is
     # -zeta_0^{0,0}, and both epsilon terms vanish since inv[0] = 0 != 1.
     zs = build_zeta_system(Partition((2, 1, 1)), -1)
-    from orbitforge.linalg import commutator
-
     lhs = commutator(zs.zetas[(0, 1, 0)], zs.zetas[(1, 0, 0)])
     assert zs.inv[0] == 0
     assert lhs == -zs.zetas[(0, 0, 0)]
@@ -126,3 +129,110 @@ def test_generation_examples():
     zero = compute_centralizer(build_nilpotent(Partition((1, 1, 1, 1)), -1))
     genz, wz = check_generation(zero)
     assert genz and wz == {}  # everything in degree 0
+
+
+# -- the bracket law (ii) on integer row maps against matrix commutators -----------
+
+
+def _reference_bracket_law(zs):
+    """The bracket law (ii) as matrix commutators over every ordered pair;
+    raises at the first pair that fails."""
+    lam, inv = zs.lam, zs.inv
+    parts = lam.parts
+    keys = zs.tuples()
+    for a in keys:
+        i, j, s = a
+        for b in keys:
+            k, l, r = b
+            lhs = commutator(zs.zetas[a], zs.zetas[b])
+            rhs = SparseMatrix.zeros(lam.size, lam.size, ZZ)
+
+            def term(ii, jj, ss, coeff):
+                nonlocal rhs
+                if ss >= 0 and coeff != 0:
+                    rhs = rhs + zs.zetas[(ii, jj, ss)].scale(coeff)
+
+            if i == l:
+                term(k, j, r + s - (parts[i] - 1), 1)
+            if j == k:
+                term(i, l, r + s - (parts[j] - 1), -1)
+            ekl = zs.sign[(k, l, r)]
+            if k == inv[i]:
+                term(inv[l], j, r + s - (parts[i] - 1), ekl)
+            if j == inv[l]:
+                term(i, inv[k], r + s - (parts[j] - 1), -ekl)
+            if lhs != rhs:
+                raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
+
+
+def _scale_orbit(zs, key, c):
+    """A copy of zs with zeta_key and its mate zeta_{(j', i', s)} scaled by c."""
+    i, j, s = key
+    mate = (zs.inv[j], zs.inv[i], s)
+    zetas = dict(zs.zetas)
+    for k in {key, mate}:
+        zetas[k] = zetas[k].scale(c)
+    return dataclasses.replace(zs, zetas=zetas)
+
+
+def _outcome(check, zs):
+    try:
+        check(zs)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_scaling_one_zeta_orbit_breaks_only_the_bracket_law():
+    zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
+    bad = _scale_orbit(zs, (0, 1, 0), 2)
+    assert bad.zetas[(0, 1, 0)] != zs.zetas[(0, 1, 0)]
+    # relation (i), sigma-fixedness, centralising, grading and span all hold
+    assert verify_zeta_system(bad, full_bracket=False) == verify_zeta_system(zs, full_bracket=False)
+    with pytest.raises(AssertionError, match=r"bracket law \(ii\)"):
+        verify_zeta_system(bad)
+
+
+def test_bracket_law_agrees_with_the_commutator_reference_for_n_le_6():
+    # the true system, and every system with one nonzero zeta orbit doubled;
+    # both loops visit the pairs in the same order, so they fail alike
+    broken = 0
+    for n in range(2, 7):
+        for eps in (1, -1):
+            if eps == -1 and n % 2:
+                continue
+            for lam in admissible_partitions(n, eps):
+                zs = build_zeta_system(lam, eps)
+                systems = [zs] + [_scale_orbit(zs, key, 2) for key in zs.tuples() if not zs.zetas[key].is_zero()]
+                for system in systems:
+                    want = _outcome(_reference_bracket_law, system)
+                    assert _outcome(verify_zeta_system, system) == want, (lam, eps)
+                    broken += want is not None
+                assert _outcome(_reference_bracket_law, zs) is None
+    assert broken > 100
+
+
+def test_bracket_law_visits_every_ordered_pair(monkeypatch):
+    visited = []
+    rhs = centralizer._bracket_rhs
+
+    def counting(zs, a, b):
+        visited.append((a, b))
+        return rhs(zs, a, b)
+
+    monkeypatch.setattr(centralizer, "_bracket_rhs", counting)
+    for parts, eps in [((2, 1, 1), -1), ((3, 2, 2, 1), 1), ((5, 5, 4), -1)]:
+        zs = build_zeta_system(Partition(parts), eps)
+        visited.clear()
+        verify_zeta_system(zs)
+        keys = zs.tuples()
+        assert len(visited) == len(keys) ** 2
+        assert visited == [(a, b) for a in keys for b in keys]
+
+
+def test_ss_sigma_requires_an_integral_inverse_form():
+    zs = build_zeta_system(Partition((2, 1, 1)), -1)
+    assert centralizer.ss_sigma(zs, zs.zetas[(0, 0, 0)]) == zs.zetas[(0, 0, 0)]
+    doubled = dataclasses.replace(zs, form=zs.form.scale(2))
+    with pytest.raises(ValueError, match="not an integer"):
+        centralizer.ss_sigma(doubled, zs.zetas[(0, 0, 0)])

@@ -222,3 +222,23 @@ def test_runs_on_the_standard_library_alone():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim"] == 27
+
+
+@pytest.mark.parametrize("parts", [(3, 3, 2, 1, 1), (3, 3, 2, 1, 1, 1, 1)])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_perfectness_mod_p_beyond_the_default_sweep(parts, p):
+    # sp_10 and sp_12: the QQ echelon basis of g^e has denominator 3, so
+    # perfectness over F_p is checked on a basis of the lattice g^e ∩ g_Z
+    from orbitforge.centralizer import compute_centralizer
+    from orbitforge.cli import _perfect
+    from orbitforge.orbits import build_nilpotent
+    from orbitforge.partitions import Partition, is_rigid
+    from orbitforge.rings import ZZ
+
+    lam = Partition(parts)
+    assert is_rigid(lam, -1)
+    cb = compute_centralizer(build_nilpotent(lam, -1))
+    assert any(x.denominator % 3 == 0 for v in cb.vectors for x in v)
+    lattice = compute_centralizer(cb.rep, ZZ)
+    assert lattice.degrees == cb.degrees and all(type(x) is int for v in lattice.vectors for x in v)
+    _perfect(cb, (p,))

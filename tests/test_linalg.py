@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforge import linalg
 from orbitforge.rings import Ring, ZZ, QQ, GF, format_rational, parse_rational, is_two_power_denominator
 from orbitforge.linalg import (
     SparseMatrix,
@@ -323,3 +324,116 @@ def test_vector_span_add_and_contains_follow_the_reference_rank(rows, ring, spar
         assert span.contains(vec) is not grows
         assert span.add(vec) is grows
         assert span.contains(vec) and span.rank == before + grows
+
+
+def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
+    # an echelon span of [1, 1, 2] in place of [1, 1, 1]: the first kernel
+    # vector (-1, 1, 0) is still right, the second (-2, 0, 1) is not
+    m = SparseMatrix.from_dense([[1, 1, 1]], QQ)
+    wrong = linalg._row_span(SparseMatrix.from_dense([[1, 1, 2]], QQ))
+    monkeypatch.setattr(linalg, "_row_span", lambda _m: wrong)
+    with pytest.raises(AssertionError, match="substitution"):
+        rank_kernel(m)
+
+
+# -- ring-closed results against the coercing constructor -----------------------
+
+
+RINGS = [ZZ, QQ, GF(3), GF(7)]
+# scalars for scale: ENTRY's, and rationals that ZZ and GF(3) cannot hold
+SCALARS = st.one_of(ENTRY, st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(4, 1)]))
+
+
+def _entries(ring, nrows, ncols):
+    """A dict of entries for a nrows x ncols matrix over ring, drawn from
+    ENTRY (integers only over ZZ)."""
+    value = st.integers(-4, 4) if ring.kind == "ZZ" else ENTRY
+    keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    return st.dictionaries(keys, value, max_size=nrows * ncols)
+
+
+def _coerced(nrows, ncols, ring, entries):
+    """The coercing constructor's matrix, or the ValueError it raises."""
+    try:
+        return SparseMatrix(nrows, ncols, ring, entries)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same(result, reference):
+    """Same shape, ring, entries and scalar types, and no stored zeros."""
+    assert (result.nrows, result.ncols, result.ring) == (reference.nrows, reference.ncols, reference.ring)
+    assert result.entries == reference.entries
+    assert all(type(v) is type(reference.entries[k]) for k, v in result.entries.items())
+    assert all(v != 0 for v in result.entries.values())
+
+
+def _check(op, reference):
+    if isinstance(reference, ValueError):
+        with pytest.raises(ValueError):
+            op()
+    else:
+        _assert_same(op(), reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_closed_results_match_the_coercing_constructor(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    # mostly a shared ring; otherwise any ring, to reach the coercing path
+    other_ring = data.draw(st.one_of(st.just(ring), st.sampled_from(RINGS)))
+    nr, k, nc = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = SparseMatrix(nr, k, ring, data.draw(_entries(ring, nr, k)))
+    b = SparseMatrix(nr, k, other_ring, data.draw(_entries(other_ring, nr, k)))
+    c = SparseMatrix(k, nc, other_ring, data.draw(_entries(other_ring, k, nc)))
+
+    product = {}
+    for (r, j), x in a.entries.items():
+        for (jj, col), y in c.entries.items():
+            if j == jj:
+                product[(r, col)] = product.get((r, col), 0) + x * y
+    _check(lambda: a @ c, _coerced(nr, nc, ring, product))
+    for op, sign in ((a.__add__, 1), (a.__sub__, -1)):
+        total = dict(a.entries)
+        for key, y in b.entries.items():
+            total[key] = total.get(key, 0) + sign * y
+        _check(lambda: op(b), _coerced(nr, k, ring, total))
+    _check(lambda: -a, _coerced(nr, k, ring, {key: -x for key, x in a.entries.items()}))
+    scalar = data.draw(SCALARS)
+    _check(lambda: a.scale(scalar), _coerced(nr, k, ring, {key: x * scalar for key, x in a.entries.items()}))
+    _check(a.transpose, _coerced(k, nr, ring, {(j, r): x for (r, j), x in a.entries.items()}))
+    cols = data.draw(st.lists(st.integers(0, k - 1), unique=True))
+    at = {j: jj for jj, j in enumerate(cols)}
+    _check(lambda: a.columns(cols),
+           _coerced(nr, len(cols), ring, {(r, at[j]): x for (r, j), x in a.entries.items() if j in at}))
+    _check(lambda: a.change_ring(other_ring), _coerced(nr, k, other_ring, dict(a.entries)))
+    assert a.change_ring(ring) is a
+
+
+def test_zz_scale_by_a_rational():
+    even = SparseMatrix(2, 2, ZZ, {(0, 0): 2, (1, 0): -4})
+    half = even.scale(Fraction(1, 2))
+    assert half.entries == {(0, 0): 1, (1, 0): -2} and all(type(v) is int for v in half.entries.values())
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, ZZ, {(0, 1): 3}).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind, p", [("ZZ", 0), ("QQ", 0), ("GF", 7)])
+def test_same_ring_operations_do_not_coerce_their_results(kind, p):
+    calls = []
+
+    class CountingRing(Ring):
+        def coerce(self, x):
+            calls.append(x)
+            return super().coerce(x)
+
+    ring = CountingRing(kind, p)
+    a = SparseMatrix(3, 3, ring, {(i, j): i + 2 * j + 1 for i in range(3) for j in range(3)})
+    b = a.transpose()
+    calls.clear()
+    a @ b, a + b, a - b, -a, a.columns([2, 0])
+    assert a.change_ring(ring) is a
+    assert calls == []
+    # scale coerces its scalar once, and none of the nine products
+    a.scale(2)
+    assert calls == [2]
