@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .rings import Ring, ZZ, QQ
 from .linalg import SparseMatrix, add_product, commutator, inverse_rows, row_map, solve, sparse_vector
@@ -279,8 +278,8 @@ class ClassicalAlgebra:
                 if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
                     continue  # both products B_i B_j and B_j B_i vanish
                 acc = {}
-                add_product(acc, rows[i], rows[j])
-                add_product(acc, rows[j], rows[i], -1)
+                add_product(acc, ents[i], rows[j])
+                add_product(acc, ents[j], rows[i], -1)
                 br = {rc: v for rc, v in acc.items() if v}
                 if not br:
                     continue
@@ -329,12 +328,6 @@ class ClassicalAlgebra:
         """{k: c}, the nonzero Chevalley coordinates of [x, y] over ring, for
         x and y given as {index: scalar} maps of their nonzero coordinates
         (linalg.sparse_vector), the scalars already in ring."""
-        if ring.kind == "QQ":
-            # straighten D_x x and D_y y on ints, divide once per entry
-            dx, xs = _scaled(xs)
-            dy, ys = _scaled(ys)
-            den = dx * dy
-            return {k: Fraction(v, den) for k, v in self._bracket_terms(xs, ys).items() if v}
         out = {}
         for k, v in self._bracket_terms(xs, ys).items():
             v = ring.coerce(v)
@@ -354,14 +347,11 @@ class ClassicalAlgebra:
         """Matrix of ad(x) on the Chevalley basis over ring, for x given by
         its Chevalley coordinates: column j holds [x, B_j]."""
         xs = sparse_vector(x, ring)
-        den, xs = _scaled(xs) if ring.kind == "QQ" else (1, xs)
         ent = {}
         for j in range(self.dim):
             for k, v in self._bracket_terms(xs, {j: 1}).items():
                 ent[(k, j)] = v
-        if ring.kind != "QQ":
-            return SparseMatrix(self.dim, self.dim, ring, ent)
-        return SparseMatrix._closed(self.dim, self.dim, ring, {kj: Fraction(v, den) for kj, v in ent.items()})
+        return SparseMatrix(self.dim, self.dim, ring, ent)
 
     @property
     def type_a_like(self) -> bool:
@@ -461,13 +451,6 @@ class ClassicalAlgebra:
         Chevalley basis, for x given by its Chevalley coordinates and G the
         certified Gram of killing_form()."""
         return self.killing_form()["gram"].apply(coords)
-
-
-def _scaled(xs: dict) -> tuple:
-    """(D, {i: D x_i}) for a map of rationals, D the lcm of their
-    denominators; the scaled values are ints."""
-    den = lcm(*(x.denominator for x in xs.values()))
-    return den, {i: x.numerator * (den // x.denominator) for i, x in xs.items()}
 
 
 @lru_cache(maxsize=None)

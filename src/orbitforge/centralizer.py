@@ -243,9 +243,9 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
             for b in keys:
                 acc = {}
                 if not cols[a].isdisjoint(rows[b]):
-                    add_product(acc, rows[a], rows[b])
+                    add_product(acc, zs.zetas[a].entries, rows[b])
                 if not cols[b].isdisjoint(rows[a]):
-                    add_product(acc, rows[b], rows[a], -1)
+                    add_product(acc, zs.zetas[b].entries, rows[a], -1)
                 for key, coeff in _bracket_rhs(zs, a, b):
                     for rc, v in zs.zetas[key].entries.items():
                         acc[rc] = acc.get(rc, 0) - coeff * v

@@ -529,20 +529,18 @@ def _rigidity(lam, eps, config):
         cb = compute_centralizer(build_nilpotent(lam, eps))
         if derived_subalgebra(cb).codim != 0:
             raise AssertionError("rigid centraliser is not perfect")
-        _perfect(cb, config.primes)
+        _perfect(cb.rep, config.primes)
 
 
-def _perfect(cb, primes):
-    """g^e and g^e(0) are perfect over QQ and over F_p for each p in primes;
-    one pass over the brackets of basis pairs fills both spans.  Over F_p the
-    basis is that of the lattice g^e ∩ g_Z: a QQ basis may have denominator p."""
-    alg = cb.rep.algebra
-    bases = [(QQ, cb)]
-    if primes:
-        lattice = compute_centralizer(cb.rep, ZZ)
-        bases += [(GF(p), lattice) for p in primes]
-    for ring, basis in bases:
-        in_zero = [d == 0 for d in basis.degrees]
+def _perfect(rep, primes):
+    """g^e and g^e(0) are perfect over QQ and over F_p for each p in primes,
+    on one basis of the lattice g^e ∩ g_Z (a QQ echelon basis of g^e may have
+    denominator p); one pass over the brackets of basis pairs fills both
+    spans."""
+    alg = rep.algebra
+    basis = compute_centralizer(rep, ZZ)
+    in_zero = [d == 0 for d in basis.degrees]
+    for ring in [QQ] + [GF(p) for p in primes]:
         vecs = [sparse_vector(v, ring) for v in basis.vectors]
         span, span_zero = VectorSpan(ring, alg.dim), VectorSpan(ring, alg.dim)
         for i in range(len(vecs)):

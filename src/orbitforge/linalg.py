@@ -108,13 +108,19 @@ class SparseMatrix:
             return SparseMatrix._closed(nrows, ncols, self.ring, ent)
         return SparseMatrix(nrows, ncols, self.ring, ent)
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
+
     def __add__(self, other):
+        self._same_shape(other)
         ent = dict(self.entries)
         for k, v in other.entries.items():
             ent[k] = self.ring.add(ent.get(k, 0), v)
         return self._result(self.nrows, self.ncols, other, ent)
 
     def __sub__(self, other):
+        self._same_shape(other)
         ent = dict(self.entries)
         for k, v in other.entries.items():
             ent[k] = self.ring.sub(ent.get(k, 0), v)
@@ -137,16 +143,10 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
         # accumulate exactly and reduce once: over GF(p) the residue of the
         # integer sum is the sum of the residues
         ent = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                ent[key] = ent.get(key, 0) + a * b
+        add_product(ent, self.entries, row_map(other))
         if self.ring.kind == "GF":
             p = self.ring.p
             ent = {k: v % p for k, v in ent.items()}
@@ -206,16 +206,18 @@ def row_map(m: SparseMatrix) -> dict:
 
 
 def add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
-    """acc[(r, c)] += coeff * (xy)[r, c] for row maps x and y (row_map) over
-    ZZ or QQ; the sums are not reduced, and entries that cancel stay as 0."""
-    for r, xr in x.items():
-        for k, a in xr.items():
-            yk = y.get(k)
-            if yk:
+    """acc[(r, c)] += coeff * (xy)[r, c] for x given by its entries
+    {(r, k): scalar} and y by its row map: the one sparse product kernel.
+    The sums are exact and not reduced (the caller reduces mod p), and
+    entries that cancel stay as 0."""
+    for (r, k), a in x.items():
+        yk = y.get(k)
+        if yk:
+            if coeff != 1:
                 a *= coeff
-                for c, b in yk.items():
-                    key = (r, c)
-                    acc[key] = acc.get(key, 0) + a * b
+            for c, b in yk.items():
+                key = (r, c)
+                acc[key] = acc.get(key, 0) + a * b
 
 
 # -- field elimination: one sparse reduced-echelon span -----------------------
@@ -348,19 +350,14 @@ def rank_kernel(m: SparseMatrix):
         for c, x in row.items():
             if c != p:
                 kernel[c][p] = ring.neg(x)
-    # substitution check, m v = 0, over the nonzero entries of m and of v
-    by_col = {}
-    for (r, c), v in m.entries.items():
-        by_col.setdefault(c, []).append((r, v))
-    mod = ring.p if ring.kind == "GF" else 0
+    # substitution check: m K = 0 for K the matrix whose columns are the
+    # kernel vectors, which checks every kernel vector
+    kmat = SparseMatrix._closed(m.ncols, len(kernel), ring,
+                                {(c, jj): x for jj, vec in enumerate(kernel.values()) for c, x in vec.items()})
+    if not (m @ kmat).is_zero():
+        raise AssertionError("kernel vector fails exact substitution check")
     dense = []
     for vec in kernel.values():
-        out = {}
-        for c, x in vec.items():
-            for r, v in by_col.get(c, ()):
-                out[r] = out.get(r, 0) + v * x
-        if any(y % mod if mod else y for y in out.values()):
-            raise AssertionError("kernel vector fails exact substitution check")
         full = [ring.zero()] * m.ncols
         for c, x in vec.items():
             full[c] = x

@@ -241,4 +241,4 @@ def test_perfectness_mod_p_beyond_the_default_sweep(parts, p):
     assert any(x.denominator % 3 == 0 for v in cb.vectors for x in v)
     lattice = compute_centralizer(cb.rep, ZZ)
     assert lattice.degrees == cb.degrees and all(type(x) is int for v in lattice.vectors for x in v)
-    _perfect(cb, (p,))
+    _perfect(cb.rep, (p,))

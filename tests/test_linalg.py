@@ -410,6 +410,17 @@ def test_ring_closed_results_match_the_coercing_constructor(data):
     assert a.change_ring(ring) is a
 
 
+@pytest.mark.parametrize("other_ring", [QQ, GF(7)])
+def test_sums_and_products_reject_mismatched_shapes(other_ring):
+    a = SparseMatrix(2, 3, QQ, {(0, 2): 1, (1, 0): 2})
+    for b in (SparseMatrix(3, 3, other_ring, {(2, 2): 1}), SparseMatrix(2, 2, other_ring, {(1, 1): 1})):
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a @ SparseMatrix(2, 3, other_ring, {})
+
+
 def test_zz_scale_by_a_rational():
     even = SparseMatrix(2, 2, ZZ, {(0, 0): 2, (1, 0): -4})
     half = even.scale(Fraction(1, 2))
