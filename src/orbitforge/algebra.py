@@ -258,10 +258,10 @@ class ClassicalAlgebra:
     @property
     def structure(self) -> list:
         """The integer structure constants of the Chevalley basis: entry i
-        maps each j > i with [B_i, B_j] != 0 to ((k, c_ij^k), ...), the
-        nonzero constants with k increasing.  Built on first use and
-        certified entry by entry: sum_k c_ij^k B_k reconstructs [B_i, B_j]
-        exactly."""
+        maps each j with [B_i, B_j] != 0 to ((k, c_ij^k), ...), the nonzero
+        constants with k increasing.  Both orders are held, c_ji^k = -c_ij^k.
+        Built on first use and certified once per unordered pair:
+        sum_k c_ij^k B_k reconstructs [B_i, B_j] exactly."""
         if self._structure is None:
             self._structure = self._build_structure()
         return self._structure
@@ -291,6 +291,7 @@ class ClassicalAlgebra:
                 if {rc: v for rc, v in recon.items() if v != 0} != br:
                     raise AssertionError(f"structure constants of [B_{i}, B_{j}] fail to reconstruct it")
                 table[i][j] = terms
+                table[j][i] = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
         return table
 
     def _lattice_coords(self, m: dict) -> tuple:
@@ -312,14 +313,11 @@ class ClassicalAlgebra:
         table = self.structure
         acc = {}
         for i, a in xs.items():
+            row = table[i]
             for j, b in ys.items():
-                if i < j:
-                    terms, ab = table[i].get(j), a * b
-                elif j < i:
-                    terms, ab = table[j].get(i), -(a * b)
-                else:
-                    continue
+                terms = row.get(j)
                 if terms:
+                    ab = a * b
                     for k, c in terms:
                         acc[k] = acc.get(k, 0) + c * ab
         return acc
@@ -345,13 +343,20 @@ class ClassicalAlgebra:
 
     def ad(self, x, ring: Ring = QQ) -> SparseMatrix:
         """Matrix of ad(x) on the Chevalley basis over ring, for x given by
-        its Chevalley coordinates: column j holds [x, B_j]."""
-        xs = sparse_vector(x, ring)
-        ent = {}
-        for j in range(self.dim):
-            for k, v in self._bracket_terms(xs, {j: 1}).items():
-                ent[(k, j)] = v
-        return SparseMatrix(self.dim, self.dim, ring, ent)
+        its Chevalley coordinates: column j holds [x, B_j] = sum_i x_i (row i
+        of the structure table).  An int coordinate is used as it is, any
+        other is coerced into ring first (so one the ring cannot hold
+        raises); the entries are coerced once, as the matrix is built."""
+        table = self.structure
+        acc = {}
+        for i, a in enumerate(x):
+            if type(a) is not int:
+                a = ring.coerce(a)
+            if a:
+                for j, terms in table[i].items():
+                    for k, c in terms:
+                        acc[(k, j)] = acc.get((k, j), 0) + c * a
+        return SparseMatrix(self.dim, self.dim, ring, acc)
 
     @property
     def type_a_like(self) -> bool:

@@ -76,6 +76,11 @@ SCHEMA_VERSION = 1
 # Borel module at p = 7: with the memoised builder it builds and verifies in
 # about 4 s, holding 45,122 nonzero action entries.
 MAX_MODULE_DIM = 2401
+# Largest N a command accepts, for g = so_N or sp_N.  44 is the largest N at
+# which `algebra N 1` and `algebra N -1` both finish within 10 s on a 2-core
+# machine: 9.1 s and 9.2 s.  N = 40 takes 5.1 s and 6.1 s; so_45 takes 9.7 s,
+# too close to the limit to hold, and sp_46 13.6 s.
+MAX_N = 44
 
 
 def _parse_eps(text: str) -> int:
@@ -106,8 +111,16 @@ def _parse_prime(text: str) -> int:
     return int(text)
 
 
+def _require_size(n: int):
+    """Exits 2 when n is above MAX_N, before any work is done."""
+    if n > MAX_N:
+        print(f"error: N = {n} is above the cap of MAX_N = {MAX_N}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _require_algebra(n: int, eps: int):
-    """so_n or sp_n; exits 2 when (n, eps) names no algebra."""
+    """so_n or sp_n; exits 2 when (n, eps) names no algebra or n > MAX_N."""
+    _require_size(n)
     try:
         return build_algebra(n, eps)
     except ValueError as exc:
@@ -166,7 +179,10 @@ def cmd_algebra(args) -> int:
 
 
 def _require_admissible(args):
+    """The partition argument; exits 2 when it is not admissible for eps or
+    its size is above MAX_N."""
     lam = args.partition
+    _require_size(lam.size)
     if not validate_partition(lam, args.eps):
         print(f"error: {lam} is not admissible for eps={args.eps}", file=sys.stderr)
         raise SystemExit(2)

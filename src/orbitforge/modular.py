@@ -48,10 +48,9 @@ def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
     structure = {}
     for a, row in enumerate(alg.structure):
         for b, terms in row.items():
-            for key, sign in (((a, b), 1), ((b, a), -1)):
-                entry = {c: sign * v % p for c, v in terms if v % p}
-                if entry:
-                    structure[key] = entry
+            entry = {c: v % p for c, v in terms if v % p}
+            if entry:
+                structure[(a, b)] = entry
     mod = ModularAlgebra(alg, p, p_power, structure)
     verify_restrictedness(mod)
     return mod
@@ -318,7 +317,6 @@ def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
     Kac-Weisfeiler bound; reported, never assumed)."""
     p = module.p
     dim = module.dim
-    ring = GF(p)
     # each action as its columns, col -> [(row, coeff)], to act on {index: scalar} maps
     columns = []
     for m in module.action:
@@ -326,30 +324,37 @@ def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
         for (r, c), x in m.entries.items():
             cols.setdefault(c, []).append((r, x))
         columns.append(cols)
-    results = []
-    for s in range(seeds):
-        vec = {i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}
-        basis = VectorSpan(ring, dim)
-        basis.add(vec)
-        frontier = [vec]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for cols in columns:
-                    w = {}
-                    for i, x in v.items():
-                        for r, y in cols.get(i, ()):
-                            w[r] = (w.get(r, 0) + x * y) % p
-                    w = {r: y for r, y in w.items() if y}
-                    if basis.add(w):
-                        nxt.append(w)
-            frontier = nxt
-        results.append(basis.rank)
+    results = [_closure_rank({i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}, columns, p, dim)
+               for s in range(seeds)]
     return {
         "seeds": seeds,
         "full_closures": sum(1 for r in results if r == dim),
         "ranks": results,
     }
+
+
+def _closure_rank(vec: dict, columns: list, p: int, dim: int) -> int:
+    """Rank over F_p of the span of vec and its images under the actions,
+    closed breadth first.  Stops once the span is the whole space: no image
+    can raise the rank past dim."""
+    basis = VectorSpan(GF(p), dim)
+    basis.add(vec)
+    frontier = [vec]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for cols in columns:
+                w = {}
+                for i, x in v.items():
+                    for r, y in cols.get(i, ()):
+                        w[r] = (w.get(r, 0) + x * y) % p
+                w = {r: y for r, y in w.items() if y}
+                if basis.add(w):
+                    if basis.rank == dim:
+                        return dim
+                    nxt.append(w)
+        frontier = nxt
+    return basis.rank
 
 
 def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum | None = None) -> dict:

@@ -416,11 +416,15 @@ def find_induction_witness(lam: Partition, eps: int):
     if not validate_partition(lam, eps):
         raise ValueError(f"{lam} is not admissible for eps={eps}")
     target_dim = orbit_dim_formula(lam, eps)
+    alg = build_algebra(lam.size, eps)
+    dim_n = {}   # gl block sizes -> dim n; only data of the target dimension are embedded
     for datum in enumerate_levi_data(lam.size, eps):
-        _, _, n_idx = embed_datum(datum)
-        if not n_idx:
+        gl_sizes = tuple(a for a, _ in datum.gl_blocks)
+        if gl_sizes not in dim_n:
+            dim_n[gl_sizes] = len(nilradical_basis(alg, gl_sizes))
+        if not dim_n[gl_sizes]:
             continue
-        if datum_levi_orbit_dim(datum) + 2 * len(n_idx) != target_dim:
+        if datum_levi_orbit_dim(datum) + 2 * dim_n[gl_sizes] != target_dim:
             continue
         if induce_orbit(datum) == lam:
             return datum

@@ -113,10 +113,22 @@ def _holds(ring, coords) -> bool:
 @given(data=st.data())
 def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
     g = build_algebra(n, eps)
-    # one denominator (1: integer vectors), or mixed denominators 1, 2, 3, 6
-    dens = data.draw(st.sampled_from([(1,), (2,), (3,), (7,), (1, 2, 3, 6)]))
+    # int coordinates; Fraction coordinates over one denominator or over
+    # mixed denominators 1, 2, 3, 6; or ints and Fractions mixed in one vector
+    kind = data.draw(st.sampled_from(["int", "fraction", "mixed"]))
+    dens = (1,) if kind == "int" else data.draw(st.sampled_from([(1,), (2,), (3,), (7,), (1, 2, 3, 6)]))
     coords = st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from(dens)), min_size=g.dim, max_size=g.dim)
-    x, y = ([int(c) if dens == (1,) else c for c in data.draw(coords)] for _ in range(2))
+
+    def draw_vector():
+        cs = data.draw(coords)
+        if kind == "int":
+            return [int(c) for c in cs]
+        if kind == "fraction":
+            return cs
+        as_int = data.draw(st.lists(st.booleans(), min_size=g.dim, max_size=g.dim))
+        return [int(c) if f and c.denominator == 1 else c for c, f in zip(cs, as_int)]
+
+    x, y = draw_vector(), draw_vector()
     for ring in RINGS:
         if not _holds(ring, x + y):
             # coordinates are coerced first: a denominator the ring lacks raises
@@ -133,7 +145,50 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
             for i, v in enumerate(g.coordinates(commutator(xm, b.change_ring(ring)))):
                 if v != 0:
                     reference[(i, j)] = v
-        assert g.ad(x, ring) == SparseMatrix(g.dim, g.dim, ring, reference)
+        adx = g.ad(x, ring)
+        assert adx == SparseMatrix(g.dim, g.dim, ring, reference)
+        scalar = Fraction if ring.kind == "QQ" else int
+        assert all(type(v) is scalar for v in adx.entries.values())
+        if ring.kind == "GF":
+            assert all(0 < v < ring.p for v in adx.entries.values())
+
+
+def test_ad_raises_on_a_coordinate_the_ring_cannot_hold():
+    g = build_algebra(4, -1)
+    for k in (0, g.dim - 1):   # a Cartan element and a root vector
+        for ring, c in [(ZZ, Fraction(1, 2)), (GF(3), Fraction(2, 3))]:
+            x = [0] * g.dim
+            x[k] = c
+            with pytest.raises(ValueError):
+                g.ad(x, ring)
+        x = [0] * g.dim
+        x[k] = Fraction(4, 2)   # integral, though not an int
+        assert g.ad(x, ZZ) == g.ad([2 if i == k else 0 for i in range(g.dim)], ZZ)
+
+
+def _one_order_reference(g) -> list:
+    """The structure table as held for i < j alone, from matrix commutators:
+    row i maps j > i to the nonzero Chevalley coordinates of [B_i, B_j]."""
+    table = [{} for _ in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            coords = g.coordinates(commutator(g.basis[i], g.basis[j]))
+            terms = tuple((k, int(c)) for k, c in enumerate(coords) if c != 0)
+            if terms:
+                table[i][j] = terms
+    return table
+
+
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+def test_structure_table_is_antisymmetric_and_extends_the_one_order_table(n, eps):
+    g = build_algebra(n, eps)
+    table = g.structure
+    assert [{j: t for j, t in row.items() if j > i} for i, row in enumerate(table)] == _one_order_reference(g)
+    for i, row in enumerate(table):
+        assert i not in row
+        for j, terms in row.items():
+            assert table[j][i] == tuple((k, -c) for k, c in terms)
+            assert all(type(c) is int and c != 0 for _, c in terms)
 
 
 @pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)

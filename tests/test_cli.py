@@ -175,6 +175,42 @@ def test_oversized_verma_exits_2(prime, dim, monkeypatch):
     assert str(dim) in err and str(cli.MAX_MODULE_DIM) in err
 
 
+@pytest.mark.parametrize("argv", [
+    "algebra 45 1",
+    "algebra 80 1",
+    "centralizer 100,100 1",
+    "induce --n 60 --eps -1 --levi 1",
+])
+def test_oversized_n_exits_2(argv):
+    import time
+    from orbitforge import cli
+
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", *argv.split()],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and f"MAX_N = {cli.MAX_N}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, builder", [
+    ("algebra {n} -1", "build_algebra"),
+    ("orbit {m},1 1", "build_nilpotent"),   # (N - 1, 1): admissible in so_N for even N
+])
+def test_n_at_the_cap_is_accepted(argv, builder, monkeypatch):
+    from orbitforge import cli
+
+    class Reached(Exception):
+        pass
+
+    def build(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, builder, build)
+    with pytest.raises(Reached):
+        main(argv.format(n=cli.MAX_N, m=cli.MAX_N - 1).split())
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orbitforge.cli", "orbit", "4", "-1"],

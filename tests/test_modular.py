@@ -93,6 +93,28 @@ def test_restrictedness_cartan_diagonal():
     dense_ad_power_check(mod, 0)  # Cartan comes first in the basis order
 
 
+def _two_sign_structure(alg, p: int) -> dict:
+    """reduce_mod_p's table as built from the i < j half of the structure
+    table, each pair entered under both orders with the two signs."""
+    structure = {}
+    for a, row in enumerate(alg.structure):
+        for b, terms in row.items():
+            if b < a:
+                continue
+            for key, sign in (((a, b), 1), ((b, a), -1)):
+                entry = {c: sign * v % p for c, v in terms if v % p}
+                if entry:
+                    structure[key] = entry
+    return structure
+
+
+@pytest.mark.parametrize("n, eps", [(4, -1), (5, 1), (6, -1)])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduced_structure_matches_the_two_sign_table(n, eps, p):
+    alg = build_algebra(n, eps)
+    assert reduce_mod_p(alg, p).structure == _two_sign_structure(alg, p)
+
+
 def test_restrictedness_sweep():
     # full table checked inside reduce_mod_p
     for p in (3, 5, 7):
@@ -166,6 +188,58 @@ def test_siegel_module_sp4():
     assert probe["full_closures"] == 10
 
 
+def _full_closure_ranks(module, seeds: int) -> list:
+    """The probe's ranks from a breadth-first closure run to its end: every
+    image of every new vector is reduced, also after the span is full."""
+    from orbitforge.linalg import VectorSpan
+    from orbitforge.modular import _probe_seed
+
+    p, dim = module.p, module.dim
+    mats = [m.entries for m in module.action]
+    ranks = []
+    for s in range(seeds):
+        vec = {i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}
+        basis = VectorSpan(GF(p), dim)
+        basis.add(vec)
+        frontier = [vec]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for ent in mats:
+                    w = {}
+                    for (r, c), y in ent.items():
+                        if c in v:
+                            w[r] = (w.get(r, 0) + v[c] * y) % p
+                    w = {r: y for r, y in w.items() if y}
+                    if basis.add(w):
+                        nxt.append(w)
+            frontier = nxt
+        ranks.append(basis.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("datum", [SIEGEL_SP4, BOREL_SP4])
+def test_probe_stops_at_full_rank_with_the_full_closure_ranks(datum, monkeypatch):
+    from orbitforge import modular
+    from orbitforge.linalg import VectorSpan
+
+    module = build_induced_module(datum, 3)
+    want = _full_closure_ranks(module, 10)
+    adds = []
+
+    class CountingSpan(VectorSpan):
+        def add(self, vec):
+            adds.append(1)
+            return super().add(vec)
+
+    monkeypatch.setattr(modular, "VectorSpan", CountingSpan)
+    probe = submodule_probe(module, 10)
+    assert probe["ranks"] == want == [module.dim] * 10
+    # a full closure reduces all dim images under each of the dim g actions
+    # for every seed; the probe stops as soon as the span is the whole module
+    assert len(adds) < 10 * module.dim * len(module.action)
+
+
 def test_probe_finds_a_proper_submodule():
     # Block upper-triangular action on F_3^4: every unit matrix E_ij except
     # those mapping the first two coordinates to the last two, so
@@ -183,7 +257,8 @@ def test_probe_finds_a_proper_submodule():
     probe = submodule_probe(SimpleNamespace(p=p, dim=dim, action=action), 10)
     in_w = [not any(_probe_seed(s, dim, p)[w_dim:]) for s in range(10)]
     assert any(in_w) and not all(in_w)
-    assert probe["ranks"] == [w_dim if w else dim for w in in_w]
+    assert probe["ranks"] == [w_dim if w else dim for w in in_w] == _full_closure_ranks(
+        SimpleNamespace(p=p, dim=dim, action=action), 10)
     assert probe["full_closures"] == in_w.count(False)
 
 

@@ -3,6 +3,7 @@ oracle."""
 
 import pytest
 
+from orbitforge.algebra import build_algebra
 from orbitforge.linalg import commutator, rank_kernel
 from orbitforge.partitions import Partition, admissible_partitions, is_rigid
 from orbitforge.orbits import (
@@ -21,6 +22,8 @@ from orbitforge.orbits import (
     rigidity_oracle,
     find_induction_witness,
     ad_e_matrix,
+    embed_datum,
+    datum_levi_orbit_dim,
 )
 
 
@@ -141,8 +144,6 @@ def test_oracle_guard():
 
 
 def test_criterion_matches_oracle_small():
-    from orbitforge.algebra import build_algebra
-
     for n in range(2, 8):
         for eps in (1, -1):
             if eps == -1 and n % 2:
@@ -151,3 +152,33 @@ def test_criterion_matches_oracle_small():
                 continue
             for lam in admissible_partitions(n, eps):
                 assert is_rigid(lam, eps) == rigidity_oracle(lam, eps), (lam, eps)
+
+
+def _witness_embedding_every_datum(lam, eps):
+    """find_induction_witness as a search that embeds every datum, reading
+    dim n off the embedding, before the dimension test."""
+    target_dim = orbit_dim_formula(lam, eps)
+    for datum in enumerate_levi_data(lam.size, eps):
+        _, _, n_idx = embed_datum(datum)
+        if not n_idx:
+            continue
+        if datum_levi_orbit_dim(datum) + 2 * len(n_idx) != target_dim:
+            continue
+        if induce_orbit(datum) == lam:
+            return datum
+    return None
+
+
+RIGIDITY_SWEEP = [(lam, eps) for n in range(2, 9) for eps in (1, -1)
+                  if (eps == 1 or n % 2 == 0) and not build_algebra(n, eps).type_a_like
+                  for lam in admissible_partitions(n, eps)]
+
+
+# at N = 10: sp_10 (3,3,2,1,1) is rigid, so every datum is tried; (3,3,2,2)
+# is induced from a gl_3 Levi, past the data of smaller gl shapes
+N10_CASES = [(Partition((3, 3, 2, 1, 1)), -1), (Partition((3, 3, 2, 2)), -1)]
+
+
+@pytest.mark.parametrize("lam, eps", RIGIDITY_SWEEP + N10_CASES, ids=lambda v: str(v))
+def test_witness_matches_the_search_that_embeds_every_datum(lam, eps):
+    assert find_induction_witness(lam, eps) == _witness_embedding_every_datum(lam, eps)
