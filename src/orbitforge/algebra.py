@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .rings import Ring, ZZ, QQ
 from .linalg import SparseMatrix, add_product, commutator, inverse_rows, row_map, solve, sparse_vector
@@ -217,14 +218,17 @@ class ClassicalAlgebra:
         for k, m in enumerate(self.basis):
             if self.labels[k][0] == "h":
                 hmat.append([m[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)])
-        self._cartan_count = len(hmat)
-        self._cartan_inverse = inverse_rows([list(col) for col in zip(*hmat)])
-        if self._cartan_inverse is None:
+        inverse = inverse_rows([list(col) for col in zip(*hmat)])
+        if inverse is None:
             raise AssertionError("Cartan diagonal system is singular")
+        # the inverse as integer rows over one common denominator, 1 or 2
+        den = self._cartan_den = lcm(*(c.denominator for row in inverse for c in row))
+        self._cartan_rows = [[c.numerator * (den // c.denominator) for c in row] for row in inverse]
 
     def _cartan_coords(self, diag) -> list:
-        """Cartan coordinates (rational) from the diagonal entries on v_1..v_h."""
-        return [sum(c * d for c, d in zip(row, diag) if d) for row in self._cartan_inverse]
+        """_cartan_den times the Cartan coordinates, from the diagonal
+        entries on v_1..v_h."""
+        return [sum(n * d for n, d in zip(row, diag) if d) for row in self._cartan_rows]
 
     def coordinates(self, x: SparseMatrix):
         """Exact coordinates of x in the Chevalley basis; raises if x is not
@@ -240,7 +244,7 @@ class ClassicalAlgebra:
                 coords[k] = ring.div(val, ring.coerce(v))
         diag = [x[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)]
         for j, c in enumerate(self._cartan_coords(diag)):
-            coords[j] = ring.coerce(c)
+            coords[j] = ring.div(ring.coerce(c), self._cartan_den)
         # exact reconstruction check
         if self.from_coordinates(coords, ring) != x.change_ring(ring):
             raise ValueError("matrix is not in the algebra")
@@ -297,17 +301,18 @@ class ClassicalAlgebra:
     def _lattice_coords(self, m: dict) -> tuple:
         """((k, c), ...), c != 0 and k increasing: the integer Chevalley
         coordinates of the integer matrix {(row, col): entry}, read off the
-        identifying positions and the Cartan diagonal.  Unchecked; the
-        structure table certifies what it stores."""
+        identifying positions (lead entries +-1 or +-2) and the Cartan
+        diagonal, by integer division.  Unchecked; the structure table
+        certifies what it stores."""
         coords = {}
         for rc, val in m.items():
             hit = self._lead.get(rc)
             if hit is not None:
-                coords[hit[0]] = Fraction(val, hit[1])
+                coords[hit[0]] = val // hit[1]
         diag = [m.get((self.pos[i], self.pos[i]), 0) for i in range(1, self.h + 1)]
         if any(diag):
-            coords.update(enumerate(self._cartan_coords(diag)))
-        return tuple((k, ZZ.coerce(c)) for k, c in sorted(coords.items()) if c != 0)
+            coords.update((j, c // self._cartan_den) for j, c in enumerate(self._cartan_coords(diag)))
+        return tuple((k, c) for k, c in sorted(coords.items()) if c)
 
     def _bracket_terms(self, xs: dict, ys: dict) -> dict:
         table = self.structure

@@ -3,6 +3,11 @@ normal form and Kazhdan filtration, the W-algebra generators at degrees 0
 and 1, the lifting loop for higher degrees, the augmentation character of
 rigid cases, and the Casimir element.
 
+A generator theta_k of degree >= 2 is lifted once, by WSetup.lift: a sum of
+commutators of lower generators presenting x_k, cleared of every pure
+centraliser monomial but x_k.  The generator keeps what the clearing took
+off, its expansion, and the augmentation character reads c_k from it.
+
 The global PBW order is: x-part (a saturated lattice basis of the
 nonnegative degrees, centraliser vectors first), then the z-part (root
 vectors spanning n_+(-1)), then the m-part (normalised duals z' followed by
@@ -23,6 +28,8 @@ from .linalg import (
     complete_saturated_basis,
     rank_of_vectors,
     inverse_rows,
+    rank_kernel,
+    solve,
     sparse_vector,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
@@ -134,6 +141,7 @@ class ThetaGenerator:
     index: int            # position in the x-basis (< r)
     degree: int           # n_k
     value: dict           # Q normal form: word -> coefficient
+    expansion: dict       # what WSetup.lift cleared off; {} at degrees 0 and 1
 
     @property
     def kazhdan_degree(self) -> int:
@@ -155,15 +163,13 @@ class WSetup:
         self._build_basis()
         self._build_structure()
         self.thetas: dict[int, ThetaGenerator] = {}
+        self._mono_cache = {}
 
     # -- ordered basis -----------------------------------------------------
 
     def _build_basis(self):
         alg, gr, wd = self.alg, self.grading, self.wd
-        x_vectors = []
-        x_degrees = []
-        comp_vectors = []
-        comp_degrees = []
+        x_part, comp_part = [], []   # (vector, degree)
         blocks = {}
         for k in range(alg.dim):
             d = gr.degree[k]
@@ -173,22 +179,15 @@ class WSetup:
         for key in sorted(blocks):
             idxs = blocks[key]
             kern = integer_kernel_basis(ad_e.columns(idxs))
-            comp = complete_saturated_basis(kern, len(idxs))
-            for kv in kern:
-                vec = [Fraction(0)] * alg.dim
-                for jj, k in enumerate(idxs):
-                    vec[k] = Fraction(kv[jj])
-                x_vectors.append(tuple(vec))
-                x_degrees.append(key[0])
-            for cv in comp:
-                vec = [Fraction(0)] * alg.dim
-                for jj, k in enumerate(idxs):
-                    vec[k] = Fraction(cv[jj])
-                comp_vectors.append(tuple(vec))
-                comp_degrees.append(key[0])
-        self.r = len(x_vectors)
-        self.x_vectors = x_vectors + comp_vectors
-        self.x_degrees = x_degrees + comp_degrees
+            for part, vecs in ((x_part, kern), (comp_part, complete_saturated_basis(kern, len(idxs)))):
+                for v in vecs:
+                    vec = [_ZERO] * alg.dim
+                    for jj, k in enumerate(idxs):
+                        vec[k] = Fraction(v[jj])
+                    part.append((tuple(vec), key[0]))
+        self.r = len(x_part)
+        self.x_vectors = [v for v, _ in x_part + comp_part]
+        self.x_degrees = [d for _, d in x_part + comp_part]
         self.m_count = len(self.x_vectors)
 
         self.z_vectors = list(self.pair.z_plus)
@@ -281,6 +280,17 @@ class WSetup:
 
     # -- theta generators ------------------------------------------------------
 
+    def _head(self, x, scale):
+        """(x + scale sum_i [x, z'_i] z_i in U(g), the brackets [x, z'_i]),
+        for x given by its Chevalley coordinates."""
+        xs = sparse_vector(x, QQ)
+        brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
+        t = self.embed(xs)
+        for i, br in enumerate(brs):
+            if br:
+                t = elem_add(t, self.U.mul(self.embed(br), self.gen(self.z_start + i)), scale)
+        return t, brs
+
     def theta_zero(self, x) -> dict:
         """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i, for x given by
         its Chevalley coordinates.
@@ -290,36 +300,7 @@ class WSetup:
         z-letter on either side; the sign is forced by ad-m-invariance and
         the letter placement by the commutator law on degree zero, both of
         which are verified downstream."""
-        xs = sparse_vector(x, QQ)
-        t = self.embed(xs)
-        for i, zp in enumerate(self._z_minus):
-            br = self.alg.sparse_bracket(xs, zp)
-            if br:
-                t = elem_add(t, self.U.mul(self.embed(br), self.gen(self.z_start + i)), Fraction(1, 2))
-        return self.q_project(t)
-
-    def _theta_one_cubic(self, x) -> dict:
-        """x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i, the
-        part of the degree-1 generator above its linear-in-z tail."""
-        xs = sparse_vector(x, QQ)
-        t = self.embed(xs)
-        brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
-        for i, bri in enumerate(brs):
-            if bri:
-                t = elem_add(t, self.U.mul(self.embed(bri), self.gen(self.z_start + i)), Fraction(1))
-        for i, bri in enumerate(brs):
-            if not bri:
-                continue
-            for j, zp in enumerate(self._z_minus):
-                brij = self.alg.sparse_bracket(bri, zp)
-                if not brij:
-                    continue
-                prod = self.U.mul(
-                    self.embed(brij),
-                    self.U.mul(self.gen(self.z_start + j), self.gen(self.z_start + i)),
-                )
-                t = elem_add(t, prod, Fraction(1, 3))
-        return self.q_project(t)
+        return self.q_project(self._head(x, Fraction(1, 2))[0])
 
     def theta_one(self, x) -> dict:
         """Degree-1 generator: the cubic part plus the unique linear-in-z tail
@@ -329,8 +310,18 @@ class WSetup:
         tail term c_i z_i, so cancelling the constant defects of the cubic
         part determines the tail; the quoted closed expression for the tail
         is inconsistent across ranks (see theta_one_reference_tail) and the
-        invariance requirement arbitrates."""
-        t = self._theta_one_cubic(x)
+        invariance requirement arbitrates.  Above the tail it is
+        x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i."""
+        t, brs = self._head(x, Fraction(1))
+        for i, bri in enumerate(brs):
+            if not bri:
+                continue
+            for j, zp in enumerate(self._z_minus):
+                brij = self.alg.sparse_bracket(bri, zp)
+                if brij:
+                    zz = self.U.mul(self.gen(self.z_start + j), self.gen(self.z_start + i))
+                    t = elem_add(t, self.U.mul(self.embed(brij), zz), Fraction(1, 3))
+        t = self.q_project(t)
         for l in range(self.s):
             defect = self.q_project(self.U.comm(self.gen(self.m_start + l), dict(t)))
             if not defect:
@@ -380,13 +371,17 @@ class WSetup:
         if k >= self.r:
             raise ValueError("theta generators exist only for centraliser basis vectors")
         n = self.x_degrees[k]
+        expansion = {}
         if n == 0:
             val = self.theta_zero(self.basis_vectors[k])
         elif n == 1:
             val = self.theta_one(self.basis_vectors[k])
         else:
-            val = self._lift_theta(k)
-        th = ThetaGenerator(k, n, val)
+            val, expansion = self.lift(k)
+            lead = val.get((k,), Fraction(0))
+            if lead != 1:
+                raise AssertionError(f"lifted theta(x_{k}) has leading coefficient {lead}")
+        th = ThetaGenerator(k, n, val, expansion)
         wit = self.ad_m_invariant(val)
         if wit is not None:
             raise AssertionError(
@@ -429,8 +424,6 @@ class WSetup:
         msolve = SparseMatrix(self.dim, len(pairs), QQ, cols)
         target = [Fraction(0)] * self.dim
         target[k] = Fraction(1)
-        from .linalg import solve, rank_kernel
-
         sol = solve(msolve, target)
         if sol is None:
             raise ValueError(
@@ -446,9 +439,7 @@ class WSetup:
         return [(pairs[j], sol[j]) for j in range(len(pairs)) if sol[j] != 0]
 
     def _theta_monomial(self, word: tuple) -> dict:
-        cache = getattr(self, "_mono_cache", None)
-        if cache is None:
-            cache = self._mono_cache = {}
+        cache = self._mono_cache
         if word in cache:
             return cache[word]
         out = {(): Fraction(1)}
@@ -458,15 +449,6 @@ class WSetup:
         cache[word] = out
         return out
 
-    def _pure_terms(self, qnf: dict, exclude: tuple | None):
-        out = []
-        for word, c in qnf.items():
-            if word == exclude:
-                continue
-            if all(k < self.r for k in word):
-                out.append((word, c))
-        return out
-
     def _clear(self, h: dict, k: int | None, max_iter: int = 20000):
         """Subtract theta monomials until no pure centraliser-supported
         monomial other than (k,) remains; returns (result, expansion)."""
@@ -474,7 +456,7 @@ class WSetup:
         expansion = {}
         h = dict(h)
         for _ in range(max_iter):
-            pure = self._pure_terms(h, exclude)
+            pure = [(w, c) for w, c in h.items() if w != exclude and all(i < self.r for i in w)]
             if not pure:
                 return h, expansion
             word, coeff = min(
@@ -489,18 +471,17 @@ class WSetup:
             h = elem_add(h, self._theta_monomial(word), -coeff)
         raise AssertionError("clearing loop failed to terminate")
 
-    def _lift_theta(self, k: int) -> dict:
-        pres = self.commutator_presentation(k)
+    def lift(self, k: int, perturb: int = 0):
+        """(value, expansion) for the generator of x_k, of degree >= 2: the
+        sum h = sum c [theta_p, theta_q] over commutator_presentation(k,
+        perturb), cleared by _clear to value, with h - value =
+        sum expansion[w] theta^w."""
         h: dict = {}
-        for (p, q), c in pres:
+        for (p, q), c in self.commutator_presentation(k, perturb):
             tp = dict(self.build_theta(p).value)
             tq = dict(self.build_theta(q).value)
             h = elem_add(h, self.q_project(self.U.comm(tp, tq)), c)
-        cleared, _ = self._clear(h, k)
-        lead = cleared.get((k,), Fraction(0))
-        if lead != 1:
-            raise AssertionError(f"lifted theta(x_{k}) has leading coefficient {lead}")
-        return cleared
+        return self._clear(h, k)
 
     def _check_shape(self, th: ThetaGenerator):
         top = th.kazhdan_degree
@@ -586,36 +567,28 @@ def pbw_basis_check(setup: WSetup, bound: int) -> dict:
     }
 
 
+def _character_value(c: dict, expansion: dict):
+    """phi(sum expansion[w] theta^w) = sum expansion[w] prod_{i in w} c_i."""
+    val = Fraction(0)
+    for word, coeff in expansion.items():
+        prod = coeff
+        for i in word:
+            if i not in c:
+                raise AssertionError("character recursion out of order")
+            prod *= c[i]
+        val += prod
+    return val
+
+
 def augmentation_character(setup: WSetup) -> dict:
     """The one-dimensional character theta(x_k) -> c_k of U(g, e) for rigid
-    classical e (perfect centraliser)."""
+    classical e (perfect centraliser).  The character kills the commutator
+    sum theta_k + sum expansion[w] theta^w that lifted theta_k, so c_k is
+    minus the character of the expansion, read in degree order."""
     setup.build_all_thetas()
     c = {}
     for k in sorted(range(setup.r), key=lambda k: (setup.x_degrees[k], k)):
-        n = setup.x_degrees[k]
-        if n <= 1:
-            c[k] = Fraction(0)
-            continue
-        pres = setup.commutator_presentation(k)
-        h: dict = {}
-        for (p, q), coeff in pres:
-            tp = dict(setup.thetas[p].value)
-            tq = dict(setup.thetas[q].value)
-            h = elem_add(h, setup.q_project(setup.U.comm(tp, tq)), coeff)
-        expansion = setup.expand_in_theta(h)
-        if expansion.get((k,), None) != 1:
-            raise AssertionError("presentation does not lead with x_k")
-        val = Fraction(0)
-        for word, coeff in expansion.items():
-            if word == (k,):
-                continue
-            prod = coeff
-            for i in word:
-                if i not in c:
-                    raise AssertionError("character recursion out of order")
-                prod *= c[i]
-            val += prod
-        c[k] = -val
+        c[k] = -_character_value(c, setup.thetas[k].expansion)
         if not is_two_power_denominator(c[k]):
             raise AssertionError(f"character value c_{k} = {c[k]} is not in Z[1/2]")
     return c
@@ -629,14 +602,7 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
             br = setup.q_project(
                 setup.U.comm(dict(setup.thetas[i].value), dict(setup.thetas[j].value))
             )
-            expansion = setup.expand_in_theta(br)
-            val = Fraction(0)
-            for word, coeff in expansion.items():
-                prod = coeff
-                for k in word:
-                    prod *= c[k]
-                val += prod
-            if val != 0:
+            if _character_value(c, setup.expand_in_theta(br)) != 0:
                 return False
     return True
 
@@ -662,8 +628,6 @@ def casimir(setup: WSetup) -> CasimirElement:
     amat = SparseMatrix.from_dense(
         [[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ
     )
-    from .linalg import solve
-
     t_coords = []
     for j in range(l):
         rhs = [Fraction(1) if i == j else Fraction(0) for i in range(l)]

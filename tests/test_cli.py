@@ -193,6 +193,27 @@ def test_oversized_n_exits_2(argv):
     assert proc.stderr.startswith("error:") and f"MAX_N = {cli.MAX_N}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "induce --n 2 --eps 1 --levi 1",
+    "verma 1,1 1 --levi 1 --prime 3",
+])
+def test_zero_nilradical_is_a_usage_error(argv, monkeypatch):
+    # so_2 is its own Levi: the parabolic is not proper; refused before any
+    # induction or module work, with the Levi shape named
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", *argv.split()],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: Levi shape 1 has zero nilradical: not a proper parabolic\n"
+    from orbitforge import cli
+
+    def work(*args):
+        raise AssertionError("work began on a zero nilradical")
+
+    for name in ("induce_orbit", "build_induced_module", "InductionDatum"):
+        monkeypatch.setattr(cli, name, work)
+    assert run_cli(*argv.split())[0] == 2
+
+
 @pytest.mark.parametrize("argv, builder", [
     ("algebra {n} -1", "build_algebra"),
     ("orbit {m},1 1", "build_nilpotent"),   # (N - 1, 1): admissible in so_N for even N

@@ -499,20 +499,37 @@ def test_lift_order_independence(sp6):
         if sp6.x_degrees[k] < 2:
             continue
         try:
-            pres2 = sp6.commutator_presentation(k, perturb=1)
+            value, _ = sp6.lift(k, perturb=1)
         except ValueError:
             continue
-        h = {}
-        for (p, q), c in pres2:
-            h = elem_add(
-                h,
-                sp6.q_project(sp6.U.comm(dict(sp6.thetas[p].value), dict(sp6.thetas[q].value))),
-                c,
-            )
-        cleared, _ = sp6._clear(h, k)
-        assert cleared == sp6.thetas[k].value
+        assert value == sp6.thetas[k].value
         checked += 1
     assert checked > 0
+
+
+LIFT_CASES = [((2, 1, 1), -1), ((2, 1, 1, 1, 1), -1), ((2, 2, 1), 1),
+              ((2, 2, 1, 1, 1), 1), ((2, 2, 2, 1, 1), -1), ((3, 2, 2, 1), 1)]
+
+
+@pytest.mark.parametrize("parts,eps", LIFT_CASES)
+def test_the_stored_expansion_is_the_whole_expansion_of_the_commutator_sum(parts, eps):
+    # theta_k has no pure centraliser monomial but (k,), so expanding the
+    # commutator sum that lifted it in the theta basis gives the stored
+    # expansion plus theta_k itself; so_8 (3,2,2,1) lifts its degree-3
+    # generators through the degree-2 ones
+    setup = WSetup(build_nilpotent(Partition(parts), eps))
+    setup.build_all_thetas()
+    high = [k for k in range(setup.r) if setup.x_degrees[k] >= 2]
+    assert high
+    for k in high:
+        h = {}
+        for (p, q), c in setup.commutator_presentation(k):
+            br = setup.U.comm(dict(setup.thetas[p].value), dict(setup.thetas[q].value))
+            h = elem_add(h, setup.q_project(br), c)
+        assert setup.expand_in_theta(h) == {**setup.thetas[k].expansion, (k,): 1}
+    assert all(setup.thetas[k].expansion == {} for k in range(setup.r) if k not in high)
+    if parts == (3, 2, 2, 1):
+        assert {setup.x_degrees[k] for k in high} == {2, 3}
 
 
 def test_pbw_bound_zero(sp4):
