@@ -21,7 +21,7 @@ class ClassicalAlgebra:
     def __init__(self, N: int, eps: int):
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        if N < 1 or (eps == -1 and N % 2 != 0):
+        if N < 2 or (eps == -1 and N % 2 != 0):
             raise ValueError(f"invalid (N, eps) = ({N}, {eps})")
         self.N = N
         self.eps = eps

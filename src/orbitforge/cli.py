@@ -32,6 +32,7 @@ from .partitions import (
 )
 from .algebra import build_algebra
 from .orbits import (
+    ORACLE_MAX_N,
     InductionDatum,
     build_nilpotent,
     complete_sl2,
@@ -178,28 +179,28 @@ def cmd_algebra(args) -> int:
 
 
 def _require_levi(alg, sizes):
-    """(m, dim n): the residual size and the nilradical dimension of the
-    parabolic of alg with gl blocks of sizes; exits 2, before any work,
-    unless the blocks fit and the parabolic is proper."""
-    m = alg.N - 2 * sum(sizes)
-    if m < 0:
+    """The nilradical dimension of the parabolic of alg with gl blocks of
+    sizes; exits 2, before any work, unless the blocks fit and the parabolic
+    is proper."""
+    if 2 * sum(sizes) > alg.N:
         error = "Levi shape does not fit"
     elif not (dim_n := len(nilradical_basis(alg, sizes))):
         error = f"Levi shape {','.join(map(str, sizes))} has zero nilradical: not a proper parabolic"
     else:
-        return m, dim_n
+        return dim_n
     print(f"error: {error}", file=sys.stderr)
     raise SystemExit(2)
 
 
 def _require_admissible(args):
     """The partition argument; exits 2 when it is not admissible for eps or
-    its size is above MAX_N."""
+    its size names no algebra (N < 2 or N > MAX_N)."""
     lam = args.partition
     _require_size(lam.size)
     if not validate_partition(lam, args.eps):
         print(f"error: {lam} is not admissible for eps={args.eps}", file=sys.stderr)
         raise SystemExit(2)
+    _require_algebra(lam.size, args.eps)
     return lam
 
 
@@ -321,16 +322,12 @@ def cmd_wgen(args) -> int:
 def cmd_verma(args) -> int:
     lam = _require_admissible(args)
     sizes = args.levi
-    m, dim_n = _require_levi(build_algebra(lam.size, args.eps), sizes)
+    dim_n = _require_levi(build_algebra(lam.size, args.eps), sizes)
     if args.prime ** dim_n > MAX_MODULE_DIM:
         print(f"error: the induced module would have dimension {args.prime}^{dim_n} = "
               f"{args.prime ** dim_n}, above the cap of {MAX_MODULE_DIM}", file=sys.stderr)
         return 2
-    datum = InductionDatum(
-        lam.size, args.eps,
-        tuple((a, Partition((1,) * a)) for a in sizes),
-        Partition((1,) * m) if m else Partition(()),
-    )
+    datum = InductionDatum.zero_orbit(lam.size, args.eps, sizes)
     induced = induce_orbit(datum)
     if induced != lam:
         print(f"error: datum induces {induced}, not {lam}", file=sys.stderr)
@@ -357,17 +354,16 @@ def cmd_verma(args) -> int:
 
 def cmd_induce(args) -> int:
     sizes = args.levi
-    m, _ = _require_levi(_require_algebra(args.n, args.eps), sizes)
-    gl_orbits = [Partition((1,) * a) for a in sizes]
+    _require_levi(_require_algebra(args.n, args.eps), sizes)
+    zero = InductionDatum.zero_orbit(args.n, args.eps, sizes)
+    gl_orbits = [mu for _, mu in zero.gl_blocks]
     if args.orbits:
         gl_orbits = args.orbits
         if len(gl_orbits) != len(sizes) or any(mu.size != a for mu, a in zip(gl_orbits, sizes)):
             print("error: orbit list does not match the Levi shape", file=sys.stderr)
             return 2
-    residual = args.residual if args.residual else (
-        Partition((1,) * m) if m else Partition(())
-    )
-    if residual.size != m:
+    residual = args.residual or zero.residual
+    if residual.size != zero.residual.size:
         print("error: residual orbit does not match the Levi shape", file=sys.stderr)
         return 2
     datum = InductionDatum(args.n, args.eps, tuple(zip(sizes, gl_orbits)), residual)
@@ -384,7 +380,7 @@ def cmd_induce(args) -> int:
 def cmd_rigidity(args) -> int:
     lam = _require_admissible(args)
     criterion = is_rigid(lam, args.eps)
-    witness = find_induction_witness(lam, args.eps) if lam.size <= 8 else None
+    witness = find_induction_witness(lam, args.eps) if lam.size <= ORACLE_MAX_N else None
     out = {
         "schema_version": SCHEMA_VERSION,
         "partition": str(lam),
@@ -392,7 +388,7 @@ def cmd_rigidity(args) -> int:
         "rigid_criterion": criterion,
         "almost_rigid": is_almost_rigid(lam),
     }
-    if lam.size <= 8:
+    if lam.size <= ORACLE_MAX_N:
         out["oracle_rigid"] = witness is None
         out["witness"] = str(witness) if witness else None
     _emit(out)
@@ -412,7 +408,7 @@ def cmd_explain(args) -> int:
     lines = [
         f"orbit {lam} in {name}_{lam.size}:",
         f"  dim O = {dim_orbit}, d(chi) = {d_chi}",
-        f"  rigid: {rigid}" + ("" if rigid or lam.size > 8 else _richardson_note(lam, args.eps)),
+        f"  rigid: {rigid}" + ("" if rigid or lam.size > ORACLE_MAX_N else _richardson_note(lam, args.eps)),
         f"  almost rigid: {is_almost_rigid(lam)}",
         f"  very even: {is_very_even(lam, args.eps)}",
         f"  centraliser: dim {cb.dim}, graded {cb.graded_dims()}",
@@ -548,10 +544,7 @@ def _rigidity(lam, eps, config):
     if crit and not is_almost_rigid(lam):
         raise AssertionError("rigid but not almost rigid")
     if crit:
-        cb = compute_centralizer(build_nilpotent(lam, eps))
-        if derived_subalgebra(cb).codim != 0:
-            raise AssertionError("rigid centraliser is not perfect")
-        _perfect(cb.rep, config.primes)
+        _perfect(build_nilpotent(lam, eps), config.primes)
 
 
 def _perfect(rep, primes):
@@ -668,10 +661,8 @@ def _stability(lam, eps, config):
 
 # (key, induction datum, induced orbit, dim n) of the sp_4 modules built at p = 3, 5
 SP4_MODULES = (
-    ("baby verma sp4 (4)", InductionDatum(4, -1, ((1, Partition((1,))), (1, Partition((1,)))), Partition(())),
-     Partition((4,)), 4),
-    ("siegel module sp4 (2,2)", InductionDatum(4, -1, ((2, Partition((1, 1))),), Partition(())),
-     Partition((2, 2)), 3),
+    ("baby verma sp4 (4)", InductionDatum.zero_orbit(4, -1, (1, 1)), Partition((4,)), 4),
+    ("siegel module sp4 (2,2)", InductionDatum.zero_orbit(4, -1, (2,)), Partition((2, 2)), 3),
 )
 
 
@@ -707,7 +698,7 @@ SUITES = {
     "representatives": partial(_sweep_cases, bound=12, check=_representative),
     "zeta": partial(_sweep_cases, bound=8, check=_zeta),
     "generation": partial(_sweep_cases, bound=12, check=_generation, keep=lambda lam, eps: is_almost_rigid(lam)),
-    "rigidity": partial(_sweep_cases, bound=8, check=_rigidity,
+    "rigidity": partial(_sweep_cases, bound=ORACLE_MAX_N, check=_rigidity,
                         keep=lambda lam, eps: not build_algebra(lam.size, eps).type_a_like),
     "saturation": partial(_sweep_cases, bound=8, check=_saturation),
     "walgebra": walgebra_cases,

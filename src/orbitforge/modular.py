@@ -10,6 +10,7 @@ the package; the identities are checked by full sparse matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .rings import GF
 from .linalg import SparseMatrix, VectorSpan, rank_kernel
@@ -20,10 +21,13 @@ from .orbits import (
     dynkin_grading,
     embed_datum,
     datum_levi_orbit_dim,
+    generic_datum_sample,
+    nilradical_basis,
     orbit_dim_formula,
     ad_e_matrix,
+    parabolic,
 )
-from .algebra import ClassicalAlgebra
+from .algebra import ClassicalAlgebra, build_algebra
 
 
 @dataclass
@@ -134,8 +138,6 @@ class _VermaBuilder:
         return self.index_of[mono]
 
     def enumerate_basis(self):
-        from itertools import product
-
         for expo in product(range(self.p), repeat=len(self.f_idx)):
             self._mono_index(tuple(expo))
 
@@ -201,45 +203,27 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
             raise ValueError("induced-module base case needs the zero Levi orbit")
     if datum.residual.parts and any(x != 1 for x in datum.residual.parts):
         raise ValueError("induced-module base case needs the zero residual orbit")
-    alg, x_levi, n_idx = embed_datum(datum)
+    alg, x_levi, _ = embed_datum(datum)
     if not x_levi.is_zero():
         raise AssertionError("zero orbit embedded to a nonzero element")
     mod = reduce_mod_p(alg, p)
     # the inducing element: certified generic sample inside n
-    from .orbits import generic_datum_sample
-
-    e, induced = generic_datum_sample(datum)
+    e, _ = generic_datum_sample(datum)
     e_coords = alg.coordinates(e)
 
     ring = GF(p)
     chi = tuple(ring.coerce(v) for v in alg.kappa_row(e_coords))
-    # chi vanishes on the parabolic p = levi + n_+
-    from .orbits import levi_weight_function
-
-    n_plus = set(n_idx)
-    wt = levi_weight_function(alg.N, alg.eps, tuple(a for a, _ in datum.gl_blocks))
-    f_idx = []
-    levi_idx = []
-    for k in range(alg.dim):
-        wset = set()
-        for (r, c), _ in alg.basis[k].items():
-            wset.add(wt.get(alg.indices[r], 0) - wt.get(alg.indices[c], 0))
-        w = wset.pop()
-        if k in n_plus:
-            continue
-        if w < 0:
-            f_idx.append(k)
-        else:
-            levi_idx.append(k)
-    if len(f_idx) != len(n_idx):
+    f_idx, levi_idx, n_plus = parabolic(alg, datum.gl_sizes)
+    if len(f_idx) != len(n_plus):
         raise AssertionError("opposite nilradical has the wrong dimension")
-    for k in levi_idx + sorted(n_plus):
+    # chi vanishes on the parabolic p = levi + n_+
+    for k in levi_idx + n_plus:
         if chi[k] != 0:
             raise AssertionError("chi does not vanish on the parabolic")
 
     lam0 = dict(lam0 or {})
     for k in lam0:
-        if k not in set(levi_idx):
+        if k not in levi_idx:
             raise ValueError("lam0 must be supported on the Levi")
     # lam0 must be a character of the Levi: it kills [l, l]
     for a in levi_idx:
@@ -371,9 +355,9 @@ def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum | Non
         "small_dimension": p ** d_chi,
     }
     if datum is not None:
-        _, _, n_idx = embed_datum(datum)
+        dim_n = len(nilradical_basis(build_algebra(datum.N, datum.eps), datum.gl_sizes))
         d_bar = datum_levi_orbit_dim(datum) // 2
-        out["dim_n"] = len(n_idx)
+        out["dim_n"] = dim_n
         out["d_chi_bar"] = d_bar
-        out["induction_identity"] = len(n_idx) + d_bar == d_chi
+        out["induction_identity"] = dim_n + d_bar == d_chi
     return out

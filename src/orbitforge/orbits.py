@@ -1,11 +1,17 @@
 """Nilpotent representatives from pyramids, Dynkin gradings, sl2-completion,
 Jordan types, orbit dimensions and the Lusztig-Spaltenstein induction oracle.
+
+Gradings of g come from integer weights on the signed indices of k^N:
+`basis_degrees` is the one place that reads the degree of a Chevalley basis
+element off its matrix.  The Dynkin grading and `parabolic`, the split
+n_- + l + n_+ of g for a Levi of given gl block sizes, both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .rings import QQ
 from .linalg import SparseMatrix, commutator, rank_kernel, solve
@@ -121,17 +127,23 @@ class DynkinGrading:
         return self.layers.get(d, [])
 
 
-def dynkin_grading(rep: NilpotentRep) -> DynkinGrading:
-    alg, pyr = rep.algebra, rep.pyramid
-    weight = {a: pyr.col[a] for a in pyr.boxes()}
+def basis_degrees(alg: ClassicalAlgebra, weight: dict) -> tuple:
+    """Degree of each Chevalley basis element when v_a has degree weight[a]
+    (0 for a signed index a not in weight); raises unless every basis
+    element is homogeneous."""
     degs = []
-    for k, m in enumerate(alg.basis):
-        dset = set()
-        for (r, c), _ in m.items():
-            dset.add(weight[alg.indices[r]] - weight[alg.indices[c]])
+    for m in alg.basis:
+        dset = {weight.get(alg.indices[r], 0) - weight.get(alg.indices[c], 0) for (r, c), _ in m.items()}
         if len(dset) != 1:
-            raise AssertionError("basis element not homogeneous for the Dynkin grading")
+            raise AssertionError("basis element not homogeneous for the grading")
         degs.append(dset.pop())
+    return tuple(degs)
+
+
+def dynkin_grading(rep: NilpotentRep) -> DynkinGrading:
+    pyr = rep.pyramid
+    weight = {a: pyr.col[a] for a in pyr.boxes()}
+    degs = basis_degrees(rep.algebra, weight)
     layers = {}
     for k, d in enumerate(degs):
         layers.setdefault(d, []).append(k)
@@ -141,7 +153,7 @@ def dynkin_grading(rep: NilpotentRep) -> DynkinGrading:
     for k, c in enumerate(rep.e_coords):
         if c != 0 and degs[k] != 2:
             raise AssertionError("e is not homogeneous of degree 2")
-    return DynkinGrading(rep, weight, tuple(degs), layers)
+    return DynkinGrading(rep, weight, degs, layers)
 
 
 def graded_dims(gr: DynkinGrading) -> dict:
@@ -237,6 +249,16 @@ class InductionDatum:
     gl_blocks: tuple          # tuple of (a_t, Partition mu_t)
     residual: Partition       # partition of m = N - 2*sum(a_t); may be empty
 
+    @classmethod
+    def zero_orbit(cls, N: int, eps: int, gl_sizes) -> "InductionDatum":
+        """The datum with the zero orbit on every gl block and on the residual."""
+        return cls(N, eps, tuple((a, Partition((1,) * a)) for a in gl_sizes),
+                   Partition((1,) * (N - 2 * sum(gl_sizes))))
+
+    @property
+    def gl_sizes(self) -> tuple:
+        return tuple(a for a, _ in self.gl_blocks)
+
     def __str__(self):
         gls = " x ".join(f"gl_{a}[{mu}]" for a, mu in self.gl_blocks)
         res = f" x g_{self.residual.size}[{self.residual}]" if self.residual.parts else ""
@@ -246,40 +268,33 @@ class InductionDatum:
 def _block_indices(N: int, gl_sizes):
     """Outermost signed indices for the gl blocks; the residual keeps the
     inner indices and the central one."""
-    h = N // 2
     blocks = []
-    nxt = h
+    nxt = N // 2
     for a in gl_sizes:
         blocks.append(tuple(range(nxt, nxt - a, -1)))
         nxt -= a
-    return blocks, nxt  # residual half-size
+    return blocks
 
 
-def levi_weight_function(N: int, eps: int, gl_sizes):
-    blocks, _ = _block_indices(N, gl_sizes)
-    wt = {}
-    k = len(blocks)
-    for t, blk in enumerate(blocks):
+@lru_cache(maxsize=None)
+def parabolic(alg: ClassicalAlgebra, gl_sizes: tuple):
+    """(n_minus, levi, n_plus): the Chevalley basis indices of negative, zero
+    and positive degree when block t of the k gl blocks has degree k - t, its
+    dual -(k - t), and the residual 0."""
+    k = len(gl_sizes)
+    weight = {}
+    for t, blk in enumerate(_block_indices(alg.N, gl_sizes)):
         for b in blk:
-            wt[b] = k - t
-            wt[-b] = -(k - t)
-    return wt
+            weight[b], weight[-b] = k - t, t - k
+    degs = basis_degrees(alg, weight)
+    return (tuple(i for i, d in enumerate(degs) if d < 0),
+            tuple(i for i, d in enumerate(degs) if d == 0),
+            tuple(i for i, d in enumerate(degs) if d > 0))
 
 
 def nilradical_basis(alg: ClassicalAlgebra, gl_sizes):
     """Indices of Chevalley basis elements of positive Levi weight."""
-    wt = levi_weight_function(alg.N, alg.eps, gl_sizes)
-    out = []
-    for k, m in enumerate(alg.basis):
-        wset = set()
-        for (r, c), _ in m.items():
-            wset.add(wt.get(alg.indices[r], 0) - wt.get(alg.indices[c], 0))
-        if len(wset) != 1:
-            raise AssertionError("basis element not homogeneous for the Levi weight")
-        w = wset.pop()
-        if w > 0:
-            out.append(k)
-    return out
+    return parabolic(alg, tuple(gl_sizes))[2]
 
 
 def _embed_gl_jordan(alg: ClassicalAlgebra, block, mu: Partition) -> SparseMatrix:
@@ -296,18 +311,15 @@ def _embed_gl_jordan(alg: ClassicalAlgebra, block, mu: Partition) -> SparseMatri
 def embed_datum(datum: InductionDatum):
     """The Levi representative (as a matrix) and the nilradical basis."""
     alg = build_algebra(datum.N, datum.eps)
-    gl_sizes = tuple(a for a, _ in datum.gl_blocks)
-    blocks, _ = _block_indices(datum.N, gl_sizes)
     x = SparseMatrix.zeros(alg.N, alg.N, QQ)
-    for (a, mu), blk in zip(datum.gl_blocks, blocks):
+    for (a, mu), blk in zip(datum.gl_blocks, _block_indices(datum.N, datum.gl_sizes)):
         x = x + _embed_gl_jordan(alg, blk, mu)
     if datum.residual.parts and datum.residual.size >= 2:
         sub = build_nilpotent(datum.residual, datum.eps)
         for (r, c), v in sub.e.items():
             a, b = sub.algebra.indices[r], sub.algebra.indices[c]
             x = x + alg.unit(a, b, v)
-    n_idx = nilradical_basis(alg, gl_sizes)
-    return alg, x, n_idx
+    return alg, x, nilradical_basis(alg, datum.gl_sizes)
 
 
 def datum_levi_orbit_dim(datum: InductionDatum) -> int:
@@ -373,17 +385,12 @@ def enumerate_levi_data(N: int, eps: int, with_orbits: bool = True):
         m = N - 2 * total
         for sizes in _partition_multisets(total):
             if with_orbits:
-                gl_choices = _gl_orbit_choices(sizes)
-                res_choices = admissible_partitions(m, eps) if m >= 2 else (
-                    [Partition((1,))] if m == 1 else [Partition(())]
-                )
-                for gls in gl_choices:
+                res_choices = admissible_partitions(m, eps)
+                for gls in _gl_orbit_choices(sizes):
                     for res in res_choices:
                         out.append(InductionDatum(N, eps, gls, res))
             else:
-                gls = tuple((a, Partition((1,) * a)) for a in sizes)
-                res = Partition((1,) * m) if m else Partition(())
-                out.append(InductionDatum(N, eps, gls, res))
+                out.append(InductionDatum.zero_orbit(N, eps, sizes))
     return out
 
 
@@ -404,7 +411,11 @@ def _gl_orbit_choices(sizes):
     return out
 
 
-def rigidity_oracle(lam: Partition, eps: int, max_n: int = 8):
+# Largest N the rigidity oracle sweeps: it tries every Levi datum of g_N.
+ORACLE_MAX_N = 8
+
+
+def rigidity_oracle(lam: Partition, eps: int, max_n: int = ORACLE_MAX_N):
     """True iff no proper Levi datum induces to lam; exhaustive sweep."""
     if lam.size > max_n:
         raise ValueError(f"rigidity oracle guarded at N <= {max_n}")
@@ -417,14 +428,10 @@ def find_induction_witness(lam: Partition, eps: int):
         raise ValueError(f"{lam} is not admissible for eps={eps}")
     target_dim = orbit_dim_formula(lam, eps)
     alg = build_algebra(lam.size, eps)
-    dim_n = {}   # gl block sizes -> dim n; only data of the target dimension are embedded
     for datum in enumerate_levi_data(lam.size, eps):
-        gl_sizes = tuple(a for a, _ in datum.gl_blocks)
-        if gl_sizes not in dim_n:
-            dim_n[gl_sizes] = len(nilradical_basis(alg, gl_sizes))
-        if not dim_n[gl_sizes]:
-            continue
-        if datum_levi_orbit_dim(datum) + 2 * dim_n[gl_sizes] != target_dim:
+        # only data of the target dimension are embedded
+        dim_n = len(nilradical_basis(alg, datum.gl_sizes))
+        if not dim_n or datum_levi_orbit_dim(datum) + 2 * dim_n != target_dim:
             continue
         if induce_orbit(datum) == lam:
             return datum

@@ -23,7 +23,8 @@ from .linalg import (
     sparse_vector,
     VectorSpan,
 )
-from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, DynkinGrading
+from .orbits import NilpotentRep, ad_e_matrix, centralizer_dim_formula, dynkin_grading, DynkinGrading
+from .centralizer import compute_centralizer
 
 
 # -- torus and triangular decomposition ---------------------------------------
@@ -290,8 +291,6 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
             if chi_of(pair.psi.chi, br) != 0:
                 raise AssertionError("chi does not vanish on [m, m]")
     msub = MSubalgebra(rep, basis, chi, degrees)
-    from .orbits import centralizer_dim_formula
-
     d_chi = (alg.dim - centralizer_dim_formula(rep.lam, rep.eps)) // 2
     if msub.dim != d_chi:
         raise AssertionError(f"dim m = {msub.dim} != d(chi) = {d_chi}")
@@ -335,8 +334,6 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
         if d > 0 and added:
             # ad e is onto in positive degrees; nothing may be added there
             raise AssertionError("[g, e] misses vectors in positive degree")
-    from .orbits import centralizer_dim_formula
-
     if len(comp) != centralizer_dim_formula(rep.lam, rep.eps):
         raise AssertionError("dim v != dim g^e")
     if any(d > 0 for d in degs):
@@ -389,8 +386,6 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     # [e, g_R] = (g_R^e)^perp: containment, kappa([e, B_j], z) = 0 for all j,
     # is (ad e)^T G z = 0 with G the Killing Gram; and rank equality
     kernel_dim = alg.dim - snf.rank
-    from .centralizer import compute_centralizer
-
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
     perp_ok = snf.rank + cb.dim == alg.dim and not any(

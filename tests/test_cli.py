@@ -214,6 +214,26 @@ def test_zero_nilradical_is_a_usage_error(argv, monkeypatch):
     assert run_cli(*argv.split())[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["algebra", "1", "1"],
+    ["orbit", "1", "1"],
+    ["centralizer", "1", "1"],
+    ["slice", "1", "1"],
+    ["wgen", "1", "1"],
+    ["rigidity", "1", "1"],
+    ["explain", "1", "1"],
+    ["verma", "1", "1", "--levi", "1", "--prime", "3"],
+    ["orbit", "", "1"],
+    ["rigidity", "", "1"],
+])
+def test_so1_and_the_empty_partition_are_usage_errors(argv):
+    # N < 2 names no algebra
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("argv, builder", [
     ("algebra {n} -1", "build_algebra"),
     ("orbit {m},1 1", "build_nilpotent"),   # (N - 1, 1): admissible in so_N for even N
@@ -299,3 +319,18 @@ def test_perfectness_mod_p_beyond_the_default_sweep(parts, p):
     lattice = compute_centralizer(cb.rep, ZZ)
     assert lattice.degrees == cb.degrees and all(type(x) is int for v in lattice.vectors for x in v)
     _perfect(cb.rep, (p,))
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((2, 2), "g^e(0) not perfect over QQ"),
+    ((4,), "g^e not perfect over QQ"),
+])
+def test_perfectness_fails_over_qq_off_the_rigid_orbits(parts, message):
+    # sp_4 (2,2) and (4) are Richardson: their centralisers are not perfect
+    from orbitforge.cli import _perfect
+    from orbitforge.orbits import build_nilpotent
+    from orbitforge.partitions import Partition
+
+    with pytest.raises(AssertionError) as exc:
+        _perfect(build_nilpotent(Partition(parts), -1), (3,))
+    assert str(exc.value) == message

@@ -274,6 +274,11 @@ def test_induced_module_rejects_bad_lam0():
         build_induced_module(datum, 3, lam0={0: 1})
 
 
+def test_zero_orbit_builds_the_sp4_data():
+    assert InductionDatum.zero_orbit(4, -1, (1, 1)) == BOREL_SP4
+    assert InductionDatum.zero_orbit(4, -1, (2,)) == SIEGEL_SP4
+
+
 def test_kw_zero_orbit():
     book = kw_bookkeeping(Partition((1, 1, 1, 1)), -1, 3)
     assert book["d_chi"] == 0 and book["small_dimension"] == 1

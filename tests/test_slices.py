@@ -185,6 +185,7 @@ def test_torus_weights_match_the_matrix_reference():
 
 def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
     import orbitforge.centralizer as centralizer
+    import orbitforge.slices as slices
 
     rep = build_nilpotent(Partition((2, 2)), -1)
     cb = centralizer.compute_centralizer(rep)
@@ -194,6 +195,6 @@ def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
     bad = next(k for k in range(rep.algebra.dim)
                if any(rep.algebra.bracket(rep.e_coords, [int(i == k) for i in range(rep.algebra.dim)])))
     vectors = [tuple(int(i == bad) for i in range(rep.algebra.dim))] + cb.vectors[1:]
-    monkeypatch.setattr(centralizer, "compute_centralizer",
+    monkeypatch.setattr(slices, "compute_centralizer",
                         lambda rep: centralizer.CentralizerBasis(rep, vectors, cb.degrees))
     assert not integral_saturation(rep)["perp_identity"]
