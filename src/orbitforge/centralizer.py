@@ -16,7 +16,7 @@ from .rings import QQ, ZZ
 from .linalg import (SparseMatrix, VectorSpan, add_product, commutator, integer_kernel_basis, inverse_rows,
                      rank_kernel, row_map, sparse_vector)
 from .partitions import Partition, pairing_involution, check_involution
-from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading, centralizer_dim_formula
+from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula
 
 
 # -- the centraliser in the pyramid realisation -------------------------------
@@ -49,12 +49,11 @@ def compute_centralizer(rep: NilpotentRep, ring=QQ) -> CentralizerBasis:
     alg = rep.algebra
     vectors = []
     degrees = []
-    ad_e = ad_e_matrix(rep, ring)
     # kernel degree by degree keeps the basis graded
     for d in sorted(gr.layers):
         idxs = gr.layers[d]
-        cols = ad_e.columns(idxs)
-        ker = integer_kernel_basis(cols) if ring.kind == "ZZ" else rank_kernel(cols)[1]
+        block = ad_e_block(rep, d, ring)
+        ker = integer_kernel_basis(block) if ring.kind == "ZZ" else rank_kernel(block)[1]
         for kv in ker:
             full = [ring.zero()] * alg.dim
             for jj, k in enumerate(idxs):

@@ -208,7 +208,7 @@ def cmd_orbit(args) -> int:
     lam = _require_admissible(args)
     rep = build_nilpotent(lam, args.eps)
     gr = dynkin_grading(rep)
-    dim_orbit, d_chi = orbit_dimension(lam, args.eps)
+    dim_orbit, d_chi = orbit_dimension(rep)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "partition": str(lam),
@@ -398,7 +398,7 @@ def cmd_rigidity(args) -> int:
 def cmd_explain(args) -> int:
     lam = _require_admissible(args)
     rep = build_nilpotent(lam, args.eps)
-    dim_orbit, d_chi = orbit_dimension(lam, args.eps)
+    dim_orbit, d_chi = orbit_dimension(rep)
     cb = compute_centralizer(rep)
     der = derived_subalgebra(cb)
     gen01, _ = check_generation(cb)
@@ -446,6 +446,9 @@ class VerifyConfig:
             raise ValueError("max_n must be at least 2")
         if any(p % 2 == 0 or not _is_prime(p) for p in self.primes):
             raise ValueError(f"primes must be odd primes, got {list(self.primes)}")
+        for name, values in (("prime", self.primes), ("suite", self.suites)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {name} in {list(values)}")
         for name in self.suites:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
@@ -684,7 +687,7 @@ def _sp4_module(name, datum, lam, dim_n, p):
 
 
 def modular_cases(config: VerifyConfig):
-    cases = [(f"restrictedness p={p}", partial(_restrictedness, p)) for p in sorted(set(config.primes))]
+    cases = [(f"restrictedness p={p}", partial(_restrictedness, p)) for p in sorted(config.primes)]
     cases += _sweep_cases(config, 8, _stability, prefix="stability ")
     for p in config.primes:
         if p in (3, 5):

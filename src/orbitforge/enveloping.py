@@ -37,6 +37,8 @@ from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
 
 
 _ZERO = Fraction(0)
+# Theta monomials WSetup._clear may subtract before it gives up.
+CLEAR_MAX_ITER = 20000
 
 
 def _scaled(x: dict):
@@ -155,7 +157,6 @@ class WSetup:
         self.rep = rep
         alg = rep.algebra
         self.alg = alg
-        self.grading = dynkin_grading(rep)
         self.wd = weight_data(rep)
         self.psi = build_psi(rep, self.wd)
         self.pair = split_lagrangian(rep, self.psi)
@@ -168,7 +169,7 @@ class WSetup:
     # -- ordered basis -----------------------------------------------------
 
     def _build_basis(self):
-        alg, gr, wd = self.alg, self.grading, self.wd
+        alg, gr, wd = self.alg, dynkin_grading(self.rep), self.wd
         x_part, comp_part = [], []   # (vector, degree)
         blocks = {}
         for k in range(alg.dim):
@@ -449,13 +450,13 @@ class WSetup:
         cache[word] = out
         return out
 
-    def _clear(self, h: dict, k: int | None, max_iter: int = 20000):
+    def _clear(self, h: dict, k: int | None):
         """Subtract theta monomials until no pure centraliser-supported
         monomial other than (k,) remains; returns (result, expansion)."""
         exclude = (k,) if k is not None else None
         expansion = {}
         h = dict(h)
-        for _ in range(max_iter):
+        for _ in range(CLEAR_MAX_ITER):
             pure = [(w, c) for w, c in h.items() if w != exclude and all(i < self.r for i in w)]
             if not pure:
                 return h, expansion

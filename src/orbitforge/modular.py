@@ -24,6 +24,7 @@ from .orbits import (
     generic_datum_sample,
     nilradical_basis,
     orbit_dim_formula,
+    ad_e_block,
     ad_e_matrix,
     parabolic,
 )
@@ -97,9 +98,7 @@ def centralizer_dim_mod_p(rep: NilpotentRep, p: int) -> int:
 def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
     """Graded dimensions are field independent (lattice bases); rank of
     ad e on each graded piece over F_p, for the stability check."""
-    gr = dynkin_grading(rep)
-    ad_e = ad_e_matrix(rep, GF(p))
-    return {d: rank_kernel(ad_e.columns(gr.layers[d]))[0] for d in sorted(gr.layers)}
+    return {d: rank_kernel(ad_e_block(rep, d, GF(p)))[0] for d in sorted(dynkin_grading(rep).layers)}
 
 
 # -- induced modules -----------------------------------------------------------

@@ -5,11 +5,15 @@ Gradings of g come from integer weights on the signed indices of k^N:
 `basis_degrees` is the one place that reads the degree of a Chevalley basis
 element off its matrix.  The Dynkin grading and `parabolic`, the split
 n_- + l + n_+ of g for a Levi of given gl block sizes, both use it.
+
+A representative builds its Dynkin grading once and ad e once per ring;
+`ad_e_block` cuts ad e : g(d) -> g(d+2) out of that matrix and is the one
+place that checks that ad e raises the degree by two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,6 +40,9 @@ class NilpotentRep:
     e: SparseMatrix          # over QQ
     e_coords: tuple          # Chevalley coordinates of e (integers)
     very_even: bool
+    # built on first use by dynkin_grading and ad_e_matrix (one per ring)
+    _grading: DynkinGrading | None = field(default=None, init=False, repr=False, compare=False)
+    _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -118,13 +125,12 @@ def jordan_type(x: SparseMatrix) -> Partition:
 
 @dataclass
 class DynkinGrading:
-    rep: NilpotentRep
     weight: dict      # signed basis-vector index -> cocharacter weight col
     degree: tuple     # Dynkin degree of each Chevalley basis element
-    layers: dict      # degree -> list of basis indices
+    layers: dict      # degree -> tuple of basis indices
 
-    def layer(self, d):
-        return self.layers.get(d, [])
+    def layer(self, d) -> tuple:
+        return self.layers.get(d, ())
 
 
 def basis_degrees(alg: ClassicalAlgebra, weight: dict) -> tuple:
@@ -141,19 +147,21 @@ def basis_degrees(alg: ClassicalAlgebra, weight: dict) -> tuple:
 
 
 def dynkin_grading(rep: NilpotentRep) -> DynkinGrading:
-    pyr = rep.pyramid
-    weight = {a: pyr.col[a] for a in pyr.boxes()}
-    degs = basis_degrees(rep.algebra, weight)
-    layers = {}
-    for k, d in enumerate(degs):
-        layers.setdefault(d, []).append(k)
-    for d in layers:
-        if len(layers[d]) != len(layers.get(-d, [])):
-            raise AssertionError("graded dimensions are not symmetric")
-    for k, c in enumerate(rep.e_coords):
-        if c != 0 and degs[k] != 2:
-            raise AssertionError("e is not homogeneous of degree 2")
-    return DynkinGrading(rep, weight, degs, layers)
+    """The grading of g by the pyramid's column cocharacter, built once per
+    representative."""
+    if rep._grading is None:
+        pyr = rep.pyramid
+        weight = {a: pyr.col[a] for a in pyr.boxes()}
+        degs = basis_degrees(rep.algebra, weight)
+        layers = {d: tuple(k for k, dk in enumerate(degs) if dk == d) for d in sorted(set(degs))}
+        for d in layers:
+            if len(layers[d]) != len(layers.get(-d, ())):
+                raise AssertionError("graded dimensions are not symmetric")
+        for k, c in enumerate(rep.e_coords):
+            if c != 0 and degs[k] != 2:
+                raise AssertionError("e is not homogeneous of degree 2")
+        rep._grading = DynkinGrading(weight, degs, layers)
+    return rep._grading
 
 
 def graded_dims(gr: DynkinGrading) -> dict:
@@ -161,20 +169,27 @@ def graded_dims(gr: DynkinGrading) -> dict:
 
 
 def ad_e_matrix(rep: NilpotentRep, ring=QQ) -> SparseMatrix:
-    return rep.algebra.ad(rep.e_coords, ring)
+    """ad e on the Chevalley basis over ring, built once per ring."""
+    if ring not in rep._ad_e:
+        rep._ad_e[ring] = rep.algebra.ad(rep.e_coords, ring)
+    return rep._ad_e[ring]
 
 
-def centralizer_kernel(rep: NilpotentRep):
-    _, ker = rank_kernel(ad_e_matrix(rep))
-    return ker
+def ad_e_block(rep: NilpotentRep, d: int, ring=QQ) -> SparseMatrix:
+    """ad e : g(d) -> g(d+2) over ring, rows and columns in layer order;
+    raises unless ad e maps g(d) into g(d+2)."""
+    gr = dynkin_grading(rep)
+    at = {k: i for i, k in enumerate(gr.layer(d + 2))}
+    cols = ad_e_matrix(rep, ring).columns(gr.layer(d))
+    if any(r not in at for r, _ in cols.entries):
+        raise AssertionError(f"ad e maps g({d}) outside g({d + 2})")
+    return SparseMatrix(len(at), cols.ncols, ring, {(at[r], c): v for (r, c), v in cols.entries.items()})
 
 
-def orbit_dimension(lam: Partition, eps: int):
-    """(dim of the orbit, d_chi) computed via the centraliser kernel."""
-    rep = build_nilpotent(lam, eps)
-    dim_g = rep.algebra.dim
-    dim_ge = len(centralizer_kernel(rep))
-    dim_orbit = dim_g - dim_ge
+def orbit_dimension(rep: NilpotentRep):
+    """(dim of the orbit, d_chi): the orbit dimension is the rank of ad e,
+    summed over the graded blocks."""
+    dim_orbit = sum(rank_kernel(ad_e_block(rep, d))[0] for d in dynkin_grading(rep).layers)
     if dim_orbit % 2 != 0:
         raise AssertionError("orbit dimension must be even")
     return dim_orbit, dim_orbit // 2
@@ -219,9 +234,7 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, rep.e) != rep.e.scale(2):
         raise AssertionError("[h, e] != 2e")
     neg2 = gr.layer(-2)
-    target = alg.coordinates(h)
-    ad_e = ad_e_matrix(rep)
-    sol = solve(ad_e.columns(neg2), list(target))
+    sol = solve(ad_e_matrix(rep).columns(neg2), list(alg.coordinates(h)))
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
     f = SparseMatrix.zeros(alg.N, alg.N, QQ)
@@ -231,7 +244,7 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")
     # density evidence: [e, g(0)] = g(2)
-    if rank_kernel(ad_e.columns(gr.layer(0)))[0] != len(gr.layer(2)):
+    if rank_kernel(ad_e_block(rep, 0))[0] != len(gr.layer(2)):
         raise AssertionError("[e, g(0)] != g(2)")
     return Sl2Triple(rep.e, h, f)
 
@@ -331,7 +344,11 @@ def datum_levi_orbit_dim(datum: InductionDatum) -> int:
     return total
 
 
-def generic_datum_sample(datum: InductionDatum, samples: int = 5):
+# Seed-indexed samples drawn per induction datum.
+DATUM_SAMPLES = 5
+
+
+def generic_datum_sample(datum: InductionDatum):
     """Deterministically sampled element of (Levi orbit) + nilradical whose
     orbit dimension certifies genericity; returns (matrix, certified type).
 
@@ -349,7 +366,7 @@ def generic_datum_sample(datum: InductionDatum, samples: int = 5):
         seed = (seed * 31 + a * 7 + sum(mu.parts)) & 0x7FFFFFFF
     best = None
     types = []
-    for s in range(samples):
+    for s in range(DATUM_SAMPLES):
         state = (seed + 9176 * s + 13) & 0x7FFFFFFF
         x = x_levi
         for k in n_idx:
@@ -371,9 +388,9 @@ def generic_datum_sample(datum: InductionDatum, samples: int = 5):
     return best
 
 
-def induce_orbit(datum: InductionDatum, samples: int = 5):
+def induce_orbit(datum: InductionDatum):
     """Jordan type of the dense orbit in (Levi orbit) + nilradical."""
-    return generic_datum_sample(datum, samples)[1]
+    return generic_datum_sample(datum)[1]
 
 
 def enumerate_levi_data(N: int, eps: int, with_orbits: bool = True):
@@ -415,10 +432,10 @@ def _gl_orbit_choices(sizes):
 ORACLE_MAX_N = 8
 
 
-def rigidity_oracle(lam: Partition, eps: int, max_n: int = ORACLE_MAX_N):
+def rigidity_oracle(lam: Partition, eps: int):
     """True iff no proper Levi datum induces to lam; exhaustive sweep."""
-    if lam.size > max_n:
-        raise ValueError(f"rigidity oracle guarded at N <= {max_n}")
+    if lam.size > ORACLE_MAX_N:
+        raise ValueError(f"rigidity oracle guarded at N <= {ORACLE_MAX_N}")
     witness = find_induction_witness(lam, eps)
     return witness is None
 

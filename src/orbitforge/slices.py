@@ -23,7 +23,7 @@ from .linalg import (
     sparse_vector,
     VectorSpan,
 )
-from .orbits import NilpotentRep, ad_e_matrix, centralizer_dim_formula, dynkin_grading, DynkinGrading
+from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, centralizer_dim_formula, dynkin_grading
 from .centralizer import compute_centralizer
 
 
@@ -60,7 +60,6 @@ def toral_generators(rep: NilpotentRep):
 @dataclass
 class WeightData:
     rep: NilpotentRep
-    grading: DynkinGrading
     torus: list                # toral generators, Chevalley coordinates
     weights: list              # basis index -> weight tuple under the torus
     n_plus: list               # basis indices with lexicographically positive weight
@@ -88,7 +87,7 @@ def weight_data(rep: NilpotentRep) -> WeightData:
             if v.denominator != 1:
                 raise AssertionError("non-integral torus weight")
     weights = [tuple(int(ad_t[(k, k)]) for ad_t in ads) for k in range(alg.dim)]
-    wd = WeightData(rep, gr, torus, weights, [], [], [])
+    wd = WeightData(rep, torus, weights, [], [], [])
     for k in range(alg.dim):
         s = wd.side(k)
         (wd.n_plus if s > 0 else wd.n_minus if s < 0 else wd.levi).append(k)
@@ -129,7 +128,7 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
     alg = rep.algebra
     if wd is None:
         wd = weight_data(rep)
-    gr = wd.grading
+    gr = dynkin_grading(rep)
     minus_idx = [k for k in gr.layer(-1) if k in set(wd.n_minus)]
     plus_idx = [k for k in gr.layer(-1) if k in set(wd.n_plus)]
     if len(minus_idx) + len(plus_idx) != len(gr.layer(-1)):
@@ -262,7 +261,7 @@ class MSubalgebra:
 
 def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
     alg = rep.algebra
-    gr = pair.psi.wd.grading
+    gr = dynkin_grading(rep)
     basis = list(pair.z_minus)
     degrees = [-1] * len(basis)
     for d in sorted(gr.layers):
@@ -315,22 +314,19 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
     gr = dynkin_grading(rep)
     comp = []
     degs = []
-    images = ad_e_matrix(rep).transpose().to_dense()   # row k: [e, B_k]
     for d in sorted(gr.layers):
-        image = VectorSpan(QQ, alg.dim)
-        for k in gr.layers.get(d - 2, []):
-            image.add(images[k])
-        want = len(gr.layers[d])
+        # [e, g(d-2)] in the coordinates of g(d), one row per [e, B_k]
+        image = VectorSpan(QQ, len(gr.layers[d]))
+        for row in ad_e_block(rep, d - 2).transpose().to_dense():
+            image.add(row)
         added = 0
-        for k in gr.layers[d]:
-            vec = [Fraction(0)] * alg.dim
-            vec[k] = Fraction(1)
-            if image.add(tuple(vec)):
+        for i, k in enumerate(gr.layers[d]):
+            if image.add({i: QQ.one()}):
+                vec = [Fraction(0)] * alg.dim
+                vec[k] = Fraction(1)
                 comp.append(tuple(vec))
                 degs.append(d)
                 added += 1
-        if image.rank != want:
-            raise AssertionError("complement construction failed to fill a degree")
         if d > 0 and added:
             # ad e is onto in positive degrees; nothing may be added there
             raise AssertionError("[g, e] misses vectors in positive degree")
@@ -347,26 +343,11 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
 # -- integral saturation -----------------------------------------------------------
 
 
-def ad_e_lattice_matrix(rep: NilpotentRep, rows_idx=None, cols_idx=None) -> SparseMatrix:
-    """Matrix of ad e on the Chevalley lattice (integer entries), optionally
-    restricted to Dynkin-degree pieces."""
-    m = ad_e_matrix(rep, ZZ)
-    if cols_idx is not None:
-        m = m.columns(cols_idx)
-    if rows_idx is None:
-        return m
-    rowpos = {k: i for i, k in enumerate(rows_idx)}
-    if any(r not in rowpos for r, _ in m.entries):
-        raise AssertionError("ad e leaves the prescribed degree pieces")
-    return SparseMatrix(len(rows_idx), m.ncols, ZZ, {(rowpos[r], c): v for (r, c), v in m.entries.items()})
-
-
 def integral_saturation(rep: NilpotentRep) -> dict:
     """SNF-based saturation report for ad e on the Chevalley lattice."""
     alg = rep.algebra
     gr = dynkin_grading(rep)
-    full = ad_e_lattice_matrix(rep)
-    snf = smith_normal_form(full)
+    snf = smith_normal_form(ad_e_matrix(rep, ZZ))
     divisors = [d for d in snf.divisors if d != 0]
     saturated = all(is_signed_two_power(d) for d in divisors)
 
@@ -375,11 +356,9 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     for d in sorted(gr.layers):
         if d < 0:
             continue
-        target = gr.layers.get(d + 2, [])
-        m = ad_e_lattice_matrix(rep, rows_idx=target, cols_idx=gr.layers[d])
-        sub = smith_normal_form(m)
+        sub = smith_normal_form(ad_e_block(rep, d, ZZ))
         nz = [x for x in sub.divisors if x != 0]
-        ok = len(nz) == len(target) and all(is_signed_two_power(x) for x in nz)
+        ok = len(nz) == len(gr.layer(d + 2)) and all(is_signed_two_power(x) for x in nz)
         graded[d] = {"divisors": sub.divisors, "onto_and_saturated": ok}
         graded_ok = graded_ok and ok
 

@@ -135,6 +135,8 @@ def test_verify_mini_run_and_determinism(tmp_path):
 @pytest.mark.parametrize("argv", [
     "verify --primes 9 --suites golden",
     "verify --primes 9 --suites modular",
+    "verify --primes 3,3 --suites modular",
+    "verify --suites golden,golden",
     "orbit a,b 1",
     "orbit 0 1",
     "algebra 0 1",

@@ -79,11 +79,10 @@ def test_snf_zero():
 def test_snf_chevalley_lattice_sp4_22():
     # saturation over Z[1/2]: nonzero divisors must be powers of 2
     from orbitforge.partitions import Partition
-    from orbitforge.orbits import build_nilpotent
-    from orbitforge.slices import ad_e_lattice_matrix
+    from orbitforge.orbits import ad_e_matrix, build_nilpotent
 
     rep = build_nilpotent(Partition((2, 2)), -1)
-    res = smith_normal_form(ad_e_lattice_matrix(rep))
+    res = smith_normal_form(ad_e_matrix(rep, ZZ))
     nonzero = [d for d in res.divisors if d]
     assert all(d & (d - 1) == 0 for d in nonzero)
     assert res.divisors == [1, 1, 1, 1, 2, 2, 0, 0, 0, 0]

@@ -83,9 +83,9 @@ def test_sl2_h_is_cocharacter_differential():
 
 
 def test_orbit_dimensions():
-    assert orbit_dimension(Partition((2, 1, 1)), -1) == (4, 2)
-    assert orbit_dimension(Partition((4,)), -1) == (8, 4)
-    assert orbit_dimension(Partition((1, 1, 1, 1)), -1) == (0, 0)
+    assert orbit_dimension(build_nilpotent(Partition((2, 1, 1)), -1)) == (4, 2)
+    assert orbit_dimension(build_nilpotent(Partition((4,)), -1)) == (8, 4)
+    assert orbit_dimension(build_nilpotent(Partition((1, 1, 1, 1)), -1)) == (0, 0)
 
 
 def test_formula_agrees_with_kernel():

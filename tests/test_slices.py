@@ -78,7 +78,7 @@ def test_m_dimension_is_d_chi():
         lam = Partition(parts)
         rep = build_nilpotent(lam, eps)
         msub = build_m(rep, split_lagrangian(rep))
-        assert msub.dim == orbit_dimension(lam, eps)[1]
+        assert msub.dim == orbit_dimension(rep)[1]
 
 
 def test_m_zero_orbit():
