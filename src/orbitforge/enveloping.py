@@ -13,6 +13,13 @@ nonnegative degrees, centraliser vectors first), then the z-part (root
 vectors spanning n_+(-1)), then the m-part (normalised duals z' followed by
 the degrees <= -2).  With the m-part rightmost, projection to Q is a suffix
 substitution by chi.
+
+Every W-algebra product is computed in Q = U(g) (x)_{U(m)} k_chi itself, by
+the left action of U(g) on Q normal form words (UAlgebra.q_mul, q_comm):
+an m-letter that reaches the right end of a word becomes chi of it, and
+nothing is straightened in U(g) first.  Products in U(g) (mul, comm) remain
+only where the statement is about U(g): the Casimir element and its
+centrality.
 """
 
 from __future__ import annotations
@@ -52,26 +59,47 @@ def _longest(x: dict) -> int:
 
 
 class UAlgebra:
-    """Straightening arithmetic for U(g) over QQ with a fixed basis order.
+    """PBW arithmetic over QQ with a fixed basis order: straightening in
+    U(g), and the left action of U(g) on Q = U(g) (x)_{U(m)} k_chi.
 
-    Arithmetic runs on Python ints.  With D the lcm of the bracket table's
-    denominators, the table is held as the integers D*c, and the memoised
-    straighten(word) holds D^(len(word) - len(t)) times the coefficient of
-    each term t: each bracket shortens the word by one letter, so these are
-    integers.  mul and comm accumulate over one common denominator and build
-    one Fraction per output term.
+    The letters from m_start on span m, and chi[k] is chi on letter k; a Q
+    normal form word is a sorted word over the letters below m_start (the
+    x- and z-letters).  act(a, w) is the action of one letter on such a
+    word: a is prepended if a <= w[0], and otherwise
+    a.b.w' = b.(a.w') + [a, b].w'.  A letter that reaches the right end
+    stays if it is an x- or z-letter; an m-letter y becomes chi(y), since
+    u.y = chi(y) u in Q for u in U(g), and a letter with chi = 0 kills its
+    branch there.  q_word(w) is w.1, the letters of w acting from the
+    right; q_mul and q_comm give the class in Q of a product or commutator
+    of two elements of U(g) this way, without straightening in U(g).  mul
+    and comm straighten in U(g).
+
+    Arithmetic runs on Python ints.  With D the lcm of the denominators of
+    the bracket table and of chi on m, the table is held as the integers
+    D*c and chi as D*chi.  straighten(word) and q_word(word) hold
+    D^(len(word) - len(t)) times the coefficient of each term t, and
+    act(a, w) holds D^(1 + len(w) - len(t)) times it: each bracket and each
+    chi substitution takes one letter off and one factor D on, so these are
+    integers.  straighten and act are memoised.  The products accumulate
+    over one common denominator and build one Fraction per output term.
     """
 
-    def __init__(self, dim: int, bracket):
+    def __init__(self, dim: int, bracket, m_start: int | None = None, chi=()):
         # bracket[(a, b)] = {c: coeff} for a > b (the out-of-order bracket)
         self.dim = dim
         self.bracket = bracket
-        self.denominator = lcm(*(c.denominator for entry in bracket.values() for c in entry.values()))
+        self.m_start = dim if m_start is None else m_start
+        chi_m = [Fraction(chi[k]) for k in range(self.m_start, dim)]
+        self.denominator = lcm(*(c.denominator for entry in bracket.values() for c in entry.values()),
+                               *(c.denominator for c in chi_m))
+        D = self.denominator
         self._ibracket = {
-            ab: {k: c.numerator * (self.denominator // c.denominator) for k, c in entry.items()}
+            ab: {k: c.numerator * (D // c.denominator) for k, c in entry.items()}
             for ab, entry in bracket.items()
         }
+        self._ichi = {self.m_start + i: c.numerator * (D // c.denominator) for i, c in enumerate(chi_m)}
         self._memo = {}
+        self._act_memo = {}
 
     def straighten(self, word: tuple) -> dict:
         """Normal form of word as {term: D^(len(word) - len(term)) * coefficient}."""
@@ -97,8 +125,50 @@ class UAlgebra:
         self._memo[word] = out
         return out
 
-    def _products(self, xs, ys, top: int) -> dict:
-        """sum of na * nb * straighten(wa + wb) over the scaled terms, each
+    def act(self, a: int, w: tuple) -> dict:
+        """a.w in Q for a letter a and a Q normal form word w, as
+        {term: D^(1 + len(w) - len(term)) * coefficient}."""
+        if not w:
+            if a < self.m_start:
+                return {(a,): 1}
+            c = self._ichi[a]
+            return {(): c} if c else {}
+        if a <= w[0]:
+            return {(a,) + w: 1}
+        key = (a, w)
+        out = self._act_memo.get(key)
+        if out is not None:
+            return out
+        b, rest = w[0], w[1:]
+        out = {}
+        for t, c in self.act(a, rest).items():
+            for s, d in self.act(b, t).items():
+                out[s] = out.get(s, 0) + c * d
+        for k, cbr in self._ibracket.get((a, b), {}).items():
+            for s, d in self.act(k, rest).items():
+                out[s] = out.get(s, 0) + cbr * d
+        out = {s: c for s, c in out.items() if c != 0}
+        self._act_memo[key] = out
+        return out
+
+    def q_word(self, word: tuple) -> dict:
+        """word.1 in Q as {term: D^(len(word) - len(term)) * coefficient}:
+        the longest suffix of word in Q normal form stays, and the letters
+        before it act one by one, from the right."""
+        k = len(word)
+        while k and word[k - 1] < self.m_start and (k == len(word) or word[k - 1] <= word[k]):
+            k -= 1
+        out = {word[k:]: 1}
+        for a in reversed(word[:k]):
+            acc = {}
+            for t, c in out.items():
+                for s, d in self.act(a, t).items():
+                    acc[s] = acc.get(s, 0) + c * d
+            out = acc
+        return out
+
+    def _products(self, xs, ys, top: int, normal_form) -> dict:
+        """sum of na * nb * normal_form(wa + wb) over the scaled terms, each
         lifted to D^(top - len(term)) times its coefficient."""
         D = self.denominator
         out = {}
@@ -106,7 +176,7 @@ class UAlgebra:
             for wb, nb in ys:
                 w = wa + wb
                 scale = na * nb * D ** (top - len(w))
-                for t, c in self.straighten(w).items():
+                for t, c in normal_form(w).items():
                     out[t] = out.get(t, 0) + scale * c
         return out
 
@@ -114,21 +184,37 @@ class UAlgebra:
         D = self.denominator
         return {t: Fraction(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
 
-    def mul(self, x: dict, y: dict) -> dict:
+    def _product(self, x: dict, y: dict, normal_form) -> dict:
         dx, xs = _scaled(x)
         dy, ys = _scaled(y)
         top = _longest(x) + _longest(y)
-        return self._fractions(self._products(xs, ys, top), dx * dy, top)
+        return self._fractions(self._products(xs, ys, top, normal_form), dx * dy, top)
 
-    def comm(self, x: dict, y: dict) -> dict:
+    def _commutator(self, x: dict, y: dict, normal_form) -> dict:
         dx, xs = _scaled(x)
         dy, ys = _scaled(y)
         top = _longest(x) + _longest(y)
-        out = {t: n for t, n in self._products(xs, ys, top).items() if n != 0}
-        for t, n in self._products(ys, xs, top).items():
+        out = {t: n for t, n in self._products(xs, ys, top, normal_form).items() if n != 0}
+        for t, n in self._products(ys, xs, top, normal_form).items():
             if n != 0:
                 out[t] = out.get(t, 0) - n
         return self._fractions(out, dx * dy, top)
+
+    def mul(self, x: dict, y: dict) -> dict:
+        """x y in U(g)."""
+        return self._product(x, y, self.straighten)
+
+    def comm(self, x: dict, y: dict) -> dict:
+        """[x, y] in U(g)."""
+        return self._commutator(x, y, self.straighten)
+
+    def q_mul(self, x: dict, y: dict) -> dict:
+        """The class of x y in Q."""
+        return self._product(x, y, self.q_word)
+
+    def q_comm(self, x: dict, y: dict) -> dict:
+        """The class of [x, y] in Q."""
+        return self._commutator(x, y, self.q_word)
 
 
 def elem_add(x: dict, y: dict, scale=Fraction(1)) -> dict:
@@ -220,7 +306,7 @@ class WSetup:
                 entry = {k: c for k, c in enumerate(coords) if c != 0}
                 if entry:
                     bracket[(a, b)] = entry
-        self.U = UAlgebra(self.dim, bracket)
+        self.U = UAlgebra(self.dim, bracket, self.m_start, self.chi)
 
     def _set_transition(self, tinv):
         """Hold the inverse transition as integer columns [(row, n)] over
@@ -282,14 +368,14 @@ class WSetup:
     # -- theta generators ------------------------------------------------------
 
     def _head(self, x, scale):
-        """(x + scale sum_i [x, z'_i] z_i in U(g), the brackets [x, z'_i]),
+        """(x + scale sum_i [x, z'_i] z_i in Q, the brackets [x, z'_i]),
         for x given by its Chevalley coordinates."""
         xs = sparse_vector(x, QQ)
         brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
-        t = self.embed(xs)
+        t = self.q_project(self.embed(xs))
         for i, br in enumerate(brs):
             if br:
-                t = elem_add(t, self.U.mul(self.embed(br), self.gen(self.z_start + i)), scale)
+                t = elem_add(t, self.U.q_mul(self.embed(br), self.gen(self.z_start + i)), scale)
         return t, brs
 
     def theta_zero(self, x) -> dict:
@@ -301,7 +387,7 @@ class WSetup:
         z-letter on either side; the sign is forced by ad-m-invariance and
         the letter placement by the commutator law on degree zero, both of
         which are verified downstream."""
-        return self.q_project(self._head(x, Fraction(1, 2))[0])
+        return self._head(x, Fraction(1, 2))[0]
 
     def theta_one(self, x) -> dict:
         """Degree-1 generator: the cubic part plus the unique linear-in-z tail
@@ -320,11 +406,10 @@ class WSetup:
             for j, zp in enumerate(self._z_minus):
                 brij = self.alg.sparse_bracket(bri, zp)
                 if brij:
-                    zz = self.U.mul(self.gen(self.z_start + j), self.gen(self.z_start + i))
-                    t = elem_add(t, self.U.mul(self.embed(brij), zz), Fraction(1, 3))
-        t = self.q_project(t)
+                    zz = self.U.q_mul(self.gen(self.z_start + j), self.gen(self.z_start + i))
+                    t = elem_add(t, self.U.q_mul(self.embed(brij), zz), Fraction(1, 3))
         for l in range(self.s):
-            defect = self.q_project(self.U.comm(self.gen(self.m_start + l), dict(t)))
+            defect = self.U.q_comm(self.gen(self.m_start + l), t)
             if not defect:
                 continue
             if set(defect) != {()}:
@@ -355,7 +440,7 @@ class WSetup:
     def ad_m_invariant(self, qnf: dict):
         """None if invariant; otherwise (m-index, residual) witness."""
         for a in range(self.m_start, self.dim):
-            delta = self.q_project(self.U.comm(self.gen(a), dict(qnf)))
+            delta = self.U.q_comm(self.gen(a), qnf)
             if delta:
                 return (a, delta)
         return None
@@ -440,13 +525,13 @@ class WSetup:
         return [(pairs[j], sol[j]) for j in range(len(pairs)) if sol[j] != 0]
 
     def _theta_monomial(self, word: tuple) -> dict:
+        """theta^word . 1 in Q, as theta_word[0] . (theta^word[1:] . 1)."""
         cache = self._mono_cache
         if word in cache:
             return cache[word]
-        out = {(): Fraction(1)}
-        for k in word:
-            out = self.U.mul(out, dict(self.build_theta(k).value))
-        out = self.q_project(out)
+        if not word:
+            return {(): Fraction(1)}
+        out = self.U.q_mul(self.build_theta(word[0]).value, self._theta_monomial(word[1:]))
         cache[word] = out
         return out
 
@@ -479,9 +564,7 @@ class WSetup:
         sum expansion[w] theta^w."""
         h: dict = {}
         for (p, q), c in self.commutator_presentation(k, perturb):
-            tp = dict(self.build_theta(p).value)
-            tq = dict(self.build_theta(q).value)
-            h = elem_add(h, self.q_project(self.U.comm(tp, tq)), c)
+            h = elem_add(h, self.U.q_comm(self.build_theta(p).value, self.build_theta(q).value), c)
         return self._clear(h, k)
 
     def _check_shape(self, th: ThetaGenerator):
@@ -517,7 +600,7 @@ def jems_commutator_check(setup: WSetup, u_mat, v_mat, v_degree: int) -> bool:
     u, v = setup.alg.coordinates(u_mat), setup.alg.coordinates(v_mat)
     tu = setup.theta_zero(u)
     tv = setup.theta_zero(v) if v_degree == 0 else setup.theta_one(v)
-    lhs = setup.q_project(setup.U.comm(dict(tu), dict(tv)))
+    lhs = setup.U.q_comm(tu, tv)
     br = setup.alg.bracket(u, v)
     rhs = setup.theta_zero(br) if v_degree == 0 else setup.theta_one(br)
     return lhs == rhs
@@ -600,9 +683,7 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     commutator of generators."""
     for i in range(setup.r):
         for j in range(i + 1, setup.r):
-            br = setup.q_project(
-                setup.U.comm(dict(setup.thetas[i].value), dict(setup.thetas[j].value))
-            )
+            br = setup.U.q_comm(setup.thetas[i].value, setup.thetas[j].value)
             if _character_value(c, setup.expand_in_theta(br)) != 0:
                 return False
     return True

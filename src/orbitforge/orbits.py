@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import QQ
-from .linalg import SparseMatrix, commutator, rank_kernel, solve
+from .linalg import SparseMatrix, _row_span, commutator, rank_kernel, solve
 from .partitions import (
     Partition,
     DynkinPyramid,
@@ -106,13 +106,14 @@ def build_nilpotent(lam: Partition, eps: int) -> NilpotentRep:
 
 
 def jordan_type(x: SparseMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix from the rank sequence."""
+    """Jordan type of a nilpotent matrix from the rank sequence of its
+    powers, each rank read off one echelon span of the rows."""
     n = x.nrows
     ranks = [n]
     cur = SparseMatrix.identity(n, QQ)
     while ranks[-1] > 0:
         cur = cur @ x.change_ring(QQ)
-        r, _ = rank_kernel(cur)
+        r = _row_span(cur).rank
         if r >= ranks[-1]:
             raise ValueError("matrix is not nilpotent")
         ranks.append(r)

@@ -9,9 +9,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
 
 
-def _callers(source: str, name: str) -> list:
+def _last_name(node):
+    """The name of a Name node or the attribute of an Attribute node."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _callers(source: str, name: str, receiver: str | None = None) -> list:
     """The dotted scope (class and function names) of every call of `name`,
-    as f(...) or x.f(...); "<module>" for a call outside any definition."""
+    as f(...) or x.f(...); "<module>" for a call outside any definition.
+    With a receiver, only the calls receiver.f(...) and x.receiver.f(...)
+    count."""
     out = []
 
     def visit(node, scope):
@@ -21,7 +28,7 @@ def _callers(source: str, name: str) -> list:
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                if _last_name(f) == name and (receiver is None or _last_name(getattr(f, "value", None)) == receiver):
                     out.append(".".join(scope) or "<module>")
             visit(child, scope)
 

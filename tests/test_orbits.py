@@ -4,8 +4,9 @@ oracle."""
 import pytest
 
 from orbitforge.algebra import build_algebra
-from orbitforge.linalg import commutator, rank_kernel
+from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
 from orbitforge.partitions import Partition, admissible_partitions, is_rigid
+from orbitforge.rings import QQ
 from orbitforge.orbits import (
     InductionDatum,
     build_nilpotent,
@@ -43,6 +44,29 @@ def test_zero_orbit_representative():
 def test_31_rank_sequence():
     rep = build_nilpotent(Partition((3, 1)), 1)
     assert jordan_type(rep.e) == Partition((3, 1))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_jordan_type_of_every_representative_up_to_10(eps):
+    # the rank of each power is read off one echelon span; e and its
+    # transpose have the Jordan type of the partition
+    count = 0
+    for n in range(2, 11):
+        for lam in admissible_partitions(n, eps):
+            e = build_nilpotent(lam, eps).e
+            assert jordan_type(e) == lam
+            assert jordan_type(e.transpose()) == lam
+            count += 1
+    assert count == {1: 61, -1: 52}[eps]
+
+
+def test_jordan_type_refuses_a_matrix_that_is_not_nilpotent():
+    g = build_algebra(3, 1)
+    nilpotent = g.unit(1, 0) + g.unit(0, -1)
+    assert jordan_type(nilpotent) == Partition((3,))
+    for x in (SparseMatrix.identity(3, QQ), nilpotent + g.unit(1, 1)):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type(x)
 
 
 def test_grading_dims_sp4_211():
