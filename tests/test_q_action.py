@@ -131,12 +131,6 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
         setup.build_all_thetas()
 
 
-def test_the_uncorrupted_action_builds_every_generator():
-    for name in CASES:
-        setup = _fresh(name)
-        assert len(setup.build_all_thetas()) == setup.r
-
-
 # -- products in U(g) stay with the Casimir element --------------------------------
 
 PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "q_word", "act", "straighten")
