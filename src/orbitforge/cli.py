@@ -274,6 +274,9 @@ def cmd_slice(args) -> int:
 
 
 def cmd_wgen(args) -> int:
+    if args.degree_bound < 0:
+        print(f"error: --degree-bound must be at least 0, got {args.degree_bound}", file=sys.stderr)
+        raise SystemExit(2)
     lam = _require_admissible(args)
     rep = build_nilpotent(lam, args.eps)
     setup = WSetup(rep)

@@ -17,15 +17,23 @@ substitution by chi.
 Every W-algebra product is computed in Q = U(g) (x)_{U(m)} k_chi itself, by
 the left action of U(g) on Q normal form words (UAlgebra.q_mul, q_comm):
 an m-letter that reaches the right end of a word becomes chi of it, and
-nothing is straightened in U(g) first.  Products in U(g) (mul, comm) remain
-only where the statement is about U(g): the Casimir element and its
-centrality.
+nothing is straightened in U(g) first.  The right factor is mapped to Q
+once, and left words that share a suffix share its action.  Products in
+U(g) (mul, comm) remain only where the statement is about U(g): the
+Casimir element and its centrality.
+
+Each value is computed once: theta_zero and theta_one are memoised per
+coordinate vector, generators are kept in WSetup.thetas and theta
+monomials in a cache.  These dicts are shared by every caller, and no
+caller mutates them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import lcm
 
 from .rings import QQ, ZZ, is_two_power_denominator
@@ -44,6 +52,7 @@ from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
 
 
 _ZERO = Fraction(0)
+_ONE = {(): 1}   # 1 in Q, as an int-valued sum; never mutated
 # Theta monomials WSetup._clear may subtract before it gives up.
 CLEAR_MAX_ITER = 20000
 
@@ -58,6 +67,15 @@ def _longest(x: dict) -> int:
     return max(map(len, x), default=0)
 
 
+def _difference(p: dict, q: dict) -> dict:
+    """p - q over the nonzero terms of each, p's keys first."""
+    out = {t: n for t, n in p.items() if n != 0}
+    for t, n in q.items():
+        if n != 0:
+            out[t] = out.get(t, 0) - n
+    return out
+
+
 class UAlgebra:
     """PBW arithmetic over QQ with a fixed basis order: straightening in
     U(g), and the left action of U(g) on Q = U(g) (x)_{U(m)} k_chi.
@@ -69,19 +87,23 @@ class UAlgebra:
     a.b.w' = b.(a.w') + [a, b].w'.  A letter that reaches the right end
     stays if it is an x- or z-letter; an m-letter y becomes chi(y), since
     u.y = chi(y) u in Q for u in U(g), and a letter with chi = 0 kills its
-    branch there.  q_word(w) is w.1, the letters of w acting from the
-    right; q_mul and q_comm give the class in Q of a product or commutator
-    of two elements of U(g) this way, without straightening in U(g).  mul
-    and comm straighten in U(g).
+    branch there.  For a word w, w.1 is the letters of w acting on 1 from
+    the right.  q_mul(x, y) is x acting on y.1 and q_comm(x, y) is
+    x.(y.1) - y.(x.1): the class in Q of a product or commutator of two
+    elements of U(g), without straightening in U(g).  Each factor is
+    mapped to Q once, and the left words act on the whole sum through a
+    trie of their reversed letters, so that words sharing a suffix share
+    its action (_act_on).  mul and comm straighten in U(g).
 
     Arithmetic runs on Python ints.  With D the lcm of the denominators of
     the bracket table and of chi on m, the table is held as the integers
-    D*c and chi as D*chi.  straighten(word) and q_word(word) hold
+    D*c and chi as D*chi.  straighten(word) and word.1 hold
     D^(len(word) - len(t)) times the coefficient of each term t, and
     act(a, w) holds D^(1 + len(w) - len(t)) times it: each bracket and each
     chi substitution takes one letter off and one factor D on, so these are
     integers.  straighten and act are memoised.  The products accumulate
-    over one common denominator and build one Fraction per output term.
+    over one common denominator and build one Fraction per output term,
+    in the key order of taking (wa + wb).1 for each pair of words in turn.
     """
 
     def __init__(self, dim: int, bracket, m_start: int | None = None, chi=()):
@@ -151,24 +173,62 @@ class UAlgebra:
         self._act_memo[key] = out
         return out
 
-    def q_word(self, word: tuple) -> dict:
-        """word.1 in Q as {term: D^(len(word) - len(term)) * coefficient}:
-        the longest suffix of word in Q normal form stays, and the letters
-        before it act one by one, from the right."""
-        k = len(word)
-        while k and word[k - 1] < self.m_start and (k == len(word) or word[k - 1] <= word[k]):
-            k -= 1
-        out = {word[k:]: 1}
-        for a in reversed(word[:k]):
-            acc = {}
-            for t, c in out.items():
-                for s, d in self.act(a, t).items():
-                    acc[s] = acc.get(s, 0) + c * d
-            out = acc
+    def _act_letter(self, a: int, v: dict) -> dict:
+        """a.v for an int-valued sum v of Q normal form words, as the terms
+        of v act one by one; a term whose sum cancels stays, at 0."""
+        act, out = self.act, {}
+        for t, c in v.items():
+            if t and a <= t[0]:   # act would prepend a
+                s = (a,) + t
+                out[s] = out.get(s, 0) + c
+                continue
+            for s, d in act(a, t).items():
+                out[s] = out.get(s, 0) + c * d
         return out
 
-    def _products(self, xs, ys, top: int, normal_form) -> dict:
-        """sum of na * nb * normal_form(wa + wb) over the scaled terms, each
+    def _act_on(self, xs, v: dict, top: int) -> dict:
+        """sum of n * D^(top - len(w)) * w.v over the scaled terms (w, n) of
+        xs, the letters of each word w acting on v from the right.
+
+        Words that share a suffix share its action: the words of xs form a
+        trie of their reversed letters, walked with an explicit stack
+        (children in insertion order), and each trie node applies one
+        letter to its parent's sum.  Terms that cancel stay in every
+        intermediate sum, so the result has the key order of taking the
+        words of xs in turn and the terms of v one by one.  On v = c.1, a
+        word already in Q normal form needs no walk: its image is c times
+        itself."""
+        if not v:
+            return {}
+        at = {}
+        if len(v) == 1 and () in v:
+            c, m = v[()], self.m_start
+            at = {w: {w: c} for w, _ in xs if not w or (w[-1] < m and list(w) == sorted(w))}
+        trie = {}
+        for w, _ in xs:
+            if w in at:
+                continue
+            node = trie
+            for a in reversed(w):
+                node = node.setdefault(a, {})
+        words = {w for w, _ in xs}
+        stack = [((), v, trie)]
+        while stack:
+            suffix, val, children = stack.pop()
+            if suffix in words and suffix not in at:
+                at[suffix] = val
+            stack.extend(reversed([((a,) + suffix, self._act_letter(a, val), child)
+                                   for a, child in children.items()]))
+        D = self.denominator
+        out = {}
+        for w, n in xs:
+            scale = n * D ** (top - len(w))
+            for s, c in at[w].items():
+                out[s] = out.get(s, 0) + scale * c
+        return out
+
+    def _products(self, xs, ys, top: int) -> dict:
+        """sum of na * nb * straighten(wa + wb) over the scaled terms, each
         lifted to D^(top - len(term)) times its coefficient."""
         D = self.denominator
         out = {}
@@ -176,7 +236,7 @@ class UAlgebra:
             for wb, nb in ys:
                 w = wa + wb
                 scale = na * nb * D ** (top - len(w))
-                for t, c in normal_form(w).items():
+                for t, c in self.straighten(w).items():
                     out[t] = out.get(t, 0) + scale * c
         return out
 
@@ -184,37 +244,37 @@ class UAlgebra:
         D = self.denominator
         return {t: Fraction(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
 
-    def _product(self, x: dict, y: dict, normal_form) -> dict:
-        dx, xs = _scaled(x)
-        dy, ys = _scaled(y)
-        top = _longest(x) + _longest(y)
-        return self._fractions(self._products(xs, ys, top, normal_form), dx * dy, top)
-
-    def _commutator(self, x: dict, y: dict, normal_form) -> dict:
-        dx, xs = _scaled(x)
-        dy, ys = _scaled(y)
-        top = _longest(x) + _longest(y)
-        out = {t: n for t, n in self._products(xs, ys, top, normal_form).items() if n != 0}
-        for t, n in self._products(ys, xs, top, normal_form).items():
-            if n != 0:
-                out[t] = out.get(t, 0) - n
-        return self._fractions(out, dx * dy, top)
-
     def mul(self, x: dict, y: dict) -> dict:
         """x y in U(g)."""
-        return self._product(x, y, self.straighten)
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        top = _longest(x) + _longest(y)
+        return self._fractions(self._products(xs, ys, top), dx * dy, top)
 
     def comm(self, x: dict, y: dict) -> dict:
         """[x, y] in U(g)."""
-        return self._commutator(x, y, self.straighten)
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        top = _longest(x) + _longest(y)
+        return self._fractions(_difference(self._products(xs, ys, top), self._products(ys, xs, top)),
+                               dx * dy, top)
 
     def q_mul(self, x: dict, y: dict) -> dict:
-        """The class of x y in Q."""
-        return self._product(x, y, self.q_word)
+        """The class of x y in Q: x acting on y.1."""
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        lx, ly = _longest(x), _longest(y)
+        acc = self._act_on(xs, self._act_on(ys, _ONE, ly), lx)
+        return self._fractions(acc, dx * dy, lx + ly)
 
     def q_comm(self, x: dict, y: dict) -> dict:
-        """The class of [x, y] in Q."""
-        return self._commutator(x, y, self.q_word)
+        """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
+        dx, xs = _scaled(x)
+        dy, ys = _scaled(y)
+        lx, ly = _longest(x), _longest(y)
+        x1, y1 = self._act_on(xs, _ONE, lx), self._act_on(ys, _ONE, ly)
+        acc = _difference(self._act_on(xs, y1, lx), self._act_on(ys, x1, ly))
+        return self._fractions(acc, dx * dy, lx + ly)
 
 
 def elem_add(x: dict, y: dict, scale=Fraction(1)) -> dict:
@@ -236,8 +296,27 @@ class ThetaGenerator:
         return self.degree + 2
 
 
+def _per_vector(method):
+    """Memoise a WSetup method of a coordinate vector x on tuple(x): a list
+    and a tuple, of ints or Fractions of equal value, share one entry.
+    Every caller gets the stored dict itself and must not mutate it."""
+    @wraps(method)
+    def memoised(self, x):
+        memo = self._vector_memo.setdefault(method.__name__, {})
+        key = tuple(x)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = method(self, x)
+        return out
+    return memoised
+
+
 class WSetup:
-    """All data needed to compute in Q and U(g, e) for one representative."""
+    """All data needed to compute in Q and U(g, e) for one representative.
+
+    theta_zero and theta_one are memoised per coordinate vector, and
+    build_theta keeps each generator in thetas: these dicts are shared by
+    every caller, and no caller mutates them."""
 
     def __init__(self, rep: NilpotentRep):
         self.rep = rep
@@ -251,6 +330,7 @@ class WSetup:
         self._build_structure()
         self.thetas: dict[int, ThetaGenerator] = {}
         self._mono_cache = {}
+        self._vector_memo = {}
 
     # -- ordered basis -----------------------------------------------------
 
@@ -378,6 +458,7 @@ class WSetup:
                 t = elem_add(t, self.U.q_mul(self.embed(br), self.gen(self.z_start + i)), scale)
         return t, brs
 
+    @_per_vector
     def theta_zero(self, x) -> dict:
         """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i, for x given by
         its Chevalley coordinates.
@@ -389,6 +470,7 @@ class WSetup:
         which are verified downstream."""
         return self._head(x, Fraction(1, 2))[0]
 
+    @_per_vector
     def theta_one(self, x) -> dict:
         """Degree-1 generator: the cubic part plus the unique linear-in-z tail
         making it ad-m-invariant.
@@ -537,24 +619,47 @@ class WSetup:
 
     def _clear(self, h: dict, k: int | None):
         """Subtract theta monomials until no pure centraliser-supported
-        monomial other than (k,) remains; returns (result, expansion)."""
+        monomial other than (k,) remains; returns (result, expansion).
+
+        The monomial taken next is the pure word of h least in the order
+        (highest Kazhdan degree, shortest, then lexicographic), kept in a
+        heap: a word enters it when it enters h, and an entry whose word
+        has left h is dropped when it comes to the top.  Each step
+        subtracts in place on a copy of h."""
         exclude = (k,) if k is not None else None
+        r, kaz = self.r, self.kaz
+
+        def entry(w):
+            return -sum(kaz[i] for i in w), len(w), w
+
+        h = {w: c for w, c in h.items() if c != 0}
+        heap = [entry(w) for w in h if w != exclude and all(i < r for i in w)]
+        heapq.heapify(heap)
         expansion = {}
-        h = dict(h)
         for _ in range(CLEAR_MAX_ITER):
-            pure = [(w, c) for w, c in h.items() if w != exclude and all(i < self.r for i in w)]
-            if not pure:
+            while heap and heap[0][2] not in h:
+                heapq.heappop(heap)
+            if not heap:
                 return h, expansion
-            word, coeff = min(
-                pure, key=lambda wc: (-sum(self.kaz[i] for i in wc[0]), len(wc[0]), wc[0])
-            )
+            word = heapq.heappop(heap)[2]
+            coeff = h[word]
             if k is not None and len(word) == 1 and self.x_degrees[word[0]] >= self.x_degrees[k]:
                 raise AssertionError(
                     f"clearing loop for x_{k} met a same-degree generator x_{word[0]}; "
                     "this falsifies the uniqueness of the leading term"
                 )
             expansion[word] = expansion.get(word, Fraction(0)) + coeff
-            h = elem_add(h, self._theta_monomial(word), -coeff)
+            for t, c in self._theta_monomial(word).items():
+                new = t not in h
+                v = h.get(t, 0) - coeff * c
+                if v == 0:
+                    del h[t]
+                    continue
+                h[t] = v
+                if new and t != exclude and all(i < r for i in t):
+                    heapq.heappush(heap, entry(t))
+            if word in h:
+                heapq.heappush(heap, entry(word))
         raise AssertionError("clearing loop failed to terminate")
 
     def lift(self, k: int, perturb: int = 0):
@@ -585,7 +690,7 @@ class WSetup:
     def expand_in_theta(self, qnf: dict) -> dict:
         """Coefficients of qnf in the theta PBW basis; requires qnf to lie in
         the span (the remainder must vanish)."""
-        rem, expansion = self._clear(dict(qnf), None)
+        rem, expansion = self._clear(qnf, None)
         if rem:
             raise ValueError(f"element is not a theta polynomial; remainder {rem}")
         return expansion

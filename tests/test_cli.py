@@ -54,6 +54,30 @@ def test_wgen_json():
     assert data["casimir_shape"]["shape_ok"]
 
 
+@pytest.mark.parametrize("bound", ["-1", "-7"])
+def test_negative_degree_bound_exits_2(bound, monkeypatch):
+    # a bound below 0 would skip every generator; refused before any work
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", "wgen", "2,1,1", "-1", "--degree-bound", bound],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: --degree-bound must be at least 0, got {bound}\n"
+    from orbitforge import cli
+
+    def work(*args):
+        raise AssertionError("work began on a negative degree bound")
+
+    monkeypatch.setattr(cli, "WSetup", work)
+    assert run_cli("wgen", "2,1,1", "-1", "--degree-bound", bound)[0] == 2
+
+
+def test_degree_bound_zero_builds_the_degree_zero_generators():
+    code, out, err = run_cli("wgen", "2,1,1", "-1", "--degree-bound", "0")
+    data = json.loads(out)
+    assert code == 0 and err == ""
+    assert data["theta"] and {th["n_k"] for th in data["theta"]} == {0}
+    assert "augmentation" not in data
+
+
 def test_rigidity_json():
     code, out, _ = run_cli("rigidity", "2,2", "-1")
     data = json.loads(out)

@@ -1,12 +1,17 @@
 """W-algebra products are computed in Q = U(g) (x)_{U(m)} k_chi by the left
-action of U(g) on Q normal form words (UAlgebra.act, q_word, q_mul, q_comm).
+action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
 The action agrees with straightening in U(g) followed by the substitution of
 chi, its memo runs on ints, the ad-m-invariance certificate still sees a
 wrong chi through it, and products in U(g) are taken only for the Casimir
-element."""
+element.  q_mul and q_comm, which map the right factor to Q once and share
+the action of common suffixes, give the values and key order of mapping
+each pair of words to Q by itself, and a dropped WSetup frees its UAlgebra
+without the cycle collector."""
 
 import ast
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -111,6 +116,120 @@ def test_chi_denominators_enter_the_common_denominator():
     _assert_int_memo(U)
 
 
+def _q_word_reference(U, word) -> dict:
+    """word.1 as one word's letters acting one by one: the longest suffix in
+    Q normal form kept whole, terms that cancel kept at 0."""
+    k = len(word)
+    while k and word[k - 1] < U.m_start and (k == len(word) or word[k - 1] <= word[k]):
+        k -= 1
+    out = {word[k:]: 1}
+    for a in reversed(word[:k]):
+        acc = {}
+        for t, c in out.items():
+            for s, d in U.act(a, t).items():
+                acc[s] = acc.get(s, 0) + c * d
+        out = acc
+    return out
+
+
+def _per_pair(U, x, y) -> dict:
+    """sum over the pairs of words of x and y of (wa + wb).1, at
+    D^(top - len(term)) over the common denominator, zero terms kept."""
+    D = U.denominator
+    top = max(map(len, x), default=0) + max(map(len, y), default=0)
+    out = {}
+    for wa, ca in x.items():
+        for wb, cb in y.items():
+            w = wa + wb
+            for t, c in _q_word_reference(U, w).items():
+                out[t] = out.get(t, 0) + ca * cb * D ** (top - len(w)) * c
+    return out, top
+
+
+def _reference_q_mul(U, x, y) -> dict:
+    out, top = _per_pair(U, x, y)
+    return {t: n / U.denominator ** (top - len(t)) for t, n in out.items() if n != 0}
+
+
+def _reference_q_comm(U, x, y) -> dict:
+    xy, top = _per_pair(U, x, y)
+    out = {t: n for t, n in xy.items() if n != 0}
+    for t, n in _per_pair(U, y, x)[0].items():
+        if n != 0:
+            out[t] = out.get(t, 0) - n
+    return {t: n / U.denominator ** (top - len(t)) for t, n in out.items() if n != 0}
+
+
+def _shared_suffix_element(rng, dim, suffixes, m_letters) -> dict:
+    """Words that are a short random head on one of a few suffixes, some
+    with an m-letter placed anywhere."""
+    out = {}
+    for _ in range(rng.randint(1, 6)):
+        word = tuple(rng.randrange(dim) for _ in range(rng.randint(0, 2))) + rng.choice(suffixes)
+        if rng.random() < 0.3:
+            i = rng.randint(0, len(word))
+            word = word[:i] + (rng.choice(m_letters),) + word[i:]
+        out[word] = Fraction(rng.randint(-4, 4) or 1, rng.choice([1, 2, 3]))
+    return out
+
+
+def _assert_like_the_reference(U, x, y):
+    # the same values in the same key order: printed output depends on it
+    assert list(U.q_mul(x, y).items()) == list(_reference_q_mul(U, x, y).items()), (x, y)
+    assert list(U.q_comm(x, y).items()) == list(_reference_q_comm(U, x, y).items()), (x, y)
+
+
+@pytest.mark.parametrize("name,seed", [(name, seed) for name in CASES for seed in (3, 4)])
+def test_shared_suffixes_match_one_q_word_per_pair(name, seed):
+    setup = _fresh(name)
+    rng = random.Random(seed)
+    dim, m_letters = setup.dim, range(setup.m_start, setup.dim)
+    suffixes = [tuple(rng.randrange(dim) for _ in range(rng.randint(0, 2))) for _ in range(3)]
+    for _ in range(25):
+        x = _shared_suffix_element(rng, dim, suffixes, m_letters)
+        y = _shared_suffix_element(rng, dim, suffixes, m_letters)
+        _assert_like_the_reference(setup.U, x, y)
+        _assert_like_the_reference(setup.U, x, ONE)
+        _assert_like_the_reference(setup.U, {}, y)
+
+
+def test_shared_suffixes_match_the_reference_under_chi_over_three():
+    setup = _setup("so5")
+    U = UAlgebra(setup.dim, setup.U.bracket, setup.m_start, [c / 3 for c in setup.chi])
+    assert U.denominator == 6
+    rng = random.Random(5)
+    suffixes = [(), (setup.m_start - 1,), tuple(rng.randrange(setup.dim) for _ in range(2))]
+    for _ in range(40):
+        x = _shared_suffix_element(rng, setup.dim, suffixes, range(setup.m_start, setup.dim))
+        y = _shared_suffix_element(rng, setup.dim, suffixes, range(setup.m_start, setup.dim))
+        _assert_like_the_reference(U, x, y)
+    _assert_int_memo(U)
+
+
+def test_theta_values_match_the_reference_key_for_key():
+    setup = _setup("so7")
+    thetas = setup.build_all_thetas()
+    for p in thetas.values():
+        for q in thetas.values():
+            _assert_like_the_reference(setup.U, p.value, q.value)
+
+
+def test_a_dropped_setup_frees_its_algebra_without_the_collector():
+    # no reference cycle through the memos or the trie walk: with the cycle
+    # collector off, the UAlgebra and its memos go with the last reference
+    gc.disable()
+    try:
+        setup = _fresh("so5")
+        thetas = setup.build_all_thetas()
+        setup.U.q_comm(thetas[0].value, thetas[setup.r - 1].value)
+        assert setup.U._act_memo and setup._vector_memo
+        ref = weakref.ref(setup.U)
+        del setup, thetas
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _corruptions(name):
     setup = _setup(name)
     return [(name, k, 2 * setup.chi[k] if setup.chi[k] else Fraction(1))
@@ -133,7 +252,7 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
 
 # -- products in U(g) stay with the Casimir element --------------------------------
 
-PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "q_word", "act", "straighten")
+PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "act", "straighten")
 
 
 def _products_in_U(source: str) -> list:
