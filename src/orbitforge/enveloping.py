@@ -18,9 +18,9 @@ Every W-algebra product is computed in Q = U(g) (x)_{U(m)} k_chi itself, by
 the left action of U(g) on Q normal form words (UAlgebra.q_mul, q_comm):
 an m-letter that reaches the right end of a word becomes chi of it, and
 nothing is straightened in U(g) first.  The right factor is mapped to Q
-once, and left words that share a suffix share its action.  Products in
-U(g) (mul, comm) remain only where the statement is about U(g): the
-Casimir element and its centrality.
+once, and each left word acts on the whole sum.  Products in U(g) (mul,
+comm) remain only where the statement is about U(g): the Casimir element
+and its centrality.
 
 Each value is computed once: theta_zero and theta_one are memoised per
 coordinate vector, generators are kept in WSetup.thetas and theta
@@ -30,7 +30,6 @@ caller mutates them.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -91,9 +90,8 @@ class UAlgebra:
     the right.  q_mul(x, y) is x acting on y.1 and q_comm(x, y) is
     x.(y.1) - y.(x.1): the class in Q of a product or commutator of two
     elements of U(g), without straightening in U(g).  Each factor is
-    mapped to Q once, and the left words act on the whole sum through a
-    trie of their reversed letters, so that words sharing a suffix share
-    its action (_act_on).  mul and comm straighten in U(g).
+    mapped to Q once, and each left word acts on the whole sum, one letter
+    at a time (_act_on, _act_letter).  mul and comm straighten in U(g).
 
     Arithmetic runs on Python ints.  With D the lcm of the denominators of
     the bracket table and of chi on m, the table is held as the integers
@@ -176,54 +174,26 @@ class UAlgebra:
     def _act_letter(self, a: int, v: dict) -> dict:
         """a.v for an int-valued sum v of Q normal form words, as the terms
         of v act one by one; a term whose sum cancels stays, at 0."""
-        act, out = self.act, {}
+        out = {}
         for t, c in v.items():
-            if t and a <= t[0]:   # act would prepend a
-                s = (a,) + t
-                out[s] = out.get(s, 0) + c
-                continue
-            for s, d in act(a, t).items():
+            for s, d in self.act(a, t).items():
                 out[s] = out.get(s, 0) + c * d
         return out
 
     def _act_on(self, xs, v: dict, top: int) -> dict:
         """sum of n * D^(top - len(w)) * w.v over the scaled terms (w, n) of
-        xs, the letters of each word w acting on v from the right.
-
-        Words that share a suffix share its action: the words of xs form a
-        trie of their reversed letters, walked with an explicit stack
-        (children in insertion order), and each trie node applies one
-        letter to its parent's sum.  Terms that cancel stay in every
-        intermediate sum, so the result has the key order of taking the
-        words of xs in turn and the terms of v one by one.  On v = c.1, a
-        word already in Q normal form needs no walk: its image is c times
-        itself."""
-        if not v:
-            return {}
-        at = {}
-        if len(v) == 1 and () in v:
-            c, m = v[()], self.m_start
-            at = {w: {w: c} for w, _ in xs if not w or (w[-1] < m and list(w) == sorted(w))}
-        trie = {}
-        for w, _ in xs:
-            if w in at:
-                continue
-            node = trie
-            for a in reversed(w):
-                node = node.setdefault(a, {})
-        words = {w for w, _ in xs}
-        stack = [((), v, trie)]
-        while stack:
-            suffix, val, children = stack.pop()
-            if suffix in words and suffix not in at:
-                at[suffix] = val
-            stack.extend(reversed([((a,) + suffix, self._act_letter(a, val), child)
-                                   for a, child in children.items()]))
+        xs, the letters of each word w acting on the whole sum v from the
+        right.  Terms that cancel stay in every intermediate sum, so the
+        result has the key order of taking the words of xs in turn and the
+        terms of v one by one."""
         D = self.denominator
         out = {}
         for w, n in xs:
+            val = v
+            for a in reversed(w):
+                val = self._act_letter(a, val)
             scale = n * D ** (top - len(w))
-            for s, c in at[w].items():
+            for s, c in val.items():
                 out[s] = out.get(s, 0) + scale * c
         return out
 
@@ -622,26 +592,17 @@ class WSetup:
         monomial other than (k,) remains; returns (result, expansion).
 
         The monomial taken next is the pure word of h least in the order
-        (highest Kazhdan degree, shortest, then lexicographic), kept in a
-        heap: a word enters it when it enters h, and an entry whose word
-        has left h is dropped when it comes to the top.  Each step
-        subtracts in place on a copy of h."""
+        (highest Kazhdan degree, shortest, then lexicographic).  Each step
+        subtracts in place on a copy of h that holds no zero term."""
         exclude = (k,) if k is not None else None
         r, kaz = self.r, self.kaz
-
-        def entry(w):
-            return -sum(kaz[i] for i in w), len(w), w
-
-        h = {w: c for w, c in h.items() if c != 0}
-        heap = [entry(w) for w in h if w != exclude and all(i < r for i in w)]
-        heapq.heapify(heap)
         expansion = {}
+        h = {w: c for w, c in h.items() if c != 0}
         for _ in range(CLEAR_MAX_ITER):
-            while heap and heap[0][2] not in h:
-                heapq.heappop(heap)
-            if not heap:
+            pure = [w for w in h if w != exclude and all(i < r for i in w)]
+            if not pure:
                 return h, expansion
-            word = heapq.heappop(heap)[2]
+            word = min(pure, key=lambda w: (-sum(kaz[i] for i in w), len(w), w))
             coeff = h[word]
             if k is not None and len(word) == 1 and self.x_degrees[word[0]] >= self.x_degrees[k]:
                 raise AssertionError(
@@ -650,16 +611,11 @@ class WSetup:
                 )
             expansion[word] = expansion.get(word, Fraction(0)) + coeff
             for t, c in self._theta_monomial(word).items():
-                new = t not in h
                 v = h.get(t, 0) - coeff * c
-                if v == 0:
-                    del h[t]
-                    continue
-                h[t] = v
-                if new and t != exclude and all(i < r for i in t):
-                    heapq.heappush(heap, entry(t))
-            if word in h:
-                heapq.heappush(heap, entry(word))
+                if v:
+                    h[t] = v
+                else:
+                    h.pop(t, None)
         raise AssertionError("clearing loop failed to terminate")
 
     def lift(self, k: int, perturb: int = 0):

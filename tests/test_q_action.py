@@ -3,9 +3,9 @@ action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
 The action agrees with straightening in U(g) followed by the substitution of
 chi, its memo runs on ints, the ad-m-invariance certificate still sees a
 wrong chi through it, and products in U(g) are taken only for the Casimir
-element.  q_mul and q_comm, which map the right factor to Q once and share
-the action of common suffixes, give the values and key order of mapping
-each pair of words to Q by itself, and a dropped WSetup frees its UAlgebra
+element.  q_mul and q_comm, which map the right factor to Q once and let
+each left word act on the whole sum, give the values and key order of
+mapping each pair of words to Q by itself, and a dropped WSetup frees its UAlgebra
 without the cycle collector."""
 
 import ast
@@ -208,8 +208,8 @@ def test_shared_suffixes_match_the_reference_under_chi_over_three():
 
 
 def test_a_dropped_setup_frees_its_algebra_without_the_collector():
-    # no reference cycle through the memos or the trie walk: with the cycle
-    # collector off, the UAlgebra and its memos go with the last reference
+    # no reference cycle through the memos: with the cycle collector off,
+    # the UAlgebra and its memos go with the last reference
     gc.disable()
     try:
         setup = _fresh("so5")
@@ -245,7 +245,7 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
 
 # -- products in U(g) stay with the Casimir element --------------------------------
 
-PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "act", "straighten")
+PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "act", "_act_on", "_act_letter", "straighten")
 
 
 def _products_in_U(source: str) -> list:
@@ -292,6 +292,10 @@ def casimir(setup):
 def lift(setup, U):
     h = U.mul({}, {})
     return setup.q_project(setup.U.q_comm(h, h)), setup.ring.mul(1, 2)
+
+
+def tails(setup, U, xs):
+    return setup.q_project(U._act_on(xs, {(): 1}, 1)), setup.q_project(U._act_letter(0, {(): 1}))
 '''
     assert _products_in_U(src) == ["WSetup.ad_m_invariant", "casimir", "lift"]
-    assert _projected_products(src) == [9, 18]
+    assert _projected_products(src) == [9, 18, 22, 22]

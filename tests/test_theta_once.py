@@ -1,8 +1,8 @@
 """Each theta value is computed once: theta_zero and theta_one are memoised
 per coordinate vector, shared dicts are never mutated, every commutator law
-comparison still runs, and WSetup._clear takes each next monomial from a
-heap and subtracts in place, with the result of the minimum scan it
-replaced."""
+comparison still runs, and WSetup._clear, which subtracts in place, gives
+the result of the clearing loop that rebuilt h with elem_add at every
+step."""
 
 import sys
 from fractions import Fraction
@@ -61,7 +61,7 @@ def _clearing_inputs(setup):
             yield h, k
 
 
-def test_heap_clearing_matches_the_minimum_scan_on_every_so8_commutator():
+def test_in_place_clearing_matches_the_rebuilding_loop_on_every_so8_commutator():
     setup = _so8()
     inputs = list(_clearing_inputs(setup))
     assert len(inputs) == setup.r * (setup.r - 1) // 2 + sum(d >= 2 for d in setup.x_degrees[:setup.r])
@@ -92,8 +92,8 @@ def test_the_iteration_cap_counts_subtractions_as_before(monkeypatch):
 
 def test_a_word_left_after_its_step_is_taken_again_until_the_cap(monkeypatch):
     # with every theta monomial doubled, no subtraction clears the word it
-    # was taken for, so the minimum scan takes it again and again; the heap
-    # must do the same and stop at the cap, not return with it uncleared
+    # was taken for, so the loop takes it again and again and must stop at
+    # the cap, not return with it uncleared
     setup = _so8()
     original = setup._theta_monomial
     monkeypatch.setattr(setup, "_theta_monomial", lambda word: {t: 2 * c for t, c in original(word).items()})
