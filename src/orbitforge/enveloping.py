@@ -185,13 +185,19 @@ class UAlgebra:
         xs, the letters of each word w acting on the whole sum v from the
         right.  Terms that cancel stay in every intermediate sum, so the
         result has the key order of taking the words of xs in turn and the
-        terms of v one by one."""
-        D = self.denominator
+        terms of v one by one.  On v = 1 a nonempty word in Q normal form is
+        its own image, kept as the word's own tuple: results share their
+        keys with the factors, and peak memory stays lower than with a copy
+        of each key."""
+        D, m = self.denominator, self.m_start
         out = {}
         for w, n in xs:
-            val = v
-            for a in reversed(w):
-                val = self._act_letter(a, val)
+            if v is _ONE and w and w[-1] < m and list(w) == sorted(w):
+                val = {w: 1}
+            else:
+                val = v
+                for a in reversed(w):
+                    val = self._act_letter(a, val)
             scale = n * D ** (top - len(w))
             for s, c in val.items():
                 out[s] = out.get(s, 0) + scale * c

@@ -207,6 +207,16 @@ def test_shared_suffixes_match_the_reference_under_chi_over_three():
     _assert_int_memo(U)
 
 
+def test_a_normal_form_word_keeps_its_tuple():
+    # y.1 holds y's own words, not equal copies: the results share keys
+    # with the factors, which keeps peak memory down
+    setup = _setup("so5")
+    words = [(0,), (1, setup.z_start), (0, 0, setup.m_start - 1), ()]
+    y = {tuple(list(w)): Fraction(k + 1) for k, w in enumerate(words)}
+    assert all(a is b for a, b in zip(setup.U.q_mul(ONE, y), y))
+    assert setup.U.q_mul(ONE, y) == y
+
+
 def test_a_dropped_setup_frees_its_algebra_without_the_collector():
     # no reference cycle through the memos: with the cycle collector off,
     # the UAlgebra and its memos go with the last reference
