@@ -14,13 +14,14 @@ vectors spanning n_+(-1)), then the m-part (normalised duals z' followed by
 the degrees <= -2).  With the m-part rightmost, projection to Q is a suffix
 substitution by chi.
 
-Every W-algebra product is computed in Q = U(g) (x)_{U(m)} k_chi itself, by
-the left action of U(g) on Q normal form words (UAlgebra.q_mul, q_comm):
+Every product is computed by one kernel, the left action of U(g) on Q
+normal form words (UAlgebra.q_mul, q_comm), with Q = U(g) (x)_{U(m)} k_chi:
 an m-letter that reaches the right end of a word becomes chi of it, and
 nothing is straightened in U(g) first.  The right factor is mapped to Q
-once, and each left word acts on the whole sum.  Products in U(g) (mul,
-comm) remain only where the statement is about U(g): the Casimir element
-and its centrality.
+once, and each left word acts on the whole sum.  With no m-letters Q is
+U(g) itself and the action is left multiplication in the PBW basis; the
+Casimir element and its centrality take their products from such an
+instance.
 
 Each value is computed once: theta_zero and theta_one are memoised per
 coordinate vector, generators are kept in WSetup.thetas and theta
@@ -76,8 +77,8 @@ def _difference(p: dict, q: dict) -> dict:
 
 
 class UAlgebra:
-    """PBW arithmetic over QQ with a fixed basis order: straightening in
-    U(g), and the left action of U(g) on Q = U(g) (x)_{U(m)} k_chi.
+    """PBW arithmetic over QQ with a fixed basis order: the left action of
+    U(g) on Q = U(g) (x)_{U(m)} k_chi.
 
     The letters from m_start on span m, and chi[k] is chi on letter k; a Q
     normal form word is a sorted word over the letters below m_start (the
@@ -91,17 +92,19 @@ class UAlgebra:
     x.(y.1) - y.(x.1): the class in Q of a product or commutator of two
     elements of U(g), without straightening in U(g).  Each factor is
     mapped to Q once, and each left word acts on the whole sum, one letter
-    at a time (_act_on, _act_letter).  mul and comm straighten in U(g).
+    at a time (_act_on, _act_letter).  With m_start = dim, the default,
+    there are no m-letters: Q is U(g), and q_mul and q_comm are the product
+    and the commutator in U(g).
 
     Arithmetic runs on Python ints.  With D the lcm of the denominators of
     the bracket table and of chi on m, the table is held as the integers
-    D*c and chi as D*chi.  straighten(word) and word.1 hold
-    D^(len(word) - len(t)) times the coefficient of each term t, and
-    act(a, w) holds D^(1 + len(w) - len(t)) times it: each bracket and each
-    chi substitution takes one letter off and one factor D on, so these are
-    integers.  straighten and act are memoised.  The products accumulate
-    over one common denominator and build one Fraction per output term,
-    in the key order of taking (wa + wb).1 for each pair of words in turn.
+    D*c and chi as D*chi.  word.1 holds D^(len(word) - len(t)) times the
+    coefficient of each term t, and act(a, w) holds D^(1 + len(w) - len(t))
+    times it: each bracket and each chi substitution takes one letter off
+    and one factor D on, so these are integers.  act is memoised.  The
+    products accumulate over one common denominator and build one Fraction
+    per output term, in the key order of taking (wa + wb).1 for each pair
+    of words in turn.
     """
 
     def __init__(self, dim: int, bracket, m_start: int | None = None, chi=()):
@@ -118,32 +121,7 @@ class UAlgebra:
             for ab, entry in bracket.items()
         }
         self._ichi = {self.m_start + i: c.numerator * (D // c.denominator) for i, c in enumerate(chi_m)}
-        self._memo = {}
         self._act_memo = {}
-
-    def straighten(self, word: tuple) -> dict:
-        """Normal form of word as {term: D^(len(word) - len(term)) * coefficient}."""
-        out = self._memo.get(word)
-        if out is not None:
-            return out
-        bad = None
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                bad = i
-                break
-        if bad is None:
-            out = {word: 1}
-        else:
-            a, b = word[bad], word[bad + 1]
-            swapped = word[:bad] + (b, a) + word[bad + 2:]
-            out = dict(self.straighten(swapped))
-            for k, cbr in self._ibracket.get((a, b), {}).items():
-                sub = word[:bad] + (k,) + word[bad + 2:]
-                for t, c in self.straighten(sub).items():
-                    out[t] = out.get(t, 0) + cbr * c
-            out = {t: c for t, c in out.items() if c != 0}
-        self._memo[word] = out
-        return out
 
     def act(self, a: int, w: tuple) -> dict:
         """a.w in Q for a letter a and a Q normal form word w, as
@@ -203,37 +181,9 @@ class UAlgebra:
                 out[s] = out.get(s, 0) + scale * c
         return out
 
-    def _products(self, xs, ys, top: int) -> dict:
-        """sum of na * nb * straighten(wa + wb) over the scaled terms, each
-        lifted to D^(top - len(term)) times its coefficient."""
-        D = self.denominator
-        out = {}
-        for wa, na in xs:
-            for wb, nb in ys:
-                w = wa + wb
-                scale = na * nb * D ** (top - len(w))
-                for t, c in self.straighten(w).items():
-                    out[t] = out.get(t, 0) + scale * c
-        return out
-
     def _fractions(self, acc: dict, den: int, top: int) -> dict:
         D = self.denominator
         return {t: Fraction(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
-
-    def mul(self, x: dict, y: dict) -> dict:
-        """x y in U(g)."""
-        dx, xs = _scaled(x)
-        dy, ys = _scaled(y)
-        top = _longest(x) + _longest(y)
-        return self._fractions(self._products(xs, ys, top), dx * dy, top)
-
-    def comm(self, x: dict, y: dict) -> dict:
-        """[x, y] in U(g)."""
-        dx, xs = _scaled(x)
-        dy, ys = _scaled(y)
-        top = _longest(x) + _longest(y)
-        return self._fractions(_difference(self._products(xs, ys, top), self._products(ys, xs, top)),
-                               dx * dy, top)
 
     def q_mul(self, x: dict, y: dict) -> dict:
         """The class of x y in Q: x acting on y.1."""
@@ -790,13 +740,15 @@ def casimir(setup: WSetup) -> CasimirElement:
     # C = 2 sum e_a e_{-a}/kappa_a + sum hhat^i h_{a_i} - sum h_a/kappa_a,
     # with hhat^i the kappa-dual of h_{a_i}; this is the central normalisation
     # (hhat^i = (a_i|a_i)/(2d) t_i stays in Z[1/2] since the factor is 1 or
-    # 1/d).  Centrality is verified below on the whole basis.
+    # 1/d).  Centrality is verified below on the whole basis.  With no
+    # m-letters the Q action is left multiplication in U(g).
+    U = UAlgebra(setup.dim, setup.U.bracket)
     index = {lab: k for k, lab in enumerate(alg.labels)}
     C: dict = {}
     for w in rd["positive_roots"]:
         plus, minus = index[("e", w)], index[("e", tuple(-x for x in w))]
         kap = kf["gram"][(plus, minus)]
-        prod = setup.U.mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
+        prod = U.q_mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
         C = elem_add(C, prod, Fraction(2) / kap)
         h_alpha = alg.sparse_bracket({plus: 1}, {minus: 1})
         C = elem_add(C, setup.embed(h_alpha), Fraction(-1) / kap)
@@ -806,11 +758,11 @@ def casimir(setup: WSetup) -> CasimirElement:
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
         hhat = {k: x * scale for k, x in enumerate(t_coords[i]) if x}
-        C = elem_add(C, setup.U.mul(setup.embed(hhat), setup.embed({i: 1})))
+        C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
     # centrality in U(g)
     for b in range(setup.dim):
-        if setup.U.comm(C, setup.gen(b)):
+        if U.q_comm(C, setup.gen(b)):
             raise AssertionError(f"Casimir fails to commute with basis element {b}")
 
     q_image = setup.q_project(C)

@@ -39,17 +39,25 @@ class ModularAlgebra:
     structure: dict          # (a, b) -> {c: coeff mod p}
 
 
+def _power(m: SparseMatrix, k: int) -> SparseMatrix:
+    """m^k for k >= 1 by repeated squaring: at most 2 log2(k) products."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else out @ m
+        k >>= 1
+        if not k:
+            return out
+        m = m @ m
+
+
 def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
     if p == 2:
         raise ValueError("p = 2 is a bad prime for these types")
     ring = GF(p)
     p_power = []
     for b in alg.basis:
-        b = b.change_ring(ring)
-        power = SparseMatrix.identity(alg.N, ring)
-        for _ in range(p):
-            power = power @ b
-        p_power.append(alg.coordinates(power))
+        p_power.append(alg.coordinates(_power(b.change_ring(ring), p)))
     structure = {}
     for a, row in enumerate(alg.structure):
         for b, terms in row.items():
@@ -68,11 +76,7 @@ def verify_restrictedness(mod: ModularAlgebra):
     for k in range(dim):
         unit = [0] * dim
         unit[k] = 1
-        adx = mod.alg.ad(unit, ring)
-        power = adx
-        for _ in range(mod.p - 1):
-            power = power @ adx
-        if power != mod.alg.ad(mod.p_power[k], ring):
+        if _power(mod.alg.ad(unit, ring), mod.p) != mod.alg.ad(mod.p_power[k], ring):
             raise AssertionError(f"restrictedness fails for basis element {k}")
 
 
@@ -278,9 +282,7 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
                 raise AssertionError(f"bracket compatibility fails at pair ({a}, {b})")
     eye = SparseMatrix.identity(module.dim, ring)
     for k in range(dim_g):
-        power = act[k]
-        for _ in range(p - 1):
-            power = power @ act[k]
+        power = _power(act[k], p)
         target = eye.scale(pow(module.chi[k], p, p))
         for c, v in enumerate(mod.p_power[k]):
             if v != 0:

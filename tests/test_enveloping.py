@@ -12,6 +12,7 @@ from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, solve, spa
 from orbitforge.rings import QQ
 from orbitforge.rings import is_two_power_denominator
 from orbitforge.partitions import Partition
+from orbitforge.algebra import build_algebra
 from orbitforge.orbits import build_nilpotent
 from orbitforge.enveloping import (
     UAlgebra,
@@ -47,8 +48,10 @@ def sp6():
 
 
 class FractionUAlgebra:
-    """Reference straightening on Fraction coefficients, the arithmetic
-    UAlgebra ran before it moved to integers over a deferred denominator."""
+    """Reference straightening in U(g) on Fraction coefficients: swap the
+    first out-of-order pair of letters and add their bracket, until every
+    word is sorted.  It shares nothing with UAlgebra's integer left action,
+    which is checked against it."""
 
     def __init__(self, dim: int, bracket):
         self.dim = dim
@@ -95,32 +98,39 @@ class FractionUAlgebra:
         return {t: c for t, c in out.items() if c != 0}
 
 
-def _synthetic_bracket(dim: int, dens, seed: int) -> dict:
-    """An arbitrary (not Lie) table of out-of-order brackets; straightening
-    is defined for any table, since each bracket shortens the word."""
-    rng = random.Random(seed)
-    table = {}
-    for a in range(dim):
-        for b in range(a):
-            entry = {k: Fraction(rng.randint(-3, 3), rng.choice(dens)) for k in rng.sample(range(dim), 2)}
-            entry = {k: c for k, c in entry.items() if c != 0}
-            if entry:
-                table[(a, b)] = entry
-    return table
+@lru_cache(maxsize=None)
+def _reference(setup) -> FractionUAlgebra:
+    """The Fraction reference on setup's bracket table, one per setup."""
+    return FractionUAlgebra(setup.dim, setup.U.bracket)
 
 
-SYNTHETIC = {"integral": ((1,), 1), "thirds": ((1, 3), 3)}   # name: (denominators, D)
+@lru_cache(maxsize=None)
+def _no_m(setup) -> UAlgebra:
+    """The kernel on setup's bracket table with no m-letters: Q is U(g)."""
+    return UAlgebra(setup.dim, setup.U.bracket)
+
+
+def _chevalley_table(scale: Fraction) -> dict:
+    """so_5's out-of-order brackets in the Chevalley basis, times scale.  A
+    Lie table: without the Jacobi identity a PBW normal form depends on the
+    order of rewriting."""
+    alg = build_algebra(5, 1)
+    return {(a, b): {c: v * scale for c, v in terms}
+            for a, row in enumerate(alg.structure) for b, terms in row.items() if a > b}
+
+
+LIE = {"integral": (Fraction(1), 1), "thirds": (Fraction(1, 3), 3)}   # name: (scale, D)
 
 
 @lru_cache(maxsize=None)
 def _algebras(name):
-    """(integer UAlgebra, Fraction reference) on the same bracket table."""
+    """(integer kernel with no m-letters, Fraction reference) on the same
+    bracket table."""
     if name in SETUPS:
-        U = _setup(name).U
-    else:
-        dens, D = SYNTHETIC[name]
-        U = UAlgebra(6, _synthetic_bracket(6, dens, seed=5))
-        assert U.denominator == D
+        return _no_m(_setup(name)), _reference(_setup(name))
+    scale, D = LIE[name]
+    U = UAlgebra(10, _chevalley_table(scale))
+    assert U.denominator == D
     return U, FractionUAlgebra(U.dim, U.bracket)
 
 
@@ -133,23 +143,24 @@ def _elements(dim: int, max_len: int):
 
 
 def _assert_same(got: dict, want: dict):
-    # values and key order both match, and every value is a Fraction
-    assert list(got.items()) == list(want.items())
+    # the same values, each a Fraction
+    assert got == want
     assert all(type(c) is Fraction for c in got.values())
 
 
-@pytest.mark.parametrize("name", [*SETUPS, *SYNTHETIC])
+@pytest.mark.parametrize("name", [*SETUPS, *LIE])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_integer_straightening_matches_the_fraction_reference(name, data):
+    # the integer left action with no m-letters is the product in U(g)
     U, ref = _algebras(name)
     x, y = (data.draw(_elements(U.dim, 2 if name in SETUPS else 3)) for _ in range(2))
-    _assert_same(U.mul(x, y), ref.mul(x, y))
-    _assert_same(U.comm(x, y), ref.comm(x, y))
-    assert all(type(c) is int for out in U._memo.values() for c in out.values())
+    _assert_same(U.q_mul(x, y), ref.mul(x, y))
+    _assert_same(U.q_comm(x, y), ref.comm(x, y))
+    assert all(type(c) is int for out in U._act_memo.values() for c in out.values())
 
 
-@pytest.mark.parametrize("name", [*SETUPS, *SYNTHETIC])
+@pytest.mark.parametrize("name", [*SETUPS, *LIE])
 def test_reference_comparison_sees_dyadic_and_non_dyadic_coefficients(name):
     U, ref = _algebras(name)
     rng = random.Random(7)
@@ -158,7 +169,7 @@ def test_reference_comparison_sees_dyadic_and_non_dyadic_coefficients(name):
         x, y = ({tuple(rng.randrange(U.dim) for _ in range(rng.randint(1, 2))):
                  Fraction(rng.randint(-6, 6) or 1, rng.choice([1, 2, 3, 4]))
                  for _ in range(3)} for _ in range(2))
-        for got, want in ((U.mul(x, y), ref.mul(x, y)), (U.comm(x, y), ref.comm(x, y))):
+        for got, want in ((U.q_mul(x, y), ref.mul(x, y)), (U.q_comm(x, y), ref.comm(x, y))):
             _assert_same(got, want)
             coeffs += got.values()
     assert any(is_two_power_denominator(c) and c.denominator > 1 for c in coeffs)
@@ -202,7 +213,7 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
 #
 # Brackets as matrix commutators and coordinates recovered by alg.coordinates,
 # the way the enveloping layer computed before it moved onto the structure
-# table and the Killing Gram.
+# table and the Killing Gram, and products in U(g) by the Fraction reference.
 
 
 def _embed_matrix(setup, m) -> dict:
@@ -210,30 +221,32 @@ def _embed_matrix(setup, m) -> dict:
 
 
 def _matrix_theta_zero(setup, x) -> dict:
+    ref = _reference(setup)
     t = _embed_matrix(setup, x)
     for i, v in enumerate(setup.pair.z_minus):
         br = commutator(x, setup.alg.from_coordinates(v))
         if not br.is_zero():
-            t = elem_add(t, setup.U.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)), Fraction(1, 2))
+            t = elem_add(t, ref.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)), Fraction(1, 2))
     return setup.q_project(t)
 
 
 def _matrix_theta_one(setup, x) -> dict:
+    ref = _reference(setup)
     zp = [setup.alg.from_coordinates(v) for v in setup.pair.z_minus]
     t = _embed_matrix(setup, x)
     for i in range(setup.s):
         br = commutator(x, zp[i])
         if not br.is_zero():
-            t = elem_add(t, setup.U.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)))
+            t = elem_add(t, ref.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)))
     for i in range(setup.s):
         for j in range(setup.s):
             brij = commutator(commutator(x, zp[i]), zp[j])
             if not brij.is_zero():
-                zz = setup.U.mul(setup.gen(setup.z_start + j), setup.gen(setup.z_start + i))
-                t = elem_add(t, setup.U.mul(_embed_matrix(setup, brij), zz), Fraction(1, 3))
+                zz = ref.mul(setup.gen(setup.z_start + j), setup.gen(setup.z_start + i))
+                t = elem_add(t, ref.mul(_embed_matrix(setup, brij), zz), Fraction(1, 3))
     t = setup.q_project(t)
     for l in range(setup.s):
-        defect = setup.q_project(setup.U.comm(setup.gen(setup.m_start + l), dict(t)))
+        defect = setup.q_project(ref.comm(setup.gen(setup.m_start + l), dict(t)))
         if defect:
             t = elem_add(t, setup.gen(setup.z_start + l), -defect[()])
     return t
@@ -241,6 +254,7 @@ def _matrix_theta_one(setup, x) -> dict:
 
 def _matrix_casimir(setup) -> dict:
     alg = setup.alg
+    ref = _reference(setup)
     rd, kf = alg.root_data(), alg.killing_form()
     c = kf["trace_constant"]
     l = len(rd["simple_roots"])
@@ -250,7 +264,7 @@ def _matrix_casimir(setup) -> dict:
         e_plus = alg._terms_to_matrix(alg._rv_terms[w])
         e_minus = alg._terms_to_matrix(alg._rv_terms[tuple(-x for x in w)])
         kap = c * (e_plus @ e_minus).trace()
-        C = elem_add(C, setup.U.mul(_embed_matrix(setup, e_plus), _embed_matrix(setup, e_minus)), Fraction(2) / kap)
+        C = elem_add(C, ref.mul(_embed_matrix(setup, e_plus), _embed_matrix(setup, e_minus)), Fraction(2) / kap)
         C = elem_add(C, _embed_matrix(setup, commutator(e_plus, e_minus)), Fraction(-1) / kap)
     for i in range(l):
         sol = solve(amat, [Fraction(int(a == i)) for a in range(l)])
@@ -258,7 +272,7 @@ def _matrix_casimir(setup) -> dict:
         for a, x in enumerate(sol):
             t = t + alg.basis[a].scale(x)
         scale = rd["norms"][tuple(rd["simple_roots"][i])] / (2 * kf["d"])
-        C = elem_add(C, setup.U.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))
+        C = elem_add(C, ref.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))
     return C
 
 
@@ -323,29 +337,30 @@ def test_q_project_matches_the_reference(name, data):
     setup = _setup(name)
     elem = data.draw(_elements(setup.dim, 4))
     if data.draw(st.booleans()):
-        elem = setup.U.mul(elem, data.draw(_elements(setup.dim, 2)))   # normal-ordered words
+        elem = _reference(setup).mul(elem, data.draw(_elements(setup.dim, 2)))   # normal-ordered words
     got = setup.q_project(elem)
     _same_items(got, _q_project_reference(setup, elem))
     assert all(type(c) is Fraction for c in got.values())
 
 
 def test_multiply_by_one(sp4):
-    x = sp4.gen(0)
-    assert sp4.U.mul(x, {(): Fraction(1)}) == x
-    assert sp4.U.mul({(): Fraction(1)}, x) == x
+    x, U = sp4.gen(0), _no_m(sp4)
+    assert U.q_mul(x, {(): Fraction(1)}) == x
+    assert U.q_mul({(): Fraction(1)}, x) == x
 
 
 def test_commutator_agrees_with_bracket(sp4):
-    alg = sp4.alg
+    alg, U = sp4.alg, _no_m(sp4)
     for a, va in enumerate(sp4.basis_vectors):
         for b, vb in enumerate(sp4.basis_vectors):
-            lhs = sp4.U.comm(sp4.gen(a), sp4.gen(b))
+            lhs = U.q_comm(sp4.gen(a), sp4.gen(b))
             br = alg.sparse_bracket(sparse_vector(va, QQ), sparse_vector(vb, QQ))
             assert lhs == sp4.embed(br), (a, b)
             assert lhs == _embed_matrix(sp4, commutator(alg.from_coordinates(va), alg.from_coordinates(vb)))
 
 
 def test_associativity_on_seeded_triples(sp4):
+    U = _no_m(sp4)
     state = 20240601
     for _ in range(50):
         words = []
@@ -356,7 +371,7 @@ def test_associativity_on_seeded_triples(sp4):
             b = state % sp4.dim
             words.append({(a,): Fraction(1), (b,): Fraction(1 + state % 3)})
         x, y, z = words
-        assert sp4.U.mul(sp4.U.mul(x, y), z) == sp4.U.mul(x, sp4.U.mul(y, z))
+        assert U.q_mul(U.q_mul(x, y), z) == U.q_mul(x, U.q_mul(y, z))
 
 
 def test_q_project_m_generator(sp4):
@@ -375,11 +390,11 @@ def test_q_project_zprime_z_affine(sp4):
     # z' z = z z' + [z', z]; the class is Psi(z', z) = 1 by the duality
     zp = sp4.gen(sp4.m_start)
     z = sp4.gen(sp4.z_start)
-    assert sp4.q_project(sp4.U.mul(zp, z)) == {(): Fraction(1)}
+    assert sp4.q_project(_reference(sp4).mul(zp, z)) == {(): Fraction(1)}
 
 
 def test_q_project_idempotent_on_normal_forms(sp4):
-    q = sp4.q_project(sp4.U.mul(sp4.gen(0), sp4.gen(sp4.z_start)))
+    q = sp4.q_project(_reference(sp4).mul(sp4.gen(0), sp4.gen(sp4.z_start)))
     assert sp4.q_project(dict(q)) == q
 
 
@@ -396,7 +411,7 @@ def test_kazhdan_filtration_submultiplicative(sp4):
     elems = [sp4.q_project(sp4.gen(k)) for k in range(sp4.m_count)]
     for a in elems[:4]:
         for b in elems[:4]:
-            prod = sp4.q_project(sp4.U.mul(dict(a), dict(b)))
+            prod = sp4.q_project(_reference(sp4).mul(dict(a), dict(b)))
             if prod:
                 assert sp4.kazhdan_degree(prod) <= sp4.kazhdan_degree(a) + sp4.kazhdan_degree(b)
 
@@ -519,12 +534,13 @@ def test_the_stored_expansion_is_the_whole_expansion_of_the_commutator_sum(parts
     # generators through the degree-2 ones
     setup = WSetup(build_nilpotent(Partition(parts), eps))
     setup.build_all_thetas()
+    ref = FractionUAlgebra(setup.dim, setup.U.bracket)
     high = [k for k in range(setup.r) if setup.x_degrees[k] >= 2]
     assert high
     for k in high:
         h = {}
         for (p, q), c in setup.commutator_presentation(k):
-            br = setup.U.comm(dict(setup.thetas[p].value), dict(setup.thetas[q].value))
+            br = ref.comm(dict(setup.thetas[p].value), dict(setup.thetas[q].value))
             h = elem_add(h, setup.q_project(br), c)
         assert setup.expand_in_theta(h) == {**setup.thetas[k].expansion, (k,): 1}
     assert all(setup.thetas[k].expansion == {} for k in range(setup.r) if k not in high)

@@ -10,6 +10,7 @@ from orbitforge.partitions import Partition
 from orbitforge.algebra import build_algebra
 from orbitforge.orbits import InductionDatum, build_nilpotent, embed_datum
 from orbitforge.modular import (
+    _power,
     reduce_mod_p,
     p_character,
     centralizer_dim_mod_p,
@@ -120,6 +121,50 @@ def test_restrictedness_sweep():
     for p in (3, 5, 7):
         reduce_mod_p(build_algebra(4, -1), p)
         reduce_mod_p(build_algebra(5, 1), p)
+
+
+class _CountedMatrix:
+    """A SparseMatrix whose @ counts the products taken."""
+
+    def __init__(self, m, count: list):
+        self.m, self.count = m, count
+
+    def __matmul__(self, other):
+        self.count[0] += 1
+        return _CountedMatrix(self.m @ other.m, self.count)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_power_by_squaring_matches_the_product_loop(k):
+    # ad x for x a sum of all basis elements of sp_4 over F_7: neither
+    # nilpotent nor diagonal
+    alg = build_algebra(4, -1)
+    m = alg.ad([1 + i % 3 for i in range(alg.dim)], GF(7))
+    want = m
+    for _ in range(k - 1):
+        want = want @ m
+    count = [0]
+    got = _power(_CountedMatrix(m, count), k)
+    assert got.m == want
+    # one squaring per bit below the top one, one product per further set bit
+    assert count[0] == k.bit_length() + bin(k).count("1") - 2 <= 2 * (k.bit_length() - 1)
+
+
+def test_a_large_prime_takes_logarithmically_many_products(monkeypatch):
+    # p-th powers of sp_4's basis, restrictedness and their check at
+    # p = 100003 (17 bits, 6 set): at most 2 * 16 products per power
+    calls = [0]
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    alg = build_algebra(4, -1)
+    mod = reduce_mod_p(alg, 100003)
+    assert mod.p == 100003 and len(mod.p_power) == alg.dim
+    assert calls[0] <= 2 * alg.dim * 2 * 16
 
 
 def test_p_character_support():

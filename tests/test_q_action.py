@@ -1,12 +1,14 @@
 """W-algebra products are computed in Q = U(g) (x)_{U(m)} k_chi by the left
 action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
-The action agrees with straightening in U(g) followed by the substitution of
-chi, its memo runs on ints, the ad-m-invariance certificate still sees a
-wrong chi through it, and products in U(g) are taken only for the Casimir
-element.  q_mul and q_comm, which map the right factor to Q once and let
-each left word act on the whole sum, give the values and key order of
-mapping each pair of words to Q by itself, and a dropped WSetup frees its UAlgebra
-without the cycle collector."""
+The action agrees with the Fraction straightening reference in U(g) followed
+by the substitution of chi, its memo runs on ints, and the ad-m-invariance
+certificate still sees a wrong chi through it.  UAlgebra is the one PBW
+kernel: it has no straightening of its own, and it is built only for a
+WSetup and, with no m-letters, for the Casimir element.  q_mul and q_comm,
+which map the right factor to Q once and let each left word act on the
+whole sum, give the values and key order of mapping each pair of words to Q
+by itself, and a dropped WSetup frees its UAlgebra without the cycle
+collector."""
 
 import ast
 import gc
@@ -21,6 +23,7 @@ import pytest
 from orbitforge.enveloping import UAlgebra, WSetup
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
+from test_enveloping import _reference
 from test_one_lift import _callers, _last_name
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
@@ -39,9 +42,9 @@ def _setup(name) -> WSetup:
 
 
 def _assert_q_products(setup, x, y):
-    U = setup.U
-    assert U.q_mul(x, y) == setup.q_project(U.mul(x, y)), (x, y)
-    assert U.q_comm(x, y) == setup.q_project(U.comm(x, y)), (x, y)
+    U, ref = setup.U, _reference(setup)
+    assert U.q_mul(x, y) == setup.q_project(ref.mul(x, y)), (x, y)
+    assert U.q_comm(x, y) == setup.q_project(ref.comm(x, y)), (x, y)
     _assert_like_the_reference(U, x, y)
 
 
@@ -97,6 +100,7 @@ def test_chi_denominators_enter_the_common_denominator():
     setup = _setup("so5")
     chi = [c / 3 for c in setup.chi]
     U = UAlgebra(setup.dim, setup.U.bracket, setup.m_start, chi)
+    ref = _reference(setup)
     assert (setup.U.denominator, U.denominator) == (2, 6)
 
     def project(elem):
@@ -112,8 +116,8 @@ def test_chi_denominators_enter_the_common_denominator():
         for b in range(setup.dim):
             for c in range(setup.m_start, setup.dim):
                 x, y = {(a, c): Fraction(1)}, {(b, c): Fraction(1)}
-                assert U.q_mul(x, y) == project(U.mul(x, y))
-                assert U.q_comm(x, y) == project(U.comm(x, y))
+                assert U.q_mul(x, y) == project(ref.mul(x, y))
+                assert U.q_comm(x, y) == project(ref.comm(x, y))
     _assert_int_memo(U)
 
 
@@ -253,15 +257,16 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
         setup.build_all_thetas()
 
 
-# -- products in U(g) stay with the Casimir element --------------------------------
+# -- one PBW kernel ------------------------------------------------------------------
 
-PRODUCTS = ("mul", "comm", "q_mul", "q_comm", "act", "_act_on", "_act_letter", "straighten")
+PRODUCTS = ("q_mul", "q_comm", "act", "_act_on", "_act_letter")
+SECOND_KERNEL = ("straighten", "mul", "comm")
 
 
-def _products_in_U(source: str) -> list:
-    """Scopes of the U.mul and U.comm calls outside UAlgebra itself."""
-    return sorted(scope for name in ("mul", "comm") for scope in _callers(source, name, receiver="U")
-                  if not scope.startswith("UAlgebra"))
+def _methods(source: str, cls: str) -> list:
+    """The names of the functions defined in the body of class cls."""
+    return [node.name for top in ast.parse(source).body if isinstance(top, ast.ClassDef) and top.name == cls
+            for node in top.body if isinstance(node, ast.FunctionDef)]
 
 
 def _projected_products(source: str) -> list:
@@ -271,10 +276,14 @@ def _projected_products(source: str) -> list:
             and any(isinstance(arg, ast.Call) and _last_name(arg.func) in PRODUCTS for arg in node.args)]
 
 
-def test_products_in_U_g_are_taken_only_for_the_casimir():
-    calls = [(path.name, scope) for path in sorted(SRC.glob("*.py")) for scope in _products_in_U(path.read_text())]
-    assert calls and {scope for _, scope in calls} == {"casimir"}
-    assert {name for name, _ in calls} == {"enveloping.py"}
+def test_one_pbw_kernel_built_for_the_w_setup_and_the_casimir():
+    # every product in U(g) or Q goes through UAlgebra's left action: no
+    # straightening beside it, and no instance but these two
+    source = (SRC / "enveloping.py").read_text()
+    assert not any(hasattr(UAlgebra, name) for name in SECOND_KERNEL)
+    assert not set(_methods(source, "UAlgebra")) & set(SECOND_KERNEL)
+    calls = [(path.name, scope) for path in sorted(SRC.glob("*.py")) for scope in _callers(path.read_text(), "UAlgebra")]
+    assert calls == [("enveloping.py", "WSetup._build_structure"), ("enveloping.py", "casimir")]
 
 
 def test_q_project_never_takes_a_product():
@@ -283,29 +292,36 @@ def test_q_project_never_takes_a_product():
     assert _callers((SRC / "enveloping.py").read_text(), "q_project") == ["WSetup._head", "casimir"]
 
 
-def test_the_guards_see_a_product_outside_the_casimir():
+def test_the_guards_see_a_second_kernel():
     src = '''
 class UAlgebra:
-    def comm(self, x, y):
-        return self.mul(x, y)
+    def straighten(self, word):
+        return {word: 1}
+
+    def mul(self, x, y):
+        return self.q_mul(x, y)
 
 
 class WSetup:
+    def _build_structure(self):
+        self.U = UAlgebra(self.dim, {})
+
     def ad_m_invariant(self, qnf):
-        return self.q_project(self.U.comm(self.gen(0), qnf))
+        return self.q_project(self.U.q_comm(self.gen(0), qnf))
 
 
 def casimir(setup):
-    return setup.U.mul({}, {})
+    return UAlgebra(setup.dim, setup.U.bracket).q_mul({}, {})
 
 
 def lift(setup, U):
-    h = U.mul({}, {})
-    return setup.q_project(setup.U.q_comm(h, h)), setup.ring.mul(1, 2)
+    h = orbitforge.enveloping.UAlgebra(setup.dim, {}).q_mul({}, {})
+    return setup.q_project(h)
 
 
 def tails(setup, U, xs):
     return setup.q_project(U._act_on(xs, {(): 1}, 1)), setup.q_project(U._act_letter(0, {(): 1}))
 '''
-    assert _products_in_U(src) == ["WSetup.ad_m_invariant", "casimir", "lift"]
-    assert _projected_products(src) == [9, 18, 22, 22]
+    assert _methods(src, "UAlgebra") == ["straighten", "mul"]
+    assert _callers(src, "UAlgebra") == ["WSetup._build_structure", "casimir", "lift"]
+    assert _projected_products(src) == [15, 28, 28]
