@@ -3,8 +3,8 @@ W-algebra generators for the classical Lie algebras so_N and sp_N."""
 
 __version__ = "0.1.0"
 
-from .rings import ZZ, QQ, GF, format_rational, parse_rational
-from .linalg import SparseMatrix, rank_kernel, solve, smith_normal_form, r_saturated
+from .rings import ZZ, QQ, GF, format_rational
+from .linalg import SparseMatrix, rank_kernel, solve, smith_normal_form
 from .partitions import (
     Partition,
     validate_partition,
@@ -34,4 +34,4 @@ from .centralizer import (
 )
 from .slices import build_psi, split_lagrangian, build_m, slice_complement, integral_saturation
 from .enveloping import WSetup, pbw_basis_check, augmentation_character, casimir
-from .modular import reduce_mod_p, p_character, build_induced_module, kw_bookkeeping
+from .modular import reduce_mod_p, build_induced_module, kw_bookkeeping

@@ -291,7 +291,6 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
 
 @dataclass
 class GradedSubspace:
-    dims: dict          # degree -> dimension
     codim: int
     complement_degrees: list
 
@@ -302,25 +301,21 @@ def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     alg = cb.rep.algebra
     vecs = [sparse_vector(v, QQ) for v in cb.vectors]
     span = VectorSpan(QQ, alg.dim)
-    per_degree = {}
     grew = []   # (bracket, degree) for each bracket that enlarged the span
     for a in range(cb.dim):
         for b in range(a + 1, cb.dim):
             v = alg.sparse_bracket(vecs[a], vecs[b])
             if span.add(v):
-                d = cb.degrees[a] + cb.degrees[b]
-                per_degree[d] = per_degree.get(d, 0) + 1
-                grew.append((v, d))
+                grew.append((v, cb.degrees[a] + cb.degrees[b]))
     codim = cb.dim - span.rank
+    # the span grows on to [g^e, g^e] + g^e; the g^e vectors that enlarge it
+    # give the graded complement
     comp_degrees = []
-    full = VectorSpan(QQ, alg.dim)
-    for row in span.rows:
-        full.add(row)
     for v, d in zip(vecs, cb.degrees):
-        if full.add(v):
+        if span.add(v):
             comp_degrees.append(d)
     # span([g^e, g^e]) + g^e has dimension dim g^e exactly when the brackets lie in g^e
-    if full.rank != cb.dim:
+    if span.rank != cb.dim:
         own = VectorSpan(QQ, alg.dim)
         for v in vecs:
             own.add(v)
@@ -329,7 +324,7 @@ def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
             f"[g^e, g^e] is not in g^e for {cb.rep.lam} (eps = {cb.rep.eps}): "
             + (f"a bracket of degree {outside[0]} lies outside the span of the basis" if outside
                else "the basis vectors are linearly dependent"))
-    return GradedSubspace(dict(sorted(per_degree.items())), codim, sorted(comp_degrees))
+    return GradedSubspace(codim, sorted(comp_degrees))
 
 
 def predicted_complement_size(lam: Partition, eps: int) -> int:

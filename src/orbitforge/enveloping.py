@@ -286,7 +286,6 @@ class WSetup:
         self.z_vectors = list(self.pair.z_plus)
         self.s = len(self.z_vectors)
         self.m_vectors = list(self.msub.basis)
-        self.m_degrees = list(self.msub.degrees)
         self._z_minus = [sparse_vector(v, QQ) for v in self.pair.z_minus]
 
         self.basis_vectors = self.x_vectors + self.z_vectors + self.m_vectors
@@ -404,8 +403,9 @@ class WSetup:
         The commutator ad z'_l adds exactly the constant Psi(z'_l, z_i) per
         tail term c_i z_i, so cancelling the constant defects of the cubic
         part determines the tail; the quoted closed expression for the tail
-        is inconsistent across ranks (see theta_one_reference_tail) and the
-        invariance requirement arbitrates.  Above the tail it is
+        is inconsistent across ranks (the reference-tail test in
+        tests/test_enveloping.py records the mismatch) and the invariance
+        requirement arbitrates.  Above the tail it is
         x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i."""
         t, brs = self._head(x, Fraction(1))
         for i, bri in enumerate(brs):
@@ -426,24 +426,6 @@ class WSetup:
                 )
             t = elem_add(t, self.gen(self.z_start + l), -defect[()])
         return t
-
-    def theta_one_reference_tail(self, x):
-        """Linear-tail coefficients from the commonly quoted closed
-        expression, kept for the documented comparison with the canonical
-        invariance-determined tail."""
-        br, chi = self.alg.sparse_bracket, self.psi.chi
-        xs = sparse_vector(x, QQ)
-        zm = self._z_minus
-        zs = [sparse_vector(v, QQ) for v in self.pair.z_plus]
-        out = []
-        for i in range(self.s):
-            acc = Fraction(0)
-            for j in range(self.s):
-                t1 = br(zm[j], br(xs, br(zs[j], zm[i])))
-                t2 = br(zs[j], br(xs, br(zm[j], zm[i])))
-                acc += chi_of(chi, t1) - chi_of(chi, t2)
-            out.append(Fraction(-1, 3) * acc)
-        return out
 
     def ad_m_invariant(self, qnf: dict):
         """None if invariant; otherwise (m-index, residual) witness."""

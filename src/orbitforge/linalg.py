@@ -555,19 +555,6 @@ def _verify_snf(m: SparseMatrix, res: SNFResult):
         raise AssertionError("right certificate is not invertible")
 
 
-def r_saturated(m: SparseMatrix) -> bool:
-    """True iff every nonzero elementary divisor is a power of 2 (a unit of
-    R = Z[1/2]), i.e. the image lattice is a direct summand over R."""
-    for d in smith_normal_form(m).divisors:
-        if d == 0:
-            continue
-        while d % 2 == 0:
-            d //= 2
-        if d != 1:
-            return False
-    return True
-
-
 def integer_kernel_basis(m: SparseMatrix):
     """Basis (list of int tuple vectors) of the saturated ZZ-kernel lattice."""
     if m.ring.kind != "ZZ":

@@ -80,19 +80,6 @@ def verify_restrictedness(mod: ModularAlgebra):
             raise AssertionError(f"restrictedness fails for basis element {k}")
 
 
-def p_character(rep: NilpotentRep, p: int):
-    """chi = kappa(e, -) as a functional vector over F_p on the basis."""
-    alg = rep.algebra
-    ring = GF(p)
-    gr = dynkin_grading(rep)
-    vals = []
-    for k, v in enumerate(alg.kappa_row(rep.e_coords)):
-        if v != 0 and gr.degree[k] != -2:
-            raise AssertionError("p-character supported outside degree -2")
-        vals.append(ring.coerce(v))
-    return tuple(vals)
-
-
 def centralizer_dim_mod_p(rep: NilpotentRep, p: int) -> int:
     m = ad_e_matrix(rep, GF(p))
     rank, _ = rank_kernel(m)
@@ -113,10 +100,8 @@ class InducedModule:
     datum: InductionDatum
     p: int
     dim: int
-    f_count: int
     action: list            # SparseMatrix over GF(p) per algebra basis element
     chi: tuple              # p-character values on the basis
-    e_coords: tuple         # coordinates of the inducing nilpotent
 
 
 class _VermaBuilder:
@@ -252,7 +237,7 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
             raise AssertionError("action left the monomial basis")
         action.append(SparseMatrix(dim, dim, ring, {
             (row, col): c for col, rows in cols.items() for row, c in rows.items()}))
-    module = InducedModule(datum, p, dim, len(f_idx), action, chi, e_coords)
+    module = InducedModule(datum, p, dim, action, chi)
     verify_induced_module(module, mod)
     return module
 

@@ -108,14 +108,6 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def is_two_power_denominator(x) -> bool:
     """Membership test for R = Z[1/2]: the denominator is a power of 2."""
     d = Fraction(x).denominator

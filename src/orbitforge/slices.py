@@ -156,31 +156,6 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
     return SkewForm(rep, wd, chi, minus_idx, plus_idx, gram, m_block)
 
 
-def gram_determinant(m: SparseMatrix):
-    """Exact determinant via fraction-free expansion of the dense matrix."""
-    rows = [[Fraction(x) for x in row] for row in m.to_dense()]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def is_signed_two_power(x) -> bool:
     x = Fraction(abs(Fraction(x)))
     if x == 0:
@@ -209,20 +184,17 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
         z_plus.append(tuple(vec))
     if s == 0:
         return LagrangianPair(rep, psi, [], [])
-    det = gram_determinant(psi.m_block)
-    if not is_signed_two_power(det):
-        raise AssertionError(f"det(M) = {det} is not a unit of Z[1/2]")
-    # invert M over QQ (det M != 0 above); M^{-1} must have 2-power denominators
-    minv = inverse_rows(psi.m_block.to_dense())
+    # M lies in GL_s(Z[1/2]): it is invertible, and M and M^{-1} both have
+    # 2-power denominators, so the normalisation reduces mod every odd p
+    m_rows = psi.m_block.to_dense()
+    minv = inverse_rows(m_rows)
+    if minv is None or not all(is_two_power_denominator(c) for row in m_rows + minv for c in row):
+        raise AssertionError("M is not invertible over Z[1/2]")
     z_minus = []
     for i in range(s):
         vec = [Fraction(0)] * alg.dim
         for j in range(s):
-            c = minv[i][j]
-            if c != 0:
-                if not is_two_power_denominator(c):
-                    raise AssertionError("Lagrangian normalisation leaves Z[1/2]")
-                vec[psi.minus_idx[j]] += c
+            vec[psi.minus_idx[j]] += minv[i][j]
         z_minus.append(tuple(vec))
     pair = LagrangianPair(rep, psi, z_minus, z_plus)
     verify_duality(pair)
@@ -352,19 +324,16 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     saturated = all(is_signed_two_power(d) for d in divisors)
 
     graded_ok = True
-    graded = {}
     for d in sorted(gr.layers):
         if d < 0:
             continue
         sub = smith_normal_form(ad_e_block(rep, d, ZZ))
         nz = [x for x in sub.divisors if x != 0]
         ok = len(nz) == len(gr.layer(d + 2)) and all(is_signed_two_power(x) for x in nz)
-        graded[d] = {"divisors": sub.divisors, "onto_and_saturated": ok}
         graded_ok = graded_ok and ok
 
     # [e, g_R] = (g_R^e)^perp: containment, kappa([e, B_j], z) = 0 for all j,
     # is (ad e)^T G z = 0 with G the Killing Gram; and rank equality
-    kernel_dim = alg.dim - snf.rank
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
     perp_ok = snf.rank + cb.dim == alg.dim and not any(
@@ -372,8 +341,6 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     return {
         "divisors": snf.divisors,
         "saturated": saturated,
-        "graded": graded,
         "graded_onto": graded_ok,
         "perp_identity": perp_ok,
-        "kernel_dim": kernel_dim,
     }

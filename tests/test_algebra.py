@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orbitforge.rings import QQ, ZZ, GF
 from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
 from orbitforge.algebra import ClassicalAlgebra, build_algebra
-from orbitforge.slices import gram_determinant, is_signed_two_power
+from test_slices import _unit_over_z_half
 
 
 def test_dimensions():
@@ -271,8 +271,7 @@ def test_killing_invariance_on_basis_triples():
 def test_killing_gram_determinant_two_power():
     for n, eps in [(4, -1), (5, 1), (6, -1), (8, 1)]:
         g = build_algebra(n, eps)
-        det = gram_determinant(g.killing_form()["gram"])
-        assert is_signed_two_power(det), (n, eps, det)
+        assert _unit_over_z_half(g.killing_form()["gram"]), (n, eps)
 
 
 def test_killing_nondegenerate_mod_p():

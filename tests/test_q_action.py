@@ -251,7 +251,7 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
     setup = _fresh(name)
     U = setup.U
     assert Fraction(U._ichi[letter], U.denominator) == setup.chi[letter] != wrong
-    assert (setup.chi[letter] != 0) == (setup.m_degrees[letter - setup.m_start] == -2)
+    assert (setup.chi[letter] != 0) == (setup.msub.degrees[letter - setup.m_start] == -2)
     U._ichi[letter] = wrong * U.denominator
     with pytest.raises(AssertionError, match="is not ad-m-invariant"):
         setup.build_all_thetas()

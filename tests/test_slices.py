@@ -1,7 +1,13 @@
 """Skew form, Lagrangian splitting, the subalgebra m, slices, saturation."""
 
-from orbitforge.rings import QQ, GF
-from orbitforge.linalg import commutator
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from orbitforge import slices
+from orbitforge.rings import QQ, GF, is_two_power_denominator
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
 from orbitforge.partitions import Partition, admissible_partitions
 from orbitforge.orbits import build_nilpotent, orbit_dimension
 from orbitforge.slices import (
@@ -11,8 +17,6 @@ from orbitforge.slices import (
     build_m,
     slice_complement,
     integral_saturation,
-    gram_determinant,
-    is_signed_two_power,
 )
 
 
@@ -33,6 +37,14 @@ def test_psi_empty_for_even_grading():
     assert pair.z_minus == [] and pair.z_plus == []
 
 
+def _unit_over_z_half(m: SparseMatrix) -> bool:
+    """m lies in GL(Z[1/2]): m and its inverse_rows inverse both have 2-power
+    denominators, so det m is a signed power of 2."""
+    rows = m.to_dense()
+    inv = inverse_rows(rows)
+    return inv is not None and all(is_two_power_denominator(c) for row in rows + inv for c in row)
+
+
 def test_gram_determinant_two_power_sweep():
     for n in range(2, 11):
         for eps in (1, -1):
@@ -42,8 +54,49 @@ def test_gram_determinant_two_power_sweep():
                 rep = build_nilpotent(lam, eps)
                 psi = build_psi(rep)
                 if psi.gram.nrows:
-                    det = gram_determinant(psi.gram)
-                    assert is_signed_two_power(det), (lam, eps, det)
+                    assert _unit_over_z_half(psi.gram), (lam, eps)
+
+
+def test_unit_over_z_half_examples():
+    assert _unit_over_z_half(SparseMatrix.from_dense([[Fraction(-1, 4), 3], [0, 2]], QQ))
+    assert not _unit_over_z_half(SparseMatrix.from_dense([[3]], QQ))
+    assert not _unit_over_z_half(SparseMatrix.from_dense([[2, Fraction(2, 3)], [0, 2]], QQ))
+    assert not _unit_over_z_half(SparseMatrix.from_dense([[1, 2], [2, 4]], QQ))
+
+
+def _skew_form(parts, eps, m_block):
+    """The representative and skew form of a real case whose block M has the
+    rows m_block."""
+    rep = build_nilpotent(Partition(parts), eps)
+    psi = build_psi(rep)
+    assert psi.m_block.to_dense() == m_block
+    return rep, psi
+
+
+SO5 = ((2, 2, 1), 1, [[-2]])
+SP6 = ((2, 2, 1, 1), -1, [[2, 0], [0, 2]])
+THIRD = SparseMatrix.from_dense([[1, Fraction(1, 3)], [0, 1]], QQ)
+RANK_ONE = SparseMatrix.from_dense([[1, 0], [0, 0]], QQ)
+
+
+@pytest.mark.parametrize("case,doctor", [
+    (SO5, lambda m: m.scale(3)),
+    (SP6, lambda m: m.scale(3)),
+    (SP6, lambda m: m @ THIRD),   # det M stays a unit, one entry leaves Z[1/2]
+    (SO5, lambda m: m.scale(Fraction(1, 3))),   # M^{-1} stays over Z[1/2], M does not
+    (SP6, lambda m: m @ RANK_ONE),   # singular: there is no inverse
+], ids=["so5-times-3", "sp6-times-3", "sp6-third", "so5-over-3", "sp6-singular"])
+def test_m_outside_gl_z_half_is_refused_before_duality(monkeypatch, case, doctor):
+    def duality_ran(pair):
+        raise RuntimeError("verify_duality ran")
+
+    monkeypatch.setattr(slices, "verify_duality", duality_ran)
+    rep, psi = _skew_form(*case)
+    # the real M reaches the duality check
+    with pytest.raises(RuntimeError, match="verify_duality ran"):
+        split_lagrangian(rep, replace(psi))
+    with pytest.raises(AssertionError, match=r"Z\[1/2\]"):
+        split_lagrangian(rep, replace(psi, m_block=doctor(psi.m_block)))
 
 
 def test_duality_after_normalisation_sweep():
