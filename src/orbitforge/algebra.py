@@ -58,9 +58,9 @@ class ClassicalAlgebra:
         self.J_inv = SparseMatrix(self.N, self.N, QQ, inv)
         assert self.J @ self.J_inv == SparseMatrix.identity(self.N, QQ)
 
-    def unit(self, a: int, b: int, coeff=1, ring: Ring = QQ) -> SparseMatrix:
-        """The elementary matrix coeff * e_{a,b} in signed-index labels."""
-        return SparseMatrix(self.N, self.N, ring, {(self.pos[a], self.pos[b]): coeff})
+    def unit(self, a: int, b: int, coeff=1) -> SparseMatrix:
+        """The elementary matrix coeff * e_{a,b} over QQ in signed-index labels."""
+        return SparseMatrix(self.N, self.N, QQ, {(self.pos[a], self.pos[b]): coeff})
 
     def sigma(self, x: SparseMatrix) -> SparseMatrix:
         return -(self.J_inv @ x.transpose() @ self.J)
@@ -147,11 +147,11 @@ class ClassicalAlgebra:
             self.root_of_basis[k] = lab[1] if lab[0] == "e" else None
         self._build_coordinate_map()
 
-    def _terms_to_matrix(self, terms, ring: Ring = QQ) -> SparseMatrix:
+    def _terms_to_matrix(self, terms) -> SparseMatrix:
         ent = {}
         for a, b, c in terms:
             ent[(self.pos[a], self.pos[b])] = c
-        return SparseMatrix(self.N, self.N, ring, ent)
+        return SparseMatrix(self.N, self.N, QQ, ent)
 
     def _neg(self, w):
         return tuple(-x for x in w)
@@ -338,11 +338,11 @@ class ClassicalAlgebra:
                 out[k] = v
         return out
 
-    def bracket(self, x, y, ring: Ring = QQ) -> tuple:
-        """Chevalley coordinates of [x, y] over ring, for x and y given by
+    def bracket(self, x, y) -> tuple:
+        """Chevalley coordinates of [x, y] over QQ, for x and y given by
         their Chevalley coordinates."""
-        out = [ring.zero()] * self.dim
-        for k, v in self.sparse_bracket(sparse_vector(x, ring), sparse_vector(y, ring), ring).items():
+        out = [QQ.zero()] * self.dim
+        for k, v in self.sparse_bracket(sparse_vector(x, QQ), sparse_vector(y, QQ)).items():
             out[k] = v
         return tuple(out)
 

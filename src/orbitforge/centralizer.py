@@ -87,8 +87,8 @@ class ZetaSystem:
     e: SparseMatrix            # Jordan normal form, over ZZ
     form: SparseMatrix         # block anti-diagonal Gram, over ZZ
     weight: tuple              # cocharacter weight of each coordinate
-    zetas: dict = field(default_factory=dict)   # (i, j, s) -> SparseMatrix
-    sign: dict = field(default_factory=dict)    # (i, j, s) -> epsilon_{i,j,s}
+    zetas: dict = field(default_factory=dict, init=False)   # (i, j, s) -> SparseMatrix
+    sign: dict = field(default_factory=dict, init=False)    # (i, j, s) -> epsilon_{i,j,s}
 
     def tuples(self):
         return sorted(self.zetas)
@@ -110,9 +110,8 @@ def _xi_matrix(lam: Partition, starts, a: int, b: int, t: int) -> SparseMatrix:
     return SparseMatrix(N, N, ZZ, ent)
 
 
-def build_zeta_system(lam: Partition, eps: int, inv: tuple | None = None) -> ZetaSystem:
-    if inv is None:
-        inv = pairing_involution(lam, eps)
+def build_zeta_system(lam: Partition, eps: int) -> ZetaSystem:
+    inv = pairing_involution(lam, eps)
     check_involution(lam, eps, inv)
     n = lam.n
     starts = []

@@ -336,7 +336,7 @@ def cmd_verma(args) -> int:
         print(f"error: datum induces {induced}, not {lam}", file=sys.stderr)
         return 2
     module = build_induced_module(datum, args.prime)
-    probe = submodule_probe(module, 10) if args.prime == 3 else None
+    probe = submodule_probe(module) if args.prime == 3 else None
     book = kw_bookkeeping(lam, args.eps, args.prime, datum)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -368,6 +368,9 @@ def cmd_induce(args) -> int:
     residual = args.residual or zero.residual
     if residual.size != zero.residual.size:
         print("error: residual orbit does not match the Levi shape", file=sys.stderr)
+        return 2
+    if not validate_partition(residual, args.eps):
+        print(f"error: {residual} is not admissible for eps={args.eps}", file=sys.stderr)
         return 2
     datum = InductionDatum(args.n, args.eps, tuple(zip(sizes, gl_orbits)), residual)
     result = induce_orbit(datum)
@@ -439,7 +442,6 @@ def _richardson_note(lam, eps) -> str:
 @dataclass
 class VerifyConfig:
     max_n: int = 10
-    eps_set: tuple = (1, -1)
     primes: tuple = (3, 5, 7)
     seed: int = 13
     suites: tuple = ()
@@ -477,7 +479,7 @@ def _sweep_cases(config: VerifyConfig, bound: int, check, keep=None, prefix: str
     keep admits, keyed "{prefix}{lam}|{eps}"; the case runs check(lam, eps, config)."""
     cases = []
     for n in range(2, min(config.max_n, bound) + 1):
-        for eps in config.eps_set:
+        for eps in (1, -1):
             if eps == -1 and n % 2:
                 continue
             for lam in admissible_partitions(n, eps):
@@ -682,7 +684,7 @@ def _sp4_module(name, datum, lam, dim_n, p):
     out = {"dim": module.dim}
     if p == 3:
         # dim p^{d(chi)}: simple by Kac-Weisfeiler, so every seed must close
-        probe = submodule_probe(module, 10)
+        probe = submodule_probe(module)
         if probe["full_closures"] != probe["seeds"]:
             raise AssertionError(f"a probe seed spans a proper submodule: ranks {probe['ranks']}")
         out["probe"] = probe
@@ -719,7 +721,7 @@ def run_verify(config: VerifyConfig) -> dict:
         "tool_version": __version__,
         "config": {
             "max_n": config.max_n,
-            "eps_set": list(config.eps_set),
+            "eps_set": [1, -1],
             "primes": list(config.primes),
             "seed": config.seed,
             "suites": list(config.suites) if config.suites else sorted(SUITES),
@@ -801,9 +803,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--primes", default="3,5,7")
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--max-n", type=int, default=VerifyConfig.max_n)
+    p.add_argument("--primes", default=",".join(map(str, VerifyConfig.primes)))
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
     p.add_argument("--suites", help="comma-separated subset of suites")
     p.add_argument("--output", help="write the JSON report to this path")
     p.set_defaults(fn=cmd_verify)

@@ -493,10 +493,9 @@ class WSetup:
             raise ValueError(f"no candidate commutator pairs for degree {n}")
         cols = {}
         for jj, (p, q) in enumerate(pairs):
-            coords = self.to_w_coords(self.alg.bracket(self.basis_vectors[p], self.basis_vectors[q]))
-            for i, v in enumerate(coords):
-                if v != 0:
-                    cols[(i, jj)] = v
+            # p < q, as the x-part is sorted by degree: [x_p, x_q] = -[x_q, x_p]
+            for i, v in self.U.bracket.get((q, p), {}).items():
+                cols[(i, jj)] = -v
         msolve = SparseMatrix(self.dim, len(pairs), QQ, cols)
         target = [Fraction(0)] * self.dim
         target[k] = Fraction(1)

@@ -365,19 +365,19 @@ def rank_kernel(m: SparseMatrix):
     return span.rank, dense
 
 
-def inverse_rows(rows, ring: Ring = QQ):
-    """Rows of the inverse of the square matrix with the given rows, over a
-    field; None if the matrix is singular."""
+def inverse_rows(rows):
+    """Rows of the inverse over QQ of the square matrix with the given rows;
+    None if the matrix is singular."""
     n = len(rows)
-    span = VectorSpan(ring, 2 * n)
+    span = VectorSpan(QQ, 2 * n)
     for i, row in enumerate(rows):
-        v = sparse_vector(row, ring)
-        v[n + i] = ring.one()
+        v = sparse_vector(row, QQ)
+        v[n + i] = QQ.one()
         span.add(v)
     # [A | I] has rank n; A is regular iff its pivots are the columns of A
     if span.pivots != list(range(n)):
         return None
-    zero = ring.zero()
+    zero = QQ.zero()
     return [[span._rows[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 

@@ -105,16 +105,14 @@ class InducedModule:
 
 
 class _VermaBuilder:
-    """Normal-form arithmetic for U_chi(g) acting on U(n_-) x k_{lam0}."""
+    """Normal-form arithmetic for U_chi(g) acting on U(n_-) x k_0."""
 
-    def __init__(self, mod: ModularAlgebra, f_idx, levi_idx, chi, lam0):
+    def __init__(self, mod: ModularAlgebra, f_idx, chi):
         self.mod = mod
         self.p = mod.p
         self.f_idx = list(f_idx)
         self.f_pos = {k: i for i, k in enumerate(f_idx)}
-        self.levi_idx = set(levi_idx)
         self.chi = chi
-        self.lam0 = lam0
         self.monomials = {}
         self.index_of = {}
         self._memo = {}   # (basis element, monomial) -> its action
@@ -142,7 +140,7 @@ class _VermaBuilder:
         """Left action of basis element k on a normal-form monomial, memoised.
         f_i with i at most the leading letter's index is prepended, with
         f_i^p = f_i^{[p]} + chi(f_i)^p inside U_chi; anything else commutes
-        past the leading letter f: y f v = f (y v) + [y, f] v."""
+        past the leading letter f: y f v = f (y v) + [y, f] v; l + n_+ kill k_0."""
         key = (k, mono)
         out = self._memo.get(key)
         if out is not None:
@@ -165,11 +163,7 @@ class _VermaBuilder:
                 for c_idx, coeff in enumerate(self.mod.p_power[k]):
                     if coeff != 0:
                         self._add(out, self._act(c_idx, base), int(coeff))
-        elif lead is None:
-            # acting on the highest-weight line; n_+ kills it
-            if k in self.levi_idx:
-                out[mono] = self.lam0.get(k, 0) % p
-        else:
+        elif lead is not None:
             f = self.f_idx[lead]
             rest = list(mono)
             rest[lead] -= 1
@@ -183,9 +177,9 @@ class _VermaBuilder:
         return out
 
 
-def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None) -> InducedModule:
-    """U_chi(g) tensor_{U_chi(p)} k_{lam0} with the zero orbit in the Levi;
-    chi = kappa(e, -) for the certified generic nilradical sample e."""
+def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
+    """U_chi(g) tensor_{U_chi(p)} k_0 with the zero orbit in the Levi; chi =
+    kappa(e, -) for the certified generic nilradical sample e, zero on p."""
     for _, mu in datum.gl_blocks:
         if any(x != 1 for x in mu.parts):
             raise ValueError("induced-module base case needs the zero Levi orbit")
@@ -209,23 +203,7 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
         if chi[k] != 0:
             raise AssertionError("chi does not vanish on the parabolic")
 
-    lam0 = dict(lam0 or {})
-    for k in lam0:
-        if k not in levi_idx:
-            raise ValueError("lam0 must be supported on the Levi")
-    # lam0 must be a character of the Levi: it kills [l, l]
-    for a in levi_idx:
-        for b in levi_idx:
-            br = mod.structure.get((a, b), {})
-            if _eval_lam0(lam0, [br.get(c, 0) for c in range(alg.dim)], p) != 0:
-                raise ValueError("lam0 does not vanish on the derived Levi")
-    # restricted compatibility: lam0(h)^p - lam0(h^{[p]}) = chi(h)^p on the Levi
-    for k in levi_idx:
-        lhs = (pow(lam0.get(k, 0), p, p) - _eval_lam0(lam0, mod.p_power[k], p)) % p
-        if lhs != pow(int(chi[k]), p, p):
-            raise ValueError(f"lam0 incompatible with the p-character at basis {k}")
-
-    builder = _VermaBuilder(mod, f_idx, levi_idx, chi, lam0)
+    builder = _VermaBuilder(mod, f_idx, chi)
     builder.enumerate_basis()
     dim = p ** len(f_idx)
     if len(builder.index_of) != dim:
@@ -240,14 +218,6 @@ def build_induced_module(datum: InductionDatum, p: int, lam0: dict | None = None
     module = InducedModule(datum, p, dim, action, chi)
     verify_induced_module(module, mod)
     return module
-
-
-def _eval_lam0(lam0: dict, coords, p: int) -> int:
-    total = 0
-    for k, c in enumerate(coords):
-        if c != 0:
-            total += int(c) * lam0.get(k, 0)
-    return total % p
 
 
 def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
@@ -276,12 +246,15 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
             raise AssertionError(f"p-character identity fails at basis {k}")
 
 
+PROBE_SEEDS = 10
+
+
 def _probe_seed(s: int, dim: int, p: int) -> tuple:
     """The s-th seed vector of submodule_probe, over F_p."""
     return tuple((1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim))
 
 
-def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
+def submodule_probe(module: InducedModule) -> dict:
     """Closure of seeded vectors under the action matrices; reports whether
     each seed generates the whole module (suggesting simplicity per the
     Kac-Weisfeiler bound; reported, never assumed)."""
@@ -295,9 +268,9 @@ def submodule_probe(module: InducedModule, seeds: int = 10) -> dict:
             cols.setdefault(c, []).append((r, x))
         columns.append(cols)
     results = [_closure_rank({i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}, columns, p, dim)
-               for s in range(seeds)]
+               for s in range(PROBE_SEEDS)]
     return {
-        "seeds": seeds,
+        "seeds": PROBE_SEEDS,
         "full_closures": sum(1 for r in results if r == dim),
         "ranks": results,
     }
@@ -327,23 +300,21 @@ def _closure_rank(vec: dict, columns: list, p: int, dim: int) -> int:
     return basis.rank
 
 
-def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum | None = None) -> dict:
-    """d(chi), the small dimension p^{d(chi)}, and for induction data the
-    identity dim n + d(chi-bar) = d(chi)."""
+def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum) -> dict:
+    """d(chi), the small dimension p^{d(chi)}, and the induction identity
+    dim n + d(chi-bar) = d(chi) for the datum that induces lam."""
     dim_orbit = orbit_dim_formula(lam, eps)
     d_chi = dim_orbit // 2
-    out = {
+    dim_n = len(nilradical_basis(build_algebra(datum.N, datum.eps), datum.gl_sizes))
+    d_bar = datum_levi_orbit_dim(datum) // 2
+    return {
         "partition": str(lam),
         "eps": eps,
         "p": p,
         "dim_orbit": dim_orbit,
         "d_chi": d_chi,
         "small_dimension": p ** d_chi,
+        "dim_n": dim_n,
+        "d_chi_bar": d_bar,
+        "induction_identity": dim_n + d_bar == d_chi,
     }
-    if datum is not None:
-        dim_n = len(nilradical_basis(build_algebra(datum.N, datum.eps), datum.gl_sizes))
-        d_bar = datum_levi_orbit_dim(datum) // 2
-        out["dim_n"] = dim_n
-        out["d_chi_bar"] = d_bar
-        out["induction_identity"] = dim_n + d_bar == d_chi
-    return out

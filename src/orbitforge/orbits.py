@@ -394,7 +394,7 @@ def induce_orbit(datum: InductionDatum):
     return generic_datum_sample(datum)[1]
 
 
-def enumerate_levi_data(N: int, eps: int, with_orbits: bool = True):
+def enumerate_levi_data(N: int, eps: int):
     """All proper induction data (nonzero nilradical) up to Levi conjugacy:
     multisets of gl block sizes plus a residual orbit."""
     out = []
@@ -402,13 +402,10 @@ def enumerate_levi_data(N: int, eps: int, with_orbits: bool = True):
     for total in range(1, h + 1):
         m = N - 2 * total
         for sizes in _partition_multisets(total):
-            if with_orbits:
-                res_choices = admissible_partitions(m, eps)
-                for gls in _gl_orbit_choices(sizes):
-                    for res in res_choices:
-                        out.append(InductionDatum(N, eps, gls, res))
-            else:
-                out.append(InductionDatum.zero_orbit(N, eps, sizes))
+            res_choices = admissible_partitions(m, eps)
+            for gls in _gl_orbit_choices(sizes):
+                for res in res_choices:
+                    out.append(InductionDatum(N, eps, gls, res))
     return out
 
 

@@ -143,10 +143,10 @@ class DynkinPyramid:
 
     N: int
     eps: int
-    row: dict = field(default_factory=dict)
-    col: dict = field(default_factory=dict)
-    skew_rows: set = field(default_factory=set)
-    crossed: list = field(default_factory=list)  # (row, col) of crossed boxes
+    row: dict = field(default_factory=dict, init=False)
+    col: dict = field(default_factory=dict, init=False)
+    skew_rows: set = field(default_factory=set, init=False)
+    crossed: list = field(default_factory=list, init=False)  # (row, col) of crossed boxes
 
     def boxes(self):
         return sorted(self.row)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge.rings import QQ, ZZ, GF
-from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
+from orbitforge.linalg import SparseMatrix, commutator, rank_kernel, sparse_vector
 from orbitforge.algebra import ClassicalAlgebra, build_algebra
 from test_slices import _unit_over_z_half
 
@@ -129,17 +129,20 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
         return [int(c) if f and c.denominator == 1 else c for c, f in zip(cs, as_int)]
 
     x, y = draw_vector(), draw_vector()
+    assert g.bracket(x, y) == g.coordinates(commutator(g.from_coordinates(x), g.from_coordinates(y)))
     for ring in RINGS:
         if not _holds(ring, x + y):
             # coordinates are coerced first: a denominator the ring lacks raises
             with pytest.raises(ValueError):
-                g.bracket(x, y, ring)
+                g.sparse_bracket(sparse_vector(x, ring), sparse_vector(y, ring), ring)
             if not _holds(ring, x):
                 with pytest.raises(ValueError):
                     g.ad(x, ring)
             continue
         xm = g.from_coordinates(x, ring)
-        assert g.bracket(x, y, ring) == g.coordinates(commutator(xm, g.from_coordinates(y, ring)))
+        want = g.coordinates(commutator(xm, g.from_coordinates(y, ring)))
+        assert g.sparse_bracket(sparse_vector(x, ring), sparse_vector(y, ring), ring) == {
+            k: v for k, v in enumerate(want) if v != 0}
         reference = {}
         for j, b in enumerate(g.basis):
             for i, v in enumerate(g.coordinates(commutator(xm, b.change_ring(ring)))):

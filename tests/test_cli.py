@@ -165,6 +165,7 @@ def test_verify_mini_run_and_determinism(tmp_path):
     "orbit 0 1",
     "algebra 0 1",
     "induce --n 4 --eps -1 --levi x",
+    "induce --n 5 --eps 1 --levi 1 --residual 2,1",
     "verma 4 -1 --levi 1,1 --prime 9",
 ])
 def test_malformed_input_exits_2(argv):

@@ -280,13 +280,13 @@ def test_solve_reports_an_inconsistent_system():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                                     min_size=n, max_size=n)),
-       FIELDS, st.booleans())
-def test_inverse_rows_matches_the_reference(rows, ring, singular):
+       st.booleans())
+def test_inverse_rows_matches_the_reference(rows, singular):
     if singular:
         rows = rows[:-1] + [rows[0] if len(rows) > 1 else [0]]   # a repeated or zero row
-    inv = inverse_rows(rows, ring)
-    assert repr(inv) == repr(_ref_inverse(rows, ring))
-    assert (inv is None) == (singular or _ref_rank_kernel(rows, ring)[0] < len(rows))
+    inv = inverse_rows(rows)
+    assert repr(inv) == repr(_ref_inverse(rows, QQ))
+    assert (inv is None) == (singular or _ref_rank_kernel(rows, QQ)[0] < len(rows))
 
 
 @settings(max_examples=150, deadline=None)
