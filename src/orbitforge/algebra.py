@@ -179,12 +179,12 @@ class ClassicalAlgebra:
     @lru_cache(maxsize=None)
     def _height_solver(self):
         mat = SparseMatrix.from_dense(
-            [[Fraction(s[i]) for s in self.simple_roots] for i in range(self.h)], QQ
+            [[s[i] for s in self.simple_roots] for i in range(self.h)], QQ
         )
         return mat
 
     def _height(self, w) -> int:
-        coeffs = solve(self._height_solver(), [Fraction(x) for x in w])
+        coeffs = solve(self._height_solver(), w)
         if coeffs is None:
             raise AssertionError(f"root {w} not in simple-root span")
         total = sum(coeffs)
@@ -377,11 +377,11 @@ class ClassicalAlgebra:
         roots = [w for w in self._rv_terms]
         norms = {w: sum(x * x for x in w) for w in roots}
         if roots:
-            scale = Fraction(2, min(norms.values()))
-            norms = {w: scale * n for w, n in norms.items()}
-            d = max(norms.values()) / min(norms.values())
+            scale = QQ.div(2, min(norms.values()))
+            norms = {w: QQ.mul(scale, n) for w, n in norms.items()}
+            d = QQ.div(max(norms.values()), min(norms.values()))
         else:
-            d = Fraction(1)
+            d = 1
         cartan_matrix = []
         for a in self.simple_roots:
             row = []
@@ -418,14 +418,14 @@ class ClassicalAlgebra:
             w0 = rd["positive_roots"][0]
             e_plus = self._terms_to_matrix(self._rv_terms[w0])
             e_minus = self._terms_to_matrix(self._rv_terms[self._neg(w0)])
-            target = Fraction(2) * d / norms[w0]
+            target = QQ.div(2 * d, norms[w0])
             tr = (e_plus @ e_minus).trace()
-            const = target / tr
+            const = QQ.div(target, tr)
         else:
             const = Fraction(1, 2)  # orthogonal family value
         for i in range(self.dim):
             for j in range(i, self.dim):
-                val = const * (self.basis[i] @ self.basis[j]).trace()
+                val = QQ.mul(const, (self.basis[i] @ self.basis[j]).trace())
                 if val != 0:
                     gram[(i, j)] = val
                     if i != j:
@@ -439,19 +439,17 @@ class ClassicalAlgebra:
             for l, lab2 in enumerate(self.labels):
                 if lab2[0] != "e":
                     continue
-                expect = Fraction(2) * d / norms[w] if lab2[1] == self._neg(w) else Fraction(0)
+                expect = QQ.div(2 * d, norms[w]) if lab2[1] == self._neg(w) else 0
                 if gmat[(k, l)] != expect:
                     raise AssertionError("Killing values disagree with the root formula")
         # and on the simple-coroot pairs: kappa(h_a, h_b) = 4d(a|b)/((a|a)(b|b))
         if rd["roots"]:
-            scale = norms[rd["positive_roots"][0]] / Fraction(
-                sum(x * x for x in rd["positive_roots"][0])
-            )
+            scale = QQ.div(norms[rd["positive_roots"][0]], sum(x * x for x in rd["positive_roots"][0]))
             for i, a in enumerate(self.simple_roots):
                 for j, b in enumerate(self.simple_roots):
                     ab = scale * sum(x * y for x, y in zip(a, b))
                     aa, bb = norms[tuple(a)], norms[tuple(b)]
-                    if gmat[(i, j)] != Fraction(4) * d * ab / (aa * bb):
+                    if gmat[(i, j)] != QQ.div(4 * d * ab, aa * bb):
                         raise AssertionError("Cartan Killing values disagree with the root formula")
         self._killing = {"gram": gmat, "trace_constant": const, "d": d}
         return self._killing

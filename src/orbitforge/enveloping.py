@@ -112,7 +112,7 @@ class UAlgebra:
         self.dim = dim
         self.bracket = bracket
         self.m_start = dim if m_start is None else m_start
-        chi_m = [Fraction(chi[k]) for k in range(self.m_start, dim)]
+        chi_m = [QQ.coerce(chi[k]) for k in range(self.m_start, dim)]
         self.denominator = lcm(*(c.denominator for entry in bracket.values() for c in entry.values()),
                                *(c.denominator for c in chi_m))
         D = self.denominator
@@ -730,12 +730,12 @@ def casimir(setup: WSetup) -> CasimirElement:
         plus, minus = index[("e", w)], index[("e", tuple(-x for x in w))]
         kap = kf["gram"][(plus, minus)]
         prod = U.q_mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
-        C = elem_add(C, prod, Fraction(2) / kap)
+        C = elem_add(C, prod, Fraction(2, kap))
         h_alpha = alg.sparse_bracket({plus: 1}, {minus: 1})
-        C = elem_add(C, setup.embed(h_alpha), Fraction(-1) / kap)
+        C = elem_add(C, setup.embed(h_alpha), Fraction(-1, kap))
     d = kf["d"]
     for i in range(l):
-        scale = rd["norms"][tuple(simples[i])] / (2 * d)
+        scale = Fraction(rd["norms"][tuple(simples[i])], 2 * d)
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
         hhat = {k: x * scale for k, x in enumerate(t_coords[i]) if x}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Ring, ZZ, QQ, format_rational
+from .rings import Ring, ZZ, QQ, canonical, format_rational
 
 
 class SparseMatrix:
@@ -40,10 +40,13 @@ class SparseMatrix:
     def _closed(cls, nrows, ncols, ring: Ring, entries) -> "SparseMatrix":
         """A matrix on entries that are already elements of ring at in-bounds
         positions, as the results of same-ring operations are; zeros are
-        dropped, nothing is coerced."""
+        dropped, and over QQ an integral Fraction is stored as its int."""
         m = cls.__new__(cls)
         m.nrows, m.ncols, m.ring = nrows, ncols, ring
-        m.entries = {k: v for k, v in entries.items() if v}
+        if ring.kind == "QQ":
+            m.entries = {k: v if type(v) is int else canonical(v) for k, v in entries.items() if v}
+        else:
+            m.entries = {k: v for k, v in entries.items() if v}
         return m
 
     # -- constructors ------------------------------------------------------
@@ -255,13 +258,14 @@ class VectorSpan:
         self._mod = ring.p if ring.kind == "GF" else None
 
     def _axpy(self, v: dict, f, row: dict):
-        """v -= f * row in place; f != 0, so an entry that vanishes was in v."""
+        """v -= f * row in place; f != 0, so an entry that vanishes was in v.
+        Over QQ an integral result is stored as an int."""
         mod = self._mod
         if mod is None:
             for c, x in row.items():
                 y = v.get(c, 0) - f * x
                 if y:
-                    v[c] = y
+                    v[c] = y if type(y) is int else canonical(y)
                 else:
                     del v[c]
         else:
@@ -291,8 +295,11 @@ class VectorSpan:
         f = v[p]
         if f != 1:
             mod = self._mod
-            inv = pow(f, -1, mod) if mod else 1 / f
-            v = {c: inv * x % mod for c, x in v.items()} if mod else {c: inv * x for c, x in v.items()}
+            if mod:
+                inv = pow(f, -1, mod)
+                v = {c: inv * x % mod for c, x in v.items()}
+            else:
+                v = {c: QQ.div(x, f) for c, x in v.items()}
         for row in self._rows.values():
             if p in row:
                 self._axpy(row, row[p], v)
@@ -473,6 +480,40 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
             V[r][i] += q * V[r][j]
         Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
 
+    def clear_column(t) -> bool:
+        """Reduce column t below the pivot; True if a remainder became the
+        pivot."""
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                row_add(i, t, -(a[i][t] // a[t][t]))
+                if a[i][t] != 0:
+                    row_swap(t, i)
+                    dirty = True
+        return dirty
+
+    def clear_row(t) -> bool:
+        """Reduce row t right of the pivot up to the first remainder, which
+        becomes the pivot; True if there was one."""
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                col_add(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j] != 0:
+                    col_swap(t, j)
+                    return True
+        return False
+
+    def offending_row(t):
+        """The first row below t with an entry the pivot does not divide,
+        or None."""
+        p = a[t][t]
+        for i in range(t + 1, nr):
+            row = a[i]
+            for j in range(t + 1, nc):
+                if row[j] % p:
+                    return i
+        return None
+
     t = 0
     limit = min(nr, nc)
     while t < limit:
@@ -488,40 +529,20 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
             row_swap(t, best[0])
         if best[1] != t:
             col_swap(t, best[1])
+        # each round that does not finish leaves a nonzero remainder of the
+        # pivot at (t, t), so |a[t][t]| strictly falls and the loop ends
         while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block for the chain
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender:
+            size = abs(a[t][t])
+            if not clear_column(t) and not clear_row(t):
+                # pivot must divide the whole trailing block for the chain;
+                # an offending row added to row t leaves a remainder there
+                offender = offending_row(t)
+                if offender is None:
                     break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
+                row_add(t, offender, 1)
+                clear_row(t)
+            if abs(a[t][t]) >= size:
+                raise AssertionError("SNF pivot loop failed to terminate")
         if a[t][t] < 0:
             row_neg(t)
         t += 1

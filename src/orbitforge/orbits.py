@@ -14,7 +14,6 @@ place that checks that ad e raises the degree by two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .rings import QQ
@@ -96,9 +95,9 @@ def build_nilpotent(lam: Partition, eps: int) -> NilpotentRep:
     if not alg.in_algebra(e):
         raise AssertionError("nilpotent representative is not sigma-fixed")
     coords = alg.coordinates(e)
-    if any(Fraction(c).denominator != 1 for c in coords):
+    if any(c.denominator != 1 for c in coords):
         raise AssertionError("nilpotent representative not in the Chevalley lattice")
-    rep = NilpotentRep(lam, eps, alg, pyr, e, tuple(int(c) for c in coords), is_very_even(lam, eps))
+    rep = NilpotentRep(lam, eps, alg, pyr, e, coords, is_very_even(lam, eps))
     jt = jordan_type(e)
     if jt != lam:
         raise AssertionError(f"representative for {lam} has Jordan type {jt}")

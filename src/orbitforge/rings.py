@@ -1,9 +1,12 @@
 """Exact coefficient rings: ZZ, QQ and prime fields GF(p).
 
-Scalars are plain python objects: ``int`` for ZZ, ``fractions.Fraction``
-for QQ and ``int`` in ``[0, p)`` for GF(p).  A :class:`Ring` value tags
-containers with the ring their entries live in; no floating point is
-allowed anywhere.
+Scalars are plain python objects: ``int`` for ZZ, ``int`` in ``[0, p)``
+for GF(p), and for QQ an ``int`` when the value is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise, so that the integral
+data of the Chevalley lattice never pays for Fraction arithmetic.  A
+:class:`Ring` value tags containers with the ring their entries live in.
+No floating point is allowed anywhere: ``coerce`` refuses any scalar that
+is not an ``int`` or a ``Fraction`` with TypeError.
 """
 
 from __future__ import annotations
@@ -29,47 +32,57 @@ class Ring:
         return self.kind in ("QQ", "GF")
 
     def zero(self):
-        return Fraction(0) if self.kind == "QQ" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "QQ" else 1
+        return 1
 
     def coerce(self, x):
-        """Coerce an int/Fraction into this ring, normalising GF reps."""
-        if self.kind == "ZZ":
+        """Coerce an int/Fraction into this ring: GF reps in [0, p), QQ
+        values in canonical form; any other type raises TypeError."""
+        if type(x) is not int:
             if isinstance(x, Fraction):
-                if x.denominator != 1:
+                if self.kind == "GF":
+                    den = pow(x.denominator % self.p, -1, self.p)
+                    return (x.numerator % self.p) * den % self.p
+                if x.denominator == 1:
+                    return x.numerator
+                if self.kind == "ZZ":
                     raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return int(x)
-        if self.kind == "QQ":
-            return Fraction(x)
-        # GF(p)
-        if isinstance(x, Fraction):
-            den = pow(x.denominator % self.p, -1, self.p)
-            return (x.numerator % self.p) * den % self.p
-        return int(x) % self.p
+                return x
+            if not isinstance(x, int):
+                raise TypeError(f"{type(x).__name__} {x!r} is not an exact scalar (int or Fraction)")
+            x = int(x)   # bool or another int subclass
+        return x % self.p if self.kind == "GF" else x
 
     def add(self, a, b):
         c = a + b
-        return c % self.p if self.kind == "GF" else c
+        if self.kind == "GF":
+            return c % self.p
+        return c if type(c) is int else canonical(c)
 
     def sub(self, a, b):
         c = a - b
-        return c % self.p if self.kind == "GF" else c
+        if self.kind == "GF":
+            return c % self.p
+        return c if type(c) is int else canonical(c)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "GF" else -a
 
     def mul(self, a, b):
         c = a * b
-        return c % self.p if self.kind == "GF" else c
+        if self.kind == "GF":
+            return c % self.p
+        return c if type(c) is int else canonical(c)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
         if self.kind == "QQ":
-            return Fraction(a) / b
+            if type(a) is int and type(b) is int and not a % b:
+                return a // b
+            return canonical(Fraction(a, b))
         if self.kind == "GF":
             return a * pow(b, -1, self.p) % self.p
         q, r = divmod(a, b)
@@ -79,6 +92,12 @@ class Ring:
 
     def __str__(self):
         return f"GF({self.p})" if self.kind == "GF" else self.kind
+
+
+def canonical(x):
+    """The canonical QQ form of an int or Fraction: its numerator when it is
+    integral, else itself (an int is its own numerator)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 ZZ = Ring("ZZ")

@@ -12,9 +12,8 @@ with e distinguished in l (asserted: l has no odd Dynkin degrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .rings import QQ, ZZ, is_two_power_denominator
+from .rings import QQ, ZZ, canonical, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
     inverse_rows,
@@ -107,7 +106,7 @@ def weight_data(rep: NilpotentRep) -> WeightData:
 def chi_of(chi, xs: dict):
     """chi(x) for x given as {index: scalar} and chi as its vector of values
     on the Chevalley basis."""
-    return sum((chi[k] * c for k, c in xs.items()), Fraction(0))
+    return canonical(sum(chi[k] * c for k, c in xs.items()))
 
 
 # -- skew form and Lagrangian pair ---------------------------------------------
@@ -157,7 +156,7 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
 
 
 def is_signed_two_power(x) -> bool:
-    x = Fraction(abs(Fraction(x)))
+    x = abs(x)
     if x == 0:
         return False
     num, den = x.numerator, x.denominator
@@ -179,8 +178,8 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
     s = len(psi.minus_idx)
     z_plus = []
     for k in psi.plus_idx:
-        vec = [Fraction(0)] * alg.dim
-        vec[k] = Fraction(1)
+        vec = [0] * alg.dim
+        vec[k] = 1
         z_plus.append(tuple(vec))
     if s == 0:
         return LagrangianPair(rep, psi, [], [])
@@ -192,7 +191,7 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
         raise AssertionError("M is not invertible over Z[1/2]")
     z_minus = []
     for i in range(s):
-        vec = [Fraction(0)] * alg.dim
+        vec = [0] * alg.dim
         for j in range(s):
             vec[psi.minus_idx[j]] += minv[i][j]
         z_minus.append(tuple(vec))
@@ -239,8 +238,8 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
     for d in sorted(gr.layers):
         if d <= -2:
             for k in gr.layers[d]:
-                vec = [Fraction(0)] * alg.dim
-                vec[k] = Fraction(1)
+                vec = [0] * alg.dim
+                vec[k] = 1
                 basis.append(tuple(vec))
                 degrees.append(d)
     sparse = [sparse_vector(v, QQ) for v in basis]
@@ -294,8 +293,8 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
         added = 0
         for i, k in enumerate(gr.layers[d]):
             if image.add({i: QQ.one()}):
-                vec = [Fraction(0)] * alg.dim
-                vec[k] = Fraction(1)
+                vec = [0] * alg.dim
+                vec[k] = 1
                 comp.append(tuple(vec))
                 degs.append(d)
                 added += 1

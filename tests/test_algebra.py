@@ -150,8 +150,9 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
                     reference[(i, j)] = v
         adx = g.ad(x, ring)
         assert adx == SparseMatrix(g.dim, g.dim, ring, reference)
-        scalar = Fraction if ring.kind == "QQ" else int
-        assert all(type(v) is scalar for v in adx.entries.values())
+        # canonical scalars: ints, and over QQ a Fraction only off the integers
+        assert all(type(v) is int or (ring.kind == "QQ" and type(v) is Fraction and v.denominator > 1)
+                   for v in adx.entries.values())
         if ring.kind == "GF":
             assert all(0 < v < ring.p for v in adx.entries.values())
 
@@ -205,7 +206,7 @@ def test_kappa_matches_the_trace_of_the_product(n, eps, data):
         s = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.sampled_from([1, 2, 3])))
         x = [s * a for a in x]
     row = g.kappa_row(x)
-    assert len(row) == g.dim and all(type(v) is Fraction for v in row)
+    assert len(row) == g.dim and all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in row)
     assert sum(a * b for a, b in zip(row, y)) == _trace_kappa(g, g.from_coordinates(x), g.from_coordinates(y))
     for k, b in enumerate(g.basis):
         assert row[k] == _trace_kappa(g, g.from_coordinates(x), b)
@@ -298,3 +299,25 @@ def test_type_a_like_flags():
     assert build_algebra(2, -1).type_a_like
     assert not build_algebra(5, 1).type_a_like
     assert not build_algebra(4, -1).type_a_like
+
+
+def _canonical(x) -> bool:
+    """The QQ scalar form: an int, or a Fraction off the integers."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+def test_qq_results_hold_canonical_scalars(n, eps):
+    g = build_algebra(n, eps)
+    # integral Fractions (4/2, -3/3) and halves, on every coordinate
+    x = [Fraction(k % 5 - 2, 1 + k % 2) * (2 if k % 3 else 1) for k in range(g.dim)]
+    y = [Fraction(2 - k % 4, 1 + (k + 1) % 2) for k in range(g.dim)]
+    xm = g.from_coordinates(x)
+    assert all(_canonical(v) for v in xm.entries.values())
+    for coords in (g.coordinates(xm), g.bracket(x, y), g.kappa_row(x)):
+        assert all(_canonical(c) for c in coords)
+    assert all(_canonical(v) for v in g.ad(x).entries.values())
+    kf, rd = g.killing_form(), g.root_data()
+    assert all(_canonical(v) for v in kf["gram"].entries.values())
+    assert _canonical(kf["trace_constant"]) and _canonical(kf["d"]) and _canonical(rd["d"])
+    assert all(_canonical(v) for v in rd["norms"].values())

@@ -271,7 +271,7 @@ def _matrix_casimir(setup) -> dict:
         t = SparseMatrix.zeros(alg.N, alg.N, QQ)
         for a, x in enumerate(sol):
             t = t + alg.basis[a].scale(x)
-        scale = rd["norms"][tuple(rd["simple_roots"][i])] / (2 * kf["d"])
+        scale = Fraction(rd["norms"][tuple(rd["simple_roots"][i])], 2 * kf["d"])
         C = elem_add(C, ref.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))
     return C
 

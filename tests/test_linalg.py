@@ -1,6 +1,11 @@
 """Exact linear algebra: rank/kernel, SNF certificates, saturation."""
 
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +43,7 @@ def test_getitem_builds_a_zero_only_for_a_missing_entry():
     m = SparseMatrix(2, 2, CountingQQ("QQ"), {(0, 1): Fraction(1, 2)})
     assert m[0, 1] is m.entries[(0, 1)] and not zeros
     missing = m[1, 0]
-    assert missing == 0 and type(missing) is Fraction and len(zeros) == 1
+    assert missing == 0 and type(missing) is int and len(zeros) == 1
     assert SparseMatrix(2, 2, GF(5), {(0, 0): 7})[0, 0] == 2
     assert SparseMatrix.zeros(2, 2, GF(5))[1, 1] == 0
 
@@ -441,3 +446,46 @@ def test_same_ring_operations_do_not_coerce_their_results(kind, p):
     # scale coerces its scalar once, and none of the nine products
     a.scale(2)
     assert calls == [2]
+
+
+# -- the SNF pivot loop is bounded ----------------------------------------------
+
+
+def _snf_mutant_source() -> str:
+    """linalg.py with the pivot loop's divisibility fix row_add(t, offender, 1)
+    planted as row_add(t, offender, 2): with pivot 2 and an odd offender the
+    doubled row is divisible by the pivot, so no remainder ever appears.
+    Without the bound this loop never ends."""
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    snf = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form")
+    planted = [call for call in ast.walk(snf)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "row_add"
+               and len(call.args) == 3 and isinstance(call.args[1], ast.Name) and call.args[1].id == "offender"]
+    assert len(planted) == 1
+    planted[0].args[2] = ast.Constant(2)
+    return ast.unparse(tree)
+
+
+def test_snf_pivot_loop_raises_on_a_planted_non_terminating_step():
+    script = (
+        "import sys, time, types\n"
+        "import orbitforge\n"
+        "mod = sys.modules['orbitforge.snf_mutant'] = types.ModuleType('orbitforge.snf_mutant')\n"
+        "mod.__package__ = 'orbitforge'\n"
+        "exec(compile(sys.stdin.read(), 'snf_mutant', 'exec'), mod.__dict__)\n"
+        "ns = mod.__dict__\n"
+        "m = ns['SparseMatrix'].from_dense([[2, 0], [0, 3]], ns['ZZ'])\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    ns['smith_normal_form'](m)\n"
+        "except AssertionError as exc:\n"
+        "    print(repr(str(exc)), time.perf_counter() - start)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], input=_snf_mutant_source(),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    message, seconds = done.stdout.rsplit(" ", 1)
+    assert message == repr("SNF pivot loop failed to terminate") and float(seconds) < 1.0
+    # the unplanted loop finishes on the same matrix: diag(2, 3) ~ diag(1, 6)
+    assert smith_normal_form(SparseMatrix.from_dense([[2, 0], [0, 3]], ZZ)).divisors == [1, 6]

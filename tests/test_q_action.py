@@ -98,8 +98,10 @@ def test_chi_denominators_enter_the_common_denominator():
     # chi/3 is again a character of m (it vanishes on [m, m]), so it defines
     # a module Q; D takes its denominator in and the memo stays integral
     setup = _setup("so5")
-    chi = [c / 3 for c in setup.chi]
+    chi = [Fraction(c, 3) for c in setup.chi]
     U = UAlgebra(setup.dim, setup.U.bracket, setup.m_start, chi)
+    with pytest.raises(TypeError):   # the float chi / 3 is refused
+        UAlgebra(setup.dim, setup.U.bracket, setup.m_start, [c / 3 for c in setup.chi])
     ref = _reference(setup)
     assert (setup.U.denominator, U.denominator) == (2, 6)
 
@@ -200,7 +202,7 @@ def test_shared_suffixes_match_one_q_word_per_pair(name, seed):
 
 def test_shared_suffixes_match_the_reference_under_chi_over_three():
     setup = _setup("so5")
-    U = UAlgebra(setup.dim, setup.U.bracket, setup.m_start, [c / 3 for c in setup.chi])
+    U = UAlgebra(setup.dim, setup.U.bracket, setup.m_start, [Fraction(c, 3) for c in setup.chi])
     assert U.denominator == 6
     rng = random.Random(5)
     suffixes = [(), (setup.m_start - 1,), tuple(rng.randrange(setup.dim) for _ in range(2))]
@@ -239,7 +241,7 @@ def test_a_dropped_setup_frees_its_algebra_without_the_collector():
 
 def _corruptions(name):
     setup = _setup(name)
-    return [(name, k, 2 * setup.chi[k] if setup.chi[k] else Fraction(1))
+    return [(name, k, Fraction(2 * setup.chi[k]) if setup.chi[k] else Fraction(1))
             for k in range(setup.m_start, setup.dim)]
 
 

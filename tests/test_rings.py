@@ -1,0 +1,158 @@
+"""The scalar contract of the exact rings: a QQ scalar is an int when it is
+integral and a Fraction with denominator > 1 otherwise, every QQ result of
+linalg holds its entries in that form, and no ring takes a float."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitforge.rings import GF, QQ, ZZ, Ring
+from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve
+
+from test_linalg import ENTRY, _ref_echelon, _ref_inverse, _ref_rank_kernel, _ref_solve, matrices
+
+
+class _FractionQQ(Ring):
+    """QQ with every scalar a Fraction, integral or not: the reference the
+    canonical form must equal by value."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def coerce(self, x):
+        return Fraction(x)
+
+    def add(self, a, b):
+        return Fraction(a) + b
+
+    def sub(self, a, b):
+        return Fraction(a) - b
+
+    def mul(self, a, b):
+        return Fraction(a) * b
+
+    def div(self, a, b):
+        return Fraction(a) / b
+
+
+FRACTION_QQ = _FractionQQ("QQ")
+
+
+def _is_canonical(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _assert_canonical_equal(result, reference):
+    """Same nesting, every scalar of result canonical and equal to the
+    reference's by value."""
+    if isinstance(reference, (list, tuple)):
+        assert type(result) is type(reference) and len(result) == len(reference)
+        for r, ref in zip(result, reference):
+            _assert_canonical_equal(r, ref)
+    elif isinstance(reference, dict):
+        assert result.keys() == reference.keys()
+        for k in reference:
+            _assert_canonical_equal(result[k], reference[k])
+    elif isinstance(reference, Fraction):
+        assert _is_canonical(result) and result == reference, (result, reference)
+    else:
+        assert result == reference
+
+
+def test_qq_zero_one_and_coerce_are_canonical():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert type(QQ.coerce(3)) is int
+    assert QQ.coerce(Fraction(6, 3)) == 2 and type(QQ.coerce(Fraction(6, 3))) is int
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.coerce(True)) is int
+
+
+def test_qq_arithmetic_is_canonical():
+    half = Fraction(1, 2)
+    for value in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(half, 4),
+                  QQ.div(6, 3), QQ.div(half, half), QQ.div(Fraction(4, 3), Fraction(2, 3))):
+        assert type(value) is int
+    assert QQ.div(1, 2) == half and type(QQ.div(1, 2)) is Fraction
+    assert QQ.div(-2, 4) == -half
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3), GF(7)])
+@pytest.mark.parametrize("value", [2.7, 2.5, 0.1, 2.0, Decimal(2), "2", None])
+def test_no_ring_takes_a_float_or_any_other_inexact_scalar(ring, value):
+    with pytest.raises(TypeError):
+        ring.coerce(value)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_matrices_refuse_a_float(ring):
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, ring, {(0, 0): 2.7})
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, ring, {(0, 0): 1}).scale(2.5)
+    with pytest.raises(TypeError):
+        SparseMatrix.from_dense([[0.5, 1]], ring)
+
+
+def test_ring_ops_keep_their_types_off_qq():
+    assert ZZ.coerce(Fraction(4, 2)) == 2 and type(ZZ.coerce(Fraction(4, 2))) is int
+    with pytest.raises(ValueError):
+        ZZ.coerce(Fraction(1, 2))
+    assert GF(7).coerce(Fraction(1, 2)) == 4 and GF(7).coerce(-1) == 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6), st.data())
+def test_qq_eliminations_are_canonical_and_match_the_fraction_reference(rows, data):
+    m = SparseMatrix.from_dense(rows, QQ)
+    _assert_canonical_equal(rank_kernel(m), _ref_rank_kernel(rows, FRACTION_QQ))
+    b = data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows))
+    _assert_canonical_equal(solve(m, b), _ref_solve(rows, b, FRACTION_QQ))
+    span = VectorSpan(QQ, m.ncols)
+    for row in rows:
+        span.add(row)
+    echelon, pivots = _ref_echelon(rows, FRACTION_QQ)
+    _assert_canonical_equal(span.rows, [{c: x for c, x in enumerate(row) if x != 0} for row in echelon])
+    n = min(m.nrows, m.ncols)
+    square = [row[:n] for row in rows[:n]]
+    _assert_canonical_equal(inverse_rows(square), _ref_inverse(square, FRACTION_QQ))
+
+
+def _fraction_entries(entries) -> dict:
+    return {k: Fraction(v) for k, v in entries.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_qq_matrix_operations_are_canonical_and_match_the_fraction_reference(data):
+    nr, k, nc = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def entries(nrows, ncols):
+        keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        return data.draw(st.dictionaries(keys, ENTRY, max_size=nrows * ncols))
+
+    ea, eb, ec = entries(nr, k), entries(nr, k), entries(k, nc)
+    a, b, c = (SparseMatrix(*shape, QQ, e) for shape, e in (((nr, k), ea), ((nr, k), eb), ((k, nc), ec)))
+    fa, fb, fc = _fraction_entries(ea), _fraction_entries(eb), _fraction_entries(ec)
+
+    def nonzero(d):
+        return {key: v for key, v in d.items() if v != 0}
+
+    total, diff = dict(fa), dict(fa)
+    for key, y in fb.items():
+        total[key] = total.get(key, Fraction(0)) + y
+        diff[key] = diff.get(key, Fraction(0)) - y
+    product = {}
+    for (r, j), x in fa.items():
+        for (jj, col), y in fc.items():
+            if j == jj:
+                product[(r, col)] = product.get((r, col), Fraction(0)) + x * y
+    scalar = data.draw(ENTRY)
+    _assert_canonical_equal((a + b).entries, nonzero(total))
+    _assert_canonical_equal((a - b).entries, nonzero(diff))
+    _assert_canonical_equal((a @ c).entries, nonzero(product))
+    _assert_canonical_equal(a.scale(scalar).entries, nonzero({key: x * scalar for key, x in fa.items()}))
