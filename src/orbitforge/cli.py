@@ -757,8 +757,15 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        print(f"error: --output {args.output}: no such directory", file=sys.stderr)
+        return 2
     report = run_verify(config)
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except OSError as exc:
+        print(f"error: --output: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["passed"] else 1
 
 

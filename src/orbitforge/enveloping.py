@@ -21,7 +21,8 @@ nothing is straightened in U(g) first.  The right factor is mapped to Q
 once, and each left word acts on the whole sum.  With no m-letters Q is
 U(g) itself and the action is left multiplication in the PBW basis; the
 Casimir element and its centrality take their products from such an
-instance.
+instance.  The same action, restricted mod p, gives the induced modules
+U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.
 
 Each value is computed once: theta_zero and theta_one are memoised per
 coordinate vector, generators are kept in WSetup.thetas and theta
@@ -77,15 +78,16 @@ def _difference(p: dict, q: dict) -> dict:
 
 
 class UAlgebra:
-    """PBW arithmetic over QQ with a fixed basis order: the left action of
-    U(g) on Q = U(g) (x)_{U(m)} k_chi.
+    """PBW arithmetic with a fixed basis order: the left action of U(g) on
+    Q = U(g) (x)_{U(m)} k_chi, over QQ, or of U_chi(g) on
+    U_chi(g) (x)_{U_chi(m)} k_chi over GF(p).
 
     The letters from m_start on span m, and chi[k] is chi on letter k; a Q
     normal form word is a sorted word over the letters below m_start (the
-    x- and z-letters).  act(a, w) is the action of one letter on such a
-    word: a is prepended if a <= w[0], and otherwise
+    x- and z-letters, the free letters).  act(a, w) is the action of one
+    letter on such a word: a is prepended if a <= w[0], and otherwise
     a.b.w' = b.(a.w') + [a, b].w'.  A letter that reaches the right end
-    stays if it is an x- or z-letter; an m-letter y becomes chi(y), since
+    stays if it is a free letter; an m-letter y becomes chi(y), since
     u.y = chi(y) u in Q for u in U(g), and a letter with chi = 0 kills its
     branch there.  For a word w, w.1 is the letters of w acting on 1 from
     the right.  q_mul(x, y) is x acting on y.1 and q_comm(x, y) is
@@ -105,9 +107,17 @@ class UAlgebra:
     products accumulate over one common denominator and build one Fraction
     per output term, in the key order of taking (wa + wb).1 for each pair
     of words in turn.
+
+    restricted = (p, p_power), with p_power[a] = {c: coeff} the p-th power
+    a^[p] of each free letter, makes act the action of U_chi(g) on words
+    with at most p - 1 copies of a letter: prepending a free letter a to
+    a word that starts with p - 1 copies of a gives a^[p].rest +
+    chi(a)^p rest, for rest the word after them.  Memoised values are
+    reduced mod p, so a table with D != 1 raises ValueError; chi on m is
+    used as given.
     """
 
-    def __init__(self, dim: int, bracket, m_start: int | None = None, chi=()):
+    def __init__(self, dim: int, bracket, m_start: int | None = None, chi=(), restricted=None):
         # bracket[(a, b)] = {c: coeff} for a > b (the out-of-order bracket)
         self.dim = dim
         self.bracket = bracket
@@ -121,31 +131,45 @@ class UAlgebra:
             for ab, entry in bracket.items()
         }
         self._ichi = {self.m_start + i: c.numerator * (D // c.denominator) for i, c in enumerate(chi_m)}
+        self.p = None
+        if restricted is not None:
+            if D != 1:
+                raise ValueError(f"a restricted action needs an integral table and chi, not D = {D}")
+            self.p, self._p_power = restricted
+            self._chi_p = [pow(chi[a], self.p, self.p) for a in range(self.m_start)]
         self._act_memo = {}
 
     def act(self, a: int, w: tuple) -> dict:
         """a.w in Q for a letter a and a Q normal form word w, as
-        {term: D^(1 + len(w) - len(term)) * coefficient}."""
+        {term: D^(1 + len(w) - len(term)) * coefficient}, or mod p."""
+        p = self.p
         if not w:
             if a < self.m_start:
                 return {(a,): 1}
             c = self._ichi[a]
             return {(): c} if c else {}
-        if a <= w[0]:
+        if a <= w[0] and (p is None or w[p - 2:p - 1] != (a,)):
             return {(a,) + w: 1}
         key = (a, w)
         out = self._act_memo.get(key)
         if out is not None:
             return out
-        b, rest = w[0], w[1:]
         out = {}
-        for t, c in self.act(a, rest).items():
-            for s, d in self.act(b, t).items():
-                out[s] = out.get(s, 0) + c * d
-        for k, cbr in self._ibracket.get((a, b), {}).items():
+        if a <= w[0]:
+            # a^p = a^[p] + chi(a)^p in U_chi(g), after the p - 1 a's that lead w
+            rest, terms = w[p - 1:], self._p_power[a]
+            out[rest] = self._chi_p[a]
+        else:
+            b, rest = w[0], w[1:]
+            terms = self._ibracket.get((a, b), {})
+            for t, c in self.act(a, rest).items():
+                for s, d in self.act(b, t).items():
+                    out[s] = out.get(s, 0) + c * d
+        for k, c in terms.items():
             for s, d in self.act(k, rest).items():
-                out[s] = out.get(s, 0) + cbr * d
-        out = {s: c for s, c in out.items() if c != 0}
+                out[s] = out.get(s, 0) + c * d
+        out = ({s: c for s, c in out.items() if c != 0} if p is None
+               else {s: c % p for s, c in out.items() if c % p})
         self._act_memo[key] = out
         return out
 

@@ -3,8 +3,10 @@ structure via matrix p-th powers, p-characters, parabolically induced
 modules over F_p as explicit action matrices, and Kac-Weisfeiler dimension
 bookkeeping.
 
-Module actions are sparse matrices over GF(p), like every other matrix in
-the package; the identities are checked by full sparse matrix products.
+An induced module U_chi(g) (x)_{U_chi(p)} k_0 takes its action on PBW
+monomials of U(n_-) from the restricted enveloping.UAlgebra, the kernel of
+the W-algebra's Q, as sparse matrices over GF(p); the identities are
+checked by full sparse matrix products.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .orbits import (
     parabolic,
 )
 from .algebra import ClassicalAlgebra, build_algebra
+from .enveloping import UAlgebra
 
 
 @dataclass
@@ -104,79 +107,6 @@ class InducedModule:
     chi: tuple              # p-character values on the basis
 
 
-class _VermaBuilder:
-    """Normal-form arithmetic for U_chi(g) acting on U(n_-) x k_0."""
-
-    def __init__(self, mod: ModularAlgebra, f_idx, chi):
-        self.mod = mod
-        self.p = mod.p
-        self.f_idx = list(f_idx)
-        self.f_pos = {k: i for i, k in enumerate(f_idx)}
-        self.chi = chi
-        self.monomials = {}
-        self.index_of = {}
-        self._memo = {}   # (basis element, monomial) -> its action
-
-    def _mono_index(self, mono):
-        if mono not in self.index_of:
-            self.index_of[mono] = len(self.index_of)
-            self.monomials[self.index_of[mono]] = mono
-        return self.index_of[mono]
-
-    def enumerate_basis(self):
-        for expo in product(range(self.p), repeat=len(self.f_idx)):
-            self._mono_index(tuple(expo))
-
-    def act_basis(self, k: int) -> dict:
-        """Action of basis element k as {column: {row: coeff}} on monomials."""
-        return {col: {self._mono_index(m): c for m, c in self._act(k, self.monomials[col]).items()}
-                for col in range(len(self.index_of))}
-
-    def _add(self, out: dict, vec: dict, c: int):
-        for m, v in vec.items():
-            out[m] = (out.get(m, 0) + c * v) % self.p
-
-    def _act(self, k: int, mono: tuple) -> dict:
-        """Left action of basis element k on a normal-form monomial, memoised.
-        f_i with i at most the leading letter's index is prepended, with
-        f_i^p = f_i^{[p]} + chi(f_i)^p inside U_chi; anything else commutes
-        past the leading letter f: y f v = f (y v) + [y, f] v; l + n_+ kill k_0."""
-        key = (k, mono)
-        out = self._memo.get(key)
-        if out is not None:
-            return out
-        p = self.p
-        lead = next((j for j, e in enumerate(mono) if e), None)
-        i = self.f_pos.get(k)
-        out = {}
-        if i is not None and (lead is None or i <= lead):
-            new = list(mono)
-            new[i] += 1
-            if new[i] < p:
-                out[tuple(new)] = 1
-            else:
-                new[i] = 0
-                base = tuple(new)
-                chi_val = pow(int(self.chi[k]), p, p)
-                if chi_val:
-                    out[base] = chi_val
-                for c_idx, coeff in enumerate(self.mod.p_power[k]):
-                    if coeff != 0:
-                        self._add(out, self._act(c_idx, base), int(coeff))
-        elif lead is not None:
-            f = self.f_idx[lead]
-            rest = list(mono)
-            rest[lead] -= 1
-            rest = tuple(rest)
-            for m2, c2 in self._act(k, rest).items():
-                self._add(out, self._act(f, m2), c2)
-            for c_idx, coeff in self.mod.structure.get((k, f), {}).items():
-                self._add(out, self._act(c_idx, rest), coeff)
-        out = {m: c for m, c in out.items() if c}
-        self._memo[key] = out
-        return out
-
-
 def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
     """U_chi(g) tensor_{U_chi(p)} k_0 with the zero orbit in the Levi; chi =
     kappa(e, -) for the certified generic nilradical sample e, zero on p."""
@@ -203,18 +133,21 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
         if chi[k] != 0:
             raise AssertionError("chi does not vanish on the parabolic")
 
-    builder = _VermaBuilder(mod, f_idx, chi)
-    builder.enumerate_basis()
-    dim = p ** len(f_idx)
-    if len(builder.index_of) != dim:
-        raise AssertionError("module basis enumeration mismatch")
-    action = []
-    for k in range(alg.dim):
-        cols = builder.act_basis(k)
-        if len(builder.index_of) != dim:
-            raise AssertionError("action left the monomial basis")
-        action.append(SparseMatrix(dim, dim, ring, {
-            (row, col): c for col, rows in cols.items() for row, c in rows.items()}))
+    # letters n_-, then l, then n_+: a sorted word over n_- is a PBW monomial,
+    # and the letters of p act on k_0 by chi = 0
+    order = f_idx + levi_idx + n_plus
+    pos = {k: i for i, k in enumerate(order)}
+    bracket = {(pos[a], pos[b]): {pos[c]: v for c, v in entry.items()}
+               for (a, b), entry in mod.structure.items() if pos[a] > pos[b]}
+    p_power = [{pos[c]: v for c, v in enumerate(mod.p_power[k]) if v} for k in order]
+    U = UAlgebra(alg.dim, bracket, len(f_idx), [chi[k] for k in order], restricted=(p, p_power))
+    # the monomials in exponent-vector order, each as its sorted word
+    words = [tuple(i for i, n in enumerate(expo) for _ in range(n)) for expo in product(range(p), repeat=len(f_idx))]
+    row = {w: col for col, w in enumerate(words)}
+    dim = len(words)
+    action = [SparseMatrix(dim, dim, ring, {(row[s], col): c for col, w in enumerate(words)
+                                            for s, c in U.act(pos[k], w).items()})
+              for k in range(alg.dim)]
     module = InducedModule(datum, p, dim, action, chi)
     verify_induced_module(module, mod)
     return module

@@ -220,6 +220,22 @@ def test_oversized_n_exits_2(argv):
     assert proc.stderr.startswith("error:") and f"MAX_N = {cli.MAX_N}" in proc.stderr
 
 
+def test_verify_output_into_a_missing_directory_exits_2_before_any_suite(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", "verify", "--primes", "3", "--suites", "golden",
+                           "--output", str(target)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "suite golden:" not in proc.stderr
+    assert not target.parent.exists()
+
+
+def test_verify_output_that_cannot_be_written_exits_2(tmp_path):
+    # the directory itself as the report path: the suites run, the write fails
+    code, out, err = run_cli("verify", "--primes", "3", "--suites", "golden", "--output", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "suite golden:" in err and err.splitlines()[-1].startswith("error: --output:")
+
+
 @pytest.mark.parametrize("argv", [
     "induce --n 2 --eps 1 --levi 1",
     "verma 1,1 1 --levi 1 --prime 3",

@@ -1,6 +1,7 @@
 """Reduction mod p, restrictedness, induced modules and KW bookkeeping."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from orbitforge.linalg import SparseMatrix
 from orbitforge.partitions import Partition
 from orbitforge.algebra import build_algebra
 from orbitforge.orbits import InductionDatum, build_nilpotent, embed_datum, orbit_dim_formula
+from orbitforge.enveloping import UAlgebra
 from orbitforge.modular import (
     _power,
     reduce_mod_p,
@@ -354,12 +356,39 @@ LEVI_SP4 = InductionDatum(4, -1, ((1, Partition((1,))),), Partition((1, 1)))
     (SIEGEL_SP4, 5, "517aadea507dabfa9840a766ab8e3a1d0c7b1266"),
     (BOREL_SP4, 3, "00edad4c9919f0117fc44fe6b6bc87d82a63cf1e"),
     (BOREL_SP4, 5, "438338cade8000d8767caa27020f460c9c56bc2a"),
+    (InductionDatum.zero_orbit(5, 1, (1, 1)), 3, "e22056dcc22da9a545890732ccc86be01c16d121"),
+    (InductionDatum.zero_orbit(5, 1, (1,)), 3, "96ed2267f68d108cdffa98018a0274e83b9b25f0"),
+    (InductionDatum.zero_orbit(5, 1, (2,)), 3, "d638e2d9462731cbdba94c2c02879f4e9928cf5c"),
+    (InductionDatum.zero_orbit(6, -1, (1,)), 3, "227c8002f704d221d802790fb46f81e2708ce3da"),
+    (InductionDatum.zero_orbit(7, 1, (1,)), 3, "65f2952d3455376e5c5161e67fdd0f35d1fd2d0c"),
+    (InductionDatum.zero_orbit(5, 1, (1, 1)), 5, "1b5496b33ac442bebb68ac9da83fc1a1aafcc9e5"),
 ])
 def test_action_matrices_are_unchanged(datum, p, digest):
-    # sha1 of every action matrix's sorted entries, recorded from the
-    # unmemoised builder, which commuted each generator past every letter
+    # sha1 of every action matrix's sorted entries.  The sp_4 values were
+    # recorded from an unmemoised builder, which commuted each generator
+    # past every letter; the so_5, sp_6 and so_7 values from a memoised
+    # builder on exponent vectors, before the modules moved to UAlgebra
     import hashlib
 
     module = build_induced_module(datum, p)
     entries = repr([sorted(m.entries.items()) for m in module.action])
     assert hashlib.sha1(entries.encode()).hexdigest() == digest
+
+
+def test_the_restricted_action_closes_a_p_run():
+    # one letter a with a^[p] = a and chi(a) = 2: prepending a to a.a.1
+    # gives a^3 = a^[3] + chi(a)^3 = a + 8 = a + 2 mod 3
+    U = UAlgebra(1, {}, restricted=(3, [{0: 1}]), chi=[2])
+    assert U.act(0, ()) == {(0,): 1}
+    assert U.act(0, (0,)) == {(0, 0): 1}
+    assert U.act(0, (0, 0)) == {(0,): 1, (): 2}
+    assert UAlgebra(1, {}, restricted=(3, [{}]), chi=[3]).act(0, (0, 0)) == {}
+
+
+def test_a_restricted_action_refuses_a_non_integral_table():
+    # memoised values are reduced mod p, which needs D = 1
+    bracket = {(1, 0): {1: Fraction(1, 2)}}
+    with pytest.raises(ValueError, match="D = 2"):
+        UAlgebra(2, bracket, chi=(0, 0), restricted=(3, [{}, {}]))
+    assert UAlgebra(2, bracket).denominator == 2
+    assert UAlgebra(2, {(1, 0): {1: Fraction(4, 2)}}, chi=(0, 0), restricted=(3, [{}, {}])).denominator == 1

@@ -3,12 +3,13 @@ action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
 The action agrees with the Fraction straightening reference in U(g) followed
 by the substitution of chi, its memo runs on ints, and the ad-m-invariance
 certificate still sees a wrong chi through it.  UAlgebra is the one PBW
-kernel: it has no straightening of its own, and it is built only for a
-WSetup and, with no m-letters, for the Casimir element.  q_mul and q_comm,
-which map the right factor to Q once and let each left word act on the
-whole sum, give the values and key order of mapping each pair of words to Q
-by itself, and a dropped WSetup frees its UAlgebra without the cycle
-collector."""
+kernel: it has no straightening of its own, no other class defines a
+letter action, and it is built only for a WSetup, for the Casimir element
+(with no m-letters) and for the induced modules (restricted mod p).  q_mul
+and q_comm, which map the right factor to Q once and let each left word act
+on the whole sum, give the values and key order of mapping each pair of
+words to Q by itself, and a dropped WSetup frees its UAlgebra without the
+cycle collector."""
 
 import ast
 import gc
@@ -263,6 +264,7 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
 
 PRODUCTS = ("q_mul", "q_comm", "act", "_act_on", "_act_letter")
 SECOND_KERNEL = ("straighten", "mul", "comm")
+LETTER_ACTION = ("act", "_act")
 
 
 def _methods(source: str, cls: str) -> list:
@@ -278,14 +280,24 @@ def _projected_products(source: str) -> list:
             and any(isinstance(arg, ast.Call) and _last_name(arg.func) in PRODUCTS for arg in node.args)]
 
 
-def test_one_pbw_kernel_built_for_the_w_setup_and_the_casimir():
-    # every product in U(g) or Q goes through UAlgebra's left action: no
-    # straightening beside it, and no instance but these two
+def _letter_actions(source: str) -> list:
+    """The classes other than UAlgebra that define a letter action."""
+    return [top.name for top in ast.parse(source).body if isinstance(top, ast.ClassDef) and top.name != "UAlgebra"
+            and set(_methods(source, top.name)) & set(LETTER_ACTION)]
+
+
+def test_one_pbw_kernel_built_for_the_w_setup_the_casimir_and_the_induced_modules():
+    # every product in U(g) or Q, and every action on an induced module,
+    # goes through UAlgebra's left action: no straightening beside it, no
+    # other class with a letter action, and no instance but these three
     source = (SRC / "enveloping.py").read_text()
     assert not any(hasattr(UAlgebra, name) for name in SECOND_KERNEL)
     assert not set(_methods(source, "UAlgebra")) & set(SECOND_KERNEL)
+    for path in sorted(SRC.glob("*.py")):
+        assert _letter_actions(path.read_text()) == [], path.name
     calls = [(path.name, scope) for path in sorted(SRC.glob("*.py")) for scope in _callers(path.read_text(), "UAlgebra")]
-    assert calls == [("enveloping.py", "WSetup._build_structure"), ("enveloping.py", "casimir")]
+    assert calls == [("enveloping.py", "WSetup._build_structure"), ("enveloping.py", "casimir"),
+                     ("modular.py", "build_induced_module")]
 
 
 def test_q_project_never_takes_a_product():
@@ -323,7 +335,13 @@ def lift(setup, U):
 
 def tails(setup, U, xs):
     return setup.q_project(U._act_on(xs, {(): 1}, 1)), setup.q_project(U._act_letter(0, {(): 1}))
+
+
+class _Builder:
+    def _act(self, k, mono):
+        return {mono: 1}
 '''
     assert _methods(src, "UAlgebra") == ["straighten", "mul"]
+    assert _letter_actions(src) == ["_Builder"]
     assert _callers(src, "UAlgebra") == ["WSetup._build_structure", "casimir", "lift"]
     assert _projected_products(src) == [15, 28, 28]
