@@ -9,7 +9,6 @@ set; positions map to matrix coordinates through ``pos``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -54,7 +53,7 @@ class ClassicalAlgebra:
             inv[(self.pos[-i], self.pos[i])] = 1
             inv[(self.pos[i], self.pos[-i])] = self.eps
         if self.N % 2 == 1:
-            inv[(self.pos[0], self.pos[0])] = Fraction(1, 2)
+            inv[(self.pos[0], self.pos[0])] = QQ.div(1, 2)
         self.J_inv = SparseMatrix(self.N, self.N, QQ, inv)
         assert self.J @ self.J_inv == SparseMatrix.identity(self.N, QQ)
 
@@ -389,10 +388,10 @@ class ClassicalAlgebra:
                 # <a, b^vee> = 2(a|b)/(b|b), with the unscaled product
                 ab = sum(x * y for x, y in zip(a, b))
                 bb = sum(x * x for x in b)
-                val = Fraction(2 * ab, bb)
-                if val.denominator != 1:
+                val = QQ.div(2 * ab, bb)
+                if type(val) is not int:
                     raise AssertionError("non-integral Cartan entry")
-                row.append(int(val))
+                row.append(val)
             cartan_matrix.append(row)
         self._root_data = {
             "roots": sorted(roots),
@@ -422,7 +421,7 @@ class ClassicalAlgebra:
             tr = (e_plus @ e_minus).trace()
             const = QQ.div(target, tr)
         else:
-            const = Fraction(1, 2)  # orthogonal family value
+            const = QQ.div(1, 2)  # orthogonal family value
         for i in range(self.dim):
             for j in range(i, self.dim):
                 val = QQ.mul(const, (self.basis[i] @ self.basis[j]).trace())

@@ -11,8 +11,8 @@ off, its expansion, and the augmentation character reads c_k from it.
 The global PBW order is: x-part (a saturated lattice basis of the
 nonnegative degrees, centraliser vectors first), then the z-part (root
 vectors spanning n_+(-1)), then the m-part (normalised duals z' followed by
-the degrees <= -2).  With the m-part rightmost, projection to Q is a suffix
-substitution by chi.
+the degrees <= -2).  With the m-part rightmost, the class in Q of a normal
+form word substitutes chi for its m-suffix; it is taken by the Q action on 1.
 
 Every product is computed by one kernel, the left action of U(g) on Q
 normal form words (UAlgebra.q_mul, q_comm), with Q = U(g) (x)_{U(m)} k_chi:
@@ -24,20 +24,20 @@ Casimir element and its centrality take their products from such an
 instance.  The same action, restricted mod p, gives the induced modules
 U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.
 
-Each value is computed once: theta_zero and theta_one are memoised per
-coordinate vector, generators are kept in WSetup.thetas and theta
-monomials in a cache.  These dicts are shared by every caller, and no
-caller mutates them.
+Scalars are QQ values in the canonical form of rings.  Each value is
+computed once: theta_zero and theta_one are memoised per coordinate
+vector, generators are kept in WSetup.thetas and theta monomials in a
+cache.  These dicts are shared by every caller, and no caller mutates
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from math import lcm
 
-from .rings import QQ, ZZ, is_two_power_denominator
+from .rings import QQ, ZZ, canonical, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
     integer_kernel_basis,
@@ -52,7 +52,6 @@ from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
 from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
 
 
-_ZERO = Fraction(0)
 _ONE = {(): 1}   # 1 in Q, as an int-valued sum; never mutated
 # Theta monomials WSetup._clear may subtract before it gives up.
 CLEAR_MAX_ITER = 20000
@@ -104,9 +103,9 @@ class UAlgebra:
     coefficient of each term t, and act(a, w) holds D^(1 + len(w) - len(t))
     times it: each bracket and each chi substitution takes one letter off
     and one factor D on, so these are integers.  act is memoised.  The
-    products accumulate over one common denominator and build one Fraction
-    per output term, in the key order of taking (wa + wb).1 for each pair
-    of words in turn.
+    products accumulate over one common denominator and divide once per
+    output term, by QQ.div into canonical form, in the key order of taking
+    (wa + wb).1 for each pair of words in turn.
 
     restricted = (p, p_power), with p_power[a] = {c: coeff} the p-th power
     a^[p] of each free letter, makes act the action of U_chi(g) on words
@@ -205,9 +204,9 @@ class UAlgebra:
                 out[s] = out.get(s, 0) + scale * c
         return out
 
-    def _fractions(self, acc: dict, den: int, top: int) -> dict:
+    def _quotients(self, acc: dict, den: int, top: int) -> dict:
         D = self.denominator
-        return {t: Fraction(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
+        return {t: QQ.div(n, den * D ** (top - len(t))) for t, n in acc.items() if n != 0}
 
     def q_mul(self, x: dict, y: dict) -> dict:
         """The class of x y in Q: x acting on y.1."""
@@ -215,7 +214,7 @@ class UAlgebra:
         dy, ys = _scaled(y)
         lx, ly = _longest(x), _longest(y)
         acc = self._act_on(xs, self._act_on(ys, _ONE, ly), lx)
-        return self._fractions(acc, dx * dy, lx + ly)
+        return self._quotients(acc, dx * dy, lx + ly)
 
     def q_comm(self, x: dict, y: dict) -> dict:
         """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
@@ -224,14 +223,14 @@ class UAlgebra:
         lx, ly = _longest(x), _longest(y)
         x1, y1 = self._act_on(xs, _ONE, lx), self._act_on(ys, _ONE, ly)
         acc = _difference(self._act_on(xs, y1, lx), self._act_on(ys, x1, ly))
-        return self._fractions(acc, dx * dy, lx + ly)
+        return self._quotients(acc, dx * dy, lx + ly)
 
 
-def elem_add(x: dict, y: dict, scale=Fraction(1)) -> dict:
+def elem_add(x: dict, y: dict, scale=1) -> dict:
     out = dict(x)
     for t, c in y.items():
         out[t] = out.get(t, 0) + scale * c
-    return {t: c for t, c in out.items() if c != 0}
+    return {t: canonical(c) for t, c in out.items() if c != 0}
 
 
 @dataclass
@@ -248,7 +247,8 @@ class ThetaGenerator:
 
 def _per_vector(method):
     """Memoise a WSetup method of a coordinate vector x on tuple(x): a list
-    and a tuple, of ints or Fractions of equal value, share one entry.
+    and a tuple of equal scalars share one entry, whether an integral value
+    comes as an int or as a Fraction.
     Every caller gets the stored dict itself and must not mutate it."""
     @wraps(method)
     def memoised(self, x):
@@ -298,9 +298,9 @@ class WSetup:
             kern = integer_kernel_basis(ad_e.columns(idxs))
             for part, vecs in ((x_part, kern), (comp_part, complete_saturated_basis(kern, len(idxs)))):
                 for v in vecs:
-                    vec = [_ZERO] * alg.dim
+                    vec = [0] * alg.dim
                     for jj, k in enumerate(idxs):
-                        vec[k] = Fraction(v[jj])
+                        vec[k] = v[jj]
                     part.append((tuple(vec), key[0]))
         self.r = len(x_part)
         self.x_vectors = [v for v, _ in x_part + comp_part]
@@ -357,34 +357,19 @@ class WSetup:
             for i, t in self._tinv_cols[j]:
                 acc[i] += t * n
         den *= self._tinv_den
-        return tuple(Fraction(a, den) if a else _ZERO for a in acc)
+        return tuple(QQ.div(a, den) for a in acc)
 
     # -- elements -----------------------------------------------------------
 
     def gen(self, k: int) -> dict:
-        return {(k,): Fraction(1)}
+        return {(k,): 1}
 
     def embed_coords(self, w_coords) -> dict:
-        return {(k,): Fraction(c) for k, c in enumerate(w_coords) if c != 0}
+        return {(k,): QQ.coerce(c) for k, c in enumerate(w_coords) if c != 0}
 
     def embed(self, xs: dict) -> dict:
         """The element of g with Chevalley coordinates {index: scalar} xs, in U(g)."""
         return self.embed_coords(self._w_coords(xs))
-
-    def q_project(self, elem: dict) -> dict:
-        """Substitute chi for every m-letter."""
-        m, chi = self.m_start, self.chi
-        out = {}
-        for word, c in elem.items():
-            head = tuple(k for k in word if k < m)
-            if len(head) < len(word):
-                factors = [chi[k] for k in word if k >= m]
-                if not all(factors):
-                    continue
-                for f in factors:
-                    c *= f
-            out[head] = out.get(head, 0) + c
-        return {t: v for t, v in out.items() if v != 0}
 
     def kazhdan_degree(self, qnf: dict) -> int:
         if not qnf:
@@ -401,7 +386,7 @@ class WSetup:
         for x given by its Chevalley coordinates."""
         xs = sparse_vector(x, QQ)
         brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
-        t = self.q_project(self.embed(xs))
+        t = self.U.q_mul(self.embed(xs), _ONE)
         for i, br in enumerate(brs):
             if br:
                 t = elem_add(t, self.U.q_mul(self.embed(br), self.gen(self.z_start + i)), scale)
@@ -417,7 +402,7 @@ class WSetup:
         z-letter on either side; the sign is forced by ad-m-invariance and
         the letter placement by the commutator law on degree zero, both of
         which are verified downstream."""
-        return self._head(x, Fraction(1, 2))[0]
+        return self._head(x, QQ.div(1, 2))[0]
 
     @_per_vector
     def theta_one(self, x) -> dict:
@@ -431,7 +416,7 @@ class WSetup:
         tests/test_enveloping.py records the mismatch) and the invariance
         requirement arbitrates.  Above the tail it is
         x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i."""
-        t, brs = self._head(x, Fraction(1))
+        t, brs = self._head(x, 1)
         for i, bri in enumerate(brs):
             if not bri:
                 continue
@@ -439,7 +424,7 @@ class WSetup:
                 brij = self.alg.sparse_bracket(bri, zp)
                 if brij:
                     zz = self.U.q_mul(self.gen(self.z_start + j), self.gen(self.z_start + i))
-                    t = elem_add(t, self.U.q_mul(self.embed(brij), zz), Fraction(1, 3))
+                    t = elem_add(t, self.U.q_mul(self.embed(brij), zz), QQ.div(1, 3))
         for l in range(self.s):
             defect = self.U.q_comm(self.gen(self.m_start + l), t)
             if not defect:
@@ -478,7 +463,7 @@ class WSetup:
             val = self.theta_one(self.basis_vectors[k])
         else:
             val, expansion = self.lift(k)
-            lead = val.get((k,), Fraction(0))
+            lead = val.get((k,), 0)
             if lead != 1:
                 raise AssertionError(f"lifted theta(x_{k}) has leading coefficient {lead}")
         th = ThetaGenerator(k, n, val, expansion)
@@ -521,8 +506,8 @@ class WSetup:
             for i, v in self.U.bracket.get((q, p), {}).items():
                 cols[(i, jj)] = -v
         msolve = SparseMatrix(self.dim, len(pairs), QQ, cols)
-        target = [Fraction(0)] * self.dim
-        target[k] = Fraction(1)
+        target = [0] * self.dim
+        target[k] = 1
         sol = solve(msolve, target)
         if sol is None:
             raise ValueError(
@@ -534,7 +519,7 @@ class WSetup:
             if not ker:
                 raise ValueError("no alternative presentation exists (bracket map injective)")
             kv = ker[(perturb - 1) % len(ker)]
-            sol = [s + kvv for s, kvv in zip(sol, kv)]
+            sol = [QQ.add(s, kvv) for s, kvv in zip(sol, kv)]
         return [(pairs[j], sol[j]) for j in range(len(pairs)) if sol[j] != 0]
 
     def _theta_monomial(self, word: tuple) -> dict:
@@ -543,7 +528,7 @@ class WSetup:
         if word in cache:
             return cache[word]
         if not word:
-            return {(): Fraction(1)}
+            return {(): 1}
         out = self.U.q_mul(self.build_theta(word[0]).value, self._theta_monomial(word[1:]))
         cache[word] = out
         return out
@@ -570,11 +555,11 @@ class WSetup:
                     f"clearing loop for x_{k} met a same-degree generator x_{word[0]}; "
                     "this falsifies the uniqueness of the leading term"
                 )
-            expansion[word] = expansion.get(word, Fraction(0)) + coeff
+            expansion[word] = canonical(expansion.get(word, 0) + coeff)
             for t, c in self._theta_monomial(word).items():
                 v = h.get(t, 0) - coeff * c
                 if v:
-                    h[t] = v
+                    h[t] = canonical(v)
                 else:
                     h.pop(t, None)
         raise AssertionError("clearing loop failed to terminate")
@@ -659,7 +644,7 @@ def pbw_basis_check(setup: WSetup, bound: int) -> dict:
         vectors.append(q)
     dense = []
     for q in vectors:
-        row = [Fraction(0)] * len(support)
+        row = [0] * len(support)
         for w, c in q.items():
             row[support[w]] = c
         dense.append(tuple(row))
@@ -675,7 +660,7 @@ def pbw_basis_check(setup: WSetup, bound: int) -> dict:
 
 def _character_value(c: dict, expansion: dict):
     """phi(sum expansion[w] theta^w) = sum expansion[w] prod_{i in w} c_i."""
-    val = Fraction(0)
+    val = 0
     for word, coeff in expansion.items():
         prod = coeff
         for i in word:
@@ -683,7 +668,7 @@ def _character_value(c: dict, expansion: dict):
                 raise AssertionError("character recursion out of order")
             prod *= c[i]
         val += prod
-    return val
+    return canonical(val)
 
 
 def augmentation_character(setup: WSetup) -> dict:
@@ -729,12 +714,10 @@ def casimir(setup: WSetup) -> CasimirElement:
     # basis elements are the simple coroots
     simples = rd["simple_roots"]
     l = len(simples)
-    amat = SparseMatrix.from_dense(
-        [[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ
-    )
+    amat = SparseMatrix.from_dense(rd["cartan_matrix"], QQ)
     t_coords = []
     for j in range(l):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(l)]
+        rhs = [int(i == j) for i in range(l)]
         sol = solve(amat, rhs)
         if sol is None:
             raise AssertionError("Cartan matrix is singular")
@@ -754,15 +737,15 @@ def casimir(setup: WSetup) -> CasimirElement:
         plus, minus = index[("e", w)], index[("e", tuple(-x for x in w))]
         kap = kf["gram"][(plus, minus)]
         prod = U.q_mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
-        C = elem_add(C, prod, Fraction(2, kap))
+        C = elem_add(C, prod, QQ.div(2, kap))
         h_alpha = alg.sparse_bracket({plus: 1}, {minus: 1})
-        C = elem_add(C, setup.embed(h_alpha), Fraction(-1, kap))
+        C = elem_add(C, setup.embed(h_alpha), QQ.div(-1, kap))
     d = kf["d"]
     for i in range(l):
-        scale = Fraction(rd["norms"][tuple(simples[i])], 2 * d)
+        scale = QQ.div(rd["norms"][tuple(simples[i])], 2 * d)
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
-        hhat = {k: x * scale for k, x in enumerate(t_coords[i]) if x}
+        hhat = {k: QQ.mul(x, scale) for k, x in enumerate(t_coords[i]) if x}
         C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
     # centrality in U(g)
@@ -770,9 +753,9 @@ def casimir(setup: WSetup) -> CasimirElement:
         if U.q_comm(C, setup.gen(b)):
             raise AssertionError(f"Casimir fails to commute with basis element {b}")
 
-    q_image = setup.q_project(C)
+    q_image = setup.U.q_mul(C, _ONE)
     # shape: 2 e + sum y_i z_i + C' with C' in U(g(0)) and y_i in g(1)
-    rest = elem_add(q_image, setup.embed_coords(setup.to_w_coords(setup.rep.e_coords)), Fraction(-2))
+    rest = elem_add(q_image, setup.embed_coords(setup.to_w_coords(setup.rep.e_coords)), -2)
     mixed = []
     zero_part = []
     ok = True

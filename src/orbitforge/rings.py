@@ -3,8 +3,9 @@
 Scalars are plain python objects: ``int`` for ZZ, ``int`` in ``[0, p)``
 for GF(p), and for QQ an ``int`` when the value is integral and a
 ``fractions.Fraction`` with denominator > 1 otherwise, so that the integral
-data of the Chevalley lattice never pays for Fraction arithmetic.  A
-:class:`Ring` value tags containers with the ring their entries live in.
+data of the Chevalley lattice never pays for Fraction arithmetic; no other
+module names Fraction.  A :class:`Ring` value tags containers with the ring
+their entries live in; GF(p) takes an odd prime below PRIME_BOUND.
 No floating point is allowed anywhere: ``coerce`` refuses any scalar that
 is not an ``int`` or a ``Fraction`` with TypeError.
 """
@@ -23,9 +24,8 @@ class Ring:
     def __post_init__(self):
         if self.kind not in ("ZZ", "QQ", "GF"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "GF":
-            if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
-                raise ValueError(f"GF modulus must be an odd prime, got {self.p}")
+        if self.kind == "GF" and not is_odd_prime(self.p):
+            raise ValueError(f"GF modulus must be an odd prime below {PRIME_BOUND}, got {self.p}")
 
     @property
     def is_field(self) -> bool:
@@ -108,14 +108,32 @@ def GF(p: int) -> Ring:
     return Ring("GF", p)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
+# Miller-Rabin to the bases 2, 3, ..., 37 (the first twelve primes) is exact
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)); a larger modulus is refused.
+PRIME_BOUND = 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_odd_prime(n: int) -> bool:
+    """n is an odd prime below PRIME_BOUND: deterministic Miller-Rabin."""
+    if n < 3 or n % 2 == 0 or n >= PRIME_BOUND:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        if a % n == 0:
+            return True   # n is one of the witnesses, so prime
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -129,7 +147,7 @@ def format_rational(x) -> str:
 
 def is_two_power_denominator(x) -> bool:
     """Membership test for R = Z[1/2]: the denominator is a power of 2."""
-    d = Fraction(x).denominator
+    d = x.denominator
     while d % 2 == 0:
         d //= 2
     return d == 1

@@ -115,6 +115,27 @@ def test_verify_even_prime_rejected():
     assert code == 2 and "odd" in err
 
 
+@pytest.mark.parametrize("primes, bad", [("3,,5", "''"), ("3,x", "'x'"), ("3,15", "'15'"),
+                                         ("318665857834031151167463", "'318665857834031151167463'")])
+def test_verify_names_the_bad_prime(primes, bad):
+    # one odd-prime test for every entry; a modulus at or above the bound
+    # of the exact prime test is refused
+    code, out, err = run_cli("verify", "--primes", primes, "--suites", "golden")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: prime must be an odd prime below ") and err.rstrip().endswith(f"got {bad}")
+
+
+def test_verify_at_a_large_prime_is_quick():
+    # the modulus is tested by Miller-Rabin, not by trial division
+    import time
+
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "orbitforge.cli", "verify", "--primes", "1000000000000000003",
+                           "--suites", "modular,rigidity"], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 0 and json.loads(proc.stdout)["passed"]
+
+
 def test_verify_unknown_suite_exits_2():
     code, out, err = run_cli("verify", "--suites", "nope")
     assert code == 2 and out == ""
@@ -167,6 +188,7 @@ def test_verify_mini_run_and_determinism(tmp_path):
     "induce --n 4 --eps -1 --levi x",
     "induce --n 5 --eps 1 --levi 1 --residual 2,1",
     "verma 4 -1 --levi 1,1 --prime 9",
+    "verma 4 -1 --levi 1,1 --prime 318665857834031151167463",
 ])
 def test_malformed_input_exits_2(argv):
     code, out, err = run_cli(*argv.split())

@@ -1,4 +1,4 @@
-"""PBW arithmetic, Q projection, theta generators, the lifting loop, the
+"""PBW arithmetic, the class in Q, theta generators, the lifting loop, the
 augmentation character and the Casimir element."""
 
 import random
@@ -24,6 +24,8 @@ from orbitforge.enveloping import (
     character_kills_commutators,
     casimir,
 )
+
+from test_rings import _is_canonical
 
 
 SETUPS = {"sp4": ((2, 1, 1), -1), "so5": ((2, 2, 1), 1), "sp6": ((2, 1, 1, 1, 1), -1)}
@@ -143,9 +145,9 @@ def _elements(dim: int, max_len: int):
 
 
 def _assert_same(got: dict, want: dict):
-    # the same values, each a Fraction
+    # the same values, each in QQ's canonical form
     assert got == want
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(_is_canonical(c) for c in got.values())
 
 
 @pytest.mark.parametrize("name", [*SETUPS, *LIE])
@@ -192,7 +194,7 @@ def test_to_w_coords_matches_the_dense_inverse(name, data):
     v = data.draw(st.lists(ENTRY, min_size=setup.dim, max_size=setup.dim))
     got = setup.to_w_coords(v)
     assert got == _dense_w_coords(tinv, v)
-    assert all(type(c) is Fraction for c in got)
+    assert all(_is_canonical(c) for c in got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +208,7 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
     assert setup._tinv_den == 15
     got = setup.to_w_coords(v)
     assert got == _dense_w_coords(tinv, v)
-    assert all(type(c) is Fraction for c in got)
+    assert all(_is_canonical(c) for c in got)
 
 
 # -- the matrix path, kept as the reference ---------------------------------------
@@ -227,7 +229,7 @@ def _matrix_theta_zero(setup, x) -> dict:
         br = commutator(x, setup.alg.from_coordinates(v))
         if not br.is_zero():
             t = elem_add(t, ref.mul(_embed_matrix(setup, br), setup.gen(setup.z_start + i)), Fraction(1, 2))
-    return setup.q_project(t)
+    return _q_project_reference(setup, t)
 
 
 def _matrix_theta_one(setup, x) -> dict:
@@ -244,9 +246,9 @@ def _matrix_theta_one(setup, x) -> dict:
             if not brij.is_zero():
                 zz = ref.mul(setup.gen(setup.z_start + j), setup.gen(setup.z_start + i))
                 t = elem_add(t, ref.mul(_embed_matrix(setup, brij), zz), Fraction(1, 3))
-    t = setup.q_project(t)
+    t = _q_project_reference(setup, t)
     for l in range(setup.s):
-        defect = setup.q_project(ref.comm(setup.gen(setup.m_start + l), dict(t)))
+        defect = _q_project_reference(setup, ref.comm(setup.gen(setup.m_start + l), dict(t)))
         if defect:
             t = elem_add(t, setup.gen(setup.z_start + l), -defect[()])
     return t
@@ -312,7 +314,9 @@ def _matrix_reference_tail(setup, x) -> list:
 
 
 def _q_project_reference(setup, elem: dict) -> dict:
-    """q_project as it was: every word starts from Fraction(1)."""
+    """The class in Q of elem, an element of U(g) with m-letters at the right
+    of each word, as the substitution of chi for every m-letter: each word
+    starts from Fraction(1).  It shares no code with the Q action."""
     out = {}
     for word, c in elem.items():
         head, factor = [], Fraction(1)
@@ -328,17 +332,29 @@ def _q_project_reference(setup, elem: dict) -> dict:
     return {t: v for t, v in out.items() if v != 0}
 
 
+def _to_q(setup, elem: dict) -> dict:
+    """The class in Q of an element of U(g): the Q action on 1, the one route
+    to Q that WSetup and casimir take."""
+    return setup.U.q_mul(elem, {(): 1})
+
+
 @pytest.mark.parametrize("name", [*SETUPS])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_q_project_matches_the_reference(name, data):
-    setup = _setup(name)
+    # the Q action on 1 is the reference's chi substitution after
+    # straightening in U(g); on normal-ordered words it keeps their order
+    setup, ref = _setup(name), _reference(_setup(name))
     elem = data.draw(_elements(setup.dim, 4))
-    if data.draw(st.booleans()):
-        elem = _reference(setup).mul(elem, data.draw(_elements(setup.dim, 2)))   # normal-ordered words
-    got = setup.q_project(elem)
-    _same_items(got, _q_project_reference(setup, elem))
-    assert all(type(c) is Fraction for c in got.values())
+    normal = data.draw(st.booleans())
+    if normal:
+        elem = ref.mul(elem, data.draw(_elements(setup.dim, 2)))
+    got = _to_q(setup, elem)
+    want = _q_project_reference(setup, ref.mul(elem, {(): Fraction(1)}))
+    if normal:
+        _same_items(got, want)
+    assert got == want
+    assert all(_is_canonical(c) for c in got.values())
 
 
 def test_multiply_by_one(sp4):
@@ -374,13 +390,13 @@ def test_associativity_on_seeded_triples(sp4):
 
 def test_q_project_m_generator(sp4):
     for a in range(sp4.m_start, sp4.dim):
-        q = sp4.q_project(sp4.gen(a))
+        q = _to_q(sp4, sp4.gen(a))
         want = {(): sp4.chi[a]} if sp4.chi[a] != 0 else {}
         assert q == want
 
 
 def test_q_project_e_is_a_centralizer_monomial(sp4):
-    q = sp4.q_project(sp4.embed_coords(sp4.to_w_coords(sp4.rep.e_coords)))
+    q = _to_q(sp4, sp4.embed_coords(sp4.to_w_coords(sp4.rep.e_coords)))
     assert all(len(w) == 1 and w[0] < sp4.r for w in q)
 
 
@@ -388,12 +404,12 @@ def test_q_project_zprime_z_affine(sp4):
     # z' z = z z' + [z', z]; the class is Psi(z', z) = 1 by the duality
     zp = sp4.gen(sp4.m_start)
     z = sp4.gen(sp4.z_start)
-    assert sp4.q_project(_reference(sp4).mul(zp, z)) == {(): Fraction(1)}
+    assert _to_q(sp4, _reference(sp4).mul(zp, z)) == {(): 1}
 
 
 def test_q_project_idempotent_on_normal_forms(sp4):
-    q = sp4.q_project(_reference(sp4).mul(sp4.gen(0), sp4.gen(sp4.z_start)))
-    assert sp4.q_project(dict(q)) == q
+    q = _to_q(sp4, _reference(sp4).mul(sp4.gen(0), sp4.gen(sp4.z_start)))
+    assert _to_q(sp4, dict(q)) == q
 
 
 def test_kazhdan_degrees(sp4):
@@ -406,10 +422,10 @@ def test_kazhdan_degrees(sp4):
 
 
 def test_kazhdan_filtration_submultiplicative(sp4):
-    elems = [sp4.q_project(sp4.gen(k)) for k in range(sp4.m_count)]
+    elems = [_q_project_reference(sp4, sp4.gen(k)) for k in range(sp4.m_count)]
     for a in elems[:4]:
         for b in elems[:4]:
-            prod = sp4.q_project(_reference(sp4).mul(dict(a), dict(b)))
+            prod = _q_project_reference(sp4, _reference(sp4).mul(dict(a), dict(b)))
             if prod:
                 assert sp4.kazhdan_degree(prod) <= sp4.kazhdan_degree(a) + sp4.kazhdan_degree(b)
 
@@ -539,7 +555,7 @@ def test_the_stored_expansion_is_the_whole_expansion_of_the_commutator_sum(parts
         h = {}
         for (p, q), c in setup.commutator_presentation(k):
             br = ref.comm(dict(setup.thetas[p].value), dict(setup.thetas[q].value))
-            h = elem_add(h, setup.q_project(br), c)
+            h = elem_add(h, _q_project_reference(setup, br), c)
         assert setup.expand_in_theta(h) == {**setup.thetas[k].expansion, (k,): 1}
     assert all(setup.thetas[k].expansion == {} for k in range(setup.r) if k not in high)
     if parts == (3, 2, 2, 1):

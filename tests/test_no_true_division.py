@@ -1,6 +1,7 @@
 """No true division in src/orbitforge: a / b of two ints is a float, and no
-float may enter the exact rings.  Exact quotients are written Fraction(a, b)
-or QQ.div(a, b), and integer quotients a // b."""
+float may enter the exact rings.  Exact quotients are written QQ.div(a, b),
+which gives QQ's canonical form (only rings.py names Fraction), and integer
+quotients a // b."""
 
 import ast
 import shutil

@@ -1,7 +1,8 @@
 """W-algebra products are computed in Q = U(g) (x)_{U(m)} k_chi by the left
 action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
 The action agrees with the Fraction straightening reference in U(g) followed
-by the substitution of chi, its memo runs on ints, and the ad-m-invariance
+by the substitution of chi, its memo runs on ints, the class in Q of an
+element of U(g) is taken only as its action on 1, and the ad-m-invariance
 certificate still sees a wrong chi through it.  UAlgebra is the one PBW
 kernel: it has no straightening of its own, no other class defines a
 letter action, and it is built only for a WSetup, for the Casimir element
@@ -24,7 +25,7 @@ import pytest
 from orbitforge.enveloping import UAlgebra, WSetup
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
-from test_enveloping import _reference
+from test_enveloping import _q_project_reference, _reference
 from test_one_lift import _callers, _last_name
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
@@ -44,8 +45,8 @@ def _setup(name) -> WSetup:
 
 def _assert_q_products(setup, x, y):
     U, ref = setup.U, _reference(setup)
-    assert U.q_mul(x, y) == setup.q_project(ref.mul(x, y)), (x, y)
-    assert U.q_comm(x, y) == setup.q_project(ref.comm(x, y)), (x, y)
+    assert U.q_mul(x, y) == _q_project_reference(setup, ref.mul(x, y)), (x, y)
+    assert U.q_comm(x, y) == _q_project_reference(setup, ref.comm(x, y)), (x, y)
     _assert_like_the_reference(U, x, y)
 
 
@@ -262,7 +263,6 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
 
 # -- one PBW kernel ------------------------------------------------------------------
 
-PRODUCTS = ("q_mul", "q_comm", "act", "_act_on", "_act_letter")
 SECOND_KERNEL = ("straighten", "mul", "comm")
 LETTER_ACTION = ("act", "_act")
 
@@ -271,13 +271,6 @@ def _methods(source: str, cls: str) -> list:
     """The names of the functions defined in the body of class cls."""
     return [node.name for top in ast.parse(source).body if isinstance(top, ast.ClassDef) and top.name == cls
             for node in top.body if isinstance(node, ast.FunctionDef)]
-
-
-def _projected_products(source: str) -> list:
-    """Line numbers of q_project calls that take a product's result."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and _last_name(node.func) == "q_project"
-            and any(isinstance(arg, ast.Call) and _last_name(arg.func) in PRODUCTS for arg in node.args)]
 
 
 def _letter_actions(source: str) -> list:
@@ -300,10 +293,20 @@ def test_one_pbw_kernel_built_for_the_w_setup_the_casimir_and_the_induced_module
                      ("modular.py", "build_induced_module")]
 
 
-def test_q_project_never_takes_a_product():
+def _chi_substitutions(source: str) -> list:
+    """The functions that define a q_project: a chi substitution beside the
+    Q action."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "q_project"]
+
+
+def test_the_class_in_q_has_one_route():
+    # WSetup and casimir take the class in Q of an element of U(g) as its
+    # action on 1: no second chi substitution, in src or on WSetup
+    assert not hasattr(WSetup, "q_project")
     for path in sorted(SRC.glob("*.py")):
-        assert _projected_products(path.read_text()) == [], path.name
-    assert _callers((SRC / "enveloping.py").read_text(), "q_project") == ["WSetup._head", "casimir"]
+        assert _chi_substitutions(path.read_text()) == [], path.name
+        assert _callers(path.read_text(), "q_project") == [], path.name
 
 
 def test_the_guards_see_a_second_kernel():
@@ -319,6 +322,9 @@ class UAlgebra:
 class WSetup:
     def _build_structure(self):
         self.U = UAlgebra(self.dim, {})
+
+    def q_project(self, elem):
+        return {tuple(k for k in w if k < self.m_start): c for w, c in elem.items()}
 
     def ad_m_invariant(self, qnf):
         return self.q_project(self.U.q_comm(self.gen(0), qnf))
@@ -344,4 +350,5 @@ class _Builder:
     assert _methods(src, "UAlgebra") == ["straighten", "mul"]
     assert _letter_actions(src) == ["_Builder"]
     assert _callers(src, "UAlgebra") == ["WSetup._build_structure", "casimir", "lift"]
-    assert _projected_products(src) == [15, 28, 28]
+    assert _chi_substitutions(src) == ["q_project"]
+    assert _callers(src, "q_project") == ["WSetup.ad_m_invariant", "lift", "tails", "tails"]

@@ -1,6 +1,7 @@
 """The scalar contract of the exact rings: a QQ scalar is an int when it is
 integral and a Fraction with denominator > 1 otherwise, every QQ result of
-linalg holds its entries in that form, and no ring takes a float."""
+linalg holds its entries in that form, and no ring takes a float.  A prime
+field's modulus passes one odd-prime test, exact below PRIME_BOUND."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.rings import GF, QQ, ZZ, Ring
+from orbitforge.rings import GF, PRIME_BOUND, QQ, ZZ, Ring, is_odd_prime
 from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve
 
 from test_linalg import ENTRY, _ref_echelon, _ref_inverse, _ref_rank_kernel, _ref_solve, matrices
@@ -156,3 +157,35 @@ def test_qq_matrix_operations_are_canonical_and_match_the_fraction_reference(dat
     _assert_canonical_equal((a - b).entries, nonzero(diff))
     _assert_canonical_equal((a @ c).entries, nonzero(product))
     _assert_canonical_equal(a.scale(scalar).entries, nonzero({key: x * scalar for key, x in fa.items()}))
+
+
+def _odd_prime_by_trial_division(n: int, small_primes: list) -> bool:
+    return n >= 3 and n % 2 == 1 and all(n % q for q in small_primes if q * q <= n)
+
+
+def test_the_prime_test_agrees_with_trial_division_below_200000():
+    bound = 200000
+    small = [q for q in range(2, 448) if all(q % d for d in range(2, q))]
+    assert small[-1] ** 2 < bound < 449 ** 2
+    assert [n for n in range(bound) if is_odd_prime(n)] == \
+        [n for n in range(bound) if _odd_prime_by_trial_division(n, small)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,   # strong pseudoprime to every prime base up to 23
+    PRIME_BOUND,           # strong pseudoprime to every prime base up to 37
+    1000000000000000003 * 1000000000039,
+])
+def test_the_prime_test_rejects_strong_pseudoprimes(n):
+    assert not is_odd_prime(n)
+    with pytest.raises(ValueError, match="odd prime"):
+        GF(n)
+
+
+def test_large_primes_are_fields_and_the_bound_is_refused():
+    for p in (1000003, 1000000000039, 1000000000000000003):
+        assert is_odd_prime(p) and GF(p).p == p
+    assert not is_odd_prime(PRIME_BOUND + 2)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        GF(PRIME_BOUND + 2)
