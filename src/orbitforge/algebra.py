@@ -4,7 +4,10 @@ The underlying space k^N has basis {v_i, v_{-i} | 1 <= i <= N//2} plus v_0
 for N odd, carrying the bilinear form with (v_i, v_{-j}) = delta_{ij},
 (v_0, v_0) = 2 and (u, v) = eps (v, u).  The algebra is the fixed space of
 sigma(X) = -J^{-1} X^T J.  Basis matrices are indexed by the signed index
-set; positions map to matrix coordinates through ``pos``.
+set; positions map to matrix coordinates through ``pos``.  One reader,
+_read_coords, takes Chevalley coordinates off the identifying positions and
+the Cartan diagonal over any ring; coordinates certifies them by
+reconstruction, and the structure table certifies each bracket it stores.
 """
 
 from __future__ import annotations
@@ -141,9 +144,6 @@ class ClassicalAlgebra:
         if self.dim != expected:
             raise AssertionError(f"dim {self.dim} != {expected} for (N,eps)=({self.N},{eps})")
         self.positive_roots = sorted(pos_roots, key=pos_key)
-        self.root_of_basis = {}
-        for k, lab in enumerate(labels):
-            self.root_of_basis[k] = lab[1] if lab[0] == "e" else None
         self._build_coordinate_map()
 
     def _terms_to_matrix(self, terms) -> SparseMatrix:
@@ -229,25 +229,27 @@ class ClassicalAlgebra:
         entries on v_1..v_h."""
         return [sum(n * d for n, d in zip(row, diag) if d) for row in self._cartan_rows]
 
+    def _read_coords(self, entries: dict, ring: Ring) -> dict:
+        """{k: c}, the Chevalley coordinates of the matrix {(row, col): scalar}
+        over ring, by ring.div (exact or raising over ZZ); unchecked."""
+        coords = {}
+        for rc, val in entries.items():
+            hit = self._lead.get(rc)
+            if hit is not None:
+                coords[hit[0]] = ring.div(val, hit[1])
+        diag = [entries.get((self.pos[i], self.pos[i]), 0) for i in range(1, self.h + 1)]
+        if any(diag):
+            coords.update((j, ring.div(c, self._cartan_den)) for j, c in enumerate(self._cartan_coords(diag)))
+        return coords
+
     def coordinates(self, x: SparseMatrix):
-        """Exact coordinates of x in the Chevalley basis; raises if x is not
-        in the algebra."""
-        ring = x.ring
-        if ring.kind == "ZZ":
-            qcoords = self.coordinates(x.change_ring(QQ))
-            return tuple(ZZ.coerce(c) for c in qcoords)
-        coords = [ring.zero()] * self.dim
-        for rc, (k, v) in self._lead.items():
-            val = x[rc]
-            if val != 0:
-                coords[k] = ring.div(val, ring.coerce(v))
-        diag = [x[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)]
-        for j, c in enumerate(self._cartan_coords(diag)):
-            coords[j] = ring.div(ring.coerce(c), self._cartan_den)
-        # exact reconstruction check
-        if self.from_coordinates(coords, ring) != x.change_ring(ring):
+        """Exact coordinates of x in the Chevalley basis over x's ring;
+        raises if x is not in the algebra."""
+        read = self._read_coords(x.entries, x.ring)
+        coords = tuple(read.get(k, 0) for k in range(self.dim))
+        if self.from_coordinates(coords, x.ring) != x:
             raise ValueError("matrix is not in the algebra")
-        return tuple(coords)
+        return coords
 
     def from_coordinates(self, coords, ring: Ring = QQ) -> SparseMatrix:
         out = SparseMatrix.zeros(self.N, self.N, ring)
@@ -286,7 +288,8 @@ class ClassicalAlgebra:
                 br = {rc: v for rc, v in acc.items() if v}
                 if not br:
                     continue
-                terms = tuple(shared.setdefault(t, t) for t in self._lattice_coords(br))
+                coords = self._read_coords(br, ZZ)
+                terms = tuple(shared.setdefault((k, c), (k, c)) for k, c in sorted(coords.items()) if c)
                 recon = {}
                 for k, c in terms:
                     for rc, v in ents[k].items():
@@ -296,22 +299,6 @@ class ClassicalAlgebra:
                 table[i][j] = terms
                 table[j][i] = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
         return table
-
-    def _lattice_coords(self, m: dict) -> tuple:
-        """((k, c), ...), c != 0 and k increasing: the integer Chevalley
-        coordinates of the integer matrix {(row, col): entry}, read off the
-        identifying positions (lead entries +-1 or +-2) and the Cartan
-        diagonal, by integer division.  Unchecked; the structure table
-        certifies what it stores."""
-        coords = {}
-        for rc, val in m.items():
-            hit = self._lead.get(rc)
-            if hit is not None:
-                coords[hit[0]] = val // hit[1]
-        diag = [m.get((self.pos[i], self.pos[i]), 0) for i in range(1, self.h + 1)]
-        if any(diag):
-            coords.update((j, c // self._cartan_den) for j, c in enumerate(self._cartan_coords(diag)))
-        return tuple((k, c) for k, c in sorted(coords.items()) if c)
 
     def _bracket_terms(self, xs: dict, ys: dict) -> dict:
         table = self.structure

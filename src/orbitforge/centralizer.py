@@ -16,7 +16,7 @@ from .rings import QQ, ZZ
 from .linalg import (SparseMatrix, VectorSpan, add_product, commutator, integer_kernel_basis, inverse_rows,
                      rank_kernel, row_map, sparse_vector)
 from .partitions import Partition, pairing_involution, check_involution
-from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula
+from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula, jordan_type
 
 
 # -- the centraliser in the pyramid realisation -------------------------------
@@ -190,12 +190,15 @@ def _bracket_rhs(zs: ZetaSystem, a, b) -> list:
 
 
 def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
-    """Exact verification of the relation table, the sigma images, the
-    bracket law, the grading and the span; returns a summary dict."""
+    """Exact verification of the Jordan type of e, the relation table, the
+    sigma images, the bracket law, the grading and the span; returns a dict."""
     lam, inv = zs.lam, zs.inv
     parts = lam.parts
     n = lam.n
 
+    jt = jordan_type(zs.e)
+    if jt != lam:
+        raise AssertionError(f"e has Jordan type {jt}, not {lam}")
     # symmetry of the prescribed form
     if zs.form.transpose() != zs.form.scale(zs.eps):
         raise AssertionError("form symmetry violated")
@@ -251,7 +254,7 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
                     raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
 
     # span: the zetas span exactly the fixed-space centraliser
-    span = VectorSpan(QQ, lam.size * lam.size)
+    span = VectorSpan(QQ)
     for key in zs.tuples():
         span.add({r * lam.size + c: QQ.coerce(v) for (r, c), v in zs.zetas[key].entries.items()})
     span_dim = span.rank
@@ -299,7 +302,7 @@ def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     and a graded complement description; certifies [g^e, g^e] <= g^e."""
     alg = cb.rep.algebra
     vecs = [sparse_vector(v, QQ) for v in cb.vectors]
-    span = VectorSpan(QQ, alg.dim)
+    span = VectorSpan(QQ)
     grew = []   # (bracket, degree) for each bracket that enlarged the span
     for a in range(cb.dim):
         for b in range(a + 1, cb.dim):
@@ -315,7 +318,7 @@ def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
             comp_degrees.append(d)
     # span([g^e, g^e]) + g^e has dimension dim g^e exactly when the brackets lie in g^e
     if span.rank != cb.dim:
-        own = VectorSpan(QQ, alg.dim)
+        own = VectorSpan(QQ)
         for v in vecs:
             own.add(v)
         outside = [d for v, d in grew if not own.contains(v)]
@@ -354,7 +357,7 @@ def check_generation(cb: CentralizerBasis):
     for r in degrees:
         if r <= 1:
             continue
-        span = VectorSpan(QQ, alg.dim)
+        span = VectorSpan(QQ)
         for x in layer.get(1, []):
             for y in layer.get(r - 1, []):
                 span.add(alg.sparse_bracket(x, y))

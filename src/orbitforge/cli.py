@@ -111,21 +111,24 @@ def _parse_prime(text: str) -> int:
     return int(text)
 
 
+class UsageError(Exception):
+    """A command line that names no valid task: main prints it after
+    "error: " and exits 2."""
+
+
 def _require_size(n: int):
-    """Exits 2 when n is above MAX_N, before any work is done."""
+    """Refuses n above MAX_N, before any work is done."""
     if n > MAX_N:
-        print(f"error: N = {n} is above the cap of MAX_N = {MAX_N}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"N = {n} is above the cap of MAX_N = {MAX_N}")
 
 
 def _require_algebra(n: int, eps: int):
-    """so_n or sp_n; exits 2 when (n, eps) names no algebra or n > MAX_N."""
+    """so_n or sp_n; refuses (n, eps) that names no algebra or n > MAX_N."""
     _require_size(n)
     try:
         return build_algebra(n, eps)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(str(exc)) from None
 
 
 def _print(text: str) -> None:
@@ -176,26 +179,22 @@ def cmd_algebra(args) -> int:
 
 def _require_levi(alg, sizes):
     """The nilradical dimension of the parabolic of alg with gl blocks of
-    sizes; exits 2, before any work, unless the blocks fit and the parabolic
-    is proper."""
+    sizes; refuses, before any work, unless the blocks fit and the
+    parabolic is proper."""
     if 2 * sum(sizes) > alg.N:
-        error = "Levi shape does not fit"
-    elif not (dim_n := len(nilradical_basis(alg, sizes))):
-        error = f"Levi shape {','.join(map(str, sizes))} has zero nilradical: not a proper parabolic"
-    else:
-        return dim_n
-    print(f"error: {error}", file=sys.stderr)
-    raise SystemExit(2)
+        raise UsageError("Levi shape does not fit")
+    if not (dim_n := len(nilradical_basis(alg, sizes))):
+        raise UsageError(f"Levi shape {','.join(map(str, sizes))} has zero nilradical: not a proper parabolic")
+    return dim_n
 
 
 def _require_admissible(args):
-    """The partition argument; exits 2 when it is not admissible for eps or
+    """The partition argument; refused when it is not admissible for eps or
     its size names no algebra (N < 2 or N > MAX_N)."""
     lam = args.partition
     _require_size(lam.size)
     if not validate_partition(lam, args.eps):
-        print(f"error: {lam} is not admissible for eps={args.eps}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"{lam} is not admissible for eps={args.eps}")
     _require_algebra(lam.size, args.eps)
     return lam
 
@@ -271,8 +270,7 @@ def cmd_slice(args) -> int:
 
 def cmd_wgen(args) -> int:
     if args.degree_bound < 0:
-        print(f"error: --degree-bound must be at least 0, got {args.degree_bound}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"--degree-bound must be at least 0, got {args.degree_bound}")
     lam = _require_admissible(args)
     rep = build_nilpotent(lam, args.eps)
     setup = WSetup(rep)
@@ -323,14 +321,12 @@ def cmd_verma(args) -> int:
     sizes = args.levi
     dim_n = _require_levi(build_algebra(lam.size, args.eps), sizes)
     if args.prime ** dim_n > MAX_MODULE_DIM:
-        print(f"error: the induced module would have dimension {args.prime}^{dim_n} = "
-              f"{args.prime ** dim_n}, above the cap of {MAX_MODULE_DIM}", file=sys.stderr)
-        return 2
+        raise UsageError(f"the induced module would have dimension {args.prime}^{dim_n} = "
+                         f"{args.prime ** dim_n}, above the cap of {MAX_MODULE_DIM}")
     datum = InductionDatum.zero_orbit(lam.size, args.eps, sizes)
     induced = induce_orbit(datum)
     if induced != lam:
-        print(f"error: datum induces {induced}, not {lam}", file=sys.stderr)
-        return 2
+        raise UsageError(f"datum induces {induced}, not {lam}")
     module = build_induced_module(datum, args.prime)
     probe = submodule_probe(module) if args.prime == 3 else None
     book = kw_bookkeeping(lam, args.eps, args.prime, datum)
@@ -359,15 +355,12 @@ def cmd_induce(args) -> int:
     if args.orbits:
         gl_orbits = args.orbits
         if len(gl_orbits) != len(sizes) or any(mu.size != a for mu, a in zip(gl_orbits, sizes)):
-            print("error: orbit list does not match the Levi shape", file=sys.stderr)
-            return 2
+            raise UsageError("orbit list does not match the Levi shape")
     residual = args.residual or zero.residual
     if residual.size != zero.residual.size:
-        print("error: residual orbit does not match the Levi shape", file=sys.stderr)
-        return 2
+        raise UsageError("residual orbit does not match the Levi shape")
     if not validate_partition(residual, args.eps):
-        print(f"error: {residual} is not admissible for eps={args.eps}", file=sys.stderr)
-        return 2
+        raise UsageError(f"{residual} is not admissible for eps={args.eps}")
     datum = InductionDatum(args.n, args.eps, tuple(zip(sizes, gl_orbits)), residual)
     result = induce_orbit(datum)
     _emit({
@@ -476,8 +469,6 @@ def _sweep_cases(config: VerifyConfig, bound: int, check, keep=None, prefix: str
     cases = []
     for n in range(2, min(config.max_n, bound) + 1):
         for eps in (1, -1):
-            if eps == -1 and n % 2:
-                continue
             for lam in admissible_partitions(n, eps):
                 if keep is None or keep(lam, eps):
                     cases.append((f"{prefix}{lam}|{eps}", partial(check, lam, eps, config)))
@@ -561,7 +552,7 @@ def _perfect(rep, primes):
     in_zero = [d == 0 for d in basis.degrees]
     for ring in [QQ] + [GF(p) for p in primes]:
         vecs = [sparse_vector(v, ring) for v in basis.vectors]
-        span, span_zero = VectorSpan(ring, alg.dim), VectorSpan(ring, alg.dim)
+        span, span_zero = VectorSpan(ring), VectorSpan(ring)
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 br = alg.sparse_bracket(vecs[i], vecs[j], ring)
@@ -726,9 +717,13 @@ def run_verify(config: VerifyConfig) -> dict:
         "passed": True,
     }
     selected = config.suites if config.suites else tuple(sorted(SUITES))
-    for name in selected:
+    suites = {name: SUITES[name](config) for name in selected}
+    for name, cases in suites.items():
+        if not cases:
+            raise UsageError(f"suite {name} has no case at N <= {config.max_n}")
+    for name, cases in suites.items():
         t0 = time.time()
-        outcomes = _run_cases(SUITES[name](config))
+        outcomes = _run_cases(cases)
         print(f"suite {name}: {time.time() - t0:.1f}s", file=sys.stderr)
         failures = {k: v for k, v in outcomes.items() if v["status"] != "pass"}
         report["suites"][name] = {
@@ -751,17 +746,14 @@ def cmd_verify(args) -> int:
             suites=tuple(args.suites.split(",")) if args.suites else (),
         )
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-        print(f"error: --output {args.output}: no such directory", file=sys.stderr)
-        return 2
+        raise UsageError(f"--output {args.output}: no such directory")
     report = run_verify(config)
     try:
         _emit(report, args.output)
     except OSError as exc:
-        print(f"error: --output: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--output: {exc}") from None
     return 0 if report["passed"] else 1
 
 
@@ -819,8 +811,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

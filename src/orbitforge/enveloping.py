@@ -6,7 +6,8 @@ rigid cases, and the Casimir element.
 A generator theta_k of degree >= 2 is lifted once, by WSetup.lift: a sum of
 commutators of lower generators presenting x_k, cleared of every pure
 centraliser monomial but x_k.  The generator keeps what the clearing took
-off, its expansion, and the augmentation character reads c_k from it.
+off, its expansion, checked to add back up to the commutator sum, and the
+augmentation character reads c_k from it.
 
 The global PBW order is: x-part (a saturated lattice basis of the
 nonnegative degrees, centraliser vectors first), then the z-part (root
@@ -40,9 +41,9 @@ from math import lcm
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
+    VectorSpan,
     integer_kernel_basis,
     complete_saturated_basis,
-    rank_of_vectors,
     inverse_rows,
     rank_kernel,
     solve,
@@ -567,12 +568,19 @@ class WSetup:
     def lift(self, k: int, perturb: int = 0):
         """(value, expansion) for the generator of x_k, of degree >= 2: the
         sum h = sum c [theta_p, theta_q] over commutator_presentation(k,
-        perturb), cleared by _clear to value, with h - value =
-        sum expansion[w] theta^w."""
+        perturb), cleared by _clear to value; raises unless
+        value + sum expansion[w] theta^w = h."""
         h: dict = {}
         for (p, q), c in self.commutator_presentation(k, perturb):
             h = elem_add(h, self.U.q_comm(self.build_theta(p).value, self.build_theta(q).value), c)
-        return self._clear(h, k)
+        value, expansion = self._clear(h, k)
+        back = dict(value)
+        for word, coeff in expansion.items():
+            for t, c in self._theta_monomial(word).items():
+                back[t] = back.get(t, 0) + coeff * c
+        if {t: c for t, c in back.items() if c} != h:
+            raise AssertionError(f"the expansion of x_{k} does not add back up to its commutator sum")
+        return value, expansion
 
     def _check_shape(self, th: ThetaGenerator):
         top = th.kazhdan_degree
@@ -633,22 +641,15 @@ def pbw_basis_check(setup: WSetup, bound: int) -> dict:
 
     rec(0, bound, [])
     monos.sort()
-    vectors = []
-    support = {}
+    # each word of Q is a column, numbered in order of first appearance
+    column = {}
+    span = VectorSpan(QQ)
     integral = True
     for mono in monos:
         q = setup._theta_monomial(mono)
         integral = integral and setup.is_r_integral(q)
-        for w in q:
-            support.setdefault(w, len(support))
-        vectors.append(q)
-    dense = []
-    for q in vectors:
-        row = [0] * len(support)
-        for w, c in q.items():
-            row[support[w]] = c
-        dense.append(tuple(row))
-    rank = rank_of_vectors(dense, QQ)
+        span.add({column.setdefault(w, len(column)): c for w, c in q.items()})
+    rank = span.rank
     return {
         "bound": bound,
         "count": len(monos),

@@ -1,5 +1,8 @@
-"""Exact sparse linear algebra: rank/kernel/solve over fields, Smith normal
-form over ZZ with transformation certificates, and saturated-lattice helpers.
+"""Exact sparse linear algebra: one reduced-echelon span over a field,
+VectorSpan, behind rank/kernel/solve/inverse and every rank count (a span
+has no fixed width: its columns are the keys of the vectors added), Smith
+normal form over ZZ with transformation certificates, and saturated-lattice
+helpers.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
@@ -249,11 +252,10 @@ class VectorSpan:
     another pivot, takes one pass over them.
     """
 
-    def __init__(self, ring: Ring, dim: int):
+    def __init__(self, ring: Ring):
         if not ring.is_field:
             raise ValueError("VectorSpan requires a field")
         self.ring = ring
-        self.dim = dim
         self._rows = {}   # pivot -> row
         self._mod = ring.p if ring.kind == "GF" else None
 
@@ -335,7 +337,7 @@ def _row_span(m: SparseMatrix, rhs=None) -> VectorSpan:
         for row, x in zip(rows, rhs):
             if x != 0:
                 row[m.ncols] = x
-    span = VectorSpan(m.ring, m.ncols + (rhs is not None))
+    span = VectorSpan(m.ring)
     for row in rows:
         if row:
             span.add(row)
@@ -376,7 +378,7 @@ def inverse_rows(rows):
     """Rows of the inverse over QQ of the square matrix with the given rows;
     None if the matrix is singular."""
     n = len(rows)
-    span = VectorSpan(QQ, 2 * n)
+    span = VectorSpan(QQ)
     for i, row in enumerate(rows):
         v = sparse_vector(row, QQ)
         v[n + i] = QQ.one()
@@ -386,15 +388,6 @@ def inverse_rows(rows):
         return None
     zero = QQ.zero()
     return [[span._rows[i].get(n + j, zero) for j in range(n)] for i in range(n)]
-
-
-def rank_of_vectors(vectors, ring: Ring) -> int:
-    if not vectors:
-        return 0
-    span = VectorSpan(ring, len(vectors[0]))
-    for v in vectors:
-        span.add(v)
-    return span.rank
 
 
 def solve(m: SparseMatrix, b):

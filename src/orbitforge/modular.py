@@ -100,7 +100,6 @@ def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
 
 @dataclass
 class InducedModule:
-    datum: InductionDatum
     p: int
     dim: int
     action: list            # SparseMatrix over GF(p) per algebra basis element
@@ -148,7 +147,7 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
     action = [SparseMatrix(dim, dim, ring, {(row[s], col): c for col, w in enumerate(words)
                                             for s, c in U.act(pos[k], w).items()})
               for k in range(alg.dim)]
-    module = InducedModule(datum, p, dim, action, chi)
+    module = InducedModule(p, dim, action, chi)
     verify_induced_module(module, mod)
     return module
 
@@ -213,7 +212,7 @@ def _closure_rank(vec: dict, columns: list, p: int, dim: int) -> int:
     """Rank over F_p of the span of vec and its images under the actions,
     closed breadth first.  Stops once the span is the whole space: no image
     can raise the rank past dim."""
-    basis = VectorSpan(GF(p), dim)
+    basis = VectorSpan(GF(p))
     basis.add(vec)
     frontier = [vec]
     while frontier:

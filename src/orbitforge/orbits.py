@@ -43,10 +43,6 @@ class NilpotentRep:
     _grading: DynkinGrading | None = field(default=None, init=False, repr=False, compare=False)
     _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def N(self) -> int:
-        return self.lam.size
-
 
 def _sigma_table(alg: ClassicalAlgebra):
     """Position (a, b) -> coefficient of e_{a,b} in the Chevalley basis."""

@@ -250,7 +250,7 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
             raise AssertionError("chi is supported outside degree -2")
         chi.append(val)
     # subalgebra and [m, m] <= ker chi
-    span = VectorSpan(QQ, alg.dim)
+    span = VectorSpan(QQ)
     for v in sparse:
         span.add(v)
     for a in range(len(basis)):
@@ -287,7 +287,7 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
     degs = []
     for d in sorted(gr.layers):
         # [e, g(d-2)] in the coordinates of g(d), one row per [e, B_k]
-        image = VectorSpan(QQ, len(gr.layers[d]))
+        image = VectorSpan(QQ)
         for row in ad_e_block(rep, d - 2).transpose().to_dense():
             image.add(row)
         added = 0

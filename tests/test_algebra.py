@@ -219,18 +219,18 @@ def _trace_kappa(g, x, y):
 
 def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
     g = ClassicalAlgebra(5, 1)  # fresh: the cached instance keeps its certified table
-    decompose = g._lattice_coords
+    decompose = g._read_coords
     seen = []
 
-    def corrupted(m):
-        terms = decompose(m)
-        seen.append(m)
+    def corrupted(entries, ring):
+        coords = decompose(entries, ring)
+        seen.append(entries)
         if len(seen) == 3:  # one entry off by one
-            (k, c), *rest = terms
-            return ((k, c + 1), *rest)
-        return terms
+            k = min(coords)
+            coords[k] += 1
+        return coords
 
-    monkeypatch.setattr(g, "_lattice_coords", corrupted)
+    monkeypatch.setattr(g, "_read_coords", corrupted)
     with pytest.raises(AssertionError, match="reconstruct"):
         g.structure
 

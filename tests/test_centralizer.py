@@ -239,3 +239,13 @@ def test_ss_sigma_requires_an_integral_inverse_form():
     doubled = dataclasses.replace(zs, form=zs.form.scale(2))
     with pytest.raises(ValueError, match="not an integer"):
         centralizer.ss_sigma(doubled, zs.zetas[(0, 0, 0)])
+
+
+def test_verify_zeta_system_checks_the_jordan_type_of_e():
+    # with e = 0 every zeta centralises e, so only the Jordan type tells
+    zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
+    verify_zeta_system(zs)
+    planted = copy.copy(zs)
+    planted.e = SparseMatrix.zeros(8, 8, ZZ)
+    with pytest.raises(AssertionError, match="e has Jordan type"):
+        verify_zeta_system(planted)

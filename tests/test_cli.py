@@ -153,6 +153,19 @@ def test_verify_config_rejects_unknown_suite_before_any_suite_runs(monkeypatch):
     assert ran == []
 
 
+def test_verify_refuses_a_suite_with_no_case_before_any_suite_runs(monkeypatch):
+    # rigidity skips the type-A-like so_2, so_3 and sp_2, so N <= 3 leaves it
+    # no case; a report with "cases": 0 would pass without checking anything
+    from orbitforge import cli
+
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "golden", lambda config: [("probe", lambda: ran.append("golden"))])
+    code, out, err = run_cli("verify", "--max-n", "3", "--suites", "golden,rigidity")
+    assert code == 2 and out == "" and ran == []
+    assert err == "error: suite rigidity has no case at N <= 3\n"
+    assert run_cli("verify", "--max-n", "4", "--suites", "golden,rigidity")[0] == 0 and ran == ["golden"]
+
+
 def test_verify_failing_case_exits_1_with_witness(monkeypatch):
     from orbitforge import cli
 

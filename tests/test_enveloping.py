@@ -536,6 +536,25 @@ def test_lift_order_independence(sp6):
     assert checked > 0
 
 
+def test_lift_refuses_an_expansion_that_misses_a_term(monkeypatch):
+    # the expansion is certified to add back up to the commutator sum, so a
+    # clearing that forgets one term raises instead of zeroing a character
+    setup = WSetup(build_nilpotent(Partition((2, 1, 1)), -1))
+    k = [k for k in range(setup.r) if setup.x_degrees[k] == 2][0]
+    value, expansion = setup.lift(k)
+    assert expansion
+    clear = setup._clear
+
+    def forgetful(h, k):
+        value, expansion = clear(h, k)
+        dropped = min(expansion)
+        return value, {w: c for w, c in expansion.items() if w != dropped}
+
+    monkeypatch.setattr(setup, "_clear", forgetful)
+    with pytest.raises(AssertionError, match="does not add back up"):
+        setup.lift(k)
+
+
 LIFT_CASES = [((2, 1, 1), -1), ((2, 1, 1, 1, 1), -1), ((2, 2, 1), 1),
               ((2, 2, 1, 1, 1), 1), ((2, 2, 2, 1, 1), -1), ((3, 2, 2, 1), 1)]
 

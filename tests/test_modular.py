@@ -237,7 +237,7 @@ def _full_closure_ranks(module, seeds: int) -> list:
     ranks = []
     for s in range(seeds):
         vec = {i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}
-        basis = VectorSpan(GF(p), dim)
+        basis = VectorSpan(GF(p))
         basis.add(vec)
         frontier = [vec]
         while frontier:

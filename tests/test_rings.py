@@ -113,7 +113,7 @@ def test_qq_eliminations_are_canonical_and_match_the_fraction_reference(rows, da
     _assert_canonical_equal(rank_kernel(m), _ref_rank_kernel(rows, FRACTION_QQ))
     b = data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows))
     _assert_canonical_equal(solve(m, b), _ref_solve(rows, b, FRACTION_QQ))
-    span = VectorSpan(QQ, m.ncols)
+    span = VectorSpan(QQ)
     for row in rows:
         span.add(row)
     echelon, pivots = _ref_echelon(rows, FRACTION_QQ)
