@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import lcm
+from math import gcd, lcm
 
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
 from .linalg import (
@@ -217,14 +217,27 @@ class UAlgebra:
         acc = self._act_on(xs, self._act_on(ys, _ONE, ly), lx)
         return self._quotients(acc, dx * dy, lx + ly)
 
-    def q_comm(self, x: dict, y: dict) -> dict:
-        """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
+    def _comm_acc(self, x: dict, y: dict):
+        """(acc, den, top) for [x, y]: the coefficient of term t is
+        acc[t] / (den * D^(top - len(t)))."""
         dx, xs = _scaled(x)
         dy, ys = _scaled(y)
         lx, ly = _longest(x), _longest(y)
         x1, y1 = self._act_on(xs, _ONE, lx), self._act_on(ys, _ONE, ly)
-        acc = _difference(self._act_on(xs, y1, lx), self._act_on(ys, x1, ly))
-        return self._quotients(acc, dx * dy, lx + ly)
+        return _difference(self._act_on(xs, y1, lx), self._act_on(ys, x1, ly)), dx * dy, lx + ly
+
+    def q_comm(self, x: dict, y: dict) -> dict:
+        """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
+        return self._quotients(*self._comm_acc(x, y))
+
+    def q_comm_ints(self, x: dict, y: dict):
+        """q_comm(x, y) as (ints, W): the coefficient of term t is
+        ints[t] / W, over one denominator W, with no term divided."""
+        acc, den, top = self._comm_acc(x, y)
+        D = self.denominator
+        if D == 1:
+            return {t: n for t, n in acc.items() if n != 0}, den
+        return {t: n * D ** len(t) for t, n in acc.items() if n != 0}, den * D ** top
 
 
 def elem_add(x: dict, y: dict, scale=1) -> dict:
@@ -534,33 +547,49 @@ class WSetup:
         cache[word] = out
         return out
 
-    def _clear(self, h: dict, k: int | None):
+    def _clear(self, h: dict, k: int | None, den: int | None = None):
         """Subtract theta monomials until no pure centraliser-supported
         monomial other than (k,) remains; returns (result, expansion).
+        h is a QQ sum or, with den, an int sum whose coefficient at t is
+        h[t] / den.
 
         The monomial taken next is the pure word of h least in the order
-        (highest Kazhdan degree, shortest, then lexicographic).  Each step
-        subtracts in place on a copy of h that holds no zero term."""
+        (highest Kazhdan degree, shortest, then lexicographic).  h is held
+        as ints over one denominator W, on a copy that holds no zero term,
+        and each step subtracts in place; W is scaled up only when the
+        denominator of the monomial does not divide the step's
+        coefficient."""
         exclude = (k,) if k is not None else None
         r, kaz = self.r, self.kaz
         expansion = {}
-        h = {w: c for w, c in h.items() if c != 0}
+        if den is None:
+            W, terms = _scaled(h)
+        else:
+            W, terms = den, h.items()
+        h = {w: n for w, n in terms if n != 0}
         for _ in range(CLEAR_MAX_ITER):
-            pure = [w for w in h if w != exclude and all(i < r for i in w)]
+            pure = [w for w in h if w != exclude and (not w or max(w) < r)]
             if not pure:
-                return h, expansion
+                return {w: QQ.div(n, W) for w, n in h.items()}, expansion
             word = min(pure, key=lambda w: (-sum(kaz[i] for i in w), len(w), w))
-            coeff = h[word]
+            n = h[word]
             if k is not None and len(word) == 1 and self.x_degrees[word[0]] >= self.x_degrees[k]:
                 raise AssertionError(
                     f"clearing loop for x_{k} met a same-degree generator x_{word[0]}; "
                     "this falsifies the uniqueness of the leading term"
                 )
-            expansion[word] = canonical(expansion.get(word, 0) + coeff)
-            for t, c in self._theta_monomial(word).items():
-                v = h.get(t, 0) - coeff * c
+            expansion[word] = canonical(expansion.get(word, 0) + QQ.div(n, W))
+            mono = self._theta_monomial(word)
+            scale = lcm(*(c.denominator for c in mono.values()))
+            scale //= gcd(scale, n)
+            if scale != 1:
+                W, n = W * scale, n * scale
+                for w in h:
+                    h[w] *= scale
+            for t, c in mono.items():
+                v = h.get(t, 0) - (n * c if type(c) is int else n * c.numerator // c.denominator)
                 if v:
-                    h[t] = canonical(v)
+                    h[t] = v
                 else:
                     h.pop(t, None)
         raise AssertionError("clearing loop failed to terminate")
@@ -597,10 +626,10 @@ class WSetup:
             if kdeg == top and len(word) < 2 and th.degree >= 2:
                 raise AssertionError("top Kazhdan layer contains a short monomial")
 
-    def expand_in_theta(self, qnf: dict) -> dict:
-        """Coefficients of qnf in the theta PBW basis; requires qnf to lie in
-        the span (the remainder must vanish)."""
-        rem, expansion = self._clear(qnf, None)
+    def expand_in_theta(self, qnf: dict, den: int | None = None) -> dict:
+        """Coefficients of qnf, given as for _clear, in the theta PBW basis;
+        requires qnf to lie in the span (the remainder must vanish)."""
+        rem, expansion = self._clear(qnf, None, den)
         if rem:
             raise ValueError(f"element is not a theta polynomial; remainder {rem}")
         return expansion
@@ -691,8 +720,8 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     commutator of generators."""
     for i in range(setup.r):
         for j in range(i + 1, setup.r):
-            br = setup.U.q_comm(setup.thetas[i].value, setup.thetas[j].value)
-            if _character_value(c, setup.expand_in_theta(br)) != 0:
+            br, den = setup.U.q_comm_ints(setup.thetas[i].value, setup.thetas[j].value)
+            if _character_value(c, setup.expand_in_theta(br, den)) != 0:
                 return False
     return True
 

@@ -1,8 +1,16 @@
-"""Exact sparse linear algebra: one reduced-echelon span over a field,
-VectorSpan, behind rank/kernel/solve/inverse and every rank count (a span
-has no fixed width: its columns are the keys of the vectors added), Smith
-normal form over ZZ with transformation certificates, and saturated-lattice
-helpers.
+"""Exact sparse linear algebra: one echelon span over a field, VectorSpan,
+behind rank/kernel/solve/inverse, every rank count and the closure of a
+vector under matrices (closure_ranks; a span has no fixed width: its
+columns are the keys of the vectors added), Smith normal form over ZZ with
+transformation certificates, and saturated-lattice helpers.
+
+The span's row format follows from the ring alone.  Over QQ and over GF(p)
+with p > 13 a row is a sparse map {col: scalar}.  Over GF(p) with p <= 13 a
+vector is one Python int holding its residue at column c in byte c, and
+rows are renormalised mod p by bytes.translate at most every
+floor((256 - p)/(p - 1)^2) additions (lane_budget).  The packed format
+stays inside this module: rows, rank_kernel, solve and closure_ranks give
+dicts, tuples and ranks.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
@@ -12,6 +20,8 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 from .rings import Ring, ZZ, QQ, canonical, format_rational
 
@@ -226,7 +236,7 @@ def add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
                 acc[key] = acc.get(key, 0) + a * b
 
 
-# -- field elimination: one sparse reduced-echelon span -----------------------
+# -- field elimination: one echelon span per ring -----------------------------
 
 
 def sparse_vector(vec, ring: Ring) -> dict:
@@ -241,15 +251,38 @@ def sparse_vector(vec, ring: Ring) -> dict:
     return out
 
 
-class VectorSpan:
-    """The reduced row echelon form of a growing span over a field.
+def lane_budget(ring: Ring) -> int:
+    """The row additions a byte-packed vector over ring takes between
+    renormalisations, floor((256 - p) / (p - 1)^2): after that many, a byte
+    that started below p is still at most 255.  It is 0, and vectors stay
+    {col: scalar} maps, over QQ and over GF(p) with p > 13."""
+    if ring.kind != "GF":
+        return 0
+    return max(0, (256 - ring.p) // (ring.p - 1) ** 2)
 
-    Rows are sparse maps {col: scalar} keyed by their pivot, the first
-    nonzero column of the row; each row is 1 at its pivot and 0 at every
-    other pivot.  The reduced echelon form of a span is unique, so the rows
-    do not depend on the order of insertion.  Reducing a vector touches only
-    the rows at the pivots in its support and, as no row has an entry at
-    another pivot, takes one pass over them.
+
+class VectorSpan:
+    """The echelon form of a growing span over a field; its rows are read in
+    reduced echelon form, which is unique, so they do not depend on the
+    order of insertion.
+
+    The row format depends on the ring alone:
+
+    * QQ and GF(p) with p > 13: each row is a sparse map {col: scalar},
+      keyed by its pivot (its first nonzero column), 1 there and 0 at every
+      other pivot, kept reduced on every insertion.  Reducing a vector
+      touches only the rows at the pivots in its support, in one pass.
+    * GF(p) with p <= 13: a vector is one Python int whose byte c holds its
+      residue at column c (columns are nonnegative ints).  The row with
+      pivot c is 1 there, and is held as the int of its bytes above c:
+      byte i holds its residue at column c + 1 + i.  Rows are kept
+      semi-reduced (0 left of their pivot, not at the other pivots).  A
+      vector is reduced from its lowest byte up: at a pivot, one big-int
+      multiply-add takes the row off, and a shift drops the cleared byte.
+      Bytes grow by at most (p - 1)^2 per addition and are renormalised
+      mod p, by bytes.translate with a 256-entry table, once every
+      lane_budget(ring) additions, before any byte can pass 255.  The rows
+      are reduced once when rank_kernel, solve or rows read them.
     """
 
     def __init__(self, ring: Ring):
@@ -258,6 +291,12 @@ class VectorSpan:
         self.ring = ring
         self._rows = {}   # pivot -> row
         self._mod = ring.p if ring.kind == "GF" else None
+        self._budget = lane_budget(ring)
+        if self._budget:
+            self._table = _residues(ring.p)
+            self._reduced = True
+
+    # -- the dict rows ------------------------------------------------------
 
     def _axpy(self, v: dict, f, row: dict):
         """v -= f * row in place; f != 0, so an entry that vanishes was in v.
@@ -279,24 +318,84 @@ class VectorSpan:
                     del v[c]
 
     def _reduce(self, v: dict) -> dict:
+        """A reduced copy of v."""
+        v = dict(v)
         rows = self._rows
         for p in [c for c in v if c in rows]:
             self._axpy(v, v[p], rows[p])
         return v
 
-    def _own(self, vec) -> dict:
-        return dict(vec) if isinstance(vec, dict) else sparse_vector(vec, self.ring)
+    # -- the byte-packed rows -------------------------------------------------
 
-    def add(self, vec) -> bool:
-        """Insert vec, a dense sequence or a {col: scalar} map of nonzero
-        ring elements; True if it enlarged the span."""
-        v = self._reduce(self._own(vec))
+    def _normal(self, u: int) -> int:
+        """u with every byte replaced by its residue mod p."""
+        return int.from_bytes(u.to_bytes((u.bit_length() + 7) >> 3, "little").translate(self._table), "little")
+
+    def _sift(self, u: int):
+        """None if the packed vector u is in the span, else (c, rest): c is
+        the first column at which u minus rows of the span has a nonzero
+        residue and no row has its pivot, and rest holds that difference's
+        residues from column c on (byte 0 at c)."""
+        get, mod, budget = self._rows.get, self._mod, self._budget
+        col = added = 0
+        while u:
+            b = u & 255
+            if not b:
+                skip = ((u & -u).bit_length() - 1) >> 3
+                u >>= skip << 3
+                col += skip
+                b = u & 255
+            f = -b % mod
+            tail = get(col)
+            if tail is None:
+                if f:
+                    return col, self._normal(u) if added else u
+                u >>= 8
+            elif f:
+                if added == budget:
+                    u, added = self._normal(u), 0
+                u = (u >> 8) + f * tail
+                added += 1
+            else:
+                u >>= 8
+            col += 1
+        return None
+
+    # -- one interface ------------------------------------------------------
+
+    def _own(self, vec):
+        """vec, a dense sequence or a {col: scalar} map of ring elements, in
+        the span's row format."""
+        if not self._budget:
+            return vec if isinstance(vec, dict) else sparse_vector(vec, self.ring)
+        if not isinstance(vec, dict):
+            return int.from_bytes(bytes(map(self.ring.coerce, vec)), "little")
+        mod, u = self._mod, 0
+        for c, x in vec.items():
+            u |= x % mod << (c << 3)
+        return u
+
+    def _insert(self, v) -> bool:
+        """Insert v, given in the span's row format (and left as it is);
+        True if it enlarged the span."""
+        mod = self._mod
+        if self._budget:
+            hit = self._sift(v)
+            if hit is None:
+                return False
+            c, u = hit
+            f, tail = u & 255, u >> 8
+            if f != 1 and tail:
+                tail = self._normal(tail * pow(f, -1, mod))
+            self._rows[c] = tail
+            self._reduced = False
+            return True
+        v = self._reduce(v)
         if not v:
             return False
         p = min(v)
         f = v[p]
         if f != 1:
-            mod = self._mod
             if mod:
                 inv = pow(f, -1, mod)
                 v = {c: inv * x % mod for c, x in v.items()}
@@ -308,9 +407,49 @@ class VectorSpan:
         self._rows[p] = v
         return True
 
+    def add(self, vec) -> bool:
+        """Insert vec, a dense sequence or a {col: scalar} map of ring
+        elements; True if it enlarged the span."""
+        return self._insert(self._own(vec))
+
     def contains(self, vec) -> bool:
         """Membership of vec, given as for add."""
-        return not self._reduce(self._own(vec))
+        v = self._own(vec)
+        if self._budget:
+            return self._sift(v) is None
+        return not self._reduce(v)
+
+    def _echelon(self) -> dict:
+        """The reduced echelon rows, pivot -> {col: scalar}, read only: the
+        dict rows themselves, or the packed rows, reduced in place at every
+        other pivot first, as new dicts."""
+        if not self._budget:
+            return self._rows
+        rows, mod, budget = self._rows, self._mod, self._budget
+        if not self._reduced:
+            for c in sorted(rows, reverse=True):
+                # the rows with a larger pivot are reduced already, so their
+                # multipliers are this row's residues at their pivots, all
+                # read at once
+                tail, added = rows[c], 0
+                for i, x in enumerate(tail.to_bytes((tail.bit_length() + 7) >> 3, "little")):
+                    q = c + 1 + i
+                    if x and q in rows:
+                        if added == budget:
+                            tail, added = self._normal(tail), 0
+                        tail += (mod - x) * (rows[q] << 8 | 1) << (i << 3)
+                        added += 1
+                if added:
+                    rows[c] = self._normal(tail)
+            self._reduced = True
+        out = {}
+        for c, tail in rows.items():
+            data = tail.to_bytes((tail.bit_length() + 7) >> 3, "little")
+            row = out[c] = {c: 1}
+            for i, x in enumerate(data, c + 1):
+                if x:
+                    row[i] = x
+        return out
 
     @property
     def rank(self) -> int:
@@ -322,9 +461,97 @@ class VectorSpan:
 
     @property
     def rows(self) -> list:
-        """Copies of the echelon rows as {col: scalar} maps, by increasing
-        pivot."""
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
+        """Copies of the reduced echelon rows as {col: scalar} maps, by
+        increasing pivot."""
+        rows = self._echelon()
+        return [dict(rows[p]) for p in sorted(rows)]
+
+    # -- matrices acting on the row format --------------------------------------
+
+    def _operator(self, m: SparseMatrix):
+        """m prepared to act on vectors in the span's row format: its columns
+        as [(row, scalar)] lists, or, packed, m split into parts with at most
+        lane_budget entries in any row, each part a list of packed columns,
+        so that no byte of a part's product passes 255."""
+        budget = self._budget
+        if not budget:
+            cols = {}
+            for (r, c), x in m.entries.items():
+                cols.setdefault(c, []).append((r, x))
+            return cols
+        parts, seen = [], {}
+        for (r, c), x in m.entries.items():
+            k = seen.get(r, 0)   # the entries of row r placed so far
+            seen[r] = k + 1
+            k //= budget
+            if k == len(parts):
+                parts.append([0] * m.ncols)
+            parts[k][c] += x << (r << 3)
+        return parts
+
+    def _apply(self, op, v):
+        """The image of v, in the span's row format, under an operator from
+        _operator."""
+        mod = self._mod
+        if not self._budget:
+            w = {}
+            for i, x in v.items():
+                for r, y in op.get(i, ()):
+                    w[r] = w.get(r, 0) + x * y
+            if mod:
+                return {r: y % mod for r, y in w.items() if y % mod}
+            return {r: canonical(y) for r, y in w.items() if y}
+        data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        # sum_j v_j col_j = sum over t = 1 .. p - 1 of the columns j with v_j >= t
+        at_least = _at_least(mod)
+        out = 0
+        for cols in op:
+            part = self._normal(sum(sum(compress(cols, data.translate(sel)), 0) for sel in at_least))
+            out = self._normal(out + part) if out else part
+        return out
+
+
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The translate table mapping each byte to its residue mod p."""
+    return bytes(i % p for i in range(256))
+
+
+@lru_cache(maxsize=None)
+def _at_least(p: int) -> list:
+    """For t = 1 .. p - 1, the translate table mapping a residue >= t to 1
+    and any other byte to 0."""
+    return [bytes(int(t <= i < p) for i in range(256)) for t in range(1, p)]
+
+
+def closure_ranks(ring: Ring, seeds, matrices) -> list:
+    """For each dense vector seed in ring^n, the rank of the smallest
+    subspace that holds it and is stable under the n x n matrices.  The
+    matrices are prepared once for all seeds."""
+    prepare = VectorSpan(ring)._operator
+    ops = [prepare(m) for m in matrices]
+    return [_close(VectorSpan(ring), seed, ops) for seed in seeds]
+
+
+def _close(span: VectorSpan, seed, ops) -> int:
+    """The rank of the closure of seed under ops in span, breadth first: the
+    images of each new vector in turn, under each operator in turn.  Stops
+    once the span is the whole space, since no image can raise the rank
+    past len(seed)."""
+    n = len(seed)
+    v = span._own(seed)
+    frontier = [v] if span._insert(v) else []
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for op in ops:
+                w = span._apply(op, v)
+                if span._insert(w):
+                    if span.rank == n:
+                        return n
+                    nxt.append(w)
+        frontier = nxt
+    return span.rank
 
 
 def _row_span(m: SparseMatrix, rhs=None) -> VectorSpan:
@@ -353,9 +580,10 @@ def rank_kernel(m: SparseMatrix):
         raise ValueError("rank_kernel requires a field; use smith_normal_form over ZZ")
     ring = m.ring
     span = _row_span(m)
+    echelon = span._echelon()
     # kernel vector of free column fc: 1 at fc, -row_p[fc] at each pivot p
-    kernel = {fc: {fc: ring.one()} for fc in range(m.ncols) if fc not in span._rows}
-    for p, row in span._rows.items():
+    kernel = {fc: {fc: ring.one()} for fc in range(m.ncols) if fc not in echelon}
+    for p, row in echelon.items():
         for c, x in row.items():
             if c != p:
                 kernel[c][p] = ring.neg(x)
@@ -387,7 +615,8 @@ def inverse_rows(rows):
     if span.pivots != list(range(n)):
         return None
     zero = QQ.zero()
-    return [[span._rows[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    echelon = span._echelon()
+    return [[echelon[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
 def solve(m: SparseMatrix, b):
@@ -399,10 +628,11 @@ def solve(m: SparseMatrix, b):
     n = m.ncols
     span = _row_span(m, rhs)
     # inconsistent iff a pivot lands in the appended column
-    if n in span._rows:
+    echelon = span._echelon()
+    if n in echelon:
         return None
     x = [ring.zero()] * n
-    for p, row in span._rows.items():
+    for p, row in echelon.items():
         if n in row:
             x[p] = row[n]
     sol = tuple(x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .rings import GF
-from .linalg import SparseMatrix, VectorSpan, rank_kernel
+from .linalg import SparseMatrix, closure_ranks, rank_kernel
 from .partitions import Partition
 from .orbits import (
     NilpotentRep,
@@ -190,46 +190,13 @@ def submodule_probe(module: InducedModule) -> dict:
     """Closure of seeded vectors under the action matrices; reports whether
     each seed generates the whole module (suggesting simplicity per the
     Kac-Weisfeiler bound; reported, never assumed)."""
-    p = module.p
-    dim = module.dim
-    # each action as its columns, col -> [(row, coeff)], to act on {index: scalar} maps
-    columns = []
-    for m in module.action:
-        cols = {}
-        for (r, c), x in m.entries.items():
-            cols.setdefault(c, []).append((r, x))
-        columns.append(cols)
-    results = [_closure_rank({i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}, columns, p, dim)
-               for s in range(PROBE_SEEDS)]
+    seeds = [_probe_seed(s, module.dim, module.p) for s in range(PROBE_SEEDS)]
+    results = closure_ranks(GF(module.p), seeds, module.action)
     return {
         "seeds": PROBE_SEEDS,
-        "full_closures": sum(1 for r in results if r == dim),
+        "full_closures": sum(1 for r in results if r == module.dim),
         "ranks": results,
     }
-
-
-def _closure_rank(vec: dict, columns: list, p: int, dim: int) -> int:
-    """Rank over F_p of the span of vec and its images under the actions,
-    closed breadth first.  Stops once the span is the whole space: no image
-    can raise the rank past dim."""
-    basis = VectorSpan(GF(p))
-    basis.add(vec)
-    frontier = [vec]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for cols in columns:
-                w = {}
-                for i, x in v.items():
-                    for r, y in cols.get(i, ()):
-                        w[r] = (w.get(r, 0) + x * y) % p
-                w = {r: y for r, y in w.items() if y}
-                if basis.add(w):
-                    if basis.rank == dim:
-                        return dim
-                    nxt.append(w)
-        frontier = nxt
-    return basis.rank
 
 
 def kw_bookkeeping(lam: Partition, eps: int, p: int, datum: InductionDatum) -> dict:

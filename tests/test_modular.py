@@ -227,50 +227,47 @@ def test_siegel_module_sp4():
 
 
 def _full_closure_ranks(module, seeds: int) -> list:
-    """The probe's ranks from a breadth-first closure run to its end: every
-    image of every new vector is reduced, also after the span is full."""
-    from orbitforge.linalg import VectorSpan
+    """The probe's ranks from a breadth-first closure on dense lists run to
+    its end: every image of every new vector is reduced, also after the
+    span is full.  Shares no code with linalg."""
     from orbitforge.modular import _probe_seed
+    from test_packed_span import DenseEchelon
 
     p, dim = module.p, module.dim
     mats = [m.entries for m in module.action]
     ranks = []
     for s in range(seeds):
-        vec = {i: x for i, x in enumerate(_probe_seed(s, dim, p)) if x}
-        basis = VectorSpan(GF(p))
-        basis.add(vec)
-        frontier = [vec]
+        vec = list(_probe_seed(s, dim, p))
+        basis = DenseEchelon(p)
+        frontier = [vec] if basis.add(vec) else []
         while frontier:
             nxt = []
             for v in frontier:
                 for ent in mats:
-                    w = {}
+                    w = [0] * dim
                     for (r, c), y in ent.items():
-                        if c in v:
-                            w[r] = (w.get(r, 0) + v[c] * y) % p
-                    w = {r: y for r, y in w.items() if y}
+                        w[r] = (w[r] + v[c] * y) % p
                     if basis.add(w):
                         nxt.append(w)
             frontier = nxt
-        ranks.append(basis.rank)
+        ranks.append(len(basis.rows))
     return ranks
 
 
 @pytest.mark.parametrize("datum", [SIEGEL_SP4, BOREL_SP4])
 def test_probe_stops_at_full_rank_with_the_full_closure_ranks(datum, monkeypatch):
-    from orbitforge import modular
     from orbitforge.linalg import VectorSpan
 
     module = build_induced_module(datum, 3)
     want = _full_closure_ranks(module, 10)
     adds = []
+    insert = VectorSpan._insert
 
-    class CountingSpan(VectorSpan):
-        def add(self, vec):
-            adds.append(1)
-            return super().add(vec)
+    def counting(self, v):
+        adds.append(1)
+        return insert(self, v)
 
-    monkeypatch.setattr(modular, "VectorSpan", CountingSpan)
+    monkeypatch.setattr(VectorSpan, "_insert", counting)
     probe = submodule_probe(module)
     assert probe["ranks"] == want == [module.dim] * 10
     # a full closure reduces all dim images under each of the dim g actions
