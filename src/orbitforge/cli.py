@@ -546,19 +546,22 @@ def _perfect(rep, primes):
     """g^e and g^e(0) are perfect over QQ and over F_p for each p in primes,
     on one basis of the lattice g^e ∩ g_Z (a QQ echelon basis of g^e may have
     denominator p); one pass over the brackets of basis pairs fills both
-    spans."""
+    spans of every ring.  The basis is integral, so each pair is bracketed
+    once, over ZZ, and its coefficients coerced into each ring."""
     alg = rep.algebra
     basis = compute_centralizer(rep, ZZ)
     in_zero = [d == 0 for d in basis.degrees]
-    for ring in [QQ] + [GF(p) for p in primes]:
-        vecs = [sparse_vector(v, ring) for v in basis.vectors]
-        span, span_zero = VectorSpan(ring), VectorSpan(ring)
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                br = alg.sparse_bracket(vecs[i], vecs[j], ring)
-                span.add(br)
+    vecs = [sparse_vector(v, ZZ) for v in basis.vectors]
+    spans = [(ring, VectorSpan(ring), VectorSpan(ring)) for ring in [QQ] + [GF(p) for p in primes]]
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            br = alg.sparse_bracket(vecs[i], vecs[j], ZZ)
+            for ring, span, span_zero in spans:
+                image = {k: c for k, v in br.items() if (c := ring.coerce(v))}
+                span.add(image)
                 if in_zero[i] and in_zero[j]:
-                    span_zero.add(br)
+                    span_zero.add(image)
+    for ring, span, span_zero in spans:
         if span_zero.rank != sum(in_zero):
             raise AssertionError(f"g^e(0) not perfect over {ring}")
         if span.rank != basis.dim:

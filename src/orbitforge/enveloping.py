@@ -23,7 +23,11 @@ once, and each left word acts on the whole sum.  With no m-letters Q is
 U(g) itself and the action is left multiplication in the PBW basis; the
 Casimir element and its centrality take their products from such an
 instance.  The same action, restricted mod p, gives the induced modules
-U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.
+U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.  The action
+of one letter on one word (UAlgebra.act) is memoised compactly, since its
+memo sets the W layer's peak memory: one dict per letter, each value a
+flat tuple of words and int coefficients, and each word one interned
+tuple.
 
 Scalars are QQ values in the canonical form of rings.  Each value is
 computed once: theta_zero and theta_one are memoised per coordinate
@@ -103,10 +107,17 @@ class UAlgebra:
     D*c and chi as D*chi.  word.1 holds D^(len(word) - len(t)) times the
     coefficient of each term t, and act(a, w) holds D^(1 + len(w) - len(t))
     times it: each bracket and each chi substitution takes one letter off
-    and one factor D on, so these are integers.  act is memoised.  The
-    products accumulate over one common denominator and divide once per
-    output term, by QQ.div into canonical form, in the key order of taking
-    (wa + wb).1 for each pair of words in turn.
+    and one factor D on, so these are integers.  The products accumulate
+    over one common denominator and divide once per output term, by QQ.div
+    into canonical form, in the key order of taking (wa + wb).1 for each
+    pair of words in turn.
+
+    act returns a flat tuple (t1, c1, t2, c2, ...) of its terms and their
+    nonzero int coefficients, read pairwise, and is memoised in one dict
+    per letter keyed by the word (_act_memo[a][w]).  Every word act makes
+    is taken from a per-instance intern table (_words), so a word held by
+    many memo values, and by the sums built from them, is one tuple.  The
+    memo's values and the tables hold no reference to the instance.
 
     restricted = (p, p_power), with p_power[a] = {c: coeff} the p-th power
     a^[p] of each free letter, makes act the action of U_chi(g) on words
@@ -137,48 +148,68 @@ class UAlgebra:
                 raise ValueError(f"a restricted action needs an integral table and chi, not D = {D}")
             self.p, self._p_power = restricted
             self._chi_p = [pow(chi[a], self.p, self.p) for a in range(self.m_start)]
-        self._act_memo = {}
+        # one memo per letter, keyed by the word; the intern table maps each
+        # word act has made to itself, so that equal words are one tuple (the
+        # empty word is the one empty tuple)
+        self._act_memo = [{} for _ in range(dim)]
+        self._words = {(): ()}
+        self._unit = [(self._word((a,)), 1) for a in range(self.m_start)]
 
-    def act(self, a: int, w: tuple) -> dict:
-        """a.w in Q for a letter a and a Q normal form word w, as
-        {term: D^(1 + len(w) - len(term)) * coefficient}, or mod p."""
+    def _word(self, w: tuple) -> tuple:
+        """The intern table's tuple equal to w."""
+        return self._words.setdefault(w, w)
+
+    def act(self, a: int, w: tuple) -> tuple:
+        """a.w in Q for a letter a and a Q normal form word w, as a flat
+        tuple (t1, c1, t2, c2, ...): c_i = D^(1 + len(w) - len(t_i)) times
+        the coefficient of term t_i, or that mod p.  Every word in it is the
+        intern table's own tuple."""
         p = self.p
         if not w:
             if a < self.m_start:
-                return {(a,): 1}
+                return self._unit[a]
             c = self._ichi[a]
-            return {(): c} if c else {}
+            return ((), c) if c else ()
         if a <= w[0] and (p is None or w[p - 2:p - 1] != (a,)):
-            return {(a,) + w: 1}
-        key = (a, w)
-        out = self._act_memo.get(key)
+            word = (a,) + w
+            return (self._words.setdefault(word, word), 1)
+        memo = self._act_memo[a]
+        out = memo.get(w)
         if out is not None:
             return out
-        out = {}
+        acc = {}
         if a <= w[0]:
             # a^p = a^[p] + chi(a)^p in U_chi(g), after the p - 1 a's that lead w
-            rest, terms = w[p - 1:], self._p_power[a]
-            out[rest] = self._chi_p[a]
+            rest, terms = self._word(w[p - 1:]), self._p_power[a]
+            acc[rest] = self._chi_p[a]
         else:
             b, rest = w[0], w[1:]
             terms = self._ibracket.get((a, b), {})
-            for t, c in self.act(a, rest).items():
-                for s, d in self.act(b, t).items():
-                    out[s] = out.get(s, 0) + c * d
+            it = iter(self.act(a, rest))
+            for t, c in zip(it, it):
+                jt = iter(self.act(b, t))
+                for s, d in zip(jt, jt):
+                    acc[s] = acc.get(s, 0) + c * d
         for k, c in terms.items():
-            for s, d in self.act(k, rest).items():
-                out[s] = out.get(s, 0) + c * d
-        out = ({s: c for s, c in out.items() if c != 0} if p is None
-               else {s: c % p for s, c in out.items() if c % p})
-        self._act_memo[key] = out
+            it = iter(self.act(k, rest))
+            for s, d in zip(it, it):
+                acc[s] = acc.get(s, 0) + c * d
+        flat = []
+        for s, c in acc.items():
+            if p is not None:
+                c %= p
+            if c:
+                flat += s, c
+        out = memo[self._word(w)] = tuple(flat)
         return out
 
     def _act_letter(self, a: int, v: dict) -> dict:
         """a.v for an int-valued sum v of Q normal form words, as the terms
         of v act one by one; a term whose sum cancels stays, at 0."""
-        out = {}
+        act, out = self.act, {}
         for t, c in v.items():
-            for s, d in self.act(a, t).items():
+            it = iter(act(a, t))
+            for s, d in zip(it, it):
                 out[s] = out.get(s, 0) + c * d
         return out
 

@@ -740,12 +740,19 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # pivot: minimal absolute value nonzero in the trailing block
-        best = None
+        # pivot: the first entry of least absolute value in the trailing
+        # block, row by row; no entry is less than 1, so the scan ends there
+        best, least = None, 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         if best[0] != t:
@@ -757,9 +764,10 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
         while True:
             size = abs(a[t][t])
             if not clear_column(t) and not clear_row(t):
-                # pivot must divide the whole trailing block for the chain;
-                # an offending row added to row t leaves a remainder there
-                offender = offending_row(t)
+                # pivot must divide the whole trailing block for the chain
+                # (a unit divides every entry); an offending row added to
+                # row t leaves a remainder there
+                offender = None if abs(a[t][t]) == 1 else offending_row(t)
                 if offender is None:
                     break
                 row_add(t, offender, 1)

@@ -5,7 +5,8 @@ bookkeeping.
 
 An induced module U_chi(g) (x)_{U_chi(p)} k_0 takes its action on PBW
 monomials of U(n_-) from the restricted enveloping.UAlgebra, the kernel of
-the W-algebra's Q, as sparse matrices over GF(p); the identities are
+the W-algebra's Q, read pairwise from the flat (word, coefficient, ...)
+tuples its act returns, as sparse matrices over GF(p); the identities are
 checked by full sparse matrix products.
 """
 
@@ -144,8 +145,9 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
     words = [tuple(i for i, n in enumerate(expo) for _ in range(n)) for expo in product(range(p), repeat=len(f_idx))]
     row = {w: col for col, w in enumerate(words)}
     dim = len(words)
+    # U.act gives a flat tuple (word, coefficient, word, coefficient, ...)
     action = [SparseMatrix(dim, dim, ring, {(row[s], col): c for col, w in enumerate(words)
-                                            for s, c in U.act(pos[k], w).items()})
+                                            for t in (U.act(pos[k], w),) for s, c in zip(t[::2], t[1::2])})
               for k in range(alg.dim)]
     module = InducedModule(p, dim, action, chi)
     verify_induced_module(module, mod)

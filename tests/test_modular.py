@@ -376,10 +376,14 @@ def test_the_restricted_action_closes_a_p_run():
     # one letter a with a^[p] = a and chi(a) = 2: prepending a to a.a.1
     # gives a^3 = a^[3] + chi(a)^3 = a + 8 = a + 2 mod 3
     U = UAlgebra(1, {}, restricted=(3, [{0: 1}]), chi=[2])
-    assert U.act(0, ()) == {(0,): 1}
-    assert U.act(0, (0,)) == {(0, 0): 1}
-    assert U.act(0, (0, 0)) == {(0,): 1, (): 2}
-    assert UAlgebra(1, {}, restricted=(3, [{}]), chi=[3]).act(0, (0, 0)) == {}
+
+    def pairs(flat):
+        return dict(zip(flat[::2], flat[1::2]))
+
+    assert pairs(U.act(0, ())) == {(0,): 1}
+    assert pairs(U.act(0, (0,))) == {(0, 0): 1}
+    assert pairs(U.act(0, (0, 0))) == {(0,): 1, (): 2}
+    assert pairs(UAlgebra(1, {}, restricted=(3, [{}]), chi=[3]).act(0, (0, 0))) == {}
 
 
 def test_a_restricted_action_refuses_a_non_integral_table():

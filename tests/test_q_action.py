@@ -1,9 +1,10 @@
 """W-algebra products are computed in Q = U(g) (x)_{U(m)} k_chi by the left
 action of U(g) on Q normal form words (UAlgebra.act, q_mul, q_comm).
 The action agrees with the Fraction straightening reference in U(g) followed
-by the substitution of chi, its memo runs on ints, the class in Q of an
-element of U(g) is taken only as its action on 1, and the ad-m-invariance
-certificate still sees a wrong chi through it.  UAlgebra is the one PBW
+by the substitution of chi, its memo holds flat tuples of interned words
+and ints, the class in Q of an element of U(g) is taken only as its action
+on 1, and the ad-m-invariance certificate still sees a wrong chi through
+it.  UAlgebra is the one PBW
 kernel: it has no straightening of its own, no other class defines a
 letter action, and it is built only for a WSetup, for the Casimir element
 (with no m-letters) and for the induced modules (restricted mod p).  q_mul
@@ -51,8 +52,18 @@ def _assert_q_products(setup, x, y):
 
 
 def _assert_int_memo(U):
-    assert U._act_memo
-    assert all(type(c) is int for out in U._act_memo.values() for c in out.values())
+    # one dict per letter, keyed by interned words; each value a flat
+    # (word, coefficient, ...) tuple of interned words and nonzero ints,
+    # residues in [1, p) on a restricted instance
+    assert type(U._act_memo) is list and len(U._act_memo) == U.dim and any(U._act_memo)
+    for memo in U._act_memo:
+        for w, out in memo.items():
+            assert U._words.get(w) is w
+            assert type(out) is tuple and len(out) % 2 == 0, out
+            assert all(type(t) is tuple and U._words.get(t) is t for t in out[::2]), out
+            assert all(type(c) is int and c != 0 for c in out[1::2]), out
+            if U.p is not None:
+                assert all(0 < c < U.p for c in out[1::2]), out
 
 
 @pytest.mark.parametrize("name", [*CASES])
@@ -135,7 +146,8 @@ def _q_word_reference(U, word) -> dict:
     for a in reversed(word[:k]):
         acc = {}
         for t, c in out.items():
-            for s, d in U.act(a, t).items():
+            flat = U.act(a, t)
+            for s, d in zip(flat[::2], flat[1::2]):
                 acc[s] = acc.get(s, 0) + c * d
         out = acc
     return out
@@ -225,6 +237,38 @@ def test_a_normal_form_word_keeps_its_tuple():
     assert setup.U.q_mul(ONE, y) == y
 
 
+@pytest.mark.parametrize("name", ["sp4", "so5"])
+def test_memo_values_are_flat_tuples_of_interned_words(name):
+    setup = _fresh(name)
+    thetas = setup.build_all_thetas()
+    setup.U.q_comm(thetas[0].value, thetas[setup.r - 1].value)
+    _assert_int_memo(setup.U)
+    # the prepend fast path and the one-letter case give interned words too
+    U = setup.U
+    for a in range(setup.m_start):
+        for word in ((), (a,), (a, a)):
+            out = U.act(a, word)
+            assert out[0] is U._words[tuple(sorted((a,) + word))]
+
+
+def test_a_restricted_memo_holds_residues_of_interned_words(monkeypatch):
+    from orbitforge import modular
+    from orbitforge.orbits import InductionDatum
+
+    made = []
+
+    class Recorded(UAlgebra):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(modular, "UAlgebra", Recorded)
+    modular.build_induced_module(InductionDatum.zero_orbit(5, 1, (1, 1)), 3)
+    (U,) = made
+    assert U.p == 3
+    _assert_int_memo(U)
+
+
 def test_a_dropped_setup_frees_its_algebra_without_the_collector():
     # no reference cycle through the memos: with the cycle collector off,
     # the UAlgebra and its memos go with the last reference
@@ -233,7 +277,7 @@ def test_a_dropped_setup_frees_its_algebra_without_the_collector():
         setup = _fresh("so5")
         thetas = setup.build_all_thetas()
         setup.U.q_comm(thetas[0].value, thetas[setup.r - 1].value)
-        assert setup.U._act_memo and setup._vector_memo
+        assert any(setup.U._act_memo) and setup._vector_memo
         ref = weakref.ref(setup.U)
         del setup, thetas
         assert ref() is None

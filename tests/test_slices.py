@@ -251,3 +251,31 @@ def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
     monkeypatch.setattr(slices, "compute_centralizer",
                         lambda rep: centralizer.CentralizerBasis(rep, vectors, cb.degrees))
     assert not integral_saturation(rep)["perp_identity"]
+
+
+SATURATION_SNF_COUNT = 102
+SATURATION_SNF_DIGEST = "968beea338ca0722d577d1f96973325a6cf0d990"
+
+
+def test_snf_certificates_of_the_saturation_sweep_are_unchanged(monkeypatch):
+    # sha1 of the divisors, U and V of every SNF the saturation suite takes
+    # for N <= 6.  A different pivot choice would give other certificates,
+    # and with them other kernel bases (integer_kernel_basis reads V), so
+    # other W bases and characters
+    import hashlib
+
+    seen = []
+
+    def recording(m):
+        res = snf(m)
+        seen.append((res.divisors, sorted(res.left.entries.items()), sorted(res.right.entries.items())))
+        return res
+
+    snf = slices.smith_normal_form
+    monkeypatch.setattr(slices, "smith_normal_form", recording)
+    for n in range(2, 7):
+        for eps in (1, -1):
+            for lam in admissible_partitions(n, eps):
+                integral_saturation(build_nilpotent(lam, eps))
+    assert len(seen) == SATURATION_SNF_COUNT
+    assert hashlib.sha1(repr(seen).encode()).hexdigest() == SATURATION_SNF_DIGEST
