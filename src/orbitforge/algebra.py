@@ -16,7 +16,14 @@ from functools import lru_cache
 from math import lcm
 
 from .rings import Ring, ZZ, QQ
-from .linalg import SparseMatrix, add_product, commutator, inverse_rows, row_map, solve, sparse_vector
+from .linalg import SparseMatrix, add_product, commutator, inverse_rows, row_map, sparse_vector
+
+
+def _integer_rows(rows) -> tuple:
+    """(den, int_rows): the QQ rows as integer rows over one common
+    denominator, rows = int_rows / den."""
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
 class ClassicalAlgebra:
@@ -108,7 +115,7 @@ class ClassicalAlgebra:
 
         self.simple_roots = self._simple_roots()
         pos_roots = [w for w, _ in root_vectors if self._is_positive(w)]
-        heights = {w: self._height(w) for w in pos_roots}
+        heights = self._heights(pos_roots)
 
         def pos_key(w):
             return (heights[w], w)
@@ -175,21 +182,23 @@ class ClassicalAlgebra:
         # so_2: no roots at all
         return simples
 
-    @lru_cache(maxsize=None)
-    def _height_solver(self):
-        mat = SparseMatrix.from_dense(
-            [[s[i] for s in self.simple_roots] for i in range(self.h)], QQ
-        )
-        return mat
-
-    def _height(self, w) -> int:
-        coeffs = solve(self._height_solver(), w)
-        if coeffs is None:
-            raise AssertionError(f"root {w} not in simple-root span")
-        total = sum(coeffs)
-        if total.denominator != 1:
-            raise AssertionError("non-integral height")
-        return int(total)
+    def _heights(self, roots) -> dict:
+        """{w: height of w}, the sum of w's coefficients on the simple roots,
+        each read off one inverse of the simple-root matrix; raises unless
+        every coefficient is an integer."""
+        if not roots:
+            return {}
+        inverse = inverse_rows([[s[i] for s in self.simple_roots] for i in range(self.h)])
+        if inverse is None:
+            raise AssertionError("simple roots are not a basis")
+        den, rows = _integer_rows(inverse)
+        heights = {}
+        for w in roots:
+            coeffs = [sum(n * x for n, x in zip(row, w)) for row in rows]
+            if any(c % den for c in coeffs):
+                raise AssertionError(f"root {w} is not an integral combination of simple roots")
+            heights[w] = sum(coeffs) // den
+        return heights
 
     # -- coordinates -----------------------------------------------------------
 
@@ -221,8 +230,7 @@ class ClassicalAlgebra:
         if inverse is None:
             raise AssertionError("Cartan diagonal system is singular")
         # the inverse as integer rows over one common denominator, 1 or 2
-        den = self._cartan_den = lcm(*(c.denominator for row in inverse for c in row))
-        self._cartan_rows = [[c.numerator * (den // c.denominator) for c in row] for row in inverse]
+        self._cartan_den, self._cartan_rows = _integer_rows(inverse)
 
     def _cartan_coords(self, diag) -> list:
         """_cartan_den times the Cartan coordinates, from the diagonal
@@ -233,10 +241,15 @@ class ClassicalAlgebra:
         """{k: c}, the Chevalley coordinates of the matrix {(row, col): scalar}
         over ring, by ring.div (exact or raising over ZZ); unchecked."""
         coords = {}
+        on_diagonal = False
         for rc, val in entries.items():
             hit = self._lead.get(rc)
             if hit is not None:
                 coords[hit[0]] = ring.div(val, hit[1])
+            elif rc[0] == rc[1]:
+                on_diagonal = True
+        if not on_diagonal:  # no Cartan part: root vectors have no diagonal entry
+            return coords
         diag = [entries.get((self.pos[i], self.pos[i]), 0) for i in range(1, self.h + 1)]
         if any(diag):
             coords.update((j, ring.div(c, self._cartan_den)) for j, c in enumerate(self._cartan_coords(diag)))
@@ -266,7 +279,9 @@ class ClassicalAlgebra:
         maps each j with [B_i, B_j] != 0 to ((k, c_ij^k), ...), the nonzero
         constants with k increasing.  Both orders are held, c_ji^k = -c_ij^k.
         Built on first use and certified once per unordered pair:
-        sum_k c_ij^k B_k reconstructs [B_i, B_j] exactly."""
+        sum_k c_ij^k B_k reconstructs [B_i, B_j] exactly.  Equal term tuples
+        are one object, in both orders, so the table holds each distinct
+        expansion once; readers never mutate them."""
         if self._structure is None:
             self._structure = self._build_structure()
         return self._structure
@@ -276,7 +291,10 @@ class ClassicalAlgebra:
         ents = [b.entries for b in zb]
         rows = [row_map(b) for b in zb]
         cols = [{c for _, c in e} for e in ents]
-        shared = {}  # one tuple per distinct (k, c), to keep the table small
+        # one tuple per distinct (k, c), and one per distinct term tuple,
+        # which the pool maps to (itself, its negation)
+        shared = {}
+        pool = {}
         table = [{} for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -296,8 +314,12 @@ class ClassicalAlgebra:
                         recon[rc] = recon.get(rc, 0) + c * v
                 if {rc: v for rc, v in recon.items() if v != 0} != br:
                     raise AssertionError(f"structure constants of [B_{i}, B_{j}] fail to reconstruct it")
-                table[i][j] = terms
-                table[j][i] = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
+                pair = pool.get(terms)
+                if pair is None:
+                    neg = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
+                    pair = pool[terms] = (terms, neg)
+                    pool[neg] = (neg, terms)
+                table[i][j], table[j][i] = pair
         return table
 
     def _bracket_terms(self, xs: dict, ys: dict) -> dict:

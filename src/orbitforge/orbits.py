@@ -44,8 +44,10 @@ class NilpotentRep:
     _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+@lru_cache(maxsize=None)
 def _sigma_table(alg: ClassicalAlgebra):
-    """Position (a, b) -> coefficient of e_{a,b} in the Chevalley basis."""
+    """Position (a, b) -> coefficient of e_{a,b} in the Chevalley basis;
+    built once per algebra and shared, so callers only read it."""
     table = {}
     for k, m in enumerate(alg.basis):
         if alg.labels[k][0] != "e":

@@ -235,6 +235,20 @@ def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
         g.structure
 
 
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS + [(16, -1)])
+def test_equal_structure_expansions_are_one_object(n, eps):
+    # the table holds each distinct expansion once: equal term tuples are
+    # one object, and so is every equal negation in the other order
+    table = build_algebra(n, eps).structure
+    seen = {}
+    for i, row in enumerate(table):
+        for j, terms in row.items():
+            assert seen.setdefault(terms, terms) is terms
+            neg = table[j][i]
+            assert neg == tuple((k, -c) for k, c in terms)
+            assert seen.setdefault(neg, neg) is neg
+
+
 def test_killing_short_root_value_sp4():
     g = build_algebra(4, -1)
     rd = g.root_data()

@@ -25,6 +25,7 @@ from orbitforge.orbits import (
     ad_e_matrix,
     embed_datum,
     datum_levi_orbit_dim,
+    _sigma_table,
 )
 
 
@@ -34,6 +35,13 @@ def test_reference_representative_5221():
     expect = (g.unit(5, 4) - g.unit(-4, -5) + g.unit(3, 2) - g.unit(-2, -3)
               + g.unit(2, 1) - g.unit(-1, -2) + g.unit(1, -2) - g.unit(2, -1))
     assert rep.e == expect
+
+
+def test_representatives_share_one_sigma_table_per_algebra():
+    a = build_nilpotent(Partition((5, 2, 2, 1)), 1)
+    b = build_nilpotent(Partition((3, 3, 2, 2)), 1)
+    assert a.algebra is b.algebra
+    assert _sigma_table(a.algebra) is _sigma_table(b.algebra)
 
 
 def test_zero_orbit_representative():
