@@ -13,10 +13,11 @@ reconstruction, and the structure table certifies each bracket it stores.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 from .rings import Ring, ZZ, QQ
-from .linalg import SparseMatrix, add_product, commutator, inverse_rows, row_map, sparse_vector
+from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows, sparse_vector
 
 
 def _integer_rows(rows) -> tuple:
@@ -287,39 +288,27 @@ class ClassicalAlgebra:
         return self._structure
 
     def _build_structure(self) -> list:
-        zb = [b.change_ring(ZZ) for b in self.basis]
-        ents = [b.entries for b in zb]
-        rows = [row_map(b) for b in zb]
-        cols = [{c for _, c in e} for e in ents]
+        ents = [b.change_ring(ZZ).entries for b in self.basis]
         # one tuple per distinct (k, c), and one per distinct term tuple,
         # which the pool maps to (itself, its negation)
         shared = {}
         pool = {}
         table = [{} for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
-                    continue  # both products B_i B_j and B_j B_i vanish
-                acc = {}
-                add_product(acc, ents[i], rows[j])
-                add_product(acc, ents[j], rows[i], -1)
-                br = {rc: v for rc, v in acc.items() if v}
-                if not br:
-                    continue
-                coords = self._read_coords(br, ZZ)
-                terms = tuple(shared.setdefault((k, c), (k, c)) for k, c in sorted(coords.items()) if c)
-                recon = {}
-                for k, c in terms:
-                    for rc, v in ents[k].items():
-                        recon[rc] = recon.get(rc, 0) + c * v
-                if {rc: v for rc, v in recon.items() if v != 0} != br:
-                    raise AssertionError(f"structure constants of [B_{i}, B_{j}] fail to reconstruct it")
-                pair = pool.get(terms)
-                if pair is None:
-                    neg = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
-                    pair = pool[terms] = (terms, neg)
-                    pool[neg] = (neg, terms)
-                table[i][j], table[j][i] = pair
+        for i, j, br in bracket_residues(dict(enumerate(ents)), combinations(range(self.dim), 2)):
+            coords = self._read_coords(br, ZZ)
+            terms = tuple(shared.setdefault((k, c), (k, c)) for k, c in sorted(coords.items()) if c)
+            recon = {}
+            for k, c in terms:
+                for rc, v in ents[k].items():
+                    recon[rc] = recon.get(rc, 0) + c * v
+            if {rc: v for rc, v in recon.items() if v != 0} != br:
+                raise AssertionError(f"structure constants of [B_{i}, B_{j}] fail to reconstruct it")
+            pair = pool.get(terms)
+            if pair is None:
+                neg = tuple(shared.setdefault((k, -c), (k, -c)) for k, c in terms)
+                pair = pool[terms] = (terms, neg)
+                pool[neg] = (neg, terms)
+            table[i][j], table[j][i] = pair
         return table
 
     def _bracket_terms(self, xs: dict, ys: dict) -> dict:

@@ -11,10 +11,12 @@ cross-checked against the pyramid realisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
 from .rings import QQ, ZZ
-from .linalg import (SparseMatrix, VectorSpan, add_product, commutator, integer_kernel_basis, inverse_rows,
-                     rank_kernel, row_map, sparse_vector)
+from .linalg import (SparseMatrix, VectorSpan, bracket_residues, commutator, integer_kernel_basis, inverse_rows,
+                     rank_kernel, sparse_vector)
 from .partitions import Partition, pairing_involution, check_involution
 from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula, jordan_type
 
@@ -176,17 +178,18 @@ def _bracket_rhs(zs: ZetaSystem, a, b) -> list:
     parts, inv = zs.lam.parts, zs.inv
     i, j, s = a
     k, l, r = b
-    ekl = zs.sign[b]
+    si = r + s - (parts[i] - 1)   # the s of a term through block i, and of one through block j
+    sj = r + s - (parts[j] - 1)
     terms = []
-    if i == l:
-        terms.append(((k, j, r + s - (parts[i] - 1)), 1))
-    if j == k:
-        terms.append(((i, l, r + s - (parts[j] - 1)), -1))
-    if k == inv[i]:
-        terms.append(((inv[l], j, r + s - (parts[i] - 1)), ekl))
-    if j == inv[l]:
-        terms.append(((i, inv[k], r + s - (parts[j] - 1)), -ekl))
-    return [(key, c) for key, c in terms if key[2] >= 0]
+    if i == l and si >= 0:
+        terms.append(((k, j, si), 1))
+    if j == k and sj >= 0:
+        terms.append(((i, l, sj), -1))
+    if k == inv[i] and si >= 0:
+        terms.append(((inv[l], j, si), zs.sign[b]))
+    if j == inv[l] and sj >= 0:
+        terms.append(((i, inv[k], sj), -zs.sign[b]))
+    return terms
 
 
 def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
@@ -235,23 +238,11 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
                 raise AssertionError(f"zeta{(i, j, s)} is not homogeneous of degree {want}")
 
     if full_bracket:
-        # [zeta_a, zeta_b] - rhs on integer row maps, every ordered pair; a
-        # product is skipped only when its factors' supports do not meet
-        rows = {key: row_map(z) for key, z in zs.zetas.items()}
-        cols = {key: {c for _, c in z.entries} for key, z in zs.zetas.items()}
+        # [zeta_a, zeta_b] minus the table's right-hand side, every ordered pair
         keys = zs.tuples()
-        for a in keys:
-            for b in keys:
-                acc = {}
-                if not cols[a].isdisjoint(rows[b]):
-                    add_product(acc, zs.zetas[a].entries, rows[b])
-                if not cols[b].isdisjoint(rows[a]):
-                    add_product(acc, zs.zetas[b].entries, rows[a], -1)
-                for key, coeff in _bracket_rhs(zs, a, b):
-                    for rc, v in zs.zetas[key].entries.items():
-                        acc[rc] = acc.get(rc, 0) - coeff * v
-                if any(acc.values()):
-                    raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
+        mats = {key: z.entries for key, z in zs.zetas.items()}
+        for a, b, _ in bracket_residues(mats, product(keys, repeat=2), partial(_bracket_rhs, zs)):
+            raise AssertionError(f"bracket law (ii) fails at {a}, {b}")
 
     # span: the zetas span exactly the fixed-space centraliser
     span = VectorSpan(QQ)

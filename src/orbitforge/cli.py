@@ -73,7 +73,7 @@ from .modular import (
 SCHEMA_VERSION = 1
 # Largest induced module `verma` builds: dim p^{dim n}.  2401 is the sp_4
 # Borel module at p = 7: it holds 45,122 nonzero action entries, and the
-# whole `verma 4 -1 --levi 1,1 --prime 7` command takes 1.9 s (median of 5
+# whole `verma 4 -1 --levi 1,1 --prime 7` command takes 1.1 s (median of 5
 # runs on a 2-core machine).
 MAX_MODULE_DIM = 2401
 # Largest N a command accepts, for g = so_N or sp_N.  44 is the largest N at

@@ -30,7 +30,7 @@ class SparseMatrix:
     """Immutable sparse matrix over an exact ring.
 
     Entries are stored in a dict ``(row, col) -> scalar`` holding only the
-    nonzero coefficients.
+    nonzero coefficients.  Sums and products take operands over one ring.
     """
 
     __slots__ = ("nrows", "ncols", "ring", "entries")
@@ -96,9 +96,6 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(sorted(self.entries.items()))))
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -117,30 +114,24 @@ class SparseMatrix:
             return self
         return SparseMatrix(self.nrows, self.ncols, ring, dict(self.entries))
 
-    def _result(self, nrows, ncols, other, ent) -> "SparseMatrix":
-        """The matrix on ent over self's ring: closed when other shares the
-        ring, coerced entry by entry otherwise."""
-        if other.ring == self.ring:
-            return SparseMatrix._closed(nrows, ncols, self.ring, ent)
-        return SparseMatrix(nrows, ncols, self.ring, ent)
+    def _operand(self, other, fits: bool, what: str):
+        if not fits:
+            raise ValueError(f"shape mismatch in matrix {what}")
+        if other.ring != self.ring:
+            raise ValueError(f"ring mismatch in matrix {what}: {self.ring} and {other.ring}")
 
-    def _same_shape(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
+    def _sum(self, other, op) -> "SparseMatrix":
+        self._operand(other, (self.nrows, self.ncols) == (other.nrows, other.ncols), "sum")
+        ent = dict(self.entries)
+        for k, v in other.entries.items():
+            ent[k] = op(ent.get(k, 0), v)
+        return SparseMatrix._closed(self.nrows, self.ncols, self.ring, ent)
 
     def __add__(self, other):
-        self._same_shape(other)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            ent[k] = self.ring.add(ent.get(k, 0), v)
-        return self._result(self.nrows, self.ncols, other, ent)
+        return self._sum(other, self.ring.add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            ent[k] = self.ring.sub(ent.get(k, 0), v)
-        return self._result(self.nrows, self.ncols, other, ent)
+        return self._sum(other, self.ring.sub)
 
     def __neg__(self):
         return SparseMatrix._closed(
@@ -149,24 +140,21 @@ class SparseMatrix:
         )
 
     def scale(self, c) -> "SparseMatrix":
+        """c times self; a scalar the ring cannot hold raises ValueError."""
         ring = self.ring
-        try:
-            c, build = ring.coerce(c), SparseMatrix._closed
-        except ValueError:
-            build = SparseMatrix   # c is not in the ring (a rational over ZZ): coerce each product
-        return build(self.nrows, self.ncols, ring, {k: ring.mul(v, c) for k, v in self.entries.items()})
+        c = ring.coerce(c)
+        return SparseMatrix._closed(self.nrows, self.ncols, ring, {k: ring.mul(v, c) for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
+        self._operand(other, self.ncols == other.nrows, "product")
         # accumulate exactly and reduce once: over GF(p) the residue of the
         # integer sum is the sum of the residues
         ent = {}
-        add_product(ent, self.entries, row_map(other))
+        _add_product(ent, self.entries, _row_map(other.entries))
         if self.ring.kind == "GF":
             p = self.ring.p
             ent = {k: v % p for k, v in ent.items()}
-        return self._result(self.nrows, other.ncols, other, ent)
+        return SparseMatrix._closed(self.nrows, other.ncols, self.ring, ent)
 
     def columns(self, cols) -> "SparseMatrix":
         """The submatrix on the listed columns, in that order."""
@@ -213,15 +201,15 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return (a @ b) - (b @ a)
 
 
-def row_map(m: SparseMatrix) -> dict:
-    """The nonzero entries of m as {row: {col: scalar}}."""
+def _row_map(entries: dict) -> dict:
+    """The entries {(row, col): scalar} of a matrix as {row: {col: scalar}}."""
     rows = {}
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
     return rows
 
 
-def add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
+def _add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
     """acc[(r, c)] += coeff * (xy)[r, c] for x given by its entries
     {(r, k): scalar} and y by its row map: the one sparse product kernel.
     The sums are exact and not reduced (the caller reduces mod p), and
@@ -234,6 +222,39 @@ def add_product(acc: dict, x: dict, y: dict, coeff=1) -> None:
             for c, b in yk.items():
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + a * b
+
+
+def bracket_residues(mats: dict, pairs, rhs=None, p: int = 0):
+    """The one matrix bracket-law kernel: (a, b, residue) for each pair (a, b)
+    in order whose residue mats[a] mats[b] - mats[b] mats[a] - sum of c mats[k]
+    over (k, c) in rhs(a, b) (no sum if rhs is None) is nonzero.  mats maps
+    keys to integer entries {(row, col): v}; the residue is such a dict, exact
+    or reduced mod p when p is given.  Row maps are built once, and a product
+    whose factors' supports do not meet is skipped."""
+    rows = {key: _row_map(ent) for key, ent in mats.items()}
+    # meets[a]: the keys b with a row at one of a's columns, the only b with a b != 0
+    at_row = {}
+    for key, rm in rows.items():
+        for r in rm:
+            at_row.setdefault(r, set()).add(key)
+    meets = {key: set().union(*(at_row.get(c, ()) for c in {c for _, c in ent})) for key, ent in mats.items()}
+    for a, b in pairs:
+        ab, ba = b in meets[a], a in meets[b]
+        if not (ab or ba) and rhs is None:
+            continue
+        acc = {}
+        if ab:
+            _add_product(acc, mats[a], rows[b])
+        if ba:
+            _add_product(acc, mats[b], rows[a], -1)
+        if rhs is not None:
+            for k, c in rhs(a, b):
+                for rc, v in mats[k].items():
+                    acc[rc] = acc.get(rc, 0) - c * v
+        if p:
+            acc = {rc: v % p for rc, v in acc.items()}
+        if any(acc.values()):
+            yield a, b, {rc: v for rc, v in acc.items() if v}
 
 
 # -- field elimination: one echelon span per ring -----------------------------

@@ -379,13 +379,12 @@ def _check(op, reference):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ring_closed_results_match_the_coercing_constructor(data):
-    ring = data.draw(st.sampled_from(RINGS))
-    # mostly a shared ring; otherwise any ring, to reach the coercing path
-    other_ring = data.draw(st.one_of(st.just(ring), st.sampled_from(RINGS)))
+    # operands share one ring (across rings they raise); other_ring is for change_ring
+    ring, other_ring = (data.draw(st.sampled_from(RINGS)) for _ in range(2))
     nr, k, nc = (data.draw(st.integers(1, 4)) for _ in range(3))
     a = SparseMatrix(nr, k, ring, data.draw(_entries(ring, nr, k)))
-    b = SparseMatrix(nr, k, other_ring, data.draw(_entries(other_ring, nr, k)))
-    c = SparseMatrix(k, nc, other_ring, data.draw(_entries(other_ring, k, nc)))
+    b = SparseMatrix(nr, k, ring, data.draw(_entries(ring, nr, k)))
+    c = SparseMatrix(k, nc, ring, data.draw(_entries(ring, k, nc)))
 
     product = {}
     for (r, j), x in a.entries.items():
@@ -400,7 +399,11 @@ def test_ring_closed_results_match_the_coercing_constructor(data):
         _check(lambda: op(b), _coerced(nr, k, ring, total))
     _check(lambda: -a, _coerced(nr, k, ring, {key: -x for key, x in a.entries.items()}))
     scalar = data.draw(SCALARS)
-    _check(lambda: a.scale(scalar), _coerced(nr, k, ring, {key: x * scalar for key, x in a.entries.items()}))
+    # a scalar the ring cannot hold raises, whatever the entries
+    scaled = _coerced(1, 1, ring, {(0, 0): scalar})
+    if not isinstance(scaled, ValueError):
+        scaled = _coerced(nr, k, ring, {key: x * scalar for key, x in a.entries.items()})
+    _check(lambda: a.scale(scalar), scaled)
     _check(a.transpose, _coerced(k, nr, ring, {(j, r): x for (r, j), x in a.entries.items()}))
     cols = data.draw(st.lists(st.integers(0, k - 1), unique=True))
     at = {j: jj for jj, j in enumerate(cols)}
@@ -422,11 +425,72 @@ def test_sums_and_products_reject_mismatched_shapes(other_ring):
 
 
 def test_zz_scale_by_a_rational():
+    # 1/2 is not in ZZ, so the scale raises even where every product is integral
     even = SparseMatrix(2, 2, ZZ, {(0, 0): 2, (1, 0): -4})
-    half = even.scale(Fraction(1, 2))
-    assert half.entries == {(0, 0): 1, (1, 0): -2} and all(type(v) is int for v in half.entries.values())
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, ZZ, {(0, 1): 3}).scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        even.scale(Fraction(1, 2))
+    assert even.scale(Fraction(4, 2)).entries == {(0, 0): 4, (1, 0): -8}
+
+
+@pytest.mark.parametrize("ring, other_ring", [(ZZ, QQ), (QQ, ZZ), (QQ, GF(7)), (GF(3), GF(7)), (GF(7), ZZ)])
+def test_sums_and_products_reject_operands_over_two_rings(ring, other_ring):
+    a = SparseMatrix(2, 2, ring, {(0, 0): 2, (1, 0): -4})
+    b = SparseMatrix(2, 2, other_ring, {(0, 1): 1})
+    for op in (a.__add__, a.__sub__, a.__matmul__, b.__add__, b.__sub__, b.__matmul__):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            op(b if op.__self__ is a else a)
+
+
+# -- the matrix bracket-law kernel ----------------------------------------------
+
+
+def _dense_residue(mats: dict, n: int, a, b, terms, p: int) -> dict:
+    """mats[a] mats[b] - mats[b] mats[a] - sum of c mats[k], cell by cell on
+    dense indices, reduced mod p when p is given, without zeros."""
+    def at(key, r, c):
+        return mats[key].get((r, c), 0)
+
+    out = {}
+    for r in range(n):
+        for c in range(n):
+            v = sum(at(a, r, j) * at(b, j, c) - at(b, r, j) * at(a, j, c) for j in range(n))
+            v -= sum(coeff * at(k, r, c) for k, coeff in terms)
+            if p:
+                v %= p
+            if v:
+                out[(r, c)] = v
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bracket_residues_match_a_dense_reference(data):
+    p = data.draw(st.sampled_from([0, 3, 5, 7]))
+    n = data.draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = st.dictionaries(cell, st.integers(-3, 3) if not p else st.integers(0, p - 1), max_size=n * n)
+    names = data.draw(st.lists(st.sampled_from("uvwxy"), min_size=1, max_size=4, unique=True))
+    mats = {key: {rc: v for rc, v in data.draw(entries).items() if v} for key in names}
+    # "br" is [mats[a0], mats[b0]], so with the term ("br", 1) that pair's residue is zero
+    a0, b0 = names[0], names[-1]
+    mats["br"] = _dense_residue(mats, n, a0, b0, (), p)
+    keys = st.sampled_from(sorted(mats))
+    pairs = data.draw(st.lists(st.tuples(keys, keys), max_size=8)) + [(a0, b0), (b0, b0)]
+    terms = {}
+    if data.draw(st.booleans()):
+        terms = {pair: data.draw(st.lists(st.tuples(keys, st.integers(-3, 3)), max_size=3)) for pair in pairs}
+        terms[(a0, b0)] = [("br", 1)]
+    rhs = (lambda a, b: terms[(a, b)]) if terms else None
+
+    want = []
+    for a, b in pairs:
+        residue = _dense_residue(mats, n, a, b, terms.get((a, b), ()), p)
+        if residue:
+            want.append((a, b, residue))
+    got = list(linalg.bracket_residues(mats, iter(pairs), rhs, p))
+    assert got == want
+    # a vanishing residue is never yielded: (b0, b0) without terms, (a0, b0) with them
+    assert ((a0, b0) if terms else (b0, b0)) not in {(a, b) for a, b, _ in got}
 
 
 @pytest.mark.parametrize("kind, p", [("ZZ", 0), ("QQ", 0), ("GF", 7)])

@@ -337,10 +337,23 @@ def test_a_corrupted_action_entry_is_caught_by_both_checks(datum):
     action = list(module.action)
     action[k] = SparseMatrix(module.dim, module.dim, GF(3), entries)
     bad = replace(module, action=action)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"pair \(2, 9\)"):
         verify_induced_module(bad, mod)
     with pytest.raises(AssertionError):
         dense_module_check(bad, mod)
+
+
+def test_the_bracket_law_makes_no_matrix_products(monkeypatch):
+    # the pair law runs through linalg.bracket_residues; the only products
+    # left are the p-th powers, two per basis element at p = 3
+    module = build_induced_module(SIEGEL_SP4, 3)
+    alg, _, _ = embed_datum(SIEGEL_SP4)
+    mod = reduce_mod_p(alg, 3)
+    calls = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    verify_induced_module(module, mod)
+    assert alg.dim == 10 and len(calls) == 20
 
 
 LEVI_SP4 = InductionDatum(4, -1, ((1, Partition((1,))),), Partition((1, 1)))

@@ -2,7 +2,12 @@
 on Chevalley coordinates, through the certified structure table and Killing
 Gram.  Matrix commutators stay where the matrix is the certified object: the
 structure table and Cartan elements in algebra, the zeta system in
-centralizer, and the sl2-completion in orbits."""
+centralizer, and the sl2-completion in orbits.
+
+Every matrix bracket law goes through one kernel, linalg.bracket_residues.
+It has three callers: the structure table build in algebra, the zeta
+bracket law in centralizer, and the induced-module check in modular.  The
+sparse product helpers it rests on are private to linalg."""
 
 import ast
 from pathlib import Path
@@ -16,6 +21,7 @@ from orbitforge.partitions import Partition
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
 MATRIX_PATH = {"commutator", "chi_value", "embed_matrix"}
+PRODUCT_HELPERS = {"add_product", "_add_product", "row_map", "_row_map"}
 
 
 def _names(tree) -> set:
@@ -37,6 +43,18 @@ def _names(tree) -> set:
 def test_no_matrix_bracket_path(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert not _names(tree) & MATRIX_PATH
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py") if path.stem != "linalg"))
+def test_only_linalg_names_the_sparse_product_helpers(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not _names(tree) & PRODUCT_HELPERS
+
+
+def test_the_guard_sees_a_product_helper():
+    assert _names(ast.parse("from .linalg import add_product, row_map")) >= {"add_product", "row_map"}
+    assert _names(ast.parse("rows = linalg._row_map(m.entries)")) & PRODUCT_HELPERS
+    assert not _names(ast.parse("bracket_residues(mats, pairs)")) & PRODUCT_HELPERS
 
 
 def test_the_guard_sees_a_matrix_commutator():
