@@ -27,6 +27,11 @@ def _integer_rows(rows) -> tuple:
     return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
+def _trace_of_product(x: dict, y: dict):
+    """tr(xy) = sum of x[r, c] y[c, r], for matrices given by their entries."""
+    return sum(v * y.get((c, r), 0) for (r, c), v in x.items())
+
+
 class ClassicalAlgebra:
     def __init__(self, N: int, eps: int):
         if eps not in (1, -1):
@@ -68,9 +73,9 @@ class ClassicalAlgebra:
         self.J_inv = SparseMatrix(self.N, self.N, QQ, inv)
         assert self.J @ self.J_inv == SparseMatrix.identity(self.N, QQ)
 
-    def unit(self, a: int, b: int, coeff=1) -> SparseMatrix:
-        """The elementary matrix coeff * e_{a,b} over QQ in signed-index labels."""
-        return SparseMatrix(self.N, self.N, QQ, {(self.pos[a], self.pos[b]): coeff})
+    def unit(self, a: int, b: int) -> SparseMatrix:
+        """The elementary matrix e_{a,b} over QQ in signed-index labels."""
+        return SparseMatrix(self.N, self.N, QQ, {(self.pos[a], self.pos[b]): 1})
 
     def sigma(self, x: SparseMatrix) -> SparseMatrix:
         return -(self.J_inv @ x.transpose() @ self.J)
@@ -266,11 +271,15 @@ class ClassicalAlgebra:
         return coords
 
     def from_coordinates(self, coords, ring: Ring = QQ) -> SparseMatrix:
-        out = SparseMatrix.zeros(self.N, self.N, ring)
+        """sum_k c_k B_k over ring, summed as one entry dict; each c_k is
+        coerced into ring first, so a scalar the ring cannot hold raises."""
+        ent = {}
         for k, c in enumerate(coords):
             if c != 0:
-                out = out + self.basis[k].change_ring(ring).scale(c)
-        return out
+                c = ring.coerce(c)
+                for rc, v in self.basis[k].entries.items():
+                    ent[rc] = ent.get(rc, 0) + c * v
+        return SparseMatrix(self.N, self.N, ring, ent)
 
     # -- structure constants ---------------------------------------------------
 
@@ -403,26 +412,26 @@ class ClassicalAlgebra:
 
     def killing_form(self):
         """Gram matrix of the normalised Killing form on the Chevalley basis,
-        with the proportionality constant to the trace form."""
+        with the proportionality constant to the trace form; each trace
+        tr(xy) is summed off the entries of x and y, forming no product."""
         if self._killing is not None:
             return self._killing
         rd = self.root_data()
         norms, d = rd["norms"], rd["d"]
         gram = {}
+        ents = [b.entries for b in self.basis]
         if rd["roots"]:
             # kappa is proportional to the trace form; fix the constant on a
             # root-vector pair from the normalised value 2d/(alpha|alpha)
             w0 = rd["positive_roots"][0]
-            e_plus = self._terms_to_matrix(self._rv_terms[w0])
-            e_minus = self._terms_to_matrix(self._rv_terms[self._neg(w0)])
+            plus, minus = self.labels.index(("e", w0)), self.labels.index(("e", self._neg(w0)))
             target = QQ.div(2 * d, norms[w0])
-            tr = (e_plus @ e_minus).trace()
-            const = QQ.div(target, tr)
+            const = QQ.div(target, _trace_of_product(ents[plus], ents[minus]))
         else:
             const = QQ.div(1, 2)  # orthogonal family value
         for i in range(self.dim):
             for j in range(i, self.dim):
-                val = QQ.mul(const, (self.basis[i] @ self.basis[j]).trace())
+                val = QQ.mul(const, _trace_of_product(ents[i], ents[j]))
                 if val != 0:
                     gram[(i, j)] = val
                     if i != j:

@@ -772,19 +772,15 @@ def casimir(setup: WSetup) -> CasimirElement:
     rd = alg.root_data()
     kf = alg.killing_form()
     # dual basis t_i of the simple roots inside the Cartan, whose first l
-    # basis elements are the simple coroots
+    # basis elements are the simple coroots: t_i is column i of A^{-1}
     simples = rd["simple_roots"]
     l = len(simples)
-    amat = SparseMatrix.from_dense(rd["cartan_matrix"], QQ)
-    t_coords = []
-    for j in range(l):
-        rhs = [int(i == j) for i in range(l)]
-        sol = solve(amat, rhs)
-        if sol is None:
-            raise AssertionError("Cartan matrix is singular")
-        if not all(is_two_power_denominator(x) for x in sol):
-            raise AssertionError("dual Cartan elements leave Z[1/2]")
-        t_coords.append(sol)
+    inverse = inverse_rows(rd["cartan_matrix"])
+    if inverse is None:
+        raise AssertionError("Cartan matrix is singular")
+    if not all(is_two_power_denominator(x) for row in inverse for x in row):
+        raise AssertionError("dual Cartan elements leave Z[1/2]")
+    t_coords = [list(col) for col in zip(*inverse)]
 
     # C = 2 sum e_a e_{-a}/kappa_a + sum hhat^i h_{a_i} - sum h_a/kappa_a,
     # with hhat^i the kappa-dual of h_{a_i}; this is the central normalisation

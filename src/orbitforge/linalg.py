@@ -78,10 +78,6 @@ class SparseMatrix:
     def identity(cls, n, ring: Ring) -> "SparseMatrix":
         return cls._closed(n, n, ring, {(i, i): ring.one() for i in range(n)})
 
-    @classmethod
-    def zeros(cls, nrows, ncols, ring: Ring) -> "SparseMatrix":
-        return cls._closed(nrows, ncols, ring, {})
-
     # -- basics ------------------------------------------------------------
 
     def __getitem__(self, rc):
@@ -177,13 +173,6 @@ class SparseMatrix:
             if vec[c] != 0:
                 out[r] = self.ring.add(out[r], self.ring.mul(v, vec[c]))
         return tuple(out)
-
-    def trace(self):
-        t = self.ring.zero()
-        for (r, c), v in self.entries.items():
-            if r == c:
-                t = self.ring.add(t, v)
-        return t
 
     def to_json(self) -> dict:
         return {

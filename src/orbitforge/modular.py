@@ -8,7 +8,8 @@ monomials of U(n_-) from the restricted enveloping.UAlgebra, the kernel of
 the W-algebra's Q, read pairwise from the flat (word, coefficient, ...)
 tuples its act returns, as sparse matrices over GF(p).  The bracket law is
 checked by linalg.bracket_residues, one residue mod p per pair, and the
-p-character identity by matrix powers.
+p-character identity by one residue mod p per basis element, subtracted from
+the entries of its matrix p-th power.
 """
 
 from __future__ import annotations
@@ -158,23 +159,26 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
 def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
     """Bracket compatibility [x_a, x_b] = sum_c c_ab^c x_c on every pair a < b,
     as one residue per pair mod p, and the exact p-character identity
-    x_k^p - x_k^[p] = chi(x_k)^p on every basis element, by matrix powers."""
+    x_k^p - x_k^[p] = chi(x_k)^p on every basis element, as one residue mod p
+    subtracted from the entries of the matrix power x_k^p."""
     p = module.p
-    ring = GF(p)
     act = module.action
     dim_g = mod.alg.dim
     mats = {k: m.entries for k, m in enumerate(act)}
     pairs = combinations(range(dim_g), 2)
     for a, b, _ in bracket_residues(mats, pairs, lambda a, b: mod.structure.get((a, b), {}).items(), p):
         raise AssertionError(f"bracket compatibility fails at pair ({a}, {b})")
-    eye = SparseMatrix.identity(module.dim, ring)
     for k in range(dim_g):
-        power = _power(act[k], p)
-        target = eye.scale(pow(module.chi[k], p, p))
+        # x_k^p - sum of v x_c - chi(x_k)^p 1 as one entry dict, checked mod p
+        residue = dict(_power(act[k], p).entries)
         for c, v in enumerate(mod.p_power[k]):
-            if v != 0:
-                target = target + act[c].scale(v)
-        if power != target:
+            if v:
+                for rc, x in mats[c].items():
+                    residue[rc] = residue.get(rc, 0) - v * x
+        chi_p = pow(module.chi[k], p, p)
+        for i in range(module.dim):
+            residue[(i, i)] = residue.get((i, i), 0) - chi_p
+        if any(x % p for x in residue.values()):
             raise AssertionError(f"p-character identity fails at basis {k}")
 
 

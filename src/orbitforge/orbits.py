@@ -3,8 +3,10 @@ Jordan types, orbit dimensions and the Lusztig-Spaltenstein induction oracle.
 
 Gradings of g come from integer weights on the signed indices of k^N:
 `basis_degrees` is the one place that reads the degree of a Chevalley basis
-element off its matrix.  The Dynkin grading and `parabolic`, the split
-n_- + l + n_+ of g for a Levi of given gl block sizes, both use it.
+element off its matrix.  The Dynkin grading, `parabolic` (the split
+n_- + l + n_+ of g for a Levi of given gl block sizes) and the torus
+weights of slices.weight_data all use it.  Linear combinations of basis
+elements are built by ClassicalAlgebra.from_coordinates, one matrix each.
 
 A representative builds its Dynkin grading once and ad e once per ring;
 `ad_e_block` cuts ad e : g(d) -> g(d+2) out of that matrix and is the one
@@ -235,10 +237,8 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     sol = solve(ad_e_matrix(rep).columns(neg2), list(alg.coordinates(h)))
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
-    f = SparseMatrix.zeros(alg.N, alg.N, QQ)
-    for jj, k in enumerate(neg2):
-        if sol[jj] != 0:
-            f = f + alg.basis[k].scale(sol[jj])
+    at = dict(zip(neg2, sol))
+    f = alg.from_coordinates([at.get(k, 0) for k in range(alg.dim)])
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")
     # density evidence: [e, g(0)] = g(2)
@@ -310,27 +310,28 @@ def nilradical_basis(alg: ClassicalAlgebra, gl_sizes):
 
 def _embed_gl_jordan(alg: ClassicalAlgebra, block, mu: Partition) -> SparseMatrix:
     """sigma-symmetrised Jordan matrix of type mu on a gl block."""
-    x = SparseMatrix.zeros(alg.N, alg.N, QQ)
+    ent = {}
     pos = 0
     for part in mu.parts:
         for s in range(part - 1):
-            x = x + alg.unit(block[pos + s], block[pos + s + 1])
+            ent[(alg.pos[block[pos + s]], alg.pos[block[pos + s + 1]])] = 1
         pos += part
+    x = SparseMatrix(alg.N, alg.N, QQ, ent)
     return x + alg.sigma(x)
 
 
 def embed_datum(datum: InductionDatum):
     """The Levi representative (as a matrix) and the nilradical basis."""
     alg = build_algebra(datum.N, datum.eps)
-    x = SparseMatrix.zeros(alg.N, alg.N, QQ)
+    # the gl blocks and the residual sit on disjoint matrix positions
+    ent = {}
     for (a, mu), blk in zip(datum.gl_blocks, _block_indices(datum.N, datum.gl_sizes)):
-        x = x + _embed_gl_jordan(alg, blk, mu)
+        ent.update(_embed_gl_jordan(alg, blk, mu).entries)
     if datum.residual.parts and datum.residual.size >= 2:
         sub = build_nilpotent(datum.residual, datum.eps)
         for (r, c), v in sub.e.items():
-            a, b = sub.algebra.indices[r], sub.algebra.indices[c]
-            x = x + alg.unit(a, b, v)
-    return alg, x, nilradical_basis(alg, datum.gl_sizes)
+            ent[(alg.pos[sub.algebra.indices[r]], alg.pos[sub.algebra.indices[c]])] = v
+    return alg, SparseMatrix(alg.N, alg.N, QQ, ent), nilradical_basis(alg, datum.gl_sizes)
 
 
 def datum_levi_orbit_dim(datum: InductionDatum) -> int:
@@ -362,15 +363,16 @@ def generic_datum_sample(datum: InductionDatum):
     seed = (datum.N * 1009 + (1 if datum.eps == 1 else 2)) & 0x7FFFFFFF
     for a, mu in datum.gl_blocks:
         seed = (seed * 31 + a * 7 + sum(mu.parts)) & 0x7FFFFFFF
+    levi_coords = alg.coordinates(x_levi)
     best = None
     types = []
     for s in range(DATUM_SAMPLES):
         state = (seed + 9176 * s + 13) & 0x7FFFFFFF
-        x = x_levi
+        coords = list(levi_coords)
         for k in n_idx:
             state = (state * 48271) % 2147483647
-            c = 1 + state % 7
-            x = x + alg.basis[k].scale(c)
+            coords[k] += 1 + state % 7
+        x = alg.from_coordinates(coords)
         jt = jordan_type(x)
         types.append(jt)
         if best is None and orbit_dim_formula(jt, datum.eps) == expected_dim:

@@ -4,9 +4,11 @@ contracting weights, and the integral saturation checks for ad e on the
 Chevalley lattice.
 
 The weight split uses the diagonal toral subalgebra t_e of g^e spanned by
-one generator per hyperbolically paired pyramid row pair; its positive and
-negative weight spaces provide the triangular decomposition n_- + l + n_+
-with e distinguished in l (asserted: l has no odd Dynkin degrees).
+one generator per hyperbolically paired pyramid row pair, whose weights on
+the Chevalley basis orbits.basis_degrees reads off the pyramid rows; no
+element of t_e is built as a matrix.  Its positive and negative weight
+spaces provide the triangular decomposition n_- + l + n_+ with e
+distinguished in l (asserted: l has no odd Dynkin degrees).
 """
 
 from __future__ import annotations
@@ -22,44 +24,16 @@ from .linalg import (
     sparse_vector,
     VectorSpan,
 )
-from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, centralizer_dim_formula, dynkin_grading
+from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, basis_degrees, centralizer_dim_formula, dynkin_grading
 from .centralizer import compute_centralizer
 
 
 # -- torus and triangular decomposition ---------------------------------------
 
 
-def toral_generators(rep: NilpotentRep):
-    """Chevalley coordinates of one diagonal generator per paired pyramid
-    row pair: +1 on the upper row's boxes, -1 on the mirror row."""
-    pyr, alg = rep.pyramid, rep.algebra
-    rows = {}
-    for b in pyr.boxes():
-        rows.setdefault(pyr.row[b], []).append(b)
-    crossed_rows = {r for r, _ in pyr.crossed}
-    e = sparse_vector(rep.e_coords, QQ)
-    gens = []
-    for r in sorted(rows, reverse=True):
-        if r <= 0 or r in crossed_rows:
-            continue  # skew rows belong to self-paired parts
-        ent = {}
-        for b in rows[r]:
-            ent[(alg.pos[b], alg.pos[b])] = 1
-            ent[(alg.pos[-b], alg.pos[-b])] = -1
-        t = SparseMatrix(alg.N, alg.N, QQ, ent)
-        if not alg.in_algebra(t):
-            raise AssertionError("toral generator not in the algebra")
-        t = alg.coordinates(t)
-        if alg.sparse_bracket(sparse_vector(t, QQ), e):
-            raise AssertionError("toral generator does not centralise e")
-        gens.append(t)
-    return gens
-
-
 @dataclass
 class WeightData:
     rep: NilpotentRep
-    torus: list                # toral generators, Chevalley coordinates
     weights: list              # basis index -> weight tuple under the torus
     n_plus: list               # basis indices with lexicographically positive weight
     n_minus: list
@@ -74,19 +48,19 @@ class WeightData:
 
 
 def weight_data(rep: NilpotentRep) -> WeightData:
-    alg = rep.algebra
+    """Weights of the Chevalley basis under the diagonal torus of g^e: one
+    generator per paired pyramid row r > 0, +1 on row r and -1 on row -r,
+    whose weights basis_degrees reads (and raises unless each basis element
+    is a weight vector).  build_pyramid makes row(-b) = -row(b), so each
+    generator lies in g; it centralises e because e lies in the Levi."""
+    alg, pyr = rep.algebra, rep.pyramid
     gr = dynkin_grading(rep)
-    torus = toral_generators(rep)
-    # the basis consists of torus weight vectors: each ad t is diagonal
-    ads = [alg.ad(t) for t in torus]
-    for ad_t in ads:
-        for (r, c), v in ad_t.entries.items():
-            if r != c:
-                raise AssertionError("basis element is not a torus weight vector")
-            if v.denominator != 1:
-                raise AssertionError("non-integral torus weight")
-    weights = [tuple(int(ad_t[(k, k)]) for ad_t in ads) for k in range(alg.dim)]
-    wd = WeightData(rep, torus, weights, [], [], [])
+    crossed_rows = {r for r, _ in pyr.crossed}  # skew rows belong to self-paired parts
+    rows = sorted({r for r in pyr.row.values() if r > 0 and r not in crossed_rows}, reverse=True)
+    per_row = [basis_degrees(alg, {b: (pyr.row[b] == r) - (pyr.row[b] == -r) for b in pyr.boxes()})
+               for r in rows]
+    weights = [tuple(degs[k] for degs in per_row) for k in range(alg.dim)]
+    wd = WeightData(rep, weights, [], [], [])
     for k in range(alg.dim):
         s = wd.side(k)
         (wd.n_plus if s > 0 else wd.n_minus if s < 0 else wd.levi).append(k)
@@ -97,6 +71,7 @@ def weight_data(rep: NilpotentRep) -> WeightData:
                 "weight-zero part of g has odd Dynkin degrees; the Lagrangian "
                 "split rule would be ambiguous for this representative"
             )
+    # weight zero on e's support is [t, e] = 0 for every torus generator t
     for k, c in enumerate(rep.e_coords):
         if c != 0 and wd.side(k) != 0:
             raise AssertionError("e does not lie in the Levi of the weight split")
@@ -128,8 +103,9 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
     if wd is None:
         wd = weight_data(rep)
     gr = dynkin_grading(rep)
-    minus_idx = [k for k in gr.layer(-1) if k in set(wd.n_minus)]
-    plus_idx = [k for k in gr.layer(-1) if k in set(wd.n_plus)]
+    n_minus, n_plus = set(wd.n_minus), set(wd.n_plus)
+    minus_idx = [k for k in gr.layer(-1) if k in n_minus]
+    plus_idx = [k for k in gr.layer(-1) if k in n_plus]
     if len(minus_idx) + len(plus_idx) != len(gr.layer(-1)):
         raise AssertionError("g(-1) has torus-weight-zero vectors")
     order = minus_idx + plus_idx

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orbitforge.rings import QQ, ZZ, GF
 from orbitforge.linalg import SparseMatrix, commutator, rank_kernel, sparse_vector
 from orbitforge.algebra import ClassicalAlgebra, build_algebra
-from test_slices import _unit_over_z_half
+from test_slices import _count_matrices, _trace, _unit_over_z_half
 
 
 def test_dimensions():
@@ -22,7 +22,7 @@ def test_dimensions():
 
 def test_so5_basis_contains_standard_element():
     g = build_algebra(5, 1)
-    standard = g.unit(1, 0, 2) - g.unit(0, -1)  # 2e_{k,0} - e_{0,-k} for k = 1
+    standard = g.unit(1, 0).scale(2) - g.unit(0, -1)  # 2e_{k,0} - e_{0,-k} for k = 1
     coords = g.coordinates(standard)
     assert sum(1 for c in coords if c != 0) == 1
 
@@ -30,7 +30,7 @@ def test_so5_basis_contains_standard_element():
 def test_sigma_is_an_involution():
     for n, eps in [(4, -1), (5, 1), (6, 1)]:
         g = build_algebra(n, eps)
-        x = g.unit(1, -2) + g.unit(2, 1, 3)
+        x = g.unit(1, -2) + g.unit(2, 1).scale(3)
         assert g.sigma(g.sigma(x)) == x
 
 
@@ -52,7 +52,7 @@ def test_form_invariance():
         g = build_algebra(n, eps)
         for b in g.basis:
             # (Xu, v) + (u, Xv) = 0 as the matrix identity X^T J + J X = 0
-            assert (b.transpose() @ g.J) + (g.J @ b) == SparseMatrix.zeros(n, n, QQ)
+            assert (b.transpose() @ g.J) + (g.J @ b) == SparseMatrix(n, n, QQ)
 
 
 def test_root_data_sp4_so5():
@@ -170,6 +170,35 @@ def test_ad_raises_on_a_coordinate_the_ring_cannot_hold():
         assert g.ad(x, ZZ) == g.ad([2 if i == k else 0 for i in range(g.dim)], ZZ)
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ, GF(7)])
+def test_from_coordinates_builds_one_matrix(monkeypatch, ring):
+    g = build_algebra(6, -1)
+    cases = [[(k % 5) - 2 if k < nonzero else 0 for k in range(g.dim)] for nonzero in (0, 1, 7, g.dim)]
+    wants = []
+    for coords in cases:
+        want = SparseMatrix(g.N, g.N, ring)
+        for b, c in zip(g.basis, coords):
+            want = want + b.change_ring(ring).scale(c)
+        wants.append(want)
+    made = _count_matrices(monkeypatch)
+    for coords, want in zip(cases, wants):
+        made.clear()
+        assert g.from_coordinates(coords, ring) == want and len(made) == 1
+    if ring != QQ:
+        with pytest.raises(ValueError):
+            g.from_coordinates([Fraction(1, 2 if ring == ZZ else 7)] + [0] * (g.dim - 1), ring)
+
+
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+def test_killing_form_makes_no_matrix_products(monkeypatch, n, eps):
+    g = ClassicalAlgebra(n, eps)  # fresh, so killing_form builds its Gram here
+    calls = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    g.killing_form()
+    assert not calls
+
+
 def _one_order_reference(g) -> list:
     """The structure table as held for i < j alone, from matrix commutators:
     row i maps j > i to the nonzero Chevalley coordinates of [B_i, B_j]."""
@@ -214,7 +243,7 @@ def test_kappa_matches_the_trace_of_the_product(n, eps, data):
 
 def _trace_kappa(g, x, y):
     """The matrix reference: kappa(x, y) = c trace(x y)."""
-    return g.killing_form()["trace_constant"] * (x @ y).trace()
+    return g.killing_form()["trace_constant"] * _trace(x @ y)
 
 
 def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):

@@ -146,7 +146,7 @@ def _reference_bracket_law(zs):
         for b in keys:
             k, l, r = b
             lhs = commutator(zs.zetas[a], zs.zetas[b])
-            rhs = SparseMatrix.zeros(lam.size, lam.size, ZZ)
+            rhs = SparseMatrix(lam.size, lam.size, ZZ)
 
             def term(ii, jj, ss, coeff):
                 nonlocal rhs
@@ -246,6 +246,6 @@ def test_verify_zeta_system_checks_the_jordan_type_of_e():
     zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
     verify_zeta_system(zs)
     planted = copy.copy(zs)
-    planted.e = SparseMatrix.zeros(8, 8, ZZ)
+    planted.e = SparseMatrix(8, 8, ZZ)
     with pytest.raises(AssertionError, match="e has Jordan type"):
         verify_zeta_system(planted)

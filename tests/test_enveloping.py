@@ -26,6 +26,7 @@ from orbitforge.enveloping import (
 )
 
 from test_rings import _is_canonical
+from test_slices import _trace
 
 
 SETUPS = {"sp4": ((2, 1, 1), -1), "so5": ((2, 2, 1), 1), "sp6": ((2, 1, 1, 1, 1), -1)}
@@ -265,12 +266,12 @@ def _matrix_casimir(setup) -> dict:
     for w in rd["positive_roots"]:
         e_plus = alg._terms_to_matrix(alg._rv_terms[w])
         e_minus = alg._terms_to_matrix(alg._rv_terms[tuple(-x for x in w)])
-        kap = c * (e_plus @ e_minus).trace()
+        kap = c * _trace(e_plus @ e_minus)
         C = elem_add(C, ref.mul(_embed_matrix(setup, e_plus), _embed_matrix(setup, e_minus)), Fraction(2) / kap)
         C = elem_add(C, _embed_matrix(setup, commutator(e_plus, e_minus)), Fraction(-1) / kap)
     for i in range(l):
         sol = solve(amat, [Fraction(int(a == i)) for a in range(l)])
-        t = SparseMatrix.zeros(alg.N, alg.N, QQ)
+        t = SparseMatrix(alg.N, alg.N, QQ)
         for a, x in enumerate(sol):
             t = t + alg.basis[a].scale(x)
         scale = Fraction(rd["norms"][tuple(rd["simple_roots"][i])], 2 * kf["d"])
@@ -308,7 +309,7 @@ def _matrix_reference_tail(setup, x) -> list:
         for j in range(setup.s):
             t1 = commutator(zp[j], commutator(x, commutator(zs[j], zp[i])))
             t2 = commutator(zs[j], commutator(x, commutator(zp[j], zp[i])))
-            acc += c * ((setup.rep.e @ t1).trace() - (setup.rep.e @ t2).trace())
+            acc += c * (_trace(setup.rep.e @ t1) - _trace(setup.rep.e @ t2))
         out.append(acc)
     return out
 

@@ -44,11 +44,11 @@ def test_getitem_builds_a_zero_only_for_a_missing_entry():
     missing = m[1, 0]
     assert missing == 0 and type(missing) is int and len(zeros) == 1
     assert SparseMatrix(2, 2, GF(5), {(0, 0): 7})[0, 0] == 2
-    assert SparseMatrix.zeros(2, 2, GF(5))[1, 1] == 0
+    assert SparseMatrix(2, 2, GF(5))[1, 1] == 0
 
 
 def test_zero_matrix_kernel():
-    m = SparseMatrix.zeros(2, 5, QQ)
+    m = SparseMatrix(2, 5, QQ)
     rank, kernel = rank_kernel(m)
     assert rank == 0 and len(kernel) == 5
 
@@ -75,7 +75,7 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero():
-    res = smith_normal_form(SparseMatrix.zeros(3, 2, ZZ))
+    res = smith_normal_form(SparseMatrix(3, 2, ZZ))
     assert res.divisors == [0, 0]
 
 

@@ -1,6 +1,8 @@
 """The Levi split n_- + l + n_+ of g for given gl block sizes comes from
 orbits.parabolic, which reads degrees through orbits.basis_degrees, the one
 place that derives a basis element's degree from the signed indices.  The
+torus weights of slices.weight_data are read through basis_degrees as well,
+from the pyramid rows, with no torus element built as a matrix.  The
 zero-orbit datum of a Levi shape is InductionDatum.zero_orbit."""
 
 import ast
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from orbitforge.algebra import build_algebra
+from orbitforge.linalg import SparseMatrix
 from orbitforge.orbits import (
     InductionDatum,
     enumerate_levi_data,
@@ -114,3 +117,18 @@ def test_the_guard_sees_an_index_read():
     assert _index_readers(ast.parse("def f(alg, r):\n    return alg.indices[r]")) == {"f"}
     # the word in prose or as a plain name is not a read
     assert not _index_readers(ast.parse('def f():\n    """alg.indices"""\n    indices = 1'))
+
+
+def _names(tree) -> set:
+    """Every name the code reads, as x or as obj.x."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_torus_weights_are_read_without_matrices():
+    assert not hasattr(SparseMatrix, "zeros") and not hasattr(SparseMatrix, "trace")
+    tree = ast.parse((SRC / "slices.py").read_text())
+    assert "toral_generators" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "basis_degrees" in _names(tree) and not _names(tree) & {"ad", "in_algebra"}
+    # the guard sees a matrix torus
+    assert {"ad", "in_algebra"} <= _names(ast.parse("alg.in_algebra(t) and alg.ad(t)"))

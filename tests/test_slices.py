@@ -9,7 +9,7 @@ from orbitforge import slices
 from orbitforge.rings import QQ, GF, is_two_power_denominator
 from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
 from orbitforge.partitions import Partition, admissible_partitions
-from orbitforge.orbits import build_nilpotent, orbit_dimension
+from orbitforge.orbits import build_nilpotent, dynkin_grading, orbit_dimension
 from orbitforge.slices import (
     weight_data,
     build_psi,
@@ -122,7 +122,7 @@ def test_duality_survives_reduction_mod_p():
                 for j, zp in enumerate(pair.z_plus):
                     xp = alg.from_coordinates([ring.coerce(c) for c in zp], ring)
                     br = commutator(xm, xp).change_ring(QQ)
-                    val = ring.coerce(alg.killing_form()["trace_constant"] * (rep.e @ br).trace())
+                    val = ring.coerce(alg.killing_form()["trace_constant"] * _trace(rep.e @ br))
                     assert val == (1 if i == j else 0) % p
 
 
@@ -200,9 +200,14 @@ def test_levi_parity_assertion():
                 weight_data(build_nilpotent(lam, eps))  # raises on odd degree
 
 
+def _trace(m):
+    """The sum of the diagonal entries of the matrix m."""
+    return sum(v for (r, c), v in m.entries.items() if r == c)
+
+
 def _trace_kappa(alg, x, y):
     """The matrix reference: kappa(x, y) = c trace(x y)."""
-    return alg.killing_form()["trace_constant"] * (x @ y).trace()
+    return alg.killing_form()["trace_constant"] * _trace(x @ y)
 
 
 REFERENCE_REPS = [((2, 1, 1), -1), ((2, 2, 1), 1), ((3, 2, 2, 1), 1), ((4, 2), -1)]
@@ -221,19 +226,58 @@ def test_chi_vector_and_psi_match_the_matrix_reference():
                 assert psi.gram[(a, b)] == _trace_kappa(alg, rep.e, br)
 
 
+def _torus_rows(pyr) -> list:
+    """The pyramid rows r > 0 without crossed boxes, decreasing: one torus
+    generator each."""
+    crossed = {r for r, _ in pyr.crossed}
+    return sorted({pyr.row[b] for b in pyr.boxes() if pyr.row[b] > 0 and pyr.row[b] not in crossed}, reverse=True)
+
+
 def test_torus_weights_match_the_matrix_reference():
     ranks = []
     for parts, eps in REFERENCE_REPS:
         rep = build_nilpotent(Partition(parts), eps)
-        alg = rep.algebra
+        alg, pyr = rep.algebra, rep.pyramid
         wd = weight_data(rep)
-        ranks.append(len(wd.torus))
-        for i, t in enumerate(wd.torus):
-            tm = alg.from_coordinates(t)
-            assert commutator(tm, rep.e).is_zero()
+        rows = _torus_rows(pyr)
+        ranks.append(len(rows))
+        assert all(len(w) == len(rows) for w in wd.weights)
+        for i, r in enumerate(rows):
+            # the generator as a matrix: +1 on the boxes of row r, -1 on their mirrors
+            ent = {}
+            for b in pyr.boxes():
+                if pyr.row[b] == r:
+                    ent[(alg.pos[b], alg.pos[b])] = 1
+                    ent[(alg.pos[-b], alg.pos[-b])] = -1
+            tm = SparseMatrix(alg.N, alg.N, QQ, ent)
+            assert alg.in_algebra(tm) and commutator(tm, rep.e).is_zero()
             for k, b in enumerate(alg.basis):
                 assert commutator(tm, b) == b.scale(wd.weights[k][i])
     assert ranks == [1, 1, 1, 0]   # (4, 2) is distinguished: no torus
+
+
+def _count_matrices(monkeypatch) -> list:
+    """A list that grows by one for each SparseMatrix made, through its
+    constructor or through _closed."""
+    made = []
+    init, closed = SparseMatrix.__init__, SparseMatrix._closed.__func__
+    monkeypatch.setattr(SparseMatrix, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+    monkeypatch.setattr(SparseMatrix, "_closed", classmethod(lambda cls, *args: made.append(1) or closed(cls, *args)))
+    return made
+
+
+@pytest.mark.parametrize("parts, eps", REFERENCE_REPS + [((3, 3, 2, 2, 1), 1)])
+def test_weight_data_builds_no_matrix(monkeypatch, parts, eps):
+    rep = build_nilpotent(Partition(parts), eps)
+    dynkin_grading(rep)   # built once per representative, before counting
+    reads = []
+    degrees = slices.basis_degrees
+    monkeypatch.setattr(slices, "basis_degrees", lambda alg, weight: reads.append(1) or degrees(alg, weight))
+    made = _count_matrices(monkeypatch)
+    wd = weight_data(rep)
+    monkeypatch.undo()
+    assert not made and len(reads) == len(_torus_rows(rep.pyramid))
+    assert all(len(w) == len(reads) for w in wd.weights)
 
 
 def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
