@@ -2,9 +2,11 @@
 
 The underlying space k^N has basis {v_i, v_{-i} | 1 <= i <= N//2} plus v_0
 for N odd, carrying the bilinear form with (v_i, v_{-j}) = delta_{ij},
-(v_0, v_0) = 2 and (u, v) = eps (v, u).  The algebra is the fixed space of
-sigma(X) = -J^{-1} X^T J.  Basis matrices are indexed by the signed index
-set; positions map to matrix coordinates through ``pos``.  One reader,
+(v_0, v_0) = 2 and (u, v) = eps (v, u).  The Chevalley basis spans the
+fixed space of sigma(X) = -J^{-1} X^T J for the Gram J of that form; the
+form and sigma are not built here, and the tests check the basis against
+them.  Basis matrices are indexed by the signed index set; positions map to
+matrix coordinates through ``pos``.  One reader,
 _read_coords, takes Chevalley coordinates off the identifying positions and
 the Cartan diagonal over any ring; coordinates certifies them by
 reconstruction, and the structure table certifies each bracket it stores.
@@ -48,40 +50,14 @@ class ClassicalAlgebra:
         idxs += list(range(-1, -self.h - 1, -1))
         self.indices = idxs
         self.pos = {a: i for i, a in enumerate(idxs)}
-        self._build_form()
         self._build_basis()
         self._root_data = None
         self._killing = None
         self._structure = None
 
-    # -- form and sigma ------------------------------------------------------
-
-    def _build_form(self):
-        ent = {}
-        for i in range(1, self.h + 1):
-            ent[(self.pos[i], self.pos[-i])] = 1
-            ent[(self.pos[-i], self.pos[i])] = self.eps
-        if self.N % 2 == 1:
-            ent[(self.pos[0], self.pos[0])] = 2
-        self.J = SparseMatrix(self.N, self.N, QQ, ent)
-        inv = {}
-        for i in range(1, self.h + 1):
-            inv[(self.pos[-i], self.pos[i])] = 1
-            inv[(self.pos[i], self.pos[-i])] = self.eps
-        if self.N % 2 == 1:
-            inv[(self.pos[0], self.pos[0])] = QQ.div(1, 2)
-        self.J_inv = SparseMatrix(self.N, self.N, QQ, inv)
-        assert self.J @ self.J_inv == SparseMatrix.identity(self.N, QQ)
-
     def unit(self, a: int, b: int) -> SparseMatrix:
         """The elementary matrix e_{a,b} over QQ in signed-index labels."""
         return SparseMatrix(self.N, self.N, QQ, {(self.pos[a], self.pos[b]): 1})
-
-    def sigma(self, x: SparseMatrix) -> SparseMatrix:
-        return -(self.J_inv @ x.transpose() @ self.J)
-
-    def in_algebra(self, x: SparseMatrix) -> bool:
-        return self.sigma(x) == x
 
     # -- Chevalley basis ------------------------------------------------------
 

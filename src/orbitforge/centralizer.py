@@ -15,7 +15,7 @@ from functools import partial
 from itertools import product
 
 from .rings import QQ, ZZ
-from .linalg import (SparseMatrix, VectorSpan, bracket_residues, commutator, integer_kernel_basis, inverse_rows,
+from .linalg import (SparseMatrix, VectorSpan, bracket_residues, commutator, integer_kernel_basis,
                      rank_kernel, sparse_vector)
 from .partitions import Partition, pairing_involution, check_involution
 from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula, jordan_type
@@ -156,19 +156,18 @@ def build_zeta_system(lam: Partition, eps: int) -> ZetaSystem:
 
 
 def ss_sigma(zs: ZetaSystem, x: SparseMatrix) -> SparseMatrix:
-    """sigma for the Springer-Steinberg form, over ZZ: the Gram matrix is
-    unimodular, and its inverse is checked to be integral."""
-    # J is block anti-diagonal with +-1 entries; invert it once over QQ, cache
-    # the inverse on the instance, and coerce it into ZZ, which raises on a
-    # fractional entry
-    jinv = getattr(zs, "_jinv", None)
-    if jinv is None:
-        inv_rows = inverse_rows(zs.form.to_dense())
-        if inv_rows is None:
-            raise AssertionError("Springer-Steinberg form is degenerate")
-        jinv = SparseMatrix.from_dense(inv_rows, ZZ)
-        zs._jinv = jinv
-    return -(jinv @ x.transpose() @ zs.form)
+    """sigma(x) = -J^{-1} x^T J for the Springer-Steinberg Gram J, over x's
+    ring, with no product.  J is a signed permutation, J[r, pi(r)] = s_r, so
+    J^{-1} = J^T and entry (r, c) of x moves to (pi(c), pi(r)) with sign
+    -s_r s_c; raises ValueError unless J has one +-1 in each row and column."""
+    ents, n = zs.form.entries, zs.form.nrows
+    pi = {r: c for r, c in ents}
+    if not (len(ents) == len(pi) == len(set(pi.values())) == n and all(v in (1, -1) for v in ents.values())):
+        raise ValueError("Springer-Steinberg Gram is not a signed permutation: it is singular, or its inverse "
+                         "is not an integer signed permutation")
+    sign = {r: ents[(r, c)] for r, c in pi.items()}
+    return SparseMatrix(x.nrows, x.ncols, x.ring,
+                        {(pi[c], pi[r]): -sign[r] * sign[c] * v for (r, c), v in x.entries.items()})
 
 
 def _bracket_rhs(zs: ZetaSystem, a, b) -> list:
@@ -206,7 +205,7 @@ def verify_zeta_system(zs: ZetaSystem, full_bracket: bool = True) -> dict:
     if zs.form.transpose() != zs.form.scale(zs.eps):
         raise AssertionError("form symmetry violated")
     # e is skew self-adjoint for the form: (e u, v) + (u, e v) = 0
-    if (zs.e.transpose() @ zs.form) != (zs.form @ zs.e).scale(-1):
+    if ss_sigma(zs, zs.e) != zs.e:
         raise AssertionError("e is not skew self-adjoint")
 
     # sigma image of each xi is the predicted signed xi

@@ -6,10 +6,10 @@ import dataclasses
 import pytest
 
 from orbitforge import centralizer
-from orbitforge.linalg import SparseMatrix, commutator
-from orbitforge.rings import ZZ
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
+from orbitforge.rings import QQ, ZZ
 from orbitforge.partitions import Partition, admissible_partitions, check_involution, is_almost_rigid
-from orbitforge.orbits import build_nilpotent, centralizer_dim_formula
+from orbitforge.orbits import build_nilpotent, centralizer_dim_formula, jordan_type
 from orbitforge.centralizer import (
     CentralizerBasis,
     compute_centralizer,
@@ -239,6 +239,82 @@ def test_ss_sigma_requires_an_integral_inverse_form():
     doubled = dataclasses.replace(zs, form=zs.form.scale(2))
     with pytest.raises(ValueError, match="not an integer"):
         centralizer.ss_sigma(doubled, zs.zetas[(0, 0, 0)])
+
+
+def _count_products(monkeypatch) -> list:
+    """A list that grows by one for each SparseMatrix product."""
+    made = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: made.append(1) or matmul(a, b))
+    return made
+
+
+def _sigma_reference(zs, x):
+    """The product reference -J^{-1} x^T J over QQ."""
+    form = zs.form.change_ring(QQ)
+    inverse = SparseMatrix.from_dense(inverse_rows(form.to_dense()), QQ)
+    return -(inverse @ x.change_ring(QQ).transpose() @ form)
+
+
+def test_ss_sigma_is_the_product_reference_with_no_product(monkeypatch):
+    cases = []
+    for n in range(2, 9):
+        for eps in (1, -1):
+            if eps == -1 and n % 2:
+                continue
+            for lam in admissible_partitions(n, eps):
+                zs = build_zeta_system(lam, eps)
+                parts = lam.parts
+                xis = [centralizer._xi_matrix(lam, zs.starts, a, b, t)
+                       for a in range(lam.n) for b in range(lam.n) for t in range(parts[b])]
+                cases += [(zs, x) for x in [zs.e, *zs.zetas.values(), *xis]]
+    products = _count_products(monkeypatch)
+    images = [centralizer.ss_sigma(zs, x) for zs, x in cases]
+    assert products == []
+    monkeypatch.undo()
+    assert len(cases) > 1000
+    for (zs, x), image in zip(cases, images):
+        assert image.ring == ZZ and image.change_ring(QQ) == _sigma_reference(zs, x)
+
+
+def _zero_row(ents):
+    return {(r, c): v for (r, c), v in ents.items() if r != 0}
+
+
+def _repeated_column(ents):
+    # row 0 moves onto the column of row 1: two entries there, none in its own
+    (c0,), (c1,) = ([c for r, c in ents if r == k] for k in (0, 1))
+    out = dict(ents)
+    out[(0, c1)] = out.pop((0, c0))
+    return out
+
+
+def _entry_two(ents):
+    out = dict(ents)
+    key = min(out)
+    out[key] *= 2
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [_zero_row, _repeated_column, _entry_two])
+def test_ss_sigma_refuses_a_gram_that_is_not_a_signed_permutation(corrupt):
+    zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
+    n = zs.lam.size
+    bad = dataclasses.replace(zs, form=SparseMatrix(n, n, ZZ, corrupt(zs.form.entries)))
+    with pytest.raises(ValueError, match="not an integer"):
+        centralizer.ss_sigma(bad, zs.e)
+
+
+def test_verify_zeta_system_makes_only_the_jordan_type_and_commutator_products(monkeypatch):
+    zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
+    products = _count_products(monkeypatch)
+    jordan_type(zs.e)
+    jordan_products = len(products)
+    products.clear()
+    verify_zeta_system(zs)
+    # two per zeta: commutator(e, zeta) = e zeta - zeta e
+    assert jordan_products == 3
+    assert len(products) == jordan_products + 2 * len(zs.zetas)
 
 
 def test_verify_zeta_system_checks_the_jordan_type_of_e():

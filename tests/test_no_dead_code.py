@@ -4,7 +4,9 @@ src/, scripts/ or perfbench/.  The package's __init__ re-exports do not
 count, and neither do the tests: code that only a test calls lives in the
 test.  Likewise every optional parameter and every dataclass field the
 constructor takes has a setter: some call in those folders passes it, so
-no value sits behind an option that only its default ever fills."""
+no value sits behind an option that only its default ever fills.  And every
+attribute a method stores on self has a reader: some .name read in those
+folders, so no value is kept that nothing reads back."""
 
 import ast
 import shutil
@@ -194,3 +196,55 @@ def test_the_guard_sees_a_planted_parameter(tmp_path):
     with open(pkg / "algebra.py", "a") as f:
         f.write("\n\ndef _setter():\n    return planted(0, scale=2)\n")
     assert _unset(tmp_path) == []
+
+
+def _stored_on_self(tree) -> set:
+    """Each name stored as self.name = ..., also in a tuple target or by an
+    augmented or annotated assignment."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            out.update(sub.attr for sub in ast.walk(target) if isinstance(sub, ast.Attribute)
+                       and isinstance(sub.value, ast.Name) and sub.value.id == "self")
+    return out
+
+
+def _attribute_reads(tree) -> set:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_attributes(root: Path) -> list:
+    """module.name for each attribute stored on self in root/src/orbitforge
+    that no .name read under root's reader directories reads back."""
+    pkg = root / "src" / "orbitforge"
+    reads = set()
+    for folder in READERS:
+        for path in sorted((root / folder).rglob("*.py")):
+            reads |= _attribute_reads(ast.parse(path.read_text()))
+    return [f"{path.stem}.{name}" for path in sorted(pkg.glob("*.py"))
+            for name in sorted(_stored_on_self(ast.parse(path.read_text()))) if name not in reads]
+
+
+def test_every_stored_attribute_has_a_reader():
+    assert _unread_attributes(ROOT) == []
+
+
+def test_the_guard_sees_a_planted_attribute(tmp_path):
+    for folder in READERS:
+        shutil.copytree(ROOT / folder, tmp_path / folder, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    pkg = tmp_path / "src" / "orbitforge"
+    assert _unread_attributes(tmp_path) == []
+    with open(pkg / "linalg.py", "a") as f:
+        f.write("\n\nclass Planted:\n    def __init__(self):\n        self.kept, self.shown = 1, 2\n"
+                "        self.kept += 1\n\n    def __repr__(self):\n        return str(self.shown)\n")
+    # storing it again is not reading it
+    assert _unread_attributes(tmp_path) == ["linalg.kept"]
+    with open(pkg / "algebra.py", "a") as f:
+        f.write("\n\ndef _reader(p):\n    return p.kept\n")
+    assert _unread_attributes(tmp_path) == []

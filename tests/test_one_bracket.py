@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitforge.algebra import ClassicalAlgebra
+from orbitforge.algebra import ClassicalAlgebra, build_algebra
 from orbitforge.enveloping import WSetup
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
@@ -68,6 +68,10 @@ def test_the_guard_sees_a_matrix_commutator():
 
 def test_matrix_entry_points_are_gone():
     assert not hasattr(ClassicalAlgebra, "kappa")
+    # the form and sigma of the pyramid model live in the tests
+    for alg in (build_algebra(5, 1), build_algebra(4, -1)):
+        for name in ("sigma", "in_algebra", "J", "J_inv", "_build_form"):
+            assert not hasattr(alg, name)
     setup = WSetup(build_nilpotent(Partition((2, 1, 1)), -1))
     assert not hasattr(setup, "embed_matrix")
     assert not hasattr(setup, "_mats")

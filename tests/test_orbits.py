@@ -1,8 +1,11 @@
 """Nilpotent representatives, gradings, sl2 completion and the induction
 oracle."""
 
+import dataclasses
+
 import pytest
 
+from orbitforge import orbits
 from orbitforge.algebra import build_algebra
 from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
 from orbitforge.partitions import Partition, admissible_partitions, is_rigid
@@ -112,6 +115,26 @@ def test_sl2_h_is_cocharacter_differential():
     assert commutator(t.h, t.e) == t.e.scale(2)
     assert commutator(t.h, t.f) == t.f.scale(-2)
     assert commutator(t.e, t.f) == t.h
+
+
+def test_coordinates_refuse_a_representative_off_a_corrupted_sigma_table(monkeypatch):
+    # doubling e_{a,b} for a + b > 0 but not its partner e_{-b,-a} takes e out
+    # of g; no membership check but the reconstruction in coordinates sees it
+    alg = build_algebra(8, 1)
+    corrupted = {(a, b): v * 2 if a + b > 0 else v for (a, b), v in _sigma_table(alg).items()}
+    monkeypatch.setattr(orbits, "_sigma_table", lambda alg: corrupted)
+    with pytest.raises(ValueError, match="matrix is not in the algebra"):
+        build_nilpotent(Partition((3, 2, 2, 1)), 1)
+
+
+def test_coordinates_refuse_an_h_off_a_corrupted_grading_weight():
+    # weight + 1 gives h + 1: it still brackets e to 2e, yet it is not in g,
+    # for weight(-a) != -weight(a)
+    rep = build_nilpotent(Partition((3, 2, 2, 1)), 1)
+    gr = dynkin_grading(rep)
+    rep._grading = dataclasses.replace(gr, weight={a: w + 1 for a, w in gr.weight.items()})
+    with pytest.raises(ValueError, match="matrix is not in the algebra"):
+        complete_sl2(rep)
 
 
 def test_orbit_dimensions():
