@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from math import gcd, lcm
 
 from .rings import Ring, ZZ, QQ, canonical, format_rational
 
@@ -815,6 +816,17 @@ def _verify_snf(m: SparseMatrix, res: SNFResult):
         raise AssertionError("left certificate is not invertible")
     if (res.right @ res.right_inv) != SparseMatrix.identity(m.ncols, ZZ):
         raise AssertionError("right certificate is not invertible")
+
+
+def divisor_chain(entries) -> list:
+    """SNF divisors of the square diagonal integer matrix with these entries: the
+    nonzero ones sorted, (d_i, d_j) <- (gcd, lcm) for i < j unless d_i | d_j, then 0s."""
+    d = sorted(abs(x) for x in entries if x)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d + [0] * (len(entries) - len(d))
 
 
 def integer_kernel_basis(m: SparseMatrix):

@@ -30,7 +30,6 @@ from .orbits import (
     nilradical_basis,
     orbit_dim_formula,
     ad_e_block,
-    ad_e_matrix,
     parabolic,
 )
 from .algebra import ClassicalAlgebra, build_algebra
@@ -87,9 +86,8 @@ def verify_restrictedness(mod: ModularAlgebra):
 
 
 def centralizer_dim_mod_p(rep: NilpotentRep, p: int) -> int:
-    m = ad_e_matrix(rep, GF(p))
-    rank, _ = rank_kernel(m)
-    return rep.algebra.dim - rank
+    """dim g^e over F_p: dim g minus the ranks of the blocks of ad e."""
+    return rep.algebra.dim - sum(graded_dims_mod_p(rep, p).values())
 
 
 def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:

@@ -10,7 +10,10 @@ elements are built by ClassicalAlgebra.from_coordinates, one matrix each.
 
 A representative builds its Dynkin grading once and ad e once per ring;
 `ad_e_block` cuts ad e : g(d) -> g(d+2) out of that matrix and is the one
-place that checks that ad e raises the degree by two.
+place that checks that ad e raises the degree by two.  Every SNF, rank and
+solve of ad e runs on these blocks, except WSetup's kernels on the (degree,
+weight) pieces of g: they keep whole columns, since SNF pivots depend on the
+row positions and cut rows would change the W bases.
 """
 
 from __future__ import annotations
@@ -177,7 +180,8 @@ def ad_e_matrix(rep: NilpotentRep, ring=QQ) -> SparseMatrix:
 
 def ad_e_block(rep: NilpotentRep, d: int, ring=QQ) -> SparseMatrix:
     """ad e : g(d) -> g(d+2) over ring, rows and columns in layer order;
-    raises unless ad e maps g(d) into g(d+2)."""
+    raises unless ad e maps g(d) into g(d+2).  The reductions of ad e
+    (saturation SNFs, the sl2 solve, ranks over QQ and mod p) take these."""
     gr = dynkin_grading(rep)
     at = {k: i for i, k in enumerate(gr.layer(d + 2))}
     cols = ad_e_matrix(rep, ring).columns(gr.layer(d))
@@ -231,11 +235,11 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     h = SparseMatrix(alg.N, alg.N, QQ, ent)
     if commutator(h, rep.e) != rep.e.scale(2):
         raise AssertionError("[h, e] != 2e")
-    neg2 = gr.layer(-2)
-    sol = solve(ad_e_matrix(rep).columns(neg2), list(alg.coordinates(h)))
+    # h is diagonal, so its coordinates lie in g(0); [e, f] = h below catches any other h
+    sol = solve(ad_e_block(rep, -2), [c for c, d in zip(alg.coordinates(h), gr.degree) if d == 0])
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
-    at = dict(zip(neg2, sol))
+    at = dict(zip(gr.layer(-2), sol))
     f = alg.from_coordinates([at.get(k, 0) for k in range(alg.dim)])
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")

@@ -16,14 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
-from .linalg import (
-    SparseMatrix,
-    inverse_rows,
-    rank_kernel,
-    smith_normal_form,
-    sparse_vector,
-    VectorSpan,
-)
+from .linalg import (SparseMatrix, VectorSpan, divisor_chain, inverse_rows, rank_kernel, smith_normal_form,
+                     sparse_vector)
 from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, basis_degrees, centralizer_dim_formula, dynkin_grading
 from .centralizer import compute_centralizer
 
@@ -291,30 +285,26 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
 
 
 def integral_saturation(rep: NilpotentRep) -> dict:
-    """SNF-based saturation report for ad e on the Chevalley lattice."""
-    alg = rep.algebra
-    gr = dynkin_grading(rep)
-    snf = smith_normal_form(ad_e_matrix(rep, ZZ))
-    divisors = [d for d in snf.divisors if d != 0]
-    saturated = all(is_signed_two_power(d) for d in divisors)
-
-    graded_ok = True
-    for d in sorted(gr.layers):
-        if d < 0:
-            continue
-        sub = smith_normal_form(ad_e_block(rep, d, ZZ))
-        nz = [x for x in sub.divisors if x != 0]
-        ok = len(nz) == len(gr.layer(d + 2)) and all(is_signed_two_power(x) for x in nz)
-        graded_ok = graded_ok and ok
+    """SNF-based saturation report for ad e on the Chevalley lattice, from one
+    certified SNF per block g(d) -> g(d+2) with a nonzero target: ad e is a
+    permuted direct sum of its blocks, so its divisors are theirs in one chain."""
+    alg, gr = rep.algebra, dynkin_grading(rep)
+    snfs = {d: smith_normal_form(ad_e_block(rep, d, ZZ)) for d in sorted(gr.layers) if gr.layer(d + 2)}
+    nonzero = [x for snf in snfs.values() for x in snf.divisors if x != 0]
+    divisors = divisor_chain(nonzero) + [0] * (alg.dim - len(nonzero))
+    saturated = all(is_signed_two_power(x) for x in nonzero)
+    # ad e is onto g(d+2) from each g(d) with d >= 0, with unit divisors over Z[1/2]
+    graded_ok = all(snf.rank == len(gr.layer(d + 2)) and all(is_signed_two_power(x) for x in snf.divisors if x)
+                    for d, snf in snfs.items() if d >= 0)
 
     # [e, g_R] = (g_R^e)^perp: containment, kappa([e, B_j], z) = 0 for all j,
     # is (ad e)^T G z = 0 with G the Killing Gram; and rank equality
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
-    perp_ok = snf.rank + cb.dim == alg.dim and not any(
+    perp_ok = len(nonzero) + cb.dim == alg.dim and not any(
         any(ad_e_t.apply(alg.kappa_row(z))) for z in cb.vectors)
     return {
-        "divisors": snf.divisors,
+        "divisors": divisors,
         "saturated": saturated,
         "graded_onto": graded_ok,
         "perp_identity": perp_ok,

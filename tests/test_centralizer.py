@@ -305,16 +305,34 @@ def test_ss_sigma_refuses_a_gram_that_is_not_a_signed_permutation(corrupt):
         centralizer.ss_sigma(bad, zs.e)
 
 
-def test_verify_zeta_system_makes_only_the_jordan_type_and_commutator_products(monkeypatch):
+def test_verify_zeta_system_makes_only_the_jordan_type_products(monkeypatch):
+    # [e, zeta] is read by bracket_residues, with no product matrix
     zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
     products = _count_products(monkeypatch)
     jordan_type(zs.e)
     jordan_products = len(products)
     products.clear()
     verify_zeta_system(zs)
-    # two per zeta: commutator(e, zeta) = e zeta - zeta e
     assert jordan_products == 3
-    assert len(products) == jordan_products + 2 * len(zs.zetas)
+    assert len(products) == jordan_products
+
+
+def test_verify_zeta_system_finds_a_zeta_that_does_not_centralise_e():
+    # add to one zeta (and, by relation (i), to its mate) a sigma-fixed
+    # y = x + sigma(x) with [e, y] != 0: only the centraliser check can tell
+    zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
+    n = zs.lam.size
+    ys = (x + centralizer.ss_sigma(zs, x) for x in (SparseMatrix(n, n, ZZ, {(r, c): 1})
+                                                    for r in range(n) for c in range(n)))
+    y = next(y for y in ys if not commutator(zs.e, y).is_zero())
+    key = next(k for k in zs.tuples() if (zs.inv[k[1]], zs.inv[k[0]], k[2]) != k)
+    mate = (zs.inv[key[1]], zs.inv[key[0]], key[2])
+    planted = copy.copy(zs)
+    planted.zetas = dict(zs.zetas)
+    planted.zetas[key] = zs.zetas[key] + y
+    planted.zetas[mate] = planted.zetas[key].scale(zs.sign[mate])
+    with pytest.raises(AssertionError, match="does not centralise e"):
+        verify_zeta_system(planted)
 
 
 def test_verify_zeta_system_checks_the_jordan_type_of_e():

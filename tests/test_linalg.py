@@ -15,6 +15,7 @@ from orbitforge.rings import Ring, ZZ, QQ, GF, format_rational, is_two_power_den
 from orbitforge.linalg import (
     SparseMatrix,
     VectorSpan,
+    divisor_chain,
     inverse_rows,
     rank_kernel,
     solve,
@@ -101,6 +102,14 @@ def test_snf_certificates_recompose(rows):
             assert res.divisors[i + 1] % res.divisors[i] == 0
         else:
             assert res.divisors[i + 1] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 9, 12]), max_size=8))
+def test_divisor_chain_is_the_snf_of_the_diagonal(entries):
+    n = len(entries)
+    diag = SparseMatrix(n, n, ZZ, {(i, i): x for i, x in enumerate(entries) if x})
+    assert divisor_chain(entries) == smith_normal_form(diag).divisors
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,19 +1,22 @@
 """Each representative builds its Dynkin grading once and ad e once per ring;
 orbits.ad_e_block cuts ad e : g(d) -> g(d+2) out of that matrix and is the
 one place that checks that ad e raises the degree by two.  Only orbits
-builds ad e: no other module passes e_coords to ClassicalAlgebra.ad."""
+builds ad e: no other module passes e_coords to ClassicalAlgebra.ad.  The
+SNFs, ranks and solves of ad e run on those blocks, never on the whole
+matrix, which appears here only as the reference they are checked against."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from orbitforge import cli, orbits, slices
+from orbitforge import cli, modular, orbits, slices
 from orbitforge.algebra import ClassicalAlgebra
 from orbitforge.centralizer import compute_centralizer
-from orbitforge.linalg import SparseMatrix, commutator, smith_normal_form
+from orbitforge.linalg import SparseMatrix, commutator, rank_kernel, smith_normal_form, solve
+from orbitforge.modular import centralizer_dim_mod_p
 from orbitforge.orbits import (ad_e_block, ad_e_matrix, build_nilpotent, centralizer_dim_formula,
-                               dynkin_grading)
+                               complete_sl2, dynkin_grading)
 from orbitforge.partitions import Partition, admissible_partitions
 from orbitforge.rings import GF, QQ, ZZ
 
@@ -89,6 +92,53 @@ def test_integer_centralizer_is_the_saturated_lattice(lam, eps):
     assert all(x == 1 for x in snf.divisors)
 
 
+# -- the blocks against the whole matrix ------------------------------------------
+
+
+@pytest.mark.parametrize("lam, eps", _sweep(10), ids=str)
+def test_saturation_divisors_are_the_snf_of_the_whole_ad_e(lam, eps):
+    rep = build_nilpotent(lam, eps)
+    assert slices.integral_saturation(rep)["divisors"] == smith_normal_form(ad_e_matrix(rep, ZZ)).divisors
+
+
+@pytest.mark.parametrize("lam, eps", _sweep(8), ids=str)
+def test_block_ranks_mod_p_are_the_rank_of_the_whole_ad_e(lam, eps):
+    rep = build_nilpotent(lam, eps)
+    for p in (3, 5, 7):
+        assert centralizer_dim_mod_p(rep, p) == rep.algebra.dim - rank_kernel(ad_e_matrix(rep, GF(p)))[0]
+
+
+@pytest.mark.parametrize("lam, eps", _sweep(8), ids=str)
+def test_f_is_the_solve_on_whole_columns(lam, eps):
+    rep = build_nilpotent(lam, eps)
+    alg, gr = rep.algebra, dynkin_grading(rep)
+    triple = complete_sl2(rep)
+    sol = solve(ad_e_matrix(rep).columns(gr.layer(-2)), list(alg.coordinates(triple.h)))
+    at = dict(zip(gr.layer(-2), sol))
+    assert triple.f == alg.from_coordinates([at.get(k, 0) for k in range(alg.dim)])
+
+
+def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):
+    # the shape of every matrix the saturation, stability and representative
+    # checks reduce; at the zero orbit g(0) = g and g(-2) = 0, so the block
+    # complete_sl2 solves on is the empty dim x 0 matrix
+    shapes = {}
+    for module, name in ((slices, "smith_normal_form"), (modular, "rank_kernel"), (orbits, "solve")):
+        def recording(m, *args, _f=getattr(module, name), _name=name):
+            shapes.setdefault(_name, []).append((m.nrows, m.ncols))
+            return _f(m, *args)
+        monkeypatch.setattr(module, name, recording)
+    config = cli.VerifyConfig()
+    for lam, eps in _sweep(8):
+        dim = build_nilpotent(lam, eps).algebra.dim
+        for check in (cli._saturation, cli._stability, cli._representative):
+            for reduced in shapes.values():
+                reduced.clear()
+            check(lam, eps, config)
+            assert all(r < dim or c == 0 for reduced in shapes.values() for r, c in reduced)
+    assert set(shapes) == {"smith_normal_form", "rank_kernel", "solve"}
+
+
 # -- AST guard -------------------------------------------------------------------
 
 
@@ -101,6 +151,29 @@ def _builds_ad_e(tree) -> bool:
                     if (isinstance(sub, ast.Attribute) and sub.attr == "e_coords") or (
                             isinstance(sub, ast.Name) and sub.id == "e_coords"):
                         return True
+    return False
+
+
+REDUCTIONS = {"smith_normal_form", "rank_kernel", "solve", "integer_kernel_basis"}
+
+
+def _callee(node) -> str | None:
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+    return None
+
+
+def _reduces_whole_ad_e(tree) -> bool:
+    """True if a call to one of REDUCTIONS has an argument that calls
+    ad_e_matrix."""
+    for node in ast.walk(tree):
+        if _callee(node) in REDUCTIONS:
+            for arg in node.args + [kw.value for kw in node.keywords]:
+                if any(_callee(sub) == "ad_e_matrix" for sub in ast.walk(arg)):
+                    return True
     return False
 
 
@@ -126,6 +199,11 @@ def test_only_orbits_builds_ad_e(path):
     assert not _names(tree) & RETIRED
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_reduction_takes_the_whole_ad_e(path):
+    assert not _reduces_whole_ad_e(ast.parse(path.read_text()))
+
+
 def test_the_guard_sees_an_ad_e_build():
     assert _builds_ad_e(ast.parse("m = rep.algebra.ad(rep.e_coords, ZZ)"))
     assert _builds_ad_e(ast.parse("m = alg.ad(x=e_coords)"))
@@ -133,3 +211,12 @@ def test_the_guard_sees_an_ad_e_build():
     assert not _builds_ad_e(ast.parse("m = alg.ad(t)\nk = alg.kappa_row(rep.e_coords)"))
     assert _names(ast.parse("from .slices import ad_e_lattice_matrix")) & RETIRED
     assert not hasattr(orbits, "centralizer_kernel") and not hasattr(slices, "ad_e_lattice_matrix")
+
+
+def test_the_guard_sees_a_reduction_of_the_whole_ad_e():
+    assert _reduces_whole_ad_e(ast.parse("snf = smith_normal_form(ad_e_matrix(rep, ZZ))"))
+    assert _reduces_whole_ad_e(ast.parse("x = solve(orbits.ad_e_matrix(rep).columns(neg2), b)"))
+    assert _reduces_whole_ad_e(ast.parse("r = linalg.rank_kernel(m=ad_e_matrix(rep, GF(p)))[0]"))
+    assert _reduces_whole_ad_e(ast.parse("k = integer_kernel_basis(ad_e_matrix(rep, ZZ).columns(ix))"))
+    assert not _reduces_whole_ad_e(ast.parse("snf = smith_normal_form(ad_e_block(rep, d, ZZ))"))
+    assert not _reduces_whole_ad_e(ast.parse("y = ad_e_matrix(rep).transpose().apply(v)"))
