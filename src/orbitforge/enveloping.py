@@ -373,11 +373,11 @@ class WSetup:
         if tinv is None:
             raise AssertionError("basis transition is singular")
         self._set_transition(tinv)
+        vecs = [sparse_vector(v, QQ) for v in self.basis_vectors]
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
-                coords = self.to_w_coords(alg.bracket(self.basis_vectors[a], self.basis_vectors[b]))
-                entry = {k: c for k, c in enumerate(coords) if c != 0}
+                entry = self._w_coords(alg.sparse_bracket(vecs[a], vecs[b]))
                 if entry:
                     bracket[(a, b)] = entry
         self.U = UAlgebra(self.dim, bracket, self.m_start, self.chi)
@@ -392,29 +392,25 @@ class WSetup:
             for j in range(len(tinv))
         ]
 
-    def to_w_coords(self, chev_coords):
-        return self._w_coords({j: c for j, c in enumerate(chev_coords) if c != 0})
-
-    def _w_coords(self, xs: dict):
+    def _w_coords(self, xs: dict) -> dict:
+        """{i: c}, the nonzero coordinates on the PBW letters of the element
+        of g with Chevalley coordinates {index: scalar} xs, keys ascending."""
         den, terms = _scaled(xs)
-        acc = [0] * len(self._tinv_cols)
+        acc = {}
         for j, n in terms:
             for i, t in self._tinv_cols[j]:
-                acc[i] += t * n
+                acc[i] = acc.get(i, 0) + t * n
         den *= self._tinv_den
-        return tuple(QQ.div(a, den) for a in acc)
+        return {i: QQ.div(acc[i], den) for i in sorted(acc) if acc[i]}
 
     # -- elements -----------------------------------------------------------
 
     def gen(self, k: int) -> dict:
         return {(k,): 1}
 
-    def embed_coords(self, w_coords) -> dict:
-        return {(k,): QQ.coerce(c) for k, c in enumerate(w_coords) if c != 0}
-
     def embed(self, xs: dict) -> dict:
         """The element of g with Chevalley coordinates {index: scalar} xs, in U(g)."""
-        return self.embed_coords(self._w_coords(xs))
+        return {(k,): c for k, c in self._w_coords(xs).items()}
 
     def kazhdan_degree(self, qnf: dict) -> int:
         if not qnf:
@@ -812,7 +808,7 @@ def casimir(setup: WSetup) -> CasimirElement:
 
     q_image = setup.U.q_mul(C, _ONE)
     # shape: 2 e + sum y_i z_i + C' with C' in U(g(0)) and y_i in g(1)
-    rest = elem_add(q_image, setup.embed_coords(setup.to_w_coords(setup.rep.e_coords)), -2)
+    rest = elem_add(q_image, setup.embed(sparse_vector(setup.rep.e_coords, QQ)), -2)
     mixed = []
     zero_part = []
     ok = True

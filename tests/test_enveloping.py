@@ -183,6 +183,14 @@ def _dense_w_coords(tinv, v):
     return tuple(sum((r * x for r, x in zip(row, v)), Fraction(0)) for row in tinv)
 
 
+def _assert_is_the_dense_reference(got: dict, want: tuple):
+    # the sparse coordinates, keys ascending with no zero value, read key by
+    # key (a missing key as 0) against the dense reference
+    assert list(got) == sorted(got) and set(got) <= set(range(len(want)))
+    assert all(c != 0 and _is_canonical(c) for c in got.values())
+    assert tuple(got.get(i, 0) for i in range(len(want))) == want
+
+
 ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
 
 
@@ -193,9 +201,7 @@ def test_to_w_coords_matches_the_dense_inverse(name, data):
     setup = _setup(name)
     tinv = inverse_rows([list(row) for row in zip(*setup.basis_vectors)])
     v = data.draw(st.lists(ENTRY, min_size=setup.dim, max_size=setup.dim))
-    got = setup.to_w_coords(v)
-    assert got == _dense_w_coords(tinv, v)
-    assert all(_is_canonical(c) for c in got)
+    _assert_is_the_dense_reference(setup._w_coords(sparse_vector(v, QQ)), _dense_w_coords(tinv, v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,9 +213,7 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
     setup = WSetup.__new__(WSetup)
     setup._set_transition(tinv)
     assert setup._tinv_den == 15
-    got = setup.to_w_coords(v)
-    assert got == _dense_w_coords(tinv, v)
-    assert all(_is_canonical(c) for c in got)
+    _assert_is_the_dense_reference(setup._w_coords(sparse_vector(v, QQ)), _dense_w_coords(tinv, v))
 
 
 # -- the matrix path, kept as the reference ---------------------------------------
@@ -220,7 +224,7 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
 
 
 def _embed_matrix(setup, m) -> dict:
-    return setup.embed_coords(setup.to_w_coords(setup.alg.coordinates(m)))
+    return setup.embed(sparse_vector(setup.alg.coordinates(m), QQ))
 
 
 def _matrix_theta_zero(setup, x) -> dict:
@@ -397,7 +401,7 @@ def test_q_project_m_generator(sp4):
 
 
 def test_q_project_e_is_a_centralizer_monomial(sp4):
-    q = _to_q(sp4, sp4.embed_coords(sp4.to_w_coords(sp4.rep.e_coords)))
+    q = _to_q(sp4, sp4.embed(sparse_vector(sp4.rep.e_coords, QQ)))
     assert all(len(w) == 1 and w[0] < sp4.r for w in q)
 
 
@@ -637,7 +641,7 @@ def test_casimir_sp4_so5():
         e_word = sp_e_word = None
         rest = elem_add(
             cas.q_image,
-            setup.embed_coords(setup.to_w_coords(setup.rep.e_coords)),
+            setup.embed(sparse_vector(setup.rep.e_coords, QQ)),
             Fraction(-2),
         )
         for word in rest:
