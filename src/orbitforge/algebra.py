@@ -6,10 +6,11 @@ for N odd, carrying the bilinear form with (v_i, v_{-j}) = delta_{ij},
 fixed space of sigma(X) = -J^{-1} X^T J for the Gram J of that form; the
 form and sigma are not built here, and the tests check the basis against
 them.  Basis matrices are indexed by the signed index set; positions map to
-matrix coordinates through ``pos``.  One reader,
-_read_coords, takes Chevalley coordinates off the identifying positions and
-the Cartan diagonal over any ring; coordinates certifies them by
-reconstruction, and the structure table certifies each bracket it stores.
+matrix coordinates through ``pos``, and ``_root_at`` names the root vector
+at each matrix position.  One reader, _read_coords, takes Chevalley
+coordinates off the identifying positions and the Cartan diagonal over any
+ring; coordinates certifies them by reconstruction, and the structure table
+certifies each bracket it stores.
 """
 
 from __future__ import annotations
@@ -185,23 +186,20 @@ class ClassicalAlgebra:
     # -- coordinates -----------------------------------------------------------
 
     def _build_coordinate_map(self):
-        # one matrix position per root vector where no other basis element
-        # is supported; Cartan coordinates come from the diagonal
-        taken = {}
-        for k, m in enumerate(self.basis):
-            if self.labels[k][0] != "e":
-                continue
-            for (r, c), v in m.items():
-                if r != c:
-                    taken.setdefault((r, c), []).append((k, v))
+        """_root_at: matrix position -> index of the one root vector with an
+        entry there, keyed by the basis entries' own position tuples; raises
+        if two root vectors share a position.  Cartan comes off the diagonal."""
+        self._root_at = {}
         self._lead = {}  # identifying position -> (root vector index, its entry there)
         for k, m in enumerate(self.basis):
             if self.labels[k][0] != "e":
                 continue
-            found = [(rc, v) for rc, v in m.items() if len(taken[rc]) == 1]
-            if not found:
-                raise AssertionError("no identifying position for a root vector")
-            self._lead[found[0][0]] = (k, int(found[0][1]))
+            for rc in m.entries:
+                if rc in self._root_at:
+                    raise AssertionError(f"two root vectors share the matrix position {rc}")
+                self._root_at[rc] = k
+            rc, v = next(iter(m.entries.items()))
+            self._lead[rc] = (k, int(v))
         # Cartan: express diag coefficients (on h_i = e_ii - e_{-i,-i}) in the
         # chosen Cartan basis
         hmat = []

@@ -49,22 +49,6 @@ class NilpotentRep:
     _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@lru_cache(maxsize=None)
-def _sigma_table(alg: ClassicalAlgebra):
-    """Position (a, b) -> coefficient of e_{a,b} in the Chevalley basis;
-    built once per algebra and shared, so callers only read it."""
-    table = {}
-    for k, m in enumerate(alg.basis):
-        if alg.labels[k][0] != "e":
-            continue
-        for (r, c), v in m.items():
-            pos = (alg.indices[r], alg.indices[c])
-            if pos in table:
-                raise AssertionError("ambiguous Chevalley coefficient table")
-            table[pos] = v
-    return table
-
-
 def nilpotent_positions(pyr: DynkinPyramid, eps: int):
     """Index pairs (i, j) entering e = sum sigma_{i,j} e_{i,j}."""
     boxes = pyr.boxes()
@@ -86,14 +70,16 @@ def nilpotent_positions(pyr: DynkinPyramid, eps: int):
 
 
 def build_nilpotent(lam: Partition, eps: int) -> NilpotentRep:
+    """The pyramid representative e = sum sigma_{i,j} e_{i,j}: sigma_{i,j} is
+    the entry at (i, j) of the root vector the algebra holds there."""
     if not validate_partition(lam, eps):
         raise ValueError(f"{lam} is not admissible for eps={eps}")
     alg = build_algebra(lam.size, eps)
     pyr = build_pyramid(lam, eps)
-    table = _sigma_table(alg)
     ent = {}
     for i, j in nilpotent_positions(pyr, eps):
-        ent[(alg.pos[i], alg.pos[j])] = table[(i, j)]
+        rc = (alg.pos[i], alg.pos[j])
+        ent[rc] = alg.basis[alg._root_at[rc]].entries[rc]
     e = SparseMatrix(lam.size, lam.size, QQ, ent)
     # coordinates raises for a matrix outside the algebra
     coords = alg.coordinates(e)
@@ -310,19 +296,18 @@ def nilradical_basis(alg: ClassicalAlgebra, gl_sizes):
     return parabolic(alg, tuple(gl_sizes))[2]
 
 
-def _embed_gl_jordan(alg: ClassicalAlgebra, block, mu: Partition) -> SparseMatrix:
-    """Jordan matrix of type mu on a gl block, embedded in g: for each
-    consecutive pair (a, b) of a Jordan block, the root vector
-    e_{a,b} - e_{-b,-a} of eps_a - eps_b."""
+def _embed_gl_jordan(alg: ClassicalAlgebra, block, mu: Partition) -> dict:
+    """Entries of the Jordan matrix of type mu on a gl block, embedded in g:
+    for each consecutive pair (a, b) of a Jordan block, the entries of the
+    algebra's root vector at (a, b), e_{a,b} - e_{-b,-a}."""
     ent = {}
     pos = 0
     for part in mu.parts:
         for s in range(part - 1):
             a, b = block[pos + s], block[pos + s + 1]
-            ent[(alg.pos[a], alg.pos[b])] = 1
-            ent[(alg.pos[-b], alg.pos[-a])] = -1
+            ent.update(alg.basis[alg._root_at[(alg.pos[a], alg.pos[b])]].entries)
         pos += part
-    return SparseMatrix(alg.N, alg.N, QQ, ent)
+    return ent
 
 
 def embed_datum(datum: InductionDatum):
@@ -331,7 +316,7 @@ def embed_datum(datum: InductionDatum):
     # the gl blocks and the residual sit on disjoint matrix positions
     ent = {}
     for (a, mu), blk in zip(datum.gl_blocks, _block_indices(datum.N, datum.gl_sizes)):
-        ent.update(_embed_gl_jordan(alg, blk, mu).entries)
+        ent.update(_embed_gl_jordan(alg, blk, mu))
     if datum.residual.parts and datum.residual.size >= 2:
         sub = build_nilpotent(datum.residual, datum.eps)
         for (r, c), v in sub.e.items():

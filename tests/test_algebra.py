@@ -283,6 +283,29 @@ def test_structure_certification_rejects_a_corrupted_entry(monkeypatch):
         g.structure
 
 
+@pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
+def test_root_at_names_the_root_vector_at_each_position(n, eps):
+    # keyed by the basis entries' own position tuples: no key is a copy
+    g = build_algebra(n, eps)
+    keys = {id(rc) for rc in g._root_at}
+    roots = [k for k, label in enumerate(g.labels) if label[0] == "e"]
+    assert len(g._root_at) == sum(len(g.basis[k].entries) for k in roots)
+    for k in roots:
+        for rc in g.basis[k].entries:
+            assert g._root_at[rc] == k and id(rc) in keys
+
+
+def test_two_root_vectors_on_one_position_are_refused():
+    # the first root vector also takes the last position of the second; each
+    # still has a position of its own, yet the table refuses the basis
+    g = ClassicalAlgebra(5, 1)  # fresh: the planted basis stays here
+    first, second = [k for k, label in enumerate(g.labels) if label[0] == "e"][:2]
+    shared = list(g.basis[second].entries)[-1]
+    g.basis[first] = SparseMatrix(g.N, g.N, QQ, {**g.basis[first].entries, shared: 1})
+    with pytest.raises(AssertionError, match="share the matrix position"):
+        g._build_coordinate_map()
+
+
 @pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS + [(16, -1)])
 def test_equal_structure_expansions_are_one_object(n, eps):
     # the table holds each distinct expansion once: equal term tuples are

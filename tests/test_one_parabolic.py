@@ -106,11 +106,12 @@ def test_no_signed_index_reads(module):
     assert not any(isinstance(n, ast.Attribute) and n.attr == "indices" for n in ast.walk(tree))
 
 
-def test_orbits_reads_signed_indices_in_three_places():
-    # degrees in basis_degrees; the sigma table and the residual embedding
-    # map matrix positions back to signed indices and derive no degree
+def test_orbits_reads_signed_indices_in_two_places():
+    # degrees in basis_degrees; the residual embedding maps matrix positions
+    # back to signed indices and derives no degree, and the signs sigma_{i,j}
+    # come off the algebra's root vectors by matrix position
     assert _index_readers(ast.parse((SRC / "orbits.py").read_text())) == {
-        "basis_degrees", "_sigma_table", "embed_datum"}
+        "basis_degrees", "embed_datum"}
 
 
 def test_the_guard_sees_an_index_read():

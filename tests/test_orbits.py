@@ -8,7 +8,7 @@ import pytest
 from orbitforge import orbits
 from orbitforge.algebra import build_algebra
 from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
-from orbitforge.partitions import Partition, admissible_partitions, is_rigid
+from orbitforge.partitions import Partition, admissible_partitions, all_partitions, is_rigid
 from orbitforge.rings import QQ
 from orbitforge.orbits import (
     InductionDatum,
@@ -28,7 +28,7 @@ from orbitforge.orbits import (
     ad_e_matrix,
     embed_datum,
     datum_levi_orbit_dim,
-    _sigma_table,
+    _embed_gl_jordan,
 )
 
 
@@ -41,10 +41,14 @@ def test_reference_representative_5221():
 
 
 def test_representatives_share_one_sigma_table_per_algebra():
+    # the signs sigma_{i,j} are read off the algebra's one position table;
+    # orbits keeps no copy of its own
+    assert not hasattr(orbits, "_sigma_table")
     a = build_nilpotent(Partition((5, 2, 2, 1)), 1)
+    table = a.algebra._root_at
     b = build_nilpotent(Partition((3, 3, 2, 2)), 1)
     assert a.algebra is b.algebra
-    assert _sigma_table(a.algebra) is _sigma_table(b.algebra)
+    assert b.algebra._root_at is table
 
 
 def test_zero_orbit_representative():
@@ -118,13 +122,55 @@ def test_sl2_h_is_cocharacter_differential():
 
 
 def test_coordinates_refuse_a_representative_off_a_corrupted_sigma_table(monkeypatch):
-    # doubling e_{a,b} for a + b > 0 but not its partner e_{-b,-a} takes e out
-    # of g; no membership check but the reconstruction in coordinates sees it
-    alg = build_algebra(8, 1)
-    corrupted = {(a, b): v * 2 if a + b > 0 else v for (a, b), v in _sigma_table(alg).items()}
-    monkeypatch.setattr(orbits, "_sigma_table", lambda alg: corrupted)
+    # dropping the partner e_{-b,-a} of one pair (a, b) leaves half a root
+    # vector in e, which takes e out of g; no membership check but the
+    # reconstruction in coordinates sees it
+    honest = orbits.nilpotent_positions
+    dropped = []
+
+    def corrupted(pyr, eps):
+        pairs = honest(pyr, eps)
+        a, b = next((a, b) for a, b in pairs if (-b, -a) in pairs and (-b, -a) != (a, b))
+        dropped.append((-b, -a))
+        return [ab for ab in pairs if ab != (-b, -a)]
+
+    monkeypatch.setattr(orbits, "nilpotent_positions", corrupted)
     with pytest.raises(ValueError, match="matrix is not in the algebra"):
         build_nilpotent(Partition((3, 2, 2, 1)), 1)
+    assert len(dropped) == 1
+
+
+def _gl_jordan_reference(alg, block, mu) -> dict:
+    """e_{a,b} - e_{-b,-a} for each consecutive pair (a, b) of a Jordan
+    block, with the signs written by hand."""
+    ent = {}
+    pos = 0
+    for part in mu.parts:
+        for s in range(part - 1):
+            a, b = block[pos + s], block[pos + s + 1]
+            ent[(alg.pos[a], alg.pos[b])] = 1
+            ent[(alg.pos[-b], alg.pos[-a])] = -1
+        pos += part
+    return ent
+
+
+def test_gl_jordan_blocks_read_the_algebras_root_vectors():
+    # every gl block size, place and Jordan type with N <= 10; a block
+    # holds consecutive positive indices, outermost first, as _block_indices
+    # lays them out
+    count = 0
+    for eps in (1, -1):
+        for n in range(2, 11):
+            if eps == -1 and n % 2:
+                continue
+            alg = build_algebra(n, eps)
+            for size in range(1, n // 2 + 1):
+                for top in range(size, n // 2 + 1):
+                    block = tuple(range(top, top - size, -1))
+                    for mu in all_partitions(size):
+                        assert _embed_gl_jordan(alg, block, mu) == _gl_jordan_reference(alg, block, mu)
+                        count += 1
+    assert count == 186
 
 
 def test_coordinates_refuse_an_h_off_a_corrupted_grading_weight():
