@@ -20,7 +20,7 @@ from itertools import combinations
 from math import lcm
 
 from .rings import Ring, ZZ, QQ
-from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows, sparse_vector
+from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows
 
 
 def _integer_rows(rows) -> tuple:
@@ -28,6 +28,14 @@ def _integer_rows(rows) -> tuple:
     denominator, rows = int_rows / den."""
     den = lcm(*(c.denominator for row in rows for c in row))
     return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+
+
+def _dense(coords):
+    """coords, refused if it is an {index: scalar} map: the dense readers
+    enumerate their argument, and would read a map's keys as its values."""
+    if isinstance(coords, dict):
+        raise TypeError("expected dense Chevalley coordinates, not an {index: scalar} map")
+    return coords
 
 
 def _trace_of_product(x: dict, y: dict):
@@ -248,7 +256,7 @@ class ClassicalAlgebra:
         """sum_k c_k B_k over ring, summed as one entry dict; each c_k is
         coerced into ring first, so a scalar the ring cannot hold raises."""
         ent = {}
-        for k, c in enumerate(coords):
+        for k, c in enumerate(_dense(coords)):
             if c != 0:
                 c = ring.coerce(c)
                 for rc, v in self.basis[k].entries.items():
@@ -309,22 +317,14 @@ class ClassicalAlgebra:
 
     def sparse_bracket(self, xs: dict, ys: dict, ring: Ring = QQ) -> dict:
         """{k: c}, the nonzero Chevalley coordinates of [x, y] over ring, for
-        x and y given as {index: scalar} maps of their nonzero coordinates
-        (linalg.sparse_vector), the scalars already in ring."""
+        x and y given as {index: scalar} maps of their nonzero coordinates,
+        keys ascending and the scalars already in ring."""
         out = {}
         for k, v in self._bracket_terms(xs, ys).items():
             v = ring.coerce(v)
             if v != 0:
                 out[k] = v
         return out
-
-    def bracket(self, x, y) -> tuple:
-        """Chevalley coordinates of [x, y] over QQ, for x and y given by
-        their Chevalley coordinates."""
-        out = [QQ.zero()] * self.dim
-        for k, v in self.sparse_bracket(sparse_vector(x, QQ), sparse_vector(y, QQ)).items():
-            out[k] = v
-        return tuple(out)
 
     def ad(self, x, ring: Ring = QQ) -> SparseMatrix:
         """Matrix of ad(x) on the Chevalley basis over ring, for x given by
@@ -334,7 +334,7 @@ class ClassicalAlgebra:
         raises); the entries are coerced once, as the matrix is built."""
         table = self.structure
         acc = {}
-        for i, a in enumerate(x):
+        for i, a in enumerate(_dense(x)):
             if type(a) is not int:
                 a = ring.coerce(a)
             if a:

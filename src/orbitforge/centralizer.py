@@ -15,8 +15,7 @@ from functools import partial
 from itertools import product
 
 from .rings import QQ, ZZ
-from .linalg import (SparseMatrix, VectorSpan, bracket_residues, integer_kernel_basis,
-                     rank_kernel, sparse_vector)
+from .linalg import SparseMatrix, VectorSpan, bracket_residues, integer_kernel_basis, rank_kernel
 from .partitions import Partition, pairing_involution, check_involution
 from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_formula, jordan_type
 
@@ -27,7 +26,7 @@ from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_fo
 @dataclass
 class CentralizerBasis:
     rep: NilpotentRep
-    vectors: list    # coordinate tuples over the Chevalley basis
+    vectors: list    # {index: scalar} maps of the nonzero Chevalley coordinates
     degrees: list    # Dynkin degree of each vector
 
     @property
@@ -48,7 +47,6 @@ def compute_centralizer(rep: NilpotentRep, ring=QQ) -> CentralizerBasis:
     """A graded basis of g^e; over ZZ, a basis of the lattice g^e ∩ g_Z, the
     saturated kernel of ad e on the Chevalley lattice."""
     gr = dynkin_grading(rep)
-    alg = rep.algebra
     vectors = []
     degrees = []
     # kernel degree by degree keeps the basis graded
@@ -57,10 +55,7 @@ def compute_centralizer(rep: NilpotentRep, ring=QQ) -> CentralizerBasis:
         block = ad_e_block(rep, d, ring)
         ker = integer_kernel_basis(block) if ring.kind == "ZZ" else rank_kernel(block)[1]
         for kv in ker:
-            full = [ring.zero()] * alg.dim
-            for jj, k in enumerate(idxs):
-                full[k] = kv[jj]
-            vectors.append(tuple(full))
+            vectors.append({k: x for k, x in zip(idxs, kv) if x})
             degrees.append(d)
     cb = CentralizerBasis(rep, vectors, degrees)
     if cb.dim != centralizer_dim_formula(rep.lam, rep.eps):
@@ -292,8 +287,7 @@ class GradedSubspace:
 def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:
     """Span of all brackets of centraliser basis pairs, with its codimension
     and a graded complement description; certifies [g^e, g^e] <= g^e."""
-    alg = cb.rep.algebra
-    vecs = [sparse_vector(v, QQ) for v in cb.vectors]
+    alg, vecs = cb.rep.algebra, cb.vectors
     span = VectorSpan(QQ)
     grew = []   # (bracket, degree) for each bracket that enlarged the span
     for a in range(cb.dim):
@@ -343,7 +337,7 @@ def check_generation(cb: CentralizerBasis):
     g^e(1) generate; returns (generated, per-degree witness dict)."""
     alg = cb.rep.algebra
     degrees = sorted(set(cb.degrees))
-    layer = {d: [sparse_vector(v, QQ) for v in cb.layer(d)] for d in degrees}
+    layer = {d: cb.layer(d) for d in degrees}
     witness = {}
     generated = True
     for r in degrees:

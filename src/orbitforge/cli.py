@@ -19,7 +19,7 @@ from functools import partial
 
 from . import __version__
 from .rings import GF, PRIME_BOUND, QQ, ZZ, format_rational, is_odd_prime
-from .linalg import VectorSpan, sparse_vector
+from .linalg import VectorSpan
 from .partitions import (
     Partition,
     admissible_partitions,
@@ -550,7 +550,7 @@ def _perfect(rep, primes):
     alg = rep.algebra
     basis = compute_centralizer(rep, ZZ)
     in_zero = [d == 0 for d in basis.degrees]
-    vecs = [sparse_vector(v, ZZ) for v in basis.vectors]
+    vecs = basis.vectors
     spans = [(ring, VectorSpan(ring), VectorSpan(ring)) for ring in [QQ] + [GF(p) for p in primes]]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):

@@ -29,11 +29,13 @@ memo sets the W layer's peak memory: one dict per letter, each value a
 flat tuple of words and int coefficients, and each word one interned
 tuple.
 
-Scalars are QQ values in the canonical form of rings.  Each value is
-computed once: theta_zero and theta_one are memoised per coordinate
-vector, generators are kept in WSetup.thetas and theta monomials in a
-cache.  These dicts are shared by every caller, and no caller mutates
-them.
+Scalars are QQ values in the canonical form of rings.  An element of g,
+a PBW basis vector among them, is the {index: scalar} map of its nonzero
+Chevalley coordinates, keys ascending, as the slices and centralizer
+modules hand them over.  Each value is computed once: theta_zero and
+theta_one are memoised per map, on its sorted items, generators are kept
+in WSetup.thetas and theta monomials in a cache.  These dicts are shared
+by every caller, and no caller mutates them.
 """
 
 from __future__ import annotations
@@ -291,17 +293,18 @@ class ThetaGenerator:
 
 
 def _per_vector(method):
-    """Memoise a WSetup method of a coordinate vector x on tuple(x): a list
-    and a tuple of equal scalars share one entry, whether an integral value
-    comes as an int or as a Fraction.
+    """Memoise a WSetup method of an element of g, given as its {index:
+    scalar} map xs, on the sorted items of xs: maps with the same items in
+    any key order share one entry, whether an integral value comes as an
+    int or as a Fraction.
     Every caller gets the stored dict itself and must not mutate it."""
     @wraps(method)
-    def memoised(self, x):
+    def memoised(self, xs):
         memo = self._vector_memo.setdefault(method.__name__, {})
-        key = tuple(x)
+        key = tuple(sorted(xs.items()))
         out = memo.get(key)
         if out is None:
-            out = memo[key] = method(self, x)
+            out = memo[key] = method(self, xs)
         return out
     return memoised
 
@@ -309,7 +312,7 @@ def _per_vector(method):
 class WSetup:
     """All data needed to compute in Q and U(g, e) for one representative.
 
-    theta_zero and theta_one are memoised per coordinate vector, and
+    theta_zero and theta_one are memoised per {index: scalar} map, and
     build_theta keeps each generator in thetas: these dicts are shared by
     every caller, and no caller mutates them."""
 
@@ -342,11 +345,7 @@ class WSetup:
             idxs = blocks[key]
             kern = integer_kernel_basis(ad_e.columns(idxs))
             for part, vecs in ((x_part, kern), (comp_part, complete_saturated_basis(kern, len(idxs)))):
-                for v in vecs:
-                    vec = [0] * alg.dim
-                    for jj, k in enumerate(idxs):
-                        vec[k] = v[jj]
-                    part.append((tuple(vec), key[0]))
+                part.extend(({k: x for k, x in zip(idxs, v) if x}, key[0]) for v in vecs)
         self.r = len(x_part)
         self.x_vectors = [v for v, _ in x_part + comp_part]
         self.x_degrees = [d for _, d in x_part + comp_part]
@@ -355,7 +354,6 @@ class WSetup:
         self.z_vectors = list(self.pair.z_plus)
         self.s = len(self.z_vectors)
         self.m_vectors = list(self.msub.basis)
-        self._z_minus = [sparse_vector(v, QQ) for v in self.pair.z_minus]
 
         self.basis_vectors = self.x_vectors + self.z_vectors + self.m_vectors
         self.dim = len(self.basis_vectors)
@@ -364,16 +362,16 @@ class WSetup:
         self.z_start = self.m_count
         self.m_start = self.m_count + self.s
         self.kaz = [d + 2 for d in self.x_degrees] + [1] * self.s + [0] * len(self.m_vectors)
-        self.chi = [chi_of(self.psi.chi, sparse_vector(v, QQ)) for v in self.basis_vectors]
+        self.chi = [chi_of(self.psi.chi, v) for v in self.basis_vectors]
 
     def _build_structure(self):
         alg = self.alg
         # transition: columns are the new basis in Chevalley coordinates
-        tinv = inverse_rows([list(row) for row in zip(*self.basis_vectors)])
+        vecs = self.basis_vectors
+        tinv = inverse_rows([[v.get(i, 0) for v in vecs] for i in range(self.dim)])
         if tinv is None:
             raise AssertionError("basis transition is singular")
         self._set_transition(tinv)
-        vecs = [sparse_vector(v, QQ) for v in self.basis_vectors]
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
@@ -422,11 +420,10 @@ class WSetup:
 
     # -- theta generators ------------------------------------------------------
 
-    def _head(self, x, scale):
+    def _head(self, xs: dict, scale):
         """(x + scale sum_i [x, z'_i] z_i in Q, the brackets [x, z'_i]),
-        for x given by its Chevalley coordinates."""
-        xs = sparse_vector(x, QQ)
-        brs = [self.alg.sparse_bracket(xs, zp) for zp in self._z_minus]
+        for x given by its Chevalley coordinates {index: scalar} xs."""
+        brs = [self.alg.sparse_bracket(xs, zp) for zp in self.pair.z_minus]
         t = self.U.q_mul(self.embed(xs), _ONE)
         for i, br in enumerate(brs):
             if br:
@@ -434,20 +431,21 @@ class WSetup:
         return t, brs
 
     @_per_vector
-    def theta_zero(self, x) -> dict:
+    def theta_zero(self, xs: dict) -> dict:
         """Degree-0 generator x + (1/2) sum_i [x, z'_i] z_i, for x given by
-        its Chevalley coordinates.
+        its Chevalley coordinates {index: scalar} xs.
 
         The closed formula circulates in both duality orientations
         (Psi(z, z') = delta versus our Psi(z', z) = delta) and with the
         z-letter on either side; the sign is forced by ad-m-invariance and
         the letter placement by the commutator law on degree zero, both of
         which are verified downstream."""
-        return self._head(x, QQ.div(1, 2))[0]
+        return self._head(xs, QQ.div(1, 2))[0]
 
     @_per_vector
-    def theta_one(self, x) -> dict:
-        """Degree-1 generator: the cubic part plus the unique linear-in-z tail
+    def theta_one(self, xs: dict) -> dict:
+        """Degree-1 generator, for x given by its Chevalley coordinates
+        {index: scalar} xs: the cubic part plus the unique linear-in-z tail
         making it ad-m-invariant.
 
         The commutator ad z'_l adds exactly the constant Psi(z'_l, z_i) per
@@ -457,11 +455,11 @@ class WSetup:
         tests/test_enveloping.py records the mismatch) and the invariance
         requirement arbitrates.  Above the tail it is
         x + sum [x, z'_i] z_i + (1/3) sum [[x, z'_i], z'_j] z_j z_i."""
-        t, brs = self._head(x, 1)
+        t, brs = self._head(xs, 1)
         for i, bri in enumerate(brs):
             if not bri:
                 continue
-            for j, zp in enumerate(self._z_minus):
+            for j, zp in enumerate(self.pair.z_minus):
                 brij = self.alg.sparse_bracket(bri, zp)
                 if brij:
                     zz = self.U.q_mul(self.gen(self.z_start + j), self.gen(self.z_start + i))
@@ -489,7 +487,8 @@ class WSetup:
 
     def centralizer_matrix(self, k: int) -> SparseMatrix:
         """The matrix of basis vector k of the x-part."""
-        return self.alg.from_coordinates(self.basis_vectors[k])
+        xs = self.basis_vectors[k]
+        return self.alg.from_coordinates([xs.get(i, 0) for i in range(self.dim)])
 
     def build_theta(self, k: int) -> ThetaGenerator:
         if k in self.thetas:
@@ -667,12 +666,12 @@ class WSetup:
 
 def jems_commutator_check(setup: WSetup, u_mat, v_mat, v_degree: int) -> bool:
     """[Theta(u), Theta(v)] = Theta([u, v]) for u in g^e(0), v in g^e(0) or (1),
-    given as matrices."""
-    u, v = setup.alg.coordinates(u_mat), setup.alg.coordinates(v_mat)
+    given as matrices, each read once into its Chevalley coordinate map."""
+    u, v = (sparse_vector(setup.alg.coordinates(m), QQ) for m in (u_mat, v_mat))
     tu = setup.theta_zero(u)
     tv = setup.theta_zero(v) if v_degree == 0 else setup.theta_one(v)
     lhs = setup.U.q_comm(tu, tv)
-    br = setup.alg.bracket(u, v)
+    br = setup.alg.sparse_bracket(u, v)
     rhs = setup.theta_zero(br) if v_degree == 0 else setup.theta_one(br)
     return lhs == rhs
 

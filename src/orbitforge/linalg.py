@@ -90,6 +90,7 @@ class SparseMatrix:
             isinstance(other, SparseMatrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
+            and self.ring == other.ring
             and self.entries == other.entries
         )
 

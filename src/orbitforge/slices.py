@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
-from .linalg import (SparseMatrix, VectorSpan, divisor_chain, inverse_rows, rank_kernel, smith_normal_form,
-                     sparse_vector)
+from .linalg import (SparseMatrix, VectorSpan, _row_span, divisor_chain, inverse_rows, rank_kernel,
+                     smith_normal_form)
 from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, basis_degrees, centralizer_dim_formula, dynkin_grading
 from .centralizer import compute_centralizer
 
@@ -137,20 +137,15 @@ def is_signed_two_power(x) -> bool:
 class LagrangianPair:
     rep: NilpotentRep
     psi: SkewForm
-    z_minus: list   # coordinate vectors of z'_1..z'_s (after normalisation)
-    z_plus: list    # coordinate vectors of z_1..z_s (Chevalley vectors)
+    z_minus: list   # {index: scalar} maps of z'_1..z'_s (after normalisation)
+    z_plus: list    # {index: scalar} maps of z_1..z_s (Chevalley vectors)
 
 
 def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> LagrangianPair:
-    alg = rep.algebra
     if psi is None:
         psi = build_psi(rep)
     s = len(psi.minus_idx)
-    z_plus = []
-    for k in psi.plus_idx:
-        vec = [0] * alg.dim
-        vec[k] = 1
-        z_plus.append(tuple(vec))
+    z_plus = [{k: 1} for k in psi.plus_idx]
     if s == 0:
         return LagrangianPair(rep, psi, [], [])
     # M lies in GL_s(Z[1/2]): it is invertible, and M and M^{-1} both have
@@ -159,23 +154,16 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
     minv = inverse_rows(m_rows)
     if minv is None or not all(is_two_power_denominator(c) for row in m_rows + minv for c in row):
         raise AssertionError("M is not invertible over Z[1/2]")
-    z_minus = []
-    for i in range(s):
-        vec = [0] * alg.dim
-        for j in range(s):
-            vec[psi.minus_idx[j]] += minv[i][j]
-        z_minus.append(tuple(vec))
+    z_minus = [{k: c for k, c in zip(psi.minus_idx, row) if c} for row in minv]
     pair = LagrangianPair(rep, psi, z_minus, z_plus)
     verify_duality(pair)
     return pair
 
 
 def verify_duality(pair: LagrangianPair):
-    alg, chi = pair.rep.algebra, pair.psi.chi
-    minus = [sparse_vector(v, QQ) for v in pair.z_minus]
-    plus = [sparse_vector(v, QQ) for v in pair.z_plus]
+    alg, chi, minus = pair.rep.algebra, pair.psi.chi, pair.z_minus
     for i, xm in enumerate(minus):
-        for j, xp in enumerate(plus):
+        for j, xp in enumerate(pair.z_plus):
             val = chi_of(chi, alg.sparse_bracket(xm, xp))
             if val != (1 if i == j else 0):
                 raise AssertionError(f"Psi(z'_{i}, z_{j}) = {val} != delta")
@@ -191,7 +179,7 @@ def verify_duality(pair: LagrangianPair):
 @dataclass
 class MSubalgebra:
     rep: NilpotentRep
-    basis: list        # coordinate vectors
+    basis: list        # {index: scalar} maps of the basis vectors
     chi: list          # chi value per basis vector
     degrees: list
 
@@ -208,24 +196,21 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
     for d in sorted(gr.layers):
         if d <= -2:
             for k in gr.layers[d]:
-                vec = [0] * alg.dim
-                vec[k] = 1
-                basis.append(tuple(vec))
+                basis.append({k: 1})
                 degrees.append(d)
-    sparse = [sparse_vector(v, QQ) for v in basis]
     chi = []
-    for v, d in zip(sparse, degrees):
+    for v, d in zip(basis, degrees):
         val = chi_of(pair.psi.chi, v)
         if d != -2 and val != 0:
             raise AssertionError("chi is supported outside degree -2")
         chi.append(val)
     # subalgebra and [m, m] <= ker chi
     span = VectorSpan(QQ)
-    for v in sparse:
+    for v in basis:
         span.add(v)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            br = alg.sparse_bracket(sparse[a], sparse[b])
+            br = alg.sparse_bracket(basis[a], basis[b])
             if not span.contains(br):
                 raise AssertionError("m is not closed under the bracket")
             if chi_of(pair.psi.chi, br) != 0:
@@ -243,7 +228,7 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
 @dataclass
 class SliceData:
     rep: NilpotentRep
-    complement: list       # coordinate vectors of v
+    complement: list       # {index: scalar} maps of the vectors of v
     degrees: list          # Dynkin degree of each complement vector
     contracting_weights: list  # 2 - degree per vector
 
@@ -251,21 +236,16 @@ class SliceData:
 def slice_complement(rep: NilpotentRep) -> SliceData:
     """Graded complement v to [g, e], greedily preferring Chevalley basis
     vectors, contained in the nonpositive degrees."""
-    alg = rep.algebra
     gr = dynkin_grading(rep)
     comp = []
     degs = []
     for d in sorted(gr.layers):
         # [e, g(d-2)] in the coordinates of g(d), one row per [e, B_k]
-        image = VectorSpan(QQ)
-        for row in ad_e_block(rep, d - 2).transpose().to_dense():
-            image.add(row)
+        image = _row_span(ad_e_block(rep, d - 2).transpose())
         added = 0
         for i, k in enumerate(gr.layers[d]):
             if image.add({i: QQ.one()}):
-                vec = [0] * alg.dim
-                vec[k] = 1
-                comp.append(tuple(vec))
+                comp.append({k: 1})
                 degs.append(d)
                 added += 1
         if d > 0 and added:
@@ -302,7 +282,7 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
     perp_ok = len(nonzero) + cb.dim == alg.dim and not any(
-        any(ad_e_t.apply(alg.kappa_row(z))) for z in cb.vectors)
+        any(ad_e_t.apply(alg.kappa_row([z.get(k, 0) for k in range(alg.dim)]))) for z in cb.vectors)
     return {
         "divisors": divisors,
         "saturated": saturated,

@@ -117,6 +117,14 @@ SMALL_ALGEBRAS = [(n, eps) for n in range(2, 9) for eps in (1, -1) if eps == 1 o
 RINGS = [QQ, ZZ, GF(3), GF(7)]
 
 
+def _bracket(g, x, y) -> tuple:
+    """The Chevalley coordinates of [x, y] over QQ as a dense tuple, for x
+    and y given by their dense coordinates: sparse_bracket on their maps,
+    read back key by key (a missing key as 0)."""
+    br = g.sparse_bracket(sparse_vector(x, QQ), sparse_vector(y, QQ))
+    return tuple(br.get(k, 0) for k in range(g.dim))
+
+
 def _holds(ring, coords) -> bool:
     """Every coordinate has a value in ring (its denominator is a unit)."""
     dens = [Fraction(c).denominator for c in coords]
@@ -125,6 +133,18 @@ def _holds(ring, coords) -> bool:
     if ring.kind == "ZZ":
         return all(d == 1 for d in dens)
     return all(d % ring.p for d in dens)
+
+
+def test_dense_readers_refuse_a_coordinate_map():
+    # from_coordinates and ad enumerate their argument, so a map would have
+    # its keys read as coordinates
+    g = build_algebra(4, -1)
+    x = [0] * g.dim
+    x[3] = 1
+    assert g.from_coordinates(x) == g.basis[3] and g.ad(x) == g.ad(tuple(x))
+    for read in (g.from_coordinates, g.ad):
+        with pytest.raises(TypeError, match="expected dense Chevalley coordinates"):
+            read({3: 1})
 
 
 @pytest.mark.parametrize("n, eps", SMALL_ALGEBRAS)
@@ -148,7 +168,7 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
         return [int(c) if f and c.denominator == 1 else c for c, f in zip(cs, as_int)]
 
     x, y = draw_vector(), draw_vector()
-    assert g.bracket(x, y) == g.coordinates(commutator(g.from_coordinates(x), g.from_coordinates(y)))
+    assert _bracket(g, x, y) == g.coordinates(commutator(g.from_coordinates(x), g.from_coordinates(y)))
     for ring in RINGS:
         if not _holds(ring, x + y):
             # coordinates are coerced first: a denominator the ring lacks raises
@@ -350,10 +370,10 @@ def test_killing_invariance_on_basis_triples():
         for x, xm in zip(units, g.basis):
             row = g.kappa_row(x)
             for y, ym in zip(units, g.basis):
-                bxy = g.kappa_row(g.bracket(x, y))
+                bxy = g.kappa_row(_bracket(g, x, y))
                 for z, zm in zip(units, g.basis):
                     lhs = sum(a * b for a, b in zip(bxy, z))
-                    assert lhs == sum(a * b for a, b in zip(row, g.bracket(y, z)))
+                    assert lhs == sum(a * b for a, b in zip(row, _bracket(g, y, z)))
                     assert lhs == _trace_kappa(g, commutator(xm, ym), zm)
 
 
@@ -399,7 +419,7 @@ def test_qq_results_hold_canonical_scalars(n, eps):
     y = [Fraction(2 - k % 4, 1 + (k + 1) % 2) for k in range(g.dim)]
     xm = g.from_coordinates(x)
     assert all(_canonical(v) for v in xm.entries.values())
-    for coords in (g.coordinates(xm), g.bracket(x, y), g.kappa_row(x)):
+    for coords in (g.coordinates(xm), _bracket(g, x, y), g.kappa_row(x)):
         assert all(_canonical(c) for c in coords)
     assert all(_canonical(v) for v in g.ad(x).entries.values())
     kf, rd = g.killing_form(), g.root_data()

@@ -393,9 +393,9 @@ def test_perfectness_mod_p_beyond_the_default_sweep(parts, p):
     lam = Partition(parts)
     assert is_rigid(lam, -1)
     cb = compute_centralizer(build_nilpotent(lam, -1))
-    assert any(x.denominator % 3 == 0 for v in cb.vectors for x in v)
+    assert any(x.denominator % 3 == 0 for v in cb.vectors for x in v.values())
     lattice = compute_centralizer(cb.rep, ZZ)
-    assert lattice.degrees == cb.degrees and all(type(x) is int for v in lattice.vectors for x in v)
+    assert lattice.degrees == cb.degrees and all(type(x) is int for v in lattice.vectors for x in v.values())
     _perfect(cb.rep, (p,))
 
 

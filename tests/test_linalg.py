@@ -450,6 +450,19 @@ def test_sums_and_products_reject_operands_over_two_rings(ring, other_ring):
             op(b if op.__self__ is a else a)
 
 
+@pytest.mark.parametrize("ring, other_ring", [(GF(3), QQ), (ZZ, QQ), (GF(3), GF(7)), (GF(7), ZZ)])
+def test_equality_compares_the_ring(ring, other_ring):
+    # equal shapes and entries over two rings are two matrices, as the
+    # difference of the pair, which raises, says
+    a = SparseMatrix(2, 2, ring, {(0, 0): 1})
+    b = SparseMatrix(2, 2, other_ring, {(0, 0): 1})
+    assert a.entries == b.entries
+    assert a != b and b != a and not a == b
+    assert a == SparseMatrix(2, 2, ring, {(0, 0): 1})
+    with pytest.raises(ValueError, match="ring mismatch"):
+        a - b
+
+
 # -- the matrix bracket-law kernel ----------------------------------------------
 
 

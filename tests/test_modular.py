@@ -178,7 +178,7 @@ def test_chi_vanishes_on_m_brackets_mod_p():
     alg = rep.algebra
     for p in (3, 5):
         ring = GF(p)
-        mats = [alg.from_coordinates(v) for v in msub.basis]
+        mats = [alg.from_coordinates([v.get(k, 0) for k in range(alg.dim)]) for v in msub.basis]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 val = alg.killing_form()["trace_constant"] * _trace(rep.e @ commutator(mats[i], mats[j]))

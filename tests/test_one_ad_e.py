@@ -86,8 +86,9 @@ def test_integer_centralizer_is_the_saturated_lattice(lam, eps):
     rep = build_nilpotent(lam, eps)
     basis = compute_centralizer(rep, ZZ)
     ad_e = ad_e_matrix(rep, ZZ)
-    assert all(not any(ad_e.apply(v)) for v in basis.vectors)
-    snf = smith_normal_form(SparseMatrix.from_dense([list(v) for v in basis.vectors], ZZ))
+    rows = [[v.get(k, 0) for k in range(rep.algebra.dim)] for v in basis.vectors]
+    assert all(not any(ad_e.apply(v)) for v in rows)
+    snf = smith_normal_form(SparseMatrix.from_dense(rows, ZZ))
     assert snf.rank == basis.dim == centralizer_dim_formula(lam, eps)
     assert all(x == 1 for x in snf.divisors)
 

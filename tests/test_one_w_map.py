@@ -1,13 +1,15 @@
 """One map from Chevalley coordinates to the PBW letters of WSetup:
 WSetup._w_coords, sparse from the accumulation on.  It alone reads the
 inverse transition columns, and WSetup.embed and the bracket table take
-their coordinates from it.  The W layer brackets on {index: scalar} maps:
-the dense ClassicalAlgebra.bracket has one caller in src,
-jems_commutator_check, whose matrix signature is kept for its callers."""
+their coordinates from it.  The W layer brackets on {index: scalar} maps,
+the one format of the elements of g: ClassicalAlgebra has no dense
+bracket and nothing in src calls one; jems_commutator_check keeps its
+matrix signature for its callers and reads each matrix into a map once."""
 
 import ast
 from pathlib import Path
 
+from orbitforge.algebra import ClassicalAlgebra
 from orbitforge.enveloping import WSetup
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
@@ -36,13 +38,14 @@ def _readers(source: str, attr: str) -> list:
     return out
 
 
-def test_one_map_to_the_pbw_letters_and_one_dense_bracket_caller():
+def test_one_map_to_the_pbw_letters_and_no_dense_bracket():
     reads = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in _readers(path.read_text(), "_tinv_cols")]
     assert reads and set(reads) == {("enveloping.py", "WSetup._w_coords")}
     calls = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in _callers(path.read_text(), "bracket")]
-    assert calls == [("enveloping.py", "jems_commutator_check")]
+    assert calls == []
+    assert not hasattr(ClassicalAlgebra, "bracket")
 
 
 def test_the_guards_see_a_second_map_and_a_dense_bracket():

@@ -1,5 +1,5 @@
 """Each theta value is computed once: theta_zero and theta_one are memoised
-per coordinate vector, shared dicts are never mutated, every commutator law
+per {index: scalar} map, on its sorted items, shared dicts are never mutated, every commutator law
 comparison still runs, and WSetup._clear, which subtracts in place, gives
 the result of the clearing loop that rebuilt h with elem_add at every
 step."""
@@ -116,16 +116,19 @@ def test_a_same_degree_generator_still_stops_the_lift():
 
 
 @pytest.mark.parametrize("method,degree", [("theta_zero", 0), ("theta_one", 1)])
-def test_lists_tuples_ints_and_fractions_share_one_entry(method, degree):
+def test_maps_in_any_key_order_with_ints_or_fractions_share_one_entry(method, degree):
+    # x is the sum of two basis vectors of the degree, so its map has two
+    # keys to take in either order
     setup = _fresh((2, 1, 1), -1)
-    k = next(k for k in range(setup.r) if setup.x_degrees[k] == degree)
-    x = setup.basis_vectors[k]
-    assert all(c.denominator == 1 for c in x)
-    ints = [int(c) for c in x]
-    forms = [list(x), tuple(x), ints, tuple(ints), [Fraction(c) for c in ints], ints[:1] + list(x[1:])]
+    a, b = [k for k in range(setup.r) if setup.x_degrees[k] == degree][:2]
+    x = dict(sorted({**setup.basis_vectors[a], **setup.basis_vectors[b]}.items()))
+    assert len(x) == 2 and all(c.denominator == 1 for c in x.values())
+    ints = list(x.items())
+    fractions = [(i, Fraction(c)) for i, c in ints]
+    forms = [x, dict(ints), dict(ints[::-1]), dict(fractions), dict(fractions[::-1]), dict(fractions[:1] + ints[1:])]
     values = [getattr(setup, method)(form) for form in forms]
     assert all(v is values[0] for v in values)
-    assert setup._vector_memo == {method: {tuple(x): values[0]}}
+    assert setup._vector_memo == {method: {tuple(ints): values[0]}}
     assert values[0] == getattr(_fresh((2, 1, 1), -1), method)(x)
 
 
@@ -150,7 +153,7 @@ def test_a_walgebra_run_leaves_every_shared_value_as_built(parts, eps, monkeypat
     assert setup._vector_memo
     for method, memo in setup._vector_memo.items():
         for key, value in memo.items():
-            assert list(value.items()) == list(getattr(_fresh(parts, eps), method)(key).items())
+            assert list(value.items()) == list(getattr(_fresh(parts, eps), method)(dict(key)).items())
 
 
 def _jems_calls(monkeypatch, perturb_at=None) -> int:
