@@ -264,6 +264,21 @@ def test_verify_output_into_a_missing_directory_exits_2_before_any_suite(tmp_pat
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suites", ""], "error: unknown suite ''; available: "),
+    (["--suites", "golden", "--output", ""], "error: --output: empty path"),
+])
+def test_verify_empty_suites_or_output_exits_2_before_any_suite(argv, message, monkeypatch):
+    # an empty value is given, not absent: it names no suite and no file
+    from orbitforge import cli
+
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "golden", lambda config: ran.append("golden") or [])
+    code, out, err = run_cli("verify", *argv)
+    assert code == 2 and out == "" and ran == []
+    assert err.startswith(message) and "suite golden:" not in err
+
+
 def test_verify_output_that_cannot_be_written_exits_2(tmp_path):
     # the directory itself as the report path: the suites run, the write fails
     code, out, err = run_cli("verify", "--primes", "3", "--suites", "golden", "--output", str(tmp_path))
