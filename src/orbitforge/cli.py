@@ -12,9 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
-import signal
-import struct
 import sys
 import time
 from dataclasses import dataclass
@@ -71,6 +68,7 @@ from .modular import (
     reduce_mod_p,
     submodule_probe,
 )
+from .runner import run_cases
 
 SCHEMA_VERSION = 1
 # Largest induced module `verma` builds: dim p^{dim n}.  2401 is the sp_4
@@ -428,6 +426,7 @@ def _richardson_note(lam, eps) -> str:
 # Each suite is a list of (key, case) pairs; a case raises AssertionError with
 # a witness when its check fails.  tests/test_acceptance.py runs these suites
 # through run_verify: they are the one implementation of criteria 1-9.
+# runner.run_cases runs each suite's cases on every CPU.
 
 
 @dataclass
@@ -448,110 +447,6 @@ class VerifyConfig:
         for name in self.suites:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-
-
-def _cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-# Forked workers that run verify cases beside the parent: one per CPU the
-# process may run on, beyond the first; none where there is no os.fork.
-WORKERS = _cpus() - 1 if hasattr(os, "fork") else 0
-# One case index in the queue pipe.  The parent writes the whole queue before
-# any process reads it, which holds while it fits in the pipe: a suite has at
-# most 202 cases at any --max-n (representatives, whose sweep stops at
-# N = 12), and a 64 KiB pipe holds 16,384 indices.
-QUEUE_ITEM = struct.Struct("<I")
-
-
-def _run_cases(cases):
-    """cases: list of (key, fn); returns {key: outcome} in the cases' order.
-
-    The parent and min(WORKERS, len(cases) - 1) forked workers take case
-    indices from one pipe, last case first: sweeps grow with N, so the
-    longest cases start first and the short ones fill in.  Each worker sends {index: outcome} back through its
-    own pipe with pickle and leaves by os._exit.  A case that no process
-    reports fails, its witness naming the wait status of every worker that
-    did not exit 0 with a readable report.  The workers are reaped before
-    this returns or raises; on an exception in the parent (KeyboardInterrupt
-    too) they are killed first."""
-    if len({k for k, _ in cases}) != len(cases):
-        raise ValueError("duplicate case keys")
-    parent = os.getpid()
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(QUEUE_ITEM.pack(i) for i in reversed(range(len(cases)))))
-    os.close(feed)
-    workers, reports = {}, {}   # pid -> read end of its pipe; pid -> bytes it sent
-    try:
-        for _ in range(min(WORKERS, len(cases) - 1)):
-            result, sink = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:   # no process to spare: the parent runs what is left
-                os.close(result)
-                os.close(sink)
-                break
-            if pid == 0:
-                _work(cases, queue, sink, parent)
-            os.close(sink)
-            workers[pid] = result
-        outcomes = dict(_drain(cases, queue, parent))
-        for pid, result in workers.items():
-            reports[pid] = b"".join(iter(partial(os.read, result, 1 << 16), b""))
-    finally:
-        os.close(queue)
-        for pid, result in workers.items():
-            os.close(result)
-            if pid not in reports:
-                os.kill(pid, signal.SIGKILL)
-        statuses = {pid: os.waitpid(pid, 0)[1] for pid in workers}
-    lost = []
-    for pid, status in statuses.items():
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        if code == 0:
-            try:
-                outcomes.update(pickle.loads(reports[pid]))
-                continue
-            except Exception as exc:  # noqa: BLE001 - a truncated report loses the worker's cases
-                how += f", report unreadable ({type(exc).__name__}: {exc})"
-        lost.append(f"worker {pid} ended with wait status {status} ({how})")
-    witness = "WorkerLost: no process reported this case" + "".join(f"; {w}" for w in lost)
-    return {k: outcomes.get(i, {"status": "fail", "witness": witness}) for i, (k, _) in enumerate(cases)}
-
-
-def _drain(cases, queue, parent):
-    """(index, outcome) of each case taken from queue until it is empty.  A
-    worker also stops, before its next case, once its parent is gone."""
-    while os.getpid() == parent or os.getppid() == parent:
-        item = os.read(queue, QUEUE_ITEM.size)
-        if not item:
-            return
-        i, = QUEUE_ITEM.unpack(item)
-        yield i, _guard(cases[i][1])
-
-
-def _work(cases, queue, sink, parent):
-    """A forked worker: runs cases from queue, writes the pickled {index:
-    outcome} to sink and exits 0; any exception exits 1.  It leaves by
-    os._exit, so the stdio buffers it shares with the parent are not
-    flushed twice."""
-    code = 1
-    try:
-        with os.fdopen(sink, "wb") as fh:
-            fh.write(pickle.dumps(dict(_drain(cases, queue, parent))))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _guard(fn):
-    try:
-        out = fn()
-        return {"status": "pass", "detail": out if out is not None else {}}
-    except Exception as exc:  # noqa: BLE001 - failures become report witnesses
-        return {"status": "fail", "witness": f"{type(exc).__name__}: {exc}"}
 
 
 def _sweep_cases(config: VerifyConfig, bound: int, check, keep=None, prefix: str = ""):
@@ -818,7 +713,7 @@ def run_verify(config: VerifyConfig) -> dict:
             raise UsageError(f"suite {name} has no case at N <= {config.max_n}")
     for name, cases in suites.items():
         t0 = time.time()
-        outcomes = _run_cases(cases)
+        outcomes = run_cases(cases)
         print(f"suite {name}: {time.time() - t0:.1f}s", file=sys.stderr)
         failures = {k: v for k, v in outcomes.items() if v["status"] != "pass"}
         report["suites"][name] = {

@@ -22,7 +22,10 @@ nothing is straightened in U(g) first.  The right factor is mapped to Q
 once, and each left word acts on the whole sum.  With no m-letters Q is
 U(g) itself and the action is left multiplication in the PBW basis; the
 Casimir element and its centrality take their products from such an
-instance.  The same action, restricted mod p, gives the induced modules
+instance.  Both certificate loops, the commutator pairs of
+character_kills_commutators and the Casimir's centrality on each basis
+element, run through runner.run_cases on every CPU and are read back in
+order.  The same action, restricted mod p, gives the induced modules
 U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.  The action
 of one letter on one word (UAlgebra.act) is memoised compactly, since its
 memo sets the W layer's peak memory: one dict per letter, each value a
@@ -41,7 +44,7 @@ by every caller, and no caller mutates them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from math import gcd, lcm
 
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
@@ -741,14 +744,32 @@ def augmentation_character(setup: WSetup) -> dict:
     return c
 
 
+def _pair_value(setup: WSetup, c: dict, i: int, j: int):
+    """phi([theta_i, theta_j]), the commutator expanded in the generators."""
+    br, den = setup.U.q_comm_ints(setup.thetas[i].value, setup.thetas[j].value)
+    return _character_value(c, setup.expand_in_theta(br, den))
+
+
 def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     """phi(theta^a) = prod c^a extends to an algebra map killing every
-    commutator of generators."""
-    for i in range(setup.r):
-        for j in range(i + 1, setup.r):
-            br, den = setup.U.q_comm_ints(setup.thetas[i].value, setup.thetas[j].value)
-            if _character_value(c, setup.expand_in_theta(br, den)) != 0:
-                return False
+    commutator of generators.  The pairs i < j run through run_cases, the
+    costliest (by |theta_i| |theta_j| terms) first, and their values are read
+    back in (i, j) order: False at the first nonzero value, and a pair that
+    raised or was lost raises, naming the pair and its witness."""
+    # imported on first use, like casimir's: compiling the runner and loading
+    # pickle and signal would add about 6 % to `import orbitforge`
+    from .runner import run_cases
+
+    terms = [len(setup.thetas[k].value) for k in range(setup.r)]
+    pairs = sorted(((i, j) for i in range(setup.r) for j in range(i + 1, setup.r)),
+                   key=lambda ij: terms[ij[0]] * terms[ij[1]])
+    outcomes = run_cases([(ij, partial(_pair_value, setup, c, *ij)) for ij in pairs])
+    for ij in sorted(outcomes):
+        out = outcomes[ij]
+        if out["status"] != "pass":
+            raise RuntimeError(f"commutator pair {ij} gave no value: {out['witness']}")
+        if out["detail"] != 0:
+            return False
     return True
 
 
@@ -760,6 +781,10 @@ class CasimirElement:
     element: dict          # in U(g)
     q_image: dict          # Q normal form
     shape: dict            # decomposition report
+
+
+def _commutes(U: UAlgebra, x: dict, y: dict) -> bool:
+    return not U.q_comm(x, y)
 
 
 def casimir(setup: WSetup) -> CasimirElement:
@@ -800,9 +825,14 @@ def casimir(setup: WSetup) -> CasimirElement:
         hhat = {k: QQ.mul(x, scale) for k, x in enumerate(t_coords[i]) if x}
         C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
-    # centrality in U(g)
-    for b in range(setup.dim):
-        if U.q_comm(C, setup.gen(b)):
+    # centrality in U(g), one run_cases case per basis element, read in order
+    from .runner import run_cases
+
+    outcomes = run_cases([(b, partial(_commutes, U, C, setup.gen(b))) for b in range(setup.dim)])
+    for b, out in outcomes.items():
+        if out["status"] != "pass":
+            raise RuntimeError(f"Casimir centrality at basis element {b} gave no verdict: {out['witness']}")
+        if not out["detail"]:
             raise AssertionError(f"Casimir fails to commute with basis element {b}")
 
     q_image = setup.U.q_mul(C, _ONE)

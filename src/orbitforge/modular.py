@@ -92,8 +92,12 @@ def centralizer_dim_mod_p(rep: NilpotentRep, p: int) -> int:
 
 def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
     """Graded dimensions are field independent (lattice bases); rank of
-    ad e on each graded piece over F_p, for the stability check."""
-    return {d: rank_kernel(ad_e_block(rep, d, GF(p)))[0] for d in sorted(dynkin_grading(rep).layers)}
+    ad e on each graded piece over F_p, for the stability check.  Taken once
+    per (rep, p); the dict is shared and no caller mutates it."""
+    if p not in rep._ranks_mod_p:
+        rep._ranks_mod_p[p] = {d: rank_kernel(ad_e_block(rep, d, GF(p)))[0]
+                               for d in sorted(dynkin_grading(rep).layers)}
+    return rep._ranks_mod_p[p]
 
 
 # -- induced modules -----------------------------------------------------------

@@ -44,9 +44,11 @@ class NilpotentRep:
     e: SparseMatrix          # over QQ
     e_coords: tuple          # Chevalley coordinates of e (integers)
     very_even: bool
-    # built on first use by dynkin_grading and ad_e_matrix (one per ring)
+    # built on first use by dynkin_grading, ad_e_matrix (one per ring) and
+    # modular.graded_dims_mod_p (one per prime)
     _grading: DynkinGrading | None = field(default=None, init=False, repr=False, compare=False)
     _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ranks_mod_p: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def nilpotent_positions(pyr: DynkinPyramid, eps: int):

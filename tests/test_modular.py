@@ -9,7 +9,7 @@ from orbitforge.rings import GF
 from orbitforge.linalg import SparseMatrix
 from orbitforge.partitions import Partition
 from orbitforge.algebra import build_algebra
-from orbitforge.orbits import InductionDatum, build_nilpotent, embed_datum, orbit_dim_formula
+from orbitforge.orbits import InductionDatum, build_nilpotent, dynkin_grading, embed_datum, orbit_dim_formula
 from orbitforge.enveloping import UAlgebra
 from orbitforge.modular import (
     _power,
@@ -203,6 +203,25 @@ def test_graded_rank_stability_so5():
         if base is None:
             base = dims
         assert dims == base
+
+
+def test_block_ranks_are_taken_once_per_rep_and_prime(monkeypatch):
+    from orbitforge import modular
+
+    calls = []
+    real = modular.rank_kernel
+    monkeypatch.setattr(modular, "rank_kernel", lambda m: calls.append(m.ring) or real(m))
+    rep = build_nilpotent(Partition((3, 2, 2, 1)), 1)
+    layers = len(dynkin_grading(rep).layers)
+    ranks = graded_dims_mod_p(rep, 3)
+    assert len(calls) == layers
+    assert centralizer_dim_mod_p(rep, 3) == rep.algebra.dim - sum(ranks.values())
+    assert graded_dims_mod_p(rep, 3) == ranks and len(calls) == layers   # no rank_kernel call
+    graded_dims_mod_p(rep, 5)
+    assert len(calls) == 2 * layers and calls[-1] == GF(5)
+    # a second representative of the same orbit takes its own ranks
+    other = build_nilpotent(Partition((3, 2, 2, 1)), 1)
+    assert graded_dims_mod_p(other, 3) == ranks and len(calls) == 3 * layers
 
 
 def test_baby_verma_sp4_regular():

@@ -1,7 +1,7 @@
 """verify's cases run in forked workers beside the parent: the report does
 not depend on the worker count, a worker that dies fails the cases it took,
 no worker outlives run_verify or its parent, and nothing imports
-multiprocessing.  cli.WORKERS is the worker count; a test sets it."""
+multiprocessing.  runner.WORKERS is the worker count; a test sets it."""
 
 import json
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitforge import cli
+from orbitforge import cli, runner
 from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +29,7 @@ def _no_child_left():
 
 @pytest.mark.parametrize("workers", [0, 1, 2, 3])
 def test_default_report_does_not_depend_on_the_worker_count(workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "WORKERS", workers)
+    monkeypatch.setattr(runner, "WORKERS", workers)
     path = tmp_path / "verify.json"
     code, out, err = run_cli("verify", "--output", str(path))
     assert code == 0 and out == ""
@@ -41,7 +41,7 @@ def test_default_report_does_not_depend_on_the_worker_count(workers, tmp_path, m
 def test_mini_run_is_the_same_with_one_and_two_workers(tmp_path, monkeypatch):
     reports = []
     for workers in (0, 1, 2):
-        monkeypatch.setattr(cli, "WORKERS", workers)
+        monkeypatch.setattr(runner, "WORKERS", workers)
         path = tmp_path / f"{workers}.json"
         code, _, _ = run_cli("verify", "--max-n", "4", "--suites", "golden,zeta,saturation", "--output", str(path))
         assert code == 0
@@ -77,9 +77,9 @@ class _TruncatingPickle:
     ("truncated", "wait status 0 (exit code 0, report unreadable ("),
 ])
 def test_a_worker_that_dies_fails_the_cases_it_took(fault, how, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "WORKERS", 1)
+    monkeypatch.setattr(runner, "WORKERS", 1)
     if fault == "truncated":
-        monkeypatch.setattr(cli, "pickle", _TruncatingPickle)
+        monkeypatch.setattr(runner, "pickle", _TruncatingPickle)
     parent = os.getpid()
     monkeypatch.setitem(cli.SUITES, "golden",
                         lambda config: [(f"case {i}", partial(_case, parent, fault, i)) for i in range(4)])
@@ -105,7 +105,7 @@ def _raise(exc, only_in):
 
 
 def test_no_worker_outlives_run_verify(monkeypatch):
-    monkeypatch.setattr(cli, "WORKERS", 2)
+    monkeypatch.setattr(runner, "WORKERS", 2)
     parent = os.getpid()
     config = cli.VerifyConfig(suites=("golden",))
     # on return, with a case that raises in every process
@@ -126,16 +126,16 @@ def test_no_worker_outlives_run_verify(monkeypatch):
 
 ORPHAN = """
 import os, sys, time
-from orbitforge import cli
+from orbitforge import runner
 
-cli.WORKERS = 1
+runner.WORKERS = 1
 
 def case(i):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()} {i}\\n")
     time.sleep(0.1)
 
-cli._run_cases([(str(i), lambda i=i: case(i)) for i in range(40)])
+runner.run_cases([(str(i), lambda i=i: case(i)) for i in range(40)])
 """
 
 
@@ -170,9 +170,9 @@ def test_a_worker_whose_parent_is_gone_stops(tmp_path):
 
 FOOTPRINT = """
 import json, sys
-from orbitforge import cli
+from orbitforge import cli, runner
 
-cli.WORKERS = 1
+runner.WORKERS = 1
 report = cli.run_verify(cli.VerifyConfig(suites=("golden", "zeta")))
 print(json.dumps([report["passed"], "multiprocessing" in sys.modules, "concurrent.futures" in sys.modules]))
 """
@@ -189,7 +189,7 @@ def test_a_fork_that_fails_leaves_the_cases_to_the_parent(monkeypatch):
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "WORKERS", 2)
+    monkeypatch.setattr(runner, "WORKERS", 2)
     monkeypatch.setattr(os, "fork", no_fork)
     report = cli.run_verify(cli.VerifyConfig(max_n=4, suites=("zeta",)))
     assert report["passed"] and report["suites"]["zeta"]["cases"] > 1
