@@ -24,8 +24,8 @@ U(g) itself and the action is left multiplication in the PBW basis; the
 Casimir element and its centrality take their products from such an
 instance.  Both certificate loops, the commutator pairs of
 character_kills_commutators and the Casimir's centrality on each basis
-element, run through runner.run_cases on every CPU and are read back in
-order.  The same action, restricted mod p, gives the induced modules
+element, run through runner.run_cases on every CPU their size pays for and
+are read back in order.  The same action, restricted mod p, gives the induced modules
 U_chi(g) (x)_{U_chi(s)} k_chi of modular.build_induced_module.  The action
 of one letter on one word (UAlgebra.act) is memoised compactly, since its
 memo sets the W layer's peak memory: one dict per letter, each value a
@@ -744,6 +744,16 @@ def augmentation_character(setup: WSetup) -> dict:
     return c
 
 
+# The two certificate loops fork one worker per this many products of a term
+# by a term, a size each loop knows before it runs.  Both take 6-9 us a
+# product on a 2-core x86 host, so this is about 25 ms of serial work, some 8
+# times the size below which a fork and its pickled report cost more than
+# they save.  Each worker also holds its own act memo and its copies of the
+# pages it touches (12-14 MB each for wgen N = 24), so the cap bounds a
+# call's memory by the size of its work, not by the CPU count.
+TERM_PRODUCTS_PER_WORKER = 4_000
+
+
 def _pair_value(setup: WSetup, c: dict, i: int, j: int):
     """phi([theta_i, theta_j]), the commutator expanded in the generators."""
     br, den = setup.U.q_comm_ints(setup.thetas[i].value, setup.thetas[j].value)
@@ -753,7 +763,8 @@ def _pair_value(setup: WSetup, c: dict, i: int, j: int):
 def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     """phi(theta^a) = prod c^a extends to an algebra map killing every
     commutator of generators.  The pairs i < j run through run_cases, the
-    costliest (by |theta_i| |theta_j| terms) first, and their values are read
+    costliest (by |theta_i| |theta_j| terms) first, with one worker per
+    TERM_PRODUCTS_PER_WORKER of those products, and their values are read
     back in (i, j) order: False at the first nonzero value, and a pair that
     raised or was lost raises, naming the pair and its witness."""
     # imported on first use, like casimir's: compiling the runner and loading
@@ -763,7 +774,9 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     terms = [len(setup.thetas[k].value) for k in range(setup.r)]
     pairs = sorted(((i, j) for i in range(setup.r) for j in range(i + 1, setup.r)),
                    key=lambda ij: terms[ij[0]] * terms[ij[1]])
-    outcomes = run_cases([(ij, partial(_pair_value, setup, c, *ij)) for ij in pairs])
+    work = sum(terms[i] * terms[j] for i, j in pairs)
+    outcomes = run_cases([(ij, partial(_pair_value, setup, c, *ij)) for ij in pairs],
+                         most=work // TERM_PRODUCTS_PER_WORKER)
     for ij in sorted(outcomes):
         out = outcomes[ij]
         if out["status"] != "pass":
@@ -825,10 +838,13 @@ def casimir(setup: WSetup) -> CasimirElement:
         hhat = {k: QQ.mul(x, scale) for k, x in enumerate(t_coords[i]) if x}
         C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
-    # centrality in U(g), one run_cases case per basis element, read in order
+    # centrality in U(g), one run_cases case per basis element, read in
+    # order, with one worker per TERM_PRODUCTS_PER_WORKER products of a term
+    # of C by a generator
     from .runner import run_cases
 
-    outcomes = run_cases([(b, partial(_commutes, U, C, setup.gen(b))) for b in range(setup.dim)])
+    outcomes = run_cases([(b, partial(_commutes, U, C, setup.gen(b))) for b in range(setup.dim)],
+                         most=setup.dim * len(C) // TERM_PRODUCTS_PER_WORKER)
     for b, out in outcomes.items():
         if out["status"] != "pass":
             raise RuntimeError(f"Casimir centrality at basis element {b} gave no verdict: {out['witness']}")

@@ -5,11 +5,13 @@ outcome being {"status": "pass", "detail": fn()} or {"status": "fail",
 "witness": ...}.  The process and WORKERS forked workers take the cases from
 one pipe.  Its clients are cli.run_verify, one suite per call, and two loops
 of enveloping: character_kills_commutators, one case per pair of generators,
-and casimir, one case per basis element for its centrality.
+and casimir, one case per basis element for its centrality.  These two cap
+their workers by the size of their work.
 
 A call made while a run is already active in the same process (the parent
-while it drains cases, or any forked worker) runs its cases in that process,
-in order: nested calls never fork a grandchild.  Only os, pickle, signal and
+while it drains cases, or any forked worker) takes the same drain loop with
+no worker, so its cases run in that process: nested calls never fork a
+grandchild.  Only os, pickle, signal and
 struct are used; os.fork and os.pipe appear in no other module.
 """
 
@@ -37,15 +39,18 @@ WORKERS = _cpus() - 1 if hasattr(os, "fork") else 0
 QUEUE_ITEM = struct.Struct("<I")
 QUEUE_ITEMS = 1024
 
-_active = False   # a run is active in this process: nested calls run in place
+_active = False   # a run is active in this process: nested calls fork no worker
 
 
-def run_cases(cases):
+def run_cases(cases, most=None):
     """cases: list of (key, fn); returns {key: outcome} in the cases' order.
+    most, if given, caps the worker count: a caller that can size its work
+    passes how many workers that work pays for.
 
-    The parent and min(WORKERS, len(cases) - 1) forked workers take chunks
-    of case indices from one pipe, last case first: sweeps grow with N, so
-    the longest cases start first and the short ones fill in.  Each worker
+    The parent and min(WORKERS, len(cases) - 1, most) forked workers (none
+    for a call made inside a case of another run) take chunks of case indices
+    from one pipe, last case first: sweeps grow with N, so the longest cases
+    start first and the short ones fill in.  Each worker
     sends {index: outcome} back through its own pipe with pickle and leaves
     by os._exit.  A case that no process reports fails, its witness naming
     the wait status of every worker that did not exit 0 with a readable
@@ -54,16 +59,15 @@ def run_cases(cases):
     global _active
     if len({k for k, _ in cases}) != len(cases):
         raise ValueError("duplicate case keys")
-    if _active:
-        return {k: _guard(fn) for k, fn in cases}
-    _active = True
+    workers = min(WORKERS, len(cases) - 1, WORKERS if most is None else most)
+    nested, _active = _active, True
     try:
-        return _fork_and_drain(cases)
+        return _fork_and_drain(cases, 0 if nested else workers)
     finally:
-        _active = False
+        _active = nested
 
 
-def _fork_and_drain(cases):
+def _fork_and_drain(cases, workers_wanted):
     parent = os.getpid()
     size = max(1, -(-len(cases) // QUEUE_ITEMS))
     queue, feed = os.pipe()
@@ -72,7 +76,7 @@ def _fork_and_drain(cases):
     drain = partial(_drain, cases, size, queue, parent)
     workers, reports = {}, {}   # pid -> read end of its pipe; pid -> bytes it sent
     try:
-        for _ in range(min(WORKERS, len(cases) - 1)):
+        for _ in range(workers_wanted):
             result, sink = os.pipe()
             try:
                 pid = os.fork()

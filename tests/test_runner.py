@@ -7,7 +7,10 @@ enveloping.character_kills_commutators and casimir run their loops through
 it and give the serial loop's verdicts with 0 to 3 workers: planted faults
 are caught under each count, and a pair lost with its worker raises instead
 of returning a verdict.  No child process is left after a return or a raise.
-runner.WORKERS is the worker count; a test sets it."""
+runner.WORKERS is the worker count; a test sets it.  The two loops fork one
+worker per enveloping.TERM_PRODUCTS_PER_WORKER products, more than the
+small algebras here have, so a fixture sets it to 1 except where a test
+checks the default cap."""
 
 import json
 import os
@@ -30,6 +33,14 @@ from test_cli import run_cli
 ROOT = Path(__file__).resolve().parents[1]
 WORKER_COUNTS = (0, 1, 2, 3)
 CASIMIR_CASES = (((2, 1, 1), -1), ((2, 2, 1), 1))   # the casimir suite: sp4 and so5
+
+
+DEFAULT_PER_WORKER = enveloping.TERM_PRODUCTS_PER_WORKER
+
+
+@pytest.fixture(autouse=True)
+def _every_worker_pays(monkeypatch):
+    monkeypatch.setattr(enveloping, "TERM_PRODUCTS_PER_WORKER", 1)
 
 
 def _no_child_left():
@@ -92,8 +103,8 @@ def _pid_after(seconds):
 
 def _inner(n):
     time.sleep(0.05)   # leaves the parent cases of its own to take
-    return {"pid": os.getpid(),
-            "inner": [o["detail"] for o in runner.run_cases([(j, os.getpid) for j in range(n)]).values()]}
+    inner = [o["detail"] for o in runner.run_cases([(j, os.getpid) for j in range(n)]).values()]
+    return {"pid": os.getpid(), "inner": inner, "active_after": runner._active}
 
 
 def test_a_run_inside_a_case_forks_nothing(monkeypatch):
@@ -115,6 +126,7 @@ def test_a_run_inside_a_case_forks_nothing(monkeypatch):
     assert parent in pids and pids <= {parent, *forks}
     for o in out.values():   # a worker's inner cases ran in that worker
         assert o["detail"]["inner"] == [o["detail"]["pid"]] * 5
+        assert o["detail"]["active_after"] is True   # the inner run left the outer one active
     assert runner._active is False
     _no_child_left()
 
@@ -183,9 +195,9 @@ def test_the_costliest_pairs_are_queued_first(monkeypatch):
     seen = []
     real = runner.run_cases
 
-    def spy(cases):
+    def spy(cases, most=None):
         seen.append([k for k, _ in cases])
-        return real(cases)
+        return real(cases, most)
 
     monkeypatch.setattr(runner, "run_cases", spy)
     setup = _setup((2, 2, 1), 1)
@@ -268,9 +280,9 @@ def test_a_planted_casimir_fault_gives_the_serial_message(parts, eps, monkeypatc
         rows[-1][-1] += 1
         return rows
 
-    def spy(cases):
+    def spy(cases, most=None):
         checks.append(cases)
-        return real_run(cases)
+        return real_run(cases, most)
 
     monkeypatch.setattr(enveloping, "inverse_rows", off_by_one)
     monkeypatch.setattr(runner, "run_cases", spy)
@@ -304,4 +316,67 @@ def test_a_lost_worker_makes_casimir_raise(workers, monkeypatch):
     monkeypatch.setattr(enveloping, "_commutes", partial(_killed_in_a_worker, os.getpid(), enveloping._commutes))
     with pytest.raises(RuntimeError, match=r"Casimir centrality at basis element \d+ gave no verdict: WorkerLost: "):
         casimir(_setup((2, 1, 1), -1))
+    _no_child_left()
+
+
+# -- the work cap -----------------------------------------------------------------
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_most_caps_the_worker_count(monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 3)
+    forks = _counting_forks(monkeypatch)
+    for most, want in ((0, 0), (1, 1), (2, 2), (9, 3)):
+        forks.clear()
+        out = runner.run_cases([(i, partial(_pid_after, 0.05)) for i in range(8)], most=most)
+        assert len(forks) == want and set(out) == set(range(8))
+        _no_child_left()
+
+
+def test_small_certificate_loops_fork_nothing(monkeypatch):
+    # sp4: 112 products of theta terms over its pairs, 90 for the Casimir's centrality
+    monkeypatch.setattr(enveloping, "TERM_PRODUCTS_PER_WORKER", DEFAULT_PER_WORKER)
+    monkeypatch.setattr(runner, "WORKERS", 3)
+    forks = _counting_forks(monkeypatch)
+    setup = _setup((2, 1, 1), -1)
+    assert character_kills_commutators(setup, augmentation_character(setup))
+    assert casimir(setup).shape["shape_ok"]
+    assert forks == []
+
+
+@pytest.mark.parametrize("per_worker, want", [(112, 1), (56, 2), (40, 2), (10, 3)])
+def test_the_character_check_forks_one_worker_per_share_of_its_work(per_worker, want, monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 3)
+    monkeypatch.setattr(enveloping, "TERM_PRODUCTS_PER_WORKER", per_worker)
+    setup = _setup((2, 1, 1), -1)
+    c = augmentation_character(setup)
+    terms = [len(setup.thetas[k].value) for k in range(setup.r)]
+    assert sum(terms[i] * terms[j] for i in range(setup.r) for j in range(i + 1, setup.r)) == 112
+    forks = _counting_forks(monkeypatch)
+    assert character_kills_commutators(setup, c)
+    assert len(forks) == want
+    _no_child_left()
+
+
+@pytest.mark.parametrize("per_worker, want", [(91, 0), (90, 1), (30, 3)])
+def test_casimir_forks_one_worker_per_share_of_its_work(per_worker, want, monkeypatch):
+    # sp4: dim g = 10 basis elements against the 9 terms of C
+    monkeypatch.setattr(runner, "WORKERS", 3)
+    monkeypatch.setattr(enveloping, "TERM_PRODUCTS_PER_WORKER", per_worker)
+    forks = _counting_forks(monkeypatch)
+    assert len(casimir(_setup((2, 1, 1), -1)).element) == 9
+    assert len(forks) == want
     _no_child_left()
