@@ -30,14 +30,6 @@ def _integer_rows(rows) -> tuple:
     return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
-def _dense(coords):
-    """coords, refused if it is an {index: scalar} map: the dense readers
-    enumerate their argument, and would read a map's keys as its values."""
-    if isinstance(coords, dict):
-        raise TypeError("expected dense Chevalley coordinates, not an {index: scalar} map")
-    return coords
-
-
 def _trace_of_product(x: dict, y: dict):
     """tr(xy) = sum of x[r, c] y[c, r], for matrices given by their entries."""
     return sum(v * y.get((c, r), 0) for (r, c), v in x.items())
@@ -243,20 +235,21 @@ class ClassicalAlgebra:
             coords.update((j, ring.div(c, self._cartan_den)) for j, c in enumerate(self._cartan_coords(diag)))
         return coords
 
-    def coordinates(self, x: SparseMatrix):
-        """Exact coordinates of x in the Chevalley basis over x's ring;
-        raises if x is not in the algebra."""
+    def coordinates(self, x: SparseMatrix) -> dict:
+        """{k: c}, the exact nonzero Chevalley coordinates of x over x's ring,
+        keys ascending; raises if x is not in the algebra."""
         read = self._read_coords(x.entries, x.ring)
-        coords = tuple(read.get(k, 0) for k in range(self.dim))
+        coords = {k: read[k] for k in sorted(read) if read[k] != 0}
         if self.from_coordinates(coords, x.ring) != x:
             raise ValueError("matrix is not in the algebra")
         return coords
 
-    def from_coordinates(self, coords, ring: Ring = QQ) -> SparseMatrix:
-        """sum_k c_k B_k over ring, summed as one entry dict; each c_k is
-        coerced into ring first, so a scalar the ring cannot hold raises."""
+    def from_coordinates(self, coords: dict, ring: Ring = QQ) -> SparseMatrix:
+        """sum_k c_k B_k over ring for coords = {k: c_k}, summed as one entry
+        dict; each c_k is coerced into ring first, so a scalar the ring
+        cannot hold raises."""
         ent = {}
-        for k, c in enumerate(_dense(coords)):
+        for k, c in coords.items():
             if c != 0:
                 c = ring.coerce(c)
                 for rc, v in self.basis[k].entries.items():
@@ -326,15 +319,16 @@ class ClassicalAlgebra:
                 out[k] = v
         return out
 
-    def ad(self, x, ring: Ring = QQ) -> SparseMatrix:
-        """Matrix of ad(x) on the Chevalley basis over ring, for x given by
-        its Chevalley coordinates: column j holds [x, B_j] = sum_i x_i (row i
-        of the structure table).  An int coordinate is used as it is, any
-        other is coerced into ring first (so one the ring cannot hold
-        raises); the entries are coerced once, as the matrix is built."""
+    def ad(self, x: dict, ring: Ring = QQ) -> SparseMatrix:
+        """Matrix of ad(x) on the Chevalley basis over ring, for x given as
+        the {index: scalar} map of its Chevalley coordinates: column j holds
+        [x, B_j] = sum_i x_i (row i of the structure table).  An int
+        coordinate is used as it is, any other is coerced into ring first
+        (so one the ring cannot hold raises); the entries are coerced once,
+        as the matrix is built."""
         table = self.structure
         acc = {}
-        for i, a in enumerate(_dense(x)):
+        for i, a in x.items():
             if type(a) is not int:
                 a = ring.coerce(a)
             if a:
@@ -434,11 +428,17 @@ class ClassicalAlgebra:
         self._killing = {"gram": gmat, "trace_constant": const, "d": d}
         return self._killing
 
-    def kappa_row(self, coords) -> tuple:
-        """(kappa(x, B_k))_k = G x, the Killing functional of x on the
-        Chevalley basis, for x given by its Chevalley coordinates and G the
-        certified Gram of killing_form()."""
-        return self.killing_form()["gram"].apply(coords)
+    def kappa_row(self, coords: dict) -> tuple:
+        """(kappa(x, B_k))_k = G x, the Killing functional of x on every
+        Chevalley basis element, as a dense tuple, for x given as the
+        {index: scalar} map of its Chevalley coordinates and G the certified
+        Gram of killing_form()."""
+        out = [QQ.zero()] * self.dim
+        for (r, c), v in self.killing_form()["gram"].entries.items():
+            x = coords.get(c)
+            if x:
+                out[r] = QQ.add(out[r], QQ.mul(v, x))
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)

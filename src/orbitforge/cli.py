@@ -215,7 +215,7 @@ def cmd_orbit(args) -> int:
         "very_even": rep.very_even,
         "grading_dims": {str(d): n for d, n in graded_dims(gr).items()},
         "pyramid": rep.pyramid.to_json(),
-        "e_coordinates": [int(c) for c in rep.e_coords],
+        "e_coordinates": [int(rep.e_coords.get(k, 0)) for k in range(rep.algebra.dim)],
     })
     return 0
 

@@ -56,7 +56,6 @@ from .linalg import (
     inverse_rows,
     rank_kernel,
     solve,
-    sparse_vector,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
 from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
@@ -490,8 +489,7 @@ class WSetup:
 
     def centralizer_matrix(self, k: int) -> SparseMatrix:
         """The matrix of basis vector k of the x-part."""
-        xs = self.basis_vectors[k]
-        return self.alg.from_coordinates([xs.get(i, 0) for i in range(self.dim)])
+        return self.alg.from_coordinates(self.basis_vectors[k])
 
     def build_theta(self, k: int) -> ThetaGenerator:
         if k in self.thetas:
@@ -670,7 +668,7 @@ class WSetup:
 def jems_commutator_check(setup: WSetup, u_mat, v_mat, v_degree: int) -> bool:
     """[Theta(u), Theta(v)] = Theta([u, v]) for u in g^e(0), v in g^e(0) or (1),
     given as matrices, each read once into its Chevalley coordinate map."""
-    u, v = (sparse_vector(setup.alg.coordinates(m), QQ) for m in (u_mat, v_mat))
+    u, v = (setup.alg.coordinates(m) for m in (u_mat, v_mat))
     tu = setup.theta_zero(u)
     tv = setup.theta_zero(v) if v_degree == 0 else setup.theta_one(v)
     lhs = setup.U.q_comm(tu, tv)
@@ -853,7 +851,7 @@ def casimir(setup: WSetup) -> CasimirElement:
 
     q_image = setup.U.q_mul(C, _ONE)
     # shape: 2 e + sum y_i z_i + C' with C' in U(g(0)) and y_i in g(1)
-    rest = elem_add(q_image, setup.embed(sparse_vector(setup.rep.e_coords, QQ)), -2)
+    rest = elem_add(q_image, setup.embed(setup.rep.e_coords), -2)
     mixed = []
     zero_part = []
     ok = True

@@ -375,13 +375,11 @@ class VectorSpan:
 
     # -- one interface ------------------------------------------------------
 
-    def _own(self, vec):
-        """vec, a dense sequence or a {col: scalar} map of ring elements, in
-        the span's row format."""
+    def _own(self, vec: dict):
+        """vec, a {col: scalar} map of ring elements, in the span's row
+        format."""
         if not self._budget:
-            return vec if isinstance(vec, dict) else sparse_vector(vec, self.ring)
-        if not isinstance(vec, dict):
-            return int.from_bytes(bytes(map(self.ring.coerce, vec)), "little")
+            return vec
         mod, u = self._mod, 0
         for c, x in vec.items():
             u |= x % mod << (c << 3)
@@ -419,12 +417,12 @@ class VectorSpan:
         self._rows[p] = v
         return True
 
-    def add(self, vec) -> bool:
-        """Insert vec, a dense sequence or a {col: scalar} map of ring
-        elements; True if it enlarged the span."""
+    def add(self, vec: dict) -> bool:
+        """Insert vec, a {col: scalar} map of ring elements; True if it
+        enlarged the span."""
         return self._insert(self._own(vec))
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         """Membership of vec, given as for add."""
         v = self._own(vec)
         if self._budget:
@@ -537,20 +535,21 @@ def _at_least(p: int) -> list:
 
 
 def closure_ranks(ring: Ring, seeds, matrices) -> list:
-    """For each dense vector seed in ring^n, the rank of the smallest
-    subspace that holds it and is stable under the n x n matrices.  The
-    matrices are prepared once for all seeds."""
+    """For each seed, a vector of ring^n given as the {index: scalar} map of
+    its nonzero entries, the rank of the smallest subspace that holds it and
+    is stable under the n x n matrices.  The matrices are prepared once for
+    all seeds; with none, n is never read."""
+    n = matrices[0].nrows if matrices else 0
     prepare = VectorSpan(ring)._operator
     ops = [prepare(m) for m in matrices]
-    return [_close(VectorSpan(ring), seed, ops) for seed in seeds]
+    return [_close(VectorSpan(ring), seed, ops, n) for seed in seeds]
 
 
-def _close(span: VectorSpan, seed, ops) -> int:
-    """The rank of the closure of seed under ops in span, breadth first: the
-    images of each new vector in turn, under each operator in turn.  Stops
-    once the span is the whole space, since no image can raise the rank
-    past len(seed)."""
-    n = len(seed)
+def _close(span: VectorSpan, seed: dict, ops, n: int) -> int:
+    """The rank of the closure of the map seed under ops in span, breadth
+    first: the images of each new vector in turn, under each operator in
+    turn.  Stops once the span has rank n, the whole space, since no image
+    can raise it further."""
     v = span._own(seed)
     frontier = [v] if span._insert(v) else []
     while frontier:

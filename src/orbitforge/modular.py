@@ -40,7 +40,7 @@ from .enveloping import UAlgebra
 class ModularAlgebra:
     alg: ClassicalAlgebra
     p: int
-    p_power: list            # coordinates of x^{[p]} per basis element
+    p_power: list            # {index: residue}, the Chevalley coordinates of x^{[p]}, per basis element
     structure: dict          # (a, b) -> {c: coeff mod p}
 
 
@@ -77,11 +77,8 @@ def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
 def verify_restrictedness(mod: ModularAlgebra):
     """ad(x^{[p]}) = (ad x)^p as matrices over F_p, for every basis x."""
     ring = GF(mod.p)
-    dim = mod.alg.dim
-    for k in range(dim):
-        unit = [0] * dim
-        unit[k] = 1
-        if _power(mod.alg.ad(unit, ring), mod.p) != mod.alg.ad(mod.p_power[k], ring):
+    for k in range(mod.alg.dim):
+        if _power(mod.alg.ad({k: 1}, ring), mod.p) != mod.alg.ad(mod.p_power[k], ring):
             raise AssertionError(f"restrictedness fails for basis element {k}")
 
 
@@ -143,7 +140,7 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
     pos = {k: i for i, k in enumerate(order)}
     bracket = {(pos[a], pos[b]): {pos[c]: v for c, v in entry.items()}
                for (a, b), entry in mod.structure.items() if pos[a] > pos[b]}
-    p_power = [{pos[c]: v for c, v in enumerate(mod.p_power[k]) if v} for k in order]
+    p_power = [{pos[c]: v for c, v in mod.p_power[k].items()} for k in order]
     U = UAlgebra(alg.dim, bracket, len(f_idx), [chi[k] for k in order], restricted=(p, p_power))
     # the monomials in exponent-vector order, each as its sorted word
     words = [tuple(i for i, n in enumerate(expo) for _ in range(n)) for expo in product(range(p), repeat=len(f_idx))]
@@ -173,10 +170,9 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
     for k in range(dim_g):
         # x_k^p - sum of v x_c - chi(x_k)^p 1 as one entry dict, checked mod p
         residue = dict(_power(act[k], p).entries)
-        for c, v in enumerate(mod.p_power[k]):
-            if v:
-                for rc, x in mats[c].items():
-                    residue[rc] = residue.get(rc, 0) - v * x
+        for c, v in mod.p_power[k].items():
+            for rc, x in mats[c].items():
+                residue[rc] = residue.get(rc, 0) - v * x
         chi_p = pow(module.chi[k], p, p)
         for i in range(module.dim):
             residue[(i, i)] = residue.get((i, i), 0) - chi_p
@@ -187,9 +183,10 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
 PROBE_SEEDS = 10
 
 
-def _probe_seed(s: int, dim: int, p: int) -> tuple:
-    """The s-th seed vector of submodule_probe, over F_p."""
-    return tuple((1 + ((s + 1) * 48271 * (i + 1)) % 7) % p for i in range(dim))
+def _probe_seed(s: int, dim: int, p: int) -> dict:
+    """The s-th seed vector of submodule_probe in F_p^dim, as the
+    {index: residue} map of its nonzero entries."""
+    return {i: x for i in range(dim) if (x := (1 + ((s + 1) * 48271 * (i + 1)) % 7) % p)}
 
 
 def submodule_probe(module: InducedModule) -> dict:

@@ -42,7 +42,7 @@ class NilpotentRep:
     algebra: ClassicalAlgebra
     pyramid: DynkinPyramid
     e: SparseMatrix          # over QQ
-    e_coords: tuple          # Chevalley coordinates of e (integers)
+    e_coords: dict           # {index: integer}, the nonzero Chevalley coordinates of e
     very_even: bool
     # built on first use by dynkin_grading, ad_e_matrix (one per ring) and
     # modular.graded_dims_mod_p (one per prime)
@@ -85,7 +85,7 @@ def build_nilpotent(lam: Partition, eps: int) -> NilpotentRep:
     e = SparseMatrix(lam.size, lam.size, QQ, ent)
     # coordinates raises for a matrix outside the algebra
     coords = alg.coordinates(e)
-    if any(c.denominator != 1 for c in coords):
+    if any(c.denominator != 1 for c in coords.values()):
         raise AssertionError("nilpotent representative not in the Chevalley lattice")
     rep = NilpotentRep(lam, eps, alg, pyr, e, coords, is_very_even(lam, eps))
     jt = jordan_type(e)
@@ -148,8 +148,8 @@ def dynkin_grading(rep: NilpotentRep) -> DynkinGrading:
         for d in layers:
             if len(layers[d]) != len(layers.get(-d, ())):
                 raise AssertionError("graded dimensions are not symmetric")
-        for k, c in enumerate(rep.e_coords):
-            if c != 0 and degs[k] != 2:
+        for k in rep.e_coords:
+            if degs[k] != 2:
                 raise AssertionError("e is not homogeneous of degree 2")
         rep._grading = DynkinGrading(weight, degs, layers)
     return rep._grading
@@ -224,11 +224,11 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, rep.e) != rep.e.scale(2):
         raise AssertionError("[h, e] != 2e")
     # h is diagonal, so its coordinates lie in g(0); [e, f] = h below catches any other h
-    sol = solve(ad_e_block(rep, -2), [c for c, d in zip(alg.coordinates(h), gr.degree) if d == 0])
+    h_coords = alg.coordinates(h)
+    sol = solve(ad_e_block(rep, -2), [h_coords.get(k, 0) for k in gr.layer(0)])
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
-    at = dict(zip(gr.layer(-2), sol))
-    f = alg.from_coordinates([at.get(k, 0) for k in range(alg.dim)])
+    f = alg.from_coordinates(dict(zip(gr.layer(-2), sol)))
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")
     # density evidence: [e, g(0)] = g(2)
@@ -360,10 +360,10 @@ def generic_datum_sample(datum: InductionDatum):
     types = []
     for s in range(DATUM_SAMPLES):
         state = (seed + 9176 * s + 13) & 0x7FFFFFFF
-        coords = list(levi_coords)
+        coords = dict(levi_coords)
         for k in n_idx:
             state = (state * 48271) % 2147483647
-            coords[k] += 1 + state % 7
+            coords[k] = coords.get(k, 0) + 1 + state % 7
         x = alg.from_coordinates(coords)
         jt = jordan_type(x)
         types.append(jt)

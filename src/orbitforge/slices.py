@@ -66,8 +66,8 @@ def weight_data(rep: NilpotentRep) -> WeightData:
                 "split rule would be ambiguous for this representative"
             )
     # weight zero on e's support is [t, e] = 0 for every torus generator t
-    for k, c in enumerate(rep.e_coords):
-        if c != 0 and wd.side(k) != 0:
+    for k in rep.e_coords:
+        if wd.side(k) != 0:
             raise AssertionError("e does not lie in the Levi of the weight split")
     return wd
 
@@ -282,7 +282,7 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
     perp_ok = len(nonzero) + cb.dim == alg.dim and not any(
-        any(ad_e_t.apply(alg.kappa_row([z.get(k, 0) for k in range(alg.dim)]))) for z in cb.vectors)
+        any(ad_e_t.apply(alg.kappa_row(z))) for z in cb.vectors)
     return {
         "divisors": divisors,
         "saturated": saturated,

@@ -1,6 +1,8 @@
-"""The CLI half of "same behaviour": the stdout and exit code of eleven
-commands, recorded before the elements of g moved onto {index: scalar}
-maps, are compared byte for byte.  Each command runs in process through
+"""The CLI half of "same behaviour": the stdout and exit code of thirteen
+commands are compared byte for byte.  Eleven were recorded before the
+elements of g moved onto {index: scalar} maps; the last two (p-th powers
+and a 2,401-dim module check at p = 7, and the 300-entry e_coordinates of
+an sp_24 orbit) before Chevalley coordinates left the dense format.  Each command runs in process through
 cli.main; tests/golden/cli/cases.json lists the arguments, the exit code
 and the file holding the expected stdout."""
 
@@ -24,8 +26,8 @@ def _run(args):
     return code, out.getvalue()
 
 
-def test_the_gate_covers_eleven_commands():
-    assert len(CASES) == 11 and len({case["stdout"] for case in CASES}) == 11
+def test_the_gate_covers_thirteen_commands():
+    assert len(CASES) == 13 and len({case["stdout"] for case in CASES}) == 13
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["args"]))

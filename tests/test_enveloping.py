@@ -224,13 +224,13 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
 
 
 def _embed_matrix(setup, m) -> dict:
-    return setup.embed(sparse_vector(setup.alg.coordinates(m), QQ))
+    return setup.embed(setup.alg.coordinates(m))
 
 
 def _matrix(setup, xs: dict) -> SparseMatrix:
     """The matrix of the element of g with Chevalley coordinates {index:
     scalar} xs."""
-    return setup.alg.from_coordinates([xs.get(k, 0) for k in range(setup.alg.dim)])
+    return setup.alg.from_coordinates(xs)
 
 
 def _matrix_theta_zero(setup, x) -> dict:
@@ -407,7 +407,7 @@ def test_q_project_m_generator(sp4):
 
 
 def test_q_project_e_is_a_centralizer_monomial(sp4):
-    q = _to_q(sp4, sp4.embed(sparse_vector(sp4.rep.e_coords, QQ)))
+    q = _to_q(sp4, sp4.embed(sp4.rep.e_coords))
     assert all(len(w) == 1 and w[0] < sp4.r for w in q)
 
 
@@ -647,7 +647,7 @@ def test_casimir_sp4_so5():
         e_word = sp_e_word = None
         rest = elem_add(
             cas.q_image,
-            setup.embed(sparse_vector(setup.rep.e_coords, QQ)),
+            setup.embed(setup.rep.e_coords),
             Fraction(-2),
         )
         for word in rest:

@@ -38,8 +38,8 @@ def test_block_is_the_commutator_cut_to_the_layers(lam, eps):
         ref = {}
         for jj, j in enumerate(gr.layer(d)):
             coords = alg.coordinates(commutator(rep.e, alg.basis[j]))
-            assert all(c == 0 for k, c in enumerate(coords) if k not in target)
-            ref.update({(target[k], jj): c for k, c in enumerate(coords) if c != 0})
+            assert all(c == 0 for k, c in coords.items() if k not in target)
+            ref.update({(target[k], jj): c for k, c in coords.items() if c != 0})
         for ring in (QQ, ZZ, GF(3)):
             assert ad_e_block(rep, d, ring) == SparseMatrix(len(target), len(gr.layer(d)), ring, ref)
 
@@ -69,7 +69,7 @@ def test_a_saturation_case_builds_ad_e_once_per_ring(monkeypatch):
     ad, calls = ClassicalAlgebra.ad, {}
 
     def counted(self, x, ring=QQ):
-        key = (tuple(x), ring)
+        key = (tuple(x.items()), ring)
         calls[key] = calls.get(key, 0) + 1
         return ad(self, x, ring)
 
@@ -114,9 +114,9 @@ def test_f_is_the_solve_on_whole_columns(lam, eps):
     rep = build_nilpotent(lam, eps)
     alg, gr = rep.algebra, dynkin_grading(rep)
     triple = complete_sl2(rep)
-    sol = solve(ad_e_matrix(rep).columns(gr.layer(-2)), list(alg.coordinates(triple.h)))
-    at = dict(zip(gr.layer(-2), sol))
-    assert triple.f == alg.from_coordinates([at.get(k, 0) for k in range(alg.dim)])
+    h = alg.coordinates(triple.h)
+    sol = solve(ad_e_matrix(rep).columns(gr.layer(-2)), [h.get(k, 0) for k in range(alg.dim)])
+    assert triple.f == alg.from_coordinates(dict(zip(gr.layer(-2), sol)))
 
 
 def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):

@@ -13,10 +13,8 @@ import pytest
 
 from orbitforge.cli import W_SUITE_CASES
 from orbitforge.enveloping import WSetup, augmentation_character, casimir
-from orbitforge.linalg import sparse_vector
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
-from orbitforge.rings import QQ
 
 from test_rings import _is_canonical
 
@@ -63,7 +61,7 @@ def _assert_canonical(values, where):
 
 
 def _units(dim):
-    return [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    return [{k: 1} for k in range(dim)]
 
 
 @pytest.mark.parametrize("parts,eps", W_SUITE_CASES)
@@ -79,7 +77,7 @@ def test_the_walgebra_cases_give_canonical_scalars(parts, eps):
     assert any(th.expansion for th in thetas.values())
     _assert_canonical(augmentation_character(setup).values(), "augmentation character")
     for v in _units(setup.dim) + [setup.rep.e_coords]:
-        _assert_canonical(setup.embed(sparse_vector(v, QQ)).values(), "embed")
+        _assert_canonical(setup.embed(v).values(), "embed")
 
 
 @pytest.mark.parametrize("parts,eps", CASIMIR_CASES)

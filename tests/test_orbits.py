@@ -94,7 +94,7 @@ def test_e_is_degree_two():
     for parts, eps in [((5, 2, 2, 1), 1), ((4, 3, 3, 2), -1)]:
         rep = build_nilpotent(Partition(parts), eps)
         gr = dynkin_grading(rep)
-        for k, c in enumerate(rep.e_coords):
+        for k, c in rep.e_coords.items():
             if c:
                 assert gr.degree[k] == 2
 

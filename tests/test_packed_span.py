@@ -4,7 +4,7 @@ VectorSpan over GF(p) with p <= 13 holds byte-packed rows and over any
 other field dict rows; both must give the add return values, ranks,
 pivots, reduced echelon rows and memberships of dense Gauss-Jordan
 elimination (tests/test_linalg.py's reference, which shares no code with
-linalg), on sparse and dense vectors, on columns far apart, and on
+linalg), on sparse and full {col: residue} maps, on columns far apart, and on
 reductions long enough to renormalise the bytes on the way.  closure_ranks
 is checked against a dense closure written here."""
 
@@ -75,11 +75,11 @@ def _on_keys(row, keys) -> dict:
     return {keys[j]: x for j, x in enumerate(row) if x}
 
 
-def _check_against_the_reference(p, keys, rows, as_dicts, read_every=3):
+def _check_against_the_reference(p, keys, rows, read_every=3):
     ring = GF(p)
     span, ref = VectorSpan(ring), DenseEchelon(p)
     for k, row in enumerate(rows):
-        vec = _on_keys(row, keys) if as_dicts or keys != list(range(len(keys))) else row
+        vec = _on_keys(row, keys)
         grows = ref.add(row)
         assert span.contains(vec) is not grows
         assert span.add(vec) is grows
@@ -96,17 +96,17 @@ def _check_against_the_reference(p, keys, rows, as_dicts, read_every=3):
 
 
 @settings(max_examples=200, deadline=None)
-@given(span_inputs(), st.booleans())
-def test_add_contains_rank_pivots_and_rows_follow_dense_elimination(data, as_dicts):
+@given(span_inputs())
+def test_add_contains_rank_pivots_and_rows_follow_dense_elimination(data):
     p, keys, rows, _ = data
-    _check_against_the_reference(p, keys, rows, as_dicts)
+    _check_against_the_reference(p, keys, rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(span_inputs(far=True))
 def test_far_apart_columns(data):
     p, keys, rows, _ = data
-    _check_against_the_reference(p, keys, rows, True)
+    _check_against_the_reference(p, keys, rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -126,7 +126,7 @@ def test_long_reductions_renormalise_on_the_way(p, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VectorSpan, "_normal", counted)
-        _check_against_the_reference(p, list(range(n)), rows, False, read_every=n)
+        _check_against_the_reference(p, list(range(n)), rows, read_every=n)
     assert calls
 
 
@@ -173,7 +173,7 @@ def test_closure_rank_matches_a_dense_closure(pn, data):
     mats = data.draw(st.lists(st.lists(st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n),
                                        min_size=n, max_size=n), max_size=3))
     want = _dense_closure_rank(p, seed, mats)
-    (got,) = closure_ranks(GF(p), [seed], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
+    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
     assert got == want
 
 
@@ -191,15 +191,15 @@ def test_closure_rank_stays_in_an_invariant_subspace(pn, data):
     for _ in range(data.draw(st.integers(1, 3))):
         a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
         mats.append([[x if i < k or j >= k else 0 for j, x in enumerate(row)] for i, row in enumerate(a)])
-    (got,) = closure_ranks(GF(p), [seed], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
+    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
     assert got == _dense_closure_rank(p, seed, mats) <= k
 
 
 def test_the_rows_are_packed_up_to_13_and_dicts_above():
     span = VectorSpan(GF(13))
-    span.add([0, 1, 2])
+    span.add({1: 1, 2: 2})
     assert span._rows == {1: 2}   # the row 1 at column 1, 2 at column 2: byte 0 after the pivot is 2
     span = VectorSpan(GF(17))
-    span.add([0, 1, 2])
+    span.add({1: 1, 2: 2})
     assert span._rows == {1: {1: 1, 2: 2}}
     assert linalg.lane_budget(GF(13)) == 1 and linalg.lane_budget(GF(17)) == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge.rings import GF, PRIME_BOUND, QQ, ZZ, Ring, is_odd_prime
-from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve
+from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve, sparse_vector
 
 from test_linalg import ENTRY, _ref_echelon, _ref_inverse, _ref_rank_kernel, _ref_solve, matrices
 
@@ -115,7 +115,7 @@ def test_qq_eliminations_are_canonical_and_match_the_fraction_reference(rows, da
     _assert_canonical_equal(solve(m, b), _ref_solve(rows, b, FRACTION_QQ))
     span = VectorSpan(QQ)
     for row in rows:
-        span.add(row)
+        span.add(sparse_vector(row, QQ))
     echelon, pivots = _ref_echelon(rows, FRACTION_QQ)
     _assert_canonical_equal(span.rows, [{c: x for c, x in enumerate(row) if x != 0} for row in echelon])
     n = min(m.nrows, m.ncols)

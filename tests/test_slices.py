@@ -7,7 +7,7 @@ import pytest
 
 from orbitforge import slices
 from orbitforge.rings import QQ, GF, ZZ, is_two_power_denominator
-from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, sparse_vector
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
 from orbitforge.partitions import Partition, admissible_partitions
 from orbitforge.orbits import ad_e_block, build_nilpotent, dynkin_grading, orbit_dimension
 from orbitforge.slices import (
@@ -118,9 +118,9 @@ def test_duality_survives_reduction_mod_p():
         for p in (3, 5, 7):
             ring = GF(p)
             for i, zm in enumerate(pair.z_minus):
-                xm = alg.from_coordinates([ring.coerce(zm.get(k, 0)) for k in range(alg.dim)], ring)
+                xm = alg.from_coordinates({k: ring.coerce(c) for k, c in zm.items()}, ring)
                 for j, zp in enumerate(pair.z_plus):
-                    xp = alg.from_coordinates([ring.coerce(zp.get(k, 0)) for k in range(alg.dim)], ring)
+                    xp = alg.from_coordinates({k: ring.coerce(c) for k, c in zp.items()}, ring)
                     br = commutator(xm, xp).change_ring(QQ)
                     val = ring.coerce(alg.killing_form()["trace_constant"] * _trace(rep.e @ br))
                     assert val == (1 if i == j else 0) % p
@@ -290,7 +290,7 @@ def test_perp_identity_fails_for_a_non_centralizing_vector(monkeypatch):
     assert integral_saturation(rep)["perp_identity"]
     # swap one centraliser vector for a basis vector off g^e: the ranks still
     # add up, so only the containment (ad e)^T G z = 0 can catch it
-    e = sparse_vector(rep.e_coords, QQ)
+    e = rep.e_coords
     bad = next(k for k in range(rep.algebra.dim) if rep.algebra.sparse_bracket(e, {k: 1}))
     vectors = [{bad: 1}] + cb.vectors[1:]
     monkeypatch.setattr(slices, "compute_centralizer",
