@@ -22,7 +22,10 @@ nothing is straightened in U(g) first.  The right factor is mapped to Q
 once, and each left word acts on the whole sum.  With no m-letters Q is
 U(g) itself and the action is left multiplication in the PBW basis; the
 Casimir element and its centrality take their products from such an
-instance.  Both certificate loops, the commutator pairs of
+instance.  Products of generators, theta_a . (theta^t . 1), come from one
+table per WSetup (_theta_product), read by theta monomials, lift's
+commutators and both products of each pair of character_kills_commutators.
+Both certificate loops, the commutator pairs of
 character_kills_commutators and the Casimir's centrality on each basis
 element, run through runner.run_cases on every CPU their size pays for and
 are read back in order.  The same action, restricted mod p, gives the induced modules
@@ -252,6 +255,16 @@ class UAlgebra:
         acc = self._act_on(xs, self._act_on(ys, _ONE, ly), lx)
         return self._quotients(acc, dx * dy, lx + ly)
 
+    def _act_on_image(self, xs, v: dict, top: int, x1: dict) -> dict:
+        """_act_on(xs, v, top), given x1 = _act_on(xs, _ONE, top): when v is
+        a constant c, as the commutator of an m-letter with anything gives,
+        it is c * x1 by linearity (nothing when v is empty), with no letter
+        acting.  Its nonzero terms are _act_on's, in the same key order."""
+        if v.keys() <= {()}:
+            c = v.get((), 0)
+            return {s: c * n for s, n in x1.items()} if c else {}
+        return self._act_on(xs, v, top)
+
     def _comm_acc(self, x: dict, y: dict):
         """(acc, den, top) for [x, y]: the coefficient of term t is
         acc[t] / (den * D^(top - len(t)))."""
@@ -259,20 +272,12 @@ class UAlgebra:
         dy, ys = _scaled(y)
         lx, ly = _longest(x), _longest(y)
         x1, y1 = self._act_on(xs, _ONE, lx), self._act_on(ys, _ONE, ly)
-        return _difference(self._act_on(xs, y1, lx), self._act_on(ys, x1, ly)), dx * dy, lx + ly
+        return (_difference(self._act_on_image(xs, y1, lx, x1), self._act_on_image(ys, x1, ly, y1)),
+                dx * dy, lx + ly)
 
     def q_comm(self, x: dict, y: dict) -> dict:
         """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
         return self._quotients(*self._comm_acc(x, y))
-
-    def q_comm_ints(self, x: dict, y: dict):
-        """q_comm(x, y) as (ints, W): the coefficient of term t is
-        ints[t] / W, over one denominator W, with no term divided."""
-        acc, den, top = self._comm_acc(x, y)
-        D = self.denominator
-        if D == 1:
-            return {t: n for t, n in acc.items() if n != 0}, den
-        return {t: n * D ** len(t) for t, n in acc.items() if n != 0}, den * D ** top
 
 
 def elem_add(x: dict, y: dict, scale=1) -> dict:
@@ -331,6 +336,13 @@ class WSetup:
         self.thetas: dict[int, ThetaGenerator] = {}
         self._mono_cache = {}
         self._vector_memo = {}
+        # the theta product table (_theta_product), per target word t
+        # (den, top, {suffix: suffix . (theta^t . 1)}), with the count of the
+        # generators' words each suffix ends and each generator's plan: plain
+        # dicts, filled by loops, so the setup is freed without the collector
+        self._targets = {}
+        self._suffix_count = {}
+        self._plans = {}
 
     # -- ordered basis -----------------------------------------------------
 
@@ -515,6 +527,11 @@ class WSetup:
             )
         self._check_shape(th)
         self.thetas[k] = th
+        count = self._suffix_count
+        for word in val:
+            for i in range(len(word)):
+                count[word[i:]] = count.get(word[i:], 0) + 1
+        self._plans.clear()
         return th
 
     def build_all_thetas(self):
@@ -563,6 +580,68 @@ class WSetup:
             sol = [QQ.add(s, kvv) for s, kvv in zip(sol, kv)]
         return [(pairs[j], sol[j]) for j in range(len(pairs)) if sol[j] != 0]
 
+    # -- the theta product table ---------------------------------------------------
+
+    def _plan(self, a: int):
+        """(den, top, [(w, n, first, keys)]) for the scaled words (w, n) of
+        theta_a, as q_mul scales a left factor: keys are the suffixes
+        w[first:], w[first + 1:], ..., () of w, where w[first:] is the
+        longest suffix that ends at least two of the generators' words."""
+        plan = self._plans.get(a)
+        if plan is None:
+            value, D, count = self.build_theta(a).value, self.U.denominator, self._suffix_count
+            den, xs = _scaled(value)
+            top = _longest(value)
+            words = []
+            for w, n in xs:
+                i = 0
+                while i < len(w) and count[w[i:]] < 2:
+                    i += 1
+                words.append((w, n * D ** (top - len(w)), i, [w[j:] for j in range(i, len(w) + 1)]))
+            plan = self._plans[a] = (den, top, words)
+        return plan
+
+    def _theta_product(self, a: int, t: tuple):
+        """(acc, den, top) for theta_a . (theta^t . 1), t a word of generator
+        indices: the coefficient of term s is acc[s] / (den * D^(top -
+        len(s))), with the values and key order of q_mul(theta_a,
+        theta^t . 1) and its terms that cancel kept at 0.
+
+        Each word w of theta_a acts on the target theta^t . 1 letter by
+        letter from the right, from the longest suffix of w whose image is
+        already in the target's table.  A suffix that ends two or more of
+        the generators' words keeps its image there, so it acts on the
+        target once, whichever caller asks; one that ends a single word is
+        not kept, which bounds the table's memory."""
+        U = self.U
+        den, top, words = self._plan(a)
+        entry = self._targets.get(t)
+        if entry is None:
+            y = self._theta_monomial(t)
+            dy, ys = _scaled(y)
+            ly = _longest(y)
+            entry = self._targets[t] = (dy, ly, {(): U._act_on(ys, _ONE, ly)})
+        dy, ly, images = entry
+        out = {}
+        for w, n, first, keys in words:
+            j = 0
+            while keys[j] not in images:
+                j += 1
+            val = images[keys[j]]
+            for i in range(first + j - 1, -1, -1):
+                val = U._act_letter(w[i], val)
+                if i >= first:
+                    images[keys[i - first]] = val
+            for s, c in val.items():
+                out[s] = out.get(s, 0) + n * c
+        return out, den * dy, top + ly
+
+    def _theta_commutator(self, p: int, q: int):
+        """(acc, den, top) for [theta_p, theta_q] . 1, as q_comm(theta_p,
+        theta_q) takes it, from the two products of the table."""
+        xy, den, top = self._theta_product(p, (q,))
+        return _difference(xy, self._theta_product(q, (p,))[0]), den, top
+
     def _theta_monomial(self, word: tuple) -> dict:
         """theta^word . 1 in Q, as theta_word[0] . (theta^word[1:] . 1)."""
         cache = self._mono_cache
@@ -570,7 +649,7 @@ class WSetup:
             return cache[word]
         if not word:
             return {(): 1}
-        out = self.U.q_mul(self.build_theta(word[0]).value, self._theta_monomial(word[1:]))
+        out = self.U._quotients(*self._theta_product(word[0], word[1:]))
         cache[word] = out
         return out
 
@@ -628,7 +707,7 @@ class WSetup:
         value + sum expansion[w] theta^w = h."""
         h: dict = {}
         for (p, q), c in self.commutator_presentation(k, perturb):
-            h = elem_add(h, self.U.q_comm(self.build_theta(p).value, self.build_theta(q).value), c)
+            h = elem_add(h, self.U._quotients(*self._theta_commutator(p, q)), c)
         value, expansion = self._clear(h, k)
         back = dict(value)
         for word, coeff in expansion.items():
@@ -682,20 +761,13 @@ def pbw_basis_check(setup: WSetup, bound: int) -> dict:
     independence in Q, count, and R-integrality of the expansions."""
     setup.build_all_thetas()
     weights = [setup.x_degrees[k] + 2 for k in range(setup.r)]
-    monos = []
-
-    def rec(pos, remaining, cur):
-        if pos == setup.r:
-            monos.append(tuple(cur))
-            return
-        rec(pos + 1, remaining, cur)
-        w = weights[pos]
-        cnt = 1
-        while w * cnt <= remaining:
-            rec(pos + 1, remaining - w * cnt, cur + [pos] * cnt)
-            cnt += 1
-
-    rec(0, bound, [])
+    # the sorted words of weight <= bound by a loop: a self-calling closure
+    # would keep the setup alive until the cycle collector runs
+    monos, grow = [()], [((), 0)]
+    while grow:
+        grow = [(w + (k,), n + weights[k]) for w, n in grow for k in range(w[-1] if w else 0, setup.r)
+                if n + weights[k] <= bound]
+        monos += (w for w, _ in grow)
     monos.sort()
     # each word of Q is a column, numbered in order of first appearance
     column = {}
@@ -743,19 +815,25 @@ def augmentation_character(setup: WSetup) -> dict:
 
 
 # The two certificate loops fork one worker per this many products of a term
-# by a term, a size each loop knows before it runs.  Both take 6-9 us a
-# product on a 2-core x86 host, so this is about 25 ms of serial work, some 8
-# times the size below which a fork and its pickled report cost more than
-# they save.  Each worker also holds its own act memo and its copies of the
-# pages it touches (12-14 MB each for wgen N = 24), so the cap bounds a
-# call's memory by the size of its work, not by the CPU count.
+# by a term, a size each loop knows before it runs.  With the theta product
+# table the character check takes about 4 us a product on a 2-core x86 host
+# (so_8 (3,2,2,1): 12,068 products, 48 ms serial, 32 ms wall with one
+# worker), so a worker's share is about 16 ms of serial work, some 5 times
+# the size below which a fork and its pickled report cost more than they
+# save.  Each worker also holds its own act memo, its own product table and
+# its copies of the pages it touches (12-14 MB each for wgen N = 24), so the
+# cap bounds a call's memory by the size of its work, not by the CPU count.
 TERM_PRODUCTS_PER_WORKER = 4_000
 
 
 def _pair_value(setup: WSetup, c: dict, i: int, j: int):
-    """phi([theta_i, theta_j]), the commutator expanded in the generators."""
-    br, den = setup.U.q_comm_ints(setup.thetas[i].value, setup.thetas[j].value)
-    return _character_value(c, setup.expand_in_theta(br, den))
+    """phi([theta_i, theta_j]), the commutator expanded in the generators;
+    both of its products come from the setup's product table, and the
+    clearing loop takes it as ints over one denominator, no term divided."""
+    acc, den, top = setup._theta_commutator(i, j)
+    D = setup.U.denominator
+    br = {t: n * D ** len(t) for t, n in acc.items() if n != 0}
+    return _character_value(c, setup.expand_in_theta(br, den * D ** top))
 
 
 def character_kills_commutators(setup: WSetup, c: dict) -> bool:

@@ -10,20 +10,28 @@ letter action, and it is built only for a WSetup, for the Casimir element
 (with no m-letters) and for the induced modules (restricted mod p).  q_mul
 and q_comm, which map the right factor to Q once and let each left word act
 on the whole sum, give the values and key order of mapping each pair of
-words to Q by itself, and a dropped WSetup frees its UAlgebra without the
-cycle collector."""
+words to Q by itself; a commutator with an m-letter, whose image of 1 is a
+constant, gives what the letter-by-letter action gives.  WSetup's theta
+product table gives every theta monomial, and both products of every pair
+of generators, as q_mul and q_comm give them, and keeps the image of a
+shared word suffix on a target once; a dropped WSetup frees its UAlgebra
+and its table without the cycle collector."""
 
 import ast
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from orbitforge.enveloping import UAlgebra, WSetup
+from orbitforge import cli, enveloping, runner
+from orbitforge.enveloping import (UAlgebra, WSetup, _difference, _ONE, _scaled, augmentation_character,
+                                   character_kills_commutators, pbw_basis_check)
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
 from test_enveloping import _q_project_reference, _reference
@@ -269,20 +277,138 @@ def test_a_restricted_memo_holds_residues_of_interned_words(monkeypatch):
     _assert_int_memo(U)
 
 
-def test_a_dropped_setup_frees_its_algebra_without_the_collector():
-    # no reference cycle through the memos: with the cycle collector off,
-    # the UAlgebra and its memos go with the last reference
+def test_a_dropped_setup_frees_its_algebra_without_the_collector(monkeypatch):
+    # no reference cycle through the memos or the product table: with the
+    # cycle collector off, the UAlgebra, its memos and the table go with the
+    # last reference, after the table's readers have filled it
+    monkeypatch.setattr(runner, "WORKERS", 0)
     gc.disable()
     try:
         setup = _fresh("so5")
         thetas = setup.build_all_thetas()
         setup.U.q_comm(thetas[0].value, thetas[setup.r - 1].value)
-        assert any(setup.U._act_memo) and setup._vector_memo
-        ref = weakref.ref(setup.U)
+        assert pbw_basis_check(setup, 4)["independent"]
+        assert character_kills_commutators(setup, augmentation_character(setup))
+        assert any(setup.U._act_memo) and setup._vector_memo and setup._mono_cache
+        assert any(len(images) > 1 for _, _, images in setup._targets.values())
+        refs = [weakref.ref(setup), weakref.ref(setup.U)]
         del setup, thetas
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# -- a commutator with a constant image of 1 ---------------------------------------
+
+
+def _letter_by_letter_comm_acc(U, x, y):
+    """_comm_acc(x, y) with every word of each factor acting on the other's
+    image of 1 letter by letter, as before the constant shortcut."""
+    dx, xs = _scaled(x)
+    dy, ys = _scaled(y)
+    lx, ly = max(map(len, x)), max(map(len, y))
+    x1, y1 = U._act_on(xs, _ONE, lx), U._act_on(ys, _ONE, ly)
+    return _difference(U._act_on(xs, y1, lx), U._act_on(ys, x1, ly)), dx * dy, lx + ly
+
+
+@pytest.mark.parametrize("name", [*CASES])
+def test_an_m_letter_commutator_matches_the_letter_by_letter_action(name):
+    # every m-letter has a constant image of 1, chi of it, and a letter with
+    # chi = 0 an empty one; against every generator, in both orders
+    setup = _fresh(name)
+    U, thetas = setup.U, setup.build_all_thetas()
+    m_letters = range(setup.m_start, setup.dim)
+    assert any(setup.chi[a] == 0 for a in m_letters) and any(setup.chi[a] != 0 for a in m_letters)
+    for a in m_letters:
+        x = setup.gen(a)
+        assert U._act_on(_scaled(x)[1], _ONE, 1) == ({(): U._ichi[a]} if setup.chi[a] else {})
+        for th in thetas.values():
+            for pair in ((x, th.value), (th.value, x)):
+                got, want = U._comm_acc(*pair), _letter_by_letter_comm_acc(U, *pair)
+                assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (a, th.index)
+
+
+# -- the theta product table ---------------------------------------------------------
+
+TABLE_CASES = cli.W_SUITE_CASES + (((2, 2, 1, 1, 1), 1), ((3, 2, 2, 1), 1))
+
+
+@lru_cache(maxsize=None)
+def _built(parts, eps) -> WSetup:
+    setup = WSetup(build_nilpotent(Partition(parts), eps))
+    setup.build_all_thetas()
+    return setup
+
+
+def _q_mul_monomial(setup, word) -> dict:
+    """theta^word . 1 by U.q_mul on the thetas' values, right to left."""
+    out = {(): 1}
+    for k in reversed(word):
+        out = setup.U.q_mul(setup.thetas[k].value, out)
+    return out
+
+
+@pytest.mark.parametrize("parts,eps", TABLE_CASES, ids=str)
+def test_every_theta_monomial_up_to_degree_four_is_the_q_mul_product(parts, eps):
+    # a generator has Kazhdan degree >= 2, so these words have <= 2 letters
+    setup = _built(parts, eps)
+    words = [w for n in range(3) for w in combinations_with_replacement(range(setup.r), n)
+             if sum(setup.kaz[i] for i in w) <= 4]
+    assert len(words) > setup.r + 1
+    for word in words:
+        assert list(setup._theta_monomial(word).items()) == list(_q_mul_monomial(setup, word).items()), word
+
+
+@pytest.mark.parametrize("parts,eps", TABLE_CASES, ids=str)
+def test_both_products_of_every_pair_are_q_mul_and_q_comm(parts, eps):
+    setup = _built(parts, eps)
+    U, thetas = setup.U, setup.thetas
+    # the augmentation character gives 0 on every pair; these values do not
+    c = {k: k + 1 for k in range(setup.r)}
+    nonzero = 0
+    for i in range(setup.r):
+        for j in range(setup.r):
+            if i == j:
+                continue
+            x, y = thetas[i].value, thetas[j].value
+            assert list(U._quotients(*setup._theta_product(i, (j,))).items()) == list(U.q_mul(x, y).items())
+            assert list(U._quotients(*setup._theta_commutator(i, j)).items()) == list(U.q_comm(x, y).items())
+            # the check's value over one denominator is the value of q_comm
+            want = enveloping._character_value(c, setup.expand_in_theta(U.q_comm(x, y)))
+            assert enveloping._pair_value(setup, c, i, j) == want
+            nonzero += want != 0
+    assert nonzero
+
+
+def test_the_character_check_computes_no_kept_table_entry_twice(monkeypatch):
+    # so_8 (3,2,2,1), in one process: every image the table keeps is
+    # computed once, and none that building, the PBW check or the character
+    # left in the table is computed again by the check
+    monkeypatch.setattr(runner, "WORKERS", 0)
+    setup = WSetup(build_nilpotent(Partition((3, 2, 2, 1)), 1))
+    setup.build_all_thetas()
+    assert pbw_basis_check(setup, 4)["independent"]
+    c = augmentation_character(setup)
+    before = {(t, s) for t, (_, _, images) in setup._targets.items() for s in images}
+    computed = {}
+    real = UAlgebra._act_letter
+
+    def spy(self, a, v):
+        # the entry that _theta_product's letter w[i] makes: w[i:] on t
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_theta_product":
+            f = frame.f_locals
+            key = (f["t"], f["w"][f["i"]:])
+            computed[key] = computed.get(key, 0) + 1
+        return real(self, a, v)
+
+    monkeypatch.setattr(UAlgebra, "_act_letter", spy)
+    assert character_kills_commutators(setup, c)
+    kept = {(t, s) for t, (_, _, images) in setup._targets.items() for s in images}
+    made = {key: n for key, n in computed.items() if key in kept}
+    assert len(made) > 100 and before < kept
+    assert not made.keys() & before
+    assert set(made.values()) == {1}
 
 
 def _corruptions(name):
