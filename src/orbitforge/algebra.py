@@ -24,10 +24,10 @@ from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows
 
 
 def _integer_rows(rows) -> tuple:
-    """(den, int_rows): the QQ rows as integer rows over one common
+    """(den, int_rows): the QQ row maps as integer row maps over one common
     denominator, rows = int_rows / den."""
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+    den = lcm(*(c.denominator for row in rows for c in row.values()))
+    return den, [{j: c.numerator * (den // c.denominator) for j, c in row.items()} for row in rows]
 
 
 def _trace_of_product(x: dict, y: dict):
@@ -171,13 +171,13 @@ class ClassicalAlgebra:
         every coefficient is an integer."""
         if not roots:
             return {}
-        inverse = inverse_rows([[s[i] for s in self.simple_roots] for i in range(self.h)])
+        inverse = inverse_rows([{j: s[i] for j, s in enumerate(self.simple_roots) if s[i]} for i in range(self.h)])
         if inverse is None:
             raise AssertionError("simple roots are not a basis")
         den, rows = _integer_rows(inverse)
         heights = {}
         for w in roots:
-            coeffs = [sum(n * x for n, x in zip(row, w)) for row in rows]
+            coeffs = [sum(n * w[i] for i, n in row.items()) for row in rows]
             if any(c % den for c in coeffs):
                 raise AssertionError(f"root {w} is not an integral combination of simple roots")
             heights[w] = sum(coeffs) // den
@@ -202,11 +202,9 @@ class ClassicalAlgebra:
             self._lead[rc] = (k, int(v))
         # Cartan: express diag coefficients (on h_i = e_ii - e_{-i,-i}) in the
         # chosen Cartan basis
-        hmat = []
-        for k, m in enumerate(self.basis):
-            if self.labels[k][0] == "h":
-                hmat.append([m[(self.pos[i], self.pos[i])] for i in range(1, self.h + 1)])
-        inverse = inverse_rows([list(col) for col in zip(*hmat)])
+        hs = [m for m, lab in zip(self.basis, self.labels) if lab[0] == "h"]
+        cells = [(self.pos[i], self.pos[i]) for i in range(1, self.h + 1)]
+        inverse = inverse_rows([{k: m.entries[rc] for k, m in enumerate(hs) if rc in m.entries} for rc in cells])
         if inverse is None:
             raise AssertionError("Cartan diagonal system is singular")
         # the inverse as integer rows over one common denominator, 1 or 2
@@ -215,7 +213,7 @@ class ClassicalAlgebra:
     def _cartan_coords(self, diag) -> list:
         """_cartan_den times the Cartan coordinates, from the diagonal
         entries on v_1..v_h."""
-        return [sum(n * d for n, d in zip(row, diag) if d) for row in self._cartan_rows]
+        return [sum(n * diag[i] for i, n in row.items()) for row in self._cartan_rows]
 
     def _read_coords(self, entries: dict, ring: Ring) -> dict:
         """{k: c}, the Chevalley coordinates of the matrix {(row, col): scalar}
@@ -428,17 +426,12 @@ class ClassicalAlgebra:
         self._killing = {"gram": gmat, "trace_constant": const, "d": d}
         return self._killing
 
-    def kappa_row(self, coords: dict) -> tuple:
+    def kappa_row(self, coords: dict) -> dict:
         """(kappa(x, B_k))_k = G x, the Killing functional of x on every
-        Chevalley basis element, as a dense tuple, for x given as the
-        {index: scalar} map of its Chevalley coordinates and G the certified
-        Gram of killing_form()."""
-        out = [QQ.zero()] * self.dim
-        for (r, c), v in self.killing_form()["gram"].entries.items():
-            x = coords.get(c)
-            if x:
-                out[r] = QQ.add(out[r], QQ.mul(v, x))
-        return tuple(out)
+        Chevalley basis element, as an {index: scalar} map, for x given as
+        the map of its Chevalley coordinates and G the certified Gram of
+        killing_form()."""
+        return self.killing_form()["gram"].apply(coords)
 
 
 @lru_cache(maxsize=None)

@@ -55,7 +55,7 @@ def compute_centralizer(rep: NilpotentRep, ring=QQ) -> CentralizerBasis:
         block = ad_e_block(rep, d, ring)
         ker = integer_kernel_basis(block) if ring.kind == "ZZ" else rank_kernel(block)[1]
         for kv in ker:
-            vectors.append({k: x for k, x in zip(idxs, kv) if x})
+            vectors.append({idxs[i]: x for i, x in kv.items()})
             degrees.append(d)
     cb = CentralizerBasis(rep, vectors, degrees)
     if cb.dim != centralizer_dim_formula(rep.lam, rep.eps):

@@ -441,12 +441,13 @@ class VerifyConfig:
             raise ValueError("max_n must be at least 2")
         if not all(map(is_odd_prime, self.primes)):
             raise ValueError(f"primes must be odd primes below {PRIME_BOUND}, got {list(self.primes)}")
-        for name, values in (("prime", self.primes), ("suite", self.suites)):
-            if len(set(values)) != len(values):
-                raise ValueError(f"repeated {name} in {list(values)}")
+        # names before repeats, so that "--suites ," reports the unknown suite ''
         for name in self.suites:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+        for name, values in (("prime", self.primes), ("suite", self.suites)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {name} in {list(values)}")
 
 
 def _sweep_cases(config: VerifyConfig, bound: int, check, keep=None, prefix: str = ""):

@@ -359,7 +359,7 @@ class WSetup:
             idxs = blocks[key]
             kern = integer_kernel_basis(ad_e.columns(idxs))
             for part, vecs in ((x_part, kern), (comp_part, complete_saturated_basis(kern, len(idxs)))):
-                part.extend(({k: x for k, x in zip(idxs, v) if x}, key[0]) for v in vecs)
+                part.extend(({idxs[i]: x for i, x in v.items()}, key[0]) for v in vecs)
         self.r = len(x_part)
         self.x_vectors = [v for v, _ in x_part + comp_part]
         self.x_degrees = [d for _, d in x_part + comp_part]
@@ -380,12 +380,14 @@ class WSetup:
 
     def _build_structure(self):
         alg = self.alg
-        # transition: columns are the new basis in Chevalley coordinates
+        # transition T: columns are the new basis in Chevalley coordinates;
+        # the rows of the inverse of T^t, whose rows they are, are the
+        # columns of T^{-1}
         vecs = self.basis_vectors
-        tinv = inverse_rows([[v.get(i, 0) for v in vecs] for i in range(self.dim)])
-        if tinv is None:
+        tinv_cols = inverse_rows(vecs)
+        if tinv_cols is None:
             raise AssertionError("basis transition is singular")
-        self._set_transition(tinv)
+        self._set_transition(tinv_cols)
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
@@ -394,15 +396,12 @@ class WSetup:
                     bracket[(a, b)] = entry
         self.U = UAlgebra(self.dim, bracket, self.m_start, self.chi)
 
-    def _set_transition(self, tinv):
-        """Hold the inverse transition as integer columns [(row, n)] over
-        one common denominator."""
-        den = lcm(*(c.denominator for row in tinv for c in row))
+    def _set_transition(self, cols):
+        """Hold the inverse transition, given by its columns as {row: scalar}
+        maps, as integer columns [(row, n)] over one common denominator."""
+        den = lcm(*(c.denominator for col in cols for c in col.values()))
         self._tinv_den = den
-        self._tinv_cols = [
-            [(i, row[j].numerator * (den // row[j].denominator)) for i, row in enumerate(tinv) if row[j] != 0]
-            for j in range(len(tinv))
-        ]
+        self._tinv_cols = [[(i, c.numerator * (den // c.denominator)) for i, c in col.items()] for col in cols]
 
     def _w_coords(self, xs: dict) -> dict:
         """{i: c}, the nonzero coordinates on the PBW letters of the element
@@ -564,21 +563,18 @@ class WSetup:
             for i, v in self.U.bracket.get((q, p), {}).items():
                 cols[(i, jj)] = -v
         msolve = SparseMatrix(self.dim, len(pairs), QQ, cols)
-        target = [0] * self.dim
-        target[k] = 1
-        sol = solve(msolve, target)
+        sol = solve(msolve, {k: 1})
         if sol is None:
             raise ValueError(
                 f"x_{k} is not a sum of commutators of lower-degree centraliser vectors"
             )
-        sol = list(sol)
         if perturb:
             _, ker = rank_kernel(msolve)
             if not ker:
                 raise ValueError("no alternative presentation exists (bracket map injective)")
             kv = ker[(perturb - 1) % len(ker)]
-            sol = [QQ.add(s, kvv) for s, kvv in zip(sol, kv)]
-        return [(pairs[j], sol[j]) for j in range(len(pairs)) if sol[j] != 0]
+            sol = {j: QQ.add(sol.get(j, 0), kv.get(j, 0)) for j in sorted(sol.keys() | kv.keys())}
+        return [(pairs[j], c) for j, c in sol.items() if c != 0]
 
     # -- the theta product table ---------------------------------------------------
 
@@ -881,15 +877,16 @@ def casimir(setup: WSetup) -> CasimirElement:
     rd = alg.root_data()
     kf = alg.killing_form()
     # dual basis t_i of the simple roots inside the Cartan, whose first l
-    # basis elements are the simple coroots: t_i is column i of A^{-1}
+    # basis elements are the simple coroots: t_i is column i of A^{-1}, row i
+    # of the inverse of A^t
     simples = rd["simple_roots"]
     l = len(simples)
-    inverse = inverse_rows(rd["cartan_matrix"])
-    if inverse is None:
+    cartan = rd["cartan_matrix"]
+    t_coords = inverse_rows([{j: row[i] for j, row in enumerate(cartan) if row[i]} for i in range(l)])
+    if t_coords is None:
         raise AssertionError("Cartan matrix is singular")
-    if not all(is_two_power_denominator(x) for row in inverse for x in row):
+    if not all(is_two_power_denominator(x) for row in t_coords for x in row.values()):
         raise AssertionError("dual Cartan elements leave Z[1/2]")
-    t_coords = [list(col) for col in zip(*inverse)]
 
     # C = 2 sum e_a e_{-a}/kappa_a + sum hhat^i h_{a_i} - sum h_a/kappa_a,
     # with hhat^i the kappa-dual of h_{a_i}; this is the central normalisation
@@ -911,7 +908,7 @@ def casimir(setup: WSetup) -> CasimirElement:
         scale = QQ.div(rd["norms"][tuple(simples[i])], 2 * d)
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
-        hhat = {k: QQ.mul(x, scale) for k, x in enumerate(t_coords[i]) if x}
+        hhat = {k: QQ.mul(x, scale) for k, x in t_coords[i].items()}
         C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
     # centrality in U(g), one run_cases case per basis element, read in

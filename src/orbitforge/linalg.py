@@ -9,8 +9,13 @@ with p > 13 a row is a sparse map {col: scalar}.  Over GF(p) with p <= 13 a
 vector is one Python int holding its residue at column c in byte c, and
 rows are renormalised mod p by bytes.translate at most every
 floor((256 - p)/(p - 1)^2) additions (lane_budget).  The packed format
-stays inside this module: rows, rank_kernel, solve and closure_ranks give
-dicts, tuples and ranks.
+stays inside this module.
+
+Vectors cross its boundary in one format, as everywhere in orbitforge: the
+{index: scalar} map of the nonzero entries, keys ascending.  rank_kernel,
+solve, inverse_rows, integer_kernel_basis, complete_saturated_basis and
+SparseMatrix.apply and .rows take and give such maps; a caller that needs
+only a rank reads row_span(m).rank.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
@@ -103,6 +108,15 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
+    def rows(self, start: int = 0) -> list:
+        """Rows start, start + 1, ... as {col: scalar} maps, keys ascending,
+        empty ones included."""
+        out = [{} for _ in range(start, self.nrows)]
+        for (r, c), v in self.items():
+            if r >= start:
+                out[r - start][c] = v
+        return out
+
     def items(self):
         """Deterministic iteration over nonzero entries."""
         return sorted(self.entries.items())
@@ -168,13 +182,17 @@ class SparseMatrix:
             {(c, r): v for (r, c), v in self.entries.items()},
         )
 
-    def apply(self, vec):
-        """Matrix times dense tuple vector."""
-        out = [self.ring.zero()] * self.nrows
+    def apply(self, vec: dict) -> dict:
+        """self times the vector {index: scalar} vec, as a map; summed
+        exactly and reduced once, as in __matmul__."""
+        acc = {}
         for (r, c), v in self.entries.items():
-            if vec[c] != 0:
-                out[r] = self.ring.add(out[r], self.ring.mul(v, vec[c]))
-        return tuple(out)
+            x = vec.get(c)
+            if x:
+                acc[r] = acc.get(r, 0) + v * x
+        if self.ring.kind == "GF":
+            acc = {r: y % self.ring.p for r, y in acc.items()}
+        return {r: canonical(acc[r]) for r in sorted(acc) if acc[r]}
 
     def to_json(self) -> dict:
         return {
@@ -251,18 +269,6 @@ def bracket_residues(mats: dict, pairs, rhs=None, p: int = 0):
 # -- field elimination: one echelon span per ring -----------------------------
 
 
-def sparse_vector(vec, ring: Ring) -> dict:
-    """The nonzero entries of a dense vector as {index: scalar}, coerced into
-    ring; an entry the ring cannot hold raises."""
-    out = {}
-    for i, x in enumerate(vec):
-        if x != 0:
-            x = ring.coerce(x)
-            if x != 0:
-                out[i] = x
-    return out
-
-
 def lane_budget(ring: Ring) -> int:
     """The row additions a byte-packed vector over ring takes between
     renormalisations, floor((256 - p) / (p - 1)^2): after that many, a byte
@@ -330,8 +336,8 @@ class VectorSpan:
                     del v[c]
 
     def _reduce(self, v: dict) -> dict:
-        """A reduced copy of v."""
-        v = dict(v)
+        """A reduced copy of v, without the zero entries v may hold."""
+        v = dict(v) if all(v.values()) else {c: x for c, x in v.items() if x}
         rows = self._rows
         for p in [c for c in v if c in rows]:
             self._axpy(v, v[p], rows[p])
@@ -418,8 +424,8 @@ class VectorSpan:
         return True
 
     def add(self, vec: dict) -> bool:
-        """Insert vec, a {col: scalar} map of ring elements; True if it
-        enlarged the span."""
+        """Insert vec, a {col: scalar} map of ring elements (a zero entry
+        counts as absent); True if it enlarged the span."""
         return self._insert(self._own(vec))
 
     def contains(self, vec: dict) -> bool:
@@ -565,92 +571,78 @@ def _close(span: VectorSpan, seed: dict, ops, n: int) -> int:
     return span.rank
 
 
-def _row_span(m: SparseMatrix, rhs=None) -> VectorSpan:
-    """The reduced echelon span of the rows of m; with rhs, row i is
-    extended by rhs[i] in the column after m's last."""
-    rows = [{} for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    if rhs is not None:
-        for row, x in zip(rows, rhs):
-            if x != 0:
-                row[m.ncols] = x
+def row_span(m: SparseMatrix) -> VectorSpan:
+    """The reduced echelon span of the rows of m."""
     span = VectorSpan(m.ring)
-    for row in rows:
-        if row:
-            span.add(row)
+    for row in _row_map(m.entries).values():
+        span.add(row)
     return span
 
 
 def rank_kernel(m: SparseMatrix):
-    """Rank and a kernel basis (list of dense tuple vectors) over a field.
+    """Rank and a kernel basis, as {index: scalar} maps, over a field; a
+    caller that needs only the rank reads row_span(m).rank.
 
     Raises on ZZ input: integer matrices go through smith_normal_form.
     """
     if not m.ring.is_field:
         raise ValueError("rank_kernel requires a field; use smith_normal_form over ZZ")
     ring = m.ring
-    span = _row_span(m)
+    span = row_span(m)
     echelon = span._echelon()
-    # kernel vector of free column fc: 1 at fc, -row_p[fc] at each pivot p
-    kernel = {fc: {fc: ring.one()} for fc in range(m.ncols) if fc not in echelon}
-    for p, row in echelon.items():
-        for c, x in row.items():
+    # kernel vector of free column fc: -row_p[fc] at each pivot p < fc, then 1 at fc
+    kernel = {fc: {} for fc in range(m.ncols) if fc not in echelon}
+    for p in sorted(echelon):
+        for c, x in echelon[p].items():
             if c != p:
                 kernel[c][p] = ring.neg(x)
+    for fc, vec in kernel.items():
+        vec[fc] = ring.one()
     # substitution check: m K = 0 for K the matrix whose columns are the
     # kernel vectors, which checks every kernel vector
     kmat = SparseMatrix._closed(m.ncols, len(kernel), ring,
                                 {(c, jj): x for jj, vec in enumerate(kernel.values()) for c, x in vec.items()})
     if not (m @ kmat).is_zero():
         raise AssertionError("kernel vector fails exact substitution check")
-    dense = []
-    for vec in kernel.values():
-        full = [ring.zero()] * m.ncols
-        for c, x in vec.items():
-            full[c] = x
-        dense.append(tuple(full))
-    return span.rank, dense
+    return span.rank, list(kernel.values())
 
 
 def inverse_rows(rows):
-    """Rows of the inverse over QQ of the square matrix with the given rows;
-    None if the matrix is singular."""
+    """The rows of the inverse over QQ of the square matrix whose rows are
+    the given {col: scalar} maps, as maps; None if the matrix is singular."""
     n = len(rows)
     span = VectorSpan(QQ)
     for i, row in enumerate(rows):
-        v = sparse_vector(row, QQ)
-        v[n + i] = QQ.one()
-        span.add(v)
+        span.add({**row, n + i: 1})
     # [A | I] has rank n; A is regular iff its pivots are the columns of A
     if span.pivots != list(range(n)):
         return None
-    zero = QQ.zero()
     echelon = span._echelon()
-    return [[echelon[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    return [{c - n: row[c] for c in sorted(row) if c != i} for i, row in sorted(echelon.items())]
 
 
-def solve(m: SparseMatrix, b):
-    """One exact solution x of m x = b over a field, or None."""
+def solve(m: SparseMatrix, b: dict):
+    """One exact solution x of m x = b over a field, or None; b and x are
+    {index: scalar} maps, and a key of b that is not a row of m raises
+    ValueError."""
     if not m.ring.is_field:
         raise ValueError("solve requires a field")
     ring = m.ring
-    rhs = [ring.coerce(x) for x in b]
+    outside = [i for i in b if i not in range(m.nrows)]
+    if outside:
+        raise ValueError(f"right-hand side has entries {outside} outside the {m.nrows} rows")
+    rhs = {i: y for i in sorted(b) if (y := ring.coerce(b[i]))}
     n = m.ncols
-    span = _row_span(m, rhs)
-    # inconsistent iff a pivot lands in the appended column
-    echelon = span._echelon()
+    augmented = dict(m.entries)
+    augmented.update(((i, n), x) for i, x in rhs.items())
+    # m with b appended as a last column: inconsistent iff a pivot lands there
+    echelon = row_span(SparseMatrix._closed(m.nrows, n + 1, ring, augmented))._echelon()
     if n in echelon:
         return None
-    x = [ring.zero()] * n
-    for p, row in echelon.items():
-        if n in row:
-            x[p] = row[n]
-    sol = tuple(x)
-    out = m.apply(sol)
-    if any(ring.sub(out[i], rhs[i]) != 0 for i in range(m.nrows)):
+    x = {p: echelon[p][n] for p in sorted(echelon) if n in echelon[p]}
+    if m.apply(x) != rhs:
         raise AssertionError("solve result fails exact substitution check")
-    return sol
+    return x
 
 
 # -- Smith normal form over ZZ ----------------------------------------------
@@ -830,24 +822,20 @@ def divisor_chain(entries) -> list:
 
 
 def integer_kernel_basis(m: SparseMatrix):
-    """Basis (list of int tuple vectors) of the saturated ZZ-kernel lattice."""
+    """Basis of the saturated ZZ-kernel lattice, as {index: int} maps: the
+    columns of the right SNF certificate past the rank."""
     if m.ring.kind != "ZZ":
         raise ValueError("integer_kernel_basis requires integer entries")
     res = smith_normal_form(m)
-    rank = res.rank
-    vd = res.right.to_dense()
-    out = []
-    for j in range(rank, m.ncols):
-        out.append(tuple(int(vd[i][j]) for i in range(m.ncols)))
-    return out
+    return res.right.transpose().rows(res.rank)
 
 
 def complete_saturated_basis(vectors, dim):
-    """Complete rows spanning a saturated sublattice of ZZ^dim to a basis of
-    ZZ^dim; returns the list of completion vectors."""
+    """Complete the {index: int} maps spanning a saturated sublattice of
+    ZZ^dim to a basis of ZZ^dim; returns the completion vectors as maps."""
     if not vectors:
-        return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    b = SparseMatrix.from_dense([list(v) for v in vectors], ZZ)
+        return [{j: 1} for j in range(dim)]
+    b = SparseMatrix(len(vectors), dim, ZZ, {(r, c): x for r, v in enumerate(vectors) for c, x in v.items()})
     res = smith_normal_form(b)
     for d in res.divisors:
         if d not in (0, 1):
@@ -855,5 +843,4 @@ def complete_saturated_basis(vectors, dim):
     k = res.rank
     if k != len(vectors):
         raise ValueError("input vectors are not linearly independent")
-    vinv = res.right_inv.to_dense()  # rows of V^{-1}
-    return [tuple(int(x) for x in vinv[i]) for i in range(k, dim)]
+    return res.right_inv.rows(k)   # rows of V^{-1}

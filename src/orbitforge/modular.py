@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .rings import GF
-from .linalg import SparseMatrix, bracket_residues, closure_ranks, rank_kernel
+from .linalg import SparseMatrix, bracket_residues, closure_ranks, row_span
 from .partitions import Partition
 from .orbits import (
     NilpotentRep,
@@ -92,7 +92,7 @@ def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
     ad e on each graded piece over F_p, for the stability check.  Taken once
     per (rep, p); the dict is shared and no caller mutates it."""
     if p not in rep._ranks_mod_p:
-        rep._ranks_mod_p[p] = {d: rank_kernel(ad_e_block(rep, d, GF(p)))[0]
+        rep._ranks_mod_p[p] = {d: row_span(ad_e_block(rep, d, GF(p))).rank
                                for d in sorted(dynkin_grading(rep).layers)}
     return rep._ranks_mod_p[p]
 
@@ -125,7 +125,8 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
     e_coords = alg.coordinates(e)
 
     ring = GF(p)
-    chi = tuple(ring.coerce(v) for v in alg.kappa_row(e_coords))
+    kappa_e = alg.kappa_row(e_coords)
+    chi = tuple(ring.coerce(kappa_e.get(k, 0)) for k in range(alg.dim))
     f_idx, levi_idx, n_plus = parabolic(alg, datum.gl_sizes)
     if len(f_idx) != len(n_plus):
         raise AssertionError("opposite nilradical has the wrong dimension")

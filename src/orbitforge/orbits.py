@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rings import QQ
-from .linalg import SparseMatrix, _row_span, commutator, rank_kernel, solve
+from .linalg import SparseMatrix, commutator, row_span, solve
 from .partitions import (
     Partition,
     DynkinPyramid,
@@ -103,7 +103,7 @@ def jordan_type(x: SparseMatrix) -> Partition:
     cur = SparseMatrix.identity(n, QQ)
     while ranks[-1] > 0:
         cur = cur @ x
-        r = _row_span(cur).rank
+        r = row_span(cur).rank
         if r >= ranks[-1]:
             raise ValueError("matrix is not nilpotent")
         ranks.append(r)
@@ -181,7 +181,7 @@ def ad_e_block(rep: NilpotentRep, d: int, ring=QQ) -> SparseMatrix:
 def orbit_dimension(rep: NilpotentRep):
     """(dim of the orbit, d_chi): the orbit dimension is the rank of ad e,
     summed over the graded blocks."""
-    dim_orbit = sum(rank_kernel(ad_e_block(rep, d))[0] for d in dynkin_grading(rep).layers)
+    dim_orbit = sum(row_span(ad_e_block(rep, d)).rank for d in dynkin_grading(rep).layers)
     if dim_orbit % 2 != 0:
         raise AssertionError("orbit dimension must be even")
     return dim_orbit, dim_orbit // 2
@@ -224,15 +224,16 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     if commutator(h, rep.e) != rep.e.scale(2):
         raise AssertionError("[h, e] != 2e")
     # h is diagonal, so its coordinates lie in g(0); [e, f] = h below catches any other h
-    h_coords = alg.coordinates(h)
-    sol = solve(ad_e_block(rep, -2), [h_coords.get(k, 0) for k in gr.layer(0)])
+    at = {k: i for i, k in enumerate(gr.layer(0))}
+    sol = solve(ad_e_block(rep, -2), {at[k]: x for k, x in alg.coordinates(h).items() if k in at})
     if sol is None:
         raise AssertionError("no f in g(-2) with [e, f] = h (falsifies the sl2-completion)")
-    f = alg.from_coordinates(dict(zip(gr.layer(-2), sol)))
+    neg2 = gr.layer(-2)
+    f = alg.from_coordinates({neg2[i]: x for i, x in sol.items()})
     if commutator(h, f) != f.scale(-2) or commutator(rep.e, f) != h:
         raise AssertionError("sl2 relations fail")
     # density evidence: [e, g(0)] = g(2)
-    if rank_kernel(ad_e_block(rep, 0))[0] != len(gr.layer(2)):
+    if row_span(ad_e_block(rep, 0)).rank != len(gr.layer(2)):
         raise AssertionError("[e, g(0)] != g(2)")
     return Sl2Triple(rep.e, h, f)
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
-from .linalg import (SparseMatrix, VectorSpan, _row_span, divisor_chain, inverse_rows, rank_kernel,
-                     smith_normal_form)
+from .linalg import SparseMatrix, VectorSpan, divisor_chain, inverse_rows, row_span, smith_normal_form
 from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, basis_degrees, centralizer_dim_formula, dynkin_grading
 from .centralizer import compute_centralizer
 
@@ -72,10 +71,10 @@ def weight_data(rep: NilpotentRep) -> WeightData:
     return wd
 
 
-def chi_of(chi, xs: dict):
-    """chi(x) for x given as {index: scalar} and chi as its vector of values
+def chi_of(chi: dict, xs: dict):
+    """chi(x) for x and chi given as {index: scalar} maps, chi by its values
     on the Chevalley basis."""
-    return canonical(sum(chi[k] * c for k, c in xs.items()))
+    return canonical(sum(chi.get(k, 0) * c for k, c in xs.items()))
 
 
 # -- skew form and Lagrangian pair ---------------------------------------------
@@ -85,7 +84,7 @@ def chi_of(chi, xs: dict):
 class SkewForm:
     rep: NilpotentRep
     wd: WeightData
-    chi: tuple           # chi = kappa(e, -) on the Chevalley basis
+    chi: dict            # chi = kappa(e, -) on the Chevalley basis, as a map
     minus_idx: list      # Chevalley indices spanning n_-(-1)
     plus_idx: list       # Chevalley indices spanning n_+(-1)
     gram: SparseMatrix   # full Gram on the ordered basis minus + plus
@@ -118,8 +117,7 @@ def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
         for b in range(s):
             if gram[(a, b)] != 0 or gram[(a + s, b + s)] != 0:
                 raise AssertionError("n_{+-}(-1) are not totally isotropic")
-    rank, _ = rank_kernel(gram)
-    if rank != len(order):
+    if row_span(gram).rank != len(order):
         raise AssertionError("Psi is degenerate over QQ (falsifies goodness)")
     m_block = SparseMatrix(s, s, QQ, {(a, b): gram[(a, b + s)] for a in range(s) for b in range(s) if gram[(a, b + s)] != 0})
     return SkewForm(rep, wd, chi, minus_idx, plus_idx, gram, m_block)
@@ -150,11 +148,11 @@ def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> Lagrangi
         return LagrangianPair(rep, psi, [], [])
     # M lies in GL_s(Z[1/2]): it is invertible, and M and M^{-1} both have
     # 2-power denominators, so the normalisation reduces mod every odd p
-    m_rows = psi.m_block.to_dense()
+    m_rows = psi.m_block.rows()
     minv = inverse_rows(m_rows)
-    if minv is None or not all(is_two_power_denominator(c) for row in m_rows + minv for c in row):
+    if minv is None or not all(is_two_power_denominator(c) for row in m_rows + minv for c in row.values()):
         raise AssertionError("M is not invertible over Z[1/2]")
-    z_minus = [{k: c for k, c in zip(psi.minus_idx, row) if c} for row in minv]
+    z_minus = [{psi.minus_idx[j]: c for j, c in row.items()} for row in minv]
     pair = LagrangianPair(rep, psi, z_minus, z_plus)
     verify_duality(pair)
     return pair
@@ -241,7 +239,7 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
     degs = []
     for d in sorted(gr.layers):
         # [e, g(d-2)] in the coordinates of g(d), one row per [e, B_k]
-        image = _row_span(ad_e_block(rep, d - 2).transpose())
+        image = row_span(ad_e_block(rep, d - 2).transpose())
         added = 0
         for i, k in enumerate(gr.layers[d]):
             if image.add({i: QQ.one()}):
@@ -282,7 +280,7 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     cb = compute_centralizer(rep)
     ad_e_t = ad_e_matrix(rep).transpose()
     perp_ok = len(nonzero) + cb.dim == alg.dim and not any(
-        any(ad_e_t.apply(alg.kappa_row(z))) for z in cb.vectors)
+        ad_e_t.apply(alg.kappa_row(z)) for z in cb.vectors)
     return {
         "divisors": divisors,
         "saturated": saturated,

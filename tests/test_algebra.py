@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge.rings import QQ, ZZ, GF
-from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, rank_kernel, sparse_vector
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, rank_kernel
 from orbitforge.algebra import ClassicalAlgebra, build_algebra
+from test_linalg import _map
 from test_slices import _count_matrices, _trace, _unit_over_z_half
 
 
@@ -42,7 +43,8 @@ def _form(g):
 def _sigma(g, x):
     """The product reference sigma(x) = -J^{-1} x^T J."""
     J = _form(g)
-    return -(SparseMatrix.from_dense(inverse_rows(J.to_dense()), QQ) @ x.transpose() @ J)
+    inverse = {(r, c): v for r, row in enumerate(inverse_rows(J.rows())) for c, v in row.items()}
+    return -(SparseMatrix(g.N, g.N, QQ, inverse) @ x.transpose() @ J)
 
 
 def test_sigma_is_an_involution():
@@ -129,9 +131,9 @@ def _bracket(g, x, y) -> dict:
     return g.sparse_bracket(*({k: QQ.coerce(c) for k, c in v.items()} for v in (x, y)))
 
 
-def _apply(row, x: dict):
-    """sum_k row[k] x_k, the functional row (a dense tuple) at the map x."""
-    return sum(row[k] * c for k, c in x.items())
+def _apply(row: dict, x: dict):
+    """sum_k row[k] x_k, the functional row (a map) at the map x."""
+    return sum(row.get(k, 0) * c for k, c in x.items())
 
 
 def _holds(ring, coords) -> bool:
@@ -171,14 +173,14 @@ def test_bracket_and_ad_match_the_matrix_reference(n, eps, data):
         if not _holds(ring, xd + yd):
             # coordinates are coerced first: a denominator the ring lacks raises
             with pytest.raises(ValueError):
-                g.sparse_bracket(sparse_vector(xd, ring), sparse_vector(yd, ring), ring)
+                g.sparse_bracket(_map(xd, ring), _map(yd, ring), ring)
             if not _holds(ring, xd):
                 with pytest.raises(ValueError):
                     g.ad(x, ring)
             continue
         xm = g.from_coordinates(x, ring)
         want = g.coordinates(commutator(xm, g.from_coordinates(y, ring)))
-        assert g.sparse_bracket(sparse_vector(xd, ring), sparse_vector(yd, ring), ring) == {
+        assert g.sparse_bracket(_map(xd, ring), _map(yd, ring), ring) == {
             k: v for k, v in want.items() if v != 0}
         reference = {}
         for j, b in enumerate(g.basis):
@@ -270,10 +272,11 @@ def test_kappa_matches_the_trace_of_the_product(n, eps, data):
         x = [s * a for a in x]
     x, y = _as_map(x), _as_map(y)
     row = g.kappa_row(x)
-    assert len(row) == g.dim and all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in row)
+    assert type(row) is dict and list(row) == sorted(row) and set(row) <= set(range(g.dim))
+    assert all(v != 0 and (type(v) is int or (type(v) is Fraction and v.denominator > 1)) for v in row.values())
     assert _apply(row, y) == _trace_kappa(g, g.from_coordinates(x), g.from_coordinates(y))
     for k, b in enumerate(g.basis):
-        assert row[k] == _trace_kappa(g, g.from_coordinates(x), b)
+        assert row.get(k, 0) == _trace_kappa(g, g.from_coordinates(x), b)
 
 
 def _trace_kappa(g, x, y):
@@ -415,7 +418,7 @@ def test_qq_results_hold_canonical_scalars(n, eps):
     y = _as_map([Fraction(2 - k % 4, 1 + (k + 1) % 2) for k in range(g.dim)])
     xm = g.from_coordinates(x)
     assert all(_canonical(v) for v in xm.entries.values())
-    for coords in (g.coordinates(xm).values(), _bracket(g, x, y).values(), g.kappa_row(x)):
+    for coords in (g.coordinates(xm).values(), _bracket(g, x, y).values(), g.kappa_row(x).values()):
         assert all(_canonical(c) for c in coords)
     assert all(_canonical(v) for v in g.ad(x).entries.values())
     kf, rd = g.killing_form(), g.root_data()

@@ -252,7 +252,8 @@ def _count_products(monkeypatch) -> list:
 def _sigma_reference(zs, x):
     """The product reference -J^{-1} x^T J over QQ."""
     form = zs.form.change_ring(QQ)
-    inverse = SparseMatrix.from_dense(inverse_rows(form.to_dense()), QQ)
+    inverse = SparseMatrix(form.nrows, form.ncols, QQ,
+                           {(r, c): v for r, row in enumerate(inverse_rows(form.rows())) for c, v in row.items()})
     return -(inverse @ x.change_ring(QQ).transpose() @ form)
 
 

@@ -267,6 +267,7 @@ def test_verify_output_into_a_missing_directory_exits_2_before_any_suite(tmp_pat
 @pytest.mark.parametrize("argv, message", [
     (["--suites", ""], "error: unknown suite ''; available: "),
     (["--suites", "golden", "--output", ""], "error: --output: empty path"),
+    (["--suites", ","], "error: unknown suite ''; available: "),
 ])
 def test_verify_empty_suites_or_output_exits_2_before_any_suite(argv, message, monkeypatch):
     # an empty value is given, not absent: it names no suite and no file

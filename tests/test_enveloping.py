@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, solve, sparse_vector
+from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, solve
 from orbitforge.rings import QQ
 from orbitforge.rings import is_two_power_denominator
 from orbitforge.partitions import Partition
@@ -25,6 +25,7 @@ from orbitforge.enveloping import (
     casimir,
 )
 
+from test_linalg import _map
 from test_rings import _is_canonical
 from test_slices import _trace
 
@@ -199,21 +200,25 @@ ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7])
 @given(data=st.data())
 def test_to_w_coords_matches_the_dense_inverse(name, data):
     setup = _setup(name)
-    tinv = inverse_rows([[x.get(i, 0) for x in setup.basis_vectors] for i in range(setup.dim)])
+    # the inverse of T, whose columns are the basis vectors, as dense rows
+    t_rows = [{j: x[i] for j, x in enumerate(setup.basis_vectors) if i in x} for i in range(setup.dim)]
+    tinv = [[row.get(j, 0) for j in range(setup.dim)] for row in inverse_rows(t_rows)]
     v = data.draw(st.lists(ENTRY, min_size=setup.dim, max_size=setup.dim))
-    _assert_is_the_dense_reference(setup._w_coords(sparse_vector(v, QQ)), _dense_w_coords(tinv, v))
+    _assert_is_the_dense_reference(setup._w_coords(_map(v, QQ)), _dense_w_coords(tinv, v))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(ENTRY, min_size=4, max_size=4))
 def test_to_w_coords_with_a_non_unit_common_denominator(v):
     # det 15: the inverse has denominators 3 and 5
+    # the rows of A^{-1} are taken as the columns of T^{-1}
     a = [[3, 1, -2, 0], [0, 1, 4, 1], [0, 0, 5, 2], [0, 0, 0, 1]]
-    tinv = inverse_rows([[Fraction(c) for c in row] for row in a])
+    cols = inverse_rows([_map(row, QQ) for row in a])
     setup = WSetup.__new__(WSetup)
-    setup._set_transition(tinv)
+    setup._set_transition(cols)
     assert setup._tinv_den == 15
-    _assert_is_the_dense_reference(setup._w_coords(sparse_vector(v, QQ)), _dense_w_coords(tinv, v))
+    tinv = [[col.get(i, 0) for col in cols] for i in range(4)]
+    _assert_is_the_dense_reference(setup._w_coords(_map(v, QQ)), _dense_w_coords(tinv, v))
 
 
 # -- the matrix path, kept as the reference ---------------------------------------
@@ -280,9 +285,9 @@ def _matrix_casimir(setup) -> dict:
         C = elem_add(C, ref.mul(_embed_matrix(setup, e_plus), _embed_matrix(setup, e_minus)), Fraction(2) / kap)
         C = elem_add(C, _embed_matrix(setup, commutator(e_plus, e_minus)), Fraction(-1) / kap)
     for i in range(l):
-        sol = solve(amat, [Fraction(int(a == i)) for a in range(l)])
+        sol = solve(amat, {i: 1})
         t = SparseMatrix(alg.N, alg.N, QQ)
-        for a, x in enumerate(sol):
+        for a, x in sol.items():
             t = t + alg.basis[a].scale(x)
         scale = Fraction(rd["norms"][tuple(rd["simple_roots"][i])], 2 * kf["d"])
         C = elem_add(C, ref.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))

@@ -15,15 +15,28 @@ from orbitforge.rings import Ring, ZZ, QQ, GF, format_rational, is_two_power_den
 from orbitforge.linalg import (
     SparseMatrix,
     VectorSpan,
+    closure_ranks,
     divisor_chain,
     inverse_rows,
     rank_kernel,
+    row_span,
     solve,
-    sparse_vector,
     smith_normal_form,
     integer_kernel_basis,
     complete_saturated_basis,
 )
+
+
+def _map(vec, ring) -> dict:
+    """The nonzero entries of the dense vector vec, coerced into ring, as a
+    sorted {index: scalar} map."""
+    return {i: y for i, x in enumerate(vec) if (y := ring.coerce(x))}
+
+
+def _nonzero(vec) -> dict:
+    """The nonzero entries of a dense reference vector, as they are, as a
+    sorted {index: scalar} map."""
+    return {i: x for i, x in enumerate(vec) if x != 0}
 
 
 def test_identity_rank():
@@ -51,7 +64,7 @@ def test_getitem_builds_a_zero_only_for_a_missing_entry():
 def test_zero_matrix_kernel():
     m = SparseMatrix(2, 5, QQ)
     rank, kernel = rank_kernel(m)
-    assert rank == 0 and len(kernel) == 5
+    assert rank == 0 and kernel == [{j: 1} for j in range(5)]
 
 
 def test_rank_kernel_rejects_integers():
@@ -119,8 +132,8 @@ def test_divisor_chain_is_the_snf_of_the_diagonal(entries):
 )
 def test_solve_verifies_by_substitution(rows, x):
     m = SparseMatrix.from_dense([[Fraction(v) for v in row] for row in rows], QQ)
-    b = m.apply(tuple(Fraction(v) for v in x))
-    sol = solve(m, list(b))
+    b = m.apply(_map(x, QQ))
+    sol = solve(m, b)
     assert sol is not None
     assert m.apply(sol) == b
 
@@ -226,19 +239,19 @@ def _ref_rank_kernel(rows, ring):
         vec[fc] = ring.one()
         for r, pc in enumerate(pivots):
             vec[pc] = ring.neg(echelon[r][fc])
-        kernel.append(tuple(vec))
+        kernel.append(_nonzero(vec))
     return len(pivots), kernel
 
 
-def _ref_solve(rows, b, ring):
+def _ref_solve(rows, b: dict, ring):
     ncols = len(rows[0])
-    echelon, pivots = _ref_echelon([list(row) + [x] for row, x in zip(rows, b)], ring)
+    echelon, pivots = _ref_echelon([list(row) + [b.get(i, 0)] for i, row in enumerate(rows)], ring)
     if pivots and pivots[-1] == ncols:
         return None
     x = [ring.zero()] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = echelon[r][ncols]
-    return tuple(x)
+    return _nonzero(x)
 
 
 def _ref_inverse(rows, ring):
@@ -247,7 +260,7 @@ def _ref_inverse(rows, ring):
     echelon, pivots = _ref_echelon(aug, ring)
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in echelon]
+    return [_nonzero(row[n:]) for row in echelon]
 
 
 FIELDS = st.sampled_from([QQ, GF(3), GF(7)])
@@ -271,8 +284,8 @@ def test_rank_kernel_and_rank_match_the_reference(rows, ring):
     assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
     span = VectorSpan(ring)
     for row in rows:
-        span.add(sparse_vector(row, ring))
-    assert span.rank == _ref_rank_kernel(rows, ring)[0]
+        span.add(_map(row, ring))
+    assert span.rank == row_span(m).rank == _ref_rank_kernel(rows, ring)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,9 +293,9 @@ def test_rank_kernel_and_rank_match_the_reference(rows, ring):
 def test_solve_matches_the_reference(rows, ring, data):
     m = SparseMatrix.from_dense(rows, ring)
     x = data.draw(st.lists(ENTRY, min_size=m.ncols, max_size=m.ncols))
-    consistent = list(m.apply(tuple(ring.coerce(v) for v in x)))
+    consistent = m.apply(_map(x, ring))
     assert solve(m, consistent) is not None
-    arbitrary = data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows))
+    arbitrary = _map(data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows)), ring)
     for b in (consistent, arbitrary):
         assert repr(solve(m, b)) == repr(_ref_solve(rows, b, ring))
 
@@ -290,7 +303,17 @@ def test_solve_matches_the_reference(rows, ring, data):
 def test_solve_reports_an_inconsistent_system():
     for ring in (QQ, GF(3), GF(7)):
         m = SparseMatrix.from_dense([[1, 2], [2, 4]], ring)
-        assert solve(m, [1, 1]) is None and _ref_solve([[1, 2], [2, 4]], [1, 1], ring) is None
+        assert solve(m, {0: 1, 1: 1}) is None and _ref_solve([[1, 2], [2, 4]], {0: 1, 1: 1}, ring) is None
+
+
+def test_solve_rejects_a_right_hand_side_entry_outside_the_rows():
+    # a map reads a missing key as 0, so a short right-hand side is fine;
+    # a key past the last row (a long one) or below 0 is not a row of m
+    m = SparseMatrix(2, 2, QQ, {(0, 0): 1, (1, 1): 1})
+    assert solve(m, {0: 1, 1: 2}) == {0: 1, 1: 2} and solve(m, {1: 2}) == {1: 2}
+    for b in ({0: 1, 1: 2, 2: 3}, {-1: 1}, {5: 0}):
+        with pytest.raises(ValueError, match="outside the 2 rows"):
+            solve(m, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,7 +323,7 @@ def test_solve_reports_an_inconsistent_system():
 def test_inverse_rows_matches_the_reference(rows, singular):
     if singular:
         rows = rows[:-1] + [rows[0] if len(rows) > 1 else [0]]   # a repeated or zero row
-    inv = inverse_rows(rows)
+    inv = inverse_rows([_map(row, QQ) for row in rows])
     assert repr(inv) == repr(_ref_inverse(rows, QQ))
     assert (inv is None) == (singular or _ref_rank_kernel(rows, QQ)[0] < len(rows))
 
@@ -313,7 +336,7 @@ def test_vector_span_rows_do_not_depend_on_insertion_order(rows, ring, data):
     for seq in (range(len(rows)), order):
         span = VectorSpan(ring)
         for i in seq:
-            span.add(sparse_vector(rows[i], ring))
+            span.add(_map(rows[i], ring))
         spans.append(span)
     same = [repr([sorted(row.items()) for row in span.rows]) for span in spans]
     assert same[0] == same[1]
@@ -329,7 +352,7 @@ def test_vector_span_add_and_contains_follow_the_reference_rank(rows, ring):
     for k, row in enumerate(rows):
         before = _ref_rank_kernel(rows[:k], ring)[0] if k else 0
         grows = _ref_rank_kernel(rows[:k + 1], ring)[0] > before
-        vec = sparse_vector(row, ring)
+        vec = _map(row, ring)
         assert span.contains(vec) is not grows
         assert span.add(vec) is grows
         assert span.contains(vec) and span.rank == before + grows
@@ -339,10 +362,23 @@ def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
     # an echelon span of [1, 1, 2] in place of [1, 1, 1]: the first kernel
     # vector (-1, 1, 0) is still right, the second (-2, 0, 1) is not
     m = SparseMatrix.from_dense([[1, 1, 1]], QQ)
-    wrong = linalg._row_span(SparseMatrix.from_dense([[1, 1, 2]], QQ))
-    monkeypatch.setattr(linalg, "_row_span", lambda _m: wrong)
+    wrong = linalg.row_span(SparseMatrix.from_dense([[1, 1, 2]], QQ))
+    monkeypatch.setattr(linalg, "row_span", lambda _m: wrong)
     with pytest.raises(AssertionError, match="substitution"):
         rank_kernel(m)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(17)], ids=str)
+def test_a_zero_entry_counts_as_absent_in_both_row_formats(ring):
+    # dict rows over QQ and GF(17), byte-packed rows over GF(3)
+    span = VectorSpan(ring)
+    assert span.add({0: 1, 2: 5}) is True
+    assert span.add({0: 0, 1: 1}) is True
+    assert VectorSpan(ring).add({4: 0}) is False
+    assert span.contains({0: 1, 1: 0, 2: 5}) and not span.contains({2: 1, 3: 0})
+    assert span.add({0: 1, 1: 1, 2: 5, 3: 0}) is False
+    assert span.rows == [{0: 1, 2: ring.coerce(5)}, {1: 1}]
+    assert closure_ranks(ring, [{0: 0}, {0: 0, 1: 1}], [SparseMatrix(2, 2, ring, {(0, 1): 1})]) == [0, 2]
 
 
 # -- ring-closed results against the coercing constructor -----------------------

@@ -207,14 +207,14 @@ def test_block_ranks_are_taken_once_per_rep_and_prime(monkeypatch):
     from orbitforge import modular
 
     calls = []
-    real = modular.rank_kernel
-    monkeypatch.setattr(modular, "rank_kernel", lambda m: calls.append(m.ring) or real(m))
+    real = modular.row_span
+    monkeypatch.setattr(modular, "row_span", lambda m: calls.append(m.ring) or real(m))
     rep = build_nilpotent(Partition((3, 2, 2, 1)), 1)
     layers = len(dynkin_grading(rep).layers)
     ranks = graded_dims_mod_p(rep, 3)
     assert len(calls) == layers
     assert centralizer_dim_mod_p(rep, 3) == rep.algebra.dim - sum(ranks.values())
-    assert graded_dims_mod_p(rep, 3) == ranks and len(calls) == layers   # no rank_kernel call
+    assert graded_dims_mod_p(rep, 3) == ranks and len(calls) == layers   # no row_span call
     graded_dims_mod_p(rep, 5)
     assert len(calls) == 2 * layers and calls[-1] == GF(5)
     # a second representative of the same orbit takes its own ranks

@@ -13,7 +13,7 @@ import pytest
 from orbitforge import cli, modular, orbits, slices
 from orbitforge.algebra import ClassicalAlgebra
 from orbitforge.centralizer import compute_centralizer
-from orbitforge.linalg import SparseMatrix, commutator, rank_kernel, smith_normal_form, solve
+from orbitforge.linalg import SparseMatrix, commutator, row_span, smith_normal_form, solve
 from orbitforge.modular import centralizer_dim_mod_p
 from orbitforge.orbits import (ad_e_block, ad_e_matrix, build_nilpotent, centralizer_dim_formula,
                                complete_sl2, dynkin_grading)
@@ -86,9 +86,9 @@ def test_integer_centralizer_is_the_saturated_lattice(lam, eps):
     rep = build_nilpotent(lam, eps)
     basis = compute_centralizer(rep, ZZ)
     ad_e = ad_e_matrix(rep, ZZ)
-    rows = [[v.get(k, 0) for k in range(rep.algebra.dim)] for v in basis.vectors]
-    assert all(not any(ad_e.apply(v)) for v in rows)
-    snf = smith_normal_form(SparseMatrix.from_dense(rows, ZZ))
+    assert all(not ad_e.apply(v) for v in basis.vectors)
+    rows = {(r, k): x for r, v in enumerate(basis.vectors) for k, x in v.items()}
+    snf = smith_normal_form(SparseMatrix(basis.dim, rep.algebra.dim, ZZ, rows))
     assert snf.rank == basis.dim == centralizer_dim_formula(lam, eps)
     assert all(x == 1 for x in snf.divisors)
 
@@ -106,7 +106,7 @@ def test_saturation_divisors_are_the_snf_of_the_whole_ad_e(lam, eps):
 def test_block_ranks_mod_p_are_the_rank_of_the_whole_ad_e(lam, eps):
     rep = build_nilpotent(lam, eps)
     for p in (3, 5, 7):
-        assert centralizer_dim_mod_p(rep, p) == rep.algebra.dim - rank_kernel(ad_e_matrix(rep, GF(p)))[0]
+        assert centralizer_dim_mod_p(rep, p) == rep.algebra.dim - row_span(ad_e_matrix(rep, GF(p))).rank
 
 
 @pytest.mark.parametrize("lam, eps", _sweep(8), ids=str)
@@ -115,8 +115,9 @@ def test_f_is_the_solve_on_whole_columns(lam, eps):
     alg, gr = rep.algebra, dynkin_grading(rep)
     triple = complete_sl2(rep)
     h = alg.coordinates(triple.h)
-    sol = solve(ad_e_matrix(rep).columns(gr.layer(-2)), [h.get(k, 0) for k in range(alg.dim)])
-    assert triple.f == alg.from_coordinates(dict(zip(gr.layer(-2), sol)))
+    neg2 = gr.layer(-2)
+    sol = solve(ad_e_matrix(rep).columns(neg2), h)
+    assert triple.f == alg.from_coordinates({neg2[i]: x for i, x in sol.items()})
 
 
 def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):
@@ -124,7 +125,7 @@ def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):
     # checks reduce; at the zero orbit g(0) = g and g(-2) = 0, so the block
     # complete_sl2 solves on is the empty dim x 0 matrix
     shapes = {}
-    for module, name in ((slices, "smith_normal_form"), (modular, "rank_kernel"), (orbits, "solve")):
+    for module, name in ((slices, "smith_normal_form"), (modular, "row_span"), (orbits, "solve")):
         def recording(m, *args, _f=getattr(module, name), _name=name):
             shapes.setdefault(_name, []).append((m.nrows, m.ncols))
             return _f(m, *args)
@@ -137,7 +138,7 @@ def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):
                 reduced.clear()
             check(lam, eps, config)
             assert all(r < dim or c == 0 for reduced in shapes.values() for r, c in reduced)
-    assert set(shapes) == {"smith_normal_form", "rank_kernel", "solve"}
+    assert set(shapes) == {"smith_normal_form", "row_span", "solve"}
 
 
 # -- AST guard -------------------------------------------------------------------
@@ -155,7 +156,7 @@ def _builds_ad_e(tree) -> bool:
     return False
 
 
-REDUCTIONS = {"smith_normal_form", "rank_kernel", "solve", "integer_kernel_basis"}
+REDUCTIONS = {"smith_normal_form", "rank_kernel", "row_span", "solve", "integer_kernel_basis"}
 
 
 def _callee(node) -> str | None:
@@ -219,5 +220,6 @@ def test_the_guard_sees_a_reduction_of_the_whole_ad_e():
     assert _reduces_whole_ad_e(ast.parse("x = solve(orbits.ad_e_matrix(rep).columns(neg2), b)"))
     assert _reduces_whole_ad_e(ast.parse("r = linalg.rank_kernel(m=ad_e_matrix(rep, GF(p)))[0]"))
     assert _reduces_whole_ad_e(ast.parse("k = integer_kernel_basis(ad_e_matrix(rep, ZZ).columns(ix))"))
+    assert _reduces_whole_ad_e(ast.parse("r = row_span(ad_e_matrix(rep, GF(p)).transpose()).rank"))
     assert not _reduces_whole_ad_e(ast.parse("snf = smith_normal_form(ad_e_block(rep, d, ZZ))"))
     assert not _reduces_whole_ad_e(ast.parse("y = ad_e_matrix(rep).transpose().apply(v)"))

@@ -183,6 +183,16 @@ def test_coordinates_refuse_an_h_off_a_corrupted_grading_weight():
         complete_sl2(rep)
 
 
+def test_an_h_coordinate_outside_g0_fails_the_sl2_relations(monkeypatch):
+    # coordinates that put h on a root vector of g(2): the solve reads only
+    # the g(0) coordinates, so f misses h and [e, f] = h fails, with no lookup error
+    rep = build_nilpotent(Partition((2, 1, 1)), -1)
+    k = dynkin_grading(rep).layer(2)[0]
+    monkeypatch.setattr(rep.algebra, "coordinates", lambda x: {k: 1})
+    with pytest.raises(AssertionError, match="sl2 relations fail"):
+        complete_sl2(rep)
+
+
 def test_orbit_dimensions():
     assert orbit_dimension(build_nilpotent(Partition((2, 1, 1)), -1)) == (4, 2)
     assert orbit_dimension(build_nilpotent(Partition((4,)), -1)) == (8, 4)

@@ -17,7 +17,7 @@ from orbitforge import linalg
 from orbitforge.rings import GF
 from orbitforge.linalg import SparseMatrix, VectorSpan, closure_ranks, lane_budget, rank_kernel, solve
 
-from test_linalg import _ref_echelon, _ref_rank_kernel, _ref_solve
+from test_linalg import _map, _ref_echelon, _ref_rank_kernel, _ref_solve
 
 PACKED = [3, 5, 7, 11, 13]
 PRIMES = PACKED + [17]
@@ -142,7 +142,7 @@ def test_rank_kernel_and_solve_over_gf_p_match_the_reference(pm, data):
     ring = GF(p)
     m = SparseMatrix.from_dense(rows, ring)
     assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
-    b = data.draw(st.lists(st.integers(0, p - 1), min_size=m.nrows, max_size=m.nrows))
+    b = _map(data.draw(st.lists(st.integers(0, p - 1), min_size=m.nrows, max_size=m.nrows)), ring)
     assert repr(solve(m, b)) == repr(_ref_solve(rows, b, ring))
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge.rings import GF, PRIME_BOUND, QQ, ZZ, Ring, is_odd_prime
-from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve, sparse_vector
+from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve
 
-from test_linalg import ENTRY, _ref_echelon, _ref_inverse, _ref_rank_kernel, _ref_solve, matrices
+from test_linalg import ENTRY, _map, _ref_echelon, _ref_inverse, _ref_rank_kernel, _ref_solve, matrices
 
 
 class _FractionQQ(Ring):
@@ -111,16 +111,16 @@ def test_ring_ops_keep_their_types_off_qq():
 def test_qq_eliminations_are_canonical_and_match_the_fraction_reference(rows, data):
     m = SparseMatrix.from_dense(rows, QQ)
     _assert_canonical_equal(rank_kernel(m), _ref_rank_kernel(rows, FRACTION_QQ))
-    b = data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows))
+    b = _map(data.draw(st.lists(ENTRY, min_size=m.nrows, max_size=m.nrows)), QQ)
     _assert_canonical_equal(solve(m, b), _ref_solve(rows, b, FRACTION_QQ))
     span = VectorSpan(QQ)
     for row in rows:
-        span.add(sparse_vector(row, QQ))
+        span.add(_map(row, QQ))
     echelon, pivots = _ref_echelon(rows, FRACTION_QQ)
     _assert_canonical_equal(span.rows, [{c: x for c, x in enumerate(row) if x != 0} for row in echelon])
     n = min(m.nrows, m.ncols)
     square = [row[:n] for row in rows[:n]]
-    _assert_canonical_equal(inverse_rows(square), _ref_inverse(square, FRACTION_QQ))
+    _assert_canonical_equal(inverse_rows([_map(row, QQ) for row in square]), _ref_inverse(square, FRACTION_QQ))
 
 
 def _fraction_entries(entries) -> dict:

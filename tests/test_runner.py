@@ -276,8 +276,8 @@ def test_a_planted_casimir_fault_gives_the_serial_message(parts, eps, monkeypatc
     checks = []
 
     def off_by_one(m):
-        rows = [list(row) for row in real_inverse(m)]
-        rows[-1][-1] += 1
+        rows = [dict(row) for row in real_inverse(m)]
+        rows[-1][len(rows) - 1] = rows[-1].get(len(rows) - 1, 0) + 1
         return rows
 
     def spy(cases, most=None):
