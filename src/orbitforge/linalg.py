@@ -14,8 +14,11 @@ stays inside this module.
 Vectors cross its boundary in one format, as everywhere in orbitforge: the
 {index: scalar} map of the nonzero entries, keys ascending.  rank_kernel,
 solve, inverse_rows, integer_kernel_basis, complete_saturated_basis and
-SparseMatrix.apply and .rows take and give such maps; a caller that needs
-only a rank reads row_span(m).rank.
+SparseMatrix.apply and .rows take and give such maps (a key outside the
+matrix raises ValueError); a caller that needs only a rank reads
+row_span(m).rank.  No matrix is dense, inside the module either: the Smith
+normal form works on {index: int} maps, the reduced matrix, U and V^-1 by
+rows and U^-1 and V by columns.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
@@ -71,16 +74,6 @@ class SparseMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, rows, ring: Ring) -> "SparseMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v != 0:
-                    entries[(i, j)] = v
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, ring, entries)
-
-    @classmethod
     def identity(cls, n, ring: Ring) -> "SparseMatrix":
         return cls._closed(n, n, ring, {(i, i): ring.one() for i in range(n)})
 
@@ -101,12 +94,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def to_dense(self):
-        rows = [[self.ring.zero()] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
 
     def rows(self, start: int = 0) -> list:
         """Rows start, start + 1, ... as {col: scalar} maps, keys ascending,
@@ -184,7 +171,9 @@ class SparseMatrix:
 
     def apply(self, vec: dict) -> dict:
         """self times the vector {index: scalar} vec, as a map; summed
-        exactly and reduced once, as in __matmul__."""
+        exactly and reduced once, as in __matmul__.  A key of vec that is
+        not a column raises ValueError."""
+        _check_keys(vec, self.ncols, "vector", "columns")
         acc = {}
         for (r, c), v in self.entries.items():
             x = vec.get(c)
@@ -208,6 +197,13 @@ class SparseMatrix:
 
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return (a @ b) - (b @ a)
+
+
+def _check_keys(vec: dict, n: int, what: str, axis: str) -> None:
+    """Raise ValueError unless every key of the map vec is in range(n)."""
+    outside = [k for k in vec if k not in range(n)]
+    if outside:
+        raise ValueError(f"{what} has entries {outside} outside the {n} {axis}")
 
 
 def _row_map(entries: dict) -> dict:
@@ -609,10 +605,12 @@ def rank_kernel(m: SparseMatrix):
 
 def inverse_rows(rows):
     """The rows of the inverse over QQ of the square matrix whose rows are
-    the given {col: scalar} maps, as maps; None if the matrix is singular."""
+    the given {col: scalar} maps, as maps; None if the matrix is singular.
+    A key that is not a column raises ValueError."""
     n = len(rows)
     span = VectorSpan(QQ)
     for i, row in enumerate(rows):
+        _check_keys(row, n, f"row {i}", "columns")
         span.add({**row, n + i: 1})
     # [A | I] has rank n; A is regular iff its pivots are the columns of A
     if span.pivots != list(range(n)):
@@ -628,9 +626,7 @@ def solve(m: SparseMatrix, b: dict):
     if not m.ring.is_field:
         raise ValueError("solve requires a field")
     ring = m.ring
-    outside = [i for i in b if i not in range(m.nrows)]
-    if outside:
-        raise ValueError(f"right-hand side has entries {outside} outside the {m.nrows} rows")
+    _check_keys(b, m.nrows, "right-hand side", "rows")
     rhs = {i: y for i in sorted(b) if (y := ring.coerce(b[i]))}
     n = m.ncols
     augmented = dict(m.entries)
@@ -661,59 +657,65 @@ class SNFResult:
         return sum(1 for d in self.divisors if d != 0)
 
 
+def _add_multiple(v: dict, q: int, w: dict) -> None:
+    """v += q * w in place, for {index: int} maps; an entry that vanishes is
+    dropped."""
+    if q:
+        for c, x in w.items():
+            y = v.get(c, 0) + q * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+
+
 def smith_normal_form(m: SparseMatrix) -> SNFResult:
-    """Smith normal form U m V = D over ZZ, with certificates verified."""
+    """Smith normal form U m V = D over ZZ, with certificates verified.
+
+    Every working matrix is a list of {index: int} maps: the reduced copy a
+    of m, U and V^-1 by rows, U^-1 and V by columns.  A row operation is one
+    axpy or swap on a row of a and of U and on a column of U^-1; a column
+    operation, one on the rows of a, a column of V and a row of V^-1."""
     if m.ring.kind != "ZZ":
         raise ValueError("smith_normal_form requires integer entries")
-    a = [[int(v) for v in row] for row in m.to_dense()]
     nr, nc = m.nrows, m.ncols
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    Uinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    Vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    a = m.rows()
+    U, Uinv = [{i: 1} for i in range(nr)], [{i: 1} for i in range(nr)]
+    V, Vinv = [{i: 1} for i in range(nc)], [{i: 1} for i in range(nc)]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(nr):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+        for x in (a, U, Uinv):
+            x[i], x[j] = x[j], x[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-        for r in range(nr):
-            Uinv[r][j] -= q * Uinv[r][i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-        for r in range(nr):
-            Uinv[r][i] = -Uinv[r][i]
+        _add_multiple(a[i], q, a[j])
+        _add_multiple(U[i], q, U[j])
+        _add_multiple(Uinv[j], -q, Uinv[i])
 
     def col_swap(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for row in a:
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            row.update((c, v) for c, v in ((i, y), (j, x)) if v)
+        for x in (V, Vinv):
+            x[i], x[j] = x[j], x[i]
 
     def col_add(i, j, q):
         # col_i += q * col_j
-        for r in range(nr):
-            a[r][i] += q * a[r][j]
-        for r in range(nc):
-            V[r][i] += q * V[r][j]
-        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
+        for row in a:
+            if j in row:
+                _add_multiple(row, q, {i: row[j]})
+        _add_multiple(V[i], q, V[j])
+        _add_multiple(Vinv[j], -q, Vinv[i])
 
     def clear_column(t) -> bool:
         """Reduce column t below the pivot; True if a remainder became the
         pivot."""
         dirty = False
         for i in range(t + 1, nr):
-            if a[i][t] != 0:
+            if t in a[i]:
                 row_add(i, t, -(a[i][t] // a[t][t]))
-                if a[i][t] != 0:
+                if t in a[i]:
                     row_swap(t, i)
                     dirty = True
         return dirty
@@ -721,12 +723,11 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
     def clear_row(t) -> bool:
         """Reduce row t right of the pivot up to the first remainder, which
         becomes the pivot; True if there was one."""
-        for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                col_add(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j] != 0:
-                    col_swap(t, j)
-                    return True
+        for j in sorted(c for c in a[t] if c > t):
+            col_add(j, t, -(a[t][j] // a[t][t]))
+            if j in a[t]:
+                col_swap(t, j)
+                return True
         return False
 
     def offending_row(t):
@@ -734,34 +735,30 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
         or None."""
         p = a[t][t]
         for i in range(t + 1, nr):
-            row = a[i]
-            for j in range(t + 1, nc):
-                if row[j] % p:
-                    return i
+            if any(x % p for x in a[i].values()):
+                return i
         return None
 
     t = 0
     limit = min(nr, nc)
     while t < limit:
         # pivot: the first entry of least absolute value in the trailing
-        # block, row by row; no entry is less than 1, so the scan ends there
-        best, least = None, 0
+        # block (rows t.., which hold no entry left of column t), row by row;
+        # no entry is less than 1, so the scan ends there
+        best = None   # (|entry|, column, row)
         for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = abs(row[j])
-                if x and (best is None or x < least):
-                    best, least = (i, j), x
-                    if x == 1:
-                        break
-            if least == 1:
-                break
+            least = a[i] and min((abs(x), j) for j, x in a[i].items())
+            if least and (best is None or least[0] < best[0]):
+                best = (*least, i)
+                if least[0] == 1:
+                    break
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
+        _, j, i = best
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
         # each round that does not finish leaves a nonzero remainder of the
         # pivot at (t, t), so |a[t][t]| strictly falls and the loop ends
         while True:
@@ -778,20 +775,20 @@ def smith_normal_form(m: SparseMatrix) -> SNFResult:
             if abs(a[t][t]) >= size:
                 raise AssertionError("SNF pivot loop failed to terminate")
         if a[t][t] < 0:
-            row_neg(t)
+            for x in (a, U, Uinv):
+                x[t] = {c: -y for c, y in x[t].items()}
         t += 1
 
-    divisors = [a[i][i] for i in range(limit)]
+    divisors = [a[i].get(i, 0) for i in range(limit)]
     for i in range(len(divisors) - 1):
         if divisors[i + 1] % max(divisors[i], 1) != 0 and divisors[i] != 0:
             raise AssertionError("divisibility chain violated")
-    res = SNFResult(
-        divisors,
-        SparseMatrix.from_dense(U, ZZ),
-        SparseMatrix.from_dense(V, ZZ),
-        SparseMatrix.from_dense(Uinv, ZZ),
-        SparseMatrix.from_dense(Vinv, ZZ),
-    )
+
+    def matrix(maps, by_columns):
+        return SparseMatrix._closed(len(maps), len(maps), ZZ, {
+            (c, i) if by_columns else (i, c): x for i, v in enumerate(maps) for c, x in v.items()})
+
+    res = SNFResult(divisors, matrix(U, False), matrix(V, True), matrix(Uinv, True), matrix(Vinv, False))
     _verify_snf(m, res)
     return res
 

@@ -25,6 +25,7 @@ from orbitforge.enveloping import (
     casimir,
 )
 
+from dense_matrices import from_dense
 from test_linalg import _map
 from test_rings import _is_canonical
 from test_slices import _trace
@@ -276,7 +277,7 @@ def _matrix_casimir(setup) -> dict:
     rd, kf = alg.root_data(), alg.killing_form()
     c = kf["trace_constant"]
     l = len(rd["simple_roots"])
-    amat = SparseMatrix.from_dense([[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ)
+    amat = from_dense([[Fraction(x) for x in row] for row in rd["cartan_matrix"]], QQ)
     C = {}
     for w in rd["positive_roots"]:
         e_plus = alg._terms_to_matrix(alg._rv_terms[w])

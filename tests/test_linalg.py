@@ -26,6 +26,8 @@ from orbitforge.linalg import (
     complete_saturated_basis,
 )
 
+from dense_matrices import from_dense, to_dense
+
 
 def _map(vec, ring) -> dict:
     """The nonzero entries of the dense vector vec, coerced into ring, as a
@@ -83,7 +85,7 @@ def test_ad_e_kernel_dimension_sp4():
 
 
 def test_snf_diag_2_3():
-    m = SparseMatrix.from_dense([[2, 0], [0, 3]], ZZ)
+    m = from_dense([[2, 0], [0, 3]], ZZ)
     res = smith_normal_form(m)
     assert res.divisors == [1, 6]
 
@@ -108,7 +110,7 @@ def test_snf_chevalley_lattice_sp4_22():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=2, max_size=4))
 def test_snf_certificates_recompose(rows):
-    m = SparseMatrix.from_dense(rows, ZZ)
+    m = from_dense(rows, ZZ)
     res = smith_normal_form(m)  # recomposition is asserted inside
     for i in range(len(res.divisors) - 1):
         if res.divisors[i]:
@@ -131,7 +133,7 @@ def test_divisor_chain_is_the_snf_of_the_diagonal(entries):
     st.lists(st.integers(-4, 4), min_size=4, max_size=4),
 )
 def test_solve_verifies_by_substitution(rows, x):
-    m = SparseMatrix.from_dense([[Fraction(v) for v in row] for row in rows], QQ)
+    m = from_dense([[Fraction(v) for v in row] for row in rows], QQ)
     b = m.apply(_map(x, QQ))
     sol = solve(m, b)
     assert sol is not None
@@ -139,7 +141,7 @@ def test_solve_verifies_by_substitution(rows, x):
 
 
 def test_integer_kernel_is_saturated():
-    m = SparseMatrix.from_dense([[2, 4, 0], [1, 2, 0]], ZZ)
+    m = from_dense([[2, 4, 0], [1, 2, 0]], ZZ)
     ker = integer_kernel_basis(m)
     assert len(ker) == 2
     comp = complete_saturated_basis(ker, 3)
@@ -172,7 +174,7 @@ def test_two_power_denominators():
     st.sampled_from([3, 5, 7]),
 )
 def test_rank_never_grows_mod_p(rows, p):
-    m = SparseMatrix.from_dense(rows, ZZ)
+    m = from_dense(rows, ZZ)
     rank_q, _ = rank_kernel(m.change_ring(QQ))
     rank_p, _ = rank_kernel(m.change_ring(GF(p)))
     assert rank_p <= rank_q
@@ -280,7 +282,7 @@ def matrices(min_rows=1, max_rows=5, min_cols=1, max_cols=5):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), FIELDS)
 def test_rank_kernel_and_rank_match_the_reference(rows, ring):
-    m = SparseMatrix.from_dense(rows, ring)
+    m = from_dense(rows, ring)
     assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
     span = VectorSpan(ring)
     for row in rows:
@@ -291,7 +293,7 @@ def test_rank_kernel_and_rank_match_the_reference(rows, ring):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), FIELDS, st.data())
 def test_solve_matches_the_reference(rows, ring, data):
-    m = SparseMatrix.from_dense(rows, ring)
+    m = from_dense(rows, ring)
     x = data.draw(st.lists(ENTRY, min_size=m.ncols, max_size=m.ncols))
     consistent = m.apply(_map(x, ring))
     assert solve(m, consistent) is not None
@@ -302,7 +304,7 @@ def test_solve_matches_the_reference(rows, ring, data):
 
 def test_solve_reports_an_inconsistent_system():
     for ring in (QQ, GF(3), GF(7)):
-        m = SparseMatrix.from_dense([[1, 2], [2, 4]], ring)
+        m = from_dense([[1, 2], [2, 4]], ring)
         assert solve(m, {0: 1, 1: 1}) is None and _ref_solve([[1, 2], [2, 4]], {0: 1, 1: 1}, ring) is None
 
 
@@ -314,6 +316,18 @@ def test_solve_rejects_a_right_hand_side_entry_outside_the_rows():
     for b in ({0: 1, 1: 2, 2: 3}, {-1: 1}, {5: 0}):
         with pytest.raises(ValueError, match="outside the 2 rows"):
             solve(m, b)
+
+
+def test_apply_and_inverse_rows_reject_a_key_outside_the_matrix():
+    # as in solve: a missing key reads as 0, a key past the last column is
+    # not one, and inverse_rows would overwrite key n with the identity block
+    m = SparseMatrix(2, 2, QQ, {(0, 0): 1, (1, 1): 1})
+    assert m.apply({1: 7}) == {1: 7}
+    with pytest.raises(ValueError, match=r"entries \[5\] outside the 2 columns"):
+        m.apply({0: 1, 5: 7})
+    for rows in ([{0: 1, 2: 5}, {1: 1}], [{0: 1, 3: 5}, {1: 1}]):
+        with pytest.raises(ValueError, match="row 0 has entries .* outside the 2 columns"):
+            inverse_rows(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,8 +375,8 @@ def test_vector_span_add_and_contains_follow_the_reference_rank(rows, ring):
 def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
     # an echelon span of [1, 1, 2] in place of [1, 1, 1]: the first kernel
     # vector (-1, 1, 0) is still right, the second (-2, 0, 1) is not
-    m = SparseMatrix.from_dense([[1, 1, 1]], QQ)
-    wrong = linalg.row_span(SparseMatrix.from_dense([[1, 1, 2]], QQ))
+    m = from_dense([[1, 1, 1]], QQ)
+    wrong = linalg.row_span(from_dense([[1, 1, 2]], QQ))
     monkeypatch.setattr(linalg, "row_span", lambda _m: wrong)
     with pytest.raises(AssertionError, match="substitution"):
         rank_kernel(m)
@@ -598,7 +612,7 @@ def test_snf_pivot_loop_raises_on_a_planted_non_terminating_step():
         "mod.__package__ = 'orbitforge'\n"
         "exec(compile(sys.stdin.read(), 'snf_mutant', 'exec'), mod.__dict__)\n"
         "ns = mod.__dict__\n"
-        "m = ns['SparseMatrix'].from_dense([[2, 0], [0, 3]], ns['ZZ'])\n"
+        "m = ns['SparseMatrix'](2, 2, ns['ZZ'], {(0, 0): 2, (1, 1): 3})\n"
         "start = time.perf_counter()\n"
         "try:\n"
         "    ns['smith_normal_form'](m)\n"
@@ -612,4 +626,150 @@ def test_snf_pivot_loop_raises_on_a_planted_non_terminating_step():
     message, seconds = done.stdout.rsplit(" ", 1)
     assert message == repr("SNF pivot loop failed to terminate") and float(seconds) < 1.0
     # the unplanted loop finishes on the same matrix: diag(2, 3) ~ diag(1, 6)
-    assert smith_normal_form(SparseMatrix.from_dense([[2, 0], [0, 3]], ZZ)).divisors == [1, 6]
+    assert smith_normal_form(from_dense([[2, 0], [0, 3]], ZZ)).divisors == [1, 6]
+
+
+# -- the sparse SNF against the dense one it replaced ---------------------------
+
+
+def _ref_snf(m: SparseMatrix):
+    """Reference: the dense Smith normal form orbitforge ran before its
+    working matrices became maps, on lists of rows; (divisors, U, V, U^-1,
+    V^-1).  The sparse one keeps its pivot rule and operation order, so it
+    must give these entry for entry."""
+    a = to_dense(m)
+    nr, nc = m.nrows, m.ncols
+    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    Uinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    Vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+        for r in range(nr):
+            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+
+    def row_add(i, j, q):
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+        for r in range(nr):
+            Uinv[r][j] -= q * Uinv[r][i]
+
+    def col_swap(i, j):
+        for r in range(nr):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(nc):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def col_add(i, j, q):
+        for r in range(nr):
+            a[r][i] += q * a[r][j]
+        for r in range(nc):
+            V[r][i] += q * V[r][j]
+        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
+
+    def clear_column(t):
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                row_add(i, t, -(a[i][t] // a[t][t]))
+                if a[i][t] != 0:
+                    row_swap(t, i)
+                    dirty = True
+        return dirty
+
+    def clear_row(t):
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                col_add(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j] != 0:
+                    col_swap(t, j)
+                    return True
+        return False
+
+    def offending_row(t):
+        for i in range(t + 1, nr):
+            if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
+                return i
+        return None
+
+    limit = min(nr, nc)
+    for t in range(limit):
+        best, least = None, 0
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = abs(a[i][j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+        while True:
+            if not clear_column(t) and not clear_row(t):
+                offender = None if abs(a[t][t]) == 1 else offending_row(t)
+                if offender is None:
+                    break
+                row_add(t, offender, 1)
+                clear_row(t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            U[t] = [-x for x in U[t]]
+            for r in range(nr):
+                Uinv[r][t] = -Uinv[r][t]
+    return [a[i][i] for i in range(limit)], U, V, Uinv, Vinv
+
+
+def _assert_snf_is_the_reference(m: SparseMatrix):
+    res = smith_normal_form(m)
+    got = (res.divisors, *(to_dense(x) for x in (res.left, res.right, res.left_inv, res.right_inv)))
+    assert got == _ref_snf(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-6 x 0-6 integer matrices whose rows are drawn ones, zero rows and
+    integer combinations of the drawn ones, shuffled: rank-deficient and
+    non-square ones among them."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-200, 200))
+    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=nr))
+    rows = list(base)
+    while len(rows) < nr:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(nc)])
+    rows = draw(st.permutations(rows))
+    return SparseMatrix(nr, nc, ZZ, {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_snf_matches_the_dense_reference(m):
+    _assert_snf_is_the_reference(m)
+
+
+def test_snf_matches_the_dense_reference_on_the_lattice_blocks(monkeypatch):
+    # every ad e block g(d) -> g(d + 2) over ZZ with N <= 8, and every SNF
+    # WSetup runs on its (degree, weight) column blocks and their kernels
+    from orbitforge.enveloping import WSetup
+    from orbitforge.orbits import ad_e_block, build_nilpotent, dynkin_grading
+    from orbitforge.partitions import admissible_partitions
+
+    inputs = []
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: inputs.append(m) or smith_normal_form(m))
+    reps = [build_nilpotent(lam, eps) for n in range(2, 9) for eps in (1, -1) if eps == 1 or n % 2 == 0
+            for lam in admissible_partitions(n, eps)]
+    for rep in reps:
+        inputs.extend(ad_e_block(rep, d, ZZ) for d in dynkin_grading(rep).layers)
+        WSetup(rep)
+    assert len(reps) == 60 and len(inputs) > 1000
+    for m in inputs:
+        _assert_snf_is_the_reference(m)

@@ -10,7 +10,10 @@ ascending, for the elements of g and at linalg's boundary.
   complete_saturated_basis, and the products of SparseMatrix.apply.
 * No module reads a dense vector into a map (sparse_vector is gone), none
   outside linalg imports a private linalg name, and none builds a kernel to
-  read only its rank: that is row_span(m).rank."""
+  read only its rank: that is row_span(m).rank.
+* No module builds a dense matrix either: from_dense and to_dense are gone,
+  and the Smith normal form keeps its working matrices and certificates as
+  {index: int} maps, by rows or by columns."""
 
 import ast
 from fractions import Fraction
@@ -29,6 +32,7 @@ from orbitforge.rings import GF, QQ, ZZ
 from orbitforge.slices import build_m, build_psi, slice_complement, split_lagrangian
 
 from test_one_ad_e import _callee
+from test_one_bracket import _names
 from test_one_lift import _callers, _last_name
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
@@ -215,3 +219,32 @@ def kernel(m):
         ("slices.py", "rank, _ = rank_kernel(...)"),
         ("slices.py", "rank_kernel(...)[0]"),
     }
+
+
+DENSE_NAMES = {"from_dense", "to_dense"}
+
+
+def _dense_matrix_uses(sources: dict) -> set:
+    """(file, name) for each module that defines, calls or reads from_dense
+    or to_dense."""
+    return {(name, found) for name, text in sources.items() for found in _names(ast.parse(text)) & DENSE_NAMES}
+
+
+def test_no_module_defines_or_calls_a_dense_matrix_reader():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _dense_matrix_uses(sources) == set()
+
+
+def test_the_guard_sees_a_dense_matrix_reader():
+    planted = {
+        "linalg.py": """
+class SparseMatrix:
+    @classmethod
+    def from_dense(cls, rows, ring):
+        return cls(len(rows), len(rows[0]), ring)
+""",
+        "slices.py": "def gram_rows(psi):\n    return psi.m_block.to_dense()\n",
+        # the names in prose are not counted
+        "orbits.py": '"""No from_dense and no to_dense here."""\n',
+    }
+    assert _dense_matrix_uses(planted) == {("linalg.py", "from_dense"), ("slices.py", "to_dense")}

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforge import linalg
 from orbitforge.rings import GF
-from orbitforge.linalg import SparseMatrix, VectorSpan, closure_ranks, lane_budget, rank_kernel, solve
+from orbitforge.linalg import VectorSpan, closure_ranks, lane_budget, rank_kernel, solve
 
+from dense_matrices import from_dense
 from test_linalg import _map, _ref_echelon, _ref_rank_kernel, _ref_solve
 
 PACKED = [3, 5, 7, 11, 13]
@@ -140,7 +141,7 @@ FIELD_MATRICES = st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(
 def test_rank_kernel_and_solve_over_gf_p_match_the_reference(pm, data):
     p, rows = pm
     ring = GF(p)
-    m = SparseMatrix.from_dense(rows, ring)
+    m = from_dense(rows, ring)
     assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
     b = _map(data.draw(st.lists(st.integers(0, p - 1), min_size=m.nrows, max_size=m.nrows)), ring)
     assert repr(solve(m, b)) == repr(_ref_solve(rows, b, ring))
@@ -173,7 +174,7 @@ def test_closure_rank_matches_a_dense_closure(pn, data):
     mats = data.draw(st.lists(st.lists(st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n),
                                        min_size=n, max_size=n), max_size=3))
     want = _dense_closure_rank(p, seed, mats)
-    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
+    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [from_dense(a, GF(p)) for a in mats])
     assert got == want
 
 
@@ -191,7 +192,7 @@ def test_closure_rank_stays_in_an_invariant_subspace(pn, data):
     for _ in range(data.draw(st.integers(1, 3))):
         a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
         mats.append([[x if i < k or j >= k else 0 for j, x in enumerate(row)] for i, row in enumerate(a)])
-    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [SparseMatrix.from_dense(a, GF(p)) for a in mats])
+    (got,) = closure_ranks(GF(p), [_on_keys(seed, range(n))], [from_dense(a, GF(p)) for a in mats])
     assert got == _dense_closure_rank(p, seed, mats) <= k
 
 

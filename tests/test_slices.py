@@ -19,6 +19,8 @@ from orbitforge.slices import (
     integral_saturation,
 )
 
+from dense_matrices import from_dense, to_dense
+
 
 def test_psi_sp4_211():
     rep = build_nilpotent(Partition((2, 1, 1)), -1)
@@ -58,10 +60,10 @@ def test_gram_determinant_two_power_sweep():
 
 
 def test_unit_over_z_half_examples():
-    assert _unit_over_z_half(SparseMatrix.from_dense([[Fraction(-1, 4), 3], [0, 2]], QQ))
-    assert not _unit_over_z_half(SparseMatrix.from_dense([[3]], QQ))
-    assert not _unit_over_z_half(SparseMatrix.from_dense([[2, Fraction(2, 3)], [0, 2]], QQ))
-    assert not _unit_over_z_half(SparseMatrix.from_dense([[1, 2], [2, 4]], QQ))
+    assert _unit_over_z_half(from_dense([[Fraction(-1, 4), 3], [0, 2]], QQ))
+    assert not _unit_over_z_half(from_dense([[3]], QQ))
+    assert not _unit_over_z_half(from_dense([[2, Fraction(2, 3)], [0, 2]], QQ))
+    assert not _unit_over_z_half(from_dense([[1, 2], [2, 4]], QQ))
 
 
 def _skew_form(parts, eps, m_block):
@@ -69,14 +71,14 @@ def _skew_form(parts, eps, m_block):
     rows m_block."""
     rep = build_nilpotent(Partition(parts), eps)
     psi = build_psi(rep)
-    assert psi.m_block.to_dense() == m_block
+    assert to_dense(psi.m_block) == m_block
     return rep, psi
 
 
 SO5 = ((2, 2, 1), 1, [[-2]])
 SP6 = ((2, 2, 1, 1), -1, [[2, 0], [0, 2]])
-THIRD = SparseMatrix.from_dense([[1, Fraction(1, 3)], [0, 1]], QQ)
-RANK_ONE = SparseMatrix.from_dense([[1, 0], [0, 0]], QQ)
+THIRD = from_dense([[1, Fraction(1, 3)], [0, 1]], QQ)
+RANK_ONE = from_dense([[1, 0], [0, 0]], QQ)
 
 
 @pytest.mark.parametrize("case,doctor", [
