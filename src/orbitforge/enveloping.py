@@ -61,7 +61,7 @@ from .linalg import (
     solve,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
-from .slices import weight_data, build_psi, split_lagrangian, build_m, chi_of
+from .slices import build_m, chi_of
 
 
 _ONE = {(): 1}   # 1 in Q, as an int-valued sum; never mutated
@@ -327,10 +327,10 @@ class WSetup:
         self.rep = rep
         alg = rep.algebra
         self.alg = alg
-        self.wd = weight_data(rep)
-        self.psi = build_psi(rep, self.wd)
-        self.pair = split_lagrangian(rep, self.psi)
-        self.msub = build_m(rep, self.pair)
+        self.msub = build_m(rep)
+        self.pair = self.msub.pair
+        self.psi = self.pair.psi
+        self.wd = self.psi.wd
         self._build_basis()
         self._build_structure()
         self.thetas: dict[int, ThetaGenerator] = {}

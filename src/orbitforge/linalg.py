@@ -8,8 +8,10 @@ The span's row format follows from the ring alone.  Over QQ and over GF(p)
 with p > 13 a row is a sparse map {col: scalar}.  Over GF(p) with p <= 13 a
 vector is one Python int holding its residue at column c in byte c, and
 rows are renormalised mod p by bytes.translate at most every
-floor((256 - p)/(p - 1)^2) additions (lane_budget).  The packed format
-stays inside this module.
+floor((256 - p)/(p - 1)^2) additions (lane_budget).  Packed rows are
+unpacked on each read and back-substituted by the dict rows' _axpy, so one
+back-substitution serves every field.  The packed format stays inside this
+module.
 
 Vectors cross its boundary in one format, as everywhere in orbitforge: the
 {index: scalar} map of the nonzero entries, keys ascending.  rank_kernel,
@@ -295,8 +297,10 @@ class VectorSpan:
       multiply-add takes the row off, and a shift drops the cleared byte.
       Bytes grow by at most (p - 1)^2 per addition and are renormalised
       mod p, by bytes.translate with a 256-entry table, once every
-      lane_budget(ring) additions, before any byte can pass 255.  The rows
-      are reduced once when rank_kernel, solve or rows read them.
+      lane_budget(ring) additions, before any byte can pass 255.  When
+      rank_kernel, solve or rows read them, the rows are unpacked into
+      maps and back-substituted by _axpy, from the largest pivot down;
+      the packed rows themselves are left as they are.
     """
 
     def __init__(self, ring: Ring):
@@ -308,7 +312,6 @@ class VectorSpan:
         self._budget = lane_budget(ring)
         if self._budget:
             self._table = _residues(ring.p)
-            self._reduced = True
 
     # -- the dict rows ------------------------------------------------------
 
@@ -400,7 +403,6 @@ class VectorSpan:
             if f != 1 and tail:
                 tail = self._normal(tail * pow(f, -1, mod))
             self._rows[c] = tail
-            self._reduced = False
             return True
         v = self._reduce(v)
         if not v:
@@ -433,34 +435,22 @@ class VectorSpan:
 
     def _echelon(self) -> dict:
         """The reduced echelon rows, pivot -> {col: scalar}, read only: the
-        dict rows themselves, or the packed rows, reduced in place at every
-        other pivot first, as new dicts."""
+        dict rows themselves, or the packed rows unpacked into new dicts and
+        back-substituted by _axpy from the largest pivot down."""
+        rows = self._rows
         if not self._budget:
-            return self._rows
-        rows, mod, budget = self._rows, self._mod, self._budget
-        if not self._reduced:
-            for c in sorted(rows, reverse=True):
-                # the rows with a larger pivot are reduced already, so their
-                # multipliers are this row's residues at their pivots, all
-                # read at once
-                tail, added = rows[c], 0
-                for i, x in enumerate(tail.to_bytes((tail.bit_length() + 7) >> 3, "little")):
-                    q = c + 1 + i
-                    if x and q in rows:
-                        if added == budget:
-                            tail, added = self._normal(tail), 0
-                        tail += (mod - x) * (rows[q] << 8 | 1) << (i << 3)
-                        added += 1
-                if added:
-                    rows[c] = self._normal(tail)
-            self._reduced = True
+            return rows
         out = {}
-        for c, tail in rows.items():
-            data = tail.to_bytes((tail.bit_length() + 7) >> 3, "little")
-            row = out[c] = {c: 1}
-            for i, x in enumerate(data, c + 1):
+        for c in sorted(rows, reverse=True):
+            tail = rows[c]
+            row = {c: 1}
+            for i, x in enumerate(tail.to_bytes((tail.bit_length() + 7) >> 3, "little"), c + 1):
                 if x:
                     row[i] = x
+            # the rows with a larger pivot are reduced already
+            for q in [q for q in row if q in out]:
+                self._axpy(row, row[q], out[q])
+            out[c] = row
         return out
 
     @property
@@ -473,10 +463,10 @@ class VectorSpan:
 
     @property
     def rows(self) -> list:
-        """Copies of the reduced echelon rows as {col: scalar} maps, by
-        increasing pivot."""
+        """Copies of the reduced echelon rows as {col: scalar} maps, keys
+        ascending, by increasing pivot."""
         rows = self._echelon()
-        return [dict(rows[p]) for p in sorted(rows)]
+        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
 
     # -- matrices acting on the row format --------------------------------------
 

@@ -41,7 +41,6 @@ class ModularAlgebra:
     alg: ClassicalAlgebra
     p: int
     p_power: list            # {index: residue}, the Chevalley coordinates of x^{[p]}, per basis element
-    structure: dict          # (a, b) -> {c: coeff mod p}
 
 
 def _power(m: SparseMatrix, k: int) -> SparseMatrix:
@@ -63,13 +62,7 @@ def reduce_mod_p(alg: ClassicalAlgebra, p: int) -> ModularAlgebra:
     p_power = []
     for b in alg.basis:
         p_power.append(alg.coordinates(_power(b.change_ring(ring), p)))
-    structure = {}
-    for a, row in enumerate(alg.structure):
-        for b, terms in row.items():
-            entry = {c: v % p for c, v in terms if v % p}
-            if entry:
-                structure[(a, b)] = entry
-    mod = ModularAlgebra(alg, p, p_power, structure)
+    mod = ModularAlgebra(alg, p, p_power)
     verify_restrictedness(mod)
     return mod
 
@@ -136,11 +129,12 @@ def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:
             raise AssertionError("chi does not vanish on the parabolic")
 
     # letters n_-, then l, then n_+: a sorted word over n_- is a PBW monomial,
-    # and the letters of p act on k_0 by chi = 0
+    # and the letters of p act on k_0 by chi = 0; the structure constants are
+    # reduced mod p as they are read, and an entry that vanishes is dropped
     order = f_idx + levi_idx + n_plus
     pos = {k: i for i, k in enumerate(order)}
-    bracket = {(pos[a], pos[b]): {pos[c]: v for c, v in entry.items()}
-               for (a, b), entry in mod.structure.items() if pos[a] > pos[b]}
+    bracket = {(pos[a], pos[b]): entry for a, row in enumerate(alg.structure) for b, terms in row.items()
+               if pos[a] > pos[b] and (entry := {pos[c]: v % p for c, v in terms if v % p})}
     p_power = [{pos[c]: v for c, v in mod.p_power[k].items()} for k in order]
     U = UAlgebra(alg.dim, bracket, len(f_idx), [chi[k] for k in order], restricted=(p, p_power))
     # the monomials in exponent-vector order, each as its sorted word
@@ -166,7 +160,7 @@ def verify_induced_module(module: InducedModule, mod: ModularAlgebra):
     dim_g = mod.alg.dim
     mats = {k: m.entries for k, m in enumerate(act)}
     pairs = combinations(range(dim_g), 2)
-    for a, b, _ in bracket_residues(mats, pairs, lambda a, b: mod.structure.get((a, b), {}).items(), p):
+    for a, b, _ in bracket_residues(mats, pairs, lambda a, b: mod.alg.structure[a].get(b, ()), p):
         raise AssertionError(f"bracket compatibility fails at pair ({a}, {b})")
     for k in range(dim_g):
         # x_k^p - sum of v x_c - chi(x_k)^p 1 as one entry dict, checked mod p

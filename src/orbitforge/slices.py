@@ -91,10 +91,9 @@ class SkewForm:
     m_block: SparseMatrix  # the block M with Psi(z'_i, z_j) = M_{ij}
 
 
-def build_psi(rep: NilpotentRep, wd: WeightData | None = None) -> SkewForm:
+def build_psi(rep: NilpotentRep) -> SkewForm:
     alg = rep.algebra
-    if wd is None:
-        wd = weight_data(rep)
+    wd = weight_data(rep)
     gr = dynkin_grading(rep)
     n_minus, n_plus = set(wd.n_minus), set(wd.n_plus)
     minus_idx = [k for k in gr.layer(-1) if k in n_minus]
@@ -139,9 +138,8 @@ class LagrangianPair:
     z_plus: list    # {index: scalar} maps of z_1..z_s (Chevalley vectors)
 
 
-def split_lagrangian(rep: NilpotentRep, psi: SkewForm | None = None) -> LagrangianPair:
-    if psi is None:
-        psi = build_psi(rep)
+def split_lagrangian(rep: NilpotentRep) -> LagrangianPair:
+    psi = build_psi(rep)
     s = len(psi.minus_idx)
     z_plus = [{k: 1} for k in psi.plus_idx]
     if s == 0:
@@ -177,6 +175,7 @@ def verify_duality(pair: LagrangianPair):
 @dataclass
 class MSubalgebra:
     rep: NilpotentRep
+    pair: LagrangianPair   # the Lagrangian pair m was built from
     basis: list        # {index: scalar} maps of the basis vectors
     chi: list          # chi value per basis vector
     degrees: list
@@ -186,8 +185,9 @@ class MSubalgebra:
         return len(self.basis)
 
 
-def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
+def build_m(rep: NilpotentRep) -> MSubalgebra:
     alg = rep.algebra
+    pair = split_lagrangian(rep)
     gr = dynkin_grading(rep)
     basis = list(pair.z_minus)
     degrees = [-1] * len(basis)
@@ -213,7 +213,7 @@ def build_m(rep: NilpotentRep, pair: LagrangianPair) -> MSubalgebra:
                 raise AssertionError("m is not closed under the bracket")
             if chi_of(pair.psi.chi, br) != 0:
                 raise AssertionError("chi does not vanish on [m, m]")
-    msub = MSubalgebra(rep, basis, chi, degrees)
+    msub = MSubalgebra(rep, pair, basis, chi, degrees)
     d_chi = (alg.dim - centralizer_dim_formula(rep.lam, rep.eps)) // 2
     if msub.dim != d_chi:
         raise AssertionError(f"dim m = {msub.dim} != d(chi) = {d_chi}")

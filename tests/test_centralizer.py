@@ -48,7 +48,7 @@ def test_zeta_grade_and_sign_examples():
 def test_zeta_full_verification_small():
     for parts, eps in [((2, 1, 1), -1), ((3, 1), 1), ((2, 2), -1), ((5, 5, 4), -1)]:
         lam = Partition(parts)
-        summary = verify_zeta_system(build_zeta_system(lam, eps), full_bracket=lam.size <= 8)
+        summary = verify_zeta_system(build_zeta_system(lam, eps))
         assert summary["span_dim"] == centralizer_dim_formula(lam, eps)
 
 
@@ -63,14 +63,15 @@ def test_zeta_bracket_instance_2_1_1():
     assert lhs == -zs.zetas[(0, 0, 0)]
 
 
-def test_zeta_count_identity_n_le_10():
+def test_zeta_count_identity_n_le_10(monkeypatch):
+    monkeypatch.setattr(centralizer, "ZETA_BRACKET_MAX_N", 0)   # the bracket law is tested apart
     for n in range(2, 11):
         for eps in (1, -1):
             if eps == -1 and n % 2:
                 continue
             for lam in admissible_partitions(n, eps):
                 zs = build_zeta_system(lam, eps)
-                summary = verify_zeta_system(zs, full_bracket=False)
+                summary = verify_zeta_system(zs)
                 assert summary["orbit_count"] == summary["dim"], lam
 
 
@@ -186,12 +187,14 @@ def _outcome(check, zs):
     return None
 
 
-def test_scaling_one_zeta_orbit_breaks_only_the_bracket_law():
+def test_scaling_one_zeta_orbit_breaks_only_the_bracket_law(monkeypatch):
     zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
     bad = _scale_orbit(zs, (0, 1, 0), 2)
     assert bad.zetas[(0, 1, 0)] != zs.zetas[(0, 1, 0)]
     # relation (i), sigma-fixedness, centralising, grading and span all hold
-    assert verify_zeta_system(bad, full_bracket=False) == verify_zeta_system(zs, full_bracket=False)
+    with monkeypatch.context() as m:
+        m.setattr(centralizer, "ZETA_BRACKET_MAX_N", 0)
+        assert verify_zeta_system(bad) == verify_zeta_system(zs)
     with pytest.raises(AssertionError, match=r"bracket law \(ii\)"):
         verify_zeta_system(bad)
 
@@ -224,6 +227,7 @@ def test_bracket_law_visits_every_ordered_pair(monkeypatch):
         return rhs(zs, a, b)
 
     monkeypatch.setattr(centralizer, "_bracket_rhs", counting)
+    monkeypatch.setattr(centralizer, "ZETA_BRACKET_MAX_N", 14)
     for parts, eps in [((2, 1, 1), -1), ((3, 2, 2, 1), 1), ((5, 5, 4), -1)]:
         zs = build_zeta_system(Partition(parts), eps)
         visited.clear()

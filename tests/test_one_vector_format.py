@@ -63,7 +63,7 @@ def test_every_element_of_g_is_a_sorted_map_without_zeros(lam, eps):
         "centraliser over ZZ": compute_centralizer(rep, ZZ).vectors,
         "z'": pair.z_minus,
         "z": pair.z_plus,
-        "m": build_m(rep, pair).basis,
+        "m": build_m(rep).basis,
         "slice": slice_complement(rep).complement,
         "PBW basis": setup.basis_vectors,
     }

@@ -8,6 +8,7 @@ linalg), on sparse and full {col: residue} maps, on columns far apart, and on
 reductions long enough to renormalise the bytes on the way.  closure_ranks
 is checked against a dense closure written here."""
 
+import copy
 import random
 
 import pytest
@@ -87,13 +88,15 @@ def _check_against_the_reference(p, keys, rows, read_every=3):
         assert span.contains(vec)
         assert span.rank == len(ref.rows)
         if k % read_every == read_every - 1:
-            # reading the rows reduces them; later additions start from there
+            # reading the rows in the middle leaves the span as it was, so
+            # later additions still meet the semi-reduced rows
             echelon, _ = _ref_echelon(rows[:k + 1], ring)
             assert span.rows == [_on_keys(r, keys) for r in echelon]
     echelon, pivots = _ref_echelon(rows, ring)
     assert span.pivots == [keys[j] for j in pivots] == [keys[j] for j in sorted(ref.rows)]
     assert span.rows == [_on_keys(r, keys) for r in echelon]
-    assert [sorted(r) for r in span.rows] == [sorted(_on_keys(r, keys)) for r in echelon]
+    # each row's keys ascending, as every map leaving linalg
+    assert [list(r) for r in span.rows] == [sorted(_on_keys(r, keys)) for r in echelon]
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,6 +104,17 @@ def _check_against_the_reference(p, keys, rows, read_every=3):
 def test_add_contains_rank_pivots_and_rows_follow_dense_elimination(data):
     p, keys, rows, _ = data
     _check_against_the_reference(p, keys, rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reading_the_rows_gives_sorted_maps_and_leaves_the_span_unchanged(p):
+    span = VectorSpan(GF(p))
+    for vec in ({0: 1, 1: 1, 3: 1}, {1: 1, 2: 1}):
+        span.add(vec)
+    held = copy.deepcopy(span._rows)
+    # reducing row 0 at pivot 1 brings in column 2 after its column 3
+    assert [list(r) for r in span.rows] == [[0, 2, 3], [1, 2]]
+    assert span._rows == held
 
 
 @settings(max_examples=100, deadline=None)
