@@ -265,19 +265,14 @@ class UAlgebra:
             return {s: c * n for s, n in x1.items()} if c else {}
         return self._act_on(xs, v, top)
 
-    def _comm_acc(self, x: dict, y: dict):
-        """(acc, den, top) for [x, y]: the coefficient of term t is
-        acc[t] / (den * D^(top - len(t)))."""
+    def q_comm(self, x: dict, y: dict) -> dict:
+        """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
         dx, xs = _scaled(x)
         dy, ys = _scaled(y)
         lx, ly = _longest(x), _longest(y)
         x1, y1 = self._act_on(xs, _ONE, lx), self._act_on(ys, _ONE, ly)
-        return (_difference(self._act_on_image(xs, y1, lx, x1), self._act_on_image(ys, x1, ly, y1)),
-                dx * dy, lx + ly)
-
-    def q_comm(self, x: dict, y: dict) -> dict:
-        """The class of [x, y] in Q: x acting on y.1 minus y acting on x.1."""
-        return self._quotients(*self._comm_acc(x, y))
+        acc = _difference(self._act_on_image(xs, y1, lx, x1), self._act_on_image(ys, x1, ly, y1))
+        return self._quotients(acc, dx * dy, lx + ly)
 
 
 def elem_add(x: dict, y: dict, scale=1) -> dict:
@@ -649,11 +644,11 @@ class WSetup:
         cache[word] = out
         return out
 
-    def _clear(self, h: dict, k: int | None, den: int | None = None):
+    def _clear(self, h: dict, k: int | None, den: int):
         """Subtract theta monomials until no pure centraliser-supported
         monomial other than (k,) remains; returns (result, expansion).
-        h is a QQ sum or, with den, an int sum whose coefficient at t is
-        h[t] / den.
+        h is an int sum whose coefficient at t is h[t] / den; it is left
+        as it is.
 
         The monomial taken next is the pure word of h least in the order
         (highest Kazhdan degree, shortest, then lexicographic).  h is held
@@ -664,11 +659,8 @@ class WSetup:
         exclude = (k,) if k is not None else None
         r, kaz = self.r, self.kaz
         expansion = {}
-        if den is None:
-            W, terms = _scaled(h)
-        else:
-            W, terms = den, h.items()
-        h = {w: n for w, n in terms if n != 0}
+        W = den
+        h = {w: n for w, n in h.items() if n != 0}
         for _ in range(CLEAR_MAX_ITER):
             pure = [w for w in h if w != exclude and (not w or max(w) < r)]
             if not pure:
@@ -704,7 +696,8 @@ class WSetup:
         h: dict = {}
         for (p, q), c in self.commutator_presentation(k, perturb):
             h = elem_add(h, self.U._quotients(*self._theta_commutator(p, q)), c)
-        value, expansion = self._clear(h, k)
+        den, terms = _scaled(h)
+        value, expansion = self._clear(dict(terms), k, den)
         back = dict(value)
         for word, coeff in expansion.items():
             for t, c in self._theta_monomial(word).items():
@@ -728,9 +721,10 @@ class WSetup:
             if kdeg == top and len(word) < 2 and th.degree >= 2:
                 raise AssertionError("top Kazhdan layer contains a short monomial")
 
-    def expand_in_theta(self, qnf: dict, den: int | None = None) -> dict:
-        """Coefficients of qnf, given as for _clear, in the theta PBW basis;
-        requires qnf to lie in the span (the remainder must vanish)."""
+    def expand_in_theta(self, qnf: dict, den: int) -> dict:
+        """Coefficients of qnf / den, qnf an int sum as for _clear, in the
+        theta PBW basis; requires it to lie in the span (the remainder must
+        vanish)."""
         rem, expansion = self._clear(qnf, None, den)
         if rem:
             raise ValueError(f"element is not a theta polynomial; remainder {rem}")

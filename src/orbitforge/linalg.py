@@ -1,26 +1,28 @@
 """Exact sparse linear algebra: one echelon span over a field, VectorSpan,
-behind rank/kernel/solve/inverse, every rank count and the closure of a
-vector under matrices (closure_ranks; a span has no fixed width: its
-columns are the keys of the vectors added), Smith normal form over ZZ with
-transformation certificates, and saturated-lattice helpers.
+behind every rank count, kernel, solution and inverse over QQ, the ranks
+over GF(p) and the closure of a vector under matrices mod p
+(closure_ranks; a span has no fixed width: its columns are the keys of the
+vectors added), Smith normal form over ZZ with transformation
+certificates, and saturated-lattice helpers.
 
 The span's row format follows from the ring alone.  Over QQ and over GF(p)
-with p > 13 a row is a sparse map {col: scalar}.  Over GF(p) with p <= 13 a
-vector is one Python int holding its residue at column c in byte c, and
-rows are renormalised mod p by bytes.translate at most every
-floor((256 - p)/(p - 1)^2) additions (lane_budget).  Packed rows are
-unpacked on each read and back-substituted by the dict rows' _axpy, so one
-back-substitution serves every field.  The packed format stays inside this
-module.
+with p > 13 a row is a sparse map {col: scalar}, kept in reduced echelon
+form.  Over GF(p) with p <= 13 a vector is one Python int holding its
+residue at column c in byte c, and rows are renormalised mod p by
+bytes.translate at most every floor((256 - p)/(p - 1)^2) additions
+(lane_budget).  A GF(p) span is never read back: it adds vectors, answers
+membership, reports its rank and pivots, and closes vectors under matrices
+(p <= 13 only).  Kernels, solutions and inverses are taken over QQ only,
+from its dict rows.  The packed format stays inside this module.
 
 Vectors cross its boundary in one format, as everywhere in orbitforge: the
 {index: scalar} map of the nonzero entries, keys ascending.  rank_kernel,
 solve, inverse_rows, integer_kernel_basis, complete_saturated_basis and
 SparseMatrix.apply and .rows take and give such maps (a key outside the
-matrix raises ValueError); a caller that needs only a rank reads
-row_span(m).rank.  No matrix is dense, inside the module either: the Smith
-normal form works on {index: int} maps, the reduced matrix, U and V^-1 by
-rows and U^-1 and V by columns.
+matrix raises ValueError); a caller that needs only a rank, over any
+field, reads row_span(m).rank.  No matrix is dense, inside the module
+either: the Smith normal form works on {index: int} maps, the reduced
+matrix, U and V^-1 by rows and U^-1 and V by columns.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
@@ -278,9 +280,10 @@ def lane_budget(ring: Ring) -> int:
 
 
 class VectorSpan:
-    """The echelon form of a growing span over a field; its rows are read in
-    reduced echelon form, which is unique, so they do not depend on the
-    order of insertion.
+    """The echelon form of a growing span over a field.  Over QQ its rows
+    are in reduced echelon form, which is unique, so they do not depend on
+    the order of insertion; rank_kernel, solve and inverse_rows read them.
+    Over GF(p) only the rank, the pivots and membership are read.
 
     The row format depends on the ring alone:
 
@@ -297,10 +300,7 @@ class VectorSpan:
       multiply-add takes the row off, and a shift drops the cleared byte.
       Bytes grow by at most (p - 1)^2 per addition and are renormalised
       mod p, by bytes.translate with a 256-entry table, once every
-      lane_budget(ring) additions, before any byte can pass 255.  When
-      rank_kernel, solve or rows read them, the rows are unpacked into
-      maps and back-substituted by _axpy, from the largest pivot down;
-      the packed rows themselves are left as they are.
+      lane_budget(ring) additions, before any byte can pass 255.
     """
 
     def __init__(self, ring: Ring):
@@ -433,26 +433,6 @@ class VectorSpan:
             return self._sift(v) is None
         return not self._reduce(v)
 
-    def _echelon(self) -> dict:
-        """The reduced echelon rows, pivot -> {col: scalar}, read only: the
-        dict rows themselves, or the packed rows unpacked into new dicts and
-        back-substituted by _axpy from the largest pivot down."""
-        rows = self._rows
-        if not self._budget:
-            return rows
-        out = {}
-        for c in sorted(rows, reverse=True):
-            tail = rows[c]
-            row = {c: 1}
-            for i, x in enumerate(tail.to_bytes((tail.bit_length() + 7) >> 3, "little"), c + 1):
-                if x:
-                    row[i] = x
-            # the rows with a larger pivot are reduced already
-            for q in [q for q in row if q in out]:
-                self._axpy(row, row[q], out[q])
-            out[c] = row
-        return out
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -461,26 +441,13 @@ class VectorSpan:
     def pivots(self) -> list:
         return sorted(self._rows)
 
-    @property
-    def rows(self) -> list:
-        """Copies of the reduced echelon rows as {col: scalar} maps, keys
-        ascending, by increasing pivot."""
-        rows = self._echelon()
-        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
-
-    # -- matrices acting on the row format --------------------------------------
+    # -- matrices acting on packed rows -------------------------------------------
 
     def _operator(self, m: SparseMatrix):
-        """m prepared to act on vectors in the span's row format: its columns
-        as [(row, scalar)] lists, or, packed, m split into parts with at most
-        lane_budget entries in any row, each part a list of packed columns,
-        so that no byte of a part's product passes 255."""
+        """m prepared to act on packed vectors: m split into parts with at
+        most lane_budget entries in any row, each part a list of packed
+        columns, so that no byte of a part's product passes 255."""
         budget = self._budget
-        if not budget:
-            cols = {}
-            for (r, c), x in m.entries.items():
-                cols.setdefault(c, []).append((r, x))
-            return cols
         parts, seen = [], {}
         for (r, c), x in m.entries.items():
             k = seen.get(r, 0)   # the entries of row r placed so far
@@ -491,21 +458,12 @@ class VectorSpan:
             parts[k][c] += x << (r << 3)
         return parts
 
-    def _apply(self, op, v):
-        """The image of v, in the span's row format, under an operator from
+    def _apply(self, op, v: int) -> int:
+        """The image of the packed vector v under an operator from
         _operator."""
-        mod = self._mod
-        if not self._budget:
-            w = {}
-            for i, x in v.items():
-                for r, y in op.get(i, ()):
-                    w[r] = w.get(r, 0) + x * y
-            if mod:
-                return {r: y % mod for r, y in w.items() if y % mod}
-            return {r: canonical(y) for r, y in w.items() if y}
         data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
         # sum_j v_j col_j = sum over t = 1 .. p - 1 of the columns j with v_j >= t
-        at_least = _at_least(mod)
+        at_least = _at_least(self._mod)
         out = 0
         for cols in op:
             part = self._normal(sum(sum(compress(cols, data.translate(sel)), 0) for sel in at_least))
@@ -529,8 +487,11 @@ def _at_least(p: int) -> list:
 def closure_ranks(ring: Ring, seeds, matrices) -> list:
     """For each seed, a vector of ring^n given as the {index: scalar} map of
     its nonzero entries, the rank of the smallest subspace that holds it and
-    is stable under the n x n matrices.  The matrices are prepared once for
-    all seeds; with none, n is never read."""
+    is stable under the n x n matrices.  ring is GF(p) with p <= 13, whose
+    spans hold packed rows; any other ring raises ValueError.  The matrices
+    are prepared once for all seeds; with none, n is never read."""
+    if not lane_budget(ring):
+        raise ValueError(f"closure_ranks works over GF(p) with p <= 13, not {ring}")
     n = matrices[0].nrows if matrices else 0
     prepare = VectorSpan(ring)._operator
     ops = [prepare(m) for m in matrices]
@@ -566,27 +527,28 @@ def row_span(m: SparseMatrix) -> VectorSpan:
 
 
 def rank_kernel(m: SparseMatrix):
-    """Rank and a kernel basis, as {index: scalar} maps, over a field; a
-    caller that needs only the rank reads row_span(m).rank.
+    """Rank and a kernel basis, as {index: scalar} maps, over QQ; a caller
+    that needs only the rank, over any field, reads row_span(m).rank.
 
-    Raises on ZZ input: integer matrices go through smith_normal_form.
+    Raises ValueError on any other ring: integer matrices go through
+    smith_normal_form.
     """
-    if not m.ring.is_field:
-        raise ValueError("rank_kernel requires a field; use smith_normal_form over ZZ")
-    ring = m.ring
+    if m.ring != QQ:
+        raise ValueError(f"rank_kernel works over QQ, not {m.ring}; use smith_normal_form over ZZ "
+                         "and row_span(m).rank for a rank mod p")
     span = row_span(m)
-    echelon = span._echelon()
+    echelon = span._rows
     # kernel vector of free column fc: -row_p[fc] at each pivot p < fc, then 1 at fc
     kernel = {fc: {} for fc in range(m.ncols) if fc not in echelon}
     for p in sorted(echelon):
         for c, x in echelon[p].items():
             if c != p:
-                kernel[c][p] = ring.neg(x)
+                kernel[c][p] = -x
     for fc, vec in kernel.items():
-        vec[fc] = ring.one()
+        vec[fc] = 1
     # substitution check: m K = 0 for K the matrix whose columns are the
     # kernel vectors, which checks every kernel vector
-    kmat = SparseMatrix._closed(m.ncols, len(kernel), ring,
+    kmat = SparseMatrix._closed(m.ncols, len(kernel), QQ,
                                 {(c, jj): x for jj, vec in enumerate(kernel.values()) for c, x in vec.items()})
     if not (m @ kmat).is_zero():
         raise AssertionError("kernel vector fails exact substitution check")
@@ -605,24 +567,22 @@ def inverse_rows(rows):
     # [A | I] has rank n; A is regular iff its pivots are the columns of A
     if span.pivots != list(range(n)):
         return None
-    echelon = span._echelon()
-    return [{c - n: row[c] for c in sorted(row) if c != i} for i, row in sorted(echelon.items())]
+    return [{c - n: row[c] for c in sorted(row) if c != i} for i, row in sorted(span._rows.items())]
 
 
 def solve(m: SparseMatrix, b: dict):
-    """One exact solution x of m x = b over a field, or None; b and x are
+    """One exact solution x of m x = b over QQ, or None; b and x are
     {index: scalar} maps, and a key of b that is not a row of m raises
-    ValueError."""
-    if not m.ring.is_field:
-        raise ValueError("solve requires a field")
-    ring = m.ring
+    ValueError, as does any ring but QQ."""
+    if m.ring != QQ:
+        raise ValueError(f"solve works over QQ, not {m.ring}")
     _check_keys(b, m.nrows, "right-hand side", "rows")
-    rhs = {i: y for i in sorted(b) if (y := ring.coerce(b[i]))}
+    rhs = {i: y for i in sorted(b) if (y := QQ.coerce(b[i]))}
     n = m.ncols
     augmented = dict(m.entries)
     augmented.update(((i, n), x) for i, x in rhs.items())
     # m with b appended as a last column: inconsistent iff a pivot lands there
-    echelon = row_span(SparseMatrix._closed(m.nrows, n + 1, ring, augmented))._echelon()
+    echelon = row_span(SparseMatrix._closed(m.nrows, n + 1, QQ, augmented))._rows
     if n in echelon:
         return None
     x = {p: echelon[p][n] for p in sorted(echelon) if n in echelon[p]}

@@ -29,6 +29,7 @@ from dense_matrices import from_dense
 from test_linalg import _map
 from test_rings import _is_canonical
 from test_slices import _trace
+from test_theta_once import _ints
 
 
 SETUPS = {"sp4": ((2, 1, 1), -1), "so5": ((2, 2, 1), 1), "sp6": ((2, 1, 1, 1, 1), -1)}
@@ -534,7 +535,8 @@ def test_jems_commutator_law(sp4, sp6):
 def test_lift_idempotent(sp4):
     k = [k for k in range(sp4.r) if sp4.x_degrees[k] == 2][0]
     th = sp4.build_theta(k)
-    cleared, expansion = sp4._clear(dict(th.value), k)
+    ints, den = _ints(th.value)
+    cleared, expansion = sp4._clear(ints, k, den)
     assert cleared == th.value and expansion == {}
 
 
@@ -562,8 +564,8 @@ def test_lift_refuses_an_expansion_that_misses_a_term(monkeypatch):
     assert expansion
     clear = setup._clear
 
-    def forgetful(h, k):
-        value, expansion = clear(h, k)
+    def forgetful(h, k, den):
+        value, expansion = clear(h, k, den)
         dropped = min(expansion)
         return value, {w: c for w, c in expansion.items() if w != dropped}
 
@@ -592,7 +594,7 @@ def test_the_stored_expansion_is_the_whole_expansion_of_the_commutator_sum(parts
         for (p, q), c in setup.commutator_presentation(k):
             br = ref.comm(dict(setup.thetas[p].value), dict(setup.thetas[q].value))
             h = elem_add(h, _q_project_reference(setup, br), c)
-        assert setup.expand_in_theta(h) == {**setup.thetas[k].expansion, (k,): 1}
+        assert setup.expand_in_theta(*_ints(h)) == {**setup.thetas[k].expansion, (k,): 1}
     assert all(setup.thetas[k].expansion == {} for k in range(setup.r) if k not in high)
     if parts == (3, 2, 2, 1):
         assert {setup.x_degrees[k] for k in high} == {2, 3}

@@ -1,14 +1,15 @@
 """The byte-packed GF(p) span against dense elimination.
 
 VectorSpan over GF(p) with p <= 13 holds byte-packed rows and over any
-other field dict rows; both must give the add return values, ranks,
-pivots, reduced echelon rows and memberships of dense Gauss-Jordan
+other field dict rows.  A GF(p) span is never read back, so both must give
+the add return values, ranks, pivots and memberships of dense Gauss-Jordan
 elimination (tests/test_linalg.py's reference, which shares no code with
-linalg), on sparse and full {col: residue} maps, on columns far apart, and on
-reductions long enough to renormalise the bytes on the way.  closure_ranks
-is checked against a dense closure written here."""
+linalg): every reference echelon row is in the span and a vector off it is
+not, on sparse and full {col: residue} maps, on columns far apart, and on
+reductions long enough to renormalise the bytes on the way.  closure_ranks,
+which takes packed rows only, is checked against a dense closure written
+here."""
 
-import copy
 import random
 
 import pytest
@@ -16,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforge import linalg
 from orbitforge.rings import GF
-from orbitforge.linalg import VectorSpan, closure_ranks, lane_budget, rank_kernel, solve
+from orbitforge.linalg import VectorSpan, closure_ranks, lane_budget
 
 from dense_matrices import from_dense
-from test_linalg import _map, _ref_echelon, _ref_rank_kernel, _ref_solve
+from test_linalg import _ref_echelon
 
 PACKED = [3, 5, 7, 11, 13]
 PRIMES = PACKED + [17]
@@ -77,7 +78,7 @@ def _on_keys(row, keys) -> dict:
     return {keys[j]: x for j, x in enumerate(row) if x}
 
 
-def _check_against_the_reference(p, keys, rows, read_every=3):
+def _check_against_the_reference(p, keys, rows, check_every=3):
     ring = GF(p)
     span, ref = VectorSpan(ring), DenseEchelon(p)
     for k, row in enumerate(rows):
@@ -87,16 +88,25 @@ def _check_against_the_reference(p, keys, rows, read_every=3):
         assert span.add(vec) is grows
         assert span.contains(vec)
         assert span.rank == len(ref.rows)
-        if k % read_every == read_every - 1:
-            # reading the rows in the middle leaves the span as it was, so
-            # later additions still meet the semi-reduced rows
+        if k % check_every == check_every - 1:
+            # membership in the middle leaves the span as it was, so later
+            # additions still meet the semi-reduced rows
             echelon, _ = _ref_echelon(rows[:k + 1], ring)
-            assert span.rows == [_on_keys(r, keys) for r in echelon]
+            assert all(span.contains(_on_keys(r, keys)) for r in echelon)
     echelon, pivots = _ref_echelon(rows, ring)
+    assert span.rank == len(pivots)
     assert span.pivots == [keys[j] for j in pivots] == [keys[j] for j in sorted(ref.rows)]
-    assert span.rows == [_on_keys(r, keys) for r in echelon]
-    # each row's keys ascending, as every map leaving linalg
-    assert [list(r) for r in span.rows] == [sorted(_on_keys(r, keys)) for r in echelon]
+    assert all(span.contains(_on_keys(r, keys)) for r in echelon)
+    assert all(span.contains(_on_keys(row, keys)) for row in rows)
+    # off the span: the unit vector at the first column with no pivot (a
+    # new column if every one has one), also plus an echelon row, so that
+    # the sift has to reduce before it reaches that column
+    free = next((c for c in keys if c not in span.pivots), keys[-1] + 1)
+    assert not span.contains({free: 1})
+    if echelon:
+        shifted = _on_keys(echelon[0], keys)
+        shifted[free] = (shifted.get(free, 0) + 1) % p
+        assert not span.contains(shifted)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,17 +114,6 @@ def _check_against_the_reference(p, keys, rows, read_every=3):
 def test_add_contains_rank_pivots_and_rows_follow_dense_elimination(data):
     p, keys, rows, _ = data
     _check_against_the_reference(p, keys, rows)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_reading_the_rows_gives_sorted_maps_and_leaves_the_span_unchanged(p):
-    span = VectorSpan(GF(p))
-    for vec in ({0: 1, 1: 1, 3: 1}, {1: 1, 2: 1}):
-        span.add(vec)
-    held = copy.deepcopy(span._rows)
-    # reducing row 0 at pivot 1 brings in column 2 after its column 3
-    assert [list(r) for r in span.rows] == [[0, 2, 3], [1, 2]]
-    assert span._rows == held
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,24 +140,8 @@ def test_long_reductions_renormalise_on_the_way(p, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VectorSpan, "_normal", counted)
-        _check_against_the_reference(p, list(range(n)), rows, read_every=n)
+        _check_against_the_reference(p, list(range(n)), rows, check_every=n)
     assert calls
-
-
-FIELD_MATRICES = st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(1, 6).flatmap(lambda n: st.lists(
-        st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=1, max_size=6))))
-
-
-@settings(max_examples=150, deadline=None)
-@given(FIELD_MATRICES, st.data())
-def test_rank_kernel_and_solve_over_gf_p_match_the_reference(pm, data):
-    p, rows = pm
-    ring = GF(p)
-    m = from_dense(rows, ring)
-    assert repr(rank_kernel(m)) == repr(_ref_rank_kernel(rows, ring))
-    b = _map(data.draw(st.lists(st.integers(0, p - 1), min_size=m.nrows, max_size=m.nrows)), ring)
-    assert repr(solve(m, b)) == repr(_ref_solve(rows, b, ring))
 
 
 def _dense_closure_rank(p, seed, mats) -> int:
@@ -178,7 +161,7 @@ def _dense_closure_rank(p, seed, mats) -> int:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 7))), st.data())
+@given(st.sampled_from(PACKED).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 7))), st.data())
 def test_closure_rank_matches_a_dense_closure(pn, data):
     # dense matrices have rows longer than the lane budget, so their
     # columns are split into several packed parts
@@ -193,7 +176,7 @@ def test_closure_rank_matches_a_dense_closure(pn, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, 8))), st.data())
+@given(st.sampled_from(PACKED).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, 8))), st.data())
 def test_closure_rank_stays_in_an_invariant_subspace(pn, data):
     # the first k coordinates span a subspace every matrix keeps; entries
     # mostly p - 1 make the bytes of a product as large as the lane budget

@@ -36,6 +36,7 @@ from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
 from test_enveloping import _q_project_reference, _reference
 from test_one_lift import _callers, _last_name
+from test_theta_once import _ints
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
 CASES = {"sp4": ((2, 1, 1), -1), "so5": ((2, 2, 1), 1), "so7": ((2, 2, 1, 1, 1), 1)}
@@ -301,14 +302,14 @@ def test_a_dropped_setup_frees_its_algebra_without_the_collector(monkeypatch):
 # -- a commutator with a constant image of 1 ---------------------------------------
 
 
-def _letter_by_letter_comm_acc(U, x, y):
-    """_comm_acc(x, y) with every word of each factor acting on the other's
+def _letter_by_letter_comm(U, x, y):
+    """q_comm(x, y) with every word of each factor acting on the other's
     image of 1 letter by letter, as before the constant shortcut."""
     dx, xs = _scaled(x)
     dy, ys = _scaled(y)
     lx, ly = max(map(len, x)), max(map(len, y))
     x1, y1 = U._act_on(xs, _ONE, lx), U._act_on(ys, _ONE, ly)
-    return _difference(U._act_on(xs, y1, lx), U._act_on(ys, x1, ly)), dx * dy, lx + ly
+    return U._quotients(_difference(U._act_on(xs, y1, lx), U._act_on(ys, x1, ly)), dx * dy, lx + ly)
 
 
 @pytest.mark.parametrize("name", [*CASES])
@@ -324,8 +325,8 @@ def test_an_m_letter_commutator_matches_the_letter_by_letter_action(name):
         assert U._act_on(_scaled(x)[1], _ONE, 1) == ({(): U._ichi[a]} if setup.chi[a] else {})
         for th in thetas.values():
             for pair in ((x, th.value), (th.value, x)):
-                got, want = U._comm_acc(*pair), _letter_by_letter_comm_acc(U, *pair)
-                assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (a, th.index)
+                got, want = U.q_comm(*pair), _letter_by_letter_comm(U, *pair)
+                assert list(got.items()) == list(want.items()), (a, th.index)
 
 
 # -- the theta product table ---------------------------------------------------------
@@ -374,7 +375,7 @@ def test_both_products_of_every_pair_are_q_mul_and_q_comm(parts, eps):
             assert list(U._quotients(*setup._theta_product(i, (j,))).items()) == list(U.q_mul(x, y).items())
             assert list(U._quotients(*setup._theta_commutator(i, j)).items()) == list(U.q_comm(x, y).items())
             # the check's value over one denominator is the value of q_comm
-            want = enveloping._character_value(c, setup.expand_in_theta(U.q_comm(x, y)))
+            want = enveloping._character_value(c, setup.expand_in_theta(*_ints(U.q_comm(x, y))))
             assert enveloping._pair_value(setup, c, i, j) == want
             nonzero += want != 0
     assert nonzero

@@ -118,7 +118,8 @@ def test_qq_eliminations_are_canonical_and_match_the_fraction_reference(rows, da
     for row in rows:
         span.add(_map(row, QQ))
     echelon, pivots = _ref_echelon(rows, FRACTION_QQ)
-    _assert_canonical_equal(span.rows, [{c: x for c, x in enumerate(row) if x != 0} for row in echelon])
+    rows_read = [span._rows[p] for p in span.pivots]
+    _assert_canonical_equal(rows_read, [{c: x for c, x in enumerate(row) if x != 0} for row in echelon])
     n = min(m.nrows, m.ncols)
     square = [row[:n] for row in rows[:n]]
     _assert_canonical_equal(inverse_rows([_map(row, QQ) for row in square]), _ref_inverse(square, FRACTION_QQ))

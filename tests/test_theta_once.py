@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from orbitforge import cli, enveloping
-from orbitforge.enveloping import UAlgebra, WSetup, elem_add
+from orbitforge.enveloping import UAlgebra, WSetup, _scaled, elem_add
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
 
@@ -30,6 +30,13 @@ def _so8() -> WSetup:
 
 
 # -- clearing ------------------------------------------------------------------------
+
+
+def _ints(h: dict):
+    """(n, den) with h[t] = n[t] / den: a QQ sum as _clear and
+    expand_in_theta take it."""
+    den, terms = _scaled(h)
+    return dict(terms), den
 
 
 def _min_scan_clear(setup, h, k):
@@ -67,10 +74,11 @@ def test_in_place_clearing_matches_the_rebuilding_loop_on_every_so8_commutator()
     assert len(inputs) == setup.r * (setup.r - 1) // 2 + sum(d >= 2 for d in setup.x_degrees[:setup.r])
     cleared = 0
     for h, k in inputs:
-        before = list(h.items())
-        rem, expansion = setup._clear(h, k)
+        ints, den = _ints(h)
+        before = list(ints.items())
+        rem, expansion = setup._clear(ints, k, den)
         want_rem, want_expansion, steps = _min_scan_clear(setup, h, k)
-        assert list(h.items()) == before   # the caller's dict is left alone
+        assert list(ints.items()) == before   # the caller's dict is left alone
         assert list(rem.items()) == list(want_rem.items())
         assert list(expansion.items()) == list(want_expansion.items())
         cleared += steps > 0
@@ -82,12 +90,13 @@ def test_the_iteration_cap_counts_subtractions_as_before(monkeypatch):
     h, k = max(_clearing_inputs(setup), key=lambda hk: _min_scan_clear(setup, *hk)[2])
     steps = _min_scan_clear(setup, h, k)[2]
     assert steps > 1
+    ints, den = _ints(h)
     monkeypatch.setattr(enveloping, "CLEAR_MAX_ITER", steps + 1)
-    setup._clear(h, k)
+    setup._clear(ints, k, den)
     for cap in (steps, 1):
         monkeypatch.setattr(enveloping, "CLEAR_MAX_ITER", cap)
         with pytest.raises(AssertionError, match="failed to terminate"):
-            setup._clear(h, k)
+            setup._clear(ints, k, den)
 
 
 def test_a_word_left_after_its_step_is_taken_again_until_the_cap(monkeypatch):
@@ -99,17 +108,18 @@ def test_a_word_left_after_its_step_is_taken_again_until_the_cap(monkeypatch):
     monkeypatch.setattr(setup, "_theta_monomial", lambda word: {t: 2 * c for t, c in original(word).items()})
     monkeypatch.setattr(enveloping, "CLEAR_MAX_ITER", 40)
     h, k = next(hk for hk in _clearing_inputs(setup) if hk[1] is not None)
+    ints, den = _ints(h)
     with pytest.raises(AssertionError, match="failed to terminate"):
-        setup._clear(h, k)
+        setup._clear(ints, k, den)
 
 
 def test_a_same_degree_generator_still_stops_the_lift():
     setup = _so8()
     k = max(range(setup.r), key=lambda k: setup.x_degrees[k])
     j = next(j for j in range(setup.r) if j != k and setup.x_degrees[j] == setup.x_degrees[k])
-    h = {(k,): Fraction(1), (j,): Fraction(-2), (0, 0): Fraction(1)}
+    h = {(k,): 1, (j,): -2, (0, 0): 1}
     with pytest.raises(AssertionError, match=f"met a same-degree generator x_{j}"):
-        setup._clear(h, k)
+        setup._clear(h, k, 1)
 
 
 # -- the theta memo -------------------------------------------------------------------
