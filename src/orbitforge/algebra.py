@@ -17,17 +17,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
-from .rings import Ring, ZZ, QQ
+from .rings import Ring, ZZ, QQ, canonical, integer_maps
 from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows
-
-
-def _integer_rows(rows) -> tuple:
-    """(den, int_rows): the QQ row maps as integer row maps over one common
-    denominator, rows = int_rows / den."""
-    den = lcm(*(c.denominator for row in rows for c in row.values()))
-    return den, [{j: c.numerator * (den // c.denominator) for j, c in row.items()} for row in rows]
 
 
 def _trace_of_product(x: dict, y: dict):
@@ -174,7 +166,7 @@ class ClassicalAlgebra:
         inverse = inverse_rows([{j: s[i] for j, s in enumerate(self.simple_roots) if s[i]} for i in range(self.h)])
         if inverse is None:
             raise AssertionError("simple roots are not a basis")
-        den, rows = _integer_rows(inverse)
+        den, rows = integer_maps(inverse)
         heights = {}
         for w in roots:
             coeffs = [sum(n * w[i] for i, n in row.items()) for row in rows]
@@ -208,7 +200,7 @@ class ClassicalAlgebra:
         if inverse is None:
             raise AssertionError("Cartan diagonal system is singular")
         # the inverse as integer rows over one common denominator, 1 or 2
-        self._cartan_den, self._cartan_rows = _integer_rows(inverse)
+        self._cartan_den, self._cartan_rows = integer_maps(inverse)
 
     def _cartan_coords(self, diag) -> list:
         """_cartan_den times the Cartan coordinates, from the diagonal
@@ -350,7 +342,7 @@ class ClassicalAlgebra:
         norms = {w: sum(x * x for x in w) for w in roots}
         if roots:
             scale = QQ.div(2, min(norms.values()))
-            norms = {w: QQ.mul(scale, n) for w, n in norms.items()}
+            norms = {w: canonical(scale * n) for w, n in norms.items()}
             d = QQ.div(max(norms.values()), min(norms.values()))
         else:
             d = 1
@@ -397,7 +389,7 @@ class ClassicalAlgebra:
             const = QQ.div(1, 2)  # orthogonal family value
         for i in range(self.dim):
             for j in range(i, self.dim):
-                val = QQ.mul(const, _trace_of_product(ents[i], ents[j]))
+                val = canonical(const * _trace_of_product(ents[i], ents[j]))
                 if val != 0:
                     gram[(i, j)] = val
                     if i != j:

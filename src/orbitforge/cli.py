@@ -274,7 +274,7 @@ def cmd_wgen(args) -> int:
     bound = args.degree_bound
     thetas = []
     built_all = True
-    for k in sorted(range(setup.r), key=lambda k: (setup.x_degrees[k], k)):
+    for k in range(setup.r):
         if setup.x_degrees[k] > bound:
             built_all = False
             continue

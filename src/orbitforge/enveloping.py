@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import partial, wraps
 from math import gcd, lcm
 
-from .rings import QQ, ZZ, canonical, is_two_power_denominator
+from .rings import QQ, ZZ, canonical, integer_maps, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
     VectorSpan,
@@ -70,9 +70,9 @@ CLEAR_MAX_ITER = 20000
 
 
 def _scaled(x: dict):
-    """(den, [(key, n)]) with x[key] = n / den, den the lcm of x's denominators."""
-    den = lcm(*(c.denominator for c in x.values()))
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in x.items()]
+    """(den, pairs (key, n)) with x[key] = n / den: integer_maps of x alone."""
+    den, (ints,) = integer_maps([x])
+    return den, ints.items()
 
 
 def _longest(x: dict) -> int:
@@ -140,15 +140,10 @@ class UAlgebra:
         self.dim = dim
         self.bracket = bracket
         self.m_start = dim if m_start is None else m_start
-        chi_m = [QQ.coerce(chi[k]) for k in range(self.m_start, dim)]
-        self.denominator = lcm(*(c.denominator for entry in bracket.values() for c in entry.values()),
-                               *(c.denominator for c in chi_m))
-        D = self.denominator
-        self._ibracket = {
-            ab: {k: c.numerator * (D // c.denominator) for k, c in entry.items()}
-            for ab, entry in bracket.items()
-        }
-        self._ichi = {self.m_start + i: c.numerator * (D // c.denominator) for i, c in enumerate(chi_m)}
+        chi_m = {k: QQ.coerce(chi[k]) for k in range(self.m_start, dim)}
+        D, (*ibracket, self._ichi) = integer_maps([*bracket.values(), chi_m])
+        self.denominator = D
+        self._ibracket = dict(zip(bracket, ibracket))
         self.p = None
         if restricted is not None:
             if D != 1:
@@ -350,6 +345,7 @@ class WSetup:
             if d >= 0:
                 blocks.setdefault((d, wd.weights[k]), []).append(k)
         ad_e = ad_e_matrix(self.rep, ZZ)
+        # blocks in (degree, weight) order, so x_degrees[:r] is non-decreasing
         for key in sorted(blocks):
             idxs = blocks[key]
             kern = integer_kernel_basis(ad_e.columns(idxs))
@@ -382,7 +378,7 @@ class WSetup:
         tinv_cols = inverse_rows(vecs)
         if tinv_cols is None:
             raise AssertionError("basis transition is singular")
-        self._set_transition(tinv_cols)
+        self._tinv_den, self._tinv_cols = integer_maps(tinv_cols)
         bracket = {}
         for a in range(self.dim):
             for b in range(a):
@@ -391,20 +387,13 @@ class WSetup:
                     bracket[(a, b)] = entry
         self.U = UAlgebra(self.dim, bracket, self.m_start, self.chi)
 
-    def _set_transition(self, cols):
-        """Hold the inverse transition, given by its columns as {row: scalar}
-        maps, as integer columns [(row, n)] over one common denominator."""
-        den = lcm(*(c.denominator for col in cols for c in col.values()))
-        self._tinv_den = den
-        self._tinv_cols = [[(i, c.numerator * (den // c.denominator)) for i, c in col.items()] for col in cols]
-
     def _w_coords(self, xs: dict) -> dict:
         """{i: c}, the nonzero coordinates on the PBW letters of the element
         of g with Chevalley coordinates {index: scalar} xs, keys ascending."""
         den, terms = _scaled(xs)
         acc = {}
         for j, n in terms:
-            for i, t in self._tinv_cols[j]:
+            for i, t in self._tinv_cols[j].items():
                 acc[i] = acc.get(i, 0) + t * n
         den *= self._tinv_den
         return {i: QQ.div(acc[i], den) for i in sorted(acc) if acc[i]}
@@ -529,7 +518,7 @@ class WSetup:
         return th
 
     def build_all_thetas(self):
-        for k in sorted(range(self.r), key=lambda k: (self.x_degrees[k], k)):
+        for k in range(self.r):
             self.build_theta(k)
         return self.thetas
 
@@ -568,7 +557,7 @@ class WSetup:
             if not ker:
                 raise ValueError("no alternative presentation exists (bracket map injective)")
             kv = ker[(perturb - 1) % len(ker)]
-            sol = {j: QQ.add(sol.get(j, 0), kv.get(j, 0)) for j in sorted(sol.keys() | kv.keys())}
+            sol = {j: canonical(sol.get(j, 0) + kv.get(j, 0)) for j in sorted(sol.keys() | kv.keys())}
         return [(pairs[j], c) for j, c in sol.items() if c != 0]
 
     # -- the theta product table ---------------------------------------------------
@@ -794,10 +783,11 @@ def augmentation_character(setup: WSetup) -> dict:
     """The one-dimensional character theta(x_k) -> c_k of U(g, e) for rigid
     classical e (perfect centraliser).  The character kills the commutator
     sum theta_k + sum expansion[w] theta^w that lifted theta_k, so c_k is
-    minus the character of the expansion, read in degree order."""
+    minus the character of the expansion, read in index order, which is
+    degree order."""
     setup.build_all_thetas()
     c = {}
-    for k in sorted(range(setup.r), key=lambda k: (setup.x_degrees[k], k)):
+    for k in range(setup.r):
         c[k] = -_character_value(c, setup.thetas[k].expansion)
         if not is_two_power_denominator(c[k]):
             raise AssertionError(f"character value c_{k} = {c[k]} is not in Z[1/2]")
@@ -902,7 +892,7 @@ def casimir(setup: WSetup) -> CasimirElement:
         scale = QQ.div(rd["norms"][tuple(simples[i])], 2 * d)
         if not is_two_power_denominator(scale):
             raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
-        hhat = {k: QQ.mul(x, scale) for k, x in t_coords[i].items()}
+        hhat = {k: canonical(x * scale) for k, x in t_coords[i].items()}
         C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
 
     # centrality in U(g), one run_cases case per basis element, read in

@@ -26,7 +26,8 @@ matrix, U and V^-1 by rows and U^-1 and V by columns.
 
 Everything is exact; results verify by substitution.  Matrices are stored
 sparsely with deterministic (sorted) iteration order so downstream output is
-reproducible byte for byte.
+reproducible byte for byte.  The constructor coerces the entries it is
+given, and SparseMatrix._closed is the one normaliser of computed entries.
 """
 
 from __future__ import annotations
@@ -64,13 +65,16 @@ class SparseMatrix:
 
     @classmethod
     def _closed(cls, nrows, ncols, ring: Ring, entries) -> "SparseMatrix":
-        """A matrix on entries that are already elements of ring at in-bounds
-        positions, as the results of same-ring operations are; zeros are
-        dropped, and over QQ an integral Fraction is stored as its int."""
+        """A matrix on entries computed by Python's operators from elements
+        of ring, at in-bounds positions: the one normaliser of computed
+        entries.  Over QQ an integral Fraction is stored as its int, over
+        GF(p) each entry is reduced mod p, and zeros are dropped."""
         m = cls.__new__(cls)
         m.nrows, m.ncols, m.ring = nrows, ncols, ring
         if ring.kind == "QQ":
             m.entries = {k: v if type(v) is int else canonical(v) for k, v in entries.items() if v}
+        elif ring.kind == "GF":
+            m.entries = {k: r for k, v in entries.items() if (r := v % ring.p)}
         else:
             m.entries = {k: v for k, v in entries.items() if v}
         return m
@@ -79,13 +83,12 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n, ring: Ring) -> "SparseMatrix":
-        return cls._closed(n, n, ring, {(i, i): ring.one() for i in range(n)})
+        return cls._closed(n, n, ring, {(i, i): 1 for i in range(n)})
 
     # -- basics ------------------------------------------------------------
 
     def __getitem__(self, rc):
-        v = self.entries.get(rc)
-        return self.ring.zero() if v is None else v
+        return self.entries.get(rc, 0)
 
     def __eq__(self, other):
         return (
@@ -123,40 +126,33 @@ class SparseMatrix:
         if other.ring != self.ring:
             raise ValueError(f"ring mismatch in matrix {what}: {self.ring} and {other.ring}")
 
-    def _sum(self, other, op) -> "SparseMatrix":
+    def _sum(self, other, sign: int) -> "SparseMatrix":
         self._operand(other, (self.nrows, self.ncols) == (other.nrows, other.ncols), "sum")
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            ent[k] = op(ent.get(k, 0), v)
+            ent[k] = ent.get(k, 0) + sign * v
         return SparseMatrix._closed(self.nrows, self.ncols, self.ring, ent)
 
     def __add__(self, other):
-        return self._sum(other, self.ring.add)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self._sum(other, self.ring.sub)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return SparseMatrix._closed(
-            self.nrows, self.ncols, self.ring,
-            {k: self.ring.neg(v) for k, v in self.entries.items()},
-        )
+        return SparseMatrix._closed(self.nrows, self.ncols, self.ring, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c) -> "SparseMatrix":
         """c times self; a scalar the ring cannot hold raises ValueError."""
-        ring = self.ring
-        c = ring.coerce(c)
-        return SparseMatrix._closed(self.nrows, self.ncols, ring, {k: ring.mul(v, c) for k, v in self.entries.items()})
+        c = self.ring.coerce(c)
+        return SparseMatrix._closed(self.nrows, self.ncols, self.ring, {k: v * c for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._operand(other, self.ncols == other.nrows, "product")
-        # accumulate exactly and reduce once: over GF(p) the residue of the
-        # integer sum is the sum of the residues
+        # accumulate exactly; _closed reduces once (over GF(p) the residue
+        # of the integer sum is the sum of the residues)
         ent = {}
         _add_product(ent, self.entries, _row_map(other.entries))
-        if self.ring.kind == "GF":
-            p = self.ring.p
-            ent = {k: v % p for k, v in ent.items()}
         return SparseMatrix._closed(self.nrows, other.ncols, self.ring, ent)
 
     def columns(self, cols) -> "SparseMatrix":
@@ -175,17 +171,16 @@ class SparseMatrix:
 
     def apply(self, vec: dict) -> dict:
         """self times the vector {index: scalar} vec, as a map; summed
-        exactly and reduced once, as in __matmul__.  A key of vec that is
-        not a column raises ValueError."""
+        exactly and brought into the ring by one ring.coerce per output.  A
+        key of vec that is not a column raises ValueError."""
         _check_keys(vec, self.ncols, "vector", "columns")
         acc = {}
         for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x:
                 acc[r] = acc.get(r, 0) + v * x
-        if self.ring.kind == "GF":
-            acc = {r: y % self.ring.p for r, y in acc.items()}
-        return {r: canonical(acc[r]) for r in sorted(acc) if acc[r]}
+        coerce = self.ring.coerce
+        return {r: y for r in sorted(acc) if (y := coerce(acc[r]))}
 
     def to_json(self) -> dict:
         return {

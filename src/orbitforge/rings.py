@@ -4,16 +4,20 @@ Scalars are plain python objects: ``int`` for ZZ, ``int`` in ``[0, p)``
 for GF(p), and for QQ an ``int`` when the value is integral and a
 ``fractions.Fraction`` with denominator > 1 otherwise, so that the integral
 data of the Chevalley lattice never pays for Fraction arithmetic; no other
-module names Fraction.  A :class:`Ring` value tags containers with the ring
-their entries live in; GF(p) takes an odd prime below PRIME_BOUND.
-No floating point is allowed anywhere: ``coerce`` refuses any scalar that
-is not an ``int`` or a ``Fraction`` with TypeError.
+module names Fraction.  A :class:`Ring` is a tag on containers with two
+operations, ``coerce``, the one normaliser of an int or a Fraction, and
+``div``; Python's operators do the rest, and the container normalises
+their results (``SparseMatrix._closed``, ``canonical``).  ``integer_maps``
+is the one split of QQ maps over a common denominator.  GF(p) takes an odd
+prime below PRIME_BOUND.  No float is allowed anywhere: ``coerce`` refuses
+any scalar that is not an ``int`` or a ``Fraction`` with TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -30,12 +34,6 @@ class Ring:
     @property
     def is_field(self) -> bool:
         return self.kind in ("QQ", "GF")
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def coerce(self, x):
         """Coerce an int/Fraction into this ring: GF reps in [0, p), QQ
@@ -54,27 +52,6 @@ class Ring:
                 raise TypeError(f"{type(x).__name__} {x!r} is not an exact scalar (int or Fraction)")
             x = int(x)   # bool or another int subclass
         return x % self.p if self.kind == "GF" else x
-
-    def add(self, a, b):
-        c = a + b
-        if self.kind == "GF":
-            return c % self.p
-        return c if type(c) is int else canonical(c)
-
-    def sub(self, a, b):
-        c = a - b
-        if self.kind == "GF":
-            return c % self.p
-        return c if type(c) is int else canonical(c)
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
-
-    def mul(self, a, b):
-        c = a * b
-        if self.kind == "GF":
-            return c % self.p
-        return c if type(c) is int else canonical(c)
 
     def div(self, a, b):
         if b == 0:
@@ -98,6 +75,14 @@ def canonical(x):
     """The canonical QQ form of an int or Fraction: its numerator when it is
     integral, else itself (an int is its own numerator)."""
     return x.numerator if x.denominator == 1 else x
+
+
+def integer_maps(maps) -> tuple:
+    """(den, int_maps): the QQ maps {key: scalar} as integer maps over one
+    common denominator, den the lcm of their entries' denominators and
+    maps[i][key] = int_maps[i][key] / den; zero entries are kept."""
+    den = lcm(*(c.denominator for m in maps for c in m.values()))
+    return den, [{k: c.numerator * (den // c.denominator) for k, c in m.items()} for m in maps]
 
 
 ZZ = Ring("ZZ")

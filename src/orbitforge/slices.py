@@ -242,7 +242,7 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
         image = row_span(ad_e_block(rep, d - 2).transpose())
         added = 0
         for i, k in enumerate(gr.layers[d]):
-            if image.add({i: QQ.one()}):
+            if image.add({i: 1}):
                 comp.append({k: 1})
                 degs.append(d)
                 added += 1

@@ -15,7 +15,4 @@ def from_dense(rows, ring) -> SparseMatrix:
 
 def to_dense(m: SparseMatrix) -> list:
     """The rows of m as lists, zeros included."""
-    rows = [[m.ring.zero()] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    return rows
+    return [[m[r, c] for c in range(m.ncols)] for r in range(m.nrows)]

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge.linalg import SparseMatrix, commutator, inverse_rows, solve
-from orbitforge.rings import QQ
+from orbitforge.rings import QQ, integer_maps
 from orbitforge.rings import is_two_power_denominator
-from orbitforge.partitions import Partition
+from orbitforge.partitions import Partition, admissible_partitions
 from orbitforge.algebra import build_algebra
 from orbitforge.orbits import build_nilpotent
 from orbitforge.enveloping import (
@@ -217,7 +217,7 @@ def test_to_w_coords_with_a_non_unit_common_denominator(v):
     a = [[3, 1, -2, 0], [0, 1, 4, 1], [0, 0, 5, 2], [0, 0, 0, 1]]
     cols = inverse_rows([_map(row, QQ) for row in a])
     setup = WSetup.__new__(WSetup)
-    setup._set_transition(cols)
+    setup._tinv_den, setup._tinv_cols = integer_maps(cols)
     assert setup._tinv_den == 15
     tinv = [[col.get(i, 0) for col in cols] for i in range(4)]
     _assert_is_the_dense_reference(setup._w_coords(_map(v, QQ)), _dense_w_coords(tinv, v))
@@ -299,6 +299,28 @@ def _matrix_casimir(setup) -> dict:
 def _same_items(got: dict, want: dict):
     # equal values in the same key order, so printed output is unchanged
     assert list(got.items()) == list(want.items())
+
+
+def test_generators_come_in_degree_order_and_are_built_in_index_order():
+    # _build_basis adds the kernel vectors block by block in (degree, weight)
+    # order, so build_all_thetas and augmentation_character walk range(r);
+    # where a generator has no commutator presentation the build stops there
+    setups = 0
+    for N in range(2, 9):
+        for eps in (1, -1) if N % 2 == 0 else (1,):
+            for lam in admissible_partitions(N, eps):
+                setup = WSetup(build_nilpotent(lam, eps))
+                degrees = setup.x_degrees[:setup.r]
+                assert degrees == sorted(degrees), (N, eps, lam)
+                try:
+                    setup.build_all_thetas()
+                except ValueError:
+                    assert len(setup.thetas) < setup.r
+                else:
+                    assert len(setup.thetas) == setup.r
+                assert list(setup.thetas) == list(range(len(setup.thetas))), (N, eps, lam)
+                setups += 1
+    assert setups == 60
 
 
 @pytest.mark.parametrize("name", [*SETUPS])

@@ -6,7 +6,9 @@ test.  Likewise every optional parameter and every dataclass field the
 constructor takes has a setter: some call in those folders passes it, so
 no value sits behind an option that only its default ever fills.  And every
 attribute a method stores on self has a reader: some .name read in those
-folders, so no value is kept that nothing reads back."""
+folders, so no value is kept that nothing reads back.  A reader is matched
+by name, so a name that two definitions share is listed in SHARED_NAMES,
+each definition with a function of src/orbitforge that reads it."""
 
 import ast
 import shutil
@@ -88,6 +90,107 @@ def test_the_guard_sees_a_planted_definition(tmp_path):
     with open(pkg / "algebra.py", "a") as f:
         f.write("\n\ndef _reader():\n    return Planted().planted_method()\n")
     assert _unread(tmp_path) == ["algebra._reader", "linalg.planted_helper"]
+
+
+# Each definition in src/orbitforge whose name another definition there
+# shares (module.Class.method, or module.name at top level), mapped to one
+# function of src/orbitforge, named the same way, whose body reads that name:
+# a reader matched by name alone would let one of them go unread unseen.
+SHARED_NAMES = {
+    "algebra.ClassicalAlgebra._build_basis": "algebra.ClassicalAlgebra.__init__",
+    "enveloping.WSetup._build_basis": "enveloping.WSetup.__init__",
+    "algebra.ClassicalAlgebra._build_structure": "algebra.ClassicalAlgebra.structure",
+    "enveloping.WSetup._build_structure": "enveloping.WSetup.__init__",
+    "centralizer.CentralizerBasis.dim": "centralizer.compute_centralizer",
+    "slices.MSubalgebra.dim": "cli.cmd_slice",
+    "centralizer.CentralizerBasis.graded_dims": "cli.cmd_centralizer",
+    "orbits.graded_dims": "cli.cmd_orbit",
+    "enveloping.ThetaGenerator.kazhdan_degree": "enveloping.WSetup._check_shape",
+    "enveloping.WSetup.kazhdan_degree": "cli.cmd_wgen",
+    "centralizer.CentralizerBasis.layer": "centralizer.check_generation",
+    "orbits.DynkinGrading.layer": "orbits.ad_e_block",
+    "linalg.VectorSpan.rank": "orbits.jordan_type",
+    "linalg.SNFResult.rank": "slices.integral_saturation",
+    "linalg.SparseMatrix.to_json": "cli.cmd_algebra",
+    "partitions.DynkinPyramid.to_json": "cli.cmd_orbit",
+}
+
+
+def _qualified(pkg: Path):
+    """(definitions, functions): the definitions of _definitions under their
+    qualified names, and every top-level function and method of a top-level
+    class, dunders included, as {qualified name: node}."""
+    definitions, functions = [], {}
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append(f"{path.stem}.{node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{path.stem}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        functions[f"{path.stem}.{node.name}.{sub.name}"] = sub
+                        if not _is_dunder(sub.name):
+                            definitions.append(f"{path.stem}.{node.name}.{sub.name}")
+    return definitions, functions
+
+
+def _shared_name_problems(root: Path, table: dict) -> list:
+    """What keeps table from being SHARED_NAMES for root/src/orbitforge: a
+    definition that shares its name and has no entry, an entry that shares
+    no name, and an entry whose reader is not a function there, is the
+    definition itself or does not read the name."""
+    definitions, functions = _qualified(root / "src" / "orbitforge")
+    count = {}
+    for q in definitions:
+        name = q.rsplit(".", 1)[1]
+        count[name] = count.get(name, 0) + 1
+    shared = [q for q in definitions if count[q.rsplit(".", 1)[1]] > 1]
+    problems = [f"{q} shares its name and has no entry" for q in shared if q not in table]
+    problems += [f"{q} shares no name" for q in table if q not in shared]
+    for q in shared:
+        reader, name = table.get(q), q.rsplit(".", 1)[1]
+        if reader is not None and (reader == q or reader not in functions
+                                   or name not in _references(functions[reader])):
+            problems.append(f"{q}: {reader} does not read {name}")
+    return problems
+
+
+def test_every_shared_name_has_a_reader_per_definition():
+    assert _shared_name_problems(ROOT, SHARED_NAMES) == []
+
+
+def test_the_shared_name_guard_sees_a_test_only_method(tmp_path):
+    for folder in READERS:
+        shutil.copytree(ROOT / folder, tmp_path / folder, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    pkg = tmp_path / "src" / "orbitforge"
+    assert _shared_name_problems(tmp_path, SHARED_NAMES) == []
+    anchor = "    def __init__(self, ring: Ring):\n        if not ring.is_field:"
+    source = (pkg / "linalg.py").read_text()
+    assert source.count(anchor) == 1
+    (pkg / "linalg.py").write_text(source.replace(
+        anchor, "    @property\n    def rows(self) -> list:\n        return [self._rows[p] for p in self.pivots]\n\n" + anchor))
+    # by name alone SparseMatrix.rows's readers read it too
+    assert _unread(tmp_path) == []
+    assert _shared_name_problems(tmp_path, SHARED_NAMES) == [
+        "linalg.SparseMatrix.rows shares its name and has no entry",
+        "linalg.VectorSpan.rows shares its name and has no entry",
+    ]
+    # an entry needs a function that reads the name, and not the definition
+    table = {**SHARED_NAMES, "linalg.SparseMatrix.rows": "orbits.orbit_dimension",
+             "linalg.VectorSpan.rows": "orbits.jordan_type"}
+    assert _shared_name_problems(tmp_path, table) == [
+        "linalg.SparseMatrix.rows: orbits.orbit_dimension does not read rows",
+        "linalg.VectorSpan.rows: orbits.jordan_type does not read rows",
+    ]
+    table["linalg.SparseMatrix.rows"] = "linalg.SparseMatrix.rows"
+    assert _shared_name_problems(tmp_path, table)[0] == \
+        "linalg.SparseMatrix.rows: linalg.SparseMatrix.rows does not read rows"
+    # a stale entry is refused as well
+    assert _shared_name_problems(ROOT, {**SHARED_NAMES, "linalg.VectorSpan.rows": "orbits.jordan_type"}) == [
+        "linalg.VectorSpan.rows shares no name"]
 
 
 def _is_init_false(value) -> bool:

@@ -1,8 +1,11 @@
 """One QQ scalar form, owned by rings: a QQ value is an int when it is
 integral and a Fraction with denominator > 1 otherwise.  No module of
 src/orbitforge but rings.py names Fraction, so every other module makes its
-QQ values through rings (QQ.div, QQ.coerce, canonical), and the W layer
-returns every value in that form."""
+QQ values through rings: a Ring is a tag with coerce and div, canonical
+normalises what Python's operators compute, SparseMatrix._closed is the one
+normaliser of computed matrix entries, and integer_maps the one split of QQ
+maps over a common denominator.  The W layer returns every value in that
+form."""
 
 import ast
 import shutil

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.rings import GF, PRIME_BOUND, QQ, ZZ, Ring, is_odd_prime
+from orbitforge.rings import GF, PRIME_BOUND, QQ, ZZ, Ring, canonical, integer_maps, is_odd_prime
 from orbitforge.linalg import SparseMatrix, VectorSpan, inverse_rows, rank_kernel, solve
 
 from dense_matrices import from_dense
@@ -20,23 +20,8 @@ class _FractionQQ(Ring):
     """QQ with every scalar a Fraction, integral or not: the reference the
     canonical form must equal by value."""
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def coerce(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return Fraction(a) + b
-
-    def sub(self, a, b):
-        return Fraction(a) - b
-
-    def mul(self, a, b):
-        return Fraction(a) * b
 
     def div(self, a, b):
         return Fraction(a) / b
@@ -67,7 +52,9 @@ def _assert_canonical_equal(result, reference):
 
 
 def test_qq_zero_one_and_coerce_are_canonical():
-    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    # a matrix writes its one and reads a missing entry as the ints 1 and 0
+    one = SparseMatrix.identity(2, QQ)
+    assert type(one[0, 0]) is int and one[0, 0] == 1 and type(one[0, 1]) is int and one[0, 1] == 0
     assert type(QQ.coerce(3)) is int
     assert QQ.coerce(Fraction(6, 3)) == 2 and type(QQ.coerce(Fraction(6, 3))) is int
     assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
@@ -76,7 +63,7 @@ def test_qq_zero_one_and_coerce_are_canonical():
 
 def test_qq_arithmetic_is_canonical():
     half = Fraction(1, 2)
-    for value in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(half, 4),
+    for value in (canonical(half + half), canonical(Fraction(3, 2) - half), canonical(half * 4),
                   QQ.div(6, 3), QQ.div(half, half), QQ.div(Fraction(4, 3), Fraction(2, 3))):
         assert type(value) is int
     assert QQ.div(1, 2) == half and type(QQ.div(1, 2)) is Fraction
@@ -159,6 +146,72 @@ def test_qq_matrix_operations_are_canonical_and_match_the_fraction_reference(dat
     _assert_canonical_equal((a - b).entries, nonzero(diff))
     _assert_canonical_equal((a @ c).entries, nonzero(product))
     _assert_canonical_equal(a.scale(scalar).entries, nonzero({key: x * scalar for key, x in fa.items()}))
+
+
+def _reduced(x, ring):
+    """The Fraction x in ring, by hand: its residue mod p over GF(p), else
+    x itself (compared by value with the canonical form)."""
+    if ring.kind == "GF":
+        return x.numerator * pow(x.denominator, -1, ring.p) % ring.p
+    return x
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3), GF(17)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_operations_match_a_dense_reference_reduced_in_every_ring(ring, data):
+    # the reference computes densely on Fractions and reduces at the end;
+    # the matrices compute on the ring's elements and reduce in _closed
+    entry = st.integers(-9, 9) if ring == ZZ else ENTRY
+    nr, k, nc = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def dense(nrows, ncols):
+        return [[Fraction(data.draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+
+    da, db, dc = dense(nr, k), dense(nr, k), dense(k, nc)
+    a, b, c = (SparseMatrix(len(d), len(d[0]), ring, {(i, j): x for i, row in enumerate(d) for j, x in enumerate(row)})
+               for d in (da, db, dc))
+    scalar = Fraction(data.draw(entry))
+    vec = {j: x for j in range(k) if (x := Fraction(data.draw(entry)))}
+
+    def want(rows):
+        return {(i, j): y for i, row in enumerate(rows) for j, x in enumerate(row) if (y := _reduced(x, ring))}
+
+    def check(result, reference):
+        # canonical and equal over QQ and ZZ (a Fraction reference), equal
+        # residues over GF(p); off QQ every value is an int
+        _assert_canonical_equal(result, reference)
+        assert ring == QQ or all(type(v) is int for v in result.values())
+
+    check((a + b).entries, want([[x + y for x, y in zip(u, v)] for u, v in zip(da, db)]))
+    check((a - b).entries, want([[x - y for x, y in zip(u, v)] for u, v in zip(da, db)]))
+    check((-a).entries, want([[-x for x in u] for u in da]))
+    check(a.scale(scalar).entries, want([[x * scalar for x in u] for u in da]))
+    check((a @ c).entries, want([[sum((u[t] * dc[t][j] for t in range(k)), Fraction(0)) for j in range(nc)]
+                                 for u in da]))
+    product = [sum((x * vec.get(j, 0) for j, x in enumerate(u)), Fraction(0)) for u in da]
+    applied = a.apply(vec)
+    assert list(applied) == sorted(applied)
+    check(applied, {i: y for i, x in enumerate(product) if (y := _reduced(x, ring))})
+    check({(i, j): a[i, j] for i in range(nr) for j in range(k)},
+          {(i, j): _reduced(x, ring) for i, row in enumerate(da) for j, x in enumerate(row)})
+
+
+def test_a_ring_is_a_tag_with_coerce_and_div():
+    for name in ("zero", "one", "add", "sub", "neg", "mul"):
+        assert not hasattr(Ring, name), name
+    methods = {name for name, v in vars(Ring).items()
+               if not name.startswith("_") and (callable(v) or isinstance(v, property))}
+    assert methods == {"is_field", "coerce", "div"}
+
+
+def test_integer_maps_put_qq_maps_over_one_denominator():
+    maps = [{3: Fraction(1, 2), 0: 0, 1: 5}, {}, {2: Fraction(-2, 3)}]
+    den, ints = integer_maps(maps)
+    assert den == 6 and ints == [{3: 3, 0: 0, 1: 30}, {}, {2: -4}]
+    assert [list(m) for m in ints] == [list(m) for m in maps]   # zeros kept, key order kept
+    assert all(type(n) is int for m in ints for n in m.values())
+    assert integer_maps([]) == (1, []) and integer_maps([{0: 2}]) == (1, [{0: 2}])
 
 
 def _odd_prime_by_trial_division(n: int, small_primes: list) -> bool:
