@@ -186,14 +186,11 @@ def _bracket_rhs(zs: ZetaSystem, a, b) -> list:
     return terms
 
 
-# the bracket law, every ordered pair of zetas, runs for N <= this
-ZETA_BRACKET_MAX_N = 8
-
-
-def verify_zeta_system(zs: ZetaSystem) -> dict:
+def verify_zeta_system(zs: ZetaSystem, bracket_law: bool = True) -> dict:
     """Exact verification of the Jordan type of e, the relation table, the
-    sigma images, the bracket law (for N <= ZETA_BRACKET_MAX_N), the grading
-    and the span; returns a dict."""
+    sigma images, the bracket law over every ordered pair of zetas (unless
+    the caller passes bracket_law=False), the grading and the span; returns
+    a dict."""
     lam, inv = zs.lam, zs.inv
     parts = lam.parts
     n = lam.n
@@ -240,7 +237,7 @@ def verify_zeta_system(zs: ZetaSystem) -> dict:
             if zs.weight[r] - zs.weight[c] != want:
                 raise AssertionError(f"zeta{(i, j, s)} is not homogeneous of degree {want}")
 
-    if lam.size <= ZETA_BRACKET_MAX_N:
+    if bracket_law:
         # [zeta_a, zeta_b] minus the table's right-hand side, every ordered pair
         for a, b, _ in bracket_residues(mats, product(keys, repeat=2), partial(_bracket_rhs, zs)):
             raise AssertionError(f"bracket law (ii) fails at {a}, {b}")

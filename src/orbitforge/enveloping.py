@@ -795,14 +795,18 @@ def augmentation_character(setup: WSetup) -> dict:
 
 
 # The two certificate loops fork one worker per this many products of a term
-# by a term, a size each loop knows before it runs.  With the theta product
-# table the character check takes about 4 us a product on a 2-core x86 host
-# (so_8 (3,2,2,1): 12,068 products, 48 ms serial, 32 ms wall with one
-# worker), so a worker's share is about 16 ms of serial work, some 5 times
-# the size below which a fork and its pickled report cost more than they
-# save.  Each worker also holds its own act memo, its own product table and
-# its copies of the pages it touches (12-14 MB each for wgen N = 24), so the
-# cap bounds a call's memory by the size of its work, not by the CPU count.
+# by a term, a size each loop knows before it runs.  On a shared 2-core x86
+# host, with the worker on the CPU the runner places it on, the character
+# check of so_8 (3,2,2,1) (12,068 products) took a median 70-110 ms serial
+# and 61-66 ms wall with one worker (104-149 ms with the worker left on the
+# parent's CPU).  One worker lost on so_7 (2,2,1,1,1), 776 products (9 ms
+# against 7 ms serial), and won on so_8 (2,2,1,1,1,1), 1,470 products (15 ms
+# against 18 ms), so a worker's share of 4,000 products is some 3-5 times
+# the size below which a fork, the memos it does not share and its pickled
+# report cost more than they save.  Each worker also holds its own act
+# memo, its own product table and its copies of the pages it touches (12-14
+# MB each for wgen N = 24), so the cap bounds a call's memory by the size of
+# its work, not by the CPU count.
 TERM_PRODUCTS_PER_WORKER = 4_000
 
 

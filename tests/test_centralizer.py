@@ -2,10 +2,12 @@
 
 import copy
 import dataclasses
+from collections import Counter
+from functools import partial
 
 import pytest
 
-from orbitforge import centralizer
+from orbitforge import centralizer, cli, runner
 from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
 from orbitforge.rings import QQ, ZZ
 from orbitforge.partitions import Partition, admissible_partitions, check_involution, is_almost_rigid
@@ -63,15 +65,14 @@ def test_zeta_bracket_instance_2_1_1():
     assert lhs == -zs.zetas[(0, 0, 0)]
 
 
-def test_zeta_count_identity_n_le_10(monkeypatch):
-    monkeypatch.setattr(centralizer, "ZETA_BRACKET_MAX_N", 0)   # the bracket law is tested apart
+def test_zeta_count_identity_n_le_10():
     for n in range(2, 11):
         for eps in (1, -1):
             if eps == -1 and n % 2:
                 continue
             for lam in admissible_partitions(n, eps):
                 zs = build_zeta_system(lam, eps)
-                summary = verify_zeta_system(zs)
+                summary = verify_zeta_system(zs, bracket_law=False)   # the bracket law is tested apart
                 assert summary["orbit_count"] == summary["dim"], lam
 
 
@@ -187,14 +188,12 @@ def _outcome(check, zs):
     return None
 
 
-def test_scaling_one_zeta_orbit_breaks_only_the_bracket_law(monkeypatch):
+def test_scaling_one_zeta_orbit_breaks_only_the_bracket_law():
     zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
     bad = _scale_orbit(zs, (0, 1, 0), 2)
     assert bad.zetas[(0, 1, 0)] != zs.zetas[(0, 1, 0)]
     # relation (i), sigma-fixedness, centralising, grading and span all hold
-    with monkeypatch.context() as m:
-        m.setattr(centralizer, "ZETA_BRACKET_MAX_N", 0)
-        assert verify_zeta_system(bad) == verify_zeta_system(zs)
+    assert verify_zeta_system(bad, bracket_law=False) == verify_zeta_system(zs, bracket_law=False)
     with pytest.raises(AssertionError, match=r"bracket law \(ii\)"):
         verify_zeta_system(bad)
 
@@ -227,7 +226,6 @@ def test_bracket_law_visits_every_ordered_pair(monkeypatch):
         return rhs(zs, a, b)
 
     monkeypatch.setattr(centralizer, "_bracket_rhs", counting)
-    monkeypatch.setattr(centralizer, "ZETA_BRACKET_MAX_N", 14)
     for parts, eps in [((2, 1, 1), -1), ((3, 2, 2, 1), 1), ((5, 5, 4), -1)]:
         zs = build_zeta_system(Partition(parts), eps)
         visited.clear()
@@ -235,6 +233,41 @@ def test_bracket_law_visits_every_ordered_pair(monkeypatch):
         keys = zs.tuples()
         assert len(visited) == len(keys) ** 2
         assert visited == [(a, b) for a in keys for b in keys]
+
+
+def _count_law_pairs(monkeypatch) -> Counter:
+    """A Counter of the bracket law's (lam, eps) -> ordered pairs visited."""
+    visited = Counter()
+    rhs = centralizer._bracket_rhs
+
+    def counting(zs, a, b):
+        visited[(zs.lam, zs.eps)] += 1
+        return rhs(zs, a, b)
+
+    monkeypatch.setattr(centralizer, "_bracket_rhs", counting)
+    return visited
+
+
+def test_a_raised_zeta_sweep_checks_the_bracket_law_at_every_n(monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 0)   # every case runs, and counts, in this process
+    monkeypatch.setitem(cli.SUITES, "zeta", partial(cli._sweep_cases, bound=9, check=cli._zeta))
+    visited = _count_law_pairs(monkeypatch)
+    report = cli.run_verify(cli.VerifyConfig(max_n=9, suites=("zeta",)))
+    assert report["passed"]
+    swept = [(lam, eps) for n in range(2, 10) for eps in (1, -1) for lam in admissible_partitions(n, eps)]
+    assert report["suites"]["zeta"]["cases"] == len(swept)
+    above = [(lam, eps) for lam, eps in swept if lam.size == 9]
+    assert len(above) > 10
+    want = {(lam, eps): len(build_zeta_system(lam, eps).tuples()) ** 2 for lam, eps in swept}
+    assert dict(visited) == want
+
+
+def test_the_centralizer_command_checks_the_bracket_law_up_to_n_8(monkeypatch):
+    visited = _count_law_pairs(monkeypatch)
+    for parts, eps, law in (((3, 3, 1, 1), 1, True), ((3, 3, 1, 1, 1), 1, False)):
+        visited.clear()
+        assert cli.main(["centralizer", ",".join(map(str, parts)), str(eps)]) == 0
+        assert bool(visited) is law and cli.ZETA_BRACKET_MAX_N == 8
 
 
 def test_ss_sigma_requires_an_integral_inverse_form():

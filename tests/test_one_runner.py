@@ -1,7 +1,8 @@
 """One place forks: runner.run_cases is the only runner of cases in worker
-processes.  os.fork and os.pipe appear in src/orbitforge/runner.py and in no
-other module of src/orbitforge, so verify's suites and the W layer's loops
-share one queue, one lost-worker witness and one nesting rule."""
+processes.  os.fork, os.pipe and os.sched_setaffinity appear in
+src/orbitforge/runner.py and in no other module of src/orbitforge, so
+verify's suites and the W layer's loops share one queue, one lost-worker
+witness, one nesting rule and one placement of workers on CPUs."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
-PROCESS_CALLS = {"fork", "pipe"}
+PROCESS_CALLS = {"fork", "pipe", "sched_setaffinity"}
 
 
 def _process_calls(tree) -> set:
@@ -34,7 +35,8 @@ def test_no_other_module_forks_or_pipes(module):
 
 
 def test_the_guard_sees_a_fork_and_a_pipe():
-    assert _process_calls(ast.parse("pid = os.fork()\nr, w = os.pipe()")) == PROCESS_CALLS
+    assert _process_calls(ast.parse("pid = os.fork()\nr, w = os.pipe()\nos.sched_setaffinity(0, {1})")) == PROCESS_CALLS
     assert _process_calls(ast.parse("from os import fork, getpid")) == {"fork"}
+    assert _process_calls(ast.parse("from os import sched_getaffinity, sched_setaffinity")) == {"sched_setaffinity"}
     # the word in prose or on another object is not a use
     assert _process_calls(ast.parse('"""os.fork a worker"""\nself.fork()\nshlex.pipe')) == set()

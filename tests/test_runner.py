@@ -2,7 +2,10 @@
 
 runner.run_cases runs every case once and returns the outcomes in the
 cases' order whatever the worker count; its queue write cannot block, at
-any number of cases; a call inside a case of another run forks nothing.
+any number of cases; a call inside a case of another run forks nothing;
+each forked worker runs on one CPU of the parent's mask other than the
+parent's, unless there is none to place it on, and no run changes the
+parent's mask.
 enveloping.character_kills_commutators and casimir run their loops through
 it and give the serial loop's verdicts with 0 to 3 workers: planted faults
 are caught under each count, and a pair lost with its worker raises instead
@@ -14,7 +17,9 @@ checks the default cap."""
 
 import json
 import os
+import select
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -155,6 +160,167 @@ def test_w_suites_give_the_same_report_with_any_worker_count(workers, tmp_path, 
     monkeypatch.setattr(runner, "WORKERS", workers)
     code, _, _ = run_cli("verify", "--suites", "walgebra,casimir", "--output", str(path))
     assert code == 0 and path.read_bytes() == want
+    _no_child_left()
+
+
+# -- placement -------------------------------------------------------------------
+
+
+MEETING_S = 30
+
+
+def _read_within(fd, n):
+    if not select.select([fd], [], [], MEETING_S)[0]:
+        raise TimeoutError(f"nothing to read in {MEETING_S} s")
+    return os.read(fd, n)
+
+
+@pytest.fixture
+def meeting():
+    """meeting(processes) gives that many cases, each of which reports the
+    pid and sorted affinity mask of the process that runs it once every one
+    of `processes` processes holds a case: no process takes a second case
+    before all have taken one, so with the parent and processes - 1 workers
+    each process runs exactly one.  A wait longer than MEETING_S raises, so
+    a worker that never comes fails the test instead of hanging it.  Its
+    pipes close after the test."""
+    fds = []
+    host = os.getpid()
+
+    def cases(processes):
+        arrive_r, arrive_w = os.pipe()
+        go_r, go_w = os.pipe()
+        fds.extend((arrive_r, arrive_w, go_r, go_w))
+
+        def meet():
+            here = os.getpid()
+            os.write(arrive_w, struct.pack("<i", here))
+            if here == host:
+                seen = set()
+                while len(seen) < processes:
+                    seen.add(struct.unpack("<i", _read_within(arrive_r, 4))[0])
+                os.write(go_w, b"x" * (processes - 1))
+            else:
+                _read_within(go_r, 1)
+            return here, sorted(os.sched_getaffinity(0))
+
+        return [(i, meet) for i in range(processes)]
+
+    yield cases
+    for fd in fds:
+        os.close(fd)
+
+
+def _spy_current_cpu(monkeypatch) -> list:
+    """The CPUs runner._current_cpu reported, one per call, in this process."""
+    seen = []
+    real = runner._current_cpu
+    monkeypatch.setattr(runner, "_current_cpu", lambda: seen.append(real()) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_worker_runs_on_a_cpu_other_than_the_parents(workers, meeting, monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", workers)
+    forks = _counting_forks(monkeypatch)
+    cpus = _spy_current_cpu(monkeypatch)
+    mask = sorted(os.sched_getaffinity(0))
+    out = runner.run_cases(meeting(workers + 1))
+    _no_child_left()
+    if len(mask) < 2:
+        pytest.skip("one CPU: nothing to place")
+    reported = dict(o["detail"] for o in out.values())
+    assert set(reported) == {os.getpid(), *forks} and len(cpus) == 1
+    assert reported.pop(os.getpid()) == mask == sorted(os.sched_getaffinity(0))
+    for placed in reported.values():
+        assert len(placed) == 1 and placed[0] in mask and placed[0] != cpus[0]
+    if workers <= len(mask) - 1:
+        assert len({tuple(m) for m in reported.values()}) == workers
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("ending", ["return", "case raises", "KeyboardInterrupt"])
+def test_the_parents_mask_is_never_changed(ending, monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 3)
+    mask = os.sched_getaffinity(0)
+    cases = [(i, partial(_pid_after, 0.01)) for i in range(6)]
+    if ending == "case raises":
+        cases[-1] = (5, partial(_raise, ValueError("planted")))
+    if ending == "KeyboardInterrupt":   # in every case, so that the parent meets one
+        cases = [(i, partial(_raise, KeyboardInterrupt())) for i in range(6)]
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_cases(cases)
+    else:
+        out = runner.run_cases(cases)
+        assert [o["status"] for o in out.values()].count("fail") == (ending == "case raises")
+    assert os.sched_getaffinity(0) == mask
+    _no_child_left()
+
+
+def _masks_around_a_nested_run():
+    before = sorted(os.sched_getaffinity(0))
+    runner.run_cases([(j, os.getpid) for j in range(3)])
+    return os.getpid(), before, sorted(os.sched_getaffinity(0))
+
+
+def test_a_nested_run_leaves_the_mask_alone(monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 2)
+    cpus = _spy_current_cpu(monkeypatch)
+    mask = sorted(os.sched_getaffinity(0))
+    out = runner.run_cases([(i, _masks_around_a_nested_run) for i in range(6)])
+    for pid, before, after in (o["detail"] for o in out.values()):
+        assert before == after
+        assert (before == mask) is (pid == os.getpid()) or len(mask) == 1
+    assert len(cpus) == 1   # the parent's nested runs read no CPU
+    assert sorted(os.sched_getaffinity(0)) == mask
+    _no_child_left()
+
+
+ONE_CPU = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from orbitforge import runner
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+runner.WORKERS = 1
+placed, calls = [], []
+real_place, real_set = runner._worker_cpus, os.sched_setaffinity
+runner._worker_cpus = lambda: placed.append(real_place()) or placed[-1]
+os.sched_setaffinity = lambda pid, mask: calls.append(sorted(mask)) or real_set(pid, mask)
+out = runner.run_cases([(i, lambda: (os.getpid(), sorted(os.sched_getaffinity(0)), calls)) for i in range(2)])
+print(json.dumps([placed, sorted(os.sched_getaffinity(0)), [o["status"] for o in out.values()],
+                  [o["detail"] for o in out.values()]]))
+"""
+
+
+def test_a_one_cpu_mask_places_nothing():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU, str(ROOT / "src")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    placed, mask, statuses, details = json.loads(proc.stdout)
+    assert placed == [[]] and len(mask) == 1 and statuses == ["pass", "pass"]
+    for _, case_mask, calls in details:   # whichever process ran the case, nothing moved it
+        assert case_mask == mask and calls == []
+
+
+def _unreadable():
+    raise OSError("planted: no /proc/self/stat")
+
+
+def test_an_unreadable_cpu_places_nothing(meeting, monkeypatch):
+    monkeypatch.setattr(runner, "WORKERS", 2)
+    monkeypatch.setattr(runner, "_current_cpu", _unreadable)
+    forks = _counting_forks(monkeypatch)
+    mask = sorted(os.sched_getaffinity(0))
+    out = runner.run_cases(meeting(3))
+    assert all(o["status"] == "pass" for o in out.values())
+    reported = dict(o["detail"] for o in out.values())
+    assert set(reported) == {os.getpid(), *forks}
+    assert all(m == mask for m in reported.values())
     _no_child_left()
 
 
