@@ -10,7 +10,6 @@ cross-checked against the pyramid realisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
@@ -23,11 +22,13 @@ from .orbits import NilpotentRep, ad_e_block, dynkin_grading, centralizer_dim_fo
 # -- the centraliser in the pyramid realisation -------------------------------
 
 
-@dataclass
 class CentralizerBasis:
-    rep: NilpotentRep
-    vectors: list    # {index: scalar} maps of the nonzero Chevalley coordinates
-    degrees: list    # Dynkin degree of each vector
+    __slots__ = ("rep", "vectors", "degrees")
+
+    def __init__(self, rep: NilpotentRep, vectors: list, degrees: list):
+        self.rep = rep
+        self.vectors = vectors    # {index: scalar} maps of the nonzero Chevalley coordinates
+        self.degrees = degrees    # Dynkin degree of each vector
 
     @property
     def dim(self):
@@ -75,17 +76,20 @@ def _pi(i, j):
     return 1 if i <= j else -1
 
 
-@dataclass
 class ZetaSystem:
-    lam: Partition
-    eps: int
-    inv: tuple                 # involution, 0-indexed
-    starts: tuple              # block offsets in k^N
-    e: SparseMatrix            # Jordan normal form, over ZZ
-    form: SparseMatrix         # block anti-diagonal Gram, over ZZ
-    weight: tuple              # cocharacter weight of each coordinate
-    zetas: dict = field(default_factory=dict, init=False)   # (i, j, s) -> SparseMatrix
-    sign: dict = field(default_factory=dict, init=False)    # (i, j, s) -> epsilon_{i,j,s}
+    __slots__ = ("lam", "eps", "inv", "starts", "e", "form", "weight", "zetas", "sign")
+
+    def __init__(self, lam: Partition, eps: int, inv: tuple, starts: tuple,
+                 e: SparseMatrix, form: SparseMatrix, weight: tuple):
+        self.lam = lam
+        self.eps = eps
+        self.inv = inv            # involution, 0-indexed
+        self.starts = starts      # block offsets in k^N
+        self.e = e                # Jordan normal form, over ZZ
+        self.form = form          # block anti-diagonal Gram, over ZZ
+        self.weight = weight      # cocharacter weight of each coordinate
+        self.zetas = {}           # (i, j, s) -> SparseMatrix
+        self.sign = {}            # (i, j, s) -> epsilon_{i,j,s}
 
     def tuples(self):
         return sorted(self.zetas)
@@ -280,10 +284,12 @@ def verify_zeta_system(zs: ZetaSystem, bracket_law: bool = True) -> dict:
 # -- derived subalgebra and generation ------------------------------------------
 
 
-@dataclass
 class GradedSubspace:
-    codim: int
-    complement_degrees: list
+    __slots__ = ("codim", "complement_degrees")
+
+    def __init__(self, codim: int, complement_degrees: list):
+        self.codim = codim
+        self.complement_degrees = complement_degrees
 
 
 def derived_subalgebra(cb: CentralizerBasis) -> GradedSubspace:

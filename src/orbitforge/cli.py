@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 
 from . import __version__
@@ -232,7 +231,8 @@ def cmd_centralizer(args) -> int:
     der = derived_subalgebra(cb)
     gen01, witness = check_generation(cb)
     zs = build_zeta_system(lam, args.eps)
-    summary = verify_zeta_system(zs, bracket_law=lam.size <= ZETA_BRACKET_MAX_N)
+    bracket_law = lam.size <= ZETA_BRACKET_MAX_N
+    summary = verify_zeta_system(zs, bracket_law=bracket_law)
     _emit({
         "partition": str(lam),
         "eps": args.eps,
@@ -242,7 +242,7 @@ def cmd_centralizer(args) -> int:
         "complement_degrees": der.complement_degrees,
         "generated_by_01": gen01,
         "generation_witness": {str(d): list(v) for d, v in witness.items()},
-        "zeta": summary,
+        "zeta": {**summary, "bracket_law": bracket_law},
     })
     return 0
 
@@ -427,25 +427,25 @@ def _richardson_note(lam, eps) -> str:
 # runner.run_cases runs each suite's cases on every CPU.
 
 
-@dataclass
 class VerifyConfig:
-    max_n: int = 10
-    primes: tuple = (3, 5, 7)
-    seed: int = 13
-    suites: tuple = ()
+    __slots__ = ("max_n", "primes", "seed", "suites")
 
-    def __post_init__(self):
-        if self.max_n < 2:
+    def __init__(self, max_n: int = 10, primes: tuple = (3, 5, 7), seed: int = 13, suites: tuple = ()):
+        if max_n < 2:
             raise ValueError("max_n must be at least 2")
-        if not all(map(is_odd_prime, self.primes)):
-            raise ValueError(f"primes must be odd primes below {PRIME_BOUND}, got {list(self.primes)}")
+        if not all(map(is_odd_prime, primes)):
+            raise ValueError(f"primes must be odd primes below {PRIME_BOUND}, got {list(primes)}")
         # names before repeats, so that "--suites ," reports the unknown suite ''
-        for name in self.suites:
+        for name in suites:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-        for name, values in (("prime", self.primes), ("suite", self.suites)):
+        for name, values in (("prime", primes), ("suite", suites)):
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated {name} in {list(values)}")
+        self.max_n = max_n
+        self.primes = primes
+        self.seed = seed
+        self.suites = suites
 
 
 def _sweep_cases(config: VerifyConfig, bound: int, check, keep=None, prefix: str = ""):
@@ -788,9 +788,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--max-n", type=int, default=VerifyConfig.max_n)
-    p.add_argument("--primes", default=",".join(map(str, VerifyConfig.primes)))
-    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    default = VerifyConfig()
+    p.add_argument("--max-n", type=int, default=default.max_n)
+    p.add_argument("--primes", default=",".join(map(str, default.primes)))
+    p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--suites", help="comma-separated subset of suites")
     p.add_argument("--output", help="write the JSON report to this path")
     p.set_defaults(fn=cmd_verify)

@@ -46,7 +46,6 @@ by every caller, and no caller mutates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, wraps
 from math import gcd, lcm
 
@@ -277,12 +276,14 @@ def elem_add(x: dict, y: dict, scale=1) -> dict:
     return {t: canonical(c) for t, c in out.items() if c != 0}
 
 
-@dataclass
 class ThetaGenerator:
-    index: int            # position in the x-basis (< r)
-    degree: int           # n_k
-    value: dict           # Q normal form: word -> coefficient
-    expansion: dict       # what WSetup.lift cleared off; {} at degrees 0 and 1
+    __slots__ = ("index", "degree", "value", "expansion")
+
+    def __init__(self, index: int, degree: int, value: dict, expansion: dict):
+        self.index = index            # position in the x-basis (< r)
+        self.degree = degree          # n_k
+        self.value = value            # Q normal form: word -> coefficient
+        self.expansion = expansion    # what WSetup.lift cleared off; {} at degrees 0 and 1
 
     @property
     def kazhdan_degree(self) -> int:
@@ -849,18 +850,22 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
 # -- Casimir -----------------------------------------------------------------------
 
 
-@dataclass
 class CasimirElement:
-    element: dict          # in U(g)
-    q_image: dict          # Q normal form
-    shape: dict            # decomposition report
+    """What casimir reads off the Casimir element: the shape of its image in
+    Q (casimir_element gives the element itself)."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: dict):
+        self.shape = shape    # decomposition report
 
 
 def _commutes(U: UAlgebra, x: dict, y: dict) -> bool:
     return not U.q_comm(x, y)
 
 
-def casimir(setup: WSetup) -> CasimirElement:
+def casimir_element(setup: WSetup) -> dict:
+    """The Casimir element C of U(g), certified central."""
     alg = setup.alg
     rd = alg.root_data()
     kf = alg.killing_form()
@@ -911,8 +916,12 @@ def casimir(setup: WSetup) -> CasimirElement:
             raise RuntimeError(f"Casimir centrality at basis element {b} gave no verdict: {out['witness']}")
         if not out["detail"]:
             raise AssertionError(f"Casimir fails to commute with basis element {b}")
+    return C
 
-    q_image = setup.U.q_mul(C, _ONE)
+
+def casimir(setup: WSetup) -> CasimirElement:
+    """The shape of the Q-image of casimir_element."""
+    q_image = setup.U.q_mul(casimir_element(setup), _ONE)
     # shape: 2 e + sum y_i z_i + C' with C' in U(g(0)) and y_i in g(1)
     rest = elem_add(q_image, setup.embed(setup.rep.e_coords), -2)
     mixed = []
@@ -932,13 +941,9 @@ def casimir(setup: WSetup) -> CasimirElement:
             mixed.append((word, c))
         else:
             ok = False
-    return CasimirElement(
-        C,
-        q_image,
-        {
-            "two_e_plus_rest": True,
-            "mixed_terms": len(mixed),
-            "zero_part_terms": len(zero_part),
-            "shape_ok": ok,
-        },
-    )
+    return CasimirElement({
+        "two_e_plus_rest": True,
+        "mixed_terms": len(mixed),
+        "zero_part_terms": len(zero_part),
+        "shape_ok": ok,
+    })

@@ -32,7 +32,6 @@ given, and SparseMatrix._closed is the one normaliser of computed entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
@@ -589,13 +588,16 @@ def solve(m: SparseMatrix, b: dict):
 # -- Smith normal form over ZZ ----------------------------------------------
 
 
-@dataclass
 class SNFResult:
-    divisors: list        # length min(m,n); nonnegative; d_i | d_{i+1}
-    left: SparseMatrix    # U, unimodular m x m
-    right: SparseMatrix   # V, unimodular n x n
-    left_inv: SparseMatrix
-    right_inv: SparseMatrix
+    __slots__ = ("divisors", "left", "right", "left_inv", "right_inv")
+
+    def __init__(self, divisors: list, left: SparseMatrix, right: SparseMatrix,
+                 left_inv: SparseMatrix, right_inv: SparseMatrix):
+        self.divisors = divisors     # length min(m,n); nonnegative; d_i | d_{i+1}
+        self.left = left             # U, unimodular m x m
+        self.right = right           # V, unimodular n x n
+        self.left_inv = left_inv
+        self.right_inv = right_inv
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,6 @@ the entries of its matrix p-th power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .rings import GF
@@ -36,11 +35,13 @@ from .algebra import ClassicalAlgebra, build_algebra
 from .enveloping import UAlgebra
 
 
-@dataclass
 class ModularAlgebra:
-    alg: ClassicalAlgebra
-    p: int
-    p_power: list            # {index: residue}, the Chevalley coordinates of x^{[p]}, per basis element
+    __slots__ = ("alg", "p", "p_power")
+
+    def __init__(self, alg: ClassicalAlgebra, p: int, p_power: list):
+        self.alg = alg
+        self.p = p
+        self.p_power = p_power    # {index: residue}, the Chevalley coordinates of x^{[p]}, per basis element
 
 
 def _power(m: SparseMatrix, k: int) -> SparseMatrix:
@@ -93,12 +94,14 @@ def graded_dims_mod_p(rep: NilpotentRep, p: int) -> dict:
 # -- induced modules -----------------------------------------------------------
 
 
-@dataclass
 class InducedModule:
-    p: int
-    dim: int
-    action: list            # SparseMatrix over GF(p) per algebra basis element
-    chi: tuple              # p-character values on the basis
+    __slots__ = ("p", "dim", "action", "chi")
+
+    def __init__(self, p: int, dim: int, action: list, chi: tuple):
+        self.p = p
+        self.dim = dim
+        self.action = action    # SparseMatrix over GF(p) per algebra basis element
+        self.chi = chi          # p-character values on the basis
 
 
 def build_induced_module(datum: InductionDatum, p: int) -> InducedModule:

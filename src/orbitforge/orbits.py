@@ -18,10 +18,9 @@ row positions and cut rows would change the W bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rings import QQ
+from .rings import QQ, Frozen
 from .linalg import SparseMatrix, commutator, row_span, solve
 from .partitions import (
     Partition,
@@ -35,20 +34,24 @@ from .partitions import (
 from .algebra import ClassicalAlgebra, build_algebra
 
 
-@dataclass
 class NilpotentRep:
-    lam: Partition
-    eps: int
-    algebra: ClassicalAlgebra
-    pyramid: DynkinPyramid
-    e: SparseMatrix          # over QQ
-    e_coords: dict           # {index: integer}, the nonzero Chevalley coordinates of e
-    very_even: bool
-    # built on first use by dynkin_grading, ad_e_matrix (one per ring) and
-    # modular.graded_dims_mod_p (one per prime)
-    _grading: DynkinGrading | None = field(default=None, init=False, repr=False, compare=False)
-    _ad_e: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ranks_mod_p: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("lam", "eps", "algebra", "pyramid", "e", "e_coords", "very_even",
+                 "_grading", "_ad_e", "_ranks_mod_p")
+
+    def __init__(self, lam: Partition, eps: int, algebra: ClassicalAlgebra, pyramid: DynkinPyramid,
+                 e: SparseMatrix, e_coords: dict, very_even: bool):
+        self.lam = lam
+        self.eps = eps
+        self.algebra = algebra
+        self.pyramid = pyramid
+        self.e = e                  # over QQ
+        self.e_coords = e_coords    # {index: integer}, the nonzero Chevalley coordinates of e
+        self.very_even = very_even
+        # built on first use by dynkin_grading, ad_e_matrix (one per ring) and
+        # modular.graded_dims_mod_p (one per prime)
+        self._grading = None
+        self._ad_e = {}
+        self._ranks_mod_p = {}
 
 
 def nilpotent_positions(pyr: DynkinPyramid, eps: int):
@@ -114,11 +117,13 @@ def jordan_type(x: SparseMatrix) -> Partition:
 # -- Dynkin grading -----------------------------------------------------------
 
 
-@dataclass
 class DynkinGrading:
-    weight: dict      # signed basis-vector index -> cocharacter weight col
-    degree: tuple     # Dynkin degree of each Chevalley basis element
-    layers: dict      # degree -> tuple of basis indices
+    __slots__ = ("weight", "degree", "layers")
+
+    def __init__(self, weight: dict, degree: tuple, layers: dict):
+        self.weight = weight    # signed basis-vector index -> cocharacter weight col
+        self.degree = degree    # Dynkin degree of each Chevalley basis element
+        self.layers = layers    # degree -> tuple of basis indices
 
     def layer(self, d) -> tuple:
         return self.layers.get(d, ())
@@ -204,16 +209,9 @@ def orbit_dim_formula(lam: Partition, eps: int) -> int:
     return dim_g - centralizer_dim_formula(lam, eps)
 
 
-@dataclass
-class Sl2Triple:
-    e: SparseMatrix
-    h: SparseMatrix
-    f: SparseMatrix
-
-
-def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
-    """Completes (e, h = cocharacter differential) to an sl2-triple in g and
-    certifies [e, g(0)] = g(2)."""
+def complete_sl2(rep: NilpotentRep) -> tuple:
+    """(h, f): completes (e, h = cocharacter differential) to an sl2-triple
+    (e, h, f) in g and certifies [e, g(0)] = g(2)."""
     alg = rep.algebra
     gr = dynkin_grading(rep)
     ent = {}
@@ -235,21 +233,23 @@ def complete_sl2(rep: NilpotentRep) -> Sl2Triple:
     # density evidence: [e, g(0)] = g(2)
     if row_span(ad_e_block(rep, 0)).rank != len(gr.layer(2)):
         raise AssertionError("[e, g(0)] != g(2)")
-    return Sl2Triple(rep.e, h, f)
+    return h, f
 
 
 # -- Lusztig-Spaltenstein induction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class InductionDatum:
+class InductionDatum(Frozen):
     """Levi of shape gl_{a_1} x ... x gl_{a_k} x g_m inside g_N, carrying a
     gl-orbit on each block and a nilpotent orbit of the residual algebra."""
 
-    N: int
-    eps: int
-    gl_blocks: tuple          # tuple of (a_t, Partition mu_t)
-    residual: Partition       # partition of m = N - 2*sum(a_t); may be empty
+    __slots__ = ("N", "eps", "gl_blocks", "residual")
+
+    def __init__(self, N: int, eps: int, gl_blocks: tuple, residual: Partition):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "gl_blocks", gl_blocks)    # tuple of (a_t, Partition mu_t)
+        object.__setattr__(self, "residual", residual)      # partition of m = N - 2*sum(a_t); may be empty
 
     @classmethod
     def zero_orbit(cls, N: int, eps: int, gl_sizes) -> "InductionDatum":

@@ -12,19 +12,20 @@ precisely when eps * (-1)^m = -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .rings import Frozen
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+class Partition(Frozen):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -133,7 +134,6 @@ def check_involution(lam: Partition, eps: int, inv: tuple) -> None:
 # -- Dynkin pyramids ---------------------------------------------------------
 
 
-@dataclass
 class DynkinPyramid:
     """Box diagram: box index -> (row, col), plus crossed boxes and skew rows.
 
@@ -141,12 +141,15 @@ class DynkinPyramid:
     mirror symmetry row(-i) = -row(i), col(-i) = -col(i) holds throughout.
     """
 
-    N: int
-    eps: int
-    row: dict = field(default_factory=dict, init=False)
-    col: dict = field(default_factory=dict, init=False)
-    skew_rows: set = field(default_factory=set, init=False)
-    crossed: list = field(default_factory=list, init=False)  # (row, col) of crossed boxes
+    __slots__ = ("N", "eps", "row", "col", "skew_rows", "crossed")
+
+    def __init__(self, N: int, eps: int):
+        self.N = N
+        self.eps = eps
+        self.row = {}
+        self.col = {}
+        self.skew_rows = set()
+        self.crossed = []   # (row, col) of crossed boxes
 
     def boxes(self):
         return sorted(self.row)

@@ -11,25 +11,59 @@ their results (``SparseMatrix._closed``, ``canonical``).  ``integer_maps``
 is the one split of QQ maps over a common denominator.  GF(p) takes an odd
 prime below PRIME_BOUND.  No float is allowed anywhere: ``coerce`` refuses
 any scalar that is not an ``int`` or a ``Fraction`` with TypeError.
+``Frozen`` is the base of the package's immutable records, Ring among them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 
-@dataclass(frozen=True)
-class Ring:
-    kind: str  # "ZZ", "QQ" or "GF"
-    p: int = 0
+class Frozen:
+    """Base of the immutable records (Ring, Partition, InductionDatum): the
+    fields are the __slots__ in constructor order, set once by __init__
+    through object.__setattr__; equality, hash, repr and pickling go by
+    them, as for a frozen dataclass."""
 
-    def __post_init__(self):
-        if self.kind not in ("ZZ", "QQ", "GF"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "GF" and not is_odd_prime(self.p):
-            raise ValueError(f"GF modulus must be an odd prime below {PRIME_BOUND}, got {self.p}")
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Ring(Frozen):
+    __slots__ = ("kind", "p")
+
+    def __init__(self, kind: str, p: int = 0):
+        """kind is "ZZ", "QQ" or "GF"; p is the modulus of GF."""
+        if kind not in ("ZZ", "QQ", "GF"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "GF" and not is_odd_prime(p):
+            raise ValueError(f"GF modulus must be an odd prime below {PRIME_BOUND}, got {p}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
 
     @property
     def is_field(self) -> bool:
@@ -89,7 +123,10 @@ ZZ = Ring("ZZ")
 QQ = Ring("QQ")
 
 
+@lru_cache(maxsize=None, typed=True)
 def GF(p: int) -> Ring:
+    """The one Ring of GF(p) per prime; a p that Ring refuses raises on
+    every call, since lru_cache keeps no exception."""
     return Ring("GF", p)
 
 

@@ -13,8 +13,6 @@ distinguished in l (asserted: l has no odd Dynkin degrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import QQ, ZZ, canonical, is_two_power_denominator
 from .linalg import SparseMatrix, VectorSpan, divisor_chain, inverse_rows, row_span, smith_normal_form
 from .orbits import NilpotentRep, ad_e_block, ad_e_matrix, basis_degrees, centralizer_dim_formula, dynkin_grading
@@ -24,13 +22,15 @@ from .centralizer import compute_centralizer
 # -- torus and triangular decomposition ---------------------------------------
 
 
-@dataclass
 class WeightData:
-    rep: NilpotentRep
-    weights: list              # basis index -> weight tuple under the torus
-    n_plus: list               # basis indices with lexicographically positive weight
-    n_minus: list
-    levi: list                 # weight-zero basis indices
+    __slots__ = ("rep", "weights", "n_plus", "n_minus", "levi")
+
+    def __init__(self, rep: NilpotentRep, weights: list, n_plus: list, n_minus: list, levi: list):
+        self.rep = rep
+        self.weights = weights    # basis index -> weight tuple under the torus
+        self.n_plus = n_plus      # basis indices with lexicographically positive weight
+        self.n_minus = n_minus
+        self.levi = levi          # weight-zero basis indices
 
     def side(self, k: int) -> int:
         w = self.weights[k]
@@ -80,15 +80,18 @@ def chi_of(chi: dict, xs: dict):
 # -- skew form and Lagrangian pair ---------------------------------------------
 
 
-@dataclass
 class SkewForm:
-    rep: NilpotentRep
-    wd: WeightData
-    chi: dict            # chi = kappa(e, -) on the Chevalley basis, as a map
-    minus_idx: list      # Chevalley indices spanning n_-(-1)
-    plus_idx: list       # Chevalley indices spanning n_+(-1)
-    gram: SparseMatrix   # full Gram on the ordered basis minus + plus
-    m_block: SparseMatrix  # the block M with Psi(z'_i, z_j) = M_{ij}
+    __slots__ = ("rep", "wd", "chi", "minus_idx", "plus_idx", "gram", "m_block")
+
+    def __init__(self, rep: NilpotentRep, wd: WeightData, chi: dict, minus_idx: list, plus_idx: list,
+                 gram: SparseMatrix, m_block: SparseMatrix):
+        self.rep = rep
+        self.wd = wd
+        self.chi = chi                # chi = kappa(e, -) on the Chevalley basis, as a map
+        self.minus_idx = minus_idx    # Chevalley indices spanning n_-(-1)
+        self.plus_idx = plus_idx      # Chevalley indices spanning n_+(-1)
+        self.gram = gram              # full Gram on the ordered basis minus + plus
+        self.m_block = m_block        # the block M with Psi(z'_i, z_j) = M_{ij}
 
 
 def build_psi(rep: NilpotentRep) -> SkewForm:
@@ -130,12 +133,14 @@ def is_signed_two_power(x) -> bool:
     return (num & (num - 1)) == 0 and (den & (den - 1)) == 0
 
 
-@dataclass
 class LagrangianPair:
-    rep: NilpotentRep
-    psi: SkewForm
-    z_minus: list   # {index: scalar} maps of z'_1..z'_s (after normalisation)
-    z_plus: list    # {index: scalar} maps of z_1..z_s (Chevalley vectors)
+    __slots__ = ("rep", "psi", "z_minus", "z_plus")
+
+    def __init__(self, rep: NilpotentRep, psi: SkewForm, z_minus: list, z_plus: list):
+        self.rep = rep
+        self.psi = psi
+        self.z_minus = z_minus    # {index: scalar} maps of z'_1..z'_s (after normalisation)
+        self.z_plus = z_plus      # {index: scalar} maps of z_1..z_s (Chevalley vectors)
 
 
 def split_lagrangian(rep: NilpotentRep) -> LagrangianPair:
@@ -172,13 +177,15 @@ def verify_duality(pair: LagrangianPair):
 # -- the subalgebra m ------------------------------------------------------------
 
 
-@dataclass
 class MSubalgebra:
-    rep: NilpotentRep
-    pair: LagrangianPair   # the Lagrangian pair m was built from
-    basis: list        # {index: scalar} maps of the basis vectors
-    chi: list          # chi value per basis vector
-    degrees: list
+    __slots__ = ("rep", "pair", "basis", "chi", "degrees")
+
+    def __init__(self, rep: NilpotentRep, pair: LagrangianPair, basis: list, chi: list, degrees: list):
+        self.rep = rep
+        self.pair = pair        # the Lagrangian pair m was built from
+        self.basis = basis      # {index: scalar} maps of the basis vectors
+        self.chi = chi          # chi value per basis vector
+        self.degrees = degrees
 
     @property
     def dim(self):
@@ -223,40 +230,40 @@ def build_m(rep: NilpotentRep) -> MSubalgebra:
 # -- good transverse slice ---------------------------------------------------------
 
 
-@dataclass
 class SliceData:
-    rep: NilpotentRep
-    complement: list       # {index: scalar} maps of the vectors of v
-    degrees: list          # Dynkin degree of each complement vector
-    contracting_weights: list  # 2 - degree per vector
+    __slots__ = ("rep", "degrees", "contracting_weights")
+
+    def __init__(self, rep: NilpotentRep, degrees: list, contracting_weights: list):
+        self.rep = rep
+        self.degrees = degrees                             # Dynkin degree of each vector of v
+        self.contracting_weights = contracting_weights     # 2 - degree per vector
 
 
 def slice_complement(rep: NilpotentRep) -> SliceData:
-    """Graded complement v to [g, e], greedily preferring Chevalley basis
-    vectors, contained in the nonpositive degrees."""
+    """The degrees and weights of a graded complement v to [g, e] of
+    Chevalley basis vectors, taken greedily, contained in the nonpositive
+    degrees."""
     gr = dynkin_grading(rep)
-    comp = []
     degs = []
     for d in sorted(gr.layers):
         # [e, g(d-2)] in the coordinates of g(d), one row per [e, B_k]
         image = row_span(ad_e_block(rep, d - 2).transpose())
         added = 0
-        for i, k in enumerate(gr.layers[d]):
+        for i in range(len(gr.layers[d])):
             if image.add({i: 1}):
-                comp.append({k: 1})
                 degs.append(d)
                 added += 1
         if d > 0 and added:
             # ad e is onto in positive degrees; nothing may be added there
             raise AssertionError("[g, e] misses vectors in positive degree")
-    if len(comp) != centralizer_dim_formula(rep.lam, rep.eps):
+    if len(degs) != centralizer_dim_formula(rep.lam, rep.eps):
         raise AssertionError("dim v != dim g^e")
     if any(d > 0 for d in degs):
         raise AssertionError("complement is not contained in nonpositive degrees")
     weights = [2 - d for d in degs]
     if any(w <= 0 for w in weights):
         raise AssertionError("contracting action has a non-positive weight")
-    return SliceData(rep, comp, degs, weights)
+    return SliceData(rep, degs, weights)
 
 
 # -- integral saturation -----------------------------------------------------------

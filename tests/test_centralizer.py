@@ -1,7 +1,7 @@
 """Centraliser bases, the zeta spanning system and generation."""
 
 import copy
-import dataclasses
+import json
 from collections import Counter
 from functools import partial
 
@@ -13,6 +13,7 @@ from orbitforge.rings import QQ, ZZ
 from orbitforge.partitions import Partition, admissible_partitions, check_involution, is_almost_rigid
 from orbitforge.orbits import build_nilpotent, centralizer_dim_formula, jordan_type
 from orbitforge.centralizer import (
+    ZetaSystem,
     CentralizerBasis,
     compute_centralizer,
     build_zeta_system,
@@ -21,6 +22,8 @@ from orbitforge.centralizer import (
     predicted_complement_size,
     check_generation,
 )
+
+from test_cli import run_cli
 
 
 def test_dimensions():
@@ -270,10 +273,24 @@ def test_the_centralizer_command_checks_the_bracket_law_up_to_n_8(monkeypatch):
         assert bool(visited) is law and cli.ZETA_BRACKET_MAX_N == 8
 
 
+@pytest.mark.parametrize("parts, law", [("3,2,2,1", True), ("3,3,1,1,1", False)])
+def test_the_centralizer_command_says_whether_it_checked_the_bracket_law(parts, law, monkeypatch):
+    visited = _count_law_pairs(monkeypatch)
+    code, out, _ = run_cli("centralizer", parts, "1")
+    assert code == 0 and json.loads(out)["zeta"]["bracket_law"] is law and bool(visited) is law
+    # the key is the command's alone: verify's zeta summary stays as it was
+    assert "bracket_law" not in verify_zeta_system(build_zeta_system(Partition.parse(parts), 1), bracket_law=law)
+
+
+def _with_form(zs, form):
+    """A new zeta system with zs's data but the Gram form; no zetas yet."""
+    return ZetaSystem(zs.lam, zs.eps, zs.inv, zs.starts, zs.e, form, zs.weight)
+
+
 def test_ss_sigma_requires_an_integral_inverse_form():
     zs = build_zeta_system(Partition((2, 1, 1)), -1)
     assert centralizer.ss_sigma(zs, zs.zetas[(0, 0, 0)]) == zs.zetas[(0, 0, 0)]
-    doubled = dataclasses.replace(zs, form=zs.form.scale(2))
+    doubled = _with_form(zs, zs.form.scale(2))
     with pytest.raises(ValueError, match="not an integer"):
         centralizer.ss_sigma(doubled, zs.zetas[(0, 0, 0)])
 
@@ -338,7 +355,7 @@ def _entry_two(ents):
 def test_ss_sigma_refuses_a_gram_that_is_not_a_signed_permutation(corrupt):
     zs = build_zeta_system(Partition((3, 2, 2, 1)), 1)
     n = zs.lam.size
-    bad = dataclasses.replace(zs, form=SparseMatrix(n, n, ZZ, corrupt(zs.form.entries)))
+    bad = _with_form(zs, SparseMatrix(n, n, ZZ, corrupt(zs.form.entries)))
     with pytest.raises(ValueError, match="not an integer"):
         centralizer.ss_sigma(bad, zs.e)
 

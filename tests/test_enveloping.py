@@ -23,6 +23,7 @@ from orbitforge.enveloping import (
     augmentation_character,
     character_kills_commutators,
     casimir,
+    casimir_element,
 )
 
 from dense_matrices import from_dense
@@ -334,7 +335,7 @@ def test_theta_and_casimir_match_the_matrix_reference(name):
     assert degree_one
     for x in degree_one:
         _same_items(setup.theta_one(x), _matrix_theta_one(setup, _matrix(setup, x)))
-    _same_items(casimir(setup).element, _matrix_casimir(setup))
+    _same_items(casimir_element(setup), _matrix_casimir(setup))
 
 
 def _matrix_reference_tail(setup, x) -> list:
@@ -676,7 +677,7 @@ def test_casimir_sp4_so5():
         # centraliser-supported linear term of degree 2
         e_word = sp_e_word = None
         rest = elem_add(
-            cas.q_image,
+            setup.U.q_mul(casimir_element(setup), {(): 1}),
             setup.embed(setup.rep.e_coords),
             Fraction(-2),
         )

@@ -1,6 +1,5 @@
 """Reduction mod p, restrictedness, induced modules and KW bookkeeping."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from orbitforge.algebra import build_algebra
 from orbitforge.orbits import InductionDatum, build_nilpotent, dynkin_grading, embed_datum, orbit_dim_formula
 from orbitforge.enveloping import UAlgebra
 from orbitforge.modular import (
+    InducedModule,
     _power,
     reduce_mod_p,
     centralizer_dim_mod_p,
@@ -335,7 +335,7 @@ def test_a_corrupted_action_entry_is_caught_by_both_checks(datum):
     entries[rc] = (entries[rc] + 1) % 3
     action = list(module.action)
     action[k] = SparseMatrix(module.dim, module.dim, GF(3), entries)
-    bad = replace(module, action=action)
+    bad = InducedModule(module.p, module.dim, action, module.chi)
     with pytest.raises(AssertionError, match=r"pair \(2, 9\)"):
         verify_induced_module(bad, mod)
     with pytest.raises(AssertionError):

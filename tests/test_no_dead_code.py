@@ -2,11 +2,12 @@
 and class, and each method that is not a dunder, is referenced by name in
 src/, scripts/ or perfbench/.  The package's __init__ re-exports do not
 count, and neither do the tests: code that only a test calls lives in the
-test.  Likewise every optional parameter and every dataclass field the
-constructor takes has a setter: some call in those folders passes it, so
-no value sits behind an option that only its default ever fills.  And every
-attribute a method stores on self has a reader: some .name read in those
-folders, so no value is kept that nothing reads back.  A reader is matched
+test.  Likewise every optional parameter, the defaulted fields of a
+record's __init__ among them, has a setter: some call in those folders
+passes it, so no value sits behind an option that only its default ever
+fills.  And every attribute a method stores on self, a record's fields
+among them, has a reader: some .name read in those folders, so no value is
+kept that nothing reads back.  A reader is matched
 by name, so a name that two definitions share is listed in SHARED_NAMES,
 each definition with a function of src/orbitforge that reads it."""
 
@@ -193,22 +194,10 @@ def test_the_shared_name_guard_sees_a_test_only_method(tmp_path):
         "linalg.VectorSpan.rows shares no name"]
 
 
-def _is_init_false(value) -> bool:
-    """True for field(..., init=False)."""
-    return (isinstance(value, ast.Call) and _last_name(value.func) == "field"
-            and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
-                    for k in value.keywords))
-
-
-def _is_dataclass(node) -> bool:
-    return any(_last_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
-
-
 def _optional_parameters(tree) -> list:
     """(owner, name, position) of each defaulted parameter of a top-level
-    function or of a method of a top-level class, and of each defaulted
-    init=True field of a top-level dataclass.  The owner is the name a call
-    uses: the function, the method, or the class for __init__ and fields.
+    function or of a method of a top-level class.  The owner is the name a
+    call uses: the function, the method, or the class for __init__.
     The position counts the arguments a call passes before it (self and cls
     not counted); None for a keyword-only parameter."""
     out = []
@@ -230,9 +219,6 @@ def _optional_parameters(tree) -> list:
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 static = any(_last_name(d) == "staticmethod" for d in sub.decorator_list)
                 of_function(sub, node.name if sub.name == "__init__" else sub.name, not static)
-        if _is_dataclass(node):
-            fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign) and not _is_init_false(sub.value)]
-            out.extend((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None)
     return out
 
 
@@ -262,8 +248,7 @@ def _settings(tree) -> dict:
 
 
 def _unset(root: Path) -> list:
-    """module.owner.name for each optional parameter or dataclass field in
-    root/src/orbitforge that no call under root's reader directories sets."""
+    """module.owner.name for each optional parameter in root/src/orbitforge that no call under root's reader directories sets."""
     pkg = root / "src" / "orbitforge"
     calls = {}
     for folder in READERS:
@@ -299,13 +284,29 @@ def test_the_guard_sees_a_planted_parameter(tmp_path):
     with open(pkg / "algebra.py", "a") as f:
         f.write("\n\ndef _setter():\n    return planted(0, scale=2)\n")
     assert _unset(tmp_path) == []
+    # a record's defaulted field is its class's optional parameter
+    with open(pkg / "linalg.py", "a") as f:
+        f.write("\n\nclass PlantedRecord:\n    __slots__ = ('m', 'scale')\n\n"
+                "    def __init__(self, m, scale=1):\n        self.m, self.scale = m, scale\n")
+    with open(pkg / "algebra.py", "a") as f:
+        f.write("\n\ndef _record():\n    return PlantedRecord(0)\n")
+    assert _unset(tmp_path) == ["linalg.PlantedRecord.scale"]
+    with open(pkg / "algebra.py", "a") as f:
+        f.write("\n\ndef _scaled_record():\n    return PlantedRecord(0, 2)\n")
+    assert _unset(tmp_path) == []
 
 
 def _stored_on_self(tree) -> set:
     """Each name stored as self.name = ..., also in a tuple target or by an
-    augmented or annotated assignment."""
+    augmented or annotated assignment, or as object.__setattr__(self,
+    "name", ...), the store of an immutable record's __init__."""
     out = set()
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _last_name(node.func) == "__setattr__" and len(node.args) == 3
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+                and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            out.add(node.args[1].value)
+            continue
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
@@ -350,4 +351,13 @@ def test_the_guard_sees_a_planted_attribute(tmp_path):
     assert _unread_attributes(tmp_path) == ["linalg.kept"]
     with open(pkg / "algebra.py", "a") as f:
         f.write("\n\ndef _reader(p):\n    return p.kept\n")
+    assert _unread_attributes(tmp_path) == []
+    # the fields of a record, an immutable one's stored by object.__setattr__
+    with open(pkg / "linalg.py", "a") as f:
+        f.write("\n\nclass PlantedRecord:\n    __slots__ = ('held', 'frozen_held')\n\n"
+                "    def __init__(self, held, frozen_held):\n        self.held = held\n"
+                "        object.__setattr__(self, 'frozen_held', frozen_held)\n")
+    assert _unread_attributes(tmp_path) == ["linalg.frozen_held", "linalg.held"]
+    with open(pkg / "algebra.py", "a") as f:
+        f.write("\n\ndef _record_reader(p):\n    return p.held, p.frozen_held\n")
     assert _unread_attributes(tmp_path) == []

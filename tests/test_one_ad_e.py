@@ -113,11 +113,10 @@ def test_block_ranks_mod_p_are_the_rank_of_the_whole_ad_e(lam, eps):
 def test_f_is_the_solve_on_whole_columns(lam, eps):
     rep = build_nilpotent(lam, eps)
     alg, gr = rep.algebra, dynkin_grading(rep)
-    triple = complete_sl2(rep)
-    h = alg.coordinates(triple.h)
+    h, f = complete_sl2(rep)
     neg2 = gr.layer(-2)
-    sol = solve(ad_e_matrix(rep).columns(neg2), h)
-    assert triple.f == alg.from_coordinates({neg2[i]: x for i, x in sol.items()})
+    sol = solve(ad_e_matrix(rep).columns(neg2), alg.coordinates(h))
+    assert f == alg.from_coordinates({neg2[i]: x for i, x in sol.items()})
 
 
 def test_the_cli_checks_reduce_no_matrix_as_tall_as_g(monkeypatch):

@@ -1,7 +1,7 @@
 """One vector format, the {index: scalar} map of the nonzero entries, keys
 ascending, for the elements of g and at linalg's boundary.
 
-* Every centraliser, Lagrangian, m, slice and PBW basis vector, the
+* Every centraliser, Lagrangian, m and PBW basis vector, the
   coordinates of e, and the Chevalley coordinates that ClassicalAlgebra
   reads and returns (the p-th powers of reduce_mod_p among them) are such
   maps, and so is kappa_row's Killing functional.
@@ -30,7 +30,7 @@ from orbitforge.modular import reduce_mod_p
 from orbitforge.orbits import ad_e_block, build_nilpotent, dynkin_grading
 from orbitforge.partitions import admissible_partitions
 from orbitforge.rings import GF, QQ, ZZ
-from orbitforge.slices import build_m, build_psi, slice_complement, split_lagrangian
+from orbitforge.slices import build_m, build_psi, split_lagrangian
 
 from test_one_ad_e import _callee
 from test_one_bracket import _names
@@ -65,7 +65,6 @@ def test_every_element_of_g_is_a_sorted_map_without_zeros(lam, eps):
         "z'": pair.z_minus,
         "z": pair.z_plus,
         "m": build_m(rep).basis,
-        "slice": slice_complement(rep).complement,
         "PBW basis": setup.basis_vectors,
     }
     for name, vectors in containers.items():

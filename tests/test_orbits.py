@@ -1,7 +1,6 @@
 """Nilpotent representatives, gradings, sl2 completion and the induction
 oracle."""
 
-import dataclasses
 
 import pytest
 
@@ -11,6 +10,7 @@ from orbitforge.linalg import SparseMatrix, commutator, rank_kernel
 from orbitforge.partitions import Partition, admissible_partitions, all_partitions, is_rigid
 from orbitforge.rings import QQ
 from orbitforge.orbits import (
+    DynkinGrading,
     InductionDatum,
     build_nilpotent,
     jordan_type,
@@ -112,13 +112,13 @@ def test_very_even_flag():
 
 def test_sl2_h_is_cocharacter_differential():
     rep = build_nilpotent(Partition((2, 1, 1)), -1)
-    t = complete_sl2(rep)
+    h, f = complete_sl2(rep)
     gr = dynkin_grading(rep)
     for a in rep.pyramid.boxes():
-        assert t.h[(rep.algebra.pos[a], rep.algebra.pos[a])] == gr.weight[a]
-    assert commutator(t.h, t.e) == t.e.scale(2)
-    assert commutator(t.h, t.f) == t.f.scale(-2)
-    assert commutator(t.e, t.f) == t.h
+        assert h[(rep.algebra.pos[a], rep.algebra.pos[a])] == gr.weight[a]
+    assert commutator(h, rep.e) == rep.e.scale(2)
+    assert commutator(h, f) == f.scale(-2)
+    assert commutator(rep.e, f) == h
 
 
 def test_coordinates_refuse_a_representative_off_a_corrupted_sigma_table(monkeypatch):
@@ -178,7 +178,7 @@ def test_coordinates_refuse_an_h_off_a_corrupted_grading_weight():
     # for weight(-a) != -weight(a)
     rep = build_nilpotent(Partition((3, 2, 2, 1)), 1)
     gr = dynkin_grading(rep)
-    rep._grading = dataclasses.replace(gr, weight={a: w + 1 for a, w in gr.weight.items()})
+    rep._grading = DynkinGrading({a: w + 1 for a, w in gr.weight.items()}, gr.degree, gr.layers)
     with pytest.raises(ValueError, match="matrix is not in the algebra"):
         complete_sl2(rep)
 

@@ -460,7 +460,7 @@ def test_one_pbw_kernel_built_for_the_w_setup_the_casimir_and_the_induced_module
     for path in sorted(SRC.glob("*.py")):
         assert _letter_actions(path.read_text()) == [], path.name
     calls = [(path.name, scope) for path in sorted(SRC.glob("*.py")) for scope in _callers(path.read_text(), "UAlgebra")]
-    assert calls == [("enveloping.py", "WSetup._build_structure"), ("enveloping.py", "casimir"),
+    assert calls == [("enveloping.py", "WSetup._build_structure"), ("enveloping.py", "casimir_element"),
                      ("modular.py", "build_induced_module")]
 
 

@@ -244,3 +244,19 @@ def test_large_primes_are_fields_and_the_bound_is_refused():
     assert not is_odd_prime(PRIME_BOUND + 2)
     with pytest.raises(ValueError, match=str(PRIME_BOUND)):
         GF(PRIME_BOUND + 2)
+
+
+def test_gf_builds_one_ring_per_prime_and_refuses_every_bad_modulus(monkeypatch):
+    from orbitforge import rings
+
+    tested = []
+    prime_test = rings.is_odd_prime
+    monkeypatch.setattr(rings, "is_odd_prime", lambda n: tested.append(n) or prime_test(n))
+    assert GF(10007) is GF(10007) is GF(10007)
+    assert tested.count(10007) <= 1   # none if an earlier test built GF(10007)
+    assert GF(10007) == Ring("GF", 10007) and GF(10007).p == 10007
+    for bad in (9, 1, 2, -3, PRIME_BOUND + 2):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="odd prime"):
+                GF(bad)
+    assert all(tested.count(bad) == 2 for bad in (9, 1, 2, -3, PRIME_BOUND + 2))

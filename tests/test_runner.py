@@ -30,7 +30,8 @@ import pytest
 
 from orbitforge import enveloping, runner
 from orbitforge.cli import W_SUITE_CASES
-from orbitforge.enveloping import WSetup, augmentation_character, casimir, character_kills_commutators
+from orbitforge.enveloping import (WSetup, augmentation_character, casimir, casimir_element,
+                                   character_kills_commutators)
 from orbitforge.orbits import build_nilpotent
 from orbitforge.partitions import Partition
 from test_cli import run_cli
@@ -418,10 +419,10 @@ def test_a_pair_that_raises_is_named(workers, monkeypatch):
 
 def _casimir_or_error(setup):
     try:
-        cas = casimir(setup)
+        element, shape = casimir_element(setup), casimir(setup).shape
     except Exception as exc:  # noqa: BLE001 - the error is the result compared
         return f"{type(exc).__name__}: {exc}"
-    return cas.element, cas.q_image, cas.shape
+    return element, setup.U.q_mul(element, {(): 1}), shape
 
 
 @pytest.mark.parametrize("parts, eps", CASIMIR_CASES, ids=str)
@@ -543,6 +544,6 @@ def test_casimir_forks_one_worker_per_share_of_its_work(per_worker, want, monkey
     monkeypatch.setattr(runner, "WORKERS", 3)
     monkeypatch.setattr(enveloping, "TERM_PRODUCTS_PER_WORKER", per_worker)
     forks = _counting_forks(monkeypatch)
-    assert len(casimir(_setup((2, 1, 1), -1)).element) == 9
+    assert len(casimir_element(_setup((2, 1, 1), -1))) == 9
     assert len(forks) == want
     _no_child_left()

@@ -1,6 +1,5 @@
 """Skew form, Lagrangian splitting, the subalgebra m, slices, saturation."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from orbitforge.linalg import SparseMatrix, commutator, inverse_rows
 from orbitforge.partitions import Partition, admissible_partitions
 from orbitforge.orbits import ad_e_block, build_nilpotent, dynkin_grading, orbit_dimension
 from orbitforge.slices import (
+    SkewForm,
     weight_data,
     build_psi,
     split_lagrangian,
@@ -97,7 +97,8 @@ def test_m_outside_gl_z_half_is_refused_before_duality(monkeypatch, case, doctor
     # the real M reaches the duality check
     with pytest.raises(RuntimeError, match="verify_duality ran"):
         split_lagrangian(rep)
-    monkeypatch.setattr(slices, "build_psi", lambda r: replace(psi, m_block=doctor(psi.m_block)))
+    doctored = SkewForm(psi.rep, psi.wd, psi.chi, psi.minus_idx, psi.plus_idx, psi.gram, doctor(psi.m_block))
+    monkeypatch.setattr(slices, "build_psi", lambda r: doctored)
     with pytest.raises(AssertionError, match=r"Z\[1/2\]"):
         split_lagrangian(rep)
 
@@ -164,7 +165,7 @@ def test_slice_weights_sp4_211():
 def test_slice_zero_orbit():
     rep = build_nilpotent(Partition((1, 1, 1, 1)), -1)
     sl = slice_complement(rep)
-    assert len(sl.complement) == rep.algebra.dim
+    assert len(sl.degrees) == rep.algebra.dim
     assert set(sl.contracting_weights) == {2}
 
 
@@ -175,7 +176,7 @@ def test_slice_dimension():
         sl = slice_complement(rep)
         from orbitforge.orbits import centralizer_dim_formula
 
-        assert len(sl.complement) == centralizer_dim_formula(lam, eps)
+        assert len(sl.degrees) == centralizer_dim_formula(lam, eps)
 
 
 def test_saturation_fixture_22():
