@@ -99,8 +99,8 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _parse_levi(text: str) -> tuple:
-    sizes = [t for t in text.replace(" ", "").split(",") if t]
-    if not sizes or not all(t.isdigit() and int(t) > 0 for t in sizes):
+    sizes = text.replace(" ", "").split(",")
+    if not all(t.isdigit() and int(t) > 0 for t in sizes):
         raise argparse.ArgumentTypeError(f"malformed Levi shape {text!r}: want positive block sizes like 1,1")
     return tuple(map(int, sizes))
 

@@ -865,44 +865,20 @@ def _commutes(U: UAlgebra, x: dict, y: dict) -> bool:
 
 
 def casimir_element(setup: WSetup) -> dict:
-    """The Casimir element C of U(g), certified central."""
-    alg = setup.alg
-    rd = alg.root_data()
-    kf = alg.killing_form()
-    # dual basis t_i of the simple roots inside the Cartan, whose first l
-    # basis elements are the simple coroots: t_i is column i of A^{-1}, row i
-    # of the inverse of A^t
-    simples = rd["simple_roots"]
-    l = len(simples)
-    cartan = rd["cartan_matrix"]
-    t_coords = inverse_rows([{j: row[i] for j, row in enumerate(cartan) if row[i]} for i in range(l)])
-    if t_coords is None:
-        raise AssertionError("Cartan matrix is singular")
-    if not all(is_two_power_denominator(x) for row in t_coords for x in row.values()):
-        raise AssertionError("dual Cartan elements leave Z[1/2]")
-
-    # C = 2 sum e_a e_{-a}/kappa_a + sum hhat^i h_{a_i} - sum h_a/kappa_a,
-    # with hhat^i the kappa-dual of h_{a_i}; this is the central normalisation
-    # (hhat^i = (a_i|a_i)/(2d) t_i stays in Z[1/2] since the factor is 1 or
-    # 1/d).  Centrality is verified below on the whole basis.  With no
-    # m-letters the Q action is left multiplication in U(g).
+    """The Casimir element C = sum_{i,j} (G^-1)_{ij} B_i B_j of U(g), with G
+    the certified Gram of the Killing form on the Chevalley basis B,
+    certified central."""
+    # row i of G^-1 is the kappa-dual B^i of B_i, so C = sum_i B_i B^i
+    dual = inverse_rows(setup.alg.killing_form()["gram"].rows())
+    if dual is None:
+        raise AssertionError("the Killing form is degenerate")
+    if not all(is_two_power_denominator(x) for row in dual for x in row.values()):
+        raise AssertionError("the kappa-dual basis leaves Z[1/2]")
+    # with no m-letters the Q action is left multiplication in U(g)
     U = UAlgebra(setup.dim, setup.U.bracket)
-    index = {lab: k for k, lab in enumerate(alg.labels)}
     C: dict = {}
-    for w in rd["positive_roots"]:
-        plus, minus = index[("e", w)], index[("e", tuple(-x for x in w))]
-        kap = kf["gram"][(plus, minus)]
-        prod = U.q_mul(setup.embed({plus: 1}), setup.embed({minus: 1}))
-        C = elem_add(C, prod, QQ.div(2, kap))
-        h_alpha = alg.sparse_bracket({plus: 1}, {minus: 1})
-        C = elem_add(C, setup.embed(h_alpha), QQ.div(-1, kap))
-    d = kf["d"]
-    for i in range(l):
-        scale = QQ.div(rd["norms"][tuple(simples[i])], 2 * d)
-        if not is_two_power_denominator(scale):
-            raise AssertionError("kappa-dual Cartan scaling leaves Z[1/2]")
-        hhat = {k: canonical(x * scale) for k, x in t_coords[i].items()}
-        C = elem_add(C, U.q_mul(setup.embed(hhat), setup.embed({i: 1})))
+    for i, row in enumerate(dual):
+        C = elem_add(C, U.q_mul(setup.embed({i: 1}), setup.embed(row)))
 
     # centrality in U(g), one run_cases case per basis element, read in
     # order, with one worker per TERM_PRODUCTS_PER_WORKER products of a term

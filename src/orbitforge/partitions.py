@@ -29,8 +29,10 @@ class Partition(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        parts = tuple(int(t) for t in text.replace(" ", "").split(",") if t)
-        return cls(parts)
+        """The parts of comma-separated text; the empty text is the empty
+        partition, and an empty part raises ValueError."""
+        text = text.replace(" ", "")
+        return cls(tuple(int(t) for t in text.split(",")) if text else ())
 
     @property
     def n(self) -> int:

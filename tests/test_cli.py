@@ -202,6 +202,10 @@ def test_verify_mini_run_and_determinism(tmp_path):
     "induce --n 5 --eps 1 --levi 1 --residual 2,1",
     "verma 4 -1 --levi 1,1 --prime 9",
     "verma 4 -1 --levi 1,1 --prime 318665857834031151167463",
+    "orbit 3,,1 1",
+    "orbit 3,1, 1",
+    "verma 4 -1 --levi 1,,1 --prime 3",
+    "induce --n 4 --eps -1 --levi 1,",
 ])
 def test_malformed_input_exits_2(argv):
     code, out, err = run_cli(*argv.split())

@@ -335,7 +335,7 @@ def test_theta_and_casimir_match_the_matrix_reference(name):
     assert degree_one
     for x in degree_one:
         _same_items(setup.theta_one(x), _matrix_theta_one(setup, _matrix(setup, x)))
-    _same_items(casimir_element(setup), _matrix_casimir(setup))
+    assert casimir_element(setup) == _matrix_casimir(setup)
 
 
 def _matrix_reference_tail(setup, x) -> list:
@@ -665,6 +665,15 @@ def test_bigger_rigid_w_algebras(parts, eps, expect_char):
     char = augmentation_character(setup)
     assert {v for v in char.values() if v != 0} == expect_char
     assert character_kills_commutators(setup, char)
+
+
+def test_the_so2_casimir_is_the_square_of_its_cartan_element():
+    # so_2 has no simple root: C = h^2 / kappa(h, h), and kappa(h, h) = 1
+    setup = WSetup(build_nilpotent(Partition((1, 1)), 1))
+    assert setup.alg.killing_form()["gram"].rows() == [{0: 1}]
+    assert casimir_element(setup) == {(0, 0): 1}
+    assert casimir(setup).shape == {"two_e_plus_rest": True, "mixed_terms": 0, "zero_part_terms": 1,
+                                    "shape_ok": True}
 
 
 def test_casimir_sp4_so5():

@@ -26,6 +26,14 @@ def test_validate_examples():
     assert not validate_partition(Partition((3,)), -1)  # odd total for sp
 
 
+def test_parse_reads_comma_separated_parts_and_refuses_an_empty_one():
+    assert Partition.parse("3, 1,1") == Partition((3, 1, 1))
+    assert Partition.parse("") == Partition.parse(" ") == Partition(())
+    for text in ("3,,1", "3,1,", ",3,1", ","):
+        with pytest.raises(ValueError):
+            Partition.parse(text)
+
+
 def test_very_even():
     assert is_very_even(Partition((2, 2)), 1)
     assert is_very_even(Partition((4, 4, 2, 2)), 1)

@@ -438,7 +438,7 @@ def test_casimir_does_not_depend_on_the_worker_count(parts, eps, monkeypatch):
 
 @pytest.mark.parametrize("parts, eps", CASIMIR_CASES, ids=str)
 def test_a_planted_casimir_fault_gives_the_serial_message(parts, eps, monkeypatch):
-    # one entry of the inverse Cartan matrix off by 1: C is no longer central
+    # one entry of the inverse Killing Gram off by 1: C is no longer central
     real_inverse, real_run = enveloping.inverse_rows, runner.run_cases
     checks = []
 
