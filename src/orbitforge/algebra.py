@@ -415,7 +415,7 @@ class ClassicalAlgebra:
                     aa, bb = norms[tuple(a)], norms[tuple(b)]
                     if gmat[(i, j)] != QQ.div(4 * d * ab, aa * bb):
                         raise AssertionError("Cartan Killing values disagree with the root formula")
-        self._killing = {"gram": gmat, "trace_constant": const, "d": d}
+        self._killing = {"gram": gmat, "trace_constant": const}
         return self._killing
 
     def kappa_row(self, coords: dict) -> dict:

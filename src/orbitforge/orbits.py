@@ -29,7 +29,6 @@ from .partitions import (
     is_very_even,
     build_pyramid,
     admissible_partitions,
-    all_partitions,
 )
 from .algebra import ClassicalAlgebra, build_algebra
 
@@ -386,44 +385,13 @@ def induce_orbit(datum: InductionDatum):
     return generic_datum_sample(datum)[1]
 
 
-def enumerate_levi_data(N: int, eps: int):
-    """All proper induction data (nonzero nilradical) up to Levi conjugacy:
-    multisets of gl block sizes plus a residual orbit."""
-    out = []
-    h = N // 2
-    for total in range(1, h + 1):
-        m = N - 2 * total
-        for sizes in _partition_multisets(total):
-            res_choices = admissible_partitions(m, eps)
-            for gls in _gl_orbit_choices(sizes):
-                for res in res_choices:
-                    out.append(InductionDatum(N, eps, gls, res))
-    return out
-
-
-def _partition_multisets(total: int):
-    """Weakly decreasing tuples of positive integers summing to total."""
-    return [p.parts for p in all_partitions(total)]
-
-
-def _gl_orbit_choices(sizes):
-    """All assignments of a gl_a orbit (any partition of a) per block."""
-    if not sizes:
-        return [()]
-    rest = _gl_orbit_choices(sizes[1:])
-    out = []
-    for mu in all_partitions(sizes[0]):
-        for r in rest:
-            out.append(((sizes[0], mu),) + r)
-    return out
-
-
-# Largest N the rigidity oracle sweeps: it tries every Levi datum of g_N.
+# Largest N the rigidity oracle sweeps: the rigidity suite, `rigidity` and
+# `explain` search for a witness only up to it.
 ORACLE_MAX_N = 8
 
 
 def rigidity_oracle(lam: Partition, eps: int):
-    """True iff no proper Levi datum induces to lam; exhaustive sweep."""
+    """True iff no proper Levi datum induces to lam."""
     if lam.size > ORACLE_MAX_N:
         raise ValueError(f"rigidity oracle guarded at N <= {ORACLE_MAX_N}")
     witness = find_induction_witness(lam, eps)
@@ -431,15 +399,34 @@ def rigidity_oracle(lam: Partition, eps: int):
 
 
 def find_induction_witness(lam: Partition, eps: int):
+    """The first datum gl_q[1^q] x g_{N-2q}[nu] with a nonzero nilradical
+    that induces to lam, by increasing q and then in the order of
+    admissible_partitions(N - 2q); None if there is none, and then lam is
+    rigid.
+
+    These maximal data suffice, by two theorems: induction is transitive
+    (Lusztig-Spaltenstein, Induced unipotent classes, 1979), and every gl_a
+    orbit O_mu is Richardson, induced from the zero orbit of gl_{mu^T_1} x
+    gl_{mu^T_2} x ...  So a datum of total gl size t whose first block
+    carries O_mu induces, in stages through gl_q x g_{N-2q} with q the first
+    part of mu^T, what gl_q[1^q] x g_{N-2q}[nu'] induces, nu' being the orbit
+    the rest of the datum induces in g_{N-2q}; and q < t unless the datum is
+    gl_t[1^t] x g_{N-2t}[nu] itself.  Hence a search of every datum, by
+    increasing t, meets this witness first.
+    """
     if not validate_partition(lam, eps):
         raise ValueError(f"{lam} is not admissible for eps={eps}")
+    N = lam.size
     target_dim = orbit_dim_formula(lam, eps)
-    alg = build_algebra(lam.size, eps)
-    for datum in enumerate_levi_data(lam.size, eps):
-        # only data of the target dimension are embedded
-        dim_n = len(nilradical_basis(alg, datum.gl_sizes))
-        if not dim_n or datum_levi_orbit_dim(datum) + 2 * dim_n != target_dim:
-            continue
-        if induce_orbit(datum) == lam:
-            return datum
+    alg = build_algebra(N, eps)
+    for q in range(1, N // 2 + 1):
+        dim_n = len(nilradical_basis(alg, (q,)))
+        if not dim_n:
+            continue  # so_2: gl_1 is all of it
+        zero_gl = ((q, Partition((1,) * q)),)
+        for nu in admissible_partitions(N - 2 * q, eps):
+            datum = InductionDatum(N, eps, zero_gl, nu)
+            # only data of the target dimension are embedded
+            if datum_levi_orbit_dim(datum) + 2 * dim_n == target_dim and induce_orbit(datum) == lam:
+                return datum
     return None

@@ -284,14 +284,16 @@ def is_rigid(lam: Partition, eps: int) -> bool:
     """Combinatorial rigidity criterion (Kempken/Spaltenstein form): almost
     rigid and no self-paired part value occurs with multiplicity exactly 2.
 
-    Validated exhaustively against the induction oracle for N <= 8; it is a
-    closed form, never the authority.
+    The multiplicity rule stands for induction from gl_1 x g_{N-2}, so it
+    holds only for N > 2: so_2 is a torus with no proper parabolic, and its
+    zero orbit (1,1) is rigid.  Checked against the induction oracle for
+    N <= 8; it is a closed form, never the authority.
     """
     if not validate_partition(lam, eps):
         raise ValueError(f"{lam} is not admissible for eps={eps}")
     if not is_almost_rigid(lam):
         return False
     for m in set(lam.parts):
-        if self_paired(m, eps) and lam.multiplicity(m) == 2:
+        if lam.size > 2 and self_paired(m, eps) and lam.multiplicity(m) == 2:
             return False
     return True

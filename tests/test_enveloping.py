@@ -292,7 +292,7 @@ def _matrix_casimir(setup) -> dict:
         t = SparseMatrix(alg.N, alg.N, QQ)
         for a, x in sol.items():
             t = t + alg.basis[a].scale(x)
-        scale = Fraction(rd["norms"][tuple(rd["simple_roots"][i])], 2 * kf["d"])
+        scale = Fraction(rd["norms"][tuple(rd["simple_roots"][i])], 2 * rd["d"])
         C = elem_add(C, ref.mul(_embed_matrix(setup, t.scale(scale)), _embed_matrix(setup, alg.basis[i])))
     return C
 

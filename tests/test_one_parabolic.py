@@ -14,11 +14,12 @@ from orbitforge.algebra import build_algebra
 from orbitforge.linalg import SparseMatrix
 from orbitforge.orbits import (
     InductionDatum,
-    enumerate_levi_data,
     nilradical_basis,
     parabolic,
 )
 from orbitforge.partitions import Partition, all_partitions
+
+from levi_data import enumerate_levi_data
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
 FAMILIES = [(n, eps) for n in range(2, 11) for eps in (1, -1) if eps == 1 or n % 2 == 0]

@@ -22,7 +22,6 @@ from orbitforge.orbits import (
     centralizer_dim_formula,
     induce_orbit,
     generic_datum_sample,
-    enumerate_levi_data,
     rigidity_oracle,
     find_induction_witness,
     ad_e_matrix,
@@ -30,6 +29,8 @@ from orbitforge.orbits import (
     datum_levi_orbit_dim,
     _embed_gl_jordan,
 )
+
+from levi_data import enumerate_levi_data
 
 
 def test_reference_representative_5221():
@@ -255,19 +256,20 @@ def test_oracle_guard():
 
 
 def test_criterion_matches_oracle_small():
+    # the type-A-like algebras too: so_2 has no proper parabolic, so its
+    # zero orbit (1,1) is rigid although 1 occurs twice
     for n in range(2, 8):
         for eps in (1, -1):
             if eps == -1 and n % 2:
-                continue
-            if build_algebra(n, eps).type_a_like:
                 continue
             for lam in admissible_partitions(n, eps):
                 assert is_rigid(lam, eps) == rigidity_oracle(lam, eps), (lam, eps)
 
 
 def _witness_embedding_every_datum(lam, eps):
-    """find_induction_witness as a search that embeds every datum, reading
-    dim n off the embedding, before the dimension test."""
+    """The exhaustive search: every datum of enumerate_levi_data by
+    increasing total gl size, reading dim n off the embedding, before the
+    dimension test."""
     target_dim = orbit_dim_formula(lam, eps)
     for datum in enumerate_levi_data(lam.size, eps):
         _, _, n_idx = embed_datum(datum)
@@ -293,3 +295,15 @@ N10_CASES = [(Partition((3, 3, 2, 1, 1)), -1), (Partition((3, 3, 2, 2)), -1)]
 @pytest.mark.parametrize("lam, eps", RIGIDITY_SWEEP + N10_CASES, ids=lambda v: str(v))
 def test_witness_matches_the_search_that_embeds_every_datum(lam, eps):
     assert find_induction_witness(lam, eps) == _witness_embedding_every_datum(lam, eps)
+
+
+def test_the_rigidity_sweep_certifies_only_maximal_data(monkeypatch):
+    # 39 certified inductions at N <= 8, each on a datum gl_q[1^q] x g_{N-2q}[nu];
+    # the search over every datum made 42
+    certified = []
+    sample = orbits.generic_datum_sample
+    monkeypatch.setattr(orbits, "generic_datum_sample", lambda datum: certified.append(datum) or sample(datum))
+    for lam, eps in RIGIDITY_SWEEP:
+        rigidity_oracle(lam, eps)
+    assert len(certified) == 39
+    assert all(d.gl_blocks == ((d.gl_sizes[0], Partition((1,) * d.gl_sizes[0])),) for d in certified)
