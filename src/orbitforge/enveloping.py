@@ -60,6 +60,7 @@ from .linalg import (
     solve,
 )
 from .orbits import NilpotentRep, ad_e_matrix, dynkin_grading
+from .runner import run_cases
 from .slices import build_m, chi_of
 
 
@@ -828,10 +829,6 @@ def character_kills_commutators(setup: WSetup, c: dict) -> bool:
     TERM_PRODUCTS_PER_WORKER of those products, and their values are read
     back in (i, j) order: False at the first nonzero value, and a pair that
     raised or was lost raises, naming the pair and its witness."""
-    # imported on first use, like casimir's: compiling the runner and loading
-    # pickle and signal would add about 6 % to `import orbitforge`
-    from .runner import run_cases
-
     terms = [len(setup.thetas[k].value) for k in range(setup.r)]
     pairs = sorted(((i, j) for i in range(setup.r) for j in range(i + 1, setup.r)),
                    key=lambda ij: terms[ij[0]] * terms[ij[1]])
@@ -883,8 +880,6 @@ def casimir_element(setup: WSetup) -> dict:
     # centrality in U(g), one run_cases case per basis element, read in
     # order, with one worker per TERM_PRODUCTS_PER_WORKER products of a term
     # of C by a generator
-    from .runner import run_cases
-
     outcomes = run_cases([(b, partial(_commutes, U, C, setup.gen(b))) for b in range(setup.dim)],
                          most=setup.dim * len(C) // TERM_PRODUCTS_PER_WORKER)
     for b, out in outcomes.items():

@@ -1,6 +1,7 @@
-"""Every definition in src/orbitforge has a reader: each top-level function
-and class, and each method that is not a dunder, is referenced by name in
-src/, scripts/ or perfbench/.  The package's __init__ re-exports do not
+"""Every definition in src/orbitforge has a reader: each top-level function,
+class and method that is not a dunder, is referenced by name in src/,
+scripts/ or perfbench/; the interpreter calls a dunder, a module's PEP 562
+__getattr__ and __dir__ among them.  The package's __init__ re-exports do not
 count, and neither do the tests: code that only a test calls lives in the
 test.  Likewise every optional parameter, the defaulted fields of a
 record's __init__ among them, has a setter: some call in those folders
@@ -26,11 +27,11 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree) -> list:
-    """Top-level functions and classes, and the non-dunder methods of the
-    top-level classes."""
+    """Top-level functions and classes, and the methods of the top-level
+    classes, that are not dunders."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
             out.append(node.name)
         if isinstance(node, ast.ClassDef):
             out.extend(sub.name for sub in node.body
@@ -82,15 +83,19 @@ def test_the_guard_sees_a_planted_definition(tmp_path):
     with open(pkg / "linalg.py", "a") as f:
         f.write("\n\ndef planted_helper(m):\n    return planted_helper(m)\n"
                 "\n\nclass Planted:\n    def __repr__(self):\n        return 'p'\n\n"
-                "    def planted_method(self):\n        return Planted().planted_method()\n")
+                "    def planted_method(self):\n        return Planted().planted_method()\n"
+                "\n\ndef __getattr__(name):\n    raise AttributeError(name)\n")
     with open(pkg / "__init__.py", "a") as f:
-        f.write("from .linalg import planted_helper, Planted\n")
+        f.write("from .linalg import planted_helper, Planted\n"
+                "\n\ndef planted_hook(name):\n    return planted_hook(name)\n")
     # neither a re-export nor a use inside the definition itself is a reader;
-    # the dunder needs none
-    assert _unread(tmp_path) == ["linalg.planted_helper", "linalg.Planted", "linalg.planted_method"]
+    # the dunders need none, a module's __getattr__ among them, but a plain
+    # function of __init__ does
+    assert _unread(tmp_path) == ["__init__.planted_hook", "linalg.planted_helper", "linalg.Planted",
+                                 "linalg.planted_method"]
     with open(pkg / "algebra.py", "a") as f:
         f.write("\n\ndef _reader():\n    return Planted().planted_method()\n")
-    assert _unread(tmp_path) == ["algebra._reader", "linalg.planted_helper"]
+    assert _unread(tmp_path) == ["__init__.planted_hook", "algebra._reader", "linalg.planted_helper"]
 
 
 # Each definition in src/orbitforge whose name another definition there
@@ -125,7 +130,7 @@ def _qualified(pkg: Path):
     for path in sorted(pkg.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
                 definitions.append(f"{path.stem}.{node.name}")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions[f"{path.stem}.{node.name}"] = node

@@ -366,7 +366,7 @@ def test_the_costliest_pairs_are_queued_first(monkeypatch):
         seen.append([k for k, _ in cases])
         return real(cases, most)
 
-    monkeypatch.setattr(runner, "run_cases", spy)
+    monkeypatch.setattr(enveloping, "run_cases", spy)
     setup = _setup((2, 2, 1), 1)
     assert character_kills_commutators(setup, augmentation_character(setup))
     terms = [len(setup.thetas[k].value) for k in range(setup.r)]
@@ -452,7 +452,7 @@ def test_a_planted_casimir_fault_gives_the_serial_message(parts, eps, monkeypatc
         return real_run(cases, most)
 
     monkeypatch.setattr(enveloping, "inverse_rows", off_by_one)
-    monkeypatch.setattr(runner, "run_cases", spy)
+    monkeypatch.setattr(enveloping, "run_cases", spy)
     messages = []
     for workers in WORKER_COUNTS:
         monkeypatch.setattr(runner, "WORKERS", workers)
