@@ -18,7 +18,7 @@ def label(setup, word):
         return "1"
     parts = []
     for k in word:
-        if k < setup.m_count:
+        if k < setup.z_start:
             parts.append(f"x{k}")
         elif k < setup.m_start:
             parts.append(f"z{k - setup.z_start}")

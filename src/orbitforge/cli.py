@@ -433,6 +433,8 @@ class VerifyConfig:
     def __init__(self, max_n: int = 10, primes: tuple = (3, 5, 7), seed: int = 13, suites: tuple = ()):
         if max_n < 2:
             raise ValueError("max_n must be at least 2")
+        if not primes:
+            raise ValueError("primes must name at least one odd prime")
         if not all(map(is_odd_prime, primes)):
             raise ValueError(f"primes must be odd primes below {PRIME_BOUND}, got {list(primes)}")
         # names before repeats, so that "--suites ," reports the unknown suite ''

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import partial, wraps
 from math import gcd, lcm
 
-from .rings import QQ, ZZ, canonical, integer_maps, is_two_power_denominator
+from .rings import QQ, canonical, integer_maps, is_two_power_denominator
 from .linalg import (
     SparseMatrix,
     VectorSpan,
@@ -137,7 +137,6 @@ class UAlgebra:
 
     def __init__(self, dim: int, bracket, m_start: int | None = None, chi=(), restricted=None):
         # bracket[(a, b)] = {c: coeff} for a > b (the out-of-order bracket)
-        self.dim = dim
         self.bracket = bracket
         self.m_start = dim if m_start is None else m_start
         chi_m = {k: QQ.coerce(chi[k]) for k in range(self.m_start, dim)}
@@ -346,7 +345,7 @@ class WSetup:
             d = gr.degree[k]
             if d >= 0:
                 blocks.setdefault((d, wd.weights[k]), []).append(k)
-        ad_e = ad_e_matrix(self.rep, ZZ)
+        ad_e = ad_e_matrix(self.rep)
         # blocks in (degree, weight) order, so x_degrees[:r] is non-decreasing
         for key in sorted(blocks):
             idxs = blocks[key]
@@ -354,21 +353,17 @@ class WSetup:
             for part, vecs in ((x_part, kern), (comp_part, complete_saturated_basis(kern, len(idxs)))):
                 part.extend(({idxs[i]: x for i, x in v.items()}, key[0]) for v in vecs)
         self.r = len(x_part)
-        self.x_vectors = [v for v, _ in x_part + comp_part]
+        x_vectors = [v for v, _ in x_part + comp_part]
         self.x_degrees = [d for _, d in x_part + comp_part]
-        self.m_count = len(self.x_vectors)
+        self.z_start = len(x_vectors)
+        self.s = len(self.pair.z_plus)
+        self.m_start = self.z_start + self.s
 
-        self.z_vectors = list(self.pair.z_plus)
-        self.s = len(self.z_vectors)
-        self.m_vectors = list(self.msub.basis)
-
-        self.basis_vectors = self.x_vectors + self.z_vectors + self.m_vectors
+        self.basis_vectors = x_vectors + list(self.pair.z_plus) + list(self.msub.basis)
         self.dim = len(self.basis_vectors)
         if self.dim != self.alg.dim:
             raise AssertionError("PBW basis does not have the right size")
-        self.z_start = self.m_count
-        self.m_start = self.m_count + self.s
-        self.kaz = [d + 2 for d in self.x_degrees] + [1] * self.s + [0] * len(self.m_vectors)
+        self.kaz = [d + 2 for d in self.x_degrees] + [1] * self.s + [0] * self.msub.dim
         self.chi = [chi_of(self.psi.chi, v) for v in self.basis_vectors]
 
     def _build_structure(self):
@@ -899,12 +894,12 @@ def casimir(setup: WSetup) -> CasimirElement:
     zero_part = []
     ok = True
     for word, c in rest.items():
-        degs = [setup.x_degrees[k] if k < setup.m_count else None for k in word]
-        if all(k < setup.m_count and d == 0 for k, d in zip(word, degs)):
+        degs = [setup.x_degrees[k] if k < setup.z_start else None for k in word]
+        if all(k < setup.z_start and d == 0 for k, d in zip(word, degs)):
             zero_part.append((word, c))
         elif (
             len(word) == 2
-            and word[0] < setup.m_count
+            and word[0] < setup.z_start
             and setup.x_degrees[word[0]] == 1
             and word[1] >= setup.z_start
             and word[1] < setup.m_start

@@ -300,7 +300,6 @@ class VectorSpan:
     def __init__(self, ring: Ring):
         if not ring.is_field:
             raise ValueError("VectorSpan requires a field")
-        self.ring = ring
         self._rows = {}   # pivot -> row
         self._mod = ring.p if ring.kind == "GF" else None
         self._budget = lane_budget(ring)

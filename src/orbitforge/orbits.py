@@ -8,19 +8,19 @@ n_- + l + n_+ of g for a Levi of given gl block sizes) and the torus
 weights of slices.weight_data all use it.  Linear combinations of basis
 elements are built by ClassicalAlgebra.from_coordinates, one matrix each.
 
-A representative builds its Dynkin grading once and ad e once per ring;
-`ad_e_block` cuts ad e : g(d) -> g(d+2) out of that matrix and is the one
-place that checks that ad e raises the degree by two.  Every SNF, rank and
-solve of ad e runs on these blocks, except WSetup's kernels on the (degree,
-weight) pieces of g: they keep whole columns, since SNF pivots depend on the
-row positions and cut rows would change the W bases.
+A representative builds its Dynkin grading once and one integer ad e;
+`ad_e_block` cuts ad e : g(d) -> g(d+2) over any ring out of that matrix
+and is the one place that checks that ad e raises the degree by two.
+Every SNF, rank and solve of ad e runs on these blocks, except WSetup's
+kernels on the (degree, weight) pieces of g: they keep whole columns, since
+SNF pivots depend on the row positions and cut rows would change the W bases.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import QQ, Frozen
+from .rings import QQ, ZZ, Frozen
 from .linalg import SparseMatrix, commutator, row_span, solve
 from .partitions import (
     Partition,
@@ -46,10 +46,10 @@ class NilpotentRep:
         self.e = e                  # over QQ
         self.e_coords = e_coords    # {index: integer}, the nonzero Chevalley coordinates of e
         self.very_even = very_even
-        # built on first use by dynkin_grading, ad_e_matrix (one per ring) and
-        # modular.graded_dims_mod_p (one per prime)
+        # built on first use by dynkin_grading, ad_e_matrix (one integer
+        # matrix) and modular.graded_dims_mod_p (one per prime)
         self._grading = None
-        self._ad_e = {}
+        self._ad_e = None
         self._ranks_mod_p = {}
 
 
@@ -163,20 +163,20 @@ def graded_dims(gr: DynkinGrading) -> dict:
     return {d: len(ix) for d, ix in sorted(gr.layers.items())}
 
 
-def ad_e_matrix(rep: NilpotentRep, ring=QQ) -> SparseMatrix:
-    """ad e on the Chevalley basis over ring, built once per ring."""
-    if ring not in rep._ad_e:
-        rep._ad_e[ring] = rep.algebra.ad(rep.e_coords, ring)
-    return rep._ad_e[ring]
+def ad_e_matrix(rep: NilpotentRep) -> SparseMatrix:
+    """ad e on the Chevalley basis over ZZ, built once per representative."""
+    if rep._ad_e is None:
+        rep._ad_e = rep.algebra.ad(rep.e_coords, ZZ)
+    return rep._ad_e
 
 
 def ad_e_block(rep: NilpotentRep, d: int, ring=QQ) -> SparseMatrix:
-    """ad e : g(d) -> g(d+2) over ring, rows and columns in layer order;
-    raises unless ad e maps g(d) into g(d+2).  The reductions of ad e
+    """ad e : g(d) -> g(d+2) over ring, cut from the integer ad e, in layer
+    order; raises unless ad e maps g(d) into g(d+2).  The reductions of ad e
     (saturation SNFs, the sl2 solve, ranks over QQ and mod p) take these."""
     gr = dynkin_grading(rep)
     at = {k: i for i, k in enumerate(gr.layer(d + 2))}
-    cols = ad_e_matrix(rep, ring).columns(gr.layer(d))
+    cols = ad_e_matrix(rep).columns(gr.layer(d))
     if any(r not in at for r, _ in cols.entries):
         raise AssertionError(f"ad e maps g({d}) outside g({d + 2})")
     return SparseMatrix(len(at), cols.ncols, ring, {(at[r], c): v for (r, c), v in cols.entries.items()})

@@ -143,11 +143,9 @@ class DynkinPyramid:
     mirror symmetry row(-i) = -row(i), col(-i) = -col(i) holds throughout.
     """
 
-    __slots__ = ("N", "eps", "row", "col", "skew_rows", "crossed")
+    __slots__ = ("row", "col", "skew_rows", "crossed")
 
-    def __init__(self, N: int, eps: int):
-        self.N = N
-        self.eps = eps
+    def __init__(self):
         self.row = {}
         self.col = {}
         self.skew_rows = set()
@@ -221,7 +219,7 @@ def build_pyramid(lam: Partition, eps: int) -> DynkinPyramid:
         rows = [2 * i + 1 for i in range(len(stacked))]
     placements += list(zip(stacked, rows))
 
-    pyr = DynkinPyramid(lam.size, eps)
+    pyr = DynkinPyramid()
     upper_boxes = []  # (|row| asc, col asc) determines the numbering
 
     for unit, r in placements:

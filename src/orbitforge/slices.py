@@ -23,10 +23,9 @@ from .centralizer import compute_centralizer
 
 
 class WeightData:
-    __slots__ = ("rep", "weights", "n_plus", "n_minus", "levi")
+    __slots__ = ("weights", "n_plus", "n_minus", "levi")
 
-    def __init__(self, rep: NilpotentRep, weights: list, n_plus: list, n_minus: list, levi: list):
-        self.rep = rep
+    def __init__(self, weights: list, n_plus: list, n_minus: list, levi: list):
         self.weights = weights    # basis index -> weight tuple under the torus
         self.n_plus = n_plus      # basis indices with lexicographically positive weight
         self.n_minus = n_minus
@@ -53,7 +52,7 @@ def weight_data(rep: NilpotentRep) -> WeightData:
     per_row = [basis_degrees(alg, {b: (pyr.row[b] == r) - (pyr.row[b] == -r) for b in pyr.boxes()})
                for r in rows]
     weights = [tuple(degs[k] for degs in per_row) for k in range(alg.dim)]
-    wd = WeightData(rep, weights, [], [], [])
+    wd = WeightData(weights, [], [], [])
     for k in range(alg.dim):
         s = wd.side(k)
         (wd.n_plus if s > 0 else wd.n_minus if s < 0 else wd.levi).append(k)
@@ -81,11 +80,10 @@ def chi_of(chi: dict, xs: dict):
 
 
 class SkewForm:
-    __slots__ = ("rep", "wd", "chi", "minus_idx", "plus_idx", "gram", "m_block")
+    __slots__ = ("wd", "chi", "minus_idx", "plus_idx", "gram", "m_block")
 
-    def __init__(self, rep: NilpotentRep, wd: WeightData, chi: dict, minus_idx: list, plus_idx: list,
+    def __init__(self, wd: WeightData, chi: dict, minus_idx: list, plus_idx: list,
                  gram: SparseMatrix, m_block: SparseMatrix):
-        self.rep = rep
         self.wd = wd
         self.chi = chi                # chi = kappa(e, -) on the Chevalley basis, as a map
         self.minus_idx = minus_idx    # Chevalley indices spanning n_-(-1)
@@ -122,7 +120,7 @@ def build_psi(rep: NilpotentRep) -> SkewForm:
     if row_span(gram).rank != len(order):
         raise AssertionError("Psi is degenerate over QQ (falsifies goodness)")
     m_block = SparseMatrix(s, s, QQ, {(a, b): gram[(a, b + s)] for a in range(s) for b in range(s) if gram[(a, b + s)] != 0})
-    return SkewForm(rep, wd, chi, minus_idx, plus_idx, gram, m_block)
+    return SkewForm(wd, chi, minus_idx, plus_idx, gram, m_block)
 
 
 def is_signed_two_power(x) -> bool:
@@ -178,14 +176,11 @@ def verify_duality(pair: LagrangianPair):
 
 
 class MSubalgebra:
-    __slots__ = ("rep", "pair", "basis", "chi", "degrees")
+    __slots__ = ("pair", "basis")
 
-    def __init__(self, rep: NilpotentRep, pair: LagrangianPair, basis: list, chi: list, degrees: list):
-        self.rep = rep
+    def __init__(self, pair: LagrangianPair, basis: list):
         self.pair = pair        # the Lagrangian pair m was built from
         self.basis = basis      # {index: scalar} maps of the basis vectors
-        self.chi = chi          # chi value per basis vector
-        self.degrees = degrees
 
     @property
     def dim(self):
@@ -203,12 +198,9 @@ def build_m(rep: NilpotentRep) -> MSubalgebra:
             for k in gr.layers[d]:
                 basis.append({k: 1})
                 degrees.append(d)
-    chi = []
     for v, d in zip(basis, degrees):
-        val = chi_of(pair.psi.chi, v)
-        if d != -2 and val != 0:
+        if d != -2 and chi_of(pair.psi.chi, v) != 0:
             raise AssertionError("chi is supported outside degree -2")
-        chi.append(val)
     # subalgebra and [m, m] <= ker chi
     span = VectorSpan(QQ)
     for v in basis:
@@ -220,7 +212,7 @@ def build_m(rep: NilpotentRep) -> MSubalgebra:
                 raise AssertionError("m is not closed under the bracket")
             if chi_of(pair.psi.chi, br) != 0:
                 raise AssertionError("chi does not vanish on [m, m]")
-    msub = MSubalgebra(rep, pair, basis, chi, degrees)
+    msub = MSubalgebra(pair, basis)
     d_chi = (alg.dim - centralizer_dim_formula(rep.lam, rep.eps)) // 2
     if msub.dim != d_chi:
         raise AssertionError(f"dim m = {msub.dim} != d(chi) = {d_chi}")
@@ -231,10 +223,9 @@ def build_m(rep: NilpotentRep) -> MSubalgebra:
 
 
 class SliceData:
-    __slots__ = ("rep", "degrees", "contracting_weights")
+    __slots__ = ("degrees", "contracting_weights")
 
-    def __init__(self, rep: NilpotentRep, degrees: list, contracting_weights: list):
-        self.rep = rep
+    def __init__(self, degrees: list, contracting_weights: list):
         self.degrees = degrees                             # Dynkin degree of each vector of v
         self.contracting_weights = contracting_weights     # 2 - degree per vector
 
@@ -263,7 +254,7 @@ def slice_complement(rep: NilpotentRep) -> SliceData:
     weights = [2 - d for d in degs]
     if any(w <= 0 for w in weights):
         raise AssertionError("contracting action has a non-positive weight")
-    return SliceData(rep, degs, weights)
+    return SliceData(degs, weights)
 
 
 # -- integral saturation -----------------------------------------------------------
@@ -285,7 +276,7 @@ def integral_saturation(rep: NilpotentRep) -> dict:
     # [e, g_R] = (g_R^e)^perp: containment, kappa([e, B_j], z) = 0 for all j,
     # is (ad e)^T G z = 0 with G the Killing Gram; and rank equality
     cb = compute_centralizer(rep)
-    ad_e_t = ad_e_matrix(rep).transpose()
+    ad_e_t = ad_e_matrix(rep).change_ring(QQ).transpose()
     perp_ok = len(nonzero) + cb.dim == alg.dim and not any(
         ad_e_t.apply(alg.kappa_row(z)) for z in cb.vectors)
     return {

@@ -115,7 +115,7 @@ def test_verify_even_prime_rejected():
     assert code == 2 and "odd" in err
 
 
-@pytest.mark.parametrize("primes, bad", [("3,,5", "''"), ("3,x", "'x'"), ("3,15", "'15'"),
+@pytest.mark.parametrize("primes, bad", [("", "''"), ("3,,5", "''"), ("3,x", "'x'"), ("3,15", "'15'"),
                                          ("318665857834031151167463", "'318665857834031151167463'")])
 def test_verify_names_the_bad_prime(primes, bad):
     # one odd-prime test for every entry; a modulus at or above the bound

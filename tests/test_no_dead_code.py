@@ -10,7 +10,8 @@ fills.  And every attribute a method stores on self, a record's fields
 among them, has a reader: some .name read in those folders, so no value is
 kept that nothing reads back.  A reader is matched
 by name, so a name that two definitions share is listed in SHARED_NAMES,
-each definition with a function of src/orbitforge that reads it."""
+each definition with a function of src/orbitforge that reads it; the
+stored fields are counted per class in tests/test_field_readers.py."""
 
 import ast
 import shutil

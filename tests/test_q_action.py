@@ -32,7 +32,7 @@ import pytest
 from orbitforge import cli, enveloping, runner
 from orbitforge.enveloping import (UAlgebra, WSetup, _difference, _ONE, _scaled, augmentation_character,
                                    character_kills_commutators, pbw_basis_check)
-from orbitforge.orbits import build_nilpotent
+from orbitforge.orbits import build_nilpotent, dynkin_grading
 from orbitforge.partitions import Partition
 from test_enveloping import _q_project_reference, _reference
 from test_one_lift import _callers, _last_name
@@ -60,11 +60,11 @@ def _assert_q_products(setup, x, y):
     _assert_like_the_reference(U, x, y)
 
 
-def _assert_int_memo(U):
-    # one dict per letter, keyed by interned words; each value a flat
-    # (word, coefficient, ...) tuple of interned words and nonzero ints,
-    # residues in [1, p) on a restricted instance
-    assert type(U._act_memo) is list and len(U._act_memo) == U.dim and any(U._act_memo)
+def _assert_int_memo(U, dim):
+    # one dict per letter of the dim letters, keyed by interned words; each
+    # value a flat (word, coefficient, ...) tuple of interned words and
+    # nonzero ints, residues in [1, p) on a restricted instance
+    assert type(U._act_memo) is list and len(U._act_memo) == dim and any(U._act_memo)
     for memo in U._act_memo:
         for w, out in memo.items():
             assert U._words.get(w) is w
@@ -84,7 +84,7 @@ def test_letter_pairs_and_triples(name):
             _assert_q_products(setup, setup.gen(a), setup.gen(b))
             for c in letters:
                 _assert_q_products(setup, {(a, b): Fraction(1)}, setup.gen(c))
-    _assert_int_memo(setup.U)
+    _assert_int_memo(setup.U, setup.dim)
 
 
 @pytest.mark.parametrize("name", [*CASES])
@@ -102,7 +102,7 @@ def test_words_with_m_letters_in_the_middle_and_at_the_end(name):
             _assert_q_products(setup, x, {(rng.randrange(setup.m_start),): Fraction(1)})
             for k in range(1, len(word)):   # split anywhere: the m-letter may lead the right factor
                 _assert_q_products(setup, {word[:k]: Fraction(1)}, {word[k:]: Fraction(-1, 2)})
-    _assert_int_memo(setup.U)
+    _assert_int_memo(setup.U, setup.dim)
 
 
 @pytest.mark.parametrize("name", [*CASES])
@@ -113,7 +113,7 @@ def test_every_pair_of_theta_values(name):
     for p in thetas.values():
         for q in thetas.values():
             _assert_q_products(setup, p.value, q.value)
-    _assert_int_memo(setup.U)
+    _assert_int_memo(setup.U, setup.dim)
 
 
 def test_chi_denominators_enter_the_common_denominator():
@@ -142,7 +142,7 @@ def test_chi_denominators_enter_the_common_denominator():
                 x, y = {(a, c): Fraction(1)}, {(b, c): Fraction(1)}
                 assert U.q_mul(x, y) == project(ref.mul(x, y))
                 assert U.q_comm(x, y) == project(ref.comm(x, y))
-    _assert_int_memo(U)
+    _assert_int_memo(U, setup.dim)
 
 
 def _q_word_reference(U, word) -> dict:
@@ -233,7 +233,7 @@ def test_shared_suffixes_match_the_reference_under_chi_over_three():
         x = _shared_suffix_element(rng, setup.dim, suffixes, range(setup.m_start, setup.dim))
         y = _shared_suffix_element(rng, setup.dim, suffixes, range(setup.m_start, setup.dim))
         _assert_like_the_reference(U, x, y)
-    _assert_int_memo(U)
+    _assert_int_memo(U, setup.dim)
 
 
 def test_a_normal_form_word_keeps_its_tuple():
@@ -251,7 +251,7 @@ def test_memo_values_are_flat_tuples_of_interned_words(name):
     setup = _fresh(name)
     thetas = setup.build_all_thetas()
     setup.U.q_comm(thetas[0].value, thetas[setup.r - 1].value)
-    _assert_int_memo(setup.U)
+    _assert_int_memo(setup.U, setup.dim)
     # the prepend fast path and the one-letter case give interned words too
     U = setup.U
     for a in range(setup.m_start):
@@ -267,15 +267,15 @@ def test_a_restricted_memo_holds_residues_of_interned_words(monkeypatch):
     made = []
 
     class Recorded(UAlgebra):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+        def __init__(self, dim, *args, **kwargs):
+            super().__init__(dim, *args, **kwargs)
+            made.append((self, dim))
 
     monkeypatch.setattr(modular, "UAlgebra", Recorded)
     modular.build_induced_module(InductionDatum.zero_orbit(5, 1, (1, 1)), 3)
-    (U,) = made
-    assert U.p == 3
-    _assert_int_memo(U)
+    ((U, dim),) = made
+    assert U.p == 3 and dim == 10
+    _assert_int_memo(U, dim)
 
 
 def test_a_dropped_setup_frees_its_algebra_without_the_collector(monkeypatch):
@@ -418,6 +418,12 @@ def _corruptions(name):
             for k in range(setup.m_start, setup.dim)]
 
 
+def _degree(setup, vec) -> int:
+    """The Dynkin degree of the homogeneous vector {index: scalar} vec."""
+    (d,) = {dynkin_grading(setup.rep).degree[k] for k in vec}
+    return d
+
+
 @pytest.mark.parametrize("name,letter,wrong", [c for name in CASES for c in _corruptions(name)])
 def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wrong):
     # a degree -2 letter's chi doubled, or a chi = 0 letter's set to 1, in
@@ -426,7 +432,7 @@ def test_a_wrong_chi_inside_the_q_action_fails_ad_m_invariance(name, letter, wro
     setup = _fresh(name)
     U = setup.U
     assert Fraction(U._ichi[letter], U.denominator) == setup.chi[letter] != wrong
-    assert (setup.chi[letter] != 0) == (setup.msub.degrees[letter - setup.m_start] == -2)
+    assert (setup.chi[letter] != 0) == (_degree(setup, setup.basis_vectors[letter]) == -2)
     U._ichi[letter] = wrong * U.denominator
     with pytest.raises(AssertionError, match="is not ad-m-invariant"):
         setup.build_all_thetas()

@@ -116,8 +116,10 @@ def test_an_immutable_record_pickles_to_an_equal_one(record):
     (lambda: VerifyConfig(primes=(3, 9)), "odd primes"),
     (lambda: VerifyConfig(suites=("nope",)), "unknown suite 'nope'"),
     (lambda: VerifyConfig(primes=(3, 3)), "repeated prime"),
+    # with no prime the stability and modular cases would pass on QQ alone
+    (lambda: VerifyConfig(primes=()), "at least one odd prime"),
 ], ids=["zero-part", "negative-part", "increasing", "kind", "composite", "two", "no-modulus",
-        "max-n", "prime", "suite", "repeat"])
+        "max-n", "prime", "suite", "repeat", "no-prime"])
 def test_the_constructors_check_their_input(make, message):
     with pytest.raises(ValueError, match=message):
         make()

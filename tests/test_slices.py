@@ -97,7 +97,7 @@ def test_m_outside_gl_z_half_is_refused_before_duality(monkeypatch, case, doctor
     # the real M reaches the duality check
     with pytest.raises(RuntimeError, match="verify_duality ran"):
         split_lagrangian(rep)
-    doctored = SkewForm(psi.rep, psi.wd, psi.chi, psi.minus_idx, psi.plus_idx, psi.gram, doctor(psi.m_block))
+    doctored = SkewForm(psi.wd, psi.chi, psi.minus_idx, psi.plus_idx, psi.gram, doctor(psi.m_block))
     monkeypatch.setattr(slices, "build_psi", lambda r: doctored)
     with pytest.raises(AssertionError, match=r"Z\[1/2\]"):
         split_lagrangian(rep)
