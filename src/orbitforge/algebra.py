@@ -298,13 +298,13 @@ class ClassicalAlgebra:
                         acc[k] = acc.get(k, 0) + c * ab
         return acc
 
-    def sparse_bracket(self, xs: dict, ys: dict, ring: Ring = QQ) -> dict:
-        """{k: c}, the nonzero Chevalley coordinates of [x, y] over ring, for
+    def sparse_bracket(self, xs: dict, ys: dict) -> dict:
+        """{k: c}, the nonzero Chevalley coordinates of [x, y] over QQ, for
         x and y given as {index: scalar} maps of their nonzero coordinates,
-        keys ascending and the scalars already in ring."""
+        keys ascending and the scalars in QQ."""
         out = {}
         for k, v in self._bracket_terms(xs, ys).items():
-            v = ring.coerce(v)
+            v = QQ.coerce(v)
             if v != 0:
                 out[k] = v
         return out

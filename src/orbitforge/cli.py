@@ -534,7 +534,8 @@ def _perfect(rep, primes):
     on one basis of the lattice g^e ∩ g_Z (a QQ echelon basis of g^e may have
     denominator p); one pass over the brackets of basis pairs fills both
     spans of every ring.  The basis is integral, so each pair is bracketed
-    once, over ZZ, and its coefficients coerced into each ring."""
+    once and its integer coordinates go to every span as they are; a GF(p)
+    span takes them mod p."""
     alg = rep.algebra
     basis = compute_centralizer(rep, ZZ)
     in_zero = [d == 0 for d in basis.degrees]
@@ -542,12 +543,11 @@ def _perfect(rep, primes):
     spans = [(ring, VectorSpan(ring), VectorSpan(ring)) for ring in [QQ] + [GF(p) for p in primes]]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            br = alg.sparse_bracket(vecs[i], vecs[j], ZZ)
-            for ring, span, span_zero in spans:
-                image = {k: c for k, v in br.items() if (c := ring.coerce(v))}
-                span.add(image)
+            br = alg.sparse_bracket(vecs[i], vecs[j])
+            for _, span, span_zero in spans:
+                span.add(br)
                 if in_zero[i] and in_zero[j]:
-                    span_zero.add(image)
+                    span_zero.add(br)
     for ring, span, span_zero in spans:
         if span_zero.rank != sum(in_zero):
             raise AssertionError(f"g^e(0) not perfect over {ring}")

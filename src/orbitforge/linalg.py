@@ -1,19 +1,19 @@
 """Exact sparse linear algebra: one echelon span over a field, VectorSpan,
-behind every rank count, kernel, solution and inverse over QQ, the ranks
-over GF(p) and the closure of a vector under matrices mod p
-(closure_ranks; a span has no fixed width: its columns are the keys of the
-vectors added), Smith normal form over ZZ with transformation
+behind every rank count, kernel, solution and inverse over QQ and every
+rank over GF(p) (a span has no fixed width: its columns are the keys of
+the vectors added), the closure of a vector under matrices mod p
+(closure_ranks), Smith normal form over ZZ with transformation
 certificates, and saturated-lattice helpers.
 
-The span's row format follows from the ring alone.  Over QQ and over GF(p)
-with p > 13 a row is a sparse map {col: scalar}, kept in reduced echelon
-form.  Over GF(p) with p <= 13 a vector is one Python int holding its
-residue at column c in byte c, and rows are renormalised mod p by
-bytes.translate at most every floor((256 - p)/(p - 1)^2) additions
-(lane_budget).  A GF(p) span is never read back: it adds vectors, answers
-membership, reports its rank and pivots, and closes vectors under matrices
-(p <= 13 only).  Kernels, solutions and inverses are taken over QQ only,
-from its dict rows.  The packed format stays inside this module.
+A span holds the same rows over every field, by one code path: sparse maps
+{col: scalar} in reduced echelon form, whose entries over GF(p) are taken
+mod p as they come in.  A GF(p) span is never read back: it adds vectors,
+answers membership and reports its rank and pivots.  Kernels, solutions
+and inverses are taken over QQ only, from its rows.  closure_ranks alone,
+over GF(p) with p <= 13, grows a span of its own on byte-packed vectors:
+one Python int holds the residue at column c in byte c, renormalised mod p
+by bytes.translate at most every floor((256 - p)/(p - 1)^2) additions
+(lane_budget).  The packed format stays inside it.
 
 Vectors cross its boundary in one format, as everywhere in orbitforge: the
 {index: scalar} map of the nonzero entries, keys ascending.  rank_kernel,
@@ -260,53 +260,25 @@ def bracket_residues(mats: dict, pairs, rhs=None, p: int = 0):
             yield a, b, {rc: v for rc, v in acc.items() if v}
 
 
-# -- field elimination: one echelon span per ring -----------------------------
-
-
-def lane_budget(ring: Ring) -> int:
-    """The row additions a byte-packed vector over ring takes between
-    renormalisations, floor((256 - p) / (p - 1)^2): after that many, a byte
-    that started below p is still at most 255.  It is 0, and vectors stay
-    {col: scalar} maps, over QQ and over GF(p) with p > 13."""
-    if ring.kind != "GF":
-        return 0
-    return max(0, (256 - ring.p) // (ring.p - 1) ** 2)
+# -- field elimination: one echelon span over every field ---------------------
 
 
 class VectorSpan:
-    """The echelon form of a growing span over a field.  Over QQ its rows
-    are in reduced echelon form, which is unique, so they do not depend on
-    the order of insertion; rank_kernel, solve and inverse_rows read them.
-    Over GF(p) only the rank, the pivots and membership are read.
-
-    The row format depends on the ring alone:
-
-    * QQ and GF(p) with p > 13: each row is a sparse map {col: scalar},
-      keyed by its pivot (its first nonzero column), 1 there and 0 at every
-      other pivot, kept reduced on every insertion.  Reducing a vector
-      touches only the rows at the pivots in its support, in one pass.
-    * GF(p) with p <= 13: a vector is one Python int whose byte c holds its
-      residue at column c (columns are nonnegative ints).  The row with
-      pivot c is 1 there, and is held as the int of its bytes above c:
-      byte i holds its residue at column c + 1 + i.  Rows are kept
-      semi-reduced (0 left of their pivot, not at the other pivots).  A
-      vector is reduced from its lowest byte up: at a pivot, one big-int
-      multiply-add takes the row off, and a shift drops the cleared byte.
-      Bytes grow by at most (p - 1)^2 per addition and are renormalised
-      mod p, by bytes.translate with a 256-entry table, once every
-      lane_budget(ring) additions, before any byte can pass 255.
-    """
+    """The echelon form of a growing span over a field, QQ or GF(p), by one
+    code path: each row is a sparse map {col: scalar}, keyed by its pivot
+    (its first nonzero column), 1 there and 0 at every other pivot, kept
+    reduced on every insertion.  Reducing a vector touches only the rows at
+    the pivots in its support, in one pass.  Over GF(p) each entry is taken
+    mod p as it comes in, so an entry that p divides counts as absent.
+    Reduced echelon form is unique, so the rows do not depend on the order
+    of insertion; over QQ rank_kernel, solve and inverse_rows read them,
+    over GF(p) only the rank, the pivots and membership are read."""
 
     def __init__(self, ring: Ring):
         if not ring.is_field:
             raise ValueError("VectorSpan requires a field")
         self._rows = {}   # pivot -> row
         self._mod = ring.p if ring.kind == "GF" else None
-        self._budget = lane_budget(ring)
-        if self._budget:
-            self._table = _residues(ring.p)
-
-    # -- the dict rows ------------------------------------------------------
 
     def _axpy(self, v: dict, f, row: dict):
         """v -= f * row in place; f != 0, so an entry that vanishes was in v.
@@ -328,81 +300,28 @@ class VectorSpan:
                     del v[c]
 
     def _reduce(self, v: dict) -> dict:
-        """A reduced copy of v, without the zero entries v may hold."""
-        v = dict(v) if all(v.values()) else {c: x for c, x in v.items() if x}
+        """A reduced copy of v, without the zero entries v may hold; over
+        GF(p) each entry is taken mod p first."""
+        mod = self._mod
+        if mod:
+            v = {c: y for c, x in v.items() if (y := x % mod)}
+        else:
+            v = dict(v) if all(v.values()) else {c: x for c, x in v.items() if x}
         rows = self._rows
         for p in [c for c in v if c in rows]:
             self._axpy(v, v[p], rows[p])
         return v
 
-    # -- the byte-packed rows -------------------------------------------------
-
-    def _normal(self, u: int) -> int:
-        """u with every byte replaced by its residue mod p."""
-        return int.from_bytes(u.to_bytes((u.bit_length() + 7) >> 3, "little").translate(self._table), "little")
-
-    def _sift(self, u: int):
-        """None if the packed vector u is in the span, else (c, rest): c is
-        the first column at which u minus rows of the span has a nonzero
-        residue and no row has its pivot, and rest holds that difference's
-        residues from column c on (byte 0 at c)."""
-        get, mod, budget = self._rows.get, self._mod, self._budget
-        col = added = 0
-        while u:
-            b = u & 255
-            if not b:
-                skip = ((u & -u).bit_length() - 1) >> 3
-                u >>= skip << 3
-                col += skip
-                b = u & 255
-            f = -b % mod
-            tail = get(col)
-            if tail is None:
-                if f:
-                    return col, self._normal(u) if added else u
-                u >>= 8
-            elif f:
-                if added == budget:
-                    u, added = self._normal(u), 0
-                u = (u >> 8) + f * tail
-                added += 1
-            else:
-                u >>= 8
-            col += 1
-        return None
-
-    # -- one interface ------------------------------------------------------
-
-    def _own(self, vec: dict):
-        """vec, a {col: scalar} map of ring elements, in the span's row
-        format."""
-        if not self._budget:
-            return vec
-        mod, u = self._mod, 0
-        for c, x in vec.items():
-            u |= x % mod << (c << 3)
-        return u
-
-    def _insert(self, v) -> bool:
-        """Insert v, given in the span's row format (and left as it is);
-        True if it enlarged the span."""
-        mod = self._mod
-        if self._budget:
-            hit = self._sift(v)
-            if hit is None:
-                return False
-            c, u = hit
-            f, tail = u & 255, u >> 8
-            if f != 1 and tail:
-                tail = self._normal(tail * pow(f, -1, mod))
-            self._rows[c] = tail
-            return True
-        v = self._reduce(v)
+    def add(self, vec: dict) -> bool:
+        """Insert vec, a {col: scalar} map of ring elements (a zero entry
+        counts as absent); True if it enlarged the span."""
+        v = self._reduce(vec)
         if not v:
             return False
         p = min(v)
         f = v[p]
         if f != 1:
+            mod = self._mod
             if mod:
                 inv = pow(f, -1, mod)
                 v = {c: inv * x % mod for c, x in v.items()}
@@ -414,17 +333,9 @@ class VectorSpan:
         self._rows[p] = v
         return True
 
-    def add(self, vec: dict) -> bool:
-        """Insert vec, a {col: scalar} map of ring elements (a zero entry
-        counts as absent); True if it enlarged the span."""
-        return self._insert(self._own(vec))
-
     def contains(self, vec: dict) -> bool:
         """Membership of vec, given as for add."""
-        v = self._own(vec)
-        if self._budget:
-            return self._sift(v) is None
-        return not self._reduce(v)
+        return not self._reduce(vec)
 
     @property
     def rank(self) -> int:
@@ -433,82 +344,6 @@ class VectorSpan:
     @property
     def pivots(self) -> list:
         return sorted(self._rows)
-
-    # -- matrices acting on packed rows -------------------------------------------
-
-    def _operator(self, m: SparseMatrix):
-        """m prepared to act on packed vectors: m split into parts with at
-        most lane_budget entries in any row, each part a list of packed
-        columns, so that no byte of a part's product passes 255."""
-        budget = self._budget
-        parts, seen = [], {}
-        for (r, c), x in m.entries.items():
-            k = seen.get(r, 0)   # the entries of row r placed so far
-            seen[r] = k + 1
-            k //= budget
-            if k == len(parts):
-                parts.append([0] * m.ncols)
-            parts[k][c] += x << (r << 3)
-        return parts
-
-    def _apply(self, op, v: int) -> int:
-        """The image of the packed vector v under an operator from
-        _operator."""
-        data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
-        # sum_j v_j col_j = sum over t = 1 .. p - 1 of the columns j with v_j >= t
-        at_least = _at_least(self._mod)
-        out = 0
-        for cols in op:
-            part = self._normal(sum(sum(compress(cols, data.translate(sel)), 0) for sel in at_least))
-            out = self._normal(out + part) if out else part
-        return out
-
-
-@lru_cache(maxsize=None)
-def _residues(p: int) -> bytes:
-    """The translate table mapping each byte to its residue mod p."""
-    return bytes(i % p for i in range(256))
-
-
-@lru_cache(maxsize=None)
-def _at_least(p: int) -> list:
-    """For t = 1 .. p - 1, the translate table mapping a residue >= t to 1
-    and any other byte to 0."""
-    return [bytes(int(t <= i < p) for i in range(256)) for t in range(1, p)]
-
-
-def closure_ranks(ring: Ring, seeds, matrices) -> list:
-    """For each seed, a vector of ring^n given as the {index: scalar} map of
-    its nonzero entries, the rank of the smallest subspace that holds it and
-    is stable under the n x n matrices.  ring is GF(p) with p <= 13, whose
-    spans hold packed rows; any other ring raises ValueError.  The matrices
-    are prepared once for all seeds; with none, n is never read."""
-    if not lane_budget(ring):
-        raise ValueError(f"closure_ranks works over GF(p) with p <= 13, not {ring}")
-    n = matrices[0].nrows if matrices else 0
-    prepare = VectorSpan(ring)._operator
-    ops = [prepare(m) for m in matrices]
-    return [_close(VectorSpan(ring), seed, ops, n) for seed in seeds]
-
-
-def _close(span: VectorSpan, seed: dict, ops, n: int) -> int:
-    """The rank of the closure of the map seed under ops in span, breadth
-    first: the images of each new vector in turn, under each operator in
-    turn.  Stops once the span has rank n, the whole space, since no image
-    can raise it further."""
-    v = span._own(seed)
-    frontier = [v] if span._insert(v) else []
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for op in ops:
-                w = span._apply(op, v)
-                if span._insert(w):
-                    if span.rank == n:
-                        return n
-                    nxt.append(w)
-        frontier = nxt
-    return span.rank
 
 
 def row_span(m: SparseMatrix) -> VectorSpan:
@@ -582,6 +417,158 @@ def solve(m: SparseMatrix, b: dict):
     if m.apply(x) != rhs:
         raise AssertionError("solve result fails exact substitution check")
     return x
+
+
+# -- closure under matrices mod p, on byte-packed rows ------------------------
+
+
+def lane_budget(p: int) -> int:
+    """The row additions a byte-packed vector mod p takes between
+    renormalisations, floor((256 - p) / (p - 1)^2): after that many, a byte
+    that started below p is still at most 255.  It is 0 for p > 13, where
+    closure_ranks packs nothing and refuses to run."""
+    return max(0, (256 - p) // (p - 1) ** 2)
+
+
+class _PackedSpan:
+    """The span closure_ranks grows over GF(p) with p <= 13: _close adds
+    vectors and reads its rank, len(_rows), and nothing else uses it.  A
+    vector is one Python int whose byte c holds its residue at column c
+    (columns are nonnegative ints).  The row with pivot c is 1 there, and
+    is held as the int of its bytes above c: byte i holds its residue at
+    column c + 1 + i.  Rows are kept semi-reduced (0 left of their pivot,
+    not at the other pivots).  A vector is reduced from its lowest byte up:
+    at a pivot, one big-int multiply-add takes the row off, and a shift
+    drops the cleared byte.  Bytes grow by at most (p - 1)^2 per addition
+    and are renormalised mod p, by bytes.translate with a 256-entry table,
+    once every lane_budget(p) additions, before any byte can pass 255."""
+
+    def __init__(self, p: int):
+        self._rows = {}   # pivot -> the row's bytes above its pivot
+        self._mod = p
+        self._budget = lane_budget(p)
+        self._table = _residues(p)
+
+    def _normal(self, u: int) -> int:
+        """u with every byte replaced by its residue mod p."""
+        return int.from_bytes(u.to_bytes((u.bit_length() + 7) >> 3, "little").translate(self._table), "little")
+
+    def _sift(self, u: int):
+        """None if the packed vector u is in the span, else (c, rest): c is
+        the first column at which u minus rows of the span has a nonzero
+        residue and no row has its pivot, and rest holds that difference's
+        residues from column c on (byte 0 at c)."""
+        get, mod, budget = self._rows.get, self._mod, self._budget
+        col = added = 0
+        while u:
+            b = u & 255
+            if not b:
+                skip = ((u & -u).bit_length() - 1) >> 3
+                u >>= skip << 3
+                col += skip
+                b = u & 255
+            f = -b % mod
+            tail = get(col)
+            if tail is None:
+                if f:
+                    return col, self._normal(u) if added else u
+                u >>= 8
+            elif f:
+                if added == budget:
+                    u, added = self._normal(u), 0
+                u = (u >> 8) + f * tail
+                added += 1
+            else:
+                u >>= 8
+            col += 1
+        return None
+
+    def _insert(self, v: int) -> bool:
+        """Insert the packed vector v (left as it is); True if it enlarged
+        the span."""
+        hit = self._sift(v)
+        if hit is None:
+            return False
+        c, u = hit
+        f, tail = u & 255, u >> 8
+        if f != 1 and tail:
+            tail = self._normal(tail * pow(f, -1, self._mod))
+        self._rows[c] = tail
+        return True
+
+    def _apply(self, op, v: int) -> int:
+        """The image of the packed vector v under an operator from
+        _operator."""
+        data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        # sum_j v_j col_j = sum over t = 1 .. p - 1 of the columns j with v_j >= t
+        at_least = _at_least(self._mod)
+        out = 0
+        for cols in op:
+            part = self._normal(sum(sum(compress(cols, data.translate(sel)), 0) for sel in at_least))
+            out = self._normal(out + part) if out else part
+        return out
+
+
+def _operator(m: SparseMatrix, p: int) -> list:
+    """m prepared to act on packed vectors mod p: m split into parts with
+    at most lane_budget(p) entries in any row, each part a list of packed
+    columns, so that no byte of a part's product passes 255."""
+    budget = lane_budget(p)
+    parts, seen = [], {}
+    for (r, c), x in m.entries.items():
+        k = seen.get(r, 0)   # the entries of row r placed so far
+        seen[r] = k + 1
+        k //= budget
+        if k == len(parts):
+            parts.append([0] * m.ncols)
+        parts[k][c] += x << (r << 3)
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The translate table mapping each byte to its residue mod p."""
+    return bytes(i % p for i in range(256))
+
+
+@lru_cache(maxsize=None)
+def _at_least(p: int) -> list:
+    """For t = 1 .. p - 1, the translate table mapping a residue >= t to 1
+    and any other byte to 0."""
+    return [bytes(int(t <= i < p) for i in range(256)) for t in range(1, p)]
+
+
+def closure_ranks(ring: Ring, seeds, matrices) -> list:
+    """For each seed, a vector of ring^n given as the {index: scalar} map of
+    its nonzero entries, the rank of the smallest subspace that holds it and
+    is stable under the n x n matrices.  ring is GF(p) with p <= 13, whose
+    vectors are packed into bytes; any other ring raises ValueError.  The
+    matrices are prepared once for all seeds; with none, n is never read."""
+    if ring.kind != "GF" or not lane_budget(ring.p):
+        raise ValueError(f"closure_ranks works over GF(p) with p <= 13, not {ring}")
+    n = matrices[0].nrows if matrices else 0
+    ops = [_operator(m, ring.p) for m in matrices]
+    return [_close(_PackedSpan(ring.p), seed, ops, n) for seed in seeds]
+
+
+def _close(span: _PackedSpan, seed: dict, ops, n: int) -> int:
+    """The rank of the closure of the map seed under ops in span, breadth
+    first: the images of each new vector in turn, under each operator in
+    turn.  Stops once the span has rank n, the whole space, since no image
+    can raise it further."""
+    v = sum(x % span._mod << (c << 3) for c, x in seed.items())
+    frontier = [v] if span._insert(v) else []
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for op in ops:
+                w = span._apply(op, v)
+                if span._insert(w):
+                    if len(span._rows) == n:
+                        return n
+                    nxt.append(w)
+        frontier = nxt
+    return len(span._rows)
 
 
 # -- Smith normal form over ZZ ----------------------------------------------

@@ -190,9 +190,9 @@ def _probe_seed(s: int, dim: int, p: int) -> dict:
 def submodule_probe(module: InducedModule) -> dict:
     """Closure of seeded vectors under the action matrices; reports whether
     each seed generates the whole module (suggesting simplicity per the
-    Kac-Weisfeiler bound; reported, never assumed).  The closure runs on
-    packed rows, so module.p is at most 13 (both callers probe at p = 3);
-    a larger prime raises ValueError."""
+    Kac-Weisfeiler bound; reported, never assumed).  closure_ranks runs
+    the closure on byte-packed rows, so module.p is at most 13 (both
+    callers probe at p = 3); a larger prime raises ValueError."""
     seeds = [_probe_seed(s, module.dim, module.p) for s in range(PROBE_SEEDS)]
     results = closure_ranks(GF(module.p), seeds, module.action)
     return {

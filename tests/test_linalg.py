@@ -322,7 +322,7 @@ def test_kernels_and_solutions_are_taken_over_qq_and_closures_on_packed_rows(rin
         for call in (lambda: rank_kernel(m), lambda: solve(m, {0: 1})):
             with pytest.raises(ValueError, match=re.escape(f"over QQ, not {ring}")):
                 call()
-    if linalg.lane_budget(ring):
+    if ring == GF(3):
         assert closure_ranks(ring, [{0: 1}], [m]) == [1]
     else:
         with pytest.raises(ValueError, match=re.escape(f"p <= 13, not {ring}")):
@@ -408,7 +408,8 @@ def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
 
 @pytest.mark.parametrize("ring", [QQ, GF(3), GF(17)], ids=str)
 def test_a_zero_entry_counts_as_absent_in_both_row_formats(ring):
-    # dict rows over QQ and GF(17), byte-packed rows over GF(3)
+    # VectorSpan's sparse rows over every field, and the byte-packed rows of
+    # closure_ranks' own span over GF(3)
     span = VectorSpan(ring)
     assert span.add({0: 1, 2: 5}) is True
     assert span.add({0: 0, 1: 1}) is True
@@ -416,8 +417,20 @@ def test_a_zero_entry_counts_as_absent_in_both_row_formats(ring):
     assert span.contains({0: 1, 1: 0, 2: 5}) and not span.contains({2: 1, 3: 0})
     assert span.add({0: 1, 1: 1, 2: 5, 3: 0}) is False
     assert span.pivots == [0, 1] and not span.contains({2: 1}) and not span.contains({3: 1})
-    if linalg.lane_budget(ring):
+    if ring == GF(3):
         assert closure_ranks(ring, [{0: 0}, {0: 0, 1: 1}], [SparseMatrix(2, 2, ring, {(0, 1): 1})]) == [0, 2]
+
+
+@pytest.mark.parametrize("p", [3, 13, 17, 101])
+def test_a_gf_p_span_takes_every_entry_mod_p(p):
+    # an entry that p divides counts as absent, and any other as its
+    # residue, at every prime
+    span = VectorSpan(GF(p))
+    assert span.add({0: p}) is False and span.add({0: -2 * p}) is False and span.rank == 0
+    assert span.add({1: 1}) is True
+    assert span.contains({0: p, 1: 1}) and span.contains({1: 1 - p}) and span.contains({0: -p, 1: 3 * p + 1})
+    assert span.add({0: p + 2, 1: 5 * p}) is True and span.pivots == [0, 1]
+    assert span.contains({0: 2 - p}) and not span.contains({2: p + 1})
 
 
 # -- ring-closed results against the coercing constructor -----------------------

@@ -1,7 +1,9 @@
-"""The byte-packed GF(p) row format stays inside linalg: no other module of
-orbitforge packs or unpacks an int (to_bytes, from_bytes) or renormalises
-bytes (translate), and modular holds no elimination or closure loop of its
-own, since submodule_probe closes its seeds with linalg.closure_ranks."""
+"""The byte-packed GF(p) row format stays inside linalg's closure: no other
+module of orbitforge packs or unpacks an int (to_bytes, from_bytes) or
+renormalises bytes (translate), inside linalg only closure_ranks' span and
+its helpers do, never VectorSpan, and modular holds no elimination or
+closure loop of its own, since submodule_probe closes its seeds with
+linalg.closure_ranks."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,8 @@ from test_one_bracket import _names
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orbitforge"
 PACKED_NAMES = {"to_bytes", "from_bytes", "translate"}
+# the definitions of linalg that make up closure_ranks: its span and helpers
+CLOSURE = {"lane_budget", "_PackedSpan", "_operator", "_residues", "_at_least", "closure_ranks", "_close"}
 # names only a span or a closure of its own would use
 SPAN_NAMES = {"VectorSpan", "frontier", "_closure_rank", "_axpy", "_sift", "_insert"}
 
@@ -39,6 +43,18 @@ def _elimination_loops(tree) -> list:
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "linalg.py"))
 def test_no_module_but_linalg_touches_the_packed_format(path):
     assert not _names(ast.parse((SRC / path).read_text())) & PACKED_NAMES
+
+
+def _packing_definitions(tree) -> set:
+    """The name of each top-level definition of tree that uses a name of
+    PACKED_NAMES, and the line of each other top-level statement that does."""
+    return {getattr(node, "name", f"line {node.lineno}") for node in tree.body if _names(node) & PACKED_NAMES}
+
+
+def test_in_linalg_only_the_closure_touches_the_packed_format():
+    users = _packing_definitions(ast.parse((SRC / "linalg.py").read_text()))
+    assert users and users <= CLOSURE
+    assert "VectorSpan" not in users
 
 
 def test_modular_has_no_elimination_or_closure_loop():
@@ -69,6 +85,9 @@ def test_the_guards_see_a_planted_use():
     assert _names(ast.parse("u = int.from_bytes(data, 'little')")) & PACKED_NAMES
     assert _names(ast.parse("data = u.to_bytes(n, 'little').translate(table)")) & PACKED_NAMES
     assert not _names(ast.parse('"""bytes renormalised by translate"""\nx = 1')) & PACKED_NAMES
+    planted = ("class VectorSpan:\n    def _normal(self, u):\n        return u.to_bytes(2, 'little')\n"
+               "\n\ndef _close(u):\n    return u.translate(TABLE)\n\n\nDATA = b''.translate(TABLE)\n")
+    assert _packing_definitions(ast.parse(planted)) == {"VectorSpan", "_close", "line 10"}
     tree = ast.parse(OLD_CLOSURE)
     assert _names(tree) & SPAN_NAMES and _elimination_loops(tree)
     # a dict elimination loop with another name: its pivot inverse gives it away

@@ -1,14 +1,14 @@
-"""The byte-packed GF(p) span against dense elimination.
+"""The GF(p) spans against dense elimination.
 
-VectorSpan over GF(p) with p <= 13 holds byte-packed rows and over any
-other field dict rows.  A GF(p) span is never read back, so both must give
-the add return values, ranks, pivots and memberships of dense Gauss-Jordan
+VectorSpan holds sparse {col: scalar} rows over every field, and
+closure_ranks alone grows a byte-packed span of its own over GF(p) with
+p <= 13.  A GF(p) span is never read back, so both must give the add
+return values, ranks, pivots and memberships of dense Gauss-Jordan
 elimination (tests/test_linalg.py's reference, which shares no code with
 linalg): every reference echelon row is in the span and a vector off it is
-not, on sparse and full {col: residue} maps, on columns far apart, and on
-reductions long enough to renormalise the bytes on the way.  closure_ranks,
-which takes packed rows only, is checked against a dense closure written
-here."""
+not, on sparse and full {col: residue} maps, on columns far apart, and, for
+the packed span, on reductions long enough to renormalise the bytes on the
+way.  closure_ranks is checked against a dense closure written here."""
 
 import random
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforge import linalg
 from orbitforge.rings import GF
-from orbitforge.linalg import VectorSpan, closure_ranks, lane_budget
+from orbitforge.linalg import VectorSpan, _PackedSpan, closure_ranks, lane_budget
 
 from dense_matrices import from_dense
 from test_linalg import _ref_echelon
@@ -28,7 +28,7 @@ PRIMES = PACKED + [17]
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_the_lane_budget_keeps_every_byte_below_256(p):
-    budget = lane_budget(GF(p))
+    budget = lane_budget(p)
     assert (budget > 0) is (p in PACKED)
     # a byte starts below p and grows by at most (p - 1)^2 per addition
     if budget:
@@ -78,9 +78,41 @@ def _on_keys(row, keys) -> dict:
     return {keys[j]: x for j, x in enumerate(row) if x}
 
 
-def _check_against_the_reference(p, keys, rows, check_every=3):
+class PackedSpan:
+    """closure_ranks' packed span behind VectorSpan's add, contains, rank
+    and pivots: a vector is packed as closure_ranks packs a seed, added by
+    _insert, and in the span iff _sift reduces it to nothing."""
+
+    def __init__(self, ring):
+        self.p, self.span = ring.p, _PackedSpan(ring.p)
+
+    def _pack(self, vec: dict) -> int:
+        return sum(x % self.p << (c << 3) for c, x in vec.items())
+
+    def add(self, vec: dict) -> bool:
+        return self.span._insert(self._pack(vec))
+
+    def contains(self, vec: dict) -> bool:
+        return self.span._sift(self._pack(vec)) is None
+
+    @property
+    def rank(self) -> int:
+        return len(self.span._rows)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self.span._rows)
+
+
+def _spans(p) -> list:
+    """The span kinds that run at p: VectorSpan at every prime, the packed
+    span at a packed prime."""
+    return [VectorSpan, PackedSpan] if p in PACKED else [VectorSpan]
+
+
+def _check_against_the_reference(make, p, keys, rows, check_every=3):
     ring = GF(p)
-    span, ref = VectorSpan(ring), DenseEchelon(p)
+    span, ref = make(ring), DenseEchelon(p)
     for k, row in enumerate(rows):
         vec = _on_keys(row, keys)
         grows = ref.add(row)
@@ -90,7 +122,7 @@ def _check_against_the_reference(p, keys, rows, check_every=3):
         assert span.rank == len(ref.rows)
         if k % check_every == check_every - 1:
             # membership in the middle leaves the span as it was, so later
-            # additions still meet the semi-reduced rows
+            # additions still meet the semi-reduced packed rows
             echelon, _ = _ref_echelon(rows[:k + 1], ring)
             assert all(span.contains(_on_keys(r, keys)) for r in echelon)
     echelon, pivots = _ref_echelon(rows, ring)
@@ -100,7 +132,7 @@ def _check_against_the_reference(p, keys, rows, check_every=3):
     assert all(span.contains(_on_keys(row, keys)) for row in rows)
     # off the span: the unit vector at the first column with no pivot (a
     # new column if every one has one), also plus an echelon row, so that
-    # the sift has to reduce before it reaches that column
+    # the reduction has to work before it reaches that column
     free = next((c for c in keys if c not in span.pivots), keys[-1] + 1)
     assert not span.contains({free: 1})
     if echelon:
@@ -113,14 +145,16 @@ def _check_against_the_reference(p, keys, rows, check_every=3):
 @given(span_inputs())
 def test_add_contains_rank_pivots_and_rows_follow_dense_elimination(data):
     p, keys, rows, _ = data
-    _check_against_the_reference(p, keys, rows)
+    for make in _spans(p):
+        _check_against_the_reference(make, p, keys, rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(span_inputs(far=True))
 def test_far_apart_columns(data):
     p, keys, rows, _ = data
-    _check_against_the_reference(p, keys, rows)
+    for make in _spans(p):
+        _check_against_the_reference(make, p, keys, rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -129,18 +163,18 @@ def test_long_reductions_renormalise_on_the_way(p, seed):
     # dense rows over more columns than the budget: a reduction adds more
     # rows than one budget allows, so the bytes are renormalised mid-way
     rng = random.Random(seed)
-    n = lane_budget(GF(p)) + 6
+    n = lane_budget(p) + 6
     rows = [[rng.randrange(1, p) for _ in range(n)] for _ in range(n + rng.randrange(2, 5))]
     calls = []
-    normal = VectorSpan._normal
+    normal = _PackedSpan._normal
 
     def counted(self, u):
         calls.append(1)
         return normal(self, u)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(VectorSpan, "_normal", counted)
-        _check_against_the_reference(p, list(range(n)), rows, check_every=n)
+        patch.setattr(_PackedSpan, "_normal", counted)
+        _check_against_the_reference(PackedSpan, p, list(range(n)), rows, check_every=n)
     assert calls
 
 
@@ -193,11 +227,18 @@ def test_closure_rank_stays_in_an_invariant_subspace(pn, data):
     assert got == _dense_closure_rank(p, seed, mats) <= k
 
 
-def test_the_rows_are_packed_up_to_13_and_dicts_above():
-    span = VectorSpan(GF(13))
-    span.add({1: 1, 2: 2})
-    assert span._rows == {1: 2}   # the row 1 at column 1, 2 at column 2: byte 0 after the pivot is 2
-    span = VectorSpan(GF(17))
-    span.add({1: 1, 2: 2})
-    assert span._rows == {1: {1: 1, 2: 2}}
-    assert linalg.lane_budget(GF(13)) == 1 and linalg.lane_budget(GF(17)) == 0
+def test_every_gf_p_span_holds_sparse_rows_and_only_closure_ranks_packs():
+    for p in PRIMES:
+        span = VectorSpan(GF(p))
+        span.add({1: 1, 2: 2})
+        assert span._rows == {1: {1: 1, 2: 2}}
+        assert vars(span).keys() == {"_rows", "_mod"}
+        if p in PACKED:
+            packed = _PackedSpan(p)
+            assert packed._insert(1 << 8 | 2 << 16)
+            assert packed._rows == {1: 2}   # the row 1 at column 1, 2 at column 2: byte 0 after the pivot is 2
+            assert closure_ranks(GF(p), [{1: 1, 2: 2}], []) == [1]
+        else:
+            with pytest.raises(ValueError, match="p <= 13"):
+                closure_ranks(GF(p), [{1: 1, 2: 2}], [])
+    assert linalg.lane_budget(13) == 1 and linalg.lane_budget(17) == 0
