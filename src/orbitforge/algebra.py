@@ -22,11 +22,6 @@ from .rings import Ring, ZZ, QQ, canonical, integer_maps
 from .linalg import SparseMatrix, bracket_residues, commutator, inverse_rows
 
 
-def _trace_of_product(x: dict, y: dict):
-    """tr(xy) = sum of x[r, c] y[c, r], for matrices given by their entries."""
-    return sum(v * y.get((c, r), 0) for (r, c), v in x.items())
-
-
 class ClassicalAlgebra:
     def __init__(self, N: int, eps: int):
         if eps not in (1, -1):
@@ -370,42 +365,40 @@ class ClassicalAlgebra:
 
     def killing_form(self):
         """Gram matrix of the normalised Killing form on the Chevalley basis,
-        with the proportionality constant to the trace form; each trace
-        tr(xy) is summed off the entries of x and y, forming no product."""
+        with the proportionality constant to the trace form.  tr(B_i B_j) is
+        summed as B_i[r, c] B_j[c, r] with no product matrix, so only pairs
+        with entries at transposed positions are traced."""
         if self._killing is not None:
             return self._killing
         rd = self.root_data()
         norms, d = rd["norms"], rd["d"]
-        gram = {}
-        ents = [b.entries for b in self.basis]
+        at = {}  # matrix position -> [(basis index, its entry there), ...]
+        for k, b in enumerate(self.basis):
+            for rc, v in b.entries.items():
+                at.setdefault(rc, []).append((k, v))
+        traces = {}
+        for (r, c), here in at.items():
+            for j, w in at.get((c, r), ()):
+                for i, v in here:
+                    traces[(i, j)] = traces.get((i, j), 0) + v * w
+        index = {lab: k for k, lab in enumerate(self.labels)}
         if rd["roots"]:
             # kappa is proportional to the trace form; fix the constant on a
             # root-vector pair from the normalised value 2d/(alpha|alpha)
             w0 = rd["positive_roots"][0]
-            plus, minus = self.labels.index(("e", w0)), self.labels.index(("e", self._neg(w0)))
             target = QQ.div(2 * d, norms[w0])
-            const = QQ.div(target, _trace_of_product(ents[plus], ents[minus]))
+            const = QQ.div(target, traces.get((index[("e", w0)], index[("e", self._neg(w0))]), 0))
         else:
             const = QQ.div(1, 2)  # orthogonal family value
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                val = canonical(const * _trace_of_product(ents[i], ents[j]))
-                if val != 0:
-                    gram[(i, j)] = val
-                    if i != j:
-                        gram[(j, i)] = val
-        gmat = SparseMatrix(self.dim, self.dim, QQ, gram)
-        # cross-check the closed-form values on all root-vector pairs
-        for k, lab in enumerate(self.labels):
-            if lab[0] != "e":
-                continue
-            w = lab[1]
-            for l, lab2 in enumerate(self.labels):
-                if lab2[0] != "e":
-                    continue
-                expect = QQ.div(2 * d, norms[w]) if lab2[1] == self._neg(w) else 0
-                if gmat[(k, l)] != expect:
-                    raise AssertionError("Killing values disagree with the root formula")
+        gmat = SparseMatrix(self.dim, self.dim, QQ, {ij: const * t for ij, t in traces.items()})
+        # the root-vector block must be the closed form: 2d/(alpha|alpha) on
+        # each (e_alpha, e_-alpha) and zero elsewhere
+        expect = {(k, index[("e", self._neg(lab[1]))]): QQ.div(2 * d, norms[lab[1]])
+                  for k, lab in enumerate(self.labels) if lab[0] == "e"}
+        found = {(i, j): v for (i, j), v in gmat.entries.items()
+                 if self.labels[i][0] == "e" and self.labels[j][0] == "e"}
+        if found != expect:
+            raise AssertionError("Killing values disagree with the root formula")
         # and on the simple-coroot pairs: kappa(h_a, h_b) = 4d(a|b)/((a|a)(b|b))
         if rd["roots"]:
             scale = QQ.div(norms[rd["positive_roots"][0]], sum(x * x for x in rd["positive_roots"][0]))

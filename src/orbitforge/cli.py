@@ -76,10 +76,10 @@ SCHEMA_VERSION = 1
 # whole `verma 4 -1 --levi 1,1 --prime 7` command takes 1.1 s (median of 5
 # runs on a 2-core machine).
 MAX_MODULE_DIM = 2401
-# Largest N a command accepts, for g = so_N or sp_N.  44 is the largest N at
-# which `algebra N 1` and `algebra N -1` both finish within 10 s on a 2-core
-# machine: 9.1 s and 9.2 s.  N = 40 takes 5.1 s and 6.1 s; so_45 takes 9.7 s,
-# too close to the limit to hold, and sp_46 13.6 s.
+# Largest N a command accepts, for g = so_N or sp_N.  44 was the largest N at
+# which `algebra N ±1` finished within 10 s; it now takes 0.14-0.22 s for
+# N = 40, 42 and 44 (median of 3 runs of the whole command on a 2-core
+# machine), and the cap stays until each command has an admission bound.
 MAX_N = 44
 
 

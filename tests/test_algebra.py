@@ -392,6 +392,46 @@ def test_killing_nondegenerate_mod_p():
             assert row_span(gram.change_ring(GF(p))).rank == g.dim
 
 
+@pytest.mark.parametrize("n, eps", [(n, eps) for n in range(2, 11) for eps in (1, -1) if eps == 1 or n % 2 == 0])
+def test_killing_gram_matches_the_all_pairs_trace(n, eps):
+    # the dense reference: c tr(B_i B_j) over every ordered basis pair
+    g = build_algebra(n, eps)
+    kf = g.killing_form()
+    want = {}
+    for i, x in enumerate(g.basis):
+        for j, y in enumerate(g.basis):
+            if (v := kf["trace_constant"] * _trace(x @ y)) != 0:
+                want[(i, j)] = v
+    assert kf["gram"].entries == want
+
+
+def _root_index(g, w) -> int:
+    return g.labels.index(("e", w))
+
+
+@pytest.mark.parametrize("n, eps", [(4, -1), (5, 1), (6, -1), (8, 1)])
+def test_killing_form_refuses_a_root_pair_off_the_formula(n, eps):
+    # the highest root's vector doubled: its pairing with e_-alpha doubles,
+    # while the first positive root still fixes the trace constant
+    g = ClassicalAlgebra(n, eps)  # fresh: the planted basis stays here
+    k = _root_index(g, g.positive_roots[-1])
+    g.basis[k] = SparseMatrix(g.N, g.N, QQ, {rc: 2 * v for rc, v in g.basis[k].entries.items()})
+    with pytest.raises(AssertionError, match="Killing values disagree with the root formula"):
+        g.killing_form()
+
+
+@pytest.mark.parametrize("n, eps", [(4, -1), (5, 1), (6, -1), (8, 1)])
+def test_killing_form_refuses_a_trace_on_a_pair_of_roots_that_do_not_cancel(n, eps):
+    # e_alpha gains an entry at the transpose of a position of e_beta, with
+    # beta != -alpha, so tr(e_alpha e_beta) becomes nonzero; no other trace moves
+    g = ClassicalAlgebra(n, eps)  # fresh: the planted basis stays here
+    a, b = (_root_index(g, w) for w in g.positive_roots[-2:])
+    r, c = next(iter(g.basis[b].entries))
+    g.basis[a] = SparseMatrix(g.N, g.N, QQ, {**g.basis[a].entries, (c, r): 1})
+    with pytest.raises(AssertionError, match="Killing values disagree with the root formula"):
+        g.killing_form()
+
+
 def test_trace_constant_recorded():
     assert build_algebra(4, -1).killing_form()["trace_constant"] == 1
     assert build_algebra(5, 1).killing_form()["trace_constant"] == Fraction(1, 2)

@@ -32,6 +32,19 @@ def test_algebra_json():
     assert code == 0 and data["dim"] == 10 and data["long_short_ratio"] == "2"
 
 
+@pytest.mark.parametrize("eps, sha1", [
+    ("1", "d22a6a900618dcc055ce55decfa00055b7ae6822"),
+    ("-1", "8fdeaf2cf58f6a6f9b5e8daf6552b4ea6c9897bc"),
+])
+def test_algebra_at_the_cap_keeps_its_bytes(eps, sha1):
+    # about 360 KB each, so pinned by digest rather than as a golden file
+    import hashlib
+
+    code, out, err = run_cli("algebra", "44", eps)
+    assert code == 0 and err == ""
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_centralizer_json():
     code, out, _ = run_cli("centralizer", "2,1,1", "-1")
     data = json.loads(out)
